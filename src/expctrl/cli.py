@@ -12,6 +12,7 @@ failure, 3 iteration budget exhausted, 4 estimate violation.
 """
 
 import argparse
+import copy
 import json
 import re
 import sys
@@ -248,6 +249,8 @@ def _base_control(config):
 
 
 def _resolve_target(config, mesh):
+    """The run's instance, with a state_of target solved on mesh in a
+    copy, so the config stays usable for another run."""
     instance = config.instance
     if isinstance(instance.y_d, _StateOf):
         if instance.y_d.values.size != instance.points.count:
@@ -255,7 +258,9 @@ def _resolve_target(config, mesh):
                 "field 'y_d': state_of needs one value per source point")
         state = solve_state(instance, Control(instance.y_d.values), mesh,
                             tol=config.tolerances["newton"])
+        instance = copy.copy(instance)
         instance.y_d = state.y
+    return instance
 
 
 def cmd_solve(config):
@@ -288,9 +293,8 @@ def cmd_solve(config):
 
 def cmd_optimize(config):
     """Projected gradient plus the first- and second-order reports."""
-    instance = config.instance
-    mesh = instance.make_mesh()
-    _resolve_target(config, mesh)
+    mesh = config.instance.make_mesh()
+    instance = _resolve_target(config, mesh)
     u0 = _base_control(config)
     max_iters = int(_field(config.raw, "max_iters", 200))
     tol = config.tolerances["kkt"]
@@ -402,9 +406,8 @@ def cmd_verify(config):
 
 def cmd_taylor(config):
     """Remainder tables for the objective along a direction."""
-    instance = config.instance
-    mesh = instance.make_mesh()
-    _resolve_target(config, mesh)
+    mesh = config.instance.make_mesh()
+    instance = _resolve_target(config, mesh)
     u = _base_control(config)
     raw_h = _float_list(config.raw, "direction")
     if len(raw_h) != instance.points.count:

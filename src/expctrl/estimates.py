@@ -15,11 +15,10 @@ which makes a pass a necessary consistency check rather than a proof.
 
 import numpy as np
 
-from .fem import (assemble_dirac_load, assemble_mollified_load,
-                  exp_remainder1, exp_remainder2, integrate_exp_linear,
-                  integrate_lumped, TRI3_BARY, TRI3_W)
-from .pde import (field_load, nodal_field, operators, solve_semilinear,
-                  solve_state)
+from .fem import (assemble_mollified_load, exp_remainder1, exp_remainder2,
+                  integrate_exp_linear, integrate_lumped, TRI3_BARY, TRI3_W)
+from .pde import (field_load, nodal_field, operators, point_coupling,
+                  solve_semilinear, solve_state)
 from .sequences import (FOUR_PI, Control, L_functional, SourcePoints,
                         compute_separation_radii, l1_norm)
 
@@ -100,8 +99,8 @@ def verify_poisson_exponential(domain, points, omega, alpha, mesh):
     radii = compute_separation_radii(pts, domain)
     R = 0.5 * domain.diameter()
     rhs, wmax, L = _exponential_rhs(alpha, wv, R, radii)
-    y = solve_semilinear(
-        mesh, assemble_dirac_load(mesh, radii, wv), linear=True)
+    y = solve_semilinear(mesh, point_coupling(mesh, radii).T @ wv,
+                         linear=True)
     lhs = integrate_exp_linear(mesh, np.abs(y.y.values),
                                coeff=(FOUR_PI - alpha) / wmax)
     return EstimateReport(
@@ -137,8 +136,7 @@ def verify_semilinear_exponential(domain, points, omega, alpha, f0, mesh):
     R = 0.5 * domain.diameter()
     rhs0, wmax, L = _exponential_rhs(alpha, wv, R, radii)
     base_load = field_load(mesh, f0)
-    y = solve_semilinear(mesh,
-                         base_load + assemble_dirac_load(mesh, radii, wv))
+    y = solve_semilinear(mesh, base_load + point_coupling(mesh, radii).T @ wv)
     y0 = solve_semilinear(mesh, base_load)
     shift = float(np.max(np.abs(y0.y.values)))
     c = 2.0 - alpha / (2.0 * np.pi)

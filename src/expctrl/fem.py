@@ -1,5 +1,5 @@
-"""P1 finite elements: assembly, point and mollified loads, quadrature,
-and a Jacobi-preconditioned conjugate-gradient solver.
+"""P1 finite elements: assembly, point coupling, mollified loads,
+quadrature, and a Jacobi-preconditioned conjugate-gradient solver.
 
 All assembly is vectorized over elements with duplicate summation done
 by scipy's coo-to-csr conversion, which is deterministic, so repeated
@@ -50,10 +50,20 @@ class FEFunction:
         self.values = values
 
 
-def point_value(f, x):
-    """Evaluate a nodal function at an arbitrary point by interpolation."""
-    t, lam = locate_point(f.mesh, x)
-    return float(np.dot(lam, f.values[f.mesh.triangles[t]]))
+def point_operator(mesh, points):
+    """Sparse (K, V) point-coupling matrix P of the points x_1..x_K.
+
+    Row i holds the barycentric weights of x_i in its triangle, so P f
+    interpolates a nodal f at the points and P' u is the load of the
+    point masses sum_i u_i delta_{x_i}: load and evaluation are adjoint.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    located = [locate_point(mesh, x) for x in pts]
+    cols = np.concatenate([mesh.triangles[t] for t, _ in located])
+    weights = np.concatenate([lam for _, lam in located])
+    rows = np.repeat(np.arange(len(pts)), 3)
+    return sp.csr_matrix((weights, (rows, cols)),
+                         shape=(len(pts), mesh.num_vertices))
 
 
 def _gradients(mesh):
@@ -140,23 +150,6 @@ def assemble_load(mesh, f):
     contrib = np.einsum("q,tq,qi,t->ti", TRI3_W, fv, TRI3_BARY, mesh.areas)
     b = np.zeros(mesh.num_vertices)
     np.add.at(b, mesh.triangles.ravel(), contrib.ravel())
-    return b
-
-
-def assemble_dirac_load(mesh, points, weights):
-    """Load vector of a combination of point masses sum_i w_i delta_{x_i}:
-    each point contributes its weight times the hat-function values at
-    its location."""
-    wv = weights.values if hasattr(weights, "values") else \
-        np.asarray(weights, dtype=float).reshape(-1)
-    pts = points.points if hasattr(points, "points") else \
-        np.asarray(points, dtype=float).reshape(-1, 2)
-    if wv.size != pts.shape[0]:
-        raise ValueError("one weight per point required")
-    b = np.zeros(mesh.num_vertices)
-    for i in range(pts.shape[0]):
-        t, lam = locate_point(mesh, pts[i])
-        b[mesh.triangles[t]] += wv[i] * lam
     return b
 
 

@@ -142,10 +142,10 @@ class Mesh:
     def vertex_triangle(self):
         """For each vertex, the smallest triangle index containing it."""
         if self._vertex_tri is None:
-            vt = np.full(self.num_vertices, -1, dtype=np.int64)
-            # reversed order so the smallest triangle index wins
-            for t in range(self.num_triangles - 1, -1, -1):
-                vt[self.triangles[t]] = t
+            vt = np.full(self.num_vertices, self.num_triangles,
+                         dtype=np.int64)
+            np.minimum.at(vt, self.triangles.ravel(),
+                          np.repeat(np.arange(self.num_triangles), 3))
             self._vertex_tri = vt
         return self._vertex_tri
 
@@ -395,23 +395,21 @@ def barycentric(mesh, t, x):
 _BARY_TOL = 1e-12
 
 
-def locate_point(mesh, x, hint=None):
+def locate_point(mesh, x):
     """Find the triangle containing x and its barycentric coordinates.
 
-    Walks the neighbor graph from a starting triangle; when the walk
-    stalls, or when x lies on a shared edge or vertex, falls back to a
-    full scan where the smallest eligible triangle index wins.  The
-    returned coordinates are clipped to be nonnegative and renormalized.
+    Walks the neighbor graph from a triangle at the nearest vertex; when
+    the walk stalls, or when x lies on a shared edge or vertex, falls
+    back to a full scan where the smallest eligible triangle index wins.
+    The returned coordinates are clipped to be nonnegative and
+    renormalized.
 
     Raises ValueError("point not located") for points outside the mesh.
     """
     x = np.asarray(x, dtype=float).reshape(2)
     nbr = mesh.neighbors()
-    if hint is not None:
-        t = int(hint)
-    else:
-        d2 = np.sum((mesh.vertices - x) ** 2, axis=1)
-        t = int(mesh.vertex_triangle()[int(np.argmin(d2))])
+    d2 = np.sum((mesh.vertices - x) ** 2, axis=1)
+    t = int(mesh.vertex_triangle()[int(np.argmin(d2))])
     for _ in range(mesh.num_triangles):
         lam = barycentric(mesh, t, x)
         j = int(np.argmin(lam))

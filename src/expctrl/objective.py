@@ -1,14 +1,14 @@
-"""The reduced objective, its adjoint-based gradient, the second-order
-form, and Taylor-remainder diagnostics.
+"""The reduced objective, its adjoint-based gradient, the reduced K x K
+Hessian, and Taylor-remainder diagnostics.
 
 With M the consistent mass matrix and Y the nodal state,
 J(u) = (1/2)(Y - Y_d)' M (Y - Y_d) + (nu/2) sum u_i^2.  The gradient
-entries d_i = phi(x_i) + nu u_i are the exact derivatives of this
-discrete value, because each point load pairs with the adjoint state
-through the same matrix that linearizes the state equation.  The
-second-order form differentiates once more; the curvature of the
-exponential therefore enters with the lumped weights of the state
-equation, and the value is again the exact Hessian of the discrete J.
+d = P phi + nu u is exact for this discrete value, because the point
+load P' u and the point evaluation P phi are adjoint.  With Z the
+linearized states of the K unit point masses, the Hessian is
+H = Z' M Z - Z' diag(M_L e^y phi) Z + nu I: the exponential's curvature
+enters with the lumped weights of the state equation, so H is again
+exact, and D2J[h, k] = h' H k.
 """
 
 import numpy as np
@@ -58,40 +58,39 @@ def evaluate_J(instance, u, mesh, tol=1e-10, state=None):
 
 
 def evaluate_DJ(instance, u, mesh, tol=1e-10, state=None):
-    """Gradient entries d_i = phi(x_i) + nu u_i, wrapped in a report
-    that also carries the objective value."""
+    """Gradient d = P phi + nu u, wrapped in a report that also carries
+    the objective value."""
     if state is None:
         state = solve_state(instance, u, mesh, tol=tol)
     phi = solve_adjoint(state, instance.y_d, mesh)
-    grad = np.asarray(evaluate_at_points(phi, instance.points)) \
-        + instance.nu * u.values
+    grad = evaluate_at_points(phi, instance.points) + instance.nu * u.values
     return DerivativeReport(evaluate_J(instance, u, mesh, state=state),
                             gradient=grad)
 
 
-def evaluate_D2J(instance, u, mesh, h, k, tol=1e-10, state=None, phi=None):
-    """Second-order form D2J[h, k] along point-mass directions.
-
-    With z solving the linearized equation for its direction, the value
-    is z_h' M z_k - sum_n (M_L)_n e^{y_n} phi_n z_h,n z_k,n
-    + nu sum h_i k_i; passing h as k skips the second linearized solve.
-    """
+def reduced_hessian(instance, u, mesh, tol=1e-10, state=None, phi=None):
+    """The K x K Hessian of the discrete J at u, symmetrized against
+    roundoff; column i of Z is the linearized state of the unit point
+    mass at x_i, so building it takes K linearized solves."""
     if state is None:
         state = solve_state(instance, u, mesh, tol=tol)
     if phi is None:
         phi = solve_adjoint(state, instance.y_d, mesh)
-    zh = solve_linearized(state, h, mesh, instance.points)
-    zk = zh if k is h else solve_linearized(state, k, mesh, instance.points)
-    return _second_order_form(instance, mesh, state, phi, zh, zk, h, k)
-
-
-def _second_order_form(instance, mesh, state, phi, zh, zk, h, k):
     ops = operators(mesh)
-    tracking = float(zh.values @ (ops.mass @ zk.values))
+    eye = np.eye(instance.points.count)
+    Z = np.column_stack([
+        solve_linearized(state, Control(e), mesh, instance.points).values
+        for e in eye])
     weight = ops.lumped * np.exp(state.y.values) * phi.values
-    curvature = float(np.sum(weight * zh.values * zk.values))
-    return tracking - curvature \
-        + instance.nu * float(np.dot(h.values, k.values))
+    H = Z.T @ (ops.mass @ Z) - Z.T @ (weight[:, None] * Z) + instance.nu * eye
+    return 0.5 * (H + H.T)
+
+
+def evaluate_D2J(instance, u, mesh, h, k, tol=1e-10, state=None, phi=None):
+    """Second-order form D2J[h, k] = h' H k with H the reduced Hessian
+    at u; each call builds H afresh."""
+    H = reduced_hessian(instance, u, mesh, tol=tol, state=state, phi=phi)
+    return float(h.values @ H @ k.values)
 
 
 def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
@@ -110,8 +109,7 @@ def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
     state = solve_state(instance, u, mesh, tol=tol)
     phi = solve_adjoint(state, instance.y_d, mesh)
     base = evaluate_J(instance, u, mesh, state=state)
-    grad = np.asarray(evaluate_at_points(phi, instance.points)) \
-        + instance.nu * u.values
+    grad = evaluate_at_points(phi, instance.points) + instance.nu * u.values
     dj_h = float(np.dot(grad, h.values))
     d2_hh = evaluate_D2J(instance, u, mesh, h, h, state=state, phi=phi)
     rows = []

@@ -1,8 +1,8 @@
 """Semilinear state, linearized, and adjoint solvers on a fixed mesh.
 
 The discrete state equation couples the P1 stiffness matrix with a
-mass-lumped exponential: A y + M_L (e^y - 1) = b(f0) + d(u), where d(u)
-is the point-mass load of the control.  Lumping keeps the nonlinearity
+mass-lumped exponential: A y + M_L (e^y - 1) = b(f0) + P' u, with P the
+point-coupling operator of the sources.  Lumping keeps the nonlinearity
 diagonal, so the Newton matrix A + M_L diag(e^y) stays an M-matrix and
 the discrete comparison principle survives; the linearized and adjoint
 equations reuse that same matrix.
@@ -13,9 +13,9 @@ import weakref
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (FEFunction, assemble_dirac_load, assemble_load,
-                  assemble_stiffness, assemble_weighted_mass,
-                  lumped_mass_diagonal, point_value, solve_spd)
+from .fem import (FEFunction, assemble_load, assemble_stiffness,
+                  assemble_weighted_mass, lumped_mass_diagonal,
+                  point_operator, solve_spd)
 from .mesh import build_mesh
 from .sequences import FOUR_PI
 
@@ -28,13 +28,14 @@ _ARMIJO = 1e-4
 
 
 class _Operators:
-    """Per-mesh matrices assembled once: stiffness, consistent mass,
-    and the lumped mass diagonal."""
+    """Per-mesh data built once: stiffness, consistent mass, lumped
+    mass diagonal, and point-coupling operators keyed by coordinates."""
 
     def __init__(self, mesh):
         self.stiffness = assemble_stiffness(mesh)
         self.mass = assemble_weighted_mass(mesh, lumped=False)
         self.lumped = lumped_mass_diagonal(mesh)
+        self.coupling = {}
 
 
 _OPERATORS = weakref.WeakKeyDictionary()
@@ -47,6 +48,17 @@ def operators(mesh):
         ops = _Operators(mesh)
         _OPERATORS[mesh] = ops
     return ops
+
+
+def point_coupling(mesh, points):
+    """Cached point-coupling operator P of a point set (SourcePoints or
+    (K, 2) coordinates) on a mesh."""
+    pts = np.asarray(getattr(points, "points", points), dtype=float)
+    cache = operators(mesh).coupling
+    key = pts.reshape(-1, 2).tobytes()
+    if key not in cache:
+        cache[key] = point_operator(mesh, pts)
+    return cache[key]
 
 
 class StateSolution:
@@ -193,7 +205,7 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
 
 
 def solve_state(instance, u, mesh, tol=1e-10, linear=False):
-    """State solve for a control: assemble b(f0) + d(u) and run the
+    """State solve for a control: assemble b(f0) + P' u and run the
     damped Newton of solve_semilinear.
 
     A control with any component at or above 4*pi is rejected up front;
@@ -204,7 +216,7 @@ def solve_state(instance, u, mesh, tol=1e-10, linear=False):
     if float(np.max(u.values)) >= FOUR_PI:
         raise ValueError("state equation may be ill-posed")
     load = field_load(mesh, instance.f0) \
-        + assemble_dirac_load(mesh, instance.points, u)
+        + point_coupling(mesh, instance.points).T @ u.values
     return solve_semilinear(mesh, load, tol=tol, linear=linear)
 
 
@@ -227,13 +239,13 @@ def _check_state(yS, mesh):
 
 def solve_linearized(yS, h, mesh, points, tol=_CG_TOL):
     """Directional derivative of the state at yS along the point-mass
-    direction h: solve (A + M_L diag(e^y)) z = d(h).
+    direction h: solve (A + M_L diag(e^y)) z = P' h.
 
     h has finite support, so this one solve realizes the derivative
     both for truncations of h and for the full direction.
     """
     _check_state(yS, mesh)
-    rhs = assemble_dirac_load(mesh, points, h)
+    rhs = point_coupling(mesh, points).T @ h.values
     z = solve_spd(linearized_operator(yS, mesh), rhs, mesh.boundary, tol=tol)
     return FEFunction(mesh, z)
 
@@ -241,7 +253,7 @@ def solve_linearized(yS, h, mesh, points, tol=_CG_TOL):
 def solve_adjoint(yS, y_d, mesh, tol=_CG_TOL):
     """Adjoint solve (A + M_L diag(e^y)) phi = M (y - y_d), with the
     target entering through its nodal interpolant.  phi is continuous,
-    so its point values are well defined."""
+    so its point values P phi are well defined."""
     _check_state(yS, mesh)
     ops = operators(mesh)
     rhs = ops.mass @ (yS.y.values - nodal_field(mesh, y_d))
@@ -251,7 +263,5 @@ def solve_adjoint(yS, y_d, mesh, tol=_CG_TOL):
 
 
 def evaluate_at_points(f, points):
-    """P1 interpolation of a nodal function at the source locations."""
-    pts = points.points if hasattr(points, "points") else \
-        np.asarray(points, dtype=float).reshape(-1, 2)
-    return [point_value(f, p) for p in pts]
+    """P1 interpolation P f of a nodal function at the given points."""
+    return point_coupling(f.mesh, points) @ f.values

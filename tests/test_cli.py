@@ -261,6 +261,21 @@ def test_taylor_zero_direction_gives_zero_table(tmp_path):
         assert float(s1) == 0.0 and float(s2) == 0.0
 
 
+def test_state_of_target_survives_a_second_command(tmp_path):
+    # resolving y_d must not pin the config to the first command's mesh
+    cfg = RunConfig.from_dict(
+        base_config(y_d="state_of(0.5, 0.5)", control=[0.2, 0.2],
+                    direction=[1.0, -0.5], rho_grid=[1e-1, 1e-2]),
+        out=tmp_path / "t1")
+    assert cli.cmd_taylor(cfg) == 0
+    cfg.out = tmp_path / "t2"
+    assert cli.cmd_taylor(cfg) == 0
+    first = (tmp_path / "t1" / "taylor_summary.txt").read_text()
+    second = (tmp_path / "t2" / "taylor_summary.txt").read_text()
+    assert first.splitlines()[1:] == second.splitlines()[1:]
+    assert isinstance(cfg.instance.y_d, cli._StateOf)
+
+
 def test_reports_are_deterministic_after_the_timestamp(tmp_path):
     cfg = base_config(verify=[{"check": "scalar", "samples": 300},
                               {"check": "lipschitz", "trials": 2}])

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from expctrl.fem import (FEFunction, MOLLIFIER_C, assemble_dirac_load,
-                         assemble_load, assemble_mollified_load,
-                         assemble_stiffness, assemble_weighted_mass,
-                         exp_remainder1, exp_remainder2, integrate_exp_linear,
+from expctrl.fem import (FEFunction, MOLLIFIER_C, assemble_load,
+                         assemble_mollified_load, assemble_stiffness,
+                         assemble_weighted_mass, exp_remainder1,
+                         exp_remainder2, integrate_exp_linear,
                          integrate_lumped, lumped_mass_diagonal,
-                         mollifier_value, point_value, solve_spd,
+                         mollifier_value, point_operator, solve_spd,
                          subdivided_quadrature)
 from expctrl.mesh import Domain, build_mesh, locate_point
 from expctrl.sequences import Control, SourcePoints
@@ -104,7 +104,7 @@ def test_load_exact_for_linear_data():
 def test_dirac_load_at_vertex_is_a_unit_vector():
     mesh = square_mesh(4)
     vid = 12
-    b = assemble_dirac_load(mesh, [mesh.vertices[vid]], [1.0])
+    b = point_operator(mesh, [mesh.vertices[vid]]).T @ np.array([1.0])
     expect = np.zeros(mesh.num_vertices)
     expect[vid] = 1.0
     assert_allclose(b, expect, atol=1e-12)
@@ -114,7 +114,7 @@ def test_dirac_load_at_barycenter():
     mesh = square_mesh(4)
     t = 9
     center = np.mean(mesh.vertices[mesh.triangles[t]], axis=0)
-    b = assemble_dirac_load(mesh, [center], [3.0])
+    b = point_operator(mesh, [center]).T @ np.array([3.0])
     assert_allclose(b[mesh.triangles[t]], [1.0, 1.0, 1.0], atol=1e-12)
     mask = np.ones(mesh.num_vertices, dtype=bool)
     mask[mesh.triangles[t]] = False
@@ -124,8 +124,9 @@ def test_dirac_load_at_barycenter():
 def test_dirac_load_zero_weights_and_mass_conservation():
     mesh = square_mesh(5)
     pts = [[0.31, 0.41], [0.62, 0.58]]
-    assert abs(assemble_dirac_load(mesh, pts, [0.0, 0.0])).max() == 0.0
-    b = assemble_dirac_load(mesh, pts, [1.5, 0.25])
+    P = point_operator(mesh, pts)
+    assert abs(P.T @ np.array([0.0, 0.0])).max() == 0.0
+    b = P.T @ np.array([1.5, 0.25])
     assert np.all(b >= 0.0)
     assert abs(b.sum() - 1.75) < 1e-12
 
@@ -157,7 +158,7 @@ def test_mollified_load_has_compact_support():
 def test_mollified_load_approaches_the_dirac_load():
     mesh = square_mesh(8)
     x0 = [0.52, 0.47]
-    d = assemble_dirac_load(mesh, [x0], [1.0])
+    d = point_operator(mesh, [x0]).T @ np.array([1.0])
     errs = []
     for eps in (0.2, 0.1, 0.05):
         b = assemble_mollified_load(mesh, x0, eps)
@@ -260,8 +261,8 @@ def test_exp_remainders_vectorized():
 def test_point_value_interpolates_linears_exactly():
     mesh = square_mesh(5)
     f = FEFunction(mesh, 3.0 * mesh.vertices[:, 0] + mesh.vertices[:, 1])
-    assert_allclose(point_value(f, [0.37, 0.59]), 3.0 * 0.37 + 0.59,
-                    atol=1e-12)
+    assert_allclose(point_operator(mesh, [[0.37, 0.59]]) @ f.values,
+                    3.0 * 0.37 + 0.59, atol=1e-12)
 
 
 def test_fefunction_validates_shape_and_finiteness():
@@ -291,7 +292,8 @@ def test_solve_spd_center_value_for_unit_load():
         b = assemble_load(mesh, lambda x: np.ones(len(x)))
         y = solve_spd(A, b, mesh.boundary)
         f = FEFunction(mesh, y)
-        errs.append(abs(point_value(f, [0.5, 0.5]) - 0.073671353281513816))
+        value = (point_operator(mesh, [[0.5, 0.5]]) @ f.values)[0]
+        errs.append(abs(value - 0.073671353281513816))
     assert errs[-1] < 1e-4
     assert errs[-1] < errs[0] / 2.0
 

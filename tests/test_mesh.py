@@ -116,6 +116,15 @@ def test_structured_square_mesh_is_nonobtuse():
         assert np.all(cosang >= -1e-12)
 
 
+def test_vertex_triangle_is_the_smallest_incident_triangle():
+    dom = Domain.unit_square()
+    pts = compute_separation_radii([[0.3, 0.4], [0.7, 0.6]], dom)
+    mesh = build_mesh(dom, 6, refine_points=pts, refine_levels=3)
+    brute = [int(np.nonzero(np.any(mesh.triangles == v, axis=1))[0].min())
+             for v in range(mesh.num_vertices)]
+    assert np.array_equal(mesh.vertex_triangle(), brute)
+
+
 def test_locate_point_at_vertex_and_barycenter():
     mesh = build_mesh(Domain.unit_square(), 4)
     vid = 7

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from expctrl.mesh import Domain
+from expctrl.fem import solve_spd
+from expctrl.mesh import Domain, build_mesh
 from expctrl.objective import (DerivativeReport, evaluate_D2J, evaluate_DJ,
-                               evaluate_J, taylor_remainder_test)
-from expctrl.pde import ProblemInstance, solve_state
+                               evaluate_J, reduced_hessian,
+                               taylor_remainder_test)
+from expctrl.pde import (ProblemInstance, linearized_operator, operators,
+                         point_coupling, solve_adjoint, solve_state)
 from expctrl.sequences import BoundsPair, Control, compute_separation_radii
 
 
@@ -113,6 +116,68 @@ def test_second_order_form_against_finite_differences():
     j0 = evaluate_J(inst, u, mesh, tol=1e-12)
     fd = (jp - 2.0 * j0 + jm) / rho ** 2
     assert abs(d2 - fd) < 1e-5 * (1.0 + abs(d2))
+
+
+def per_direction_D2J(instance, mesh, state, phi, h):
+    """Reference D2J[h, h] from one linearized solve on P' h."""
+    ops = operators(mesh)
+    rhs = point_coupling(mesh, instance.points).T @ h
+    z = solve_spd(linearized_operator(state, mesh), rhs, mesh.boundary,
+                  tol=1e-12)
+    weight = ops.lumped * np.exp(state.y.values) * phi.values
+    return float(z @ (ops.mass @ z)) - float(np.sum(weight * z * z)) \
+        + instance.nu * float(np.dot(h, h))
+
+
+def four_point_instance():
+    # the manufactured-optimum setup of the end-to-end optimizer check
+    domain = Domain.unit_square()
+    points = compute_separation_radii(
+        [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]], domain)
+    bounds = BoundsPair([0.0, -1.0, 0.0, -1.0], [1.0, 1.0, 2.0, 2.0])
+    mesh = build_mesh(domain, 32)
+    plain = ProblemInstance(domain, points, bounds, 0.1, f0=4.0,
+                            resolution=32)
+    target = solve_state(plain, Control(np.zeros(4)), mesh).y
+    instance = ProblemInstance(domain, points, bounds, 0.1, f0=4.0,
+                               y_d=target, resolution=32)
+    return instance, mesh, Control([0.5, 0.5, -0.5, 0.8])
+
+
+@pytest.mark.parametrize("setup", ["two-point", "four-point"])
+def test_reduced_hessian_matches_the_per_direction_form(setup):
+    if setup == "two-point":
+        inst = make_instance(f0=1.0, y_d=0.5)
+        mesh = inst.make_mesh()
+        u = Control([0.5, -0.3])
+    else:
+        inst, mesh, u = four_point_instance()
+    state = solve_state(inst, u, mesh)
+    phi = solve_adjoint(state, inst.y_d, mesh)
+    H = reduced_hessian(inst, u, mesh, state=state, phi=phi)
+    K = inst.points.count
+    rng = np.random.default_rng(5)
+    directions = list(np.eye(K)) + list(rng.standard_normal((6, K)))
+    for h in directions:
+        ref = per_direction_D2J(inst, mesh, state, phi, h)
+        assert abs(h @ H @ h - ref) <= 1e-10 * abs(ref)
+
+
+def test_reduced_hessian_is_symmetric_and_matches_gradient_differences():
+    inst = make_instance(f0=1.0, y_d=0.5)
+    mesh = inst.make_mesh()
+    u = Control([0.5, -0.3])
+    H = reduced_hessian(inst, u, mesh, tol=1e-12)
+    assert np.array_equal(H, H.T)
+    rho = 1e-4
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = rho
+        gp = evaluate_DJ(inst, Control(u.values + e), mesh, tol=1e-12)
+        gm = evaluate_DJ(inst, Control(u.values - e), mesh, tol=1e-12)
+        fd = (gp.gradient - gm.gradient) / (2.0 * rho)
+        rel = np.max(np.abs(fd - H[:, j])) / max(1.0, np.max(np.abs(fd)))
+        assert rel < 1e-4
 
 
 def test_taylor_zero_direction_gives_a_zero_table():

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from expctrl.fem import (FEFunction, assemble_dirac_load,
-                         assemble_weighted_mass, point_value)
+from expctrl.fem import FEFunction, assemble_weighted_mass
 from expctrl.mesh import Domain, build_mesh
 from expctrl.pde import (ProblemInstance, evaluate_at_points, field_load,
                          linearized_operator, nodal_field, operators,
-                         solve_adjoint, solve_linearized, solve_semilinear,
-                         solve_state)
+                         point_coupling, solve_adjoint, solve_linearized,
+                         solve_semilinear, solve_state)
 from expctrl.sequences import (BoundsPair, Control, SourcePoints,
                                compute_separation_radii)
 
@@ -84,8 +83,8 @@ def test_linear_mode_reproduces_the_disk_green_function():
     assert st.linear
     ring = 0.1103178000763258
     angles = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
-    vals = [point_value(st.y, [0.5 * np.cos(a), 0.5 * np.sin(a)])
-            for a in angles]
+    vals = evaluate_at_points(
+        st.y, [[0.5 * np.cos(a), 0.5 * np.sin(a)] for a in angles])
     assert np.max(np.abs(np.array(vals) - ring)) < 5e-3
 
 
@@ -97,7 +96,8 @@ def test_unit_square_green_value_with_exponential_off():
                            resolution=32)
     mesh = inst.make_mesh()
     st = solve_state(inst, Control([1.0]), mesh, linear=True)
-    assert abs(point_value(st.y, [0.25, 0.5]) - 0.12163980885096219) < 1e-3
+    value = evaluate_at_points(st.y, [[0.25, 0.5]])[0]
+    assert abs(value - 0.12163980885096219) < 1e-3
 
 
 def test_newton_converges_fast_and_residuals_decrease():
@@ -195,7 +195,7 @@ def test_adjoint_duality_identity():
     h = Control([0.7, -1.1])
     phi = solve_adjoint(st, inst.y_d, mesh, tol=1e-12)
     z = solve_linearized(st, h, mesh, inst.points, tol=1e-12)
-    d = assemble_dirac_load(mesh, inst.points, h)
+    d = point_coupling(mesh, inst.points).T @ h.values
     M = assemble_weighted_mass(mesh, lumped=False)
     lhs = float(np.dot(d, phi.values))
     rhs = float(np.dot(M @ (st.y.values - nodal_field(mesh, inst.y_d)),
@@ -256,4 +256,5 @@ def test_solve_semilinear_linear_flag_solves_poisson():
     sol = solve_semilinear(mesh, load, linear=True)
     assert sol.linear
     assert sol.newton_iterations == 0
-    assert abs(point_value(sol.y, [0.5, 0.5]) - 0.073671353281513816) < 3e-4
+    value = evaluate_at_points(sol.y, [[0.5, 0.5]])[0]
+    assert abs(value - 0.073671353281513816) < 3e-4

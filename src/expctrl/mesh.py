@@ -179,7 +179,10 @@ def _tri_edges(triangles):
         raw[:, j, 0] = triangles[:, (j + 1) % 3]
         raw[:, j, 1] = triangles[:, (j + 2) % 3]
     raw = np.sort(raw, axis=2).reshape(-1, 2)
-    edges, inverse = np.unique(raw, axis=0, return_inverse=True)
+    # one int64 key per edge sorts in the same (lo, hi) order as the rows
+    V = int(triangles.max()) + 1
+    keys, inverse = np.unique(raw[:, 0] * V + raw[:, 1], return_inverse=True)
+    edges = np.column_stack([keys // V, keys % V])
     counts = np.bincount(inverse, minlength=edges.shape[0])
     return edges, inverse.reshape(T, 3), counts
 

@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (FEFunction, assemble_load, assemble_stiffness,
+from .fem import (FEFunction, Multigrid, assemble_load, assemble_stiffness,
                   assemble_weighted_mass, lumped_mass_diagonal,
                   point_operator, solve_spd)
 from .mesh import build_mesh
@@ -29,13 +29,27 @@ _ARMIJO = 1e-4
 
 class _Operators:
     """Per-mesh data built once: stiffness, consistent mass, lumped
-    mass diagonal, and point-coupling operators keyed by coordinates."""
+    mass diagonal, point-coupling operators keyed by coordinates, and
+    on first use the multigrid hierarchy of every solve on the mesh."""
 
     def __init__(self, mesh):
         self.stiffness = assemble_stiffness(mesh)
         self.mass = assemble_weighted_mass(mesh, lumped=False)
         self.lumped = lumped_mass_diagonal(mesh)
         self.coupling = {}
+        self._free = ~mesh.boundary
+        self._multigrid = None
+
+    @property
+    def multigrid(self):
+        """Hierarchy of the free block of A + M_L.  Every solve here has
+        the form A + diag(d), d >= 0, and takes its finest level from
+        its own matrix, so all of them share these coarse levels."""
+        if self._multigrid is None:
+            A = (self.stiffness + sp.diags(self.lumped)).tocsr()
+            A = A[self._free][:, self._free]
+            self._multigrid = Multigrid(A)
+        return self._multigrid
 
 
 _OPERATORS = weakref.WeakKeyDictionary()
@@ -170,12 +184,13 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
     free = ~mesh.boundary
     scale = 1.0 + float(np.linalg.norm(load[free]))
     if linear:
-        y = solve_spd(ops.stiffness, load, mesh.boundary, tol=_CG_TOL)
+        y = solve_spd(ops.stiffness, load, mesh.boundary, tol=_CG_TOL,
+                      multigrid=ops.multigrid)
         res = float(np.linalg.norm((ops.stiffness @ y - load)[free]))
         return StateSolution(FEFunction(mesh, y), True, 0, res,
                              linear=True, history=[res])
     y = solve_spd(ops.stiffness + sp.diags(ops.lumped), load,
-                  mesh.boundary, tol=_CG_TOL)
+                  mesh.boundary, tol=_CG_TOL, multigrid=ops.multigrid)
     fres = _residual(ops, y, load)
     rnorm = float(np.linalg.norm(fres[free]))
     history = [rnorm]
@@ -186,7 +201,8 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
         if it == _MAX_NEWTON:
             break
         H = ops.stiffness + sp.diags(ops.lumped * np.exp(y))
-        step = solve_spd(H, -fres, mesh.boundary, tol=_CG_TOL)
+        step = solve_spd(H, -fres, mesh.boundary, tol=_CG_TOL,
+                         multigrid=ops.multigrid)
         t = 1.0
         accepted = False
         for _ in range(_MAX_HALVINGS):
@@ -246,7 +262,8 @@ def solve_linearized(yS, h, mesh, points, tol=_CG_TOL):
     """
     _check_state(yS, mesh)
     rhs = point_coupling(mesh, points).T @ h.values
-    z = solve_spd(linearized_operator(yS, mesh), rhs, mesh.boundary, tol=tol)
+    z = solve_spd(linearized_operator(yS, mesh), rhs, mesh.boundary, tol=tol,
+                  multigrid=operators(mesh).multigrid)
     return FEFunction(mesh, z)
 
 
@@ -258,7 +275,7 @@ def solve_adjoint(yS, y_d, mesh, tol=_CG_TOL):
     ops = operators(mesh)
     rhs = ops.mass @ (yS.y.values - nodal_field(mesh, y_d))
     phi = solve_spd(linearized_operator(yS, mesh), rhs, mesh.boundary,
-                    tol=tol)
+                    tol=tol, multigrid=ops.multigrid)
     return FEFunction(mesh, phi)
 
 

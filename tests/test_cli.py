@@ -5,9 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import expctrl.cli as cli
+import expctrl.pde
 from expctrl.cli import (ConfigError, RunConfig, load_config, main,
                          parse_field)
 from expctrl.estimates import EstimateReport
+from expctrl.fem import assemble_stiffness
 
 
 def base_config(**extra):
@@ -133,6 +135,17 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
     p2 = tmp_path / "syntax.json"
     p2.write_text("{")
     assert main(["solve", "--config", str(p2)]) == 1
+
+
+def test_indefinite_operator_exits_as_a_solver_error(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.setattr(expctrl.pde, "assemble_stiffness",
+                        lambda mesh: -assemble_stiffness(mesh))
+    path = write_config(tmp_path, base_config(f0="constant 1.0"))
+    assert main(["solve", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "solver error: operator is not positive definite" in err
 
 
 def test_optimize_reports_manufactured_minimum(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from expctrl.fem import (FEFunction, MOLLIFIER_C, assemble_load,
+from expctrl.fem import (FEFunction, MOLLIFIER_C, Multigrid, _cholesky,
+                         _inverse_factor, assemble_load,
                          assemble_mollified_load, assemble_stiffness,
                          assemble_weighted_mass, exp_remainder1,
                          exp_remainder2, integrate_exp_linear,
@@ -11,7 +13,8 @@ from expctrl.fem import (FEFunction, MOLLIFIER_C, assemble_load,
                          mollifier_value, point_operator, solve_spd,
                          subdivided_quadrature)
 from expctrl.mesh import Domain, build_mesh, locate_point
-from expctrl.sequences import Control, SourcePoints
+from expctrl.sequences import (Control, SourcePoints,
+                               compute_separation_radii)
 
 
 def square_mesh(n):
@@ -332,5 +335,132 @@ def test_solve_spd_discrete_maximum_principle():
 def test_solve_spd_rejects_indefinite_operators():
     mesh = square_mesh(3)
     A = -assemble_weighted_mass(mesh)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="not positive definite"):
         solve_spd(A, np.ones(mesh.num_vertices), mesh.boundary)
+
+
+def test_solve_spd_rejects_a_non_finite_right_hand_side():
+    mesh = square_mesh(3)
+    b = np.ones(mesh.num_vertices)
+    b[~mesh.boundary] = np.nan
+    with pytest.raises(RuntimeError, match="not finite"):
+        solve_spd(assemble_stiffness(mesh), b, mesh.boundary)
+
+
+def refined_disk():
+    dom = Domain.disk(0.0, 0.0, 1.0)
+    pts = compute_separation_radii([[0.0, 0.0], [0.4, 0.3]], dom)
+    return build_mesh(dom, 16, refine_points=pts, refine_levels=3)
+
+
+def free_block(mesh, A):
+    free = ~mesh.boundary
+    return A.tocsr()[free][:, free]
+
+
+def shifted_stiffness(mesh):
+    return free_block(mesh, assemble_stiffness(mesh)
+                      + assemble_weighted_mass(mesh))
+
+
+def vcycle_contraction(mesh):
+    """Asymptotic A-norm contraction of the V-cycle as a stationary
+    iteration e <- e - B A e."""
+    A = shifted_stiffness(mesh)
+    B = Multigrid(A).preconditioner(A)
+    e = np.random.default_rng(3).normal(size=A.shape[0])
+    rates = []
+    for _ in range(15):
+        e_next = e - B(A @ e)
+        rates.append(np.sqrt(e_next @ (A @ e_next) / (e @ (A @ e))))
+        e = e_next
+    return max(rates[-5:])
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_vcycle_contracts_by_a_mesh_independent_factor(n):
+    assert vcycle_contraction(square_mesh(n)) <= 0.5
+
+
+def test_vcycle_contracts_on_a_refined_disk():
+    # the elliptical disk map and the green bisections leave angles
+    # above 170 degrees, where Jacobi smoothing is weakest; measured 0.54
+    assert vcycle_contraction(refined_disk()) <= 0.65
+
+
+def test_preconditioner_is_symmetric_positive_with_a_new_finest_level():
+    mesh = refined_disk()
+    mg = Multigrid(shifted_stiffness(mesh))
+    # a Newton-type operator A + M_L diag(e^y): only the finest level
+    # differs from the matrix the hierarchy was built from
+    y = np.exp(-4.0 * np.sum(mesh.vertices ** 2, axis=1)) * 5.0
+    H = free_block(mesh, assemble_stiffness(mesh)
+                   + assemble_weighted_mass(mesh, np.exp(y)))
+    B = mg.preconditioner(H)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x, v = rng.normal(size=(2, H.shape[0]))
+        scale = np.linalg.norm(x) * np.linalg.norm(B(v))
+        assert abs(x @ B(v) - v @ B(x)) <= 1e-12 * scale
+        assert x @ B(x) > 0.0
+
+
+def test_amg_pcg_matches_dense_oracle_on_a_refined_disk():
+    mesh = refined_disk()
+    A = assemble_stiffness(mesh) + assemble_weighted_mass(mesh)
+    b = assemble_load(mesh, lambda x: np.cos(3.0 * x[:, 0]) + x[:, 1])
+    x = solve_spd(A, b, mesh.boundary, tol=1e-13)
+    free = ~mesh.boundary
+    dense = np.linalg.solve(A.toarray()[np.ix_(free, free)], b[free])
+    assert np.max(np.abs(x[free] - dense)) < 1e-10 * np.max(np.abs(dense))
+    assert abs(x[mesh.boundary]).max() == 0.0
+
+
+def test_solve_spd_on_a_diagonal_operator_needs_no_coarse_level():
+    # no strong couplings: every node stays out of the aggregates, the
+    # coarse space is empty, and the smoother alone solves the system
+    mesh = square_mesh(32)
+    d = lumped_mass_diagonal(mesh)
+    D = sp.diags(d).tocsr()
+    free = ~mesh.boundary
+    mg = Multigrid(D[free][:, free])
+    assert mg.prolongators[0].shape[1] == 0
+    b = np.arange(mesh.num_vertices, dtype=float)
+    x = solve_spd(D, b, mesh.boundary, tol=1e-12)
+    assert_allclose(x[free], b[free] / d[free], rtol=1e-12)
+
+
+def test_hand_written_cholesky_factors_and_inverts():
+    rng = np.random.default_rng(7)
+    G = rng.normal(size=(40, 40))
+    A = G @ G.T + 40.0 * np.eye(40)
+    L = _cholesky(A)
+    assert np.array_equal(L, np.tril(L))
+    assert_allclose(L @ L.T, A, rtol=0, atol=1e-12 * np.abs(A).max())
+    assert_allclose(_inverse_factor(L) @ L, np.eye(40), atol=1e-13)
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        _cholesky(-A)
+
+
+class CountingMultigrid(Multigrid):
+    """Multigrid that counts its V-cycles."""
+
+    cycles = 0
+
+    def preconditioner(self, A):
+        apply = super().preconditioner(A)
+
+        def counted(r):
+            self.cycles += 1
+            return apply(r)
+        return counted
+
+
+def test_solve_spd_reports_stagnation_below_the_round_off_floor():
+    mesh = square_mesh(32)
+    A = assemble_stiffness(mesh) + assemble_weighted_mass(mesh)
+    b = assemble_load(mesh, lambda x: np.ones(len(x)))
+    mg = CountingMultigrid(free_block(mesh, A))
+    with pytest.raises(RuntimeError, match="linear solve stagnated"):
+        solve_spd(A, b, mesh.boundary, tol=1e-18, multigrid=mg)
+    assert mg.cycles < 300

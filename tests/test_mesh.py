@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from expctrl.mesh import (Domain, barycentric, build_mesh, circumcenters,
-                          edge_statistics, locate_point)
+from expctrl.mesh import (Domain, _tri_edges, barycentric, build_mesh,
+                          circumcenters, edge_statistics, locate_point)
 from expctrl.sequences import compute_separation_radii
 
 
@@ -123,6 +123,23 @@ def test_vertex_triangle_is_the_smallest_incident_triangle():
     brute = [int(np.nonzero(np.any(mesh.triangles == v, axis=1))[0].min())
              for v in range(mesh.num_vertices)]
     assert np.array_equal(mesh.vertex_triangle(), brute)
+
+
+def test_tri_edges_match_the_row_unique_reference():
+    dom = Domain.disk(0.0, 0.0, 1.0)
+    pts = compute_separation_radii([[0.0, 0.0], [0.4, 0.3]], dom)
+    mesh = build_mesh(dom, 8, refine_points=pts, refine_levels=4)
+    T = mesh.num_triangles
+    raw = np.sort(np.stack([mesh.triangles[:, [1, 2]],
+                            mesh.triangles[:, [2, 0]],
+                            mesh.triangles[:, [0, 1]]], axis=1),
+                  axis=2).reshape(-1, 2)
+    ref_edges, ref_inverse, ref_counts = np.unique(
+        raw, axis=0, return_inverse=True, return_counts=True)
+    edges, tri_edge, counts = _tri_edges(mesh.triangles)
+    assert np.array_equal(edges, ref_edges)
+    assert np.array_equal(tri_edge, ref_inverse.reshape(T, 3))
+    assert np.array_equal(counts, ref_counts)
 
 
 def test_locate_point_at_vertex_and_barycenter():

@@ -380,7 +380,10 @@ def _verify_reports(config, entry, mesh):
 
 
 def cmd_verify(config):
-    """Run the configured inequality checks, one report row each."""
+    """Run the configured inequality checks, one report row each.
+
+    Exits 4 when a bound is violated, else 2 when a check was skipped
+    (its state solve failed), else 0."""
     entries = _field(config.raw, "verify")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("field 'verify': expected a nonempty list")
@@ -395,13 +398,18 @@ def cmd_verify(config):
                ((r.name,
                  ";".join("%s=%s" % (k, _fmt(v))
                           for k, v in sorted(r.parameters.items())),
-                 r.lhs, r.rhs, r.margin, r.passed) for r in reports))
-    failed = sum(1 for r in reports if not r.passed)
+                 r.lhs, r.rhs, r.margin,
+                 "skipped" if r.skipped else r.passed) for r in reports))
+    skipped = sum(1 for r in reports if r.skipped)
+    failed = sum(1 for r in reports if not (r.passed or r.skipped))
     _write_summary(out / "verify_summary.txt", [
         ("reports", len(reports)),
         ("failed", failed),
+        ("skipped", skipped),
     ])
-    return 4 if failed else 0
+    if failed:
+        return 4
+    return 2 if skipped else 0
 
 
 def cmd_taylor(config):

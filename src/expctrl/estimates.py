@@ -36,10 +36,12 @@ class EstimateReport:
     The default pass rule tolerates a relative deficit of 1e-8; checks
     carrying an extra discretization allowance widen it through slack
     and record the allowance among their parameters.  note holds skip
-    or diagnostic text and stays empty for a clean check.
+    or diagnostic text and stays empty for a clean check.  A skipped
+    check verified nothing: it is flagged skipped and never passes.
     """
 
-    def __init__(self, name, lhs, rhs, parameters, slack=1e-8, note=""):
+    def __init__(self, name, lhs, rhs, parameters, slack=1e-8, note="",
+                 skipped=False):
         lhs = float(lhs)
         rhs = float(rhs)
         if not (np.isfinite(lhs) and np.isfinite(rhs)):
@@ -51,7 +53,9 @@ class EstimateReport:
         self.parameters = dict(parameters)
         self.slack = float(slack)
         self.note = str(note)
-        self.passed = self.margin >= -self.slack * abs(rhs)
+        self.skipped = bool(skipped)
+        self.passed = not self.skipped \
+            and self.margin >= -self.slack * abs(rhs)
 
 
 def _check_alpha(alpha):
@@ -173,7 +177,8 @@ def verify_lipschitz_family(instance, mesh, trials=20, seed=42):
 
     Integrals are lumped nodal sums, the form in which the bounds hold
     exactly on nonobtuse meshes; the slack factor 1 + 0.05 covers
-    general meshes.  A failed state solve skips the trial with a note.
+    general meshes.  A failed state solve skips the trial: one skipped
+    report with a note, which does not pass.
     """
     rng = np.random.default_rng(seed)
     lo, up = instance.bounds.lower, instance.bounds.upper
@@ -190,7 +195,7 @@ def verify_lipschitz_family(instance, mesh, trials=20, seed=42):
         except RuntimeError as exc:
             reports.append(EstimateReport(
                 "lipschitz-skipped", 0.0, 0.0, pair,
-                note="%s; trial skipped" % exc))
+                note="%s; trial skipped" % exc, skipped=True))
             continue
         eu = np.expm1(yu.y.values)
         ev = np.expm1(yv.y.values)

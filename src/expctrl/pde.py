@@ -6,6 +6,11 @@ point-coupling operator of the sources.  Lumping keeps the nonlinearity
 diagonal, so the Newton matrix A + M_L diag(e^y) stays an M-matrix and
 the discrete comparison principle survives; the linearized and adjoint
 equations reuse that same matrix.
+
+The state is found by inexact damped Newton: each step's linear solve
+stops at an Eisenstat-Walker forcing tolerance, and only the nonlinear
+residual test decides convergence.  The linearized and adjoint solves,
+on which the exact gradient and Hessian identities rest, run at _CG_TOL.
 """
 
 import weakref
@@ -19,24 +24,34 @@ from .fem import (FEFunction, Multigrid, assemble_load, assemble_stiffness,
 from .mesh import build_mesh
 from .sequences import FOUR_PI
 
-# inner linear solves run well below any Newton tolerance a caller asks for
+# linear solves run well below any Newton tolerance a caller asks for
 _CG_TOL = 1e-12
 
 _MAX_NEWTON = 50
 _MAX_HALVINGS = 40
 _ARMIJO = 1e-4
 
+# Eisenstat-Walker forcing, choice 2 (SIAM J. Sci. Comput. 17, 1996):
+# eta_k = gamma (|F_k| / |F_k-1|)^alpha, raised to gamma eta_k-1^alpha
+# when that exceeds the safeguard threshold, and capped at _ETA_MAX
+_ETA_MAX = 0.1
+_EW_GAMMA = 0.9
+_EW_ALPHA = 2.0
+_EW_SAFEGUARD = 0.1
+
 
 class _Operators:
     """Per-mesh data built once: stiffness, consistent mass, lumped
-    mass diagonal, point-coupling operators keyed by coordinates, and
-    on first use the multigrid hierarchy of every solve on the mesh."""
+    mass diagonal, point-coupling operators keyed by coordinates, loads
+    of callable fields keyed by the callable, and on first use the
+    multigrid hierarchy of every solve on the mesh."""
 
     def __init__(self, mesh):
         self.stiffness = assemble_stiffness(mesh)
         self.mass = assemble_weighted_mass(mesh, lumped=False)
         self.lumped = lumped_mass_diagonal(mesh)
         self.coupling = {}
+        self.loads = {}
         self._free = ~mesh.boundary
         self._multigrid = None
 
@@ -152,11 +167,17 @@ def nodal_field(mesh, f):
 
 def field_load(mesh, f):
     """Right-hand-side vector of a distributed field: quadrature for
-    callables, mass-matrix action for nodal data."""
+    callables, mass-matrix action for nodal data.  The quadrature of a
+    callable is done once per mesh and returned read-only."""
     if f is None:
         return np.zeros(mesh.num_vertices)
     if callable(f) and not isinstance(f, FEFunction):
-        return assemble_load(mesh, f)
+        cache = operators(mesh).loads
+        if f not in cache:
+            load = assemble_load(mesh, f)
+            load.flags.writeable = False
+            cache[f] = load
+        return cache[f]
     return operators(mesh).mass @ nodal_field(mesh, f)
 
 
@@ -172,10 +193,14 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
     A y = load (the verification mode with the nonlinearity switched
     off).
 
-    Damped Newton started from the linearization e^y ~ 1 + y: each step
-    solves with the matrix A + M_L diag(e^y), then backtracks by halving
-    until the residual norm decreases; converged once the free-node
-    residual drops below tol * (1 + |load|).
+    Inexact damped Newton started from the linearization e^y ~ 1 + y,
+    whose solve only needs the relative accuracy _ETA_MAX.  Each step
+    solves with the matrix A + M_L diag(e^y) to the Eisenstat-Walker
+    forcing tolerance eta_k, kept at or above _CG_TOL and at or above
+    0.5 tol (1 + |load|) / |F_k|, so no step is solved past the point
+    where the Newton test is met.  The step then backtracks by halving
+    until the residual norm decreases by the Armijo factor; converged
+    once the free-node residual drops below tol * (1 + |load|).
     """
     load = np.asarray(load, dtype=float).reshape(-1)
     if load.size != mesh.num_vertices:
@@ -190,18 +215,26 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
         return StateSolution(FEFunction(mesh, y), True, 0, res,
                              linear=True, history=[res])
     y = solve_spd(ops.stiffness + sp.diags(ops.lumped), load,
-                  mesh.boundary, tol=_CG_TOL, multigrid=ops.multigrid)
+                  mesh.boundary, tol=_ETA_MAX, multigrid=ops.multigrid)
     fres = _residual(ops, y, load)
     rnorm = float(np.linalg.norm(fres[free]))
     history = [rnorm]
+    eta = _ETA_MAX
     for it in range(_MAX_NEWTON + 1):
         if rnorm <= tol * scale:
             return StateSolution(FEFunction(mesh, y), True, it, rnorm,
                                  history=history)
         if it == _MAX_NEWTON:
             break
+        if it > 0:
+            safeguard = _EW_GAMMA * eta ** _EW_ALPHA
+            eta = _EW_GAMMA * (rnorm / history[-2]) ** _EW_ALPHA
+            if safeguard > _EW_SAFEGUARD:
+                eta = max(eta, safeguard)
+            eta = min(eta, _ETA_MAX)
+        eta = max(eta, _CG_TOL, 0.5 * tol * scale / rnorm)
         H = ops.stiffness + sp.diags(ops.lumped * np.exp(y))
-        step = solve_spd(H, -fres, mesh.boundary, tol=_CG_TOL,
+        step = solve_spd(H, -fres, mesh.boundary, tol=eta,
                          multigrid=ops.multigrid)
         t = 1.0
         accepted = False
@@ -222,7 +255,7 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
 
 def solve_state(instance, u, mesh, tol=1e-10, linear=False):
     """State solve for a control: assemble b(f0) + P' u and run the
-    damped Newton of solve_semilinear.
+    inexact damped Newton of solve_semilinear.
 
     A control with any component at or above 4*pi is rejected up front;
     the equation loses solvability there.

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import expctrl.cli as cli
+import expctrl.estimates
 import expctrl.pde
 from expctrl.cli import (ConfigError, RunConfig, load_config, main,
                          parse_field)
@@ -237,6 +238,49 @@ def test_verify_exit_four_on_a_failing_estimate(tmp_path, monkeypatch):
     out = tmp_path / "fail"
     assert main(["verify", "--config", path, "--out", str(out)]) == 4
     assert "failed=1" in (out / "verify_summary.txt").read_text()
+
+
+def test_verify_counts_a_skipped_trial_apart_and_exits_two(tmp_path,
+                                                           monkeypatch):
+    cfg = base_config(verify=[{"check": "lipschitz", "trials": 3}])
+    path = write_config(tmp_path, cfg)
+    plain = expctrl.estimates.solve_state
+    calls = []
+
+    def failing_third_solve(instance, u, mesh):
+        calls.append(u)
+        if len(calls) == 3:
+            raise RuntimeError("state solve failed")
+        return plain(instance, u, mesh)
+    monkeypatch.setattr(expctrl.estimates, "solve_state",
+                        failing_third_solve)
+    out = tmp_path / "skip"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    summary = (out / "verify_summary.txt").read_text().splitlines()[1:]
+    assert summary == ["reports=7", "failed=0", "skipped=1"]
+    rows = (out / "estimates.csv").read_text().splitlines()[2:]
+    skipped = [r for r in rows if r.startswith("lipschitz-skipped,")]
+    assert len(skipped) == 1 and skipped[0].endswith(",skipped")
+    assert sum(r.endswith(",true") for r in rows) == 6
+
+
+def test_semilinear_certificate_on_a_graded_disk(tmp_path):
+    # unit mass at the center of the n = 96 disk graded 4 levels toward
+    # it: the first Newton system's round-off floor lies above 1e-12
+    cfg = {
+        "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
+        "points": [[0.0, 0.0]],
+        "lower": [0.0],
+        "upper": [1.0],
+        "mesh": {"resolution": 96, "refine_levels": 4},
+        "verify": [{"check": "semilinear", "omega": [1.0],
+                    "alpha": 2.0 * np.pi}],
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "graded"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    summary = (out / "verify_summary.txt").read_text()
+    assert "failed=0" in summary and "skipped=0" in summary
 
 
 def test_verify_rejects_unknown_checks(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from expctrl.fem import FEFunction, assemble_weighted_mass
+from expctrl import pde
+from expctrl.fem import (FEFunction, Multigrid, assemble_weighted_mass,
+                         solve_spd)
 from expctrl.mesh import Domain, build_mesh
 from expctrl.pde import (ProblemInstance, evaluate_at_points, field_load,
                          linearized_operator, nodal_field, operators,
@@ -258,3 +261,121 @@ def test_solve_semilinear_linear_flag_solves_poisson():
     assert sol.newton_iterations == 0
     value = evaluate_at_points(sol.y, [[0.5, 0.5]])[0]
     assert abs(value - 0.073671353281513816) < 3e-4
+
+
+def test_field_load_of_a_callable_is_assembled_once_per_mesh(monkeypatch):
+    mesh = build_mesh(Domain.unit_square(), 8)
+    calls = []
+
+    def counted_assembly(m, f):
+        calls.append(f)
+        return np.ones(m.num_vertices)
+    monkeypatch.setattr(pde, "assemble_load", counted_assembly)
+
+    def f0(x):
+        return np.ones(len(x))
+    first = field_load(mesh, f0)
+    second = field_load(mesh, f0)
+    assert second is first and calls == [f0]
+    assert not first.flags.writeable
+    field_load(build_mesh(Domain.unit_square(), 8), f0)
+    assert len(calls) == 2
+
+
+def _reference_newton(mesh, load, tol=1e-10):
+    """Damped Newton of solve_semilinear with every linear solve at
+    1e-12: the exact-inner loop the forcing terms replace."""
+    ops = operators(mesh)
+    free = ~mesh.boundary
+    scale = 1.0 + np.linalg.norm(load[free])
+
+    def residual(y):
+        return ops.stiffness @ y + ops.lumped * np.expm1(y) - load
+    y = solve_spd(ops.stiffness + sp.diags(ops.lumped), load, mesh.boundary,
+                  tol=1e-12, multigrid=ops.multigrid)
+    fres = residual(y)
+    rnorm = np.linalg.norm(fres[free])
+    for steps in range(50):
+        if rnorm <= tol * scale:
+            return y, steps
+        H = ops.stiffness + sp.diags(ops.lumped * np.exp(y))
+        step = solve_spd(H, -fres, mesh.boundary, tol=1e-12,
+                         multigrid=ops.multigrid)
+        t = 1.0
+        for _ in range(40):
+            fc = residual(y + t * step)
+            cn = np.linalg.norm(fc[free])
+            if cn <= (1.0 - 1e-4 * t) * rnorm:
+                break
+            t *= 0.5
+        y, fres, rnorm = y + t * step, fc, cn
+    raise AssertionError("reference Newton did not converge")
+
+
+@pytest.fixture(scope="module")
+def near_four_pi_runs():
+    """20 states at controls up to 12.5 (4 pi = 12.566) at 8 points on
+    the n = 64 square, each solved by solve_state and by the reference
+    loop, with the V-cycles of each side counted."""
+    sites = [(x, y) for y in (0.25, 0.5, 0.75) for x in (0.25, 0.5, 0.75)
+             if (x, y) != (0.5, 0.5)]
+    pts = compute_separation_radii([[x + 0.003, y + 0.004]
+                                    for x, y in sites], Domain.unit_square())
+    inst = ProblemInstance(
+        Domain.unit_square(), pts, BoundsPair([0.0] * 8, [12.5] * 8), 0.0,
+        f0=lambda x: np.exp(-((x[:, 0] - 0.5) ** 2 + (x[:, 1] - 0.5) ** 2)
+                            / (2.0 * 0.15 ** 2)),
+        resolution=64)
+    mesh = inst.make_mesh()
+    rng = np.random.default_rng(11)
+    controls = [Control(12.5 * rng.random(8)) for _ in range(20)]
+    vcycles = {"forced": 0, "reference": 0}
+    side = ["forced"]
+    plain = Multigrid.preconditioner
+
+    def counting(self, A):
+        apply = plain(self, A)
+
+        def vcycle(r):
+            vcycles[side[0]] += 1
+            return apply(r)
+        return vcycle
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Multigrid, "preconditioner", counting)
+        states = [solve_state(inst, u, mesh) for u in controls]
+        side[0] = "reference"
+        loads = [field_load(mesh, inst.f0)
+                 + point_coupling(mesh, pts).T @ u.values for u in controls]
+        reference = [_reference_newton(mesh, b) for b in loads]
+    return mesh, loads, states, reference, vcycles
+
+
+def test_inexact_newton_matches_exact_inner_solves(near_four_pi_runs):
+    _, _, states, reference, _ = near_four_pi_runs
+    for st, (y_ref, _) in zip(states, reference):
+        err = np.max(np.abs(st.y.values - y_ref)) / np.max(np.abs(y_ref))
+        assert err <= 1e-9
+
+
+def test_inexact_newton_meets_the_residual_test(near_four_pi_runs):
+    mesh, loads, states, _, _ = near_four_pi_runs
+    ops = operators(mesh)
+    free = ~mesh.boundary
+    for st, load in zip(states, loads):
+        assert st.converged
+        scale = 1.0 + np.linalg.norm(load[free])
+        res = ops.stiffness @ st.y.values \
+            + ops.lumped * np.expm1(st.y.values) - load
+        assert np.linalg.norm(res[free]) <= 1e-10 * scale
+        assert st.final_residual <= 1e-10 * scale
+        hist = st.history
+        assert len(hist) == st.newton_iterations + 1
+        assert all(a > b for a, b in zip(hist, hist[1:]))
+
+
+def test_forcing_halves_the_vcycles_of_near_four_pi_states(
+        near_four_pi_runs):
+    _, _, states, reference, vcycles = near_four_pi_runs
+    assert 2 * vcycles["forced"] <= vcycles["reference"]
+    steps = sum(st.newton_iterations for st in states)
+    assert steps <= sum(n for _, n in reference) + len(states)

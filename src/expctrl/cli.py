@@ -26,9 +26,9 @@ from .estimates import (verify_lipschitz_family, verify_mollified_poisson,
                         verify_semilinear_exponential)
 from .fem import integrate_exp_linear
 from .mesh import Domain, build_mesh
-from .objective import evaluate_DJ, taylor_remainder_test
-from .optimizer import (kkt_residual, projected_gradient,
-                        sample_critical_cone, second_order_check)
+from .objective import taylor_remainder_test
+from .optimizer import (projected_gradient, sample_critical_cone,
+                        second_order_check)
 from .pde import ProblemInstance, solve_state
 from .sequences import BoundsPair, Control, compute_separation_radii
 
@@ -303,8 +303,6 @@ def cmd_optimize(config):
         tol_active=config.tolerances["active"],
         state_tol=config.tolerances["newton"])
     converged = report.aggregate <= tol
-    derivative = evaluate_DJ(instance, u, mesh,
-                             tol=config.tolerances["newton"])
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "iterates.csv", ("iteration", "J", "kkt_residual",
@@ -316,11 +314,11 @@ def cmd_optimize(config):
                ("index", "u", "lower", "upper", "d", "classification",
                 "residual"),
                ((i, u.values[i], instance.bounds.lower[i],
-                 instance.bounds.upper[i], derivative.gradient[i],
+                 instance.bounds.upper[i], report.gradient[i],
                  report.classification[i], report.residuals[i])
                 for i in range(len(u))))
     summary = [
-        ("J", derivative.value),
+        ("J", report.history[-1][0]),
         ("iterations", report.iterations),
         ("kkt_residual", report.aggregate),
         ("converged", converged),
@@ -329,7 +327,7 @@ def cmd_optimize(config):
     ]
     if converged:
         directions = sample_critical_cone(
-            u, derivative.gradient, instance.bounds,
+            u, report.gradient, instance.bounds,
             tol_active=config.tolerances["active"], tol_grad=tol,
             count=int(_field(config.raw, "second_order_count", 64)),
             seed=config.seed)
@@ -482,3 +480,7 @@ def main(argv=None):
     except RuntimeError as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,8 +15,8 @@ which makes a pass a necessary consistency check rather than a proof.
 
 import numpy as np
 
-from .fem import (assemble_mollified_load, exp_remainder1, exp_remainder2,
-                  integrate_exp_linear, integrate_lumped, TRI3_BARY, TRI3_W)
+from .fem import (assemble_load, assemble_mollified_load, exp_remainder,
+                  integrate_exp_linear, integrate_lumped)
 from .pde import (field_load, nodal_field, operators, point_coupling,
                   solve_semilinear, solve_state)
 from .sequences import (FOUR_PI, Control, L_functional, SourcePoints,
@@ -58,27 +58,41 @@ class EstimateReport:
             and self.margin >= -self.slack * abs(rhs)
 
 
-def _check_alpha(alpha):
-    if not (0.0 < alpha < FOUR_PI):
-        raise ValueError("alpha must lie strictly between 0 and 4*pi")
-
-
 def _weights(omega):
     return omega.values if hasattr(omega, "values") else \
         np.asarray(omega, dtype=float).reshape(-1)
 
 
-def _exponential_rhs(alpha, weights, R, radii):
-    """The common right-hand side (4 pi^2 R^2 / alpha) (2R)^(c s / wmax)
-    exp[c L / wmax] with c = 2 - alpha/(2 pi), s = |omega|_1."""
-    wmax = float(np.max(weights))
+def _point_mass_bound(domain, points, wv, alpha, mesh):
+    """Checks and data shared by the integrability certificates.
+
+    Validates alpha, the mesh's domain and the weight count, recomputes
+    the canonical separation radii, and returns the point-mass load
+    P' omega, the bound (4 pi^2 R^2 / alpha) (2R)^(c s / wmax)
+    exp[c L / wmax] with R = diam(domain)/2, c = 2 - alpha/(2 pi),
+    s = |omega|_1 and wmax = max omega_i, then c, wmax, and the report
+    parameters.
+    """
+    if not (0.0 < alpha < FOUR_PI):
+        raise ValueError("alpha must lie strictly between 0 and 4*pi")
+    if mesh.domain is not domain:
+        raise ValueError("mesh does not discretize the given domain")
+    pts = points.points if isinstance(points, SourcePoints) else \
+        np.asarray(points, dtype=float).reshape(-1, 2)
+    if wv.size != pts.shape[0]:
+        raise ValueError("one weight per point required")
+    radii = compute_separation_radii(pts, domain)
+    R = 0.5 * domain.diameter()
+    wmax = float(np.max(wv))
     c = 2.0 - alpha / (2.0 * np.pi)
-    total = float(np.sum(np.abs(weights)))
-    L = L_functional(weights, radii)
+    L = L_functional(wv, radii)
     rhs = (4.0 * np.pi ** 2 * R ** 2 / alpha) \
-        * (2.0 * R) ** (c * total / wmax) \
+        * (2.0 * R) ** (c * float(np.sum(np.abs(wv))) / wmax) \
         * np.exp(c * L / wmax)
-    return rhs, wmax, L
+    params = {"alpha": float(alpha), "omega": wv.tolist(), "R": R,
+              "rho": radii.radii.tolist(), "L": L, "domain": domain.name,
+              "vertices": mesh.num_vertices}
+    return point_coupling(mesh, radii).T @ wv, rhs, c, wmax, params
 
 
 def verify_poisson_exponential(domain, points, omega, alpha, mesh):
@@ -93,25 +107,12 @@ def verify_poisson_exponential(domain, points, omega, alpha, mesh):
     wv = _weights(omega)
     if np.any(wv <= 0.0):
         raise ValueError("point-mass weights must be positive")
-    _check_alpha(alpha)
-    if mesh.domain is not domain:
-        raise ValueError("mesh does not discretize the given domain")
-    pts = points.points if isinstance(points, SourcePoints) else \
-        np.asarray(points, dtype=float).reshape(-1, 2)
-    if wv.size != pts.shape[0]:
-        raise ValueError("one weight per point required")
-    radii = compute_separation_radii(pts, domain)
-    R = 0.5 * domain.diameter()
-    rhs, wmax, L = _exponential_rhs(alpha, wv, R, radii)
-    y = solve_semilinear(mesh, point_coupling(mesh, radii).T @ wv,
-                         linear=True)
+    load, rhs, _, wmax, params = _point_mass_bound(domain, points, wv,
+                                                   alpha, mesh)
+    y = solve_semilinear(mesh, load, linear=True)
     lhs = integrate_exp_linear(mesh, np.abs(y.y.values),
                                coeff=(FOUR_PI - alpha) / wmax)
-    return EstimateReport(
-        "poisson-exponential", lhs, rhs,
-        {"alpha": float(alpha), "omega": wv.tolist(), "R": R,
-         "rho": radii.radii.tolist(), "L": L, "domain": domain.name,
-         "vertices": mesh.num_vertices})
+    return EstimateReport("poisson-exponential", lhs, rhs, params)
 
 
 def verify_semilinear_exponential(domain, points, omega, alpha, f0, mesh):
@@ -129,42 +130,26 @@ def verify_semilinear_exponential(domain, points, omega, alpha, f0, mesh):
         raise ValueError("point-mass weights must be nonnegative")
     if not np.any(wv > 0.0):
         raise ValueError("at least one positive point-mass weight required")
-    _check_alpha(alpha)
-    if mesh.domain is not domain:
-        raise ValueError("mesh does not discretize the given domain")
-    pts = points.points if isinstance(points, SourcePoints) else \
-        np.asarray(points, dtype=float).reshape(-1, 2)
-    if wv.size != pts.shape[0]:
-        raise ValueError("one weight per point required")
-    radii = compute_separation_radii(pts, domain)
-    R = 0.5 * domain.diameter()
-    rhs0, wmax, L = _exponential_rhs(alpha, wv, R, radii)
+    load, rhs, c, wmax, params = _point_mass_bound(domain, points, wv,
+                                                   alpha, mesh)
     base_load = field_load(mesh, f0)
-    y = solve_semilinear(mesh, base_load + point_coupling(mesh, radii).T @ wv)
+    y = solve_semilinear(mesh, base_load + load)
     y0 = solve_semilinear(mesh, base_load)
-    shift = float(np.max(np.abs(y0.y.values)))
-    c = 2.0 - alpha / (2.0 * np.pi)
-    rhs = rhs0 * np.exp(c * shift / wmax)
+    params["shift"] = float(np.max(np.abs(y0.y.values)))
+    rhs *= np.exp(c * params["shift"] / wmax)
     lhs = integrate_exp_linear(mesh, np.maximum(y.y.values, 0.0),
                                coeff=(FOUR_PI - alpha) / wmax)
-    return EstimateReport(
-        "semilinear-exponential", lhs, rhs,
-        {"alpha": float(alpha), "omega": wv.tolist(), "R": R,
-         "rho": radii.radii.tolist(), "L": L, "shift": shift,
-         "domain": domain.name, "vertices": mesh.num_vertices})
+    return EstimateReport("semilinear-exponential", lhs, rhs, params)
 
 
 def _field_l2(mesh, f):
-    """L2 norm of a distributed field, by the order-2 rule for
-    callables and the mass matrix for nodal data."""
+    """L2 norm of a distributed field: the load of f^2 for callables
+    (the hats sum to one at each quadrature point, so its entries sum
+    to the integral of f^2), the mass matrix for nodal data."""
     if f is None:
         return 0.0
     if callable(f) and not hasattr(f, "values"):
-        p = mesh.vertices[mesh.triangles]
-        qp = np.einsum("qj,tjd->tqd", TRI3_BARY, p).reshape(-1, 2)
-        fv = np.asarray(f(qp), dtype=float).reshape(mesh.num_triangles, 3)
-        return float(np.sqrt(np.sum(
-            mesh.areas[:, None] * TRI3_W[None, :] * fv ** 2)))
+        return float(np.sqrt(assemble_load(mesh, lambda x: f(x) ** 2).sum()))
     v = nodal_field(mesh, f)
     return float(np.sqrt(v @ (operators(mesh).mass @ v)))
 
@@ -234,10 +219,10 @@ def verify_scalar_exponential(samples=10000, seed=42):
     frac = np.clip(rng.random(samples), 1e-12, 1.0 - 1e-12)
     t = t0 * frac
     with np.errstate(over="ignore"):
-        r1_t = exp_remainder1(a * t) / t
-        r1_t0 = exp_remainder1(a * t0) / t0
-        r2_t = np.abs(exp_remainder2(a * t)) / (0.5 * t * t)
-        r2_t0 = np.abs(exp_remainder2(a * t0)) / (0.5 * t0 * t0)
+        r1_t = exp_remainder(a * t, 2) / t
+        r1_t0 = exp_remainder(a * t0, 2) / t0
+        r2_t = np.abs(exp_remainder(a * t, 3)) / (0.5 * t * t)
+        r2_t0 = np.abs(exp_remainder(a * t0, 3)) / (0.5 * t0 * t0)
     excess = np.maximum.reduce([
         (r1_t - r1_t0) / np.maximum(r1_t0, _TINY),
         (r2_t - r2_t0) / np.maximum(r2_t0, _TINY),

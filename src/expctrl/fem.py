@@ -13,7 +13,7 @@ library factorizations anywhere.
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import locate_point
+from .mesh import _edge_lengths, _signed_areas, barycentric, locate_point
 
 # order-2 rule: edge midpoints, weight area/3 each (exact for quadratics)
 TRI3_BARY = np.array([
@@ -102,35 +102,12 @@ def lumped_mass_diagonal(mesh):
     return d
 
 
-def assemble_weighted_mass(mesh, w=None, lumped=True, spd=False):
-    """Mass matrix weighted by a nodal field w (w=None means w=1).
-
-    lumped=True gives the diagonal matrix with entries
-    w_i * (patch area)/3; lumped=False integrates w interpolated at the
-    edge-midpoint quadrature points against hat products, which is the
-    exact P1 mass matrix when w is constant.
-
-    spd=True asserts that w is nodally nonnegative, which the caller
-    needs when the matrix enters an SPD solve.
-    """
-    if w is None:
-        wv = np.ones(mesh.num_vertices)
-    elif isinstance(w, FEFunction):
-        wv = w.values
-    else:
-        wv = np.asarray(w, dtype=float).reshape(-1)
-        if wv.size == 1:
-            wv = np.full(mesh.num_vertices, wv[0])
-    if wv.size != mesh.num_vertices:
-        raise ValueError("weight must be nodal")
-    if spd and np.any(wv < 0.0):
-        raise ValueError("negative weight in an SPD mass matrix")
-    if lumped:
-        return sp.diags(lumped_mass_diagonal(mesh) * wv).tocsr()
-    wq = wv[mesh.triangles] @ TRI3_BARY.T            # (T, 3 quad points)
-    lam = TRI3_BARY                                   # (q, vertex)
-    local = np.einsum("q,tq,qi,qj,t->tij", TRI3_W, wq, lam, lam, mesh.areas)
-    return _scatter(mesh, local)
+def assemble_mass(mesh):
+    """Consistent P1 mass matrix: the edge-midpoint rule applied to
+    products of hats, which it integrates exactly."""
+    # hat j at the rule's points is column j of TRI3_BARY, on every triangle
+    hats = np.broadcast_to(TRI3_BARY, (mesh.num_triangles, 3, 3))
+    return _scatter(mesh, _midpoint_rule(mesh, hats))
 
 
 def _scatter(mesh, local):
@@ -150,10 +127,17 @@ def assemble_load(mesh, f):
     qp = np.einsum("qj,tjd->tqd", TRI3_BARY, p)       # (T, q, 2)
     fv = np.asarray(f(qp.reshape(-1, 2)), dtype=float).reshape(
         mesh.num_triangles, 3)
-    contrib = np.einsum("q,tq,qi,t->ti", TRI3_W, fv, TRI3_BARY, mesh.areas)
     b = np.zeros(mesh.num_vertices)
-    np.add.at(b, mesh.triangles.ravel(), contrib.ravel())
+    np.add.at(b, mesh.triangles.ravel(), _midpoint_rule(mesh, fv).ravel())
     return b
+
+
+def _midpoint_rule(mesh, fq):
+    """Per-triangle integrals of f * hat_i by the order-2 edge-midpoint
+    rule, from the values fq (T, 3, ...) of f at the rule's points;
+    returns (T, 3 hats, ...)."""
+    return np.einsum("q,tq...,qi,t->ti...", TRI3_W, fq, TRI3_BARY,
+                     mesh.areas)
 
 
 def _bump_integral():
@@ -201,28 +185,12 @@ def subdivided_quadrature(mesh, tri_indices, depth):
             np.stack([tris[:, 2], m20, m12], axis=1),
             np.stack([m01, m12, m20], axis=1)])
         parent = np.concatenate([parent] * 4)
-    areas = 0.5 * np.abs(
-        (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
-        - (tris[:, 2, 0] - tris[:, 0, 0]) * (tris[:, 1, 1] - tris[:, 0, 1]))
+    areas = np.abs(_signed_areas(tris))
     qp = np.einsum("qj,mjd->mqd", TRI7_BARY, tris)    # (M', q, 2)
     weights = (TRI7_W[None, :] * areas[:, None]).ravel()
     pts = qp.reshape(-1, 2)
     parent_q = np.repeat(parent, TRI7_W.size)
-    # barycentrics of each point inside its parent triangle
-    pc = mesh.vertices[mesh.triangles[parent_q]]
-    den = (pc[:, 1, 0] - pc[:, 0, 0]) * (pc[:, 2, 1] - pc[:, 0, 1]) \
-        - (pc[:, 2, 0] - pc[:, 0, 0]) * (pc[:, 1, 1] - pc[:, 0, 1])
-    l1 = ((pts[:, 0] - pc[:, 0, 0]) * (pc[:, 2, 1] - pc[:, 0, 1])
-          - (pc[:, 2, 0] - pc[:, 0, 0]) * (pts[:, 1] - pc[:, 0, 1])) / den
-    l2 = ((pc[:, 1, 0] - pc[:, 0, 0]) * (pts[:, 1] - pc[:, 0, 1])
-          - (pts[:, 0] - pc[:, 0, 0]) * (pc[:, 1, 1] - pc[:, 0, 1])) / den
-    bary = np.column_stack([1.0 - l1 - l2, l1, l2])
-    return pts, weights, bary, parent_q
-
-
-def interpolate_at_quadrature(mesh, values, bary, parent):
-    """Nodal field values at quadrature points from subdivided_quadrature."""
-    return np.einsum("mj,mj->m", bary, values[mesh.triangles[parent]])
+    return pts, weights, barycentric(mesh, parent_q, pts), parent_q
 
 
 def assemble_mollified_load(mesh, x0, epsilon):
@@ -238,7 +206,7 @@ def assemble_mollified_load(mesh, x0, epsilon):
         raise ValueError("mollifier support crosses the boundary")
     corners = mesh.vertices[mesh.triangles]
     d = np.hypot(corners[..., 0] - x0[0], corners[..., 1] - x0[1])
-    emax = _max_edge(corners)
+    emax = _edge_lengths(corners).max(axis=1)
     cand = np.nonzero(d.min(axis=1) <= epsilon + emax)[0]
     b = np.zeros(mesh.num_vertices)
     if cand.size == 0:
@@ -250,13 +218,6 @@ def assemble_mollified_load(mesh, x0, epsilon):
     contrib = (w * phi)[:, None] * bary               # weight per hat
     np.add.at(b, mesh.triangles[parent].ravel(), contrib.ravel())
     return b
-
-
-def _max_edge(corners):
-    e0 = np.hypot(*(corners[:, 1] - corners[:, 2]).T)
-    e1 = np.hypot(*(corners[:, 2] - corners[:, 0]).T)
-    e2 = np.hypot(*(corners[:, 0] - corners[:, 1]).T)
-    return np.maximum(e0, np.maximum(e1, e2))
 
 
 def integrate_lumped(mesh, values):
@@ -319,12 +280,15 @@ def _phi1(t):
     return out
 
 
-def exp_remainder1(t):
-    """e^t - 1 - t, free of cancellation for small |t|.
+def exp_remainder(t, order):
+    """Taylor remainder e^t - sum_{n < order} t^n / n! of the
+    exponential, free of cancellation for small |t|: order 2 gives
+    e^t - 1 - t, nonnegative for every real t, and order 3 gives
+    e^t - 1 - t - t^2/2, which has the sign of t.
 
-    Below |t| = 0.35 the tail series starting at t^2/2 is summed
-    directly; above, expm1(t) - t is already accurate.  The value is
-    nonnegative for every real t.
+    Below |t| = 0.35 the tail sum_{n >= order} t^n / n! is summed
+    directly to n = order + 17; above, subtracting the polynomial from
+    expm1(t) is already accurate.
     """
     t = np.asarray(t, dtype=float)
     scalar = (t.ndim == 0)
@@ -332,37 +296,21 @@ def exp_remainder1(t):
     out = np.empty_like(t)
     small = np.abs(t) < 0.35
     ts = t[small]
-    term = 0.5 * ts * ts
-    acc = term.copy()
-    for n in range(3, 20):
+    term = np.ones_like(ts)
+    tail = np.zeros_like(ts)
+    for n in range(1, order + 18):
         term = term * ts / n
-        acc += term
-    out[small] = acc
+        if n >= order:
+            tail += term
+    out[small] = tail
     tb = t[~small]
+    term = np.ones_like(tb)
     with np.errstate(over="ignore"):
-        out[~small] = np.expm1(tb) - tb
-    return float(out[0]) if scalar else out
-
-
-def exp_remainder2(t):
-    """e^t - 1 - t - t^2/2, free of cancellation for small |t|.
-
-    Signed: positive for t > 0 and negative for t < 0."""
-    t = np.asarray(t, dtype=float)
-    scalar = (t.ndim == 0)
-    t = np.atleast_1d(t)
-    out = np.empty_like(t)
-    small = np.abs(t) < 0.35
-    ts = t[small]
-    term = ts * ts * ts / 6.0
-    acc = term.copy()
-    for n in range(4, 21):
-        term = term * ts / n
-        acc += term
-    out[small] = acc
-    tb = t[~small]
-    with np.errstate(over="ignore"):
-        out[~small] = np.expm1(tb) - tb - 0.5 * tb * tb
+        head = np.expm1(tb)
+        for n in range(1, order):
+            term = term * tb / n
+            head -= term
+    out[~small] = head
     return float(out[0]) if scalar else out
 
 

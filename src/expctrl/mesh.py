@@ -74,9 +74,6 @@ class Domain:
             d = r - np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
         return float(d[0]) if single else d
 
-    def contains(self, x, tol=0.0):
-        return self.boundary_distance(x) >= -tol
-
 
 class Mesh:
     """Conforming P1 triangulation.
@@ -103,7 +100,8 @@ class Mesh:
             raise ValueError("triangles must be (T, 3)")
         if boundary.shape != (vertices.shape[0],):
             raise ValueError("one boundary flag per vertex required")
-        areas = _signed_areas(vertices, triangles)
+        corners = vertices[triangles]
+        areas = _signed_areas(corners)
         flip = areas < 0.0
         if np.any(flip):
             triangles = triangles.copy()
@@ -116,8 +114,7 @@ class Mesh:
         self.boundary = boundary
         self.domain = domain
         self.areas = areas
-        e = _edge_lengths(vertices, triangles)
-        self.h = float(e.max())
+        self.h = float(_edge_lengths(corners).max())
         self._neighbors = None
         self._vertex_tri = None
 
@@ -150,22 +147,19 @@ class Mesh:
         return self._vertex_tri
 
 
-def _signed_areas(vertices, triangles):
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    return 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-                  - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+def _signed_areas(corners):
+    """Signed areas (...,) of triangles with corners (..., 3, 2),
+    positive for counterclockwise corners."""
+    e1 = corners[..., 1, :] - corners[..., 0, :]
+    e2 = corners[..., 2, :] - corners[..., 0, :]
+    return 0.5 * (e1[..., 0] * e2[..., 1] - e2[..., 0] * e1[..., 1])
 
 
-def _edge_lengths(vertices, triangles):
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    return np.stack([
-        np.hypot(*(p1 - p2).T),
-        np.hypot(*(p2 - p0).T),
-        np.hypot(*(p0 - p1).T)])
+def _edge_lengths(corners):
+    """Edge lengths (..., 3) of triangles with corners (..., 3, 2);
+    entry j is the edge opposite corner j."""
+    d = np.roll(corners, -1, axis=-2) - np.roll(corners, 1, axis=-2)
+    return np.hypot(d[..., 0], d[..., 1])
 
 
 def _tri_edges(triangles):
@@ -202,13 +196,6 @@ def _build_neighbors(triangles):
     nbr[t1, j1] = t2
     nbr[t2, j2] = t1
     return nbr
-
-
-def edge_statistics(mesh):
-    """(edge count, boundary edge count); an edge is boundary when it
-    belongs to exactly one triangle."""
-    _, _, counts = _tri_edges(mesh.triangles)
-    return counts.size, int(np.sum(counts == 1))
 
 
 def circumcenters(mesh):
@@ -381,18 +368,23 @@ def _refine_once(mesh, refine_points, green, ball_factor):
 
 
 def barycentric(mesh, t, x):
-    """Barycentric coordinates of x in triangle t (may be negative)."""
-    v0, v1, v2 = mesh.triangles[t]
-    p0 = mesh.vertices[v0]
-    p1 = mesh.vertices[v1]
-    p2 = mesh.vertices[v2]
-    den = (p1[0] - p0[0]) * (p2[1] - p0[1]) \
-        - (p2[0] - p0[0]) * (p1[1] - p0[1])
-    l1 = ((x[0] - p0[0]) * (p2[1] - p0[1])
-          - (p2[0] - p0[0]) * (x[1] - p0[1])) / den
-    l2 = ((p1[0] - p0[0]) * (x[1] - p0[1])
-          - (x[0] - p0[0]) * (p1[1] - p0[1])) / den
-    return np.array([1.0 - l1 - l2, l1, l2])
+    """Barycentric coordinates (..., 3) of points x (..., 2) in
+    triangles t (...,), broadcast against each other; negative outside.
+
+    Coordinate j is the signed area of the triangle with corner j moved
+    to x, over the triangle's own signed area.
+    """
+    corners, x = np.broadcast_arrays(
+        mesh.vertices[mesh.triangles[t]],
+        np.asarray(x, dtype=float)[..., None, :])
+    area = _signed_areas(corners)
+    lam = np.empty(corners.shape[:-1])
+    for j in (1, 2):
+        moved = corners.copy()
+        moved[..., j, :] = x[..., j, :]
+        lam[..., j] = _signed_areas(moved) / area
+    lam[..., 0] = 1.0 - lam[..., 1] - lam[..., 2]
+    return lam
 
 
 _BARY_TOL = 1e-12
@@ -428,22 +420,12 @@ def locate_point(mesh, x):
 
 
 def _locate_scan(mesh, x):
-    p0 = mesh.vertices[mesh.triangles[:, 0]]
-    p1 = mesh.vertices[mesh.triangles[:, 1]]
-    p2 = mesh.vertices[mesh.triangles[:, 2]]
-    den = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) \
-        - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])
-    l1 = ((x[0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-          - (p2[:, 0] - p0[:, 0]) * (x[1] - p0[:, 1])) / den
-    l2 = ((p1[:, 0] - p0[:, 0]) * (x[1] - p0[:, 1])
-          - (x[0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])) / den
-    l0 = 1.0 - l1 - l2
-    ok = (l0 >= -_BARY_TOL) & (l1 >= -_BARY_TOL) & (l2 >= -_BARY_TOL)
-    idx = np.nonzero(ok)[0]
+    lam = barycentric(mesh, np.arange(mesh.num_triangles), x)
+    idx = np.nonzero(np.all(lam >= -_BARY_TOL, axis=1))[0]
     if idx.size == 0:
         raise ValueError("point not located")
     t = int(idx[0])
-    return t, _clip_bary(np.array([l0[t], l1[t], l2[t]]))
+    return t, _clip_bary(lam[t])
 
 
 def _clip_bary(lam):

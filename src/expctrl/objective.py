@@ -13,7 +13,7 @@ exact, and D2J[h, k] = h' H k.
 
 import numpy as np
 
-from .fem import exp_remainder1, exp_remainder2, integrate_lumped
+from .fem import exp_remainder, integrate_lumped
 from .pde import (evaluate_at_points, nodal_field, operators, solve_adjoint,
                   solve_linearized, solve_state)
 from .sequences import FOUR_PI, Control
@@ -28,11 +28,11 @@ _SLOPE_FLOOR = 1e-14
 
 class DerivativeReport:
     """Derivative data at a control: objective value, gradient entries,
-    optionally a second-order form value, remainder rows, fitted
-    log-log slopes, and notes for skipped probes."""
+    and for a Taylor table the second-order form value, the remainder
+    rows (a skipped probe carries its note) and fitted log-log slopes."""
 
     def __init__(self, value, gradient=None, second_order=None,
-                 rows=None, slopes=None, notes=None):
+                 rows=None, slopes=None):
         if not np.isfinite(value):
             raise ValueError("objective value must be finite")
         if gradient is not None:
@@ -44,7 +44,6 @@ class DerivativeReport:
         self.second_order = second_order
         self.rows = [] if rows is None else list(rows)
         self.slopes = {} if slopes is None else dict(slopes)
-        self.notes = [] if notes is None else list(notes)
 
 
 def evaluate_J(instance, u, mesh, tol=1e-10, state=None):
@@ -68,14 +67,14 @@ def evaluate_DJ(instance, u, mesh, tol=1e-10, state=None):
                             gradient=grad)
 
 
-def reduced_hessian(instance, u, mesh, tol=1e-10, state=None, phi=None):
+def reduced_hessian(instance, u, mesh, tol=1e-10, state=None):
     """The K x K Hessian of the discrete J at u, symmetrized against
     roundoff; column i of Z is the linearized state of the unit point
-    mass at x_i, so building it takes K linearized solves."""
+    mass at x_i, so building it takes one adjoint and K linearized
+    solves."""
     if state is None:
         state = solve_state(instance, u, mesh, tol=tol)
-    if phi is None:
-        phi = solve_adjoint(state, instance.y_d, mesh)
+    phi = solve_adjoint(state, instance.y_d, mesh)
     ops = operators(mesh)
     eye = np.eye(instance.points.count)
     Z = np.column_stack([
@@ -86,10 +85,10 @@ def reduced_hessian(instance, u, mesh, tol=1e-10, state=None, phi=None):
     return 0.5 * (H + H.T)
 
 
-def evaluate_D2J(instance, u, mesh, h, k, tol=1e-10, state=None, phi=None):
+def evaluate_D2J(instance, u, mesh, h, k, tol=1e-10, state=None):
     """Second-order form D2J[h, k] = h' H k with H the reduced Hessian
     at u; each call builds H afresh."""
-    H = reduced_hessian(instance, u, mesh, tol=tol, state=state, phi=phi)
+    H = reduced_hessian(instance, u, mesh, tol=tol, state=state)
     return float(h.values @ H @ k.values)
 
 
@@ -102,18 +101,16 @@ def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
     R2 = |R1 argument - (rho^2/2) D2J[h,h]|, and the state-level
     remainders: with w = y_{u + rho h} - y_u, the lumped integrals of
     |e^w - 1 - w| / rho and |e^w - 1 - w - w^2/2| / rho^2.  Probes the
-    state solver cannot take are skipped with a note.
+    state solver cannot take are skipped with a note in their row.
     """
     if rho_grid is None:
         rho_grid = DEFAULT_RHO_GRID
     state = solve_state(instance, u, mesh, tol=tol)
-    phi = solve_adjoint(state, instance.y_d, mesh)
-    base = evaluate_J(instance, u, mesh, state=state)
-    grad = evaluate_at_points(phi, instance.points) + instance.nu * u.values
-    dj_h = float(np.dot(grad, h.values))
-    d2_hh = evaluate_D2J(instance, u, mesh, h, h, state=state, phi=phi)
+    first = evaluate_DJ(instance, u, mesh, state=state)
+    base = first.value
+    dj_h = float(np.dot(first.gradient, h.values))
+    d2_hh = evaluate_D2J(instance, u, mesh, h, h, state=state)
     rows = []
-    notes = []
     for rho in rho_grid:
         rho = float(rho)
         probe = Control(u.values + rho * h.values)
@@ -133,16 +130,14 @@ def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
                 row["r2"] = abs(linear - 0.5 * rho * rho * d2_hh)
                 w = probe_state.y.values - state.y.values
                 row["state_r1"] = integrate_lumped(
-                    mesh, np.abs(exp_remainder1(w))) / rho
+                    mesh, np.abs(exp_remainder(w, 2))) / rho
                 row["state_r2"] = integrate_lumped(
-                    mesh, np.abs(exp_remainder2(w))) / rho ** 2
-        if row["note"]:
-            notes.append("rho=%g %s" % (rho, row["note"]))
+                    mesh, np.abs(exp_remainder(w, 3))) / rho ** 2
         rows.append(row)
     slopes = {key: _loglog_slope(rows, key, base)
               for key in ("r1", "r2", "state_r1", "state_r2")}
-    return DerivativeReport(base, gradient=grad, second_order=d2_hh,
-                            rows=rows, slopes=slopes, notes=notes)
+    return DerivativeReport(base, gradient=first.gradient,
+                            second_order=d2_hh, rows=rows, slopes=slopes)
 
 
 def _loglog_slope(rows, key, base):

@@ -6,7 +6,7 @@ second-order necessary check against the reduced Hessian.
 import numpy as np
 
 from .objective import evaluate_DJ, evaluate_J, reduced_hessian
-from .pde import solve_adjoint, solve_state
+from .pde import solve_state
 from .sequences import Control, project_box
 
 _BB_MIN = 1e-6
@@ -21,13 +21,14 @@ class KKTReport:
     classification entries are "lower-active", "upper-active",
     "interior", or "degenerate" (a pinned interval alpha_i = beta_i,
     zero residual by convention); residuals follow the sign trichotomy,
-    projected holds the equivalent |u_i - clamp(u_i - d_i)| residual.
-    history rows are (J, aggregate residual, step) per optimizer
-    iteration, so the J history is the first column; reports computed
-    directly from a (u, d) pair leave it empty.
+    projected holds the equivalent |u_i - clamp(u_i - d_i)| residual,
+    and gradient the d it was computed from.  history rows are
+    (J, aggregate residual, step) per optimizer iteration, so the J
+    history is the first column; reports computed directly from a
+    (u, d) pair leave it empty.
     """
 
-    def __init__(self, classification, residuals, projected,
+    def __init__(self, classification, residuals, projected, gradient,
                  iterations=0, history=None):
         residuals = np.asarray(residuals, dtype=float).reshape(-1)
         projected = np.asarray(projected, dtype=float).reshape(-1)
@@ -38,6 +39,7 @@ class KKTReport:
         self.classification = list(classification)
         self.residuals = residuals
         self.projected = projected
+        self.gradient = np.asarray(gradient, dtype=float).reshape(-1)
         self.aggregate = float(residuals.max()) if residuals.size else 0.0
         self.projected_aggregate = \
             float(projected.max()) if projected.size else 0.0
@@ -119,7 +121,7 @@ def kkt_residual(u, d, bounds, tol_active=1e-10):
             classification.append("interior")
             residuals[i] = abs(dv[i])
     projected = np.abs(uv - np.clip(uv - dv, bounds.lower, bounds.upper))
-    return KKTReport(classification, residuals, projected)
+    return KKTReport(classification, residuals, projected, dv)
 
 
 def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
@@ -145,9 +147,8 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
         kkt = kkt_residual(u, grad, instance.bounds, tol_active)
         history.append((value, kkt.aggregate, step))
         if kkt.aggregate <= tol or it == max_iters:
-            return u, KKTReport(kkt.classification, kkt.residuals,
-                                kkt.projected, iterations=it,
-                                history=history)
+            kkt.iterations, kkt.history = it, history
+            return u, kkt
         if prev_u is not None:
             du = u.values - prev_u
             dg = grad - prev_grad
@@ -233,11 +234,9 @@ def second_order_check(instance, mesh, u, directions, tol=None,
     the minimum taken in the given fixed order.
     """
     state = solve_state(instance, u, mesh, tol=state_tol)
-    phi = solve_adjoint(state, instance.y_d, mesh)
-    value = evaluate_J(instance, u, mesh, state=state)
     if tol is None:
-        tol = 1e-8 * (1.0 + abs(value))
-    H = reduced_hessian(instance, u, mesh, state=state, phi=phi)
+        tol = 1e-8 * (1.0 + abs(evaluate_J(instance, u, mesh, state=state)))
+    H = reduced_hessian(instance, u, mesh, state=state)
     values = [float(d.values @ H @ d.values) for d in directions]
     idx = int(np.argmin(values))
     minimum = values[idx]

@@ -18,9 +18,9 @@ import weakref
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (FEFunction, Multigrid, assemble_load, assemble_stiffness,
-                  assemble_weighted_mass, lumped_mass_diagonal,
-                  point_operator, solve_spd)
+from .fem import (FEFunction, Multigrid, assemble_load, assemble_mass,
+                  assemble_stiffness, lumped_mass_diagonal, point_operator,
+                  solve_spd)
 from .mesh import build_mesh
 from .sequences import FOUR_PI
 
@@ -48,12 +48,18 @@ class _Operators:
 
     def __init__(self, mesh):
         self.stiffness = assemble_stiffness(mesh)
-        self.mass = assemble_weighted_mass(mesh, lumped=False)
+        self.mass = assemble_mass(mesh)
         self.lumped = lumped_mass_diagonal(mesh)
         self.coupling = {}
         self.loads = {}
         self._free = ~mesh.boundary
         self._multigrid = None
+
+    def newton_matrix(self, y):
+        """The Newton matrix A + M_L diag(e^y) of the state equation at
+        the nodal state y, shared by the linearized and adjoint
+        equations; y = 0 gives A + M_L."""
+        return self.stiffness + sp.diags(self.lumped * np.exp(y))
 
     @property
     def multigrid(self):
@@ -61,9 +67,8 @@ class _Operators:
         the form A + diag(d), d >= 0, and takes its finest level from
         its own matrix, so all of them share these coarse levels."""
         if self._multigrid is None:
-            A = (self.stiffness + sp.diags(self.lumped)).tocsr()
-            A = A[self._free][:, self._free]
-            self._multigrid = Multigrid(A)
+            A = self.newton_matrix(0.0)
+            self._multigrid = Multigrid(A[self._free][:, self._free])
         return self._multigrid
 
 
@@ -214,8 +219,8 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
         res = float(np.linalg.norm((ops.stiffness @ y - load)[free]))
         return StateSolution(FEFunction(mesh, y), True, 0, res,
                              linear=True, history=[res])
-    y = solve_spd(ops.stiffness + sp.diags(ops.lumped), load,
-                  mesh.boundary, tol=_ETA_MAX, multigrid=ops.multigrid)
+    y = solve_spd(ops.newton_matrix(0.0), load, mesh.boundary,
+                  tol=_ETA_MAX, multigrid=ops.multigrid)
     fres = _residual(ops, y, load)
     rnorm = float(np.linalg.norm(fres[free]))
     history = [rnorm]
@@ -233,9 +238,8 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
                 eta = max(eta, safeguard)
             eta = min(eta, _ETA_MAX)
         eta = max(eta, _CG_TOL, 0.5 * tol * scale / rnorm)
-        H = ops.stiffness + sp.diags(ops.lumped * np.exp(y))
-        step = solve_spd(H, -fres, mesh.boundary, tol=eta,
-                         multigrid=ops.multigrid)
+        step = solve_spd(ops.newton_matrix(y), -fres, mesh.boundary,
+                         tol=eta, multigrid=ops.multigrid)
         t = 1.0
         accepted = False
         for _ in range(_MAX_HALVINGS):
@@ -270,13 +274,11 @@ def solve_state(instance, u, mesh, tol=1e-10, linear=False):
 
 
 def linearized_operator(yS, mesh):
-    """The matrix A + M_L diag(e^y) shared by the linearized and
+    """The Newton matrix at the state yS, shared by the linearized and
     adjoint equations; just A for a state solved with the nonlinearity
     switched off."""
     ops = operators(mesh)
-    if yS.linear:
-        return ops.stiffness
-    return ops.stiffness + sp.diags(ops.lumped * np.exp(yS.y.values))
+    return ops.stiffness if yS.linear else ops.newton_matrix(yS.y.values)
 
 
 def _check_state(yS, mesh):

@@ -24,10 +24,6 @@ class Control:
             raise ValueError("control entries must be finite")
         self.values = values
 
-    @property
-    def support_size(self):
-        return self.values.size
-
     def __len__(self):
         return self.values.size
 
@@ -64,10 +60,6 @@ class BoundsPair:
                     % (i, upper[i]))
         self.lower = lower
         self.upper = upper
-
-    @property
-    def support_size(self):
-        return self.lower.size
 
     def __len__(self):
         return self.lower.size

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from expctrl.cli import (ConfigError, RunConfig, load_config, main,
                          parse_field)
 from expctrl.estimates import EstimateReport
 from expctrl.fem import assemble_stiffness
+from expctrl.objective import evaluate_DJ
+from expctrl.sequences import Control
 
 
 def base_config(**extra):
@@ -171,6 +177,27 @@ def test_optimize_reports_manufactured_minimum(tmp_path):
     assert len(kkt) == 4
     assert (out / "second_order.csv").exists()
     assert (out / "iterates.csv").exists()
+
+
+def test_optimize_reports_the_derivative_at_the_written_control(tmp_path):
+    path = write_config(tmp_path, base_config(
+        f0="constant 1.0", y_d="gaussian(0.5, 0.5, 0.2, 2.0)",
+        second_order_count=4))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", path, "--out", str(out)]) == 0
+
+    def column(name, k):
+        rows = (out / name).read_text().splitlines()[2:]
+        return [float(row.split(",")[k]) for row in rows]
+    summary = dict(line.split("=", 1) for line in
+                   (out / "optimize_summary.txt").read_text().splitlines()[1:])
+    config = load_config(path)
+    reference = evaluate_DJ(config.instance,
+                            Control(column("control.csv", 1)),
+                            config.instance.make_mesh(),
+                            tol=config.tolerances["newton"])
+    assert column("kkt.csv", 4) == reference.gradient.tolist()
+    assert float(summary["J"]) == reference.value
 
 
 def test_optimize_budget_exhaustion_returns_three(tmp_path):
@@ -381,3 +408,24 @@ def test_rectangle_domain_roundtrip(tmp_path):
     assert main(["solve", "--config", path, "--out", str(out)]) == 0
     summary = (out / "solve_summary.txt").read_text()
     assert "converged=true" in summary
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "expctrl.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    done = run("solve", "--config", str(bad))
+    assert done.returncode == 1
+    assert "config error" in done.stderr
+    out = tmp_path / "out"
+    done = run("solve", "--config", write_config(tmp_path, base_config()),
+               "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert (out / "solve_summary.txt").is_file()

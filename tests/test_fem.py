@@ -1,3 +1,6 @@
+import decimal
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from expctrl.fem import (FEFunction, MOLLIFIER_C, Multigrid, _cholesky,
-                         _inverse_factor, assemble_load,
+                         _inverse_factor, assemble_load, assemble_mass,
                          assemble_mollified_load, assemble_stiffness,
-                         assemble_weighted_mass, exp_remainder1,
-                         exp_remainder2, integrate_exp_linear,
+                         exp_remainder, integrate_exp_linear,
                          integrate_lumped, lumped_mass_diagonal,
                          mollifier_value, point_operator, solve_spd,
                          subdivided_quadrature)
@@ -19,6 +21,10 @@ from expctrl.sequences import (Control, SourcePoints,
 
 def square_mesh(n):
     return build_mesh(Domain.unit_square(), n)
+
+
+def lumped_mass(mesh):
+    return sp.diags(lumped_mass_diagonal(mesh)).tocsr()
 
 
 def test_stiffness_kills_constants():
@@ -58,17 +64,9 @@ def test_lumped_mass_partitions_the_area():
     assert abs(np.sum(d) - 1.0) < 1e-12
 
 
-def test_weighted_mass_trace_and_zero_weight():
-    mesh = square_mesh(5)
-    M = assemble_weighted_mass(mesh, lumped=True)
-    assert abs(M.diagonal().sum() - 1.0) < 1e-12
-    Z = assemble_weighted_mass(mesh, w=np.zeros(mesh.num_vertices))
-    assert abs(Z).max() == 0.0
-
-
 def test_consistent_mass_quadratic_form_on_constants():
     mesh = square_mesh(6)
-    M = assemble_weighted_mass(mesh, lumped=False)
+    M = assemble_mass(mesh)
     c = 3.0 * np.ones(mesh.num_vertices)
     assert_allclose(c @ (M @ c), 9.0, rtol=1e-12)
 
@@ -76,18 +74,10 @@ def test_consistent_mass_quadratic_form_on_constants():
 def test_consistent_mass_exact_on_linear_products():
     # edge-midpoint rule integrates quadratics exactly
     mesh = square_mesh(4)
-    M = assemble_weighted_mass(mesh, lumped=False)
+    M = assemble_mass(mesh)
     x = mesh.vertices[:, 0]
     # int_0^1 int_0^1 x^2 = 1/3
     assert_allclose(x @ (M @ x), 1.0 / 3.0, rtol=1e-12)
-
-
-def test_weighted_mass_rejects_negative_weight_for_spd():
-    mesh = square_mesh(3)
-    w = -np.ones(mesh.num_vertices)
-    with pytest.raises(ValueError, match="negative weight"):
-        assemble_weighted_mass(mesh, w=w, spd=True)
-    assemble_weighted_mass(mesh, w=w)  # fine without the SPD claim
 
 
 def test_load_of_zero_and_constant():
@@ -214,10 +204,9 @@ def test_integrate_exp_linear_matches_subdivided_quadrature():
     rng = np.random.default_rng(3)
     v = rng.normal(size=mesh.num_vertices)
     exact = integrate_exp_linear(mesh, v)
-    from expctrl.fem import interpolate_at_quadrature
     pts, w, bary, parent = subdivided_quadrature(
         mesh, np.arange(mesh.num_triangles), 4)
-    vq = interpolate_at_quadrature(mesh, v, bary, parent)
+    vq = np.sum(bary * v[mesh.triangles[parent]], axis=1)
     approx = float(np.sum(w * np.exp(vq)))
     assert_allclose(exact, approx, rtol=1e-9)
 
@@ -240,23 +229,45 @@ def test_integrate_exp_linear_subset():
 
 
 def test_exp_remainders_frozen_values():
-    assert_allclose(exp_remainder1(1e-8), 5.0000000166666669e-17, rtol=1e-12)
-    assert_allclose(exp_remainder1(20.0), 485165174.40979028, rtol=1e-13)
-    assert_allclose(exp_remainder2(1e-8), 1.6666666708333334e-25, rtol=1e-12)
-    assert_allclose(exp_remainder2(-3.0), -2.4502129316321361, rtol=1e-13)
-    assert exp_remainder1(0.0) == 0.0
-    assert exp_remainder2(0.0) == 0.0
+    assert_allclose(exp_remainder(1e-8, 2), 5.0000000166666669e-17,
+                    rtol=1e-12)
+    assert_allclose(exp_remainder(20.0, 2), 485165174.40979028, rtol=1e-13)
+    assert_allclose(exp_remainder(1e-8, 3), 1.6666666708333334e-25,
+                    rtol=1e-12)
+    assert_allclose(exp_remainder(-3.0, 3), -2.4502129316321361, rtol=1e-13)
+    assert exp_remainder(0.0, 2) == 0.0
+    assert exp_remainder(0.0, 3) == 0.0
 
 
 @settings(max_examples=200)
 @given(st.floats(-30.0, 30.0))
 def test_exp_remainder1_nonnegative(t):
-    assert exp_remainder1(t) >= 0.0
+    assert exp_remainder(t, 2) >= 0.0
+
+
+def decimal_remainder(t, order):
+    """e^t - sum_{n < order} t^n / n! in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = decimal.Decimal(float(t))
+        head = sum(x ** n / math.factorial(n) for n in range(order))
+        return float(x.exp() - head)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_exp_remainder_matches_a_decimal_reference(order):
+    tiny = np.logspace(-8.0, -1.0, 15)
+    t = np.concatenate([np.linspace(-0.349, 0.349, 140), tiny, -tiny,
+                        np.linspace(-30.0, -0.35, 100),
+                        np.linspace(0.35, 30.0, 100)])
+    ref = np.array([decimal_remainder(v, order) for v in t])
+    got = exp_remainder(t, order)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
 
 
 def test_exp_remainders_vectorized():
     t = np.array([-1.0, 0.0, 0.3, 2.0])
-    r1 = exp_remainder1(t)
+    r1 = exp_remainder(t, 2)
     assert r1.shape == t.shape
     assert_allclose(r1, np.expm1(t) - t, rtol=1e-12, atol=1e-300)
 
@@ -303,7 +314,7 @@ def test_solve_spd_center_value_for_unit_load():
 
 def test_solve_spd_recovers_a_prescribed_solution():
     mesh = square_mesh(8)
-    A = assemble_stiffness(mesh) + assemble_weighted_mass(mesh)
+    A = assemble_stiffness(mesh) + lumped_mass(mesh)
     rng = np.random.default_rng(11)
     target = rng.normal(size=mesh.num_vertices)
     target[mesh.boundary] = 0.0
@@ -315,7 +326,7 @@ def test_solve_spd_recovers_a_prescribed_solution():
 
 def test_solve_spd_matches_dense_oracle():
     mesh = square_mesh(6)
-    A = assemble_stiffness(mesh) + assemble_weighted_mass(mesh)
+    A = assemble_stiffness(mesh) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: x[:, 0] - x[:, 1] ** 2)
     x = solve_spd(A, b, mesh.boundary, tol=1e-13)
     free = ~mesh.boundary
@@ -326,7 +337,7 @@ def test_solve_spd_matches_dense_oracle():
 def test_solve_spd_discrete_maximum_principle():
     # nonnegative load on a nonobtuse mesh gives a nonnegative solution
     mesh = square_mesh(8)
-    A = assemble_stiffness(mesh) + assemble_weighted_mass(mesh)
+    A = assemble_stiffness(mesh) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: np.exp(-10 * (x[:, 0] - 0.3) ** 2))
     x = solve_spd(A, b, mesh.boundary)
     assert np.min(x) >= -1e-14
@@ -334,7 +345,7 @@ def test_solve_spd_discrete_maximum_principle():
 
 def test_solve_spd_rejects_indefinite_operators():
     mesh = square_mesh(3)
-    A = -assemble_weighted_mass(mesh)
+    A = -lumped_mass(mesh)
     with pytest.raises(RuntimeError, match="not positive definite"):
         solve_spd(A, np.ones(mesh.num_vertices), mesh.boundary)
 
@@ -360,7 +371,7 @@ def free_block(mesh, A):
 
 def shifted_stiffness(mesh):
     return free_block(mesh, assemble_stiffness(mesh)
-                      + assemble_weighted_mass(mesh))
+                      + lumped_mass(mesh))
 
 
 def vcycle_contraction(mesh):
@@ -395,7 +406,7 @@ def test_preconditioner_is_symmetric_positive_with_a_new_finest_level():
     # differs from the matrix the hierarchy was built from
     y = np.exp(-4.0 * np.sum(mesh.vertices ** 2, axis=1)) * 5.0
     H = free_block(mesh, assemble_stiffness(mesh)
-                   + assemble_weighted_mass(mesh, np.exp(y)))
+                   + sp.diags(lumped_mass_diagonal(mesh) * np.exp(y)))
     B = mg.preconditioner(H)
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -407,7 +418,7 @@ def test_preconditioner_is_symmetric_positive_with_a_new_finest_level():
 
 def test_amg_pcg_matches_dense_oracle_on_a_refined_disk():
     mesh = refined_disk()
-    A = assemble_stiffness(mesh) + assemble_weighted_mass(mesh)
+    A = assemble_stiffness(mesh) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: np.cos(3.0 * x[:, 0]) + x[:, 1])
     x = solve_spd(A, b, mesh.boundary, tol=1e-13)
     free = ~mesh.boundary
@@ -458,7 +469,7 @@ class CountingMultigrid(Multigrid):
 
 def test_solve_spd_reports_stagnation_below_the_round_off_floor():
     mesh = square_mesh(32)
-    A = assemble_stiffness(mesh) + assemble_weighted_mass(mesh)
+    A = assemble_stiffness(mesh) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: np.ones(len(x)))
     mg = CountingMultigrid(free_block(mesh, A))
     with pytest.raises(RuntimeError, match="linear solve stagnated"):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from expctrl.fem import subdivided_quadrature
 from expctrl.mesh import (Domain, _tri_edges, barycentric, build_mesh,
-                          circumcenters, edge_statistics, locate_point)
+                          circumcenters, locate_point)
 from expctrl.sequences import compute_separation_radii
 
 
@@ -179,13 +180,40 @@ def test_barycentric_matches_direct_solve():
     assert_allclose(lam, lam2, atol=1e-13)
 
 
+def test_broadcast_barycentric_matches_per_item_calls_on_a_graded_disk():
+    dom = Domain.disk(0.0, 0.0, 1.0)
+    pts = compute_separation_radii([[0.0, 0.0], [0.4, 0.3]], dom)
+    mesh = build_mesh(dom, 8, refine_points=pts, refine_levels=4)
+    rng = np.random.default_rng(2)
+    t = rng.integers(0, mesh.num_triangles, 200)
+    corners = mesh.vertices[mesh.triangles[t]]
+    # weights in [-1/3, 5/3]: points inside and around their triangles
+    x = np.einsum("mj,mjd->md", 2.0 * rng.dirichlet(np.ones(3), 200)
+                  - 1.0 / 3.0, corners)
+    lam = barycentric(mesh, t, x)
+    assert lam.shape == (200, 3)
+    single = np.array([barycentric(mesh, ti, xi) for ti, xi in zip(t, x)])
+    assert np.array_equal(lam, single)
+    # one point against every triangle, as the locate fallback scans
+    every = barycentric(mesh, np.arange(mesh.num_triangles), x[0])
+    assert np.array_equal(every[t[0]], lam[0])
+    assert_allclose(lam.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert_allclose(np.einsum("mj,mjd->md", lam, corners), x, rtol=0,
+                    atol=1e-12)
+    # the quadrature's coordinates against its parents rebuild its points
+    qp, _, bary, parent = subdivided_quadrature(mesh, t[:20], 2)
+    corners = mesh.vertices[mesh.triangles[parent]]
+    assert_allclose(np.einsum("mj,mjd->md", bary, corners), qp, rtol=0,
+                    atol=1e-12)
+
+
 def test_edge_statistics_and_circumcenters():
     mesh = build_mesh(Domain.unit_square(), 4)
-    edges, boundary_edges = edge_statistics(mesh)
+    _, _, counts = _tri_edges(mesh.triangles)
     # n=4 square: 41 vertices? no: (n+1)^2=25 vertices, 32 triangles,
-    # edges = V + T - 1 by Euler
-    assert edges == mesh.num_vertices + mesh.num_triangles - 1
-    assert boundary_edges == 4 * 4  # n segments per side
+    # edges = V + T - 1 by Euler; a boundary edge has one triangle
+    assert counts.size == mesh.num_vertices + mesh.num_triangles - 1
+    assert np.sum(counts == 1) == 4 * 4  # n segments per side
     cc = circumcenters(mesh)
     assert cc.shape == (mesh.num_triangles, 2)
     # a right triangle's circumcenter is the hypotenuse midpoint

@@ -154,7 +154,7 @@ def test_reduced_hessian_matches_the_per_direction_form(setup):
         inst, mesh, u = four_point_instance()
     state = solve_state(inst, u, mesh)
     phi = solve_adjoint(state, inst.y_d, mesh)
-    H = reduced_hessian(inst, u, mesh, state=state, phi=phi)
+    H = reduced_hessian(inst, u, mesh, state=state)
     K = inst.points.count
     rng = np.random.default_rng(5)
     directions = list(np.eye(K)) + list(rng.standard_normal((6, K)))

@@ -73,8 +73,8 @@ def test_kkt_residual_zero_iff_sign_conditions_hold(u_val, d_val):
 
 def test_kkt_report_validation():
     with pytest.raises(ValueError):
-        KKTReport(["interior"], [-0.1], [0.1])
-    rep = KKTReport(["interior"], [0.2], [0.1], iterations=3,
+        KKTReport(["interior"], [-0.1], [0.1], [0.1])
+    rep = KKTReport(["interior"], [0.2], [0.1], [0.2], iterations=3,
                     history=[(1.0, 0.5, 1.0)])
     assert rep.aggregate == 0.2
 

@@ -4,8 +4,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from expctrl import pde
-from expctrl.fem import (FEFunction, Multigrid, assemble_weighted_mass,
-                         solve_spd)
+from expctrl.fem import FEFunction, Multigrid, assemble_mass, solve_spd
 from expctrl.mesh import Domain, build_mesh
 from expctrl.pde import (ProblemInstance, evaluate_at_points, field_load,
                          linearized_operator, nodal_field, operators,
@@ -199,7 +198,7 @@ def test_adjoint_duality_identity():
     phi = solve_adjoint(st, inst.y_d, mesh, tol=1e-12)
     z = solve_linearized(st, h, mesh, inst.points, tol=1e-12)
     d = point_coupling(mesh, inst.points).T @ h.values
-    M = assemble_weighted_mass(mesh, lumped=False)
+    M = assemble_mass(mesh)
     lhs = float(np.dot(d, phi.values))
     rhs = float(np.dot(M @ (st.y.values - nodal_field(mesh, inst.y_d)),
                        z.values))
@@ -229,7 +228,7 @@ def test_evaluate_at_points_matches_interpolation():
 def test_lipschitz_l2_stability_of_the_state_map():
     inst = two_point_instance(24)
     mesh = inst.make_mesh()
-    M = assemble_weighted_mass(mesh, lumped=False)
+    M = assemble_mass(mesh)
     rng = np.random.default_rng(9)
     ratios = []
     for _ in range(5):

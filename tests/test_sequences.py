@@ -11,7 +11,6 @@ from expctrl.sequences import (FOUR_PI, BoundsPair, Control, L_functional,
 
 def test_control_holds_values_and_support():
     u = Control([1.0, -2.0, 3.0])
-    assert u.support_size == 3
     assert len(u) == 3
     assert_allclose(u.values, [1.0, -2.0, 3.0])
 
@@ -62,7 +61,7 @@ def test_truncate_zeroes_the_tail():
     h = Control([1.0, -2.0, 3.0])
     t = truncate(h, 2)
     assert_allclose(t.values, [1.0, -2.0, 0.0])
-    assert t.support_size == 3
+    assert len(t) == 3
 
 
 def test_truncate_beyond_support_is_identity():

@@ -184,9 +184,11 @@ class RunConfig:
         tolerances.setdefault("taylor", 1e-12)
         tolerances.setdefault("active", 1e-10)
         for key, value in tolerances.items():
-            if not (isinstance(value, (int, float)) and value > 0.0):
+            # a JSON true would pass as the number 1
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, float)) and value > 0.0):
                 raise ConfigError(
-                    "field 'tolerances.%s': must be positive" % key)
+                    "field 'tolerances.%s': must be a positive number" % key)
         if seed is None:
             seed = int(_field(cfg, "seed", 42))
         if out is None:
@@ -332,7 +334,7 @@ def cmd_optimize(config):
             count=int(_field(config.raw, "second_order_count", 64)),
             seed=config.seed)
         second = second_order_check(instance, mesh, u, directions,
-                                    state_tol=config.tolerances["newton"])
+                                    state=report.state)
         _write_csv(out / "second_order.csv", ("sample", "value"),
                    enumerate(second.values))
         summary += [

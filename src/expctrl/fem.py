@@ -7,11 +7,16 @@ by scipy's coo-to-csr conversion, which is deterministic, so repeated
 runs produce bit-identical matrices.  The solver is PCG with one
 symmetric AMG V-cycle per iteration (damped-Jacobi smoothing, a
 hand-written Cholesky of the at most 100-unknown coarsest level); no
-library factorizations anywhere.
+library factorizations anywhere.  The solver and every level of the
+V-cycle hold their matrices as CSR arrays and apply them by calling
+scipy's compiled CSR kernel directly, without the dispatch of a scipy
+matrix product.
 """
 
 import numpy as np
 import scipy.sparse as sp
+# the compiled kernels behind scipy's own CSR product and diagonal
+from scipy.sparse._sparsetools import csr_diagonal, csr_matvec
 
 from .mesh import _edge_lengths, _signed_areas, barycentric, locate_point
 
@@ -87,7 +92,7 @@ def assemble_stiffness(mesh):
     """P1 stiffness matrix for -Laplace (no boundary conditions applied).
 
     Element row sums vanish, so the global matrix annihilates constants;
-    Dirichlet conditions are imposed by masking in solve_spd.
+    Dirichlet conditions are imposed by solving on the free block.
     """
     g = _gradients(mesh)
     local = np.einsum("tid,tjd,t->tij", g, g, mesh.areas)
@@ -345,6 +350,38 @@ _SWEEPS = 2
 _STALLED_RESTARTS = 3
 
 
+class CSR:
+    """A sparse matrix held as its compressed-row arrays.
+
+    A @ x runs the compiled kernel that a scipy CSR product ends in,
+    without the checks and dispatch around it, so it returns the same
+    bits at the cost of the arithmetic alone.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.shape = shape
+
+    @classmethod
+    def of(cls, M):
+        """The CSR arrays of a scipy sparse matrix (shared, not copied,
+        when M is already CSR)."""
+        M = sp.csr_matrix(M)
+        return cls(M.indptr, M.indices, M.data, M.shape)
+
+    def __matmul__(self, x):
+        if len(x) != self.shape[1]:
+            raise ValueError("operand length does not match the matrix")
+        y = np.zeros(self.shape[0])
+        csr_matvec(self.shape[0], self.shape[1], self.indptr, self.indices,
+                   self.data, x, y)
+        return y
+
+
 class Multigrid:
     """Smoothed-aggregation multigrid hierarchy of a sparse SPD matrix
     (Vanek, Mandel and Brezina 1996, Computing 56).
@@ -353,18 +390,20 @@ class Multigrid:
     sqrt(a_ii a_jj) greedily, smooths the piecewise-constant tentative
     prolongator by one damped Jacobi step and forms the Galerkin product
     P' A P, until at most _COARSE_SIZE unknowns remain; the coarsest
-    matrix is factored by a hand-written Cholesky.
+    matrix is factored by a hand-written Cholesky.  Every coarse
+    matrix, every P and its transpose R are stored as CSR, built once
+    here, so a V-cycle builds no matrix object.
 
-    The matrix the hierarchy is built from only serves its coarse
-    levels: preconditioner(A) takes the finest level from the operator
-    actually solved, so operators that differ from it on the diagonal
-    share one hierarchy.
+    The operator A (a CSR) the hierarchy is built from only serves its
+    coarse levels: preconditioner(A) takes the finest level from the
+    operator actually solved, so operators that differ from it on the
+    diagonal share one hierarchy.
     """
 
     def __init__(self, A):
-        A = sp.csr_matrix(A)
         w = _jacobi_weights(A)
-        self.levels = []            # coarse (matrix, Jacobi weights)
+        A = sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+        self.levels = []            # coarse (CSR, Jacobi weights)
         self.prolongators = []
         self.restrictions = []
         theta = _STRENGTH
@@ -376,18 +415,20 @@ class Multigrid:
                 (1.0 / np.sqrt(np.bincount(agg[rows])[agg[rows]]),
                  (rows, agg[rows])), shape=(agg.size, count))
             P = (T - sp.diags(w) @ (A @ T)).tocsr()
-            R = P.T                          # a view: shares P's arrays
+            R = P.T
             A = R @ A @ P
             A = (0.5 * (A + A.T)).tocsr()
-            w = _jacobi_weights(A)
-            self.levels.append((A, w))
-            self.prolongators.append(P)
-            self.restrictions.append(R)
+            level = CSR.of(A)
+            w = _jacobi_weights(level)
+            self.levels.append((level, w))
+            self.prolongators.append(CSR.of(P))
+            self.restrictions.append(CSR.of(R))
             theta *= 0.5
         self._coarse = _inverse_factor(_cholesky(A.toarray()))
 
     def preconditioner(self, A):
-        """The symmetric V-cycle r -> B r with A as its finest level.
+        """The symmetric V-cycle r -> B r with the CSR A as its finest
+        level, applied like every other level by the kernel directly.
 
         Damped-Jacobi sweeps before and after each coarse correction,
         with weight 4/3 over each row's Gershgorin bound sum_j |a_ij| of
@@ -413,11 +454,15 @@ class Multigrid:
 
 
 def _jacobi_weights(A):
-    """Damped-Jacobi weights 4/3 / sum_j |a_ij|: the diagonal inverse
-    damped by each row's Gershgorin bound of D^-1 A."""
-    if np.any(A.diagonal() <= 0.0):
+    """Damped-Jacobi weights 4/3 / sum_j |a_ij| of the CSR A: the
+    diagonal inverse damped by each row's Gershgorin bound of D^-1 A."""
+    n = A.shape[0]
+    diagonal = np.zeros(n)
+    csr_diagonal(0, n, n, A.indptr, A.indices, A.data, diagonal)
+    if np.any(diagonal <= 0.0):
         raise RuntimeError("operator is not positive definite")
-    return (4.0 / 3.0) / (abs(A) @ np.ones(A.shape[0]))
+    row_sums = CSR(A.indptr, A.indices, np.abs(A.data), A.shape) @ np.ones(n)
+    return (4.0 / 3.0) / row_sums
 
 
 def _aggregate(A, theta):
@@ -490,11 +535,16 @@ def _inverse_factor(L):
 
 
 def solve_spd(A, b, dirichlet_mask, tol=1e-10, multigrid=None):
-    """Solve A x = b on the free nodes, zero on the masked nodes.
+    """Solve A x_f = b_f on the free nodes f (those off the mask) and
+    return the nodal x, zero on the masked nodes.
+
+    A is the free-block operator: a CSR of the rows and columns of the
+    free nodes only, applied by the kernel directly, so the solve
+    builds and indexes no matrix.  b is nodal; only b_f is read.
 
     Conjugate gradients preconditioned by one multigrid V-cycle per
-    iteration, on the hierarchy passed in or else one built from A's
-    free block; deterministic sequential updates.  Stops at relative
+    iteration, on the hierarchy passed in or else one built from A;
+    deterministic sequential updates.  Stops at relative
     residual tol, confirmed against the true residual, not just the
     recursion.  When the confirmation fails (or the recursion has run
     dim steps, the exact-arithmetic bound, without reaching tol) CG
@@ -506,16 +556,17 @@ def solve_spd(A, b, dirichlet_mask, tol=1e-10, multigrid=None):
     mask = np.asarray(dirichlet_mask, dtype=bool)
     free = ~mask
     x = np.zeros(mask.size)
-    Aff = A[free][:, free].tocsr()
     bf = np.asarray(b, dtype=float)[free]
+    if A.shape != (bf.size, bf.size):
+        raise ValueError("operator does not match the free nodes")
     nb = float(np.linalg.norm(bf))
     if nb == 0.0:
         return x
     if not np.isfinite(nb):
         raise RuntimeError("right-hand side is not finite")
     if multigrid is None:
-        multigrid = Multigrid(Aff)
-    precondition = multigrid.preconditioner(Aff)
+        multigrid = Multigrid(A)
+    precondition = multigrid.preconditioner(A)
     xf = np.zeros(bf.size)
     r = bf.copy()
     best = np.inf
@@ -527,7 +578,7 @@ def solve_spd(A, b, dirichlet_mask, tol=1e-10, multigrid=None):
         for _ in range(bf.size):
             if np.linalg.norm(r) <= tol * nb:
                 break
-            q = Aff @ p
+            q = A @ p
             pq = float(np.dot(p, q))
             if not (pq > 0.0 and rz > 0.0):
                 raise RuntimeError("operator is not positive definite")
@@ -538,7 +589,7 @@ def solve_spd(A, b, dirichlet_mask, tol=1e-10, multigrid=None):
             rz_new = float(np.dot(r, z))
             p = z + (rz_new / rz) * p
             rz = rz_new
-        r = bf - Aff @ xf
+        r = bf - A @ xf
         true_norm = float(np.linalg.norm(r))
         if true_norm <= tol * nb:
             x[free] = xf

@@ -24,12 +24,13 @@ class KKTReport:
     projected holds the equivalent |u_i - clamp(u_i - d_i)| residual,
     and gradient the d it was computed from.  history rows are
     (J, aggregate residual, step) per optimizer iteration, so the J
-    history is the first column; reports computed directly from a
-    (u, d) pair leave it empty.
+    history is the first column, and state is the state solved at the
+    final control; reports computed directly from a (u, d) pair leave
+    both empty.
     """
 
     def __init__(self, classification, residuals, projected, gradient,
-                 iterations=0, history=None):
+                 iterations=0, history=None, state=None):
         residuals = np.asarray(residuals, dtype=float).reshape(-1)
         projected = np.asarray(projected, dtype=float).reshape(-1)
         if np.any(~np.isfinite(residuals)) or np.any(residuals < 0.0):
@@ -45,6 +46,7 @@ class KKTReport:
             float(projected.max()) if projected.size else 0.0
         self.iterations = int(iterations)
         self.history = [] if history is None else list(history)
+        self.state = state
 
 
 class CriticalDirection:
@@ -147,7 +149,7 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
         kkt = kkt_residual(u, grad, instance.bounds, tol_active)
         history.append((value, kkt.aggregate, step))
         if kkt.aggregate <= tol or it == max_iters:
-            kkt.iterations, kkt.history = it, history
+            kkt.iterations, kkt.history, kkt.state = it, history, state
             return u, kkt
         if prev_u is not None:
             du = u.values - prev_u
@@ -225,15 +227,18 @@ def sample_critical_cone(u, d, bounds, tol_active=1e-10, tol_grad=1e-6,
 
 
 def second_order_check(instance, mesh, u, directions, tol=None,
-                       state_tol=1e-10):
+                       state_tol=1e-10, state=None):
     """Evaluate D2J[h, h] = h' H h over sampled critical directions,
     with the reduced K x K Hessian H built once (K linearized solves).
 
-    Passes when every value clears -tol (default 1e-8 * (1 + |J|));
-    the minimum value and its direction are reported either way, with
-    the minimum taken in the given fixed order.
+    state, when given, is the state already solved at u (as the
+    optimizer's final report carries it); else it is solved here to
+    state_tol.  Passes when every value clears -tol (default
+    1e-8 * (1 + |J|)); the minimum value and its direction are reported
+    either way, with the minimum taken in the given fixed order.
     """
-    state = solve_state(instance, u, mesh, tol=state_tol)
+    if state is None:
+        state = solve_state(instance, u, mesh, tol=state_tol)
     if tol is None:
         tol = 1e-8 * (1.0 + abs(evaluate_J(instance, u, mesh, state=state)))
     H = reduced_hessian(instance, u, mesh, state=state)

@@ -7,6 +7,13 @@ diagonal, so the Newton matrix A + M_L diag(e^y) stays an M-matrix and
 the discrete comparison principle survives; the linearized and adjoint
 equations reuse that same matrix.
 
+The state vanishes on the boundary, so every solve here acts on the
+free block of these matrices: the rows and columns of the interior
+nodes.  The mesh's operator cache holds the free block of A once as
+CSR arrays with the positions of its diagonal; a Newton matrix is that
+pattern with one new data array, A plus the diagonal M_L e^y, built by
+one vector add and applied by the CSR kernel directly.
+
 The state is found by inexact damped Newton: each step's linear solve
 stops at an Eisenstat-Walker forcing tolerance, and only the nonlinear
 residual test decides convergence.  The linearized and adjoint solves,
@@ -16,9 +23,8 @@ on which the exact gradient and Hessian identities rest, run at _CG_TOL.
 import weakref
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fem import (FEFunction, Multigrid, assemble_load, assemble_mass,
+from .fem import (CSR, FEFunction, Multigrid, assemble_load, assemble_mass,
                   assemble_stiffness, lumped_mass_diagonal, point_operator,
                   solve_spd)
 from .mesh import build_mesh
@@ -41,25 +47,38 @@ _EW_SAFEGUARD = 0.1
 
 
 class _Operators:
-    """Per-mesh data built once: stiffness, consistent mass, lumped
-    mass diagonal, point-coupling operators keyed by coordinates, loads
-    of callable fields keyed by the callable, and on first use the
-    multigrid hierarchy of every solve on the mesh."""
+    """Per-mesh data built once: the interior (free) nodes, the free
+    block of the stiffness as CSR with the positions of its diagonal,
+    consistent mass, lumped mass diagonal, point-coupling operators
+    keyed by coordinates, loads of callable fields keyed by the
+    callable, and on first use the multigrid hierarchy of every solve
+    on the mesh."""
 
     def __init__(self, mesh):
-        self.stiffness = assemble_stiffness(mesh)
+        self.free = np.flatnonzero(~mesh.boundary)
+        A = assemble_stiffness(mesh)[self.free][:, self.free]
+        # exact zeros (across the diagonals of right-angled cells) add
+        # nothing to a product but its cost
+        A.eliminate_zeros()
+        self.stiffness = CSR.of(A)
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        self._diagonal = np.flatnonzero(A.indices == rows)
         self.mass = assemble_mass(mesh)
         self.lumped = lumped_mass_diagonal(mesh)
+        self.lumped_free = self.lumped[self.free]
         self.coupling = {}
         self.loads = {}
-        self._free = ~mesh.boundary
         self._multigrid = None
 
-    def newton_matrix(self, y):
-        """The Newton matrix A + M_L diag(e^y) of the state equation at
-        the nodal state y, shared by the linearized and adjoint
-        equations; y = 0 gives A + M_L."""
-        return self.stiffness + sp.diags(self.lumped * np.exp(y))
+    def newton_operator(self, y):
+        """Free block of the Newton matrix A + M_L diag(e^y) at the nodal
+        state y, shared by the linearized and adjoint equations; y = 0
+        gives A + M_L.  It shares the stiffness pattern and differs
+        from it by the diagonal add alone."""
+        A = self.stiffness
+        data = A.data.copy()
+        data[self._diagonal] += self.lumped_free * np.exp(y[self.free])
+        return CSR(A.indptr, A.indices, data, A.shape)
 
     @property
     def multigrid(self):
@@ -67,8 +86,8 @@ class _Operators:
         the form A + diag(d), d >= 0, and takes its finest level from
         its own matrix, so all of them share these coarse levels."""
         if self._multigrid is None:
-            A = self.newton_matrix(0.0)
-            self._multigrid = Multigrid(A[self._free][:, self._free])
+            self._multigrid = Multigrid(
+                self.newton_operator(np.zeros(self.lumped.size)))
         return self._multigrid
 
 
@@ -187,8 +206,15 @@ def field_load(mesh, f):
 
 
 def _residual(ops, y, load):
+    """A y + M_L (e^y - 1) - load on the free nodes, zero on the
+    boundary; y vanishes there, so the free block of A is all of A it
+    needs."""
+    free = ops.free
+    res = np.zeros(y.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        return ops.stiffness @ y + ops.lumped * np.expm1(y) - load
+        res[free] = ops.stiffness @ y[free] \
+            + ops.lumped_free * np.expm1(y[free]) - load[free]
+    return res
 
 
 def solve_semilinear(mesh, load, tol=1e-10, linear=False):
@@ -211,16 +237,16 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
     if load.size != mesh.num_vertices:
         raise ValueError("load does not match the mesh")
     ops = operators(mesh)
-    free = ~mesh.boundary
+    free = ops.free
     scale = 1.0 + float(np.linalg.norm(load[free]))
     if linear:
         y = solve_spd(ops.stiffness, load, mesh.boundary, tol=_CG_TOL,
                       multigrid=ops.multigrid)
-        res = float(np.linalg.norm((ops.stiffness @ y - load)[free]))
+        res = float(np.linalg.norm(ops.stiffness @ y[free] - load[free]))
         return StateSolution(FEFunction(mesh, y), True, 0, res,
                              linear=True, history=[res])
-    y = solve_spd(ops.newton_matrix(0.0), load, mesh.boundary,
-                  tol=_ETA_MAX, multigrid=ops.multigrid)
+    y = solve_spd(ops.newton_operator(np.zeros(load.size)), load,
+                  mesh.boundary, tol=_ETA_MAX, multigrid=ops.multigrid)
     fres = _residual(ops, y, load)
     rnorm = float(np.linalg.norm(fres[free]))
     history = [rnorm]
@@ -238,7 +264,7 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
                 eta = max(eta, safeguard)
             eta = min(eta, _ETA_MAX)
         eta = max(eta, _CG_TOL, 0.5 * tol * scale / rnorm)
-        step = solve_spd(ops.newton_matrix(y), -fres, mesh.boundary,
+        step = solve_spd(ops.newton_operator(y), -fres, mesh.boundary,
                          tol=eta, multigrid=ops.multigrid)
         t = 1.0
         accepted = False
@@ -273,19 +299,21 @@ def solve_state(instance, u, mesh, tol=1e-10, linear=False):
     return solve_semilinear(mesh, load, tol=tol, linear=linear)
 
 
-def linearized_operator(yS, mesh):
-    """The Newton matrix at the state yS, shared by the linearized and
-    adjoint equations; just A for a state solved with the nonlinearity
-    switched off."""
-    ops = operators(mesh)
-    return ops.stiffness if yS.linear else ops.newton_matrix(yS.y.values)
-
-
 def _check_state(yS, mesh):
     if not yS.converged:
         raise ValueError("state solution is not converged")
     if yS.y.mesh is not mesh:
         raise ValueError("state lives on a different mesh")
+
+
+def _solve_at_state(yS, rhs, mesh, tol):
+    """Solve with the Newton matrix at the state yS, the operator of the
+    linearized and adjoint equations; just A for a state solved with
+    the nonlinearity switched off."""
+    ops = operators(mesh)
+    A = ops.stiffness if yS.linear else ops.newton_operator(yS.y.values)
+    return FEFunction(mesh, solve_spd(A, rhs, mesh.boundary, tol=tol,
+                                      multigrid=ops.multigrid))
 
 
 def solve_linearized(yS, h, mesh, points, tol=_CG_TOL):
@@ -296,10 +324,8 @@ def solve_linearized(yS, h, mesh, points, tol=_CG_TOL):
     both for truncations of h and for the full direction.
     """
     _check_state(yS, mesh)
-    rhs = point_coupling(mesh, points).T @ h.values
-    z = solve_spd(linearized_operator(yS, mesh), rhs, mesh.boundary, tol=tol,
-                  multigrid=operators(mesh).multigrid)
-    return FEFunction(mesh, z)
+    return _solve_at_state(yS, point_coupling(mesh, points).T @ h.values,
+                           mesh, tol)
 
 
 def solve_adjoint(yS, y_d, mesh, tol=_CG_TOL):
@@ -307,11 +333,8 @@ def solve_adjoint(yS, y_d, mesh, tol=_CG_TOL):
     target entering through its nodal interpolant.  phi is continuous,
     so its point values P phi are well defined."""
     _check_state(yS, mesh)
-    ops = operators(mesh)
-    rhs = ops.mass @ (yS.y.values - nodal_field(mesh, y_d))
-    phi = solve_spd(linearized_operator(yS, mesh), rhs, mesh.boundary,
-                    tol=tol, multigrid=ops.multigrid)
-    return FEFunction(mesh, phi)
+    rhs = operators(mesh).mass @ (yS.y.values - nodal_field(mesh, y_d))
+    return _solve_at_state(yS, rhs, mesh, tol)
 
 
 def evaluate_at_points(f, points):

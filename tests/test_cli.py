@@ -86,6 +86,13 @@ def test_run_config_rejects_missing_and_invalid_fields():
         RunConfig.from_dict(base_config(f0="state_of(1.0, 1.0)"))
 
 
+def test_run_config_rejects_a_boolean_tolerance():
+    # JSON true is the Python int 1: it would loosen the Newton test
+    # from 1e-10 to 1
+    with pytest.raises(ConfigError, match="tolerances.newton"):
+        RunConfig.from_dict(base_config(tolerances={"newton": True}))
+
+
 def test_load_config_reports_json_position(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{\n  "domain": [1 2]\n}')

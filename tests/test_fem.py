@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from expctrl.fem import (FEFunction, MOLLIFIER_C, Multigrid, _cholesky,
+from expctrl.fem import (CSR, FEFunction, MOLLIFIER_C, Multigrid, _cholesky,
                          _inverse_factor, assemble_load, assemble_mass,
                          assemble_mollified_load, assemble_stiffness,
                          exp_remainder, integrate_exp_linear,
@@ -15,6 +15,7 @@ from expctrl.fem import (FEFunction, MOLLIFIER_C, Multigrid, _cholesky,
                          mollifier_value, point_operator, solve_spd,
                          subdivided_quadrature)
 from expctrl.mesh import Domain, build_mesh, locate_point
+from expctrl.pde import operators
 from expctrl.sequences import (Control, SourcePoints,
                                compute_separation_radii)
 
@@ -25,6 +26,13 @@ def square_mesh(n):
 
 def lumped_mass(mesh):
     return sp.diags(lumped_mass_diagonal(mesh)).tocsr()
+
+
+def free_block(mesh, A):
+    """The free-block operator of a full-size matrix: the CSR of its
+    rows and columns off the boundary."""
+    free = ~mesh.boundary
+    return CSR.of(A.tocsr()[free][:, free])
 
 
 def test_stiffness_kills_constants():
@@ -292,7 +300,8 @@ def test_fefunction_validates_shape_and_finiteness():
 def test_solve_spd_zero_rhs():
     mesh = square_mesh(4)
     A = assemble_stiffness(mesh)
-    x = solve_spd(A, np.zeros(mesh.num_vertices), mesh.boundary)
+    x = solve_spd(free_block(mesh, A), np.zeros(mesh.num_vertices),
+                  mesh.boundary)
     assert abs(x).max() == 0.0
 
 
@@ -304,7 +313,7 @@ def test_solve_spd_center_value_for_unit_load():
         mesh = square_mesh(n)
         A = assemble_stiffness(mesh)
         b = assemble_load(mesh, lambda x: np.ones(len(x)))
-        y = solve_spd(A, b, mesh.boundary)
+        y = solve_spd(free_block(mesh, A), b, mesh.boundary)
         f = FEFunction(mesh, y)
         value = (point_operator(mesh, [[0.5, 0.5]]) @ f.values)[0]
         errs.append(abs(value - 0.073671353281513816))
@@ -319,7 +328,7 @@ def test_solve_spd_recovers_a_prescribed_solution():
     target = rng.normal(size=mesh.num_vertices)
     target[mesh.boundary] = 0.0
     b = A @ target
-    x = solve_spd(A, b, mesh.boundary, tol=1e-12)
+    x = solve_spd(free_block(mesh, A), b, mesh.boundary, tol=1e-12)
     assert np.max(np.abs(x - target)) < 1e-9
     assert abs(x[mesh.boundary]).max() == 0.0
 
@@ -328,7 +337,7 @@ def test_solve_spd_matches_dense_oracle():
     mesh = square_mesh(6)
     A = assemble_stiffness(mesh) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: x[:, 0] - x[:, 1] ** 2)
-    x = solve_spd(A, b, mesh.boundary, tol=1e-13)
+    x = solve_spd(free_block(mesh, A), b, mesh.boundary, tol=1e-13)
     free = ~mesh.boundary
     dense = np.linalg.solve(A.toarray()[np.ix_(free, free)], b[free])
     assert np.max(np.abs(x[free] - dense)) < 1e-10
@@ -339,7 +348,7 @@ def test_solve_spd_discrete_maximum_principle():
     mesh = square_mesh(8)
     A = assemble_stiffness(mesh) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: np.exp(-10 * (x[:, 0] - 0.3) ** 2))
-    x = solve_spd(A, b, mesh.boundary)
+    x = solve_spd(free_block(mesh, A), b, mesh.boundary)
     assert np.min(x) >= -1e-14
 
 
@@ -347,7 +356,8 @@ def test_solve_spd_rejects_indefinite_operators():
     mesh = square_mesh(3)
     A = -lumped_mass(mesh)
     with pytest.raises(RuntimeError, match="not positive definite"):
-        solve_spd(A, np.ones(mesh.num_vertices), mesh.boundary)
+        solve_spd(free_block(mesh, A), np.ones(mesh.num_vertices),
+                  mesh.boundary)
 
 
 def test_solve_spd_rejects_a_non_finite_right_hand_side():
@@ -355,18 +365,14 @@ def test_solve_spd_rejects_a_non_finite_right_hand_side():
     b = np.ones(mesh.num_vertices)
     b[~mesh.boundary] = np.nan
     with pytest.raises(RuntimeError, match="not finite"):
-        solve_spd(assemble_stiffness(mesh), b, mesh.boundary)
+        solve_spd(free_block(mesh, assemble_stiffness(mesh)), b,
+                  mesh.boundary)
 
 
 def refined_disk():
     dom = Domain.disk(0.0, 0.0, 1.0)
     pts = compute_separation_radii([[0.0, 0.0], [0.4, 0.3]], dom)
     return build_mesh(dom, 16, refine_points=pts, refine_levels=3)
-
-
-def free_block(mesh, A):
-    free = ~mesh.boundary
-    return A.tocsr()[free][:, free]
 
 
 def shifted_stiffness(mesh):
@@ -420,7 +426,7 @@ def test_amg_pcg_matches_dense_oracle_on_a_refined_disk():
     mesh = refined_disk()
     A = assemble_stiffness(mesh) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: np.cos(3.0 * x[:, 0]) + x[:, 1])
-    x = solve_spd(A, b, mesh.boundary, tol=1e-13)
+    x = solve_spd(free_block(mesh, A), b, mesh.boundary, tol=1e-13)
     free = ~mesh.boundary
     dense = np.linalg.solve(A.toarray()[np.ix_(free, free)], b[free])
     assert np.max(np.abs(x[free] - dense)) < 1e-10 * np.max(np.abs(dense))
@@ -432,13 +438,42 @@ def test_solve_spd_on_a_diagonal_operator_needs_no_coarse_level():
     # coarse space is empty, and the smoother alone solves the system
     mesh = square_mesh(32)
     d = lumped_mass_diagonal(mesh)
-    D = sp.diags(d).tocsr()
+    D = free_block(mesh, sp.diags(d))
     free = ~mesh.boundary
-    mg = Multigrid(D[free][:, free])
+    mg = Multigrid(D)
     assert mg.prolongators[0].shape[1] == 0
     b = np.arange(mesh.num_vertices, dtype=float)
     x = solve_spd(D, b, mesh.boundary, tol=1e-12)
     assert_allclose(x[free], b[free] / d[free], rtol=1e-12)
+
+
+def scipy_csr(op):
+    return sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape)
+
+
+def test_csr_apply_is_the_scipy_product_bit_for_bit():
+    # the kernel is reached through scipy's private _sparsetools module;
+    # this pins it to what a scipy CSR product returns
+    dom = Domain.disk(0.0, 0.0, 1.0)
+    pts = compute_separation_radii([[0.0, 0.0], [0.4, 0.3]], dom)
+    mesh = build_mesh(dom, 24, refine_points=pts, refine_levels=4)
+    ops = operators(mesh)
+    rng = np.random.default_rng(17)
+    y = rng.normal(size=mesh.num_vertices)
+    mg = ops.multigrid
+    assert len(mg.levels) >= 2
+    checked = [ops.stiffness, ops.newton_operator(y)]
+    for (A, _), P, R in zip(mg.levels, mg.prolongators, mg.restrictions):
+        checked += [A, P, R]
+        # R is stored as the explicit CSR of P': the same bits as the
+        # transposed view of P
+        x = rng.normal(size=P.shape[0])
+        assert np.array_equal(R @ x, scipy_csr(P).T @ x)
+    for op in checked:
+        x = rng.normal(size=op.shape[1])
+        assert np.array_equal(op @ x, scipy_csr(op) @ x)
+    with pytest.raises(ValueError, match="does not match"):
+        ops.stiffness @ np.ones(ops.stiffness.shape[1] + 1)
 
 
 def test_hand_written_cholesky_factors_and_inverts():
@@ -473,5 +508,6 @@ def test_solve_spd_reports_stagnation_below_the_round_off_floor():
     b = assemble_load(mesh, lambda x: np.ones(len(x)))
     mg = CountingMultigrid(free_block(mesh, A))
     with pytest.raises(RuntimeError, match="linear solve stagnated"):
-        solve_spd(A, b, mesh.boundary, tol=1e-18, multigrid=mg)
+        solve_spd(free_block(mesh, A), b, mesh.boundary, tol=1e-18,
+                  multigrid=mg)
     assert mg.cycles < 300

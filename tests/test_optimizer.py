@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from expctrl import optimizer
 from expctrl.mesh import Domain
 from expctrl.objective import evaluate_DJ
 from expctrl.optimizer import (CriticalDirection, KKTReport, kkt_residual,
@@ -197,6 +198,25 @@ def test_second_order_check_at_a_convex_point():
     assert report.minimum > 0.05
     assert len(report.values) == len(dirs)
     assert report.minimum == min(report.values)
+
+
+def test_second_order_check_reuses_the_optimizer_state(monkeypatch):
+    inst = make_instance(nu=0.5, f0=1.0, y_d=0.2)
+    mesh = inst.make_mesh()
+    u, rep = projected_gradient(inst, mesh, Control([0.2, 0.2]),
+                                max_iters=80, tol=1e-9)
+    assert np.array_equal(rep.state.y.values,
+                          solve_state(inst, u, mesh).y.values)
+    dirs = sample_critical_cone(u, rep.gradient, inst.bounds,
+                                tol_grad=1e-6, count=10, seed=42)
+    fresh = second_order_check(inst, mesh, u, dirs)
+
+    def no_state_solve(*args, **kwargs):
+        raise AssertionError("state solved again")
+    monkeypatch.setattr(optimizer, "solve_state", no_state_solve)
+    reused = second_order_check(inst, mesh, u, dirs, state=rep.state)
+    assert reused.values == fresh.values
+    assert reused.passed == fresh.passed
 
 
 def test_second_order_check_zero_direction_scores_zero():

@@ -4,12 +4,13 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from expctrl import pde
-from expctrl.fem import FEFunction, Multigrid, assemble_mass, solve_spd
+from expctrl.fem import (CSR, FEFunction, Multigrid, _jacobi_weights,
+                         assemble_mass, assemble_stiffness, solve_spd)
 from expctrl.mesh import Domain, build_mesh
 from expctrl.pde import (ProblemInstance, evaluate_at_points, field_load,
-                         linearized_operator, nodal_field, operators,
-                         point_coupling, solve_adjoint, solve_linearized,
-                         solve_semilinear, solve_state)
+                         nodal_field, operators, point_coupling,
+                         solve_adjoint, solve_linearized, solve_semilinear,
+                         solve_state)
 from expctrl.sequences import (BoundsPair, Control, SourcePoints,
                                compute_separation_radii)
 
@@ -20,6 +21,13 @@ def two_point_instance(resolution=24, nu=0.1, f0=None, y_d=None):
     bounds = BoundsPair([-2.0, -2.0], [3.0, 3.0])
     return ProblemInstance(dom, pts, bounds, nu, f0=f0, y_d=y_d,
                            resolution=resolution)
+
+
+def free_block(mesh, A):
+    """The free-block operator of a full-size matrix: the CSR of its
+    rows and columns off the boundary."""
+    free = ~mesh.boundary
+    return CSR.of(A.tocsr()[free][:, free])
 
 
 def test_instance_validation():
@@ -159,17 +167,55 @@ def test_linearized_solution_is_linear_in_the_direction():
 
 
 def test_linearized_operator_matches_mode():
+    # the linearized solve uses A for a state solved with the
+    # nonlinearity off and A + M_L diag(e^y) otherwise
     inst = two_point_instance(8)
     mesh = inst.make_mesh()
     st_lin = solve_state(inst, Control([0.5, 0.5]), mesh, linear=True)
     st_non = solve_state(inst, Control([0.5, 0.5]), mesh)
     ops = operators(mesh)
-    H_lin = linearized_operator(st_lin, mesh)
-    assert abs(H_lin - ops.stiffness).max() == 0.0
-    H = linearized_operator(st_non, mesh)
-    diff = H - ops.stiffness
-    assert_allclose(diff.diagonal(),
-                    ops.lumped * np.exp(st_non.y.values), rtol=1e-12)
+    free = ~mesh.boundary
+    h = Control([1.0, -0.5])
+    rhs = (point_coupling(mesh, inst.points).T @ h.values)[free]
+    A = assemble_stiffness(mesh)
+    H = A + sp.diags(ops.lumped * np.exp(st_non.y.values))
+    for st, M in ((st_lin, A), (st_non, H)):
+        z = solve_linearized(st, h, mesh, inst.points).values
+        res = M.tocsr()[free][:, free] @ z[free] - rhs
+        assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("kind", ["square", "graded-disk"])
+def test_cached_operator_is_the_sliced_scipy_matrix(kind):
+    if kind == "square":
+        mesh = build_mesh(Domain.unit_square(), 16)
+    else:
+        dom = Domain.disk(0.0, 0.0, 1.0)
+        pts = compute_separation_radii([[0.0, 0.0], [0.4, 0.3]], dom)
+        mesh = build_mesh(dom, 16, refine_points=pts, refine_levels=4)
+    ops = operators(mesh)
+    A = assemble_stiffness(mesh)
+    free = ~mesh.boundary
+    rng = np.random.default_rng(19)
+    y = rng.normal(size=mesh.num_vertices)
+    zero = np.zeros(mesh.num_vertices)
+    cases = [(ops.newton_operator(zero), A + sp.diags(ops.lumped)),
+             (ops.newton_operator(y), A + sp.diags(ops.lumped * np.exp(y))),
+             (ops.stiffness, A)]
+    for op, full in cases:
+        sliced = full.tocsr()[free][:, free]
+        # the weights of the sliced scipy matrix as solve_spd computed
+        # them when it took full-size matrices
+        weights = (4.0 / 3.0) / (abs(sliced) @ np.ones(sliced.shape[0]))
+        assert np.array_equal(_jacobi_weights(op), weights)
+        got = sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape,
+                            copy=True)
+        got.eliminate_zeros()
+        sliced.eliminate_zeros()
+        assert got.shape == sliced.shape
+        assert np.array_equal(got.indptr, sliced.indptr)
+        assert np.array_equal(got.indices, sliced.indices)
+        assert np.array_equal(got.data, sliced.data)
 
 
 def test_adjoint_vanishes_when_target_equals_state():
@@ -285,19 +331,20 @@ def _reference_newton(mesh, load, tol=1e-10):
     """Damped Newton of solve_semilinear with every linear solve at
     1e-12: the exact-inner loop the forcing terms replace."""
     ops = operators(mesh)
+    A = assemble_stiffness(mesh)
     free = ~mesh.boundary
     scale = 1.0 + np.linalg.norm(load[free])
 
     def residual(y):
-        return ops.stiffness @ y + ops.lumped * np.expm1(y) - load
-    y = solve_spd(ops.stiffness + sp.diags(ops.lumped), load, mesh.boundary,
-                  tol=1e-12, multigrid=ops.multigrid)
+        return A @ y + ops.lumped * np.expm1(y) - load
+    y = solve_spd(free_block(mesh, A + sp.diags(ops.lumped)), load,
+                  mesh.boundary, tol=1e-12, multigrid=ops.multigrid)
     fres = residual(y)
     rnorm = np.linalg.norm(fres[free])
     for steps in range(50):
         if rnorm <= tol * scale:
             return y, steps
-        H = ops.stiffness + sp.diags(ops.lumped * np.exp(y))
+        H = free_block(mesh, A + sp.diags(ops.lumped * np.exp(y)))
         step = solve_spd(H, -fres, mesh.boundary, tol=1e-12,
                          multigrid=ops.multigrid)
         t = 1.0
@@ -363,7 +410,7 @@ def test_inexact_newton_meets_the_residual_test(near_four_pi_runs):
     for st, load in zip(states, loads):
         assert st.converged
         scale = 1.0 + np.linalg.norm(load[free])
-        res = ops.stiffness @ st.y.values \
+        res = assemble_stiffness(mesh) @ st.y.values \
             + ops.lumped * np.expm1(st.y.values) - load
         assert np.linalg.norm(res[free]) <= 1e-10 * scale
         assert st.final_residual <= 1e-10 * scale

@@ -30,7 +30,7 @@ class KKTReport:
     """
 
     def __init__(self, classification, residuals, projected, gradient,
-                 iterations=0, history=None, state=None):
+                 iterations=0, history=None):
         residuals = np.asarray(residuals, dtype=float).reshape(-1)
         projected = np.asarray(projected, dtype=float).reshape(-1)
         if np.any(~np.isfinite(residuals)) or np.any(residuals < 0.0):
@@ -46,7 +46,7 @@ class KKTReport:
             float(projected.max()) if projected.size else 0.0
         self.iterations = int(iterations)
         self.history = [] if history is None else list(history)
-        self.state = state
+        self.state = None
 
 
 class CriticalDirection:
@@ -227,18 +227,18 @@ def sample_critical_cone(u, d, bounds, tol_active=1e-10, tol_grad=1e-6,
 
 
 def second_order_check(instance, mesh, u, directions, tol=None,
-                       state_tol=1e-10, state=None):
+                       state=None):
     """Evaluate D2J[h, h] = h' H h over sampled critical directions,
     with the reduced K x K Hessian H built once (K linearized solves).
 
     state, when given, is the state already solved at u (as the
-    optimizer's final report carries it); else it is solved here to
-    state_tol.  Passes when every value clears -tol (default
-    1e-8 * (1 + |J|)); the minimum value and its direction are reported
-    either way, with the minimum taken in the given fixed order.
+    optimizer's final report carries it); else it is solved here.
+    Passes when every value clears -tol (default 1e-8 * (1 + |J|)); the
+    minimum value and its direction are reported either way, with the
+    minimum taken in the given fixed order.
     """
     if state is None:
-        state = solve_state(instance, u, mesh, tol=state_tol)
+        state = solve_state(instance, u, mesh)
     if tol is None:
         tol = 1e-8 * (1.0 + abs(evaluate_J(instance, u, mesh, state=state)))
     H = reduced_hessian(instance, u, mesh, state=state)

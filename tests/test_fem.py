@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from expctrl.fem import (CSR, FEFunction, MOLLIFIER_C, Multigrid, _cholesky,
+from expctrl.fem import (FEFunction, MOLLIFIER_C, Multigrid, _cholesky,
                          _inverse_factor, assemble_load, assemble_mass,
                          assemble_mollified_load, assemble_stiffness,
                          exp_remainder, integrate_exp_linear,
@@ -18,6 +18,7 @@ from expctrl.mesh import Domain, build_mesh, locate_point
 from expctrl.pde import operators
 from expctrl.sequences import (Control, SourcePoints,
                                compute_separation_radii)
+from helpers import free_block, scipy_csr
 
 
 def square_mesh(n):
@@ -26,13 +27,6 @@ def square_mesh(n):
 
 def lumped_mass(mesh):
     return sp.diags(lumped_mass_diagonal(mesh)).tocsr()
-
-
-def free_block(mesh, A):
-    """The free-block operator of a full-size matrix: the CSR of its
-    rows and columns off the boundary."""
-    free = ~mesh.boundary
-    return CSR.of(A.tocsr()[free][:, free])
 
 
 def test_stiffness_kills_constants():
@@ -445,10 +439,6 @@ def test_solve_spd_on_a_diagonal_operator_needs_no_coarse_level():
     b = np.arange(mesh.num_vertices, dtype=float)
     x = solve_spd(D, b, mesh.boundary, tol=1e-12)
     assert_allclose(x[free], b[free] / d[free], rtol=1e-12)
-
-
-def scipy_csr(op):
-    return sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape)
 
 
 def test_csr_apply_is_the_scipy_product_bit_for_bit():

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from expctrl.fem import CSR, assemble_stiffness, solve_spd
+from expctrl.fem import assemble_stiffness, solve_spd
 from expctrl.mesh import Domain, build_mesh
 from expctrl.objective import (DerivativeReport, evaluate_D2J, evaluate_DJ,
                                evaluate_J, reduced_hessian,
@@ -11,6 +11,7 @@ from expctrl.objective import (DerivativeReport, evaluate_D2J, evaluate_DJ,
 from expctrl.pde import (ProblemInstance, operators, point_coupling,
                          solve_adjoint, solve_state)
 from expctrl.sequences import BoundsPair, Control, compute_separation_radii
+from helpers import free_block
 
 
 def make_instance(nu=0.1, f0=None, y_d=None, resolution=24,
@@ -123,11 +124,8 @@ def per_direction_D2J(instance, mesh, state, phi, h):
     """Reference D2J[h, h] from one linearized solve on P' h."""
     ops = operators(mesh)
     rhs = point_coupling(mesh, instance.points).T @ h
-    # the free block of the Newton matrix at the state
-    free = ~mesh.boundary
     H = assemble_stiffness(mesh) + sp.diags(ops.lumped * np.exp(state.y.values))
-    z = solve_spd(CSR.of(H.tocsr()[free][:, free]), rhs, mesh.boundary,
-                  tol=1e-12)
+    z = solve_spd(free_block(mesh, H), rhs, mesh.boundary, tol=1e-12)
     weight = ops.lumped * np.exp(state.y.values) * phi.values
     return float(z @ (ops.mass @ z)) - float(np.sum(weight * z * z)) \
         + instance.nu * float(np.dot(h, h))

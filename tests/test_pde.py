@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from expctrl import pde
-from expctrl.fem import (CSR, FEFunction, Multigrid, _jacobi_weights,
+from expctrl.fem import (FEFunction, Multigrid, _jacobi_weights,
                          assemble_mass, assemble_stiffness, solve_spd)
 from expctrl.mesh import Domain, build_mesh
 from expctrl.pde import (ProblemInstance, evaluate_at_points, field_load,
@@ -13,6 +13,7 @@ from expctrl.pde import (ProblemInstance, evaluate_at_points, field_load,
                          solve_state)
 from expctrl.sequences import (BoundsPair, Control, SourcePoints,
                                compute_separation_radii)
+from helpers import free_block, scipy_csr
 
 
 def two_point_instance(resolution=24, nu=0.1, f0=None, y_d=None):
@@ -21,13 +22,6 @@ def two_point_instance(resolution=24, nu=0.1, f0=None, y_d=None):
     bounds = BoundsPair([-2.0, -2.0], [3.0, 3.0])
     return ProblemInstance(dom, pts, bounds, nu, f0=f0, y_d=y_d,
                            resolution=resolution)
-
-
-def free_block(mesh, A):
-    """The free-block operator of a full-size matrix: the CSR of its
-    rows and columns off the boundary."""
-    free = ~mesh.boundary
-    return CSR.of(A.tocsr()[free][:, free])
 
 
 def test_instance_validation():
@@ -208,8 +202,7 @@ def test_cached_operator_is_the_sliced_scipy_matrix(kind):
         # them when it took full-size matrices
         weights = (4.0 / 3.0) / (abs(sliced) @ np.ones(sliced.shape[0]))
         assert np.array_equal(_jacobi_weights(op), weights)
-        got = sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape,
-                            copy=True)
+        got = scipy_csr(op)
         got.eliminate_zeros()
         sliced.eliminate_zeros()
         assert got.shape == sliced.shape

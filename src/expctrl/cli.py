@@ -348,7 +348,10 @@ def cmd_optimize(config):
     return 0 if converged else 3
 
 
-def _verify_reports(config, entry, mesh):
+def _verify_reports(config, entry, mesh, disks):
+    """The reports of one verify entry; mollified entries take their
+    disk from disks, keyed by (R, resolution), so entries of one call
+    share a mesh and its cached operators."""
     check = _field(entry, "check")
     instance = config.instance
     if check == "scalar":
@@ -371,7 +374,10 @@ def _verify_reports(config, entry, mesh):
     if check == "mollified":
         R = float(_field(entry, "R"))
         resolution = int(_field(entry, "resolution", instance.resolution))
-        disk = build_mesh(Domain.disk(0.0, 0.0, R), resolution)
+        if (R, resolution) not in disks:
+            disks[R, resolution] = build_mesh(Domain.disk(0.0, 0.0, R),
+                                              resolution)
+        disk = disks[R, resolution]
         return list(verify_mollified_poisson(
             R, _float_list(entry, "x0", [0.0, 0.0]),
             float(_field(entry, "rho0")), float(_field(entry, "epsilon")),
@@ -389,8 +395,9 @@ def cmd_verify(config):
         raise ConfigError("field 'verify': expected a nonempty list")
     mesh = config.instance.make_mesh()
     reports = []
+    disks = {}
     for entry in entries:
-        reports.extend(_verify_reports(config, entry, mesh))
+        reports.extend(_verify_reports(config, entry, mesh, disks))
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "estimates.csv",

@@ -6,7 +6,11 @@ stencil and an M-matrix).  Disks are meshed by mapping a structured
 square grid with the elliptical map and projecting boundary vertices
 onto the circle.  Local refinement near source points is red-green:
 marked triangles are quartered, hanging nodes are resolved by bisection,
-and existing vertices never move.
+and existing vertices never move.  The levels of a graded mesh work on
+bare arrays: one edge table, sorted once on the base grid, is carried
+and updated from level to level, only the children of the previous
+level are candidates for marking, and a single Mesh validates the
+result.
 """
 
 import numpy as np
@@ -87,7 +91,8 @@ class Mesh:
     h : float, maximum edge length
     areas : (T,) float array of triangle areas
 
-    A built mesh is treated as immutable; refinement returns a new mesh.
+    A built mesh is treated as immutable; build_mesh refines bare arrays
+    and constructs the Mesh once, at the end.
     """
 
     def __init__(self, vertices, triangles, boundary, domain):
@@ -198,11 +203,12 @@ def _build_neighbors(triangles):
     return nbr
 
 
-def circumcenters(mesh):
-    """(T, 2) array of triangle circumcenters."""
-    p0 = mesh.vertices[mesh.triangles[:, 0]]
-    p1 = mesh.vertices[mesh.triangles[:, 1]]
-    p2 = mesh.vertices[mesh.triangles[:, 2]]
+def circumcenters(vertices, triangles):
+    """(T, 2) array of the circumcenters of triangles (T, 3) with
+    corners in vertices (V, 2)."""
+    p0 = vertices[triangles[:, 0]]
+    p1 = vertices[triangles[:, 1]]
+    p2 = vertices[triangles[:, 2]]
     a = p1 - p0
     b = p2 - p0
     d = 2.0 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
@@ -215,6 +221,11 @@ def circumcenters(mesh):
 
 def build_mesh(domain, resolution, refine_points=None, refine_levels=0):
     """Structured mesh of the domain, optionally graded near source points.
+
+    The levels work on bare arrays (see _graded): one edge table is
+    carried across them, only the previous level's children are
+    candidates for marking, and the single Mesh built at the end
+    validates the result once.
 
     Parameters
     ----------
@@ -240,21 +251,23 @@ def build_mesh(domain, resolution, refine_points=None, refine_levels=0):
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     if domain.kind == "rectangle":
-        mesh = _rectangle_mesh(domain, resolution)
+        vertices, triangles, boundary = _rectangle_grid(domain.params,
+                                                        resolution)
     elif domain.kind == "disk":
-        mesh = _disk_mesh(domain, resolution)
+        vertices, triangles, boundary = _disk_grid(domain.params, resolution)
     else:
         raise ValueError("unknown domain kind %r" % (domain.kind,))
     if refine_points is not None and refine_levels > 0:
-        green = np.zeros(mesh.num_triangles, dtype=bool)
-        for level in range(int(refine_levels)):
-            mesh, green = _refine_once(mesh, refine_points, green,
-                                       0.5 ** (level + 1))
-    return mesh
+        vertices, triangles, boundary, _ = _graded(
+            domain, vertices, triangles, boundary, refine_points,
+            int(refine_levels))
+    return Mesh(vertices, triangles, boundary, domain)
 
 
-def _rectangle_mesh(domain, n):
-    x0, y0, x1, y1 = domain.params
+def _rectangle_grid(params, n):
+    """Vertices, counterclockwise triangles and boundary flags of the
+    criss-cross grid with n cells per side."""
+    x0, y0, x1, y1 = params
     xs = np.linspace(x0, x1, n + 1)
     ys = np.linspace(y0, y1, n + 1)
     X, Y = np.meshgrid(xs, ys)
@@ -273,98 +286,151 @@ def _rectangle_mesh(domain, n):
     ix_all = np.tile(np.arange(n + 1), n + 1)
     iy_all = np.repeat(np.arange(n + 1), n + 1)
     boundary = (ix_all == 0) | (ix_all == n) | (iy_all == 0) | (iy_all == n)
-    return Mesh(vertices, triangles, boundary, domain)
+    return vertices, triangles, boundary
 
 
-def _disk_mesh(domain, n):
-    cx, cy, R = domain.params
-    square = Domain.rectangle(-1.0, -1.0, 1.0, 1.0)
-    base = _rectangle_mesh(square, n)
-    u = base.vertices[:, 0]
-    v = base.vertices[:, 1]
+def _disk_grid(params, n):
+    """The grid of [-1, 1]^2 mapped onto the disk, its boundary vertices
+    exactly on the circle."""
+    cx, cy, R = params
+    square, triangles, on_bdry = _rectangle_grid((-1.0, -1.0, 1.0, 1.0), n)
+    u = square[:, 0]
+    v = square[:, 1]
     # elliptical square-to-disk map; grid boundary lands on the circle
     px = u * np.sqrt(np.maximum(1.0 - 0.5 * v * v, 0.0))
     py = v * np.sqrt(np.maximum(1.0 - 0.5 * u * u, 0.0))
     pts = np.column_stack([px, py])
     r = np.hypot(px, py)
-    on_bdry = base.boundary
     # snap boundary vertices exactly onto the unit circle
     pts[on_bdry] /= r[on_bdry, None]
     vertices = np.column_stack([cx + R * pts[:, 0], cy + R * pts[:, 1]])
-    return Mesh(vertices, base.triangles, on_bdry, domain)
+    return vertices, triangles, on_bdry
 
 
-def _refine_once(mesh, refine_points, green, ball_factor):
-    """One red-green sweep.  Marked triangles (circumcenter within
-    ball_factor * rho_i of a source point) are quartered; neighbors with
-    two or three split edges are promoted to red, one split edge gives a
-    bisection.  Green triangles from the previous sweep are promoted to
-    red instead of being bisected again, which keeps angles bounded."""
-    cc = circumcenters(mesh)
-    red = np.zeros(mesh.num_triangles, dtype=bool)
-    for i in range(refine_points.count):
-        xi = refine_points.points[i]
-        rho = refine_points.radii[i]
-        dist = np.hypot(cc[:, 0] - xi[0], cc[:, 1] - xi[1])
-        red |= dist < ball_factor * rho
+def _graded(domain, vertices, triangles, boundary, refine_points, levels):
+    """Red-green refinement toward the source points, one sweep per level.
 
-    tris = mesh.triangles
-    edges, tri_edge, counts = _tri_edges(tris)
-    split = np.zeros(edges.shape[0], dtype=bool)
-    while True:
-        split[tri_edge[red].ravel()] = True
-        nsplit = split[tri_edge].sum(axis=1)
-        promote = ~red & ((nsplit >= 2) | ((nsplit == 1) & green))
-        if not promote.any():
-            break
-        red |= promote
+    At level l (ball factor 2^-(l+1)) triangles whose circumcenter lies
+    within the ball factor times rho_i of a source point x_i are
+    quartered (red); neighbors with two or three split edges are
+    promoted to red, one split edge gives a green bisection, and a green
+    triangle from the previous sweep is promoted to red instead of
+    being bisected again, which keeps angles bounded.  Kept triangles
+    come first, then the children, grouped by kind and corner and in the
+    order of their parents.
 
-    split_ids = np.nonzero(split)[0]
-    midpoint = np.full(edges.shape[0], -1, dtype=np.int64)
-    midpoint[split_ids] = mesh.num_vertices + np.arange(split_ids.size)
-    new_coords = 0.5 * (mesh.vertices[edges[split_ids, 0]]
-                        + mesh.vertices[edges[split_ids, 1]])
-    new_bdry = counts[split_ids] == 1
-    domain = mesh.domain
-    if domain.kind == "disk" and new_bdry.any():
-        # keep new boundary vertices exactly on the circle
-        cx, cy, R = domain.params
-        vec = new_coords[new_bdry] - [cx, cy]
-        nrm = np.hypot(vec[:, 0], vec[:, 1])
-        new_coords[new_bdry] = [cx, cy] + vec * (R / nrm)[:, None]
-    vertices = np.vstack([mesh.vertices, new_coords])
-    boundary = np.concatenate([mesh.boundary, new_bdry])
+    A kept triangle was unmarked, and its marking ball only shrinks, so
+    only the children of the previous sweep are candidates.  The edge
+    table of _tri_edges is built once, on the input, and updated by
+    every sweep: a split edge (lo, hi) with midpoint m becomes (lo, m)
+    in place plus an appended (hi, m), both keeping its count; each red
+    triangle adds three interior edges and each green one its median,
+    all interior.  Midpoints are numbered in the (lo, hi) order of
+    their edges.
 
-    keep = ~red & (nsplit == 0)
-    one = ~red & (nsplit == 1)
-    parts = [tris[keep]]
-    part_green = [green[keep]]
-    if one.any():
-        j = np.argmax(split[tri_edge[one]], axis=1)
-        t_one = tris[one]
-        idx = np.arange(t_one.shape[0])
+    Returns the refined vertices, triangles and boundary flags and the
+    carried (edges, tri_edge, counts) table.
+    """
+    edges, tri_edge, counts = _tri_edges(triangles)
+    green = np.zeros(triangles.shape[0], dtype=bool)
+    fresh = 0  # triangles from here on are the previous sweep's children
+    for level in range(levels):
+        ball_factor = 0.5 ** (level + 1)
+        cc = circumcenters(vertices, triangles[fresh:])
+        red = np.zeros(triangles.shape[0], dtype=bool)
+        for i in range(refine_points.count):
+            xi = refine_points.points[i]
+            rho = refine_points.radii[i]
+            dist = np.hypot(cc[:, 0] - xi[0], cc[:, 1] - xi[1])
+            red[fresh:] |= dist < ball_factor * rho
+
+        E = edges.shape[0]
+        split = np.zeros(E, dtype=bool)
+        while True:
+            split[tri_edge[red].ravel()] = True
+            nsplit = split[tri_edge].sum(axis=1)
+            promote = ~red & ((nsplit >= 2) | ((nsplit == 1) & green))
+            if not promote.any():
+                break
+            red |= promote
+
+        V = vertices.shape[0]
+        split_ids = np.nonzero(split)[0]
+        split_ids = split_ids[np.argsort(edges[split_ids, 0] * V
+                                         + edges[split_ids, 1])]
+        lo, hi = edges[split_ids, 0], edges[split_ids, 1]
+        S = split_ids.size
+        mids = V + np.arange(S)
+        midpoint = np.full(E, -1, dtype=np.int64)
+        midpoint[split_ids] = mids
+        # the half (hi, m) of split edge s gets id upper[s]
+        upper = np.full(E, -1, dtype=np.int64)
+        upper[split_ids] = E + np.arange(S)
+
+        def half(e, v):
+            """Id of the half of split edge e that ends at vertex v."""
+            return np.where(edges[e, 0] == v, e, upper[e])
+
+        new_coords = 0.5 * (vertices[lo] + vertices[hi])
+        new_bdry = counts[split_ids] == 1
+        if domain.kind == "disk" and new_bdry.any():
+            # keep new boundary vertices exactly on the circle
+            cx, cy, R = domain.params
+            vec = new_coords[new_bdry] - [cx, cy]
+            nrm = np.hypot(vec[:, 0], vec[:, 1])
+            new_coords[new_bdry] = [cx, cy] + vec * (R / nrm)[:, None]
+        vertices = np.vstack([vertices, new_coords])
+        boundary = np.concatenate([boundary, new_bdry])
+
+        keep = ~red & (nsplit == 0)
+        one = ~red & (nsplit == 1)
+        t_one, e_one = triangles[one], tri_edge[one]
+        t_red, e_red = triangles[red], tri_edge[red]
+        G, Rd = t_one.shape[0], t_red.shape[0]
+        idx = np.arange(G)
+        j = np.argmax(split[e_one], axis=1)
         a = t_one[idx, (j + 1) % 3]
         b = t_one[idx, (j + 2) % 3]
         c = t_one[idx, j]
-        m = midpoint[tri_edge[one][idx, j]]
-        parts.append(np.column_stack([a, m, c]))
-        parts.append(np.column_stack([m, b, c]))
-        part_green.append(np.ones(t_one.shape[0], dtype=bool))
-        part_green.append(np.ones(t_one.shape[0], dtype=bool))
-    if red.any():
-        t_red = tris[red]
-        mid = midpoint[tri_edge[red]]          # (n, 3), slot j opposite j
-        m12, m20, m01 = mid[:, 0], mid[:, 1], mid[:, 2]
+        e_ab = e_one[idx, j]
+        m = midpoint[e_ab]
+        g = E + S + idx  # the median (c, m)
         v0, v1, v2 = t_red[:, 0], t_red[:, 1], t_red[:, 2]
-        parts.append(np.column_stack([v0, m01, m20]))
-        parts.append(np.column_stack([v1, m12, m01]))
-        parts.append(np.column_stack([v2, m20, m12]))
-        parts.append(np.column_stack([m01, m12, m20]))
-        part_green.extend([np.zeros(t_red.shape[0], dtype=bool)] * 4)
-    new_tris = np.vstack(parts)
-    new_green = np.concatenate(part_green)
-    refined = Mesh(vertices, new_tris, boundary, domain)
-    return refined, new_green
+        e0, e1, e2 = e_red[:, 0], e_red[:, 1], e_red[:, 2]
+        m12, m20, m01 = midpoint[e0], midpoint[e1], midpoint[e2]
+        # interior edges opposite v0, v1 and v2 in their corner children
+        i0, i1, i2 = (E + S + G + 3 * np.arange(Rd) + k for k in range(3))
+
+        kept = triangles[keep]
+        triangles = np.vstack([
+            kept,
+            np.column_stack([a, m, c]),
+            np.column_stack([m, b, c]),
+            np.column_stack([v0, m01, m20]),
+            np.column_stack([v1, m12, m01]),
+            np.column_stack([v2, m20, m12]),
+            np.column_stack([m01, m12, m20]),
+        ])
+        tri_edge = np.vstack([
+            tri_edge[keep],
+            np.column_stack([g, e_one[idx, (j + 2) % 3], half(e_ab, a)]),
+            np.column_stack([e_one[idx, (j + 1) % 3], g, half(e_ab, b)]),
+            np.column_stack([i0, half(e1, v0), half(e2, v0)]),
+            np.column_stack([i1, half(e2, v1), half(e0, v1)]),
+            np.column_stack([i2, half(e0, v2), half(e1, v2)]),
+            np.column_stack([i2, i0, i1]),
+        ])
+        interior = np.sort(np.column_stack([m01, m20, m12, m01, m20, m12])
+                           .reshape(-1, 2), axis=1)
+        edges[split_ids, 1] = mids
+        edges = np.vstack([edges, np.column_stack([hi, mids]),
+                           np.column_stack([c, m]), interior])
+        counts = np.concatenate([counts, counts[split_ids],
+                                 np.full(G + 3 * Rd, 2, dtype=np.int64)])
+        green = np.concatenate([green[keep], np.ones(2 * G, dtype=bool),
+                                np.zeros(4 * Rd, dtype=bool)])
+        fresh = kept.shape[0]
+    return vertices, triangles, boundary, (edges, tri_edge, counts)
 
 
 def barycentric(mesh, t, x):

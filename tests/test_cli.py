@@ -253,6 +253,31 @@ def test_verify_runs_the_configured_checks(tmp_path):
     assert all(r.endswith("true") for r in rows[2:])
 
 
+def test_mollified_entries_on_one_disk_share_its_mesh(tmp_path,
+                                                    monkeypatch):
+    entries = [{"check": "mollified", "R": 1.0, "x0": x0, "rho0": 0.5,
+                "epsilon": 0.1, "m": m, "resolution": 16}
+               for x0, m in (([0.0, 0.0], 6.0), ([0.1, -0.05], 9.0))]
+    plain = cli.build_mesh
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return plain(*args)
+    monkeypatch.setattr(cli, "build_mesh", counted)
+
+    def rows(name, chosen):
+        path = write_config(tmp_path, base_config(verify=chosen),
+                            name + ".json")
+        out = tmp_path / name
+        assert main(["verify", "--config", path, "--out", str(out)]) == 0
+        return (out / "estimates.csv").read_text().splitlines()[2:]
+    shared = rows("shared", entries)
+    assert len(built) == 1
+    assert shared == rows("first", entries[:1]) + rows("second", entries[1:])
+    assert len(built) == 3
+
+
 def test_verify_propagates_hypothesis_violations(tmp_path, capsys):
     cfg = base_config(verify=[{"check": "poisson", "omega": [-1.0, 1.0],
                                "alpha": 3.14}])

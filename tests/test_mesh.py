@@ -1,12 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import expctrl.mesh as mesh_module
 from expctrl.fem import subdivided_quadrature
-from expctrl.mesh import (Domain, _tri_edges, barycentric, build_mesh,
-                          circumcenters, locate_point)
+from expctrl.mesh import (Domain, _disk_grid, _graded, _tri_edges,
+                          barycentric, build_mesh, circumcenters,
+                          locate_point)
 from expctrl.sequences import compute_separation_radii
+from helpers import reference_graded_meshes
 
 
 def test_domain_geometry():
@@ -214,7 +219,7 @@ def test_edge_statistics_and_circumcenters():
     # edges = V + T - 1 by Euler; a boundary edge has one triangle
     assert counts.size == mesh.num_vertices + mesh.num_triangles - 1
     assert np.sum(counts == 1) == 4 * 4  # n segments per side
-    cc = circumcenters(mesh)
+    cc = circumcenters(mesh.vertices, mesh.triangles)
     assert cc.shape == (mesh.num_triangles, 2)
     # a right triangle's circumcenter is the hypotenuse midpoint
     tri = mesh.vertices[mesh.triangles[0]]
@@ -223,3 +228,93 @@ def test_edge_statistics_and_circumcenters():
     far = int(np.argmax(lens))
     mid = 0.5 * (tri[(far + 1) % 3] + tri[(far + 2) % 3])
     assert_allclose(cc[0], mid, atol=1e-12)
+
+
+_DISK = Domain.disk(0.0, 0.0, 1.0)
+_RECT = Domain.rectangle(0.0, 0.0, 2.0, 1.0)
+_SQUARE = Domain.unit_square()
+# (domain, resolution, refine points, levels, splits boundary edges)
+_GRADED_CASES = {
+    # the center is a grid vertex; at n = 8 the closure reaches the
+    # circle, so new boundary midpoints are projected onto it
+    "disk-center-12": (_DISK, 8,
+                       compute_separation_radii([[0.0, 0.0]], _DISK), 12,
+                       True),
+    # radii larger than any separation radius: a triangle can lie in
+    # both marking balls
+    "disk-overlapping-balls": (_DISK, 8, SimpleNamespace(
+        points=np.array([[-0.1, 0.0], [0.1, 0.05]]),
+        radii=np.array([0.5, 0.5]), count=2), 5, True),
+    "rectangle-three-points": (_RECT, 8, compute_separation_radii(
+        [[0.5, 0.5], [1.2, 0.3], [1.5, 0.7]], _RECT), 5, False),
+    "square-one-level": (_SQUARE, 16,
+                         compute_separation_radii([[0.3, 0.6]], _SQUARE), 1,
+                         False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRADED_CASES))
+def test_graded_build_matches_the_level_by_level_reference(case):
+    domain, n, pts, levels, splits_boundary = _GRADED_CASES[case]
+    reference = reference_graded_meshes(domain, n, pts, levels)
+    ref = reference[-1]
+    mesh = build_mesh(domain, n, refine_points=pts, refine_levels=levels)
+    assert np.array_equal(mesh.vertices, ref.vertices)
+    assert np.array_equal(mesh.triangles, ref.triangles)
+    assert np.array_equal(mesh.boundary, ref.boundary)
+    assert np.array_equal(mesh.areas, ref.areas)
+    assert mesh.h == ref.h
+    assert mesh.num_triangles > reference[0].num_triangles
+    new_boundary = ref.boundary.sum() - reference[0].boundary.sum()
+    assert (new_boundary > 0) == splits_boundary
+
+
+def _children(reference):
+    """Triangles created at each level of a level-by-level build: the
+    rows of a level that are not rows of the level before."""
+    created = []
+    for coarse, fine in zip(reference[:-1], reference[1:]):
+        rows = set(map(tuple, coarse.triangles))
+        created.append(sum(tuple(t) not in rows for t in fine.triangles))
+    return created
+
+
+def test_graded_build_validates_once_and_carries_its_edge_table(
+        monkeypatch):
+    domain, n, pts, levels, _ = _GRADED_CASES["disk-center-12"]
+    calls = {"Mesh": 0, "_tri_edges": 0, "circumcenters": 0}
+
+    def counted(name, fn, rows=lambda *args: 1):
+        def wrapper(*args):
+            calls[name] += rows(*args)
+            return fn(*args)
+        monkeypatch.setattr(mesh_module, name, wrapper)
+    counted("Mesh", mesh_module.Mesh)
+    counted("_tri_edges", _tri_edges)
+    counted("circumcenters", circumcenters,
+            rows=lambda vertices, triangles: triangles.shape[0])
+
+    # (a) one validated Mesh, and one edge sort (on the base grid) per
+    # build, whatever the number of levels
+    for depth in (0, 1, levels):
+        calls.update(dict.fromkeys(calls, 0))
+        build_mesh(domain, n, refine_points=pts, refine_levels=depth)
+        assert calls["Mesh"] == 1
+        assert calls["_tri_edges"] == min(depth, 1)
+
+    # (c) circumcenters of the base grid, then only of new children
+    reference = reference_graded_meshes(domain, n, pts, levels)
+    assert reference[0].num_triangles + sum(_children(reference)) \
+        < sum(m.num_triangles for m in reference[:-1])
+    assert calls["circumcenters"] <= (reference[0].num_triangles
+                                      + sum(_children(reference)))
+
+    # (b) the carried table agrees slot by slot with a fresh one
+    vertices, triangles, boundary = _disk_grid(domain.params, n)
+    _, triangles, _, (edges, tri_edge, counts) = _graded(
+        domain, vertices, triangles, boundary, pts, levels)
+    assert np.array_equal(triangles, reference[-1].triangles)
+    fresh_edges, fresh_tri_edge, fresh_counts = _tri_edges(triangles)
+    assert edges.shape == fresh_edges.shape
+    assert np.array_equal(edges[tri_edge], fresh_edges[fresh_tri_edge])
+    assert np.array_equal(counts[tri_edge], fresh_counts[fresh_tri_edge])

@@ -2,10 +2,13 @@
 emission.
 
 Four commands, each driven by a JSON config: solve (one state solve),
-optimize (projected gradient plus the optimality reports), verify (the
-inequality certifications), taylor (remainder tables).  Reports are
-comma-separated files plus key=value summaries; apart from the leading
-timestamp line, identical config and seed produce byte-identical files.
+optimize (projected gradient, the first-order report, and the exact
+second-order certificate, whose minimizing critical direction goes to
+second_order.csv), verify (the inequality certifications), taylor
+(remainder tables).  Reports are comma-separated files plus key=value
+summaries; apart from the leading timestamp line, identical config and
+seed produce byte-identical files.  The seed only draws the random
+samples of verify.
 
 Exit codes: 0 success, 1 config or precondition error, 2 solver
 failure, 3 iteration budget exhausted, 4 estimate violation.
@@ -27,8 +30,7 @@ from .estimates import (verify_lipschitz_family, verify_mollified_poisson,
 from .fem import integrate_exp_linear
 from .mesh import Domain, build_mesh
 from .objective import taylor_remainder_test
-from .optimizer import (projected_gradient, sample_critical_cone,
-                        second_order_check)
+from .optimizer import projected_gradient, second_order_check
 from .pde import ProblemInstance, solve_state
 from .sequences import BoundsPair, Control, compute_separation_radii
 
@@ -45,6 +47,13 @@ def _field(cfg, name, default=_REQUIRED):
     if default is _REQUIRED:
         raise ConfigError("field '%s': missing" % name)
     return default
+
+
+def _object(cfg, name, default=_REQUIRED):
+    raw = _field(cfg, name, default)
+    if not isinstance(raw, dict):
+        raise ConfigError("field '%s': expected an object" % name)
+    return raw
 
 
 def _float_list(cfg, name, default=_REQUIRED):
@@ -118,9 +127,7 @@ def _gaussian(cx, cy, width, amplitude):
 
 
 def _parse_domain(cfg):
-    raw = _field(cfg, "domain")
-    if not isinstance(raw, dict):
-        raise ConfigError("field 'domain': expected an object")
+    raw = _object(cfg, "domain")
     kind = _field(raw, "kind")
     try:
         if kind == "unit_square":
@@ -163,7 +170,7 @@ class RunConfig:
                                 _float_list(cfg, "upper"))
         except ValueError as exc:
             raise ConfigError("field 'bounds': %s" % exc)
-        mesh_cfg = _field(cfg, "mesh", {})
+        mesh_cfg = _object(cfg, "mesh", {})
         try:
             instance = ProblemInstance(
                 domain, points, bounds, float(_field(cfg, "nu", 0.0)),
@@ -178,7 +185,7 @@ class RunConfig:
         if isinstance(instance.f0, _StateOf):
             raise ConfigError("field 'f0': state_of is only available "
                               "for y_d")
-        tolerances = dict(_field(cfg, "tolerances", {}))
+        tolerances = dict(_object(cfg, "tolerances", {}))
         tolerances.setdefault("newton", 1e-10)
         tolerances.setdefault("kkt", 1e-6)
         tolerances.setdefault("taylor", 1e-12)
@@ -295,10 +302,13 @@ def cmd_solve(config):
 
 def cmd_optimize(config):
     """Projected gradient plus the first- and second-order reports."""
+    max_iters = _field(config.raw, "max_iters", 200)
+    # a JSON true would pass as the integer 1
+    if type(max_iters) is not int or max_iters < 0:
+        raise ConfigError("field 'max_iters': expected a nonnegative integer")
     mesh = config.instance.make_mesh()
     instance = _resolve_target(config, mesh)
     u0 = _base_control(config)
-    max_iters = int(_field(config.raw, "max_iters", 200))
     tol = config.tolerances["kkt"]
     u, report = projected_gradient(
         instance, mesh, u0, max_iters=max_iters, tol=tol,
@@ -328,19 +338,15 @@ def cmd_optimize(config):
          all(c == "degenerate" for c in report.classification)),
     ]
     if converged:
-        directions = sample_critical_cone(
-            u, report.gradient, instance.bounds,
-            tol_active=config.tolerances["active"], tol_grad=tol,
-            count=int(_field(config.raw, "second_order_count", 64)),
-            seed=config.seed)
-        second = second_order_check(instance, mesh, u, directions,
-                                    state=report.state)
-        _write_csv(out / "second_order.csv", ("sample", "value"),
-                   enumerate(second.values))
+        second = second_order_check(
+            instance, mesh, u, report.gradient, state=report.state,
+            tol_active=config.tolerances["active"], tol_grad=tol)
+        _write_csv(out / "second_order.csv", ("index", "direction"),
+                   enumerate(second.direction))
         summary += [
             ("second_order_minimum", second.minimum),
             ("second_order_pass", second.passed),
-            ("critical_cone_empty", directions[0].empty),
+            ("critical_cone_empty", second.empty),
         ]
     else:
         summary.append(("note", "max iterations"))
@@ -391,8 +397,10 @@ def cmd_verify(config):
     Exits 4 when a bound is violated, else 2 when a check was skipped
     (its state solve failed), else 0."""
     entries = _field(config.raw, "verify")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("field 'verify': expected a nonempty list")
+    if not isinstance(entries, list) or not entries \
+            or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError("field 'verify': expected a nonempty list of "
+                          "objects")
     mesh = config.instance.make_mesh()
     reports = []
     disks = {}

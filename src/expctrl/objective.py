@@ -85,13 +85,6 @@ def reduced_hessian(instance, u, mesh, tol=1e-10, state=None):
     return 0.5 * (H + H.T)
 
 
-def evaluate_D2J(instance, u, mesh, h, k, tol=1e-10, state=None):
-    """Second-order form D2J[h, k] = h' H k with H the reduced Hessian
-    at u; each call builds H afresh."""
-    H = reduced_hessian(instance, u, mesh, tol=tol, state=state)
-    return float(h.values @ H @ k.values)
-
-
 def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
     """Tabulate Taylor remainders of J along h over a grid of step
     sizes and fit their log-log slopes.
@@ -109,7 +102,8 @@ def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
     first = evaluate_DJ(instance, u, mesh, state=state)
     base = first.value
     dj_h = float(np.dot(first.gradient, h.values))
-    d2_hh = evaluate_D2J(instance, u, mesh, h, h, state=state)
+    d2_hh = float(h.values @ reduced_hessian(instance, u, mesh, state=state)
+                  @ h.values)
     rows = []
     for rho in rho_grid:
         rho = float(rho)

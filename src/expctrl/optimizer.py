@@ -1,7 +1,10 @@
 """Projected-gradient descent over the box, first-order residuals with
-activity classification, critical-cone sampling, and the sampled
-second-order necessary check against the reduced Hessian.
+activity classification, and the second-order necessary condition
+certified exactly: the minimum of the reduced Hessian's form over the
+critical cone, found by visiting the stationary point of every face.
 """
+
+import itertools
 
 import numpy as np
 
@@ -49,45 +52,17 @@ class KKTReport:
         self.state = None
 
 
-class CriticalDirection:
-    """A tangent direction with its sign certificate.
-
-    values vanish on blocked components (gradient entries over the
-    tolerance, pinned intervals), are nonnegative where the control
-    sits at its lower bound and nonpositive at the upper bound; empty
-    flags the degenerate case where every component is blocked and only
-    the zero direction remains.
-    """
-
-    def __init__(self, values, blocked, at_lower, at_upper, empty=False):
-        values = np.asarray(values, dtype=float).reshape(-1)
-        blocked = np.asarray(blocked, dtype=bool).reshape(-1)
-        at_lower = np.asarray(at_lower, dtype=bool).reshape(-1)
-        at_upper = np.asarray(at_upper, dtype=bool).reshape(-1)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("direction entries must be finite")
-        if np.any(values[blocked] != 0.0):
-            raise ValueError("blocked component must vanish")
-        if np.any(values[at_lower] < 0.0):
-            raise ValueError("lower-active component must be nonnegative")
-        if np.any(values[at_upper] > 0.0):
-            raise ValueError("upper-active component must be nonpositive")
-        self.values = values
-        self.blocked = blocked
-        self.at_lower = at_lower
-        self.at_upper = at_upper
-        self.empty = bool(empty)
-
-
 class SecondOrderReport:
-    """Sampled second-order form values along critical directions."""
+    """The exact minimum of the second-order form over the critical
+    cone, the direction that attains it, and its verdict against tol;
+    empty flags a cone that holds only the zero direction."""
 
-    def __init__(self, values, minimum, direction, passed, tol):
-        self.values = list(values)
+    def __init__(self, minimum, direction, passed, tol, empty):
         self.minimum = float(minimum)
         self.direction = direction
         self.passed = bool(passed)
         self.tol = float(tol)
+        self.empty = bool(empty)
 
 
 def kkt_residual(u, d, bounds, tol_active=1e-10):
@@ -188,62 +163,78 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
     raise AssertionError("unreachable")
 
 
-def sample_critical_cone(u, d, bounds, tol_active=1e-10, tol_grad=1e-6,
-                         count=64, seed=42):
-    """Seeded sample of directions in the critical cone at u.
+def critical_cone_minimum(H, u, d, bounds, tol_active=1e-10,
+                          tol_grad=1e-6):
+    """Exact minimum of h' H h over the critical cone at u with
+    |h|_1 = 1, returned as (value, h); an empty cone gives 0 and the
+    zero direction.
 
-    Components with |d_i| > tol_grad are blocked (the cone forces them
-    to zero), lower-active components take nonnegative entries and
-    upper-active ones nonpositive, pinned intervals stay zero; nonzero
-    samples are normalized to unit l1 norm.  Requires the aggregate
-    first-order residual to be within tol_grad, since the blocked-set
-    description of the cone is only valid at such points.  When every
-    component is blocked, the single zero direction is returned with
-    its empty flag set.
+    The cone is described as at a first-order point within tol_grad
+    (else ValueError): components with |d_i| > tol_grad or a pinned
+    interval are blocked, lower-active ones take the signs {0, +},
+    upper-active ones {0, -} and interior ones {0, +, -}.  On the
+    support S of a sign pattern, with D = diag(s_S), the form is a
+    quadratic over the standard simplex, whose minimizer is the
+    positive stationary point of some face:
+    [[D H_SS D, 1], [1', 0]] [x; lam] = [0; 1] with x > 0.  Every face
+    is solved, at most 3^m - 1 for m unblocked components.  A singular
+    system is skipped: a null vector (v, mu) has 1'v = 0 and leaves the
+    form constant along v, so its minimum recurs on a smaller face.
+    Patterns run in a fixed order and only a strictly smaller value
+    replaces the best, so the direction is deterministic.
     """
-    base = kkt_residual(u, d, bounds, tol_active)
-    if base.aggregate > tol_grad:
+    kkt = kkt_residual(u, d, bounds, tol_active)
+    if kkt.aggregate > tol_grad:
         raise ValueError("critical cone requires a first-order point")
-    dv = np.asarray(d, dtype=float).reshape(-1)
-    cls = np.array(base.classification)
-    degenerate = cls == "degenerate"
-    blocked = (np.abs(dv) > tol_grad) | degenerate
-    lower = (cls == "lower-active") & ~blocked
-    upper = (cls == "upper-active") & ~blocked
-    if np.all(blocked):
-        zero = np.zeros(dv.size)
-        return [CriticalDirection(zero, blocked, lower, upper, empty=True)]
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(int(count)):
-        g = rng.standard_normal(dv.size)
-        h = np.where(lower, np.abs(g), np.where(upper, -np.abs(g), g))
-        h[blocked] = 0.0
-        norm = float(np.sum(np.abs(h)))
-        if norm > 0.0:
-            h /= norm
-        out.append(CriticalDirection(h, blocked, lower, upper))
-    return out
+    signs = {"lower-active": (0.0, 1.0), "upper-active": (0.0, -1.0),
+             "interior": (0.0, 1.0, -1.0)}
+    cls, dv = kkt.classification, kkt.gradient
+    free = np.array([i for i, c in enumerate(cls)
+                     if c != "degenerate" and abs(dv[i]) <= tol_grad],
+                    dtype=int)
+    if free.size == 0:
+        return 0.0, np.zeros(dv.size)
+    best, best_h = np.inf, None
+    for pattern in itertools.product(*(signs[cls[i]] for i in free)):
+        s = np.array(pattern)
+        support = np.flatnonzero(s)
+        if support.size == 0:
+            continue
+        m, idx, sign = support.size, free[support], s[support]
+        system = np.ones((m + 1, m + 1))
+        system[:m, :m] = sign[:, None] * H[np.ix_(idx, idx)] * sign
+        system[m, m] = 0.0
+        try:
+            x = np.linalg.solve(system, np.eye(m + 1)[m])[:m]
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(x > 0.0):
+            h = np.zeros(dv.size)
+            h[idx] = sign * x / np.sum(x)
+            value = float(h @ H @ h)
+            if value < best:
+                best, best_h = value, h
+    return best, best_h
 
 
-def second_order_check(instance, mesh, u, directions, tol=None,
-                       state=None):
-    """Evaluate D2J[h, h] = h' H h over sampled critical directions,
-    with the reduced K x K Hessian H built once (K linearized solves).
+def second_order_check(instance, mesh, u, gradient, tol=None, state=None,
+                       tol_active=1e-10, tol_grad=1e-6):
+    """Certify D2J[h, h] = h' H h >= -tol on the whole critical cone at
+    u, with the reduced K x K Hessian H built once (one adjoint and K
+    linearized solves) and its exact cone minimum.
 
-    state, when given, is the state already solved at u (as the
-    optimizer's final report carries it); else it is solved here.
-    Passes when every value clears -tol (default 1e-8 * (1 + |J|)); the
-    minimum value and its direction are reported either way, with the
-    minimum taken in the given fixed order.
+    gradient is the d at u that fixes the cone; state, when given, is
+    the state already solved at u (as the optimizer's final report
+    carries it), else it is solved here.  tol defaults to
+    1e-8 * (1 + |J|).  Raises ValueError unless u is a first-order
+    point within tol_grad.
     """
     if state is None:
         state = solve_state(instance, u, mesh)
     if tol is None:
         tol = 1e-8 * (1.0 + abs(evaluate_J(instance, u, mesh, state=state)))
     H = reduced_hessian(instance, u, mesh, state=state)
-    values = [float(d.values @ H @ d.values) for d in directions]
-    idx = int(np.argmin(values))
-    minimum = values[idx]
-    return SecondOrderReport(values, minimum, directions[idx],
-                             minimum >= -tol, tol)
+    minimum, direction = critical_cone_minimum(
+        H, u, gradient, instance.bounds, tol_active, tol_grad)
+    return SecondOrderReport(minimum, direction, minimum >= -tol, tol,
+                             empty=not np.any(direction))

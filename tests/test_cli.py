@@ -84,6 +84,10 @@ def test_run_config_rejects_missing_and_invalid_fields():
         RunConfig.from_dict(base_config(tolerances={"newton": -1.0}))
     with pytest.raises(ConfigError, match="state_of is only"):
         RunConfig.from_dict(base_config(f0="state_of(1.0, 1.0)"))
+    with pytest.raises(ConfigError, match="field 'mesh'"):
+        RunConfig.from_dict(base_config(mesh="abc"))
+    with pytest.raises(ConfigError, match="field 'tolerances'"):
+        RunConfig.from_dict(base_config(tolerances=5))
 
 
 def test_run_config_rejects_a_boolean_tolerance():
@@ -149,6 +153,17 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
     p2 = tmp_path / "syntax.json"
     p2.write_text("{")
     assert main(["solve", "--config", str(p2)]) == 1
+    capsys.readouterr()
+    for command, extra, field in (
+            ("optimize", {"max_iters": -1}, "max_iters"),
+            ("solve", {"tolerances": 5}, "tolerances"),
+            ("verify", {"verify": [3]}, "verify"),
+            ("solve", {"mesh": "abc"}, "mesh")):
+        path = write_config(tmp_path, base_config(**extra))
+        assert main([command, "--config", path, "--out",
+                     str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: field '%s'" % field in err
 
 
 def test_indefinite_operator_exits_as_a_solver_error(tmp_path, monkeypatch,
@@ -168,11 +183,11 @@ def test_optimize_reports_manufactured_minimum(tmp_path):
         y_d="state_of(0.0, 0.0)",
         control=[0.6, -0.4],
         max_iters=100,
-        second_order_count=6,
     )
     path = write_config(tmp_path, cfg)
     out = tmp_path / "opt"
     assert main(["optimize", "--config", path, "--out", str(out)]) == 0
+    assert_direction_in_cone(out)
     summary = dict(line.split("=", 1) for line in
                    (out / "optimize_summary.txt").read_text().splitlines()[1:])
     assert summary["converged"] == "true"
@@ -182,16 +197,33 @@ def test_optimize_reports_manufactured_minimum(tmp_path):
     assert kkt[1].split(",") == ["index", "u", "lower", "upper", "d",
                                  "classification", "residual"]
     assert len(kkt) == 4
-    assert (out / "second_order.csv").exists()
     assert (out / "iterates.csv").exists()
 
 
+def assert_direction_in_cone(out, tol_grad=1e-6):
+    """second_order.csv holds a unit-l1 direction that vanishes on the
+    indices kkt.csv shows blocked; returns the blocked mask."""
+    kkt = [row.split(",") for row in
+           (out / "kkt.csv").read_text().splitlines()[2:]]
+    blocked = np.array([abs(float(row[4])) > tol_grad
+                        or row[5] == "degenerate" for row in kkt])
+    rows = (out / "second_order.csv").read_text().splitlines()
+    assert rows[1] == "index,direction"
+    h = np.array([float(row.split(",")[1]) for row in rows[2:]])
+    assert h.size == len(kkt)
+    assert_allclose(np.sum(np.abs(h)), 1.0, rtol=1e-12)
+    assert np.all(h[blocked] == 0.0)
+    return blocked
+
+
 def test_optimize_reports_the_derivative_at_the_written_control(tmp_path):
+    # the raised lower bound of the second point is active with d > 0
     path = write_config(tmp_path, base_config(
         f0="constant 1.0", y_d="gaussian(0.5, 0.5, 0.2, 2.0)",
-        second_order_count=4))
+        lower=[-1.0, 0.6]))
     out = tmp_path / "opt"
     assert main(["optimize", "--config", path, "--out", str(out)]) == 0
+    assert assert_direction_in_cone(out).tolist() == [False, True]
 
     def column(name, k):
         rows = (out / name).read_text().splitlines()[2:]
@@ -417,6 +449,34 @@ def test_seed_override_changes_random_draws(tmp_path):
     ra = (a / "estimates.csv").read_text().splitlines()[2]
     rb = (b / "estimates.csv").read_text().splitlines()[2]
     assert ra != rb
+
+
+def test_optimize_reports_do_not_depend_on_the_seed(tmp_path):
+    # the config of the README's command-line section
+    path = write_config(tmp_path, {
+        "domain": {"kind": "unit_square"},
+        "points": [[0.3, 0.4], [0.7, 0.6]],
+        "lower": [-1.0, -1.0],
+        "upper": [2.0, 2.0],
+        "nu": 0.1,
+        "f0": "constant 1.0",
+        "y_d": "gaussian(0.5, 0.5, 0.2, 2.0)",
+        "control": [0.5, -0.3],
+        "mesh": {"resolution": 64},
+    })
+    a, b = tmp_path / "s1", tmp_path / "s2"
+    assert main(["optimize", "--config", path, "--out", str(a),
+                 "--seed", "1"]) == 0
+    assert main(["optimize", "--config", path, "--out", str(b),
+                 "--seed", "2"]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert "second_order.csv" in names
+    for name in names:
+        la = (a / name).read_text().splitlines()
+        lb = (b / name).read_text().splitlines()
+        assert la[0].startswith("# generated ")
+        assert la[1:] == lb[1:]
 
 
 def test_control_length_is_validated(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,9 +7,9 @@ from numpy.testing import assert_allclose
 
 from expctrl import optimizer
 from expctrl.mesh import Domain
-from expctrl.objective import evaluate_DJ
-from expctrl.optimizer import (CriticalDirection, KKTReport, kkt_residual,
-                               projected_gradient, sample_critical_cone,
+from expctrl.objective import evaluate_DJ, reduced_hessian
+from expctrl.optimizer import (KKTReport, critical_cone_minimum,
+                               kkt_residual, projected_gradient,
                                second_order_check)
 from expctrl.pde import ProblemInstance, solve_state
 from expctrl.sequences import BoundsPair, Control, compute_separation_radii
@@ -132,54 +134,127 @@ def test_projected_gradient_projects_an_infeasible_start():
     assert np.all(u.values >= -1.0 - 1e-15)
 
 
-def test_critical_direction_validation():
-    with pytest.raises(ValueError, match="blocked"):
-        CriticalDirection([1.0], [True], [False], [False])
-    with pytest.raises(ValueError, match="lower-active"):
-        CriticalDirection([-1.0], [False], [True], [False])
-    with pytest.raises(ValueError, match="upper-active"):
-        CriticalDirection([1.0], [False], [False], [True])
-    d = CriticalDirection([0.5], [False], [False], [False])
-    assert not d.empty
+# per component: (u, lower, upper, d, nonzero signs the cone allows);
+# u is a first-order point for every choice, since only an active bound
+# with d of the right sign or a pinned interval carries a nonzero d,
+# and a component that allows no sign is blocked
+_COMPONENTS = {
+    "lower": (-1.0, -1.0, 1.0, 0.0, (1.0,)),
+    "lower-blocked": (-1.0, -1.0, 1.0, 0.5, ()),
+    "upper": (1.0, -1.0, 1.0, 0.0, (-1.0,)),
+    "upper-blocked": (1.0, -1.0, 1.0, -0.5, ()),
+    "interior": (0.0, -1.0, 1.0, 0.0, (1.0, -1.0)),
+    "interior-small-d": (0.0, -1.0, 1.0, 1e-8, (1.0, -1.0)),
+    "pinned": (0.0, 0.0, 0.0, 0.3, ()),
+}
 
 
-def test_sample_critical_cone_requires_first_order_point():
+def cone_problem(kinds):
+    u, lower, upper, d, allowed = zip(*(_COMPONENTS[k] for k in kinds))
+    return Control(u), np.array(d), BoundsPair(lower, upper), allowed
+
+
+def in_cone(h, allowed):
+    return all(h[i] == 0.0 or np.sign(h[i]) in signs
+               for i, signs in enumerate(allowed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(st.sampled_from(sorted(_COMPONENTS)), min_size=k, max_size=k),
+    st.lists(st.floats(-2.0, 2.0), min_size=k * k, max_size=k * k))))
+def test_critical_cone_minimum_is_below_every_cone_direction(case):
+    kinds, entries = case
+    K = len(kinds)
+    A = np.array(entries).reshape(K, K)
+    H = 0.5 * (A + A.T)
+    u, d, bounds, allowed = cone_problem(kinds)
+    value, h = critical_cone_minimum(H, u, d, bounds)
+    assert in_cone(h, allowed)
+    assert value == float(h @ H @ h)
+    if not any(allowed):
+        assert value == 0.0 and not np.any(h)
+        return
+    assert_allclose(np.sum(np.abs(h)), 1.0, rtol=1e-12)
+    # room for the rounding of h' H h itself
+    slack = 1e-12 * (1.0 + np.abs(H).max())
+    for i, signs in enumerate(allowed):
+        for sign in signs:
+            e = np.zeros(K)
+            e[i] = sign
+            assert value <= float(e @ H @ e) + slack
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        g = rng.standard_normal(K)
+        for i, signs in enumerate(allowed):
+            if len(signs) < 2:   # blocked, or a single sign allowed
+                g[i] = abs(g[i]) * sum(signs)
+        if np.any(g):
+            g /= np.sum(np.abs(g))
+            assert value <= float(g @ H @ g) + slack
+
+
+def test_critical_cone_requires_a_first_order_point():
     bounds = BoundsPair([-1.0], [1.0])
     with pytest.raises(ValueError, match="first-order"):
-        sample_critical_cone(Control([0.0]), np.array([0.5]), bounds)
+        critical_cone_minimum(np.eye(1), Control([0.0]), np.array([0.5]),
+                              bounds)
 
 
-def test_sample_critical_cone_blocks_nonzero_gradient_components():
+def test_critical_cone_minimum_vanishes_on_blocked_components():
     bounds = BoundsPair([0.0, -1.0, 0.0], [1.0, 1.0, 1.0])
     u = Control([0.0, 0.2, 0.0])
     d = np.array([0.5, 0.0, 0.0])   # aggregate 0: sign conditions hold
-    dirs = sample_critical_cone(u, d, bounds, count=12, seed=3)
-    assert len(dirs) == 12
-    for h in dirs:
-        assert h.values[0] == 0.0          # |d| > tol_grad blocks it
-        assert h.values[2] >= 0.0          # lower-active keeps it >= 0
-        assert_allclose(np.sum(np.abs(h.values)), 1.0, rtol=1e-12)
-        assert float(np.dot(h.values, d)) == 0.0
+    # the blocked component has the most negative curvature
+    H = np.diag([-5.0, 2.0, 3.0])
+    value, h = critical_cone_minimum(H, u, d, bounds)
+    assert h[0] == 0.0                 # |d| > tol_grad blocks it
+    assert h[2] >= 0.0                 # lower-active keeps it >= 0
+    assert float(np.dot(h, d)) == 0.0
+    # min of 2 a^2 + 3 b^2 over |a| + b = 1, b >= 0: a = 0.6, b = 0.4
+    assert_allclose(h, [0.0, 0.6, 0.4], rtol=1e-14)
+    assert_allclose(value, 1.2, rtol=1e-14)
 
 
-def test_sample_critical_cone_empty_cone_is_flagged():
+def test_critical_cone_empty_cone_is_flagged():
     bounds = BoundsPair([0.0, 0.0], [1.0, 1.0])
     u = Control([0.0, 1.0])
     d = np.array([0.5, -0.5])
-    dirs = sample_critical_cone(u, d, bounds, count=6, seed=1)
-    assert len(dirs) == 1
-    assert dirs[0].empty
-    assert abs(dirs[0].values).max() == 0.0
+    value, h = critical_cone_minimum(-np.eye(2), u, d, bounds)
+    assert value == 0.0
+    assert np.array_equal(h, np.zeros(2))
 
 
-def test_sample_critical_cone_is_deterministic():
+def test_critical_cone_minimum_is_deterministic():
+    # h' h is minimal at all four (+-1/2, +-1/2); the first sign
+    # pattern visited wins, on every call
     bounds = BoundsPair([-1.0, -1.0], [1.0, 1.0])
     u = Control([0.1, -0.2])
     d = np.zeros(2)
-    a = sample_critical_cone(u, d, bounds, count=5, seed=9)
-    b = sample_critical_cone(u, d, bounds, count=5, seed=9)
-    for x, y in zip(a, b):
-        assert_allclose(x.values, y.values, rtol=0, atol=0)
+    value, h = critical_cone_minimum(np.eye(2), u, d, bounds)
+    assert value == 0.5
+    assert np.array_equal(h, [0.5, 0.5])
+    again = critical_cone_minimum(np.eye(2), u, d, bounds)
+    assert again[0] == value and np.array_equal(again[1], h)
+
+
+def test_second_order_check_rejects_a_thin_negative_region(monkeypatch):
+    # h' H h < 0 only within about 1.8 degrees of +-v: a seeded sample
+    # of 64 cone directions misses it, the exact minimum does not
+    v = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
+    H = np.eye(3) - 1.001 * np.outer(v, v)
+    monkeypatch.setattr(optimizer, "reduced_hessian",
+                        lambda *args, **kwargs: H)
+    instance = SimpleNamespace(bounds=BoundsPair([-1.0] * 3, [1.0] * 3))
+    report = second_order_check(instance, None, Control([0.0] * 3),
+                                np.zeros(3), tol=1e-8, state=object())
+    assert not report.passed
+    assert not report.empty
+    assert report.minimum < 0.0
+    assert_allclose(report.minimum, -0.001 / 3.0, rtol=1e-12)
+    direction = v / np.sum(np.abs(v))
+    assert_allclose(report.direction * np.sign(report.direction[0]),
+                    direction, rtol=1e-12)
 
 
 def test_second_order_check_at_a_convex_point():
@@ -190,14 +265,15 @@ def test_second_order_check_at_a_convex_point():
     u, rep = projected_gradient(inst, mesh, Control([0.2, 0.2]),
                                 max_iters=80, tol=1e-9)
     d = evaluate_DJ(inst, u, mesh).gradient
-    dirs = sample_critical_cone(u, d, inst.bounds, tol_grad=1e-6,
-                                count=10, seed=42)
-    report = second_order_check(inst, mesh, u, dirs)
+    report = second_order_check(inst, mesh, u, d)
     assert report.passed
+    assert not report.empty
     # nu-strong convexity at the manufactured point: nu * sum h^2 > 0.09
     assert report.minimum > 0.05
-    assert len(report.values) == len(dirs)
-    assert report.minimum == min(report.values)
+    H = reduced_hessian(inst, u, mesh)
+    h = report.direction
+    assert report.minimum == float(h @ H @ h)
+    assert_allclose(np.sum(np.abs(h)), 1.0, rtol=1e-12)
 
 
 def test_second_order_check_reuses_the_optimizer_state(monkeypatch):
@@ -207,23 +283,28 @@ def test_second_order_check_reuses_the_optimizer_state(monkeypatch):
                                 max_iters=80, tol=1e-9)
     assert np.array_equal(rep.state.y.values,
                           solve_state(inst, u, mesh).y.values)
-    dirs = sample_critical_cone(u, rep.gradient, inst.bounds,
-                                tol_grad=1e-6, count=10, seed=42)
-    fresh = second_order_check(inst, mesh, u, dirs)
+    fresh = second_order_check(inst, mesh, u, rep.gradient)
 
     def no_state_solve(*args, **kwargs):
         raise AssertionError("state solved again")
     monkeypatch.setattr(optimizer, "solve_state", no_state_solve)
-    reused = second_order_check(inst, mesh, u, dirs, state=rep.state)
-    assert reused.values == fresh.values
+    reused = second_order_check(inst, mesh, u, rep.gradient,
+                                state=rep.state)
+    assert reused.minimum == fresh.minimum
+    assert np.array_equal(reused.direction, fresh.direction)
     assert reused.passed == fresh.passed
 
 
 def test_second_order_check_zero_direction_scores_zero():
-    inst = make_instance(f0=1.0, y_d=0.1)
+    # pinned intervals block every component: only the zero direction
+    # is left, and it scores zero
+    inst = make_instance(lower=(0.3, -0.2), upper=(0.3, -0.2), f0=1.0,
+                         y_d=0.1)
     mesh = inst.make_mesh()
-    zero = CriticalDirection([0.0, 0.0], [False, False], [False, False],
-                             [False, False], empty=True)
-    report = second_order_check(inst, mesh, Control([0.0, 0.0]), [zero])
-    assert report.values == [0.0]
+    u = Control([0.3, -0.2])
+    d = evaluate_DJ(inst, u, mesh).gradient
+    report = second_order_check(inst, mesh, u, d)
+    assert report.empty
+    assert report.minimum == 0.0
+    assert np.array_equal(report.direction, np.zeros(2))
     assert report.passed

@@ -56,6 +56,17 @@ def _object(cfg, name, default=_REQUIRED):
     return raw
 
 
+def _count(cfg, name, default, minimum):
+    """An integer field of at least minimum; floats are not rounded
+    and a JSON true, which Python takes for the integer 1, is no
+    count."""
+    value = _field(cfg, name, default)
+    if type(value) is not int or value < minimum:
+        raise ConfigError("field '%s': expected an integer >= %d"
+                          % (name, minimum))
+    return value
+
+
 def _float_list(cfg, name, default=_REQUIRED):
     raw = _field(cfg, name, default)
     if raw is default and raw is not _REQUIRED:
@@ -302,10 +313,7 @@ def cmd_solve(config):
 
 def cmd_optimize(config):
     """Projected gradient plus the first- and second-order reports."""
-    max_iters = _field(config.raw, "max_iters", 200)
-    # a JSON true would pass as the integer 1
-    if type(max_iters) is not int or max_iters < 0:
-        raise ConfigError("field 'max_iters': expected a nonnegative integer")
+    max_iters = _count(config.raw, "max_iters", 200, 0)
     mesh = config.instance.make_mesh()
     instance = _resolve_target(config, mesh)
     u0 = _base_control(config)
@@ -362,7 +370,7 @@ def _verify_reports(config, entry, mesh, disks):
     instance = config.instance
     if check == "scalar":
         return [verify_scalar_exponential(
-            int(_field(entry, "samples", 10000)), config.seed)]
+            _count(entry, "samples", 10000, 1), config.seed)]
     if check == "poisson":
         return [verify_poisson_exponential(
             instance.domain, instance.points,
@@ -375,11 +383,11 @@ def _verify_reports(config, entry, mesh, disks):
             float(_field(entry, "alpha")), instance.f0, mesh)]
     if check == "lipschitz":
         return verify_lipschitz_family(
-            instance, mesh, trials=int(_field(entry, "trials", 20)),
+            instance, mesh, trials=_count(entry, "trials", 20, 1),
             seed=config.seed)
     if check == "mollified":
         R = float(_field(entry, "R"))
-        resolution = int(_field(entry, "resolution", instance.resolution))
+        resolution = _count(entry, "resolution", instance.resolution, 1)
         if (R, resolution) not in disks:
             disks[R, resolution] = build_mesh(Domain.disk(0.0, 0.0, R),
                                               resolution)

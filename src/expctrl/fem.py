@@ -116,9 +116,11 @@ def assemble_mass(mesh):
 
 
 def _scatter(mesh, local):
-    T = mesh.num_triangles
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    # 32-bit indices, the type scipy stores them in: int64 ones would be
+    # converted there, a copy on top of the peak memory of assembly
+    tris = mesh.triangles.astype(np.int32)
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
     mat = sp.coo_matrix((local.ravel(), (rows, cols)),
                         shape=(mesh.num_vertices, mesh.num_vertices))
     return mat.tocsr()
@@ -477,17 +479,23 @@ def _aggregate(A, theta):
     aggregate has at least two nodes, so each level at least halves.
     Returns (aggregate index per node, aggregate count).
     """
-    C = A.tocoo()
-    diag = A.diagonal()
-    strong = (C.row != C.col) & (
-        np.abs(C.data) >= theta * np.sqrt(diag[C.row] * diag[C.col]))
-    S = sp.csr_matrix((np.ones(int(strong.sum())),
-                       (C.row[strong], C.col[strong])), shape=A.shape)
-    # the loops read and write through memoryviews: element access as
-    # fast as on lists, without a Python int object per stored entry
-    indptr = memoryview(S.indptr)
-    indices = memoryview(S.indices)
+    # the strength graph keeps A's pattern, filtered, in column order
+    if not A.has_sorted_indices:
+        A = A.sorted_indices()
     n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    diag = A.diagonal()
+    strong = (rows != A.indices) & (
+        np.abs(A.data) >= theta * np.sqrt(diag[rows] * diag[A.indices]))
+    degree = np.bincount(rows[strong], minlength=n)
+    strong_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=strong_ptr[1:])
+    strong_idx = A.indices[strong]
+    # the greedy pass reads and writes through memoryviews: element
+    # access as fast as on lists, without a Python int object per
+    # stored entry
+    indptr = memoryview(strong_ptr)
+    indices = memoryview(strong_idx)
     result = np.full(n, -1, dtype=np.int64)
     agg = memoryview(result)
     count = 0
@@ -500,12 +508,17 @@ def _aggregate(A, theta):
             for j in nbrs:
                 agg[j] = count
             count += 1
-    seeded = memoryview(result.copy())
-    for i in range(n):
-        if agg[i] < 0:
-            agg[i] = next((seeded[j]
-                           for j in indices[indptr[i]:indptr[i + 1]]
-                           if seeded[j] >= 0), -1)
+    # every node left joins the aggregate of its first strong neighbour
+    # (in column order) that the greedy pass placed, else stays out
+    linked = degree > 0
+    if linked.any():
+        seeded = np.append(result[strong_idx], -1)
+        nnz = strong_idx.size
+        pos = np.where(seeded[:-1] >= 0, np.arange(nnz), nnz)
+        first = np.full(n, nnz)
+        first[linked] = np.minimum.reduceat(pos, strong_ptr[:-1][linked])
+        left = result < 0
+        result[left] = seeded[first[left]]
     return result, count
 
 

@@ -10,7 +10,7 @@ and existing vertices never move.  The levels of a graded mesh work on
 bare arrays: one edge table, sorted once on the base grid, is carried
 and updated from level to level, only the children of the previous
 level are candidates for marking, and a single Mesh validates the
-result.
+result and keeps the table for its neighbor graph.
 """
 
 import numpy as np
@@ -92,10 +92,14 @@ class Mesh:
     areas : (T,) float array of triangle areas
 
     A built mesh is treated as immutable; build_mesh refines bare arrays
-    and constructs the Mesh once, at the end.
+    and constructs the Mesh once, at the end.  A graded build hands over
+    the (T, 3) edge ids it carried (tri_edge, slot j the edge opposite
+    local vertex j, as from _tri_edges); the Mesh keeps them until the
+    first neighbors() call pairs their slots and drops them.  Without
+    a carried table, neighbors() takes one from _tri_edges.
     """
 
-    def __init__(self, vertices, triangles, boundary, domain):
+    def __init__(self, vertices, triangles, boundary, domain, tri_edge=None):
         vertices = np.asarray(vertices, dtype=float)
         triangles = np.asarray(triangles, dtype=np.int64)
         boundary = np.asarray(boundary, dtype=bool)
@@ -111,6 +115,10 @@ class Mesh:
         if np.any(flip):
             triangles = triangles.copy()
             triangles[flip] = triangles[flip][:, [0, 2, 1]]
+            if tri_edge is not None:
+                # swapping corners 1 and 2 swaps the edges opposite them
+                tri_edge = tri_edge.copy()
+                tri_edge[flip] = tri_edge[flip][:, [0, 2, 1]]
             areas = np.abs(areas)
         if np.any(areas <= 0.0):
             raise ValueError("degenerate triangle in mesh")
@@ -120,6 +128,7 @@ class Mesh:
         self.domain = domain
         self.areas = areas
         self.h = float(_edge_lengths(corners).max())
+        self._tri_edge = tri_edge
         self._neighbors = None
         self._vertex_tri = None
 
@@ -138,7 +147,11 @@ class Mesh:
         vertex j of triangle t.
         """
         if self._neighbors is None:
-            self._neighbors = _build_neighbors(self.triangles)
+            tri_edge = self._tri_edge
+            if tri_edge is None:
+                tri_edge = _tri_edges(self.triangles)[1]
+            self._neighbors = _pair_slots(tri_edge)
+            self._tri_edge = None
         return self._neighbors
 
     def vertex_triangle(self):
@@ -186,21 +199,20 @@ def _tri_edges(triangles):
     return edges, inverse.reshape(T, 3), counts
 
 
-def _build_neighbors(triangles):
-    T = triangles.shape[0]
-    _, tri_edge, counts = _tri_edges(triangles)
-    nbr = np.full((T, 3), -1, dtype=np.int64)
-    order = np.argsort(tri_edge.ravel(), kind="stable")
-    flat_tri = order // 3
-    flat_slot = order % 3
-    eid = tri_edge.ravel()[order]
-    # interior edges appear exactly twice and are adjacent after sorting
-    first = np.nonzero((eid[:-1] == eid[1:]))[0]
-    t1, j1 = flat_tri[first], flat_slot[first]
-    t2, j2 = flat_tri[first + 1], flat_slot[first + 1]
-    nbr[t1, j1] = t2
-    nbr[t2, j2] = t1
-    return nbr
+def _pair_slots(tri_edge):
+    """(T, 3) neighbor array of an edge-id table: the two slots of an
+    interior edge point at each other's triangle, a boundary slot holds
+    -1.  The flat slot indices 3t + j of an edge's slots sum to a known
+    total, so the other slot is that total minus this one; no sort."""
+    eid = tri_edge.ravel()
+    E = int(eid.max()) + 1
+    slot = np.arange(eid.size, dtype=np.int64)
+    count = np.bincount(eid, minlength=E)
+    # float sums of slot indices below 2^53 are exact
+    total = np.bincount(eid, weights=slot, minlength=E).astype(np.int64)
+    other = total[eid] - slot
+    nbr = np.where(count[eid] == 2, other // 3, -1)
+    return nbr.reshape(tri_edge.shape)
 
 
 def circumcenters(vertices, triangles):
@@ -225,7 +237,8 @@ def build_mesh(domain, resolution, refine_points=None, refine_levels=0):
     The levels work on bare arrays (see _graded): one edge table is
     carried across them, only the previous level's children are
     candidates for marking, and the single Mesh built at the end
-    validates the result once.
+    validates the result once and takes the carried table, from which
+    its neighbor table is paired without sorting the edges again.
 
     Parameters
     ----------
@@ -258,9 +271,10 @@ def build_mesh(domain, resolution, refine_points=None, refine_levels=0):
     else:
         raise ValueError("unknown domain kind %r" % (domain.kind,))
     if refine_points is not None and refine_levels > 0:
-        vertices, triangles, boundary, _ = _graded(
+        vertices, triangles, boundary, (_, tri_edge, _) = _graded(
             domain, vertices, triangles, boundary, refine_points,
             int(refine_levels))
+        return Mesh(vertices, triangles, boundary, domain, tri_edge)
     return Mesh(vertices, triangles, boundary, domain)
 
 
@@ -459,11 +473,13 @@ _BARY_TOL = 1e-12
 def locate_point(mesh, x):
     """Find the triangle containing x and its barycentric coordinates.
 
-    Walks the neighbor graph from a triangle at the nearest vertex; when
-    the walk stalls, or when x lies on a shared edge or vertex, falls
-    back to a full scan where the smallest eligible triangle index wins.
-    The returned coordinates are clipped to be nonnegative and
-    renormalized.
+    Walks the neighbor graph from a triangle at the nearest vertex.
+    When x lies on an edge or vertex of the triangle the walk reaches,
+    the eligible triangles all share a vertex with it, so only that
+    vertex neighborhood is tested and the smallest eligible index wins,
+    as a scan of every triangle would give.  Only a walk that stalls
+    falls back to the full scan.  The returned coordinates are clipped
+    to be nonnegative and renormalized.
 
     Raises ValueError("point not located") for points outside the mesh.
     """
@@ -476,7 +492,7 @@ def locate_point(mesh, x):
         j = int(np.argmin(lam))
         if lam[j] >= -_BARY_TOL:
             if np.min(lam) <= _BARY_TOL:
-                break  # on an edge or vertex: scan for the smallest index
+                return _locate_among(mesh, _vertex_neighborhood(mesh, t), x)
             return t, _clip_bary(lam)
         t2 = nbr[t, j]
         if t2 < 0:
@@ -485,13 +501,41 @@ def locate_point(mesh, x):
     return _locate_scan(mesh, x)
 
 
-def _locate_scan(mesh, x):
-    lam = barycentric(mesh, np.arange(mesh.num_triangles), x)
-    idx = np.nonzero(np.all(lam >= -_BARY_TOL, axis=1))[0]
+def _vertex_neighborhood(mesh, t):
+    """Sorted indices of the triangles sharing a vertex with triangle t,
+    t included, found by turning around each corner through the
+    neighbor graph: first one way, and the other way too when a
+    boundary edge ends the turn."""
+    nbr = mesh.neighbors()
+    tris = mesh.triangles
+    found = {t}
+    for k, v in enumerate(tris[t].tolist()):
+        for start in ((k + 1) % 3, (k + 2) % 3):
+            prev, cur = t, int(nbr[t, start])
+            while cur >= 0 and cur != t:
+                found.add(cur)
+                k2 = tris[cur].tolist().index(v)
+                a = int(nbr[cur, (k2 + 1) % 3])
+                b = int(nbr[cur, (k2 + 2) % 3])
+                prev, cur = cur, (b if a == prev else a)
+            if cur == t:
+                break  # the turn closed around an interior vertex
+    return np.array(sorted(found), dtype=np.int64)
+
+
+def _locate_among(mesh, candidates, x):
+    """The smallest-index triangle of the sorted candidates that
+    contains x, with its clipped coordinates."""
+    lam = barycentric(mesh, candidates, x)
+    idx = np.flatnonzero(np.all(lam >= -_BARY_TOL, axis=1))
     if idx.size == 0:
         raise ValueError("point not located")
-    t = int(idx[0])
-    return t, _clip_bary(lam[t])
+    i = int(idx[0])
+    return int(candidates[i]), _clip_bary(lam[i])
+
+
+def _locate_scan(mesh, x):
+    return _locate_among(mesh, np.arange(mesh.num_triangles), x)
 
 
 def _clip_bary(lam):

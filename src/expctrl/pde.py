@@ -49,12 +49,17 @@ _EW_SAFEGUARD = 0.1
 class _Operators:
     """Per-mesh data built once: the interior (free) nodes, the free
     block of the stiffness as CSR with the positions of its diagonal,
-    consistent mass, lumped mass diagonal, point-coupling operators
-    keyed by coordinates, loads of callable fields keyed by the
-    callable, and on first use the multigrid hierarchy of every solve
-    on the mesh."""
+    lumped mass diagonal, point-coupling operators keyed by
+    coordinates, loads of callable fields keyed by the callable, and on
+    first use the consistent mass and the multigrid hierarchy of every
+    solve on the mesh.
+
+    The cache lives in a WeakKeyDictionary keyed by the mesh, so it
+    holds the mesh only weakly, for the mass on first use: a strong
+    reference would keep its own entry alive forever."""
 
     def __init__(self, mesh):
+        self._mesh = weakref.ref(mesh)
         self.free = np.flatnonzero(~mesh.boundary)
         A = assemble_stiffness(mesh)[self.free][:, self.free]
         # exact zeros (across the diagonals of right-angled cells) add
@@ -63,7 +68,7 @@ class _Operators:
         self.stiffness = CSR.of(A)
         rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
         self._diagonal = np.flatnonzero(A.indices == rows)
-        self.mass = assemble_mass(mesh)
+        self._mass = None
         self.lumped = lumped_mass_diagonal(mesh)
         self.lumped_free = self.lumped[self.free]
         self.coupling = {}
@@ -79,6 +84,14 @@ class _Operators:
         data = A.data.copy()
         data[self._diagonal] += self.lumped_free * np.exp(y[self.free])
         return CSR(A.indptr, A.indices, data, A.shape)
+
+    @property
+    def mass(self):
+        """Consistent mass matrix; only the tracking and L^2 terms read
+        it, so meshes that never meet one never assemble it."""
+        if self._mass is None:
+            self._mass = assemble_mass(self._mesh())
+        return self._mass
 
     @property
     def multigrid(self):

@@ -1,12 +1,17 @@
 """Shared test helpers: conversions between full-size scipy matrices and
-the free-block CSR operators that the solvers take, and the level-by-level
-reference for graded refinement."""
+the free-block CSR operators that the solvers take, and the references
+that faster paths must reproduce bit for bit: the level-by-level graded
+refinement, the sort-based neighbor table and the loop aggregation."""
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
 
 from expctrl.fem import CSR
-from expctrl.mesh import Mesh, _tri_edges, build_mesh, circumcenters
+from expctrl.mesh import (Domain, Mesh, _tri_edges, build_mesh,
+                          circumcenters)
+from expctrl.sequences import compute_separation_radii
 
 
 def free_block(mesh, A):
@@ -21,6 +26,17 @@ def scipy_csr(op):
     in-place scipy methods leave the operator alone."""
     return sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape,
                          copy=True)
+
+
+@functools.lru_cache(maxsize=None)
+def graded_disk():
+    """The unit disk at n = 96 graded 12 levels toward its center, a
+    grid vertex: the mesh of the certificates on the graded disk
+    (about 76k vertices).  Built once per test session; a built mesh is
+    immutable."""
+    domain = Domain.disk(0.0, 0.0, 1.0)
+    points = compute_separation_radii([[0.0, 0.0]], domain)
+    return build_mesh(domain, 96, refine_points=points, refine_levels=12)
 
 
 def reference_graded_meshes(domain, resolution, refine_points, levels):
@@ -106,3 +122,51 @@ def _refine_once(mesh, refine_points, green, ball_factor):
         part_green.extend([np.zeros(t_red.shape[0], dtype=bool)] * 4)
     refined = Mesh(vertices, np.vstack(parts), boundary, domain)
     return refined, np.concatenate(part_green)
+
+
+def reference_neighbors(triangles):
+    """The neighbor table by sorting a fresh edge table: slots of one
+    interior edge are adjacent after a stable argsort of the edge ids."""
+    T = triangles.shape[0]
+    _, tri_edge, counts = _tri_edges(triangles)
+    nbr = np.full((T, 3), -1, dtype=np.int64)
+    order = np.argsort(tri_edge.ravel(), kind="stable")
+    flat_tri = order // 3
+    flat_slot = order % 3
+    eid = tri_edge.ravel()[order]
+    first = np.nonzero((eid[:-1] == eid[1:]))[0]
+    t1, j1 = flat_tri[first], flat_slot[first]
+    t2, j2 = flat_tri[first + 1], flat_slot[first + 1]
+    nbr[t1, j1] = t2
+    nbr[t2, j2] = t1
+    return nbr
+
+
+def reference_aggregate(A, theta):
+    """Greedy aggregation of a scipy CSR A over its strong couplings,
+    with the strength graph built through COO and both passes as plain
+    loops."""
+    C = A.tocoo()
+    diag = A.diagonal()
+    strong = (C.row != C.col) & (
+        np.abs(C.data) >= theta * np.sqrt(diag[C.row] * diag[C.col]))
+    S = sp.csr_matrix((np.ones(int(strong.sum())),
+                       (C.row[strong], C.col[strong])), shape=A.shape)
+    indptr, indices = S.indptr, S.indices
+    n = A.shape[0]
+    agg = np.full(n, -1, dtype=np.int64)
+    count = 0
+    for i in range(n):
+        if agg[i] >= 0:
+            continue
+        nbrs = indices[indptr[i]:indptr[i + 1]]
+        if len(nbrs) and all(agg[j] < 0 for j in nbrs):
+            agg[i] = count
+            agg[nbrs] = count
+            count += 1
+    seeded = agg.copy()
+    for i in range(n):
+        if agg[i] < 0:
+            agg[i] = next((seeded[j] for j in indices[indptr[i]:indptr[i + 1]]
+                           if seeded[j] >= 0), -1)
+    return agg, count

@@ -14,7 +14,7 @@ import expctrl.pde
 from expctrl.cli import (ConfigError, RunConfig, load_config, main,
                          parse_field)
 from expctrl.estimates import EstimateReport
-from expctrl.fem import assemble_stiffness
+from expctrl.fem import assemble_mass, assemble_stiffness
 from expctrl.objective import evaluate_DJ
 from expctrl.sequences import Control
 
@@ -164,6 +164,48 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
                      str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "config error: field '%s'" % field in err
+
+
+@pytest.mark.parametrize("entry,field", [
+    ({"check": "lipschitz", "trials": -1}, "trials"),
+    ({"check": "lipschitz", "trials": 0}, "trials"),
+    ({"check": "lipschitz", "trials": 2.5}, "trials"),
+    ({"check": "scalar", "samples": 2.5}, "samples"),
+    ({"check": "mollified", "R": 1.0, "rho0": 0.5, "epsilon": 0.1,
+      "m": 1.0, "resolution": 0}, "resolution"),
+])
+def test_verify_counts_must_be_positive_integers(tmp_path, capsys, entry,
+                                                 field):
+    # a count below one would check nothing and still exit 0
+    path = write_config(tmp_path, base_config(verify=[entry]))
+    assert main(["verify", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 1
+    assert "config error: field '%s'" % field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_mass_matrix_is_assembled_only_where_it_is_read(tmp_path,
+                                                         monkeypatch):
+    built = []
+
+    def counted(mesh):
+        built.append(mesh.num_vertices)
+        return assemble_mass(mesh)
+    monkeypatch.setattr(expctrl.pde, "assemble_mass", counted)
+    cfg = base_config(verify=[
+        {"check": "poisson", "omega": [1.0, 0.5], "alpha": 2.0 * np.pi},
+        {"check": "mollified", "R": 1.0, "rho0": 0.5, "epsilon": 0.1,
+         "m": 2.0 * np.pi, "resolution": 16}])
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", path, "--out",
+                 str(tmp_path / "v")]) == 0
+    assert built == []
+    # the tracking term reads it: one assembly on the optimize mesh
+    path = write_config(tmp_path, base_config(y_d="constant 0.3"),
+                        "optimize.json")
+    assert main(["optimize", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 0
+    assert built == [17 * 17]
 
 
 def test_indefinite_operator_exits_as_a_solver_error(tmp_path, monkeypatch,

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import expctrl.fem as fem_module
 from expctrl.fem import (FEFunction, MOLLIFIER_C, Multigrid, _cholesky,
                          _inverse_factor, assemble_load, assemble_mass,
                          assemble_mollified_load, assemble_stiffness,
@@ -18,7 +19,7 @@ from expctrl.mesh import Domain, build_mesh, locate_point
 from expctrl.pde import operators
 from expctrl.sequences import (Control, SourcePoints,
                                compute_separation_radii)
-from helpers import free_block, scipy_csr
+from helpers import free_block, graded_disk, reference_aggregate, scipy_csr
 
 
 def square_mesh(n):
@@ -501,3 +502,24 @@ def test_solve_spd_reports_stagnation_below_the_round_off_floor():
         solve_spd(free_block(mesh, A), b, mesh.boundary, tol=1e-18,
                   multigrid=mg)
     assert mg.cycles < 300
+
+
+@pytest.mark.parametrize("kind", ["square", "graded-disk"])
+def test_aggregation_matches_the_loop_reference_on_every_level(
+        kind, monkeypatch):
+    mesh = square_mesh(96) if kind == "square" else graded_disk()
+    aggregate = fem_module._aggregate
+    sizes = []
+
+    def checked(A, theta):
+        agg, count = aggregate(A, theta)
+        ref_agg, ref_count = reference_aggregate(A, theta)
+        assert count == ref_count
+        assert np.array_equal(agg, ref_agg)
+        sizes.append(A.shape[0])
+        return agg, count
+    monkeypatch.setattr(fem_module, "_aggregate", checked)
+    mg = Multigrid(operators(mesh).newton_operator(
+        np.zeros(mesh.num_vertices)))
+    # every level but the coarsest, which is factored
+    assert len(sizes) == len(mg.levels) >= 2

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -39,6 +42,31 @@ def test_operator_cache_reuses_per_mesh():
     assert operators(mesh) is operators(mesh)
     other = build_mesh(Domain.unit_square(), 8)
     assert operators(mesh) is not operators(other)
+
+
+def test_mass_is_assembled_on_first_use_and_the_cache_holds_its_mesh_weakly(
+        monkeypatch):
+    calls = []
+
+    def counted(mesh):
+        calls.append(mesh.num_vertices)
+        return assemble_mass(mesh)
+    monkeypatch.setattr(pde, "assemble_mass", counted)
+    mesh = build_mesh(Domain.unit_square(), 8)
+    ops = operators(mesh)
+    assert calls == []
+    mass = ops.mass
+    assert ops.mass is mass and calls == [mesh.num_vertices]
+    fresh = assemble_mass(mesh)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(mass, name), getattr(fresh, name))
+    # the cache entry must not keep its own key alive
+    entries = len(pde._OPERATORS)
+    alive = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert alive() is None
+    assert len(pde._OPERATORS) < entries
 
 
 def test_nodal_field_forms():

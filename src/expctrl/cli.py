@@ -2,13 +2,13 @@
 emission.
 
 Four commands, each driven by a JSON config: solve (one state solve),
-optimize (projected gradient, the first-order report, and the exact
-second-order certificate, whose minimizing critical direction goes to
-second_order.csv), verify (the inequality certifications), taylor
-(remainder tables).  Reports are comma-separated files plus key=value
-summaries; apart from the leading timestamp line, identical config and
-seed produce byte-identical files.  The seed only draws the random
-samples of verify.
+optimize (projected Newton with the exact reduced Hessian, the
+first-order report, and the exact second-order certificate, whose
+minimizing critical direction goes to second_order.csv), verify (the
+inequality certifications), taylor (remainder tables).  Reports are
+comma-separated files plus key=value summaries; apart from the leading
+timestamp line, identical config and seed produce byte-identical
+files.  The seed only draws the random samples of verify.
 
 Exit codes: 0 success, 1 config or precondition error, 2 solver
 failure, 3 iteration budget exhausted, 4 estimate violation.
@@ -312,7 +312,14 @@ def cmd_solve(config):
 
 
 def cmd_optimize(config):
-    """Projected gradient plus the first- and second-order reports."""
+    """Projected Newton plus the first- and second-order reports.
+
+    iterates.csv has one row per iterate: J, the aggregate KKT residual
+    and the step s accepted along the search direction to reach it (1
+    for a full Newton step, 0 on the starting row).  The certificate
+    reuses the optimizer's final state and adjoint, so it costs only
+    the K linearized solves of the reduced Hessian.
+    """
     max_iters = _count(config.raw, "max_iters", 200, 0)
     mesh = config.instance.make_mesh()
     instance = _resolve_target(config, mesh)
@@ -348,7 +355,8 @@ def cmd_optimize(config):
     if converged:
         second = second_order_check(
             instance, mesh, u, report.gradient, state=report.state,
-            tol_active=config.tolerances["active"], tol_grad=tol)
+            adjoint=report.adjoint, tol_active=config.tolerances["active"],
+            tol_grad=tol)
         _write_csv(out / "second_order.csv", ("index", "direction"),
                    enumerate(second.direction))
         summary += [

@@ -28,11 +28,12 @@ _SLOPE_FLOOR = 1e-14
 
 class DerivativeReport:
     """Derivative data at a control: objective value, gradient entries,
-    and for a Taylor table the second-order form value, the remainder
-    rows (a skipped probe carries its note) and fitted log-log slopes."""
+    the adjoint phi the gradient was read from, and for a Taylor table
+    the second-order form value, the remainder rows (a skipped probe
+    carries its note) and fitted log-log slopes."""
 
     def __init__(self, value, gradient=None, second_order=None,
-                 rows=None, slopes=None):
+                 rows=None, slopes=None, adjoint=None):
         if not np.isfinite(value):
             raise ValueError("objective value must be finite")
         if gradient is not None:
@@ -44,6 +45,7 @@ class DerivativeReport:
         self.second_order = second_order
         self.rows = [] if rows is None else list(rows)
         self.slopes = {} if slopes is None else dict(slopes)
+        self.adjoint = adjoint
 
 
 def evaluate_J(instance, u, mesh, tol=1e-10, state=None):
@@ -58,29 +60,32 @@ def evaluate_J(instance, u, mesh, tol=1e-10, state=None):
 
 def evaluate_DJ(instance, u, mesh, tol=1e-10, state=None):
     """Gradient d = P phi + nu u, wrapped in a report that also carries
-    the objective value."""
+    the objective value and the adjoint phi."""
     if state is None:
         state = solve_state(instance, u, mesh, tol=tol)
     phi = solve_adjoint(state, instance.y_d, mesh)
     grad = evaluate_at_points(phi, instance.points) + instance.nu * u.values
     return DerivativeReport(evaluate_J(instance, u, mesh, state=state),
-                            gradient=grad)
+                            gradient=grad, adjoint=phi)
 
 
-def reduced_hessian(instance, u, mesh, tol=1e-10, state=None):
+def reduced_hessian(instance, u, mesh, tol=1e-10, state=None,
+                    adjoint=None):
     """The K x K Hessian of the discrete J at u, symmetrized against
     roundoff; column i of Z is the linearized state of the unit point
     mass at x_i, so building it takes one adjoint and K linearized
-    solves."""
+    solves, or the K linearized solves alone when the state and the
+    adjoint at u are given (as evaluate_DJ's report carries it)."""
     if state is None:
         state = solve_state(instance, u, mesh, tol=tol)
-    phi = solve_adjoint(state, instance.y_d, mesh)
+    if adjoint is None:
+        adjoint = solve_adjoint(state, instance.y_d, mesh)
     ops = operators(mesh)
     eye = np.eye(instance.points.count)
     Z = np.column_stack([
         solve_linearized(state, Control(e), mesh, instance.points).values
         for e in eye])
-    weight = ops.lumped * np.exp(state.y.values) * phi.values
+    weight = ops.lumped * np.exp(state.y.values) * adjoint.values
     H = Z.T @ (ops.mass @ Z) - Z.T @ (weight[:, None] * Z) + instance.nu * eye
     return 0.5 * (H + H.T)
 
@@ -102,7 +107,8 @@ def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
     first = evaluate_DJ(instance, u, mesh, state=state)
     base = first.value
     dj_h = float(np.dot(first.gradient, h.values))
-    d2_hh = float(h.values @ reduced_hessian(instance, u, mesh, state=state)
+    d2_hh = float(h.values @ reduced_hessian(instance, u, mesh, state=state,
+                                             adjoint=first.adjoint)
                   @ h.values)
     rows = []
     for rho in rho_grid:

@@ -1,7 +1,8 @@
-"""Projected-gradient descent over the box, first-order residuals with
-activity classification, and the second-order necessary condition
-certified exactly: the minimum of the reduced Hessian's form over the
-critical cone, found by visiting the stationary point of every face.
+"""Projected Newton over the box with the exact reduced Hessian and a
+projected-gradient fallback, first-order residuals with activity
+classification, and the second-order necessary condition certified
+exactly: the minimum of the reduced Hessian's form over the critical
+cone, found by visiting the stationary point of every face.
 """
 
 import itertools
@@ -12,8 +13,9 @@ from .objective import evaluate_DJ, evaluate_J, reduced_hessian
 from .pde import solve_state
 from .sequences import Control, project_box
 
-_BB_MIN = 1e-6
-_BB_MAX = 1e6
+# the widest band next to a bound in which a component is held as
+# epsilon-active (Bertsekas 1982)
+_EPSILON = 1e-3
 _ARMIJO = 1e-4
 _MAX_REJECTIONS = 30
 
@@ -27,9 +29,9 @@ class KKTReport:
     projected holds the equivalent |u_i - clamp(u_i - d_i)| residual,
     and gradient the d it was computed from.  history rows are
     (J, aggregate residual, step) per optimizer iteration, so the J
-    history is the first column, and state is the state solved at the
-    final control; reports computed directly from a (u, d) pair leave
-    both empty.
+    history is the first column, and state and adjoint are the state
+    and adjoint solved at the final control; reports computed directly
+    from a (u, d) pair leave all three empty.
     """
 
     def __init__(self, classification, residuals, projected, gradient,
@@ -50,6 +52,7 @@ class KKTReport:
         self.iterations = int(iterations)
         self.history = [] if history is None else list(history)
         self.state = None
+        self.adjoint = None
 
 
 class SecondOrderReport:
@@ -103,42 +106,58 @@ def kkt_residual(u, d, bounds, tol_active=1e-10):
 
 def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
                        tol_active=1e-10, state_tol=1e-10):
-    """Minimize J over the box from u0.
+    """Minimize J over the box from u0 by projected Newton (Bertsekas
+    1982, SIAM J. Control Optim. 20).
 
-    Iterates u+ = clamp(u - s d) with a Barzilai-Borwein step
-    safeguarded to [1e-6, 1e6] and Armijo backtracking on J against the
-    decrease d . (u - u+); a trial point whose state solve fails counts
-    as a rejection, and 30 consecutive rejections abort.  Stops once
-    the aggregate trichotomy residual reaches tol, or at max_iters with
-    the partial history intact.
+    Each iterate builds the reduced Hessian H from the state and adjoint
+    its gradient was read from (K linearized solves) and steps to
+    u(s) = clamp(u + s p).  A component within eps = min(1e-3, w) of a
+    bound that d pushes against, with w the projected residual, or on a
+    pinned interval is held in the set I and follows p_I = -d_I; the
+    others form F and take the Newton direction p_F = -H_FF^-1 d_F from
+    s = 1.  When the Cholesky of H_FF fails, every component joins I,
+    so the step follows -d, from s = 1 / |H|_2.  Backtracking halves s until
+    J(u) - J(u(s)) >= 1e-4 (s d_F' H_FF^-1 d_F
+    + sum_I d_i (u_i - u_i(s))), a bound that is positive away from a
+    first-order point even when the clamp cuts the Newton step; a trial
+    point whose state solve fails counts as a rejection, and 30
+    consecutive rejections abort.  Stops once the aggregate trichotomy
+    residual reaches tol, or at max_iters with the partial history
+    intact.
     """
+    lower, upper = instance.bounds.lower, instance.bounds.upper
     u = project_box(u0, instance.bounds)
     state = solve_state(instance, u, mesh, tol=state_tol)
     report = evaluate_DJ(instance, u, mesh, state=state)
-    value, grad = report.value, report.gradient
+    value, grad, adjoint = report.value, report.gradient, report.adjoint
     history = []
-    step = 1.0
-    prev_u = None
-    prev_grad = None
+    step = 0.0
     for it in range(max_iters + 1):
         kkt = kkt_residual(u, grad, instance.bounds, tol_active)
         history.append((value, kkt.aggregate, step))
         if kkt.aggregate <= tol or it == max_iters:
-            kkt.iterations, kkt.history, kkt.state = it, history, state
+            kkt.iterations, kkt.history = it, history
+            kkt.state, kkt.adjoint = state, adjoint
             return u, kkt
-        if prev_u is not None:
-            du = u.values - prev_u
-            dg = grad - prev_grad
-            denom = float(np.dot(du, dg))
-            if denom > 0.0:
-                step = float(np.dot(du, du)) / denom
-        step = float(np.clip(step, _BB_MIN, _BB_MAX))
-        s = step
+        H = reduced_hessian(instance, u, mesh, state=state, adjoint=adjoint)
+        eps = min(_EPSILON, kkt.projected_aggregate)
+        held = (lower == upper) \
+            | ((u.values <= lower + eps) & (grad > 0.0)) \
+            | ((u.values >= upper - eps) & (grad < 0.0))
+        free = ~held
+        direction = -grad
+        try:
+            factor = np.linalg.cholesky(H[np.ix_(free, free)])
+        except np.linalg.LinAlgError:
+            held[:] = True
+            newton, s = 0.0, 1.0 / np.linalg.norm(H, 2)
+        else:
+            half = np.linalg.solve(factor, grad[free])
+            direction[free] = -np.linalg.solve(factor.T, half)
+            newton, s = float(half @ half), 1.0
         rejections = 0
         while True:
-            trial = Control(np.clip(u.values - s * grad,
-                                    instance.bounds.lower,
-                                    instance.bounds.upper))
+            trial = Control(np.clip(u.values + s * direction, lower, upper))
             trial_state = None
             try:
                 trial_state = solve_state(instance, trial, mesh,
@@ -148,18 +167,17 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
             except RuntimeError:
                 trial_value = None
             if trial_value is not None:
-                decrease = float(np.dot(grad, u.values - trial.values))
+                decrease = s * newton + float(np.dot(
+                    grad[held], u.values[held] - trial.values[held]))
                 if trial_value <= value - _ARMIJO * decrease:
                     break
             rejections += 1
             if rejections >= _MAX_REJECTIONS:
                 raise RuntimeError("line search failed")
             s *= 0.5
-        prev_u, prev_grad = u.values.copy(), grad.copy()
-        u, state, value = trial, trial_state, trial_value
+        u, state, value, step = trial, trial_state, trial_value, s
         report = evaluate_DJ(instance, u, mesh, state=state)
-        grad = report.gradient
-        step = s
+        grad, adjoint = report.gradient, report.adjoint
     raise AssertionError("unreachable")
 
 
@@ -218,14 +236,16 @@ def critical_cone_minimum(H, u, d, bounds, tol_active=1e-10,
 
 
 def second_order_check(instance, mesh, u, gradient, tol=None, state=None,
-                       tol_active=1e-10, tol_grad=1e-6):
+                       adjoint=None, tol_active=1e-10, tol_grad=1e-6):
     """Certify D2J[h, h] = h' H h >= -tol on the whole critical cone at
     u, with the reduced K x K Hessian H built once (one adjoint and K
     linearized solves) and its exact cone minimum.
 
-    gradient is the d at u that fixes the cone; state, when given, is
-    the state already solved at u (as the optimizer's final report
-    carries it), else it is solved here.  tol defaults to
+    gradient is the d at u that fixes the cone; state and adjoint, when
+    given, are those already solved at u (as the optimizer's final
+    report carries them), else they are solved here, so at the
+    optimizer's final point only the K linearized solves are left.
+    tol defaults to
     1e-8 * (1 + |J|).  Raises ValueError unless u is a first-order
     point within tol_grad.
     """
@@ -233,7 +253,7 @@ def second_order_check(instance, mesh, u, gradient, tol=None, state=None,
         state = solve_state(instance, u, mesh)
     if tol is None:
         tol = 1e-8 * (1.0 + abs(evaluate_J(instance, u, mesh, state=state)))
-    H = reduced_hessian(instance, u, mesh, state=state)
+    H = reduced_hessian(instance, u, mesh, state=state, adjoint=adjoint)
     minimum, direction = critical_cone_minimum(
         H, u, gradient, instance.bounds, tol_active, tol_grad)
     return SecondOrderReport(minimum, direction, minimum >= -tol, tol,

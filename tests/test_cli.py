@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ from numpy.testing import assert_allclose
 
 import expctrl.cli as cli
 import expctrl.estimates
+import expctrl.objective
+import expctrl.optimizer
 import expctrl.pde
 from expctrl.cli import (ConfigError, RunConfig, load_config, main,
                          parse_field)
@@ -279,6 +282,53 @@ def test_optimize_reports_the_derivative_at_the_written_control(tmp_path):
                             tol=config.tolerances["newton"])
     assert column("kkt.csv", 4) == reference.gradient.tolist()
     assert float(summary["J"]) == reference.value
+
+
+def test_optimize_solve_budget(tmp_path, monkeypatch):
+    # per iterate one adjoint, shared by the gradient and the Hessian,
+    # and K linearized solves; the certificate at the final point reuses
+    # the optimizer's state and adjoint and adds only K linearized solves
+    path = write_config(tmp_path, base_config(
+        f0="constant 1.0", y_d="gaussian(0.5, 0.5, 0.2, 2.0)",
+        control=[0.5, -0.3]))
+    calls = []
+    phase = [None]
+
+    def counted(name, solve):
+        def wrapper(*args, **kwargs):
+            calls.append((phase[-1], name))
+            return solve(*args, **kwargs)
+        return wrapper
+
+    def phased(name, run):
+        def wrapper(*args, **kwargs):
+            phase.append(name)
+            try:
+                return run(*args, **kwargs)
+            finally:
+                phase.pop()
+        return wrapper
+    for module in (cli, expctrl.objective, expctrl.optimizer):
+        for name in ("solve_state", "solve_adjoint", "solve_linearized"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    for name in ("projected_gradient", "second_order_check"):
+        monkeypatch.setattr(cli, name, phased(name, getattr(cli, name)))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", path, "--out", str(out)]) == 0
+    summary = dict(line.split("=", 1) for line in
+                   (out / "optimize_summary.txt").read_text().splitlines()[1:])
+    iterations, K = int(summary["iterations"]), 2
+    assert iterations >= 1
+    count = Counter(calls)
+    assert count["projected_gradient", "solve_adjoint"] == iterations + 1
+    assert count["projected_gradient", "solve_linearized"] == K * iterations
+    assert count["projected_gradient", "solve_state"] >= iterations + 1
+    assert count["second_order_check", "solve_linearized"] == K
+    assert count["second_order_check", "solve_state"] == 0
+    assert count["second_order_check", "solve_adjoint"] == 0
+    assert all(where is not None for where, _ in calls)
 
 
 def test_optimize_budget_exhaustion_returns_three(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+from expctrl import objective
 from expctrl.fem import assemble_stiffness, solve_spd
 from expctrl.mesh import Domain, build_mesh
 from expctrl.objective import (DerivativeReport, evaluate_DJ, evaluate_J,
@@ -175,6 +176,24 @@ def test_reduced_hessian_is_symmetric_and_matches_gradient_differences():
         fd = (gp.gradient - gm.gradient) / (2.0 * rho)
         rel = np.max(np.abs(fd - H[:, j])) / max(1.0, np.max(np.abs(fd)))
         assert rel < 1e-4
+
+
+def test_reduced_hessian_reuses_the_gradient_adjoint(monkeypatch):
+    inst = make_instance(f0=1.0, y_d=0.5)
+    mesh = inst.make_mesh()
+    u = Control([0.4, -0.3])
+    state = solve_state(inst, u, mesh)
+    report = evaluate_DJ(inst, u, mesh, state=state)
+    assert np.array_equal(report.adjoint.values,
+                          solve_adjoint(state, inst.y_d, mesh).values)
+    fresh = reduced_hessian(inst, u, mesh, state=state)
+
+    def no_adjoint(*args, **kwargs):
+        raise AssertionError("adjoint solved again")
+    monkeypatch.setattr(objective, "solve_adjoint", no_adjoint)
+    reused = reduced_hessian(inst, u, mesh, state=state,
+                             adjoint=report.adjoint)
+    assert np.array_equal(reused, fresh)
 
 
 def test_taylor_zero_direction_gives_a_zero_table():

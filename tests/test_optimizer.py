@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from expctrl import optimizer
+from expctrl import objective, optimizer
 from expctrl.mesh import Domain
 from expctrl.objective import evaluate_DJ, reduced_hessian
 from expctrl.optimizer import (KKTReport, critical_cone_minimum,
@@ -132,6 +132,111 @@ def test_projected_gradient_projects_an_infeasible_start():
                                 max_iters=40, tol=1e-6)
     assert np.all(u.values <= 1.0 + 1e-15)
     assert np.all(u.values >= -1.0 - 1e-15)
+
+
+def spy_on_cholesky(monkeypatch):
+    """Record the shape of every block handed to np.linalg.cholesky."""
+    blocks = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        blocks.append(a.shape)
+        return cholesky(a)
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return blocks
+
+
+def test_projected_newton_falls_back_on_an_indefinite_hessian(monkeypatch):
+    inst = make_instance(f0=1.0, y_d=0.4)
+    mesh = inst.make_mesh()
+    u0 = Control([0.9, -0.9])
+    d0 = evaluate_DJ(inst, u0, mesh).gradient
+    at = []
+
+    def hessian(instance, u, mesh, **kwargs):
+        at.append(u.values.copy())
+        if len(at) == 1:
+            return np.diag([3.0, -3.0])
+        return reduced_hessian(instance, u, mesh, **kwargs)
+    monkeypatch.setattr(optimizer, "reduced_hessian", hessian)
+    u, rep = projected_gradient(inst, mesh, u0, max_iters=50, tol=1e-9)
+    assert rep.aggregate <= 1e-9
+    # the fallback runs along -d from s = 1 / |H|_2 = 1/3, halving
+    s = rep.history[1][2]
+    halvings = np.log2(1.0 / (3.0 * s))
+    assert halvings >= 0.0 and halvings == round(halvings)
+    assert np.array_equal(at[1], np.clip(u0.values - s * d0,
+                                         inst.bounds.lower,
+                                         inst.bounds.upper))
+    J_hist = [row[0] for row in rep.history]
+    assert all(a >= b for a, b in zip(J_hist, J_hist[1:]))
+
+
+def test_a_clipped_newton_step_lowers_J():
+    # the target lies above the box: the full Newton step from 0 lands
+    # past both upper bounds, and the clamp cuts it back to them
+    inst = make_instance(f0=1.0, y_d=3.0)
+    mesh = inst.make_mesh()
+    u0 = Control([0.0, 0.0])
+    first = evaluate_DJ(inst, u0, mesh)
+    H = reduced_hessian(inst, u0, mesh, adjoint=first.adjoint)
+    newton = u0.values - np.linalg.solve(H, first.gradient)
+    assert np.all(newton > inst.bounds.upper)
+    u, rep = projected_gradient(inst, mesh, u0, max_iters=1, tol=1e-9)
+    assert rep.iterations == 1
+    assert rep.history[1][2] == 1.0
+    assert rep.history[1][0] < rep.history[0][0]
+    assert np.array_equal(u.values, inst.bounds.upper)
+    # both components are free, so the Armijo bound is the Newton
+    # decrement, which the clamped step meets
+    decrement = float(first.gradient @ np.linalg.solve(H, first.gradient))
+    assert rep.history[0][0] - rep.history[1][0] >= 1e-4 * decrement
+
+
+def test_a_pinned_interval_never_enters_the_newton_block(monkeypatch):
+    # with d_0 = 0 no bound test holds the pinned component, and its
+    # negative curvature would fail the Cholesky if it entered H_FF
+    inst = make_instance(lower=(0.25, -1.0), upper=(0.25, 1.0), f0=1.0)
+    mesh = inst.make_mesh()
+
+    def gradient(*args, **kwargs):
+        report = evaluate_DJ(*args, **kwargs)
+        report.gradient[0] = 0.0
+        return report
+
+    def hessian(*args, **kwargs):
+        H = reduced_hessian(*args, **kwargs)
+        H[0, :] = H[:, 0] = 0.0
+        H[0, 0] = -1.0
+        return H
+    monkeypatch.setattr(optimizer, "evaluate_DJ", gradient)
+    monkeypatch.setattr(optimizer, "reduced_hessian", hessian)
+    blocks = spy_on_cholesky(monkeypatch)
+    u, rep = projected_gradient(inst, mesh, Control([0.25, 0.5]),
+                                max_iters=20, tol=1e-9)
+    assert rep.aggregate <= 1e-9
+    assert blocks == [(1, 1)] * rep.iterations
+    assert all(row[2] == 1.0 for row in rep.history[1:])
+    assert u.values[0] == 0.25
+
+
+def test_an_empty_free_set_takes_the_gradient_step(monkeypatch):
+    # both components sit 1e-4 below the upper bound that d pushes
+    # against, within eps = min(1e-3, 1e-4): both are held, F is empty
+    # and the step is clamp(u - d) from s = 1
+    inst = make_instance(f0=1.0, y_d=3.0)
+    mesh = inst.make_mesh()
+    u0 = Control([1.0 - 1e-4] * 2)
+    d0 = evaluate_DJ(inst, u0, mesh).gradient
+    assert np.all(d0 < -1e-4)
+    blocks = spy_on_cholesky(monkeypatch)
+    u, rep = projected_gradient(inst, mesh, u0, max_iters=5, tol=1e-9)
+    assert blocks == [(0, 0)]
+    assert rep.iterations == 1
+    assert rep.history[1][2] == 1.0
+    assert np.array_equal(u.values, np.clip(u0.values - d0,
+                                            inst.bounds.lower,
+                                            inst.bounds.upper))
 
 
 # per component: (u, lower, upper, d, nonzero signs the cone allows);
@@ -285,11 +390,12 @@ def test_second_order_check_reuses_the_optimizer_state(monkeypatch):
                           solve_state(inst, u, mesh).y.values)
     fresh = second_order_check(inst, mesh, u, rep.gradient)
 
-    def no_state_solve(*args, **kwargs):
-        raise AssertionError("state solved again")
-    monkeypatch.setattr(optimizer, "solve_state", no_state_solve)
+    def solved_again(*args, **kwargs):
+        raise AssertionError("state or adjoint solved again")
+    monkeypatch.setattr(optimizer, "solve_state", solved_again)
+    monkeypatch.setattr(objective, "solve_adjoint", solved_again)
     reused = second_order_check(inst, mesh, u, rep.gradient,
-                                state=rep.state)
+                                state=rep.state, adjoint=rep.adjoint)
     assert reused.minimum == fresh.minimum
     assert np.array_equal(reused.direction, fresh.direction)
     assert reused.passed == fresh.passed

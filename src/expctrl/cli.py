@@ -187,8 +187,8 @@ class RunConfig:
                 domain, points, bounds, float(_field(cfg, "nu", 0.0)),
                 f0=parse_field(_field(cfg, "f0", "zero"), "f0"),
                 y_d=parse_field(_field(cfg, "y_d", "zero"), "y_d"),
-                resolution=int(_field(mesh_cfg, "resolution", 64)),
-                refine_levels=int(_field(mesh_cfg, "refine_levels", 0)))
+                resolution=_count(mesh_cfg, "resolution", 64, 1),
+                refine_levels=_count(mesh_cfg, "refine_levels", 0, 0))
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
@@ -196,17 +196,19 @@ class RunConfig:
         if isinstance(instance.f0, _StateOf):
             raise ConfigError("field 'f0': state_of is only available "
                               "for y_d")
-        tolerances = dict(_object(cfg, "tolerances", {}))
-        tolerances.setdefault("newton", 1e-10)
-        tolerances.setdefault("kkt", 1e-6)
-        tolerances.setdefault("taylor", 1e-12)
-        tolerances.setdefault("active", 1e-10)
-        for key, value in tolerances.items():
+        tolerances = {"newton": 1e-10, "kkt": 1e-6, "taylor": 1e-12,
+                      "active": 1e-10}
+        for key, value in _object(cfg, "tolerances", {}).items():
+            if key not in tolerances:
+                raise ConfigError(
+                    "field 'tolerances.%s': unknown tolerance, expected "
+                    "one of %s" % (key, ", ".join(tolerances)))
             # a JSON true would pass as the number 1
             if isinstance(value, bool) or not (
                     isinstance(value, (int, float)) and value > 0.0):
                 raise ConfigError(
                     "field 'tolerances.%s': must be a positive number" % key)
+            tolerances[key] = value
         if seed is None:
             seed = int(_field(cfg, "seed", 42))
         if out is None:
@@ -285,10 +287,12 @@ def _resolve_target(config, mesh):
 
 def cmd_solve(config):
     """One state solve: nodal solution, Newton history, summary."""
+    linear = _field(config.raw, "linear", False)
+    if not isinstance(linear, bool):
+        raise ConfigError("field 'linear': expected true or false")
     instance = config.instance
     mesh = instance.make_mesh()
     u = _base_control(config)
-    linear = bool(_field(config.raw, "linear", False))
     state = solve_state(instance, u, mesh,
                         tol=config.tolerances["newton"], linear=linear)
     out = config.out
@@ -317,7 +321,7 @@ def cmd_optimize(config):
     iterates.csv has one row per iterate: J, the aggregate KKT residual
     and the step s accepted along the search direction to reach it (1
     for a full Newton step, 0 on the starting row).  The certificate
-    reuses the optimizer's final state and adjoint, so it costs only
+    reads the optimizer's final state, adjoint and J, so it costs only
     the K linearized solves of the reduced Hessian.
     """
     max_iters = _count(config.raw, "max_iters", 200, 0)
@@ -354,9 +358,9 @@ def cmd_optimize(config):
     ]
     if converged:
         second = second_order_check(
-            instance, mesh, u, report.gradient, state=report.state,
-            adjoint=report.adjoint, tol_active=config.tolerances["active"],
-            tol_grad=tol)
+            instance, u, report.gradient, report.history[-1][0],
+            report.state, report.adjoint,
+            tol_active=config.tolerances["active"], tol_grad=tol)
         _write_csv(out / "second_order.csv", ("index", "direction"),
                    enumerate(second.direction))
         summary += [

@@ -9,6 +9,11 @@ linearized states of the K unit point masses, the Hessian is
 H = Z' M Z - Z' diag(M_L e^y phi) Z + nu I: the exponential's curvature
 enters with the lumped weights of the state equation, so H is again
 exact, and D2J[h, k] = h' H k.
+
+J, d and H read a state y_u and an adjoint phi_u that the caller has
+solved, so all three at one control share one state solve and one
+adjoint; evaluate_DJ solves that adjoint and returns it with d.  Only
+taylor_remainder_test solves states itself.
 """
 
 import numpy as np
@@ -27,63 +32,48 @@ _SLOPE_FLOOR = 1e-14
 
 
 class DerivativeReport:
-    """Derivative data at a control: objective value, gradient entries,
-    the adjoint phi the gradient was read from, and for a Taylor table
-    the second-order form value, the remainder rows (a skipped probe
-    carries its note) and fitted log-log slopes."""
+    """Taylor table at a control: objective value, gradient entries,
+    the second-order form value along the direction, the remainder rows
+    (a skipped probe carries its note) and fitted log-log slopes."""
 
-    def __init__(self, value, gradient=None, second_order=None,
-                 rows=None, slopes=None, adjoint=None):
+    def __init__(self, value, gradient, second_order, rows, slopes):
         if not np.isfinite(value):
             raise ValueError("objective value must be finite")
-        if gradient is not None:
-            gradient = np.asarray(gradient, dtype=float).reshape(-1)
-            if not np.all(np.isfinite(gradient)):
-                raise ValueError("gradient entries must be finite")
+        gradient = np.asarray(gradient, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(gradient)):
+            raise ValueError("gradient entries must be finite")
         self.value = float(value)
         self.gradient = gradient
         self.second_order = second_order
-        self.rows = [] if rows is None else list(rows)
-        self.slopes = {} if slopes is None else dict(slopes)
-        self.adjoint = adjoint
+        self.rows = list(rows)
+        self.slopes = dict(slopes)
 
 
-def evaluate_J(instance, u, mesh, tol=1e-10, state=None):
-    """Objective value at a control; a precomputed state solution may
-    be passed for reuse."""
-    if state is None:
-        state = solve_state(instance, u, mesh, tol=tol)
+def evaluate_J(instance, u, state):
+    """Objective value at a control, read from its solved state."""
+    mesh = state.y.mesh
     diff = state.y.values - nodal_field(mesh, instance.y_d)
     return 0.5 * float(diff @ (operators(mesh).mass @ diff)) \
         + 0.5 * instance.nu * float(np.dot(u.values, u.values))
 
 
-def evaluate_DJ(instance, u, mesh, tol=1e-10, state=None):
-    """Gradient d = P phi + nu u, wrapped in a report that also carries
-    the objective value and the adjoint phi."""
-    if state is None:
-        state = solve_state(instance, u, mesh, tol=tol)
-    phi = solve_adjoint(state, instance.y_d, mesh)
-    grad = evaluate_at_points(phi, instance.points) + instance.nu * u.values
-    return DerivativeReport(evaluate_J(instance, u, mesh, state=state),
-                            gradient=grad, adjoint=phi)
+def evaluate_DJ(instance, u, state):
+    """Gradient d = P phi + nu u at a control from its solved state,
+    returned as (d, phi) with the adjoint phi it was read from."""
+    phi = solve_adjoint(state, instance.y_d)
+    d = evaluate_at_points(phi, instance.points) + instance.nu * u.values
+    return d, phi
 
 
-def reduced_hessian(instance, u, mesh, tol=1e-10, state=None,
-                    adjoint=None):
-    """The K x K Hessian of the discrete J at u, symmetrized against
-    roundoff; column i of Z is the linearized state of the unit point
-    mass at x_i, so building it takes one adjoint and K linearized
-    solves, or the K linearized solves alone when the state and the
-    adjoint at u are given (as evaluate_DJ's report carries it)."""
-    if state is None:
-        state = solve_state(instance, u, mesh, tol=tol)
-    if adjoint is None:
-        adjoint = solve_adjoint(state, instance.y_d, mesh)
-    ops = operators(mesh)
+def reduced_hessian(instance, state, adjoint):
+    """The K x K Hessian of the discrete J at the control of the solved
+    state and adjoint, symmetrized against roundoff; column i of Z is
+    the linearized state of the unit point mass at x_i, so building it
+    takes the K linearized solves."""
+    ops = operators(state.y.mesh)
     eye = np.eye(instance.points.count)
     Z = np.column_stack([
-        solve_linearized(state, Control(e), mesh, instance.points).values
+        solve_linearized(state, Control(e), instance.points).values
         for e in eye])
     weight = ops.lumped * np.exp(state.y.values) * adjoint.values
     H = Z.T @ (ops.mass @ Z) - Z.T @ (weight[:, None] * Z) + instance.nu * eye
@@ -104,11 +94,10 @@ def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
     if rho_grid is None:
         rho_grid = DEFAULT_RHO_GRID
     state = solve_state(instance, u, mesh, tol=tol)
-    first = evaluate_DJ(instance, u, mesh, state=state)
-    base = first.value
-    dj_h = float(np.dot(first.gradient, h.values))
-    d2_hh = float(h.values @ reduced_hessian(instance, u, mesh, state=state,
-                                             adjoint=first.adjoint)
+    base = evaluate_J(instance, u, state)
+    grad, adjoint = evaluate_DJ(instance, u, state)
+    dj_h = float(np.dot(grad, h.values))
+    d2_hh = float(h.values @ reduced_hessian(instance, state, adjoint)
                   @ h.values)
     rows = []
     for rho in rho_grid:
@@ -124,7 +113,7 @@ def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
             except RuntimeError as exc:
                 row["note"] = "skipped: %s" % exc
             else:
-                value = evaluate_J(instance, probe, mesh, state=probe_state)
+                value = evaluate_J(instance, probe, probe_state)
                 linear = value - base - rho * dj_h
                 row["r1"] = abs(linear)
                 row["r2"] = abs(linear - 0.5 * rho * rho * d2_hh)
@@ -136,8 +125,7 @@ def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
         rows.append(row)
     slopes = {key: _loglog_slope(rows, key, base)
               for key in ("r1", "r2", "state_r1", "state_r2")}
-    return DerivativeReport(base, gradient=first.gradient,
-                            second_order=d2_hh, rows=rows, slopes=slopes)
+    return DerivativeReport(base, grad, d2_hh, rows, slopes)
 
 
 def _loglog_slope(rows, key, base):

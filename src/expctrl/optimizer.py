@@ -3,6 +3,12 @@ projected-gradient fallback, first-order residuals with activity
 classification, and the second-order necessary condition certified
 exactly: the minimum of the reduced Hessian's form over the critical
 cone, found by visiting the stationary point of every face.
+
+projected_gradient owns every state and adjoint solve: one state per
+trial point, one adjoint per accepted iterate, and the K linearized
+solves of each Hessian.  second_order_check reads the final state,
+adjoint and J that the optimizer returns and adds only the K
+linearized solves of its Hessian.
 """
 
 import itertools
@@ -128,8 +134,8 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
     lower, upper = instance.bounds.lower, instance.bounds.upper
     u = project_box(u0, instance.bounds)
     state = solve_state(instance, u, mesh, tol=state_tol)
-    report = evaluate_DJ(instance, u, mesh, state=state)
-    value, grad, adjoint = report.value, report.gradient, report.adjoint
+    value = evaluate_J(instance, u, state)
+    grad, adjoint = evaluate_DJ(instance, u, state)
     history = []
     step = 0.0
     for it in range(max_iters + 1):
@@ -139,7 +145,7 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
             kkt.iterations, kkt.history = it, history
             kkt.state, kkt.adjoint = state, adjoint
             return u, kkt
-        H = reduced_hessian(instance, u, mesh, state=state, adjoint=adjoint)
+        H = reduced_hessian(instance, state, adjoint)
         eps = min(_EPSILON, kkt.projected_aggregate)
         held = (lower == upper) \
             | ((u.values <= lower + eps) & (grad > 0.0)) \
@@ -162,8 +168,7 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
             try:
                 trial_state = solve_state(instance, trial, mesh,
                                           tol=state_tol)
-                trial_value = evaluate_J(instance, trial, mesh,
-                                         state=trial_state)
+                trial_value = evaluate_J(instance, trial, trial_state)
             except RuntimeError:
                 trial_value = None
             if trial_value is not None:
@@ -176,8 +181,7 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
                 raise RuntimeError("line search failed")
             s *= 0.5
         u, state, value, step = trial, trial_state, trial_value, s
-        report = evaluate_DJ(instance, u, mesh, state=state)
-        grad, adjoint = report.gradient, report.adjoint
+        grad, adjoint = evaluate_DJ(instance, u, state)
     raise AssertionError("unreachable")
 
 
@@ -235,25 +239,19 @@ def critical_cone_minimum(H, u, d, bounds, tol_active=1e-10,
     return best, best_h
 
 
-def second_order_check(instance, mesh, u, gradient, tol=None, state=None,
-                       adjoint=None, tol_active=1e-10, tol_grad=1e-6):
+def second_order_check(instance, u, gradient, value, state, adjoint,
+                       tol_active=1e-10, tol_grad=1e-6):
     """Certify D2J[h, h] = h' H h >= -tol on the whole critical cone at
-    u, with the reduced K x K Hessian H built once (one adjoint and K
-    linearized solves) and its exact cone minimum.
+    u, with the reduced K x K Hessian H built once from the state and
+    adjoint solved at u (K linearized solves) and its exact cone
+    minimum.
 
-    gradient is the d at u that fixes the cone; state and adjoint, when
-    given, are those already solved at u (as the optimizer's final
-    report carries them), else they are solved here, so at the
-    optimizer's final point only the K linearized solves are left.
-    tol defaults to
-    1e-8 * (1 + |J|).  Raises ValueError unless u is a first-order
-    point within tol_grad.
+    gradient is the d at u that fixes the cone and value the J at u,
+    which sets tol = 1e-8 * (1 + |J|).  Raises ValueError unless u is a
+    first-order point within tol_grad.
     """
-    if state is None:
-        state = solve_state(instance, u, mesh)
-    if tol is None:
-        tol = 1e-8 * (1.0 + abs(evaluate_J(instance, u, mesh, state=state)))
-    H = reduced_hessian(instance, u, mesh, state=state, adjoint=adjoint)
+    tol = 1e-8 * (1.0 + abs(value))
+    H = reduced_hessian(instance, state, adjoint)
     minimum, direction = critical_cone_minimum(
         H, u, gradient, instance.bounds, tol_active, tol_grad)
     return SecondOrderReport(minimum, direction, minimum >= -tol, tol,

@@ -312,42 +312,37 @@ def solve_state(instance, u, mesh, tol=1e-10, linear=False):
     return solve_semilinear(mesh, load, tol=tol, linear=linear)
 
 
-def _check_state(yS, mesh):
+def _solve_at_state(yS, rhs, tol):
+    """Solve with the Newton matrix at the converged state yS, the
+    operator of the linearized and adjoint equations; just A for a
+    state solved with the nonlinearity switched off."""
     if not yS.converged:
         raise ValueError("state solution is not converged")
-    if yS.y.mesh is not mesh:
-        raise ValueError("state lives on a different mesh")
-
-
-def _solve_at_state(yS, rhs, mesh, tol):
-    """Solve with the Newton matrix at the state yS, the operator of the
-    linearized and adjoint equations; just A for a state solved with
-    the nonlinearity switched off."""
+    mesh = yS.y.mesh
     ops = operators(mesh)
     A = ops.stiffness if yS.linear else ops.newton_operator(yS.y.values)
     return FEFunction(mesh, solve_spd(A, rhs, mesh.boundary, tol=tol,
                                       multigrid=ops.multigrid))
 
 
-def solve_linearized(yS, h, mesh, points, tol=_CG_TOL):
+def solve_linearized(yS, h, points, tol=_CG_TOL):
     """Directional derivative of the state at yS along the point-mass
     direction h: solve (A + M_L diag(e^y)) z = P' h.
 
     h has finite support, so this one solve realizes the derivative
     both for truncations of h and for the full direction.
     """
-    _check_state(yS, mesh)
-    return _solve_at_state(yS, point_coupling(mesh, points).T @ h.values,
-                           mesh, tol)
+    return _solve_at_state(
+        yS, point_coupling(yS.y.mesh, points).T @ h.values, tol)
 
 
-def solve_adjoint(yS, y_d, mesh, tol=_CG_TOL):
+def solve_adjoint(yS, y_d, tol=_CG_TOL):
     """Adjoint solve (A + M_L diag(e^y)) phi = M (y - y_d), with the
     target entering through its nodal interpolant.  phi is continuous,
     so its point values P phi are well defined."""
-    _check_state(yS, mesh)
+    mesh = yS.y.mesh
     rhs = operators(mesh).mass @ (yS.y.values - nodal_field(mesh, y_d))
-    return _solve_at_state(yS, rhs, mesh, tol)
+    return _solve_at_state(yS, rhs, tol)
 
 
 def evaluate_at_points(f, points):

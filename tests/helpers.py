@@ -1,7 +1,8 @@
 """Shared test helpers: conversions between full-size scipy matrices and
-the free-block CSR operators that the solvers take, and the references
-that faster paths must reproduce bit for bit: the level-by-level graded
-refinement, the sort-based neighbor table and the loop aggregation."""
+the free-block CSR operators that the solvers take, the derivatives of J
+at a control from a fresh state solve, and the references that faster
+paths must reproduce bit for bit: the level-by-level graded refinement,
+the sort-based neighbor table and the loop aggregation."""
 
 import functools
 
@@ -11,6 +12,9 @@ import scipy.sparse as sp
 from expctrl.fem import CSR
 from expctrl.mesh import (Domain, Mesh, _tri_edges, build_mesh,
                           circumcenters)
+from expctrl.objective import evaluate_DJ, evaluate_J, reduced_hessian
+from expctrl.optimizer import second_order_check
+from expctrl.pde import solve_state
 from expctrl.sequences import compute_separation_radii
 
 
@@ -26,6 +30,33 @@ def scipy_csr(op):
     in-place scipy methods leave the operator alone."""
     return sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape,
                          copy=True)
+
+
+def J(instance, u, mesh, tol=1e-10):
+    """The objective at u, from a state solved on mesh to tol."""
+    return evaluate_J(instance, u, solve_state(instance, u, mesh, tol=tol))
+
+
+def DJ(instance, u, mesh, tol=1e-10):
+    """The gradient at u, from a state solved on mesh to tol."""
+    return evaluate_DJ(instance, u,
+                       solve_state(instance, u, mesh, tol=tol))[0]
+
+
+def D2J(instance, u, mesh, tol=1e-10):
+    """The reduced Hessian at u, from a state solved on mesh to tol."""
+    state = solve_state(instance, u, mesh, tol=tol)
+    return reduced_hessian(instance, state,
+                           evaluate_DJ(instance, u, state)[1])
+
+
+def certify(instance, u, mesh):
+    """The second-order check at u, with the gradient, J, state and
+    adjoint solved here on mesh."""
+    state = solve_state(instance, u, mesh)
+    d, phi = evaluate_DJ(instance, u, state)
+    return second_order_check(instance, u, d, evaluate_J(instance, u, state),
+                              state, phi)
 
 
 @functools.lru_cache(maxsize=None)

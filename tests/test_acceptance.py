@@ -14,13 +14,14 @@ from expctrl.estimates import (verify_lipschitz_family,
                                verify_poisson_exponential,
                                verify_scalar_exponential)
 from expctrl.mesh import Domain, build_mesh
-from expctrl.objective import (evaluate_DJ, evaluate_J, reduced_hessian,
+from expctrl.objective import (evaluate_DJ, reduced_hessian,
                                taylor_remainder_test)
-from expctrl.optimizer import projected_gradient, second_order_check
+from expctrl.optimizer import projected_gradient
 from expctrl.pde import (ProblemInstance, evaluate_at_points, operators,
                          solve_linearized, solve_state)
 from expctrl.sequences import (BoundsPair, Control,
                                compute_separation_radii, l1_norm, truncate)
+from helpers import DJ, J, certify
 
 TWO_PI = 2.0 * np.pi
 
@@ -83,14 +84,14 @@ def test_gradient_matches_central_differences(two_point_instance,
     # max relative component error < 1e-4 at rho = 1e-4
     instance, mesh = two_point_instance, square_mesh64
     u = Control([0.5, -0.3])
-    grad = evaluate_DJ(instance, u, mesh, tol=1e-10).gradient
+    grad = DJ(instance, u, mesh, tol=1e-10)
     rho = 1e-4
     worst = 0.0
     for i in range(2):
         e = np.zeros(2)
         e[i] = rho
-        fd = (evaluate_J(instance, Control(u.values + e), mesh, tol=1e-10)
-              - evaluate_J(instance, Control(u.values - e), mesh, tol=1e-10)) \
+        fd = (J(instance, Control(u.values + e), mesh, tol=1e-10)
+              - J(instance, Control(u.values - e), mesh, tol=1e-10)) \
             / (2.0 * rho)
         worst = max(worst, abs(grad[i] - fd) / max(abs(fd), 1e-14))
     ok = worst < 1e-4
@@ -200,8 +201,7 @@ def test_optimizer_end_to_end():
             trichotomy &= abs(u.values[i] - hi) <= 1e-8
         elif label == "interior":
             trichotomy &= lo < u.values[i] < hi
-    d = evaluate_DJ(instance, u, mesh).gradient
-    second = second_order_check(instance, mesh, u, d)
+    second = certify(instance, u, mesh)
     curvature = second.minimum >= -1e-8
     ok = converged and trichotomy and curvature
     _report(8, "optimizer-end-to-end", ok,
@@ -255,16 +255,16 @@ def test_truncation_limits():
     u = Control([0.5] * 8)
     h = Control([0.8 ** i for i in range(1, 9)])
     state = solve_state(instance, u, mesh)
-    d = evaluate_DJ(instance, u, mesh).gradient
+    d, phi = evaluate_DJ(instance, u, state)
     mass = operators(mesh).mass
-    z_full = solve_linearized(state, h, mesh, points).values
+    z_full = solve_linearized(state, h, points).values
     dj_full = float(np.dot(d, h.values))
-    H = reduced_hessian(instance, u, mesh, state=state)
+    H = reduced_hessian(instance, state, phi)
     q_full = float(h.values @ H @ h.values)
     ds_dist, dj_dist, q_dist, tails = [], [], [], []
     for k in range(1, 9):
         hk = truncate(h, k)
-        zk = solve_linearized(state, hk, mesh, points).values
+        zk = solve_linearized(state, hk, points).values
         diff = zk - z_full
         ds_dist.append(float(np.sqrt(diff @ (mass @ diff))))
         dj_dist.append(abs(float(np.dot(d, hk.values)) - dj_full))

@@ -18,7 +18,8 @@ from expctrl.cli import (ConfigError, RunConfig, load_config, main,
                          parse_field)
 from expctrl.estimates import EstimateReport
 from expctrl.fem import assemble_mass, assemble_stiffness
-from expctrl.objective import evaluate_DJ
+from expctrl.objective import evaluate_DJ, evaluate_J
+from expctrl.pde import solve_state
 from expctrl.sequences import Control
 
 
@@ -161,7 +162,12 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
             ("optimize", {"max_iters": -1}, "max_iters"),
             ("solve", {"tolerances": 5}, "tolerances"),
             ("verify", {"verify": [3]}, "verify"),
-            ("solve", {"mesh": "abc"}, "mesh")):
+            ("solve", {"mesh": "abc"}, "mesh"),
+            ("solve", {"mesh": {"resolution": 8.7}}, "resolution"),
+            ("solve", {"mesh": {"resolution": 0}}, "resolution"),
+            ("solve", {"mesh": {"refine_levels": True}}, "refine_levels"),
+            ("solve", {"tolerances": {"kkkt": 1e-6}}, "tolerances.kkkt"),
+            ("solve", {"linear": "false"}, "linear")):
         path = write_config(tmp_path, base_config(**extra))
         assert main([command, "--config", path, "--out",
                      str(tmp_path / "o")]) == 1
@@ -276,18 +282,18 @@ def test_optimize_reports_the_derivative_at_the_written_control(tmp_path):
     summary = dict(line.split("=", 1) for line in
                    (out / "optimize_summary.txt").read_text().splitlines()[1:])
     config = load_config(path)
-    reference = evaluate_DJ(config.instance,
-                            Control(column("control.csv", 1)),
-                            config.instance.make_mesh(),
-                            tol=config.tolerances["newton"])
-    assert column("kkt.csv", 4) == reference.gradient.tolist()
-    assert float(summary["J"]) == reference.value
+    instance, u = config.instance, Control(column("control.csv", 1))
+    state = solve_state(instance, u, instance.make_mesh(),
+                        tol=config.tolerances["newton"])
+    assert column("kkt.csv", 4) == evaluate_DJ(instance, u, state)[0].tolist()
+    assert float(summary["J"]) == evaluate_J(instance, u, state)
 
 
 def test_optimize_solve_budget(tmp_path, monkeypatch):
     # per iterate one adjoint, shared by the gradient and the Hessian,
-    # and K linearized solves; the certificate at the final point reuses
-    # the optimizer's state and adjoint and adds only K linearized solves
+    # and K linearized solves; J once per state; the certificate at the
+    # final point reads the optimizer's state, adjoint and J and adds
+    # only K linearized solves
     path = write_config(tmp_path, base_config(
         f0="constant 1.0", y_d="gaussian(0.5, 0.5, 0.2, 2.0)",
         control=[0.5, -0.3]))
@@ -309,7 +315,8 @@ def test_optimize_solve_budget(tmp_path, monkeypatch):
                 phase.pop()
         return wrapper
     for module in (cli, expctrl.objective, expctrl.optimizer):
-        for name in ("solve_state", "solve_adjoint", "solve_linearized"):
+        for name in ("solve_state", "solve_adjoint", "solve_linearized",
+                     "evaluate_J"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counted(name, getattr(module, name)))
@@ -325,9 +332,12 @@ def test_optimize_solve_budget(tmp_path, monkeypatch):
     assert count["projected_gradient", "solve_adjoint"] == iterations + 1
     assert count["projected_gradient", "solve_linearized"] == K * iterations
     assert count["projected_gradient", "solve_state"] >= iterations + 1
+    assert count["projected_gradient", "evaluate_J"] \
+        == count["projected_gradient", "solve_state"]
     assert count["second_order_check", "solve_linearized"] == K
     assert count["second_order_check", "solve_state"] == 0
     assert count["second_order_check", "solve_adjoint"] == 0
+    assert count["second_order_check", "evaluate_J"] == 0
     assert all(where is not None for where, _ in calls)
 
 
@@ -516,14 +526,27 @@ def test_state_of_target_survives_a_second_command(tmp_path):
     assert isinstance(cfg.instance.y_d, cli._StateOf)
 
 
-def test_reports_are_deterministic_after_the_timestamp(tmp_path):
-    cfg = base_config(verify=[{"check": "scalar", "samples": 300},
-                              {"check": "lipschitz", "trials": 2}])
-    path = write_config(tmp_path, cfg)
+COMMAND_CONFIGS = {
+    "solve": dict(f0="constant 1.0", control=[0.5, -0.3]),
+    "optimize": dict(f0="constant 1.0", y_d="gaussian(0.5, 0.5, 0.2, 2.0)",
+                     control=[0.5, -0.3]),
+    "verify": dict(verify=[{"check": "scalar", "samples": 300},
+                           {"check": "lipschitz", "trials": 2}]),
+    "taylor": dict(f0="constant 1.0", y_d="constant 0.4",
+                   control=[0.4, -0.2], direction=[1.0, -0.5],
+                   rho_grid=[1e-1, 1e-2]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+def test_reports_are_deterministic_after_the_timestamp(tmp_path, command):
+    path = write_config(tmp_path, base_config(**COMMAND_CONFIGS[command]))
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["verify", "--config", path, "--out", str(a)]) == 0
-    assert main(["verify", "--config", path, "--out", str(b)]) == 0
-    for name in ("estimates.csv", "verify_summary.txt"):
+    assert main([command, "--config", path, "--out", str(a)]) == 0
+    assert main([command, "--config", path, "--out", str(b)]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names and names == sorted(p.name for p in b.iterdir())
+    for name in names:
         la = (a / name).read_text().splitlines()
         lb = (b / name).read_text().splitlines()
         assert la[0].startswith("# generated ")

@@ -9,9 +9,9 @@ from expctrl.mesh import Domain, build_mesh
 from expctrl.objective import (DerivativeReport, evaluate_DJ, evaluate_J,
                                reduced_hessian, taylor_remainder_test)
 from expctrl.pde import (ProblemInstance, operators, point_coupling,
-                         solve_adjoint, solve_state)
+                         solve_adjoint, solve_linearized, solve_state)
 from expctrl.sequences import BoundsPair, Control, compute_separation_radii
-from helpers import free_block
+from helpers import D2J, DJ, J, free_block
 
 
 def make_instance(nu=0.1, f0=None, y_d=None, resolution=24,
@@ -29,7 +29,7 @@ def test_J_vanishes_when_tracking_and_penalty_vanish():
     u = Control([1.0, 2.0])
     st = solve_state(inst, u, mesh)
     inst.y_d = st.y
-    assert abs(evaluate_J(inst, u, mesh)) < 1e-20
+    assert abs(evaluate_J(inst, u, st)) < 1e-20
 
 
 def test_J_reduces_to_the_penalty_on_a_matched_target():
@@ -38,7 +38,7 @@ def test_J_reduces_to_the_penalty_on_a_matched_target():
     u = Control([1.0, 2.0])
     inst.y_d = solve_state(inst, u, mesh).y
     # tracking term vanishes, leaving (1/2)(1 + 4)
-    assert_allclose(evaluate_J(inst, u, mesh), 2.5, atol=1e-12)
+    assert_allclose(J(inst, u, mesh), 2.5, atol=1e-12)
 
 
 def test_gradient_vanishes_at_a_matched_target_without_penalty():
@@ -46,23 +46,21 @@ def test_gradient_vanishes_at_a_matched_target_without_penalty():
     mesh = inst.make_mesh()
     u = Control([0.8, -0.3])
     inst.y_d = solve_state(inst, u, mesh).y
-    rep = evaluate_DJ(inst, u, mesh)
-    assert np.max(np.abs(rep.gradient)) < 1e-10
+    assert np.max(np.abs(DJ(inst, u, mesh))) < 1e-10
 
 
 def test_gradient_matches_central_differences():
     inst = make_instance(f0=lambda x: np.ones(len(x)), y_d=0.5)
     mesh = inst.make_mesh()
     u = Control([0.5, -0.3])
-    rep = evaluate_DJ(inst, u, mesh, tol=1e-10)
+    d = DJ(inst, u, mesh)
     rho = 1e-4
     for i in range(2):
         e = np.zeros(2)
         e[i] = rho
-        fd = (evaluate_J(inst, Control(u.values + e), mesh, tol=1e-10)
-              - evaluate_J(inst, Control(u.values - e), mesh, tol=1e-10)) \
-            / (2.0 * rho)
-        rel = abs(fd - rep.gradient[i]) / max(1.0, abs(fd))
+        fd = (J(inst, Control(u.values + e), mesh)
+              - J(inst, Control(u.values - e), mesh)) / (2.0 * rho)
+        rel = abs(fd - d[i]) / max(1.0, abs(fd))
         assert rel < 1e-4
 
 
@@ -72,15 +70,15 @@ def test_gradient_includes_the_penalty_term():
     u = Control([1.0, -2.0])
     st = solve_state(inst, u, mesh)
     inst.y_d = st.y
-    rep = evaluate_DJ(inst, u, mesh)
+    d, _ = evaluate_DJ(inst, u, st)
     # phi = 0, so the gradient is exactly nu * u
-    assert_allclose(rep.gradient, 0.7 * u.values, atol=1e-10)
+    assert_allclose(d, 0.7 * u.values, atol=1e-10)
 
 
 def test_second_order_form_zero_direction_and_symmetry():
     inst = make_instance(f0=1.0, y_d=0.2)
     mesh = inst.make_mesh()
-    H = reduced_hessian(inst, Control([0.5, 0.5]), mesh)
+    H = D2J(inst, Control([0.5, 0.5]), mesh)
     z = np.zeros(2)
     assert z @ H @ z == 0.0
     h = np.array([1.0, -0.5])
@@ -91,7 +89,7 @@ def test_second_order_form_zero_direction_and_symmetry():
 def test_second_order_form_is_bilinear():
     inst = make_instance(f0=1.0, y_d=0.2)
     mesh = inst.make_mesh()
-    H = reduced_hessian(inst, Control([0.2, -0.1]), mesh)
+    H = D2J(inst, Control([0.2, -0.1]), mesh)
     h1 = np.array([1.0, 0.0])
     h2 = np.array([0.0, 1.0])
     k = np.array([0.4, -0.7])
@@ -105,13 +103,11 @@ def test_second_order_form_against_finite_differences():
     mesh = inst.make_mesh()
     u = Control([0.5, -0.3])
     h = Control([1.0, -0.5])
-    d2 = h.values @ reduced_hessian(inst, u, mesh, tol=1e-12) @ h.values
+    d2 = h.values @ D2J(inst, u, mesh, tol=1e-12) @ h.values
     rho = 1e-4
-    jp = evaluate_J(inst, Control(u.values + rho * h.values), mesh,
-                    tol=1e-12)
-    jm = evaluate_J(inst, Control(u.values - rho * h.values), mesh,
-                    tol=1e-12)
-    j0 = evaluate_J(inst, u, mesh, tol=1e-12)
+    jp = J(inst, Control(u.values + rho * h.values), mesh, tol=1e-12)
+    jm = J(inst, Control(u.values - rho * h.values), mesh, tol=1e-12)
+    j0 = J(inst, u, mesh, tol=1e-12)
     fd = (jp - 2.0 * j0 + jm) / rho ** 2
     assert abs(d2 - fd) < 1e-5 * (1.0 + abs(d2))
 
@@ -151,8 +147,8 @@ def test_reduced_hessian_matches_the_per_direction_form(setup):
     else:
         inst, mesh, u = four_point_instance()
     state = solve_state(inst, u, mesh)
-    phi = solve_adjoint(state, inst.y_d, mesh)
-    H = reduced_hessian(inst, u, mesh, state=state)
+    phi = solve_adjoint(state, inst.y_d)
+    H = reduced_hessian(inst, state, phi)
     K = inst.points.count
     rng = np.random.default_rng(5)
     directions = list(np.eye(K)) + list(rng.standard_normal((6, K)))
@@ -165,15 +161,15 @@ def test_reduced_hessian_is_symmetric_and_matches_gradient_differences():
     inst = make_instance(f0=1.0, y_d=0.5)
     mesh = inst.make_mesh()
     u = Control([0.5, -0.3])
-    H = reduced_hessian(inst, u, mesh, tol=1e-12)
+    H = D2J(inst, u, mesh, tol=1e-12)
     assert np.array_equal(H, H.T)
     rho = 1e-4
     for j in range(2):
         e = np.zeros(2)
         e[j] = rho
-        gp = evaluate_DJ(inst, Control(u.values + e), mesh, tol=1e-12)
-        gm = evaluate_DJ(inst, Control(u.values - e), mesh, tol=1e-12)
-        fd = (gp.gradient - gm.gradient) / (2.0 * rho)
+        fd = (DJ(inst, Control(u.values + e), mesh, tol=1e-12)
+              - DJ(inst, Control(u.values - e), mesh, tol=1e-12)) \
+            / (2.0 * rho)
         rel = np.max(np.abs(fd - H[:, j])) / max(1.0, np.max(np.abs(fd)))
         assert rel < 1e-4
 
@@ -183,17 +179,19 @@ def test_reduced_hessian_reuses_the_gradient_adjoint(monkeypatch):
     mesh = inst.make_mesh()
     u = Control([0.4, -0.3])
     state = solve_state(inst, u, mesh)
-    report = evaluate_DJ(inst, u, mesh, state=state)
-    assert np.array_equal(report.adjoint.values,
-                          solve_adjoint(state, inst.y_d, mesh).values)
-    fresh = reduced_hessian(inst, u, mesh, state=state)
+    d, phi = evaluate_DJ(inst, u, state)
+    assert np.array_equal(phi.values,
+                          solve_adjoint(state, inst.y_d).values)
+    # the Hessian reads that adjoint and adds the K linearized solves
+    calls = []
 
-    def no_adjoint(*args, **kwargs):
-        raise AssertionError("adjoint solved again")
-    monkeypatch.setattr(objective, "solve_adjoint", no_adjoint)
-    reused = reduced_hessian(inst, u, mesh, state=state,
-                             adjoint=report.adjoint)
-    assert np.array_equal(reused, fresh)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_linearized(*args, **kwargs)
+    monkeypatch.setattr(objective, "solve_linearized", counted)
+    H = reduced_hessian(inst, state, phi)
+    assert len(calls) == inst.points.count
+    assert np.array_equal(H, H.T)
 
 
 def test_taylor_zero_direction_gives_a_zero_table():
@@ -246,9 +244,9 @@ def test_taylor_flags_infeasible_probes():
 
 def test_derivative_report_validates_finiteness():
     with pytest.raises(ValueError):
-        DerivativeReport(np.nan)
+        DerivativeReport(np.nan, [0.5], 2.0, [], {})
     with pytest.raises(ValueError):
-        DerivativeReport(1.0, gradient=[np.inf])
-    rep = DerivativeReport(1.0, gradient=[0.5], second_order=2.0)
+        DerivativeReport(1.0, [np.inf], 2.0, [], {})
+    rep = DerivativeReport(1.0, [0.5], 2.0, [], {})
     assert rep.value == 1.0
     assert rep.second_order == 2.0

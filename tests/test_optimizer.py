@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from expctrl import objective, optimizer
+from expctrl import optimizer
 from expctrl.mesh import Domain
 from expctrl.objective import evaluate_DJ, reduced_hessian
 from expctrl.optimizer import (KKTReport, critical_cone_minimum,
@@ -13,6 +13,7 @@ from expctrl.optimizer import (KKTReport, critical_cone_minimum,
                                second_order_check)
 from expctrl.pde import ProblemInstance, solve_state
 from expctrl.sequences import BoundsPair, Control, compute_separation_radii
+from helpers import D2J, DJ, J, certify
 
 
 def make_instance(nu=0.1, resolution=20, lower=(-1.0, -1.0),
@@ -150,14 +151,19 @@ def test_projected_newton_falls_back_on_an_indefinite_hessian(monkeypatch):
     inst = make_instance(f0=1.0, y_d=0.4)
     mesh = inst.make_mesh()
     u0 = Control([0.9, -0.9])
-    d0 = evaluate_DJ(inst, u0, mesh).gradient
+    d0 = DJ(inst, u0, mesh)
+    # the iterates, one gradient each; the Hessian at the first is faked
     at = []
 
-    def hessian(instance, u, mesh, **kwargs):
+    def gradient(instance, u, state):
         at.append(u.values.copy())
+        return evaluate_DJ(instance, u, state)
+
+    def hessian(instance, state, adjoint):
         if len(at) == 1:
             return np.diag([3.0, -3.0])
-        return reduced_hessian(instance, u, mesh, **kwargs)
+        return reduced_hessian(instance, state, adjoint)
+    monkeypatch.setattr(optimizer, "evaluate_DJ", gradient)
     monkeypatch.setattr(optimizer, "reduced_hessian", hessian)
     u, rep = projected_gradient(inst, mesh, u0, max_iters=50, tol=1e-9)
     assert rep.aggregate <= 1e-9
@@ -178,9 +184,10 @@ def test_a_clipped_newton_step_lowers_J():
     inst = make_instance(f0=1.0, y_d=3.0)
     mesh = inst.make_mesh()
     u0 = Control([0.0, 0.0])
-    first = evaluate_DJ(inst, u0, mesh)
-    H = reduced_hessian(inst, u0, mesh, adjoint=first.adjoint)
-    newton = u0.values - np.linalg.solve(H, first.gradient)
+    state = solve_state(inst, u0, mesh)
+    d0, phi = evaluate_DJ(inst, u0, state)
+    H = reduced_hessian(inst, state, phi)
+    newton = u0.values - np.linalg.solve(H, d0)
     assert np.all(newton > inst.bounds.upper)
     u, rep = projected_gradient(inst, mesh, u0, max_iters=1, tol=1e-9)
     assert rep.iterations == 1
@@ -189,7 +196,7 @@ def test_a_clipped_newton_step_lowers_J():
     assert np.array_equal(u.values, inst.bounds.upper)
     # both components are free, so the Armijo bound is the Newton
     # decrement, which the clamped step meets
-    decrement = float(first.gradient @ np.linalg.solve(H, first.gradient))
+    decrement = float(d0 @ np.linalg.solve(H, d0))
     assert rep.history[0][0] - rep.history[1][0] >= 1e-4 * decrement
 
 
@@ -200,9 +207,9 @@ def test_a_pinned_interval_never_enters_the_newton_block(monkeypatch):
     mesh = inst.make_mesh()
 
     def gradient(*args, **kwargs):
-        report = evaluate_DJ(*args, **kwargs)
-        report.gradient[0] = 0.0
-        return report
+        d, phi = evaluate_DJ(*args, **kwargs)
+        d[0] = 0.0
+        return d, phi
 
     def hessian(*args, **kwargs):
         H = reduced_hessian(*args, **kwargs)
@@ -227,7 +234,7 @@ def test_an_empty_free_set_takes_the_gradient_step(monkeypatch):
     inst = make_instance(f0=1.0, y_d=3.0)
     mesh = inst.make_mesh()
     u0 = Control([1.0 - 1e-4] * 2)
-    d0 = evaluate_DJ(inst, u0, mesh).gradient
+    d0 = DJ(inst, u0, mesh)
     assert np.all(d0 < -1e-4)
     blocks = spy_on_cholesky(monkeypatch)
     u, rep = projected_gradient(inst, mesh, u0, max_iters=5, tol=1e-9)
@@ -351,8 +358,9 @@ def test_second_order_check_rejects_a_thin_negative_region(monkeypatch):
     monkeypatch.setattr(optimizer, "reduced_hessian",
                         lambda *args, **kwargs: H)
     instance = SimpleNamespace(bounds=BoundsPair([-1.0] * 3, [1.0] * 3))
-    report = second_order_check(instance, None, Control([0.0] * 3),
-                                np.zeros(3), tol=1e-8, state=object())
+    # J = 0 sets tol = 1e-8
+    report = second_order_check(instance, Control([0.0] * 3), np.zeros(3),
+                                0.0, object(), object())
     assert not report.passed
     assert not report.empty
     assert report.minimum < 0.0
@@ -369,33 +377,30 @@ def test_second_order_check_at_a_convex_point():
     inst.y_d = ystar.y
     u, rep = projected_gradient(inst, mesh, Control([0.2, 0.2]),
                                 max_iters=80, tol=1e-9)
-    d = evaluate_DJ(inst, u, mesh).gradient
-    report = second_order_check(inst, mesh, u, d)
+    report = certify(inst, u, mesh)
     assert report.passed
     assert not report.empty
     # nu-strong convexity at the manufactured point: nu * sum h^2 > 0.09
     assert report.minimum > 0.05
-    H = reduced_hessian(inst, u, mesh)
+    H = D2J(inst, u, mesh)
     h = report.direction
     assert report.minimum == float(h @ H @ h)
     assert_allclose(np.sum(np.abs(h)), 1.0, rtol=1e-12)
 
 
-def test_second_order_check_reuses_the_optimizer_state(monkeypatch):
+def test_second_order_check_reuses_the_optimizer_state():
+    # the final state, adjoint and J of the optimizer's report are those
+    # of a fresh solve at its control, and certify the same
     inst = make_instance(nu=0.5, f0=1.0, y_d=0.2)
     mesh = inst.make_mesh()
     u, rep = projected_gradient(inst, mesh, Control([0.2, 0.2]),
                                 max_iters=80, tol=1e-9)
     assert np.array_equal(rep.state.y.values,
                           solve_state(inst, u, mesh).y.values)
-    fresh = second_order_check(inst, mesh, u, rep.gradient)
-
-    def solved_again(*args, **kwargs):
-        raise AssertionError("state or adjoint solved again")
-    monkeypatch.setattr(optimizer, "solve_state", solved_again)
-    monkeypatch.setattr(objective, "solve_adjoint", solved_again)
-    reused = second_order_check(inst, mesh, u, rep.gradient,
-                                state=rep.state, adjoint=rep.adjoint)
+    assert rep.history[-1][0] == J(inst, u, mesh)
+    fresh = certify(inst, u, mesh)
+    reused = second_order_check(inst, u, rep.gradient, rep.history[-1][0],
+                                rep.state, rep.adjoint)
     assert reused.minimum == fresh.minimum
     assert np.array_equal(reused.direction, fresh.direction)
     assert reused.passed == fresh.passed
@@ -408,8 +413,7 @@ def test_second_order_check_zero_direction_scores_zero():
                          y_d=0.1)
     mesh = inst.make_mesh()
     u = Control([0.3, -0.2])
-    d = evaluate_DJ(inst, u, mesh).gradient
-    report = second_order_check(inst, mesh, u, d)
+    report = certify(inst, u, mesh)
     assert report.empty
     assert report.minimum == 0.0
     assert np.array_equal(report.direction, np.zeros(2))

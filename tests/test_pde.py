@@ -179,12 +179,11 @@ def test_linearized_solution_is_linear_in_the_direction():
     inst = two_point_instance(16)
     mesh = inst.make_mesh()
     st = solve_state(inst, Control([1.0, 0.5]), mesh)
-    z1 = solve_linearized(st, Control([1.0, 0.0]), mesh, inst.points).values
-    z2 = solve_linearized(st, Control([0.0, 1.0]), mesh, inst.points).values
-    z12 = solve_linearized(st, Control([2.0, -3.0]), mesh,
-                           inst.points).values
+    z1 = solve_linearized(st, Control([1.0, 0.0]), inst.points).values
+    z2 = solve_linearized(st, Control([0.0, 1.0]), inst.points).values
+    z12 = solve_linearized(st, Control([2.0, -3.0]), inst.points).values
     assert np.max(np.abs(2.0 * z1 - 3.0 * z2 - z12)) < 1e-10
-    z0 = solve_linearized(st, Control([0.0, 0.0]), mesh, inst.points).values
+    z0 = solve_linearized(st, Control([0.0, 0.0]), inst.points).values
     assert abs(z0).max() == 0.0
 
 
@@ -202,7 +201,7 @@ def test_linearized_operator_matches_mode():
     A = assemble_stiffness(mesh)
     H = A + sp.diags(ops.lumped * np.exp(st_non.y.values))
     for st, M in ((st_lin, A), (st_non, H)):
-        z = solve_linearized(st, h, mesh, inst.points).values
+        z = solve_linearized(st, h, inst.points).values
         res = M.tocsr()[free][:, free] @ z[free] - rhs
         assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(rhs)
 
@@ -243,7 +242,7 @@ def test_adjoint_vanishes_when_target_equals_state():
     inst = two_point_instance(16)
     mesh = inst.make_mesh()
     st = solve_state(inst, Control([1.0, -0.5]), mesh)
-    phi = solve_adjoint(st, st.y, mesh)
+    phi = solve_adjoint(st, st.y)
     assert abs(phi.values).max() < 1e-12
 
 
@@ -252,7 +251,7 @@ def test_adjoint_sign_follows_the_data():
     mesh = inst.make_mesh()
     st = solve_state(inst, Control([1.0, 0.5]), mesh)
     # y >= 0 here, so y - 0 >= 0 and the maximum principle gives phi >= 0
-    phi = solve_adjoint(st, None, mesh)
+    phi = solve_adjoint(st, None)
     assert np.min(phi.values) >= -1e-10
 
 
@@ -262,8 +261,8 @@ def test_adjoint_duality_identity():
     mesh = inst.make_mesh()
     st = solve_state(inst, Control([1.2, -0.4]), mesh, tol=1e-12)
     h = Control([0.7, -1.1])
-    phi = solve_adjoint(st, inst.y_d, mesh, tol=1e-12)
-    z = solve_linearized(st, h, mesh, inst.points, tol=1e-12)
+    phi = solve_adjoint(st, inst.y_d, tol=1e-12)
+    z = solve_linearized(st, h, inst.points, tol=1e-12)
     d = point_coupling(mesh, inst.points).T @ h.values
     M = assemble_mass(mesh)
     lhs = float(np.dot(d, phi.values))
@@ -278,7 +277,7 @@ def test_adjoint_requires_a_converged_state():
     st = solve_state(inst, Control([0.5, 0.5]), mesh)
     st.converged = False
     with pytest.raises(ValueError, match="not converged"):
-        solve_adjoint(st, None, mesh)
+        solve_adjoint(st, None)
 
 
 def test_evaluate_at_points_matches_interpolation():

@@ -182,6 +182,11 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError("field 'bounds': %s" % exc)
         mesh_cfg = _object(cfg, "mesh", {})
+        for key in mesh_cfg:
+            if key not in ("resolution", "refine_levels"):
+                raise ConfigError(
+                    "field 'mesh.%s': unknown key, expected one of "
+                    "resolution, refine_levels" % key)
         try:
             instance = ProblemInstance(
                 domain, points, bounds, float(_field(cfg, "nu", 0.0)),
@@ -210,7 +215,7 @@ class RunConfig:
                     "field 'tolerances.%s': must be a positive number" % key)
             tolerances[key] = value
         if seed is None:
-            seed = int(_field(cfg, "seed", 42))
+            seed = _count(cfg, "seed", 42, 0)
         if out is None:
             out = str(_field(cfg, "out", "."))
         return cls(instance, tolerances, int(seed), Path(out), cfg)
@@ -457,6 +462,10 @@ def cmd_taylor(config):
         raise ConfigError("field 'direction': one value per source point")
     h = Control(raw_h)
     rho_grid = _float_list(config.raw, "rho_grid", None)
+    if rho_grid is not None and not (
+            rho_grid and all(0.0 < r < np.inf for r in rho_grid)):
+        raise ConfigError("field 'rho_grid': expected a nonempty list of "
+                          "positive finite numbers")
     report = taylor_remainder_test(instance, u, mesh, h,
                                    rho_grid=rho_grid,
                                    tol=config.tolerances["taylor"])

@@ -227,11 +227,6 @@ def assemble_mollified_load(mesh, x0, epsilon):
     return b
 
 
-def integrate_lumped(mesh, values):
-    """Lumped-mass integral of a nodal field."""
-    return float(np.dot(lumped_mass_diagonal(mesh), values))
-
-
 def _dd2_exp(a, b, c):
     """Second divided difference of exp at the triples (a_i, b_i, c_i).
 

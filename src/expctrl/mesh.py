@@ -10,7 +10,8 @@ and existing vertices never move.  The levels of a graded mesh work on
 bare arrays: one edge table, sorted once on the base grid, is carried
 and updated from level to level, only the children of the previous
 level are candidates for marking, and a single Mesh validates the
-result and keeps the table for its neighbor graph.
+result.  Points are located by one scan over the triangles whose
+bounding boxes contain them.
 """
 
 import numpy as np
@@ -92,14 +93,11 @@ class Mesh:
     areas : (T,) float array of triangle areas
 
     A built mesh is treated as immutable; build_mesh refines bare arrays
-    and constructs the Mesh once, at the end.  A graded build hands over
-    the (T, 3) edge ids it carried (tri_edge, slot j the edge opposite
-    local vertex j, as from _tri_edges); the Mesh keeps them until the
-    first neighbors() call pairs their slots and drops them.  Without
-    a carried table, neighbors() takes one from _tri_edges.
+    and constructs the Mesh once, at the end.  Clockwise triangles are
+    reoriented here.
     """
 
-    def __init__(self, vertices, triangles, boundary, domain, tri_edge=None):
+    def __init__(self, vertices, triangles, boundary, domain):
         vertices = np.asarray(vertices, dtype=float)
         triangles = np.asarray(triangles, dtype=np.int64)
         boundary = np.asarray(boundary, dtype=bool)
@@ -115,10 +113,6 @@ class Mesh:
         if np.any(flip):
             triangles = triangles.copy()
             triangles[flip] = triangles[flip][:, [0, 2, 1]]
-            if tri_edge is not None:
-                # swapping corners 1 and 2 swaps the edges opposite them
-                tri_edge = tri_edge.copy()
-                tri_edge[flip] = tri_edge[flip][:, [0, 2, 1]]
             areas = np.abs(areas)
         if np.any(areas <= 0.0):
             raise ValueError("degenerate triangle in mesh")
@@ -128,9 +122,6 @@ class Mesh:
         self.domain = domain
         self.areas = areas
         self.h = float(_edge_lengths(corners).max())
-        self._tri_edge = tri_edge
-        self._neighbors = None
-        self._vertex_tri = None
 
     @property
     def num_vertices(self):
@@ -139,30 +130,6 @@ class Mesh:
     @property
     def num_triangles(self):
         return self.triangles.shape[0]
-
-    def neighbors(self):
-        """(T, 3) array of neighbor triangle indices, -1 on the boundary.
-
-        Entry [t, j] is the triangle sharing the edge opposite local
-        vertex j of triangle t.
-        """
-        if self._neighbors is None:
-            tri_edge = self._tri_edge
-            if tri_edge is None:
-                tri_edge = _tri_edges(self.triangles)[1]
-            self._neighbors = _pair_slots(tri_edge)
-            self._tri_edge = None
-        return self._neighbors
-
-    def vertex_triangle(self):
-        """For each vertex, the smallest triangle index containing it."""
-        if self._vertex_tri is None:
-            vt = np.full(self.num_vertices, self.num_triangles,
-                         dtype=np.int64)
-            np.minimum.at(vt, self.triangles.ravel(),
-                          np.repeat(np.arange(self.num_triangles), 3))
-            self._vertex_tri = vt
-        return self._vertex_tri
 
 
 def _signed_areas(corners):
@@ -199,22 +166,6 @@ def _tri_edges(triangles):
     return edges, inverse.reshape(T, 3), counts
 
 
-def _pair_slots(tri_edge):
-    """(T, 3) neighbor array of an edge-id table: the two slots of an
-    interior edge point at each other's triangle, a boundary slot holds
-    -1.  The flat slot indices 3t + j of an edge's slots sum to a known
-    total, so the other slot is that total minus this one; no sort."""
-    eid = tri_edge.ravel()
-    E = int(eid.max()) + 1
-    slot = np.arange(eid.size, dtype=np.int64)
-    count = np.bincount(eid, minlength=E)
-    # float sums of slot indices below 2^53 are exact
-    total = np.bincount(eid, weights=slot, minlength=E).astype(np.int64)
-    other = total[eid] - slot
-    nbr = np.where(count[eid] == 2, other // 3, -1)
-    return nbr.reshape(tri_edge.shape)
-
-
 def circumcenters(vertices, triangles):
     """(T, 2) array of the circumcenters of triangles (T, 3) with
     corners in vertices (V, 2)."""
@@ -237,8 +188,7 @@ def build_mesh(domain, resolution, refine_points=None, refine_levels=0):
     The levels work on bare arrays (see _graded): one edge table is
     carried across them, only the previous level's children are
     candidates for marking, and the single Mesh built at the end
-    validates the result once and takes the carried table, from which
-    its neighbor table is paired without sorting the edges again.
+    validates the result once.
 
     Parameters
     ----------
@@ -271,10 +221,9 @@ def build_mesh(domain, resolution, refine_points=None, refine_levels=0):
     else:
         raise ValueError("unknown domain kind %r" % (domain.kind,))
     if refine_points is not None and refine_levels > 0:
-        vertices, triangles, boundary, (_, tri_edge, _) = _graded(
+        vertices, triangles, boundary, _ = _graded(
             domain, vertices, triangles, boundary, refine_points,
             int(refine_levels))
-        return Mesh(vertices, triangles, boundary, domain, tri_edge)
     return Mesh(vertices, triangles, boundary, domain)
 
 
@@ -468,76 +417,34 @@ def barycentric(mesh, t, x):
 
 
 _BARY_TOL = 1e-12
+#: widening of the triangles' bounding boxes in locate_point, times h
+_BOX_MARGIN = 1e-9
 
 
 def locate_point(mesh, x):
     """Find the triangle containing x and its barycentric coordinates.
 
-    Walks the neighbor graph from a triangle at the nearest vertex.
-    When x lies on an edge or vertex of the triangle the walk reaches,
-    the eligible triangles all share a vertex with it, so only that
-    vertex neighborhood is tested and the smallest eligible index wins,
-    as a scan of every triangle would give.  Only a walk that stalls
-    falls back to the full scan.  The returned coordinates are clipped
-    to be nonnegative and renormalized.
+    The smallest-index triangle whose coordinates of x are all at least
+    -_BARY_TOL wins, and its coordinates are clipped to be nonnegative
+    and renormalized.  Only the triangles whose bounding box, widened
+    by _BOX_MARGIN * h, contains x are tested: coordinates of at least
+    -_BARY_TOL put x at most 2 * _BARY_TOL times the box's extent, so
+    at most 2 * _BARY_TOL * h, outside it, and every triangle a scan of
+    all of them could accept is among those tested.
 
     Raises ValueError("point not located") for points outside the mesh.
     """
     x = np.asarray(x, dtype=float).reshape(2)
-    nbr = mesh.neighbors()
-    d2 = np.sum((mesh.vertices - x) ** 2, axis=1)
-    t = int(mesh.vertex_triangle()[int(np.argmin(d2))])
-    for _ in range(mesh.num_triangles):
-        lam = barycentric(mesh, t, x)
-        j = int(np.argmin(lam))
-        if lam[j] >= -_BARY_TOL:
-            if np.min(lam) <= _BARY_TOL:
-                return _locate_among(mesh, _vertex_neighborhood(mesh, t), x)
-            return t, _clip_bary(lam)
-        t2 = nbr[t, j]
-        if t2 < 0:
-            break
-        t = t2
-    return _locate_scan(mesh, x)
-
-
-def _vertex_neighborhood(mesh, t):
-    """Sorted indices of the triangles sharing a vertex with triangle t,
-    t included, found by turning around each corner through the
-    neighbor graph: first one way, and the other way too when a
-    boundary edge ends the turn."""
-    nbr = mesh.neighbors()
-    tris = mesh.triangles
-    found = {t}
-    for k, v in enumerate(tris[t].tolist()):
-        for start in ((k + 1) % 3, (k + 2) % 3):
-            prev, cur = t, int(nbr[t, start])
-            while cur >= 0 and cur != t:
-                found.add(cur)
-                k2 = tris[cur].tolist().index(v)
-                a = int(nbr[cur, (k2 + 1) % 3])
-                b = int(nbr[cur, (k2 + 2) % 3])
-                prev, cur = cur, (b if a == prev else a)
-            if cur == t:
-                break  # the turn closed around an interior vertex
-    return np.array(sorted(found), dtype=np.int64)
-
-
-def _locate_among(mesh, candidates, x):
-    """The smallest-index triangle of the sorted candidates that
-    contains x, with its clipped coordinates."""
+    pad = _BOX_MARGIN * mesh.h
+    near = np.ones(mesh.num_triangles, dtype=bool)
+    for d in range(2):
+        c = mesh.vertices[:, d][mesh.triangles]
+        near &= np.minimum(np.minimum(c[:, 0], c[:, 1]), c[:, 2]) <= x[d] + pad
+        near &= np.maximum(np.maximum(c[:, 0], c[:, 1]), c[:, 2]) >= x[d] - pad
+    candidates = np.flatnonzero(near)
     lam = barycentric(mesh, candidates, x)
-    idx = np.flatnonzero(np.all(lam >= -_BARY_TOL, axis=1))
-    if idx.size == 0:
+    inside = np.flatnonzero(np.all(lam >= -_BARY_TOL, axis=1))
+    if inside.size == 0:
         raise ValueError("point not located")
-    i = int(idx[0])
-    return int(candidates[i]), _clip_bary(lam[i])
-
-
-def _locate_scan(mesh, x):
-    return _locate_among(mesh, np.arange(mesh.num_triangles), x)
-
-
-def _clip_bary(lam):
-    lam = np.maximum(lam, 0.0)
-    return lam / lam.sum()
+    lam = np.maximum(lam[inside[0]], 0.0)
+    return int(candidates[inside[0]]), lam / lam.sum()

@@ -2,7 +2,8 @@
 the free-block CSR operators that the solvers take, the derivatives of J
 at a control from a fresh state solve, and the references that faster
 paths must reproduce bit for bit: the level-by-level graded refinement,
-the sort-based neighbor table and the loop aggregation."""
+the point location by a scan of every triangle and the loop
+aggregation."""
 
 import functools
 
@@ -10,8 +11,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from expctrl.fem import CSR
-from expctrl.mesh import (Domain, Mesh, _tri_edges, build_mesh,
-                          circumcenters)
+from expctrl.mesh import (_BARY_TOL, Domain, Mesh, _tri_edges, barycentric,
+                          build_mesh, circumcenters)
 from expctrl.objective import evaluate_DJ, evaluate_J, reduced_hessian
 from expctrl.optimizer import second_order_check
 from expctrl.pde import solve_state
@@ -155,22 +156,17 @@ def _refine_once(mesh, refine_points, green, ball_factor):
     return refined, np.concatenate(part_green)
 
 
-def reference_neighbors(triangles):
-    """The neighbor table by sorting a fresh edge table: slots of one
-    interior edge are adjacent after a stable argsort of the edge ids."""
-    T = triangles.shape[0]
-    _, tri_edge, counts = _tri_edges(triangles)
-    nbr = np.full((T, 3), -1, dtype=np.int64)
-    order = np.argsort(tri_edge.ravel(), kind="stable")
-    flat_tri = order // 3
-    flat_slot = order % 3
-    eid = tri_edge.ravel()[order]
-    first = np.nonzero((eid[:-1] == eid[1:]))[0]
-    t1, j1 = flat_tri[first], flat_slot[first]
-    t2, j2 = flat_tri[first + 1], flat_slot[first + 1]
-    nbr[t1, j1] = t2
-    nbr[t2, j2] = t1
-    return nbr
+def reference_locate(mesh, x):
+    """Point location by testing every triangle: the smallest index
+    whose barycentric coordinates of x are all at least -_BARY_TOL,
+    with the coordinates clipped to be nonnegative and renormalized."""
+    candidates = np.arange(mesh.num_triangles)
+    lam = barycentric(mesh, candidates, x)
+    inside = np.flatnonzero(np.all(lam >= -_BARY_TOL, axis=1))
+    if inside.size == 0:
+        raise ValueError("point not located")
+    lam = np.maximum(lam[inside[0]], 0.0)
+    return int(inside[0]), lam / lam.sum()
 
 
 def reference_aggregate(A, theta):

@@ -167,7 +167,17 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
             ("solve", {"mesh": {"resolution": 0}}, "resolution"),
             ("solve", {"mesh": {"refine_levels": True}}, "refine_levels"),
             ("solve", {"tolerances": {"kkkt": 1e-6}}, "tolerances.kkkt"),
-            ("solve", {"linear": "false"}, "linear")):
+            ("solve", {"linear": "false"}, "linear"),
+            ("solve", {"mesh": {"resolutin": 8}}, "mesh.resolutin"),
+            ("solve", {"seed": None}, "seed"),
+            ("solve", {"seed": [1]}, "seed"),
+            ("solve", {"seed": True}, "seed"),
+            ("taylor", {"direction": [1.0, 0.0], "rho_grid": [0.1, 0.0]},
+             "rho_grid"),
+            ("taylor", {"direction": [1.0, 0.0], "rho_grid": [-0.1]},
+             "rho_grid"),
+            ("taylor", {"direction": [1.0, 0.0], "rho_grid": []},
+             "rho_grid")):
         path = write_config(tmp_path, base_config(**extra))
         assert main([command, "--config", path, "--out",
                      str(tmp_path / "o")]) == 1

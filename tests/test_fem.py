@@ -12,9 +12,8 @@ from expctrl.fem import (FEFunction, MOLLIFIER_C, Multigrid, _cholesky,
                          _inverse_factor, assemble_load, assemble_mass,
                          assemble_mollified_load, assemble_stiffness,
                          exp_remainder, integrate_exp_linear,
-                         integrate_lumped, lumped_mass_diagonal,
-                         mollifier_value, point_operator, solve_spd,
-                         subdivided_quadrature)
+                         lumped_mass_diagonal, mollifier_value,
+                         point_operator, solve_spd, subdivided_quadrature)
 from expctrl.mesh import Domain, build_mesh, locate_point
 from expctrl.pde import operators
 from expctrl.sequences import (Control, SourcePoints,
@@ -175,12 +174,6 @@ def test_subdivided_quadrature_preserves_area():
     _, w, _, parent = subdivided_quadrature(mesh, idx, 2)
     assert_allclose(np.sum(w), np.sum(mesh.areas[idx]), rtol=1e-12)
     assert set(np.unique(parent)) == set(idx.tolist())
-
-
-def test_integrate_lumped_of_ones_is_the_area():
-    mesh = build_mesh(Domain.rectangle(0.0, 0.0, 2.0, 1.0), 6)
-    assert_allclose(integrate_lumped(mesh, np.ones(mesh.num_vertices)), 2.0,
-                    rtol=1e-12)
 
 
 def test_integrate_exp_linear_constant_field():

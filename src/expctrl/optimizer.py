@@ -6,9 +6,9 @@ cone, found by visiting the stationary point of every face.
 
 projected_gradient owns every state and adjoint solve: one state per
 trial point, one adjoint per accepted iterate, and the K linearized
-solves of each Hessian.  second_order_check reads the final state,
-adjoint and J that the optimizer returns and adds only the K
-linearized solves of its Hessian.
+solves of each Hessian.  second_order_check reads the active set,
+gradient, final J, state and adjoint from the optimizer's report and
+adds only the K linearized solves of its Hessian.
 """
 
 import itertools
@@ -33,15 +33,14 @@ class KKTReport:
     "interior", or "degenerate" (a pinned interval alpha_i = beta_i,
     zero residual by convention); residuals follow the sign trichotomy,
     projected holds the equivalent |u_i - clamp(u_i - d_i)| residual,
-    and gradient the d it was computed from.  history rows are
-    (J, aggregate residual, step) per optimizer iteration, so the J
-    history is the first column, and state and adjoint are the state
-    and adjoint solved at the final control; reports computed directly
-    from a (u, d) pair leave all three empty.
+    and gradient the d it was computed from.  projected_gradient also
+    sets iterations, the history rows (J, aggregate residual, step) per
+    iteration, and the state and adjoint at the final control, which
+    the second-order certificate reads; projected_gradient(...,
+    max_iters=0) gives such a report at a given point.
     """
 
-    def __init__(self, classification, residuals, projected, gradient,
-                 iterations=0, history=None):
+    def __init__(self, classification, residuals, projected, gradient):
         residuals = np.asarray(residuals, dtype=float).reshape(-1)
         projected = np.asarray(projected, dtype=float).reshape(-1)
         if np.any(~np.isfinite(residuals)) or np.any(residuals < 0.0):
@@ -55,8 +54,8 @@ class KKTReport:
         self.aggregate = float(residuals.max()) if residuals.size else 0.0
         self.projected_aggregate = \
             float(projected.max()) if projected.size else 0.0
-        self.iterations = int(iterations)
-        self.history = [] if history is None else list(history)
+        self.iterations = 0
+        self.history = []
         self.state = None
         self.adjoint = None
 
@@ -185,14 +184,14 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
     raise AssertionError("unreachable")
 
 
-def critical_cone_minimum(H, u, d, bounds, tol_active=1e-10,
-                          tol_grad=1e-6):
-    """Exact minimum of h' H h over the critical cone at u with
-    |h|_1 = 1, returned as (value, h); an empty cone gives 0 and the
-    zero direction.
+def critical_cone_minimum(H, kkt, tol_grad=1e-6):
+    """Exact minimum of h' H h over the critical cone of the KKTReport
+    kkt with |h|_1 = 1, returned as (value, h); an empty cone gives 0
+    and the zero direction.
 
-    The cone is described as at a first-order point within tol_grad
-    (else ValueError): components with |d_i| > tol_grad or a pinned
+    The cone is read from the report's classification and gradient d
+    at a first-order point within tol_grad (an aggregate residual above
+    it raises ValueError): components with |d_i| > tol_grad or a pinned
     interval are blocked, lower-active ones take the signs {0, +},
     upper-active ones {0, -} and interior ones {0, +, -}.  On the
     support S of a sign pattern, with D = diag(s_S), the form is a
@@ -205,7 +204,6 @@ def critical_cone_minimum(H, u, d, bounds, tol_active=1e-10,
     Patterns run in a fixed order and only a strictly smaller value
     replaces the best, so the direction is deterministic.
     """
-    kkt = kkt_residual(u, d, bounds, tol_active)
     if kkt.aggregate > tol_grad:
         raise ValueError("critical cone requires a first-order point")
     signs = {"lower-active": (0.0, 1.0), "upper-active": (0.0, -1.0),
@@ -239,20 +237,18 @@ def critical_cone_minimum(H, u, d, bounds, tol_active=1e-10,
     return best, best_h
 
 
-def second_order_check(instance, u, gradient, value, state, adjoint,
-                       tol_active=1e-10, tol_grad=1e-6):
+def second_order_check(instance, kkt, tol_grad=1e-6):
     """Certify D2J[h, h] = h' H h >= -tol on the whole critical cone at
-    u, with the reduced K x K Hessian H built once from the state and
-    adjoint solved at u (K linearized solves) and its exact cone
-    minimum.
+    the final control of the optimizer's report kkt, with the reduced
+    K x K Hessian H built once from the report's state and adjoint (K
+    linearized solves) and its exact cone minimum.
 
-    gradient is the d at u that fixes the cone and value the J at u,
-    which sets tol = 1e-8 * (1 + |J|).  Raises ValueError unless u is a
-    first-order point within tol_grad.
+    The report's gradient and classification fix the cone and its final
+    J sets tol = 1e-8 * (1 + |J|).  Raises ValueError unless the report
+    is at a first-order point within tol_grad.
     """
-    tol = 1e-8 * (1.0 + abs(value))
-    H = reduced_hessian(instance, state, adjoint)
-    minimum, direction = critical_cone_minimum(
-        H, u, gradient, instance.bounds, tol_active, tol_grad)
+    tol = 1e-8 * (1.0 + abs(kkt.history[-1][0]))
+    H = reduced_hessian(instance, kkt.state, kkt.adjoint)
+    minimum, direction = critical_cone_minimum(H, kkt, tol_grad)
     return SecondOrderReport(minimum, direction, minimum >= -tol, tol,
                              empty=not np.any(direction))

@@ -130,19 +130,24 @@ def point_coupling(mesh, points):
 class StateSolution:
     """Nodal state together with its Newton run record.
 
+    A solve that fails raises, so every StateSolution is converged.
     history holds the residual norm before each accepted step plus the
-    final one, so its length is newton_iterations + 1; a linear solve
-    records the single final residual.
+    final one; a linear solve records the single final residual.  The
+    step count and the final residual are read from it.
     """
 
-    def __init__(self, y, converged, newton_iterations, final_residual,
-                 linear=False, history=None):
+    def __init__(self, y, history, linear=False):
         self.y = y
-        self.converged = bool(converged)
-        self.newton_iterations = int(newton_iterations)
-        self.final_residual = float(final_residual)
+        self.history = list(history)
         self.linear = bool(linear)
-        self.history = [] if history is None else list(history)
+
+    @property
+    def newton_iterations(self):
+        return len(self.history) - 1
+
+    @property
+    def final_residual(self):
+        return self.history[-1]
 
 
 class ProblemInstance:
@@ -256,8 +261,7 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
         y = solve_spd(ops.stiffness, load, mesh.boundary, tol=_CG_TOL,
                       multigrid=ops.multigrid)
         res = float(np.linalg.norm(ops.stiffness @ y[free] - load[free]))
-        return StateSolution(FEFunction(mesh, y), True, 0, res,
-                             linear=True, history=[res])
+        return StateSolution(FEFunction(mesh, y), [res], linear=True)
     y = solve_spd(ops.newton_operator(np.zeros(load.size)), load,
                   mesh.boundary, tol=_ETA_MAX, multigrid=ops.multigrid)
     fres = _residual(ops, y, load)
@@ -266,8 +270,7 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
     eta = _ETA_MAX
     for it in range(_MAX_NEWTON + 1):
         if rnorm <= tol * scale:
-            return StateSolution(FEFunction(mesh, y), True, it, rnorm,
-                                 history=history)
+            return StateSolution(FEFunction(mesh, y), history)
         if it == _MAX_NEWTON:
             break
         if it > 0:
@@ -313,11 +316,9 @@ def solve_state(instance, u, mesh, tol=1e-10, linear=False):
 
 
 def _solve_at_state(yS, rhs, tol):
-    """Solve with the Newton matrix at the converged state yS, the
-    operator of the linearized and adjoint equations; just A for a
-    state solved with the nonlinearity switched off."""
-    if not yS.converged:
-        raise ValueError("state solution is not converged")
+    """Solve with the Newton matrix at the state yS, the operator of
+    the linearized and adjoint equations; just A for a state solved
+    with the nonlinearity switched off."""
     mesh = yS.y.mesh
     ops = operators(mesh)
     A = ops.stiffness if yS.linear else ops.newton_operator(yS.y.values)

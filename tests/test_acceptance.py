@@ -115,7 +115,7 @@ def test_exponential_integrability_certificates():
     domain = Domain.disk(0.0, 0.0, 1.0)
     points = compute_separation_radii([[0.0, 0.0]], domain)
     mesh = build_mesh(domain, 96, points, 12)
-    report = verify_poisson_exponential(domain, points, [1.0], TWO_PI, mesh)
+    report = verify_poisson_exponential(points, [1.0], TWO_PI, mesh)
     lhs_err = abs(report.lhs - TWO_PI) / TWO_PI
     rhs_err = abs(report.rhs - 2.0 * TWO_PI) / (2.0 * TWO_PI)
     ok = report.passed and lhs_err <= 1e-3 and rhs_err <= 1e-3
@@ -133,8 +133,7 @@ def test_exponential_integrability_certificates():
         omega = rng.uniform(0.1, 3.0, count)
         alpha = float(rng.choice([np.pi, TWO_PI, 3.0 * np.pi]))
         rmesh = build_mesh(square, 64, sp, 1)
-        if not verify_poisson_exponential(square, sp, omega, alpha,
-                                          rmesh).passed:
+        if not verify_poisson_exponential(sp, omega, alpha, rmesh).passed:
             failures += 1
     ok = ok and failures == 0
     _report(5, "integrability-certificates", ok,
@@ -216,7 +215,7 @@ def test_mollified_source_certificates():
     # random parameter sets pass both bounds
     domain = Domain.disk(0.0, 0.0, 1.0)
     mesh = build_mesh(domain, 64)
-    pw, integ = verify_mollified_poisson(1.0, (0.0, 0.0), 0.5, 0.1,
+    pw, integ = verify_mollified_poisson((0.0, 0.0), 0.5, 0.1,
                                          TWO_PI, mesh)
     rhs_ok = (abs(pw.rhs - 5.0) <= 1e-12 * 5.0
               and abs(integ.rhs - 2.4 * np.pi) <= 1e-12 * 2.4 * np.pi)
@@ -231,7 +230,7 @@ def test_mollified_source_certificates():
         rho0 = rng.uniform(0.35, 0.55)
         eps = rng.uniform(0.1, 0.4 * rho0)
         m = rng.uniform(1.0, 10.0)
-        a, b = verify_mollified_poisson(1.0, x0, rho0, eps, m, rmesh)
+        a, b = verify_mollified_poisson(x0, rho0, eps, m, rmesh)
         if not (a.passed and b.passed):
             failures += 1
     ok = ok and failures == 0

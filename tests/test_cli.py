@@ -64,6 +64,14 @@ def test_parse_field_rejects_malformed_input():
         parse_field("gaussian(a, b, c, d)", "f0")
     with pytest.raises(ConfigError, match="state_of"):
         parse_field("state_of()", "y_d")
+    # float() reads "nan" and "inf", and json reads NaN and Infinity; a
+    # non-finite field would surface later as a solver fault
+    for text in ("constant nan", "constant(inf)",
+                 "gaussian(0.5, 0.5, 0.2, inf)",
+                 "gaussian(nan, 0.5, 0.2, 1.0)", "state_of(1.0, -inf)",
+                 float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="field 'f0'"):
+            parse_field(text, "f0")
 
 
 def test_run_config_defaults():
@@ -125,6 +133,18 @@ def test_solve_writes_reports_and_zero_state_for_zero_data(tmp_path):
     assert len(rows) == 2 + int(summary["vertices"])
 
 
+def test_solve_summary_reads_the_newton_history(tmp_path):
+    path = write_config(tmp_path, base_config(f0="constant 1.0",
+                                              control=[2.0, 1.0]))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    summary = dict(line.split("=") for line in
+                   (out / "solve_summary.txt").read_text().splitlines()[1:])
+    rows = (out / "newton.csv").read_text().splitlines()[2:]
+    assert int(summary["newton_iterations"]) == len(rows) - 1 >= 1
+    assert summary["final_residual"] == rows[-1].split(",")[1]
+
+
 def test_solve_green_ring_values_match_the_closed_form(tmp_path):
     cfg = {
         "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
@@ -177,7 +197,40 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
             ("taylor", {"direction": [1.0, 0.0], "rho_grid": [-0.1]},
              "rho_grid"),
             ("taylor", {"direction": [1.0, 0.0], "rho_grid": []},
-             "rho_grid")):
+             "rho_grid"),
+            # one reader for numbers: finite JSON numbers only, so no
+            # string, bool, Infinity or NaN
+            ("optimize", {"tolerances": {"kkt": float("inf")}},
+             "tolerances.kkt"),
+            ("solve", {"nu": True}, "nu"),
+            ("solve", {"nu": "0.1"}, "nu"),
+            ("optimize", {"upper": "22"}, "upper"),
+            ("solve", {"lower": [-1.0, float("nan")]}, "lower"),
+            ("solve", {"control": "11"}, "control"),
+            ("solve", {"control": [True, False]}, "control"),
+            ("verify", {"verify": [{"check": "poisson", "omega": [1.0, 1.0],
+                                    "alpha": "3"}]}, "alpha"),
+            ("verify", {"verify": [{"check": "poisson", "omega": "11",
+                                    "alpha": 3.0}]}, "omega"),
+            ("verify", {"verify": [{"check": "mollified", "R": True,
+                                    "rho0": 0.5, "epsilon": 0.1,
+                                    "m": 1.0}]}, "R"),
+            ("verify", {"verify": [{"check": "mollified", "R": 1.0,
+                                    "rho0": 0.5, "epsilon": 0.1,
+                                    "m": float("inf")}]}, "m"),
+            ("solve", {"domain": {"kind": "disk", "center": [0.5, 0.5],
+                                  "radius": "1"}}, "radius"),
+            ("solve", {"domain": {"kind": "disk", "center": [0.5, True],
+                                  "radius": 1.0}}, "center"),
+            ("solve", {"domain": {"kind": "rectangle",
+                                  "corners": "0011"}}, "corners"),
+            ("taylor", {"direction": [1.0, 0.0],
+                        "rho_grid": [0.1, float("inf")]}, "rho_grid"),
+            ("taylor", {"direction": [1.0]}, "direction"),
+            # numbers inside field descriptions are finite too
+            ("solve", {"f0": "constant nan"}, "f0"),
+            ("solve", {"f0": "gaussian(0.5, 0.5, 0.2, inf)"}, "f0"),
+            ("optimize", {"y_d": "state_of(1.0, nan)"}, "y_d")):
         path = write_config(tmp_path, base_config(**extra))
         assert main([command, "--config", path, "--out",
                      str(tmp_path / "o")]) == 1
@@ -302,8 +355,8 @@ def test_optimize_reports_the_derivative_at_the_written_control(tmp_path):
 def test_optimize_solve_budget(tmp_path, monkeypatch):
     # per iterate one adjoint, shared by the gradient and the Hessian,
     # and K linearized solves; J once per state; the certificate at the
-    # final point reads the optimizer's state, adjoint and J and adds
-    # only K linearized solves
+    # final point reads the optimizer's state, adjoint, J and active set
+    # and adds only K linearized solves
     path = write_config(tmp_path, base_config(
         f0="constant 1.0", y_d="gaussian(0.5, 0.5, 0.2, 2.0)",
         control=[0.5, -0.3]))
@@ -326,7 +379,7 @@ def test_optimize_solve_budget(tmp_path, monkeypatch):
         return wrapper
     for module in (cli, expctrl.objective, expctrl.optimizer):
         for name in ("solve_state", "solve_adjoint", "solve_linearized",
-                     "evaluate_J"):
+                     "evaluate_J", "kkt_residual"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counted(name, getattr(module, name)))
@@ -348,6 +401,8 @@ def test_optimize_solve_budget(tmp_path, monkeypatch):
     assert count["second_order_check", "solve_state"] == 0
     assert count["second_order_check", "solve_adjoint"] == 0
     assert count["second_order_check", "evaluate_J"] == 0
+    assert count["projected_gradient", "kkt_residual"] == iterations + 1
+    assert count["second_order_check", "kkt_residual"] == 0
     assert all(where is not None for where, _ in calls)
 
 

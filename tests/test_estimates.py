@@ -54,14 +54,14 @@ def disk_center_setup(resolution=48, levels=4):
     pts = compute_separation_radii([[0.0, 0.0]], disk)
     mesh = build_mesh(disk, resolution, refine_points=pts,
                       refine_levels=levels)
-    return disk, pts, mesh
+    return pts, mesh
 
 
 def test_poisson_certificate_closed_form_disk():
     # single unit Dirac at the disk center, alpha = 2 pi:
     # continuum LHS = 2 pi, RHS = 4 pi exactly
-    disk, pts, mesh = disk_center_setup()
-    r = verify_poisson_exponential(disk, pts, np.array([1.0]),
+    pts, mesh = disk_center_setup()
+    r = verify_poisson_exponential(pts, np.array([1.0]),
                                    2.0 * np.pi, mesh)
     assert r.passed
     assert_allclose(r.rhs, 4.0 * np.pi, rtol=1e-12)
@@ -77,7 +77,7 @@ def test_poisson_certificate_lhs_grows_under_refinement():
     lhs = []
     for levels in (0, 2, 4):
         mesh = build_mesh(disk, 24, refine_points=pts, refine_levels=levels)
-        r = verify_poisson_exponential(disk, pts, np.array([1.0]),
+        r = verify_poisson_exponential(pts, np.array([1.0]),
                                        2.0 * np.pi, mesh)
         assert r.passed
         lhs.append(r.lhs)
@@ -86,8 +86,8 @@ def test_poisson_certificate_lhs_grows_under_refinement():
 
 def test_poisson_certificate_near_four_pi_alpha():
     # alpha -> 4 pi: integrand exponent -> 0, LHS -> area
-    disk, pts, mesh = disk_center_setup(32, 2)
-    r = verify_poisson_exponential(disk, pts, np.array([1.0]),
+    pts, mesh = disk_center_setup(32, 2)
+    r = verify_poisson_exponential(pts, np.array([1.0]),
                                    4.0 * np.pi - 1e-6, mesh)
     assert r.passed
     assert abs(r.lhs - np.pi) < 0.01
@@ -95,32 +95,29 @@ def test_poisson_certificate_near_four_pi_alpha():
 
 
 def test_poisson_certificate_rejects_bad_hypotheses():
-    disk, pts, mesh = disk_center_setup(16, 0)
+    pts, mesh = disk_center_setup(16, 0)
     with pytest.raises(ValueError, match="positive"):
-        verify_poisson_exponential(disk, pts, np.array([-1.0]),
+        verify_poisson_exponential(pts, np.array([-1.0]),
                                    np.pi, mesh)
     with pytest.raises(ValueError, match="alpha"):
-        verify_poisson_exponential(disk, pts, np.array([1.0]), 13.0, mesh)
+        verify_poisson_exponential(pts, np.array([1.0]), 13.0, mesh)
     with pytest.raises(ValueError, match="alpha"):
-        verify_poisson_exponential(disk, pts, np.array([1.0]), 0.0, mesh)
-    other = build_mesh(Domain.unit_square(), 8)
-    with pytest.raises(ValueError, match="discretize"):
-        verify_poisson_exponential(disk, pts, np.array([1.0]), np.pi, other)
+        verify_poisson_exponential(pts, np.array([1.0]), 0.0, mesh)
 
 
 def test_semilinear_certificate_with_source_term():
-    disk, pts, mesh = disk_center_setup(32, 3)
-    r = verify_semilinear_exponential(disk, pts, np.array([1.0]),
+    pts, mesh = disk_center_setup(32, 3)
+    r = verify_semilinear_exponential(pts, np.array([1.0]),
                                       2.0 * np.pi, 1.0, mesh)
     assert r.passed
     assert r.parameters["shift"] > 0.0
 
 
 def test_semilinear_without_f0_reduces_toward_poisson():
-    disk, pts, mesh = disk_center_setup(32, 3)
-    rs = verify_semilinear_exponential(disk, pts, np.array([1.0]),
+    pts, mesh = disk_center_setup(32, 3)
+    rs = verify_semilinear_exponential(pts, np.array([1.0]),
                                        2.0 * np.pi, None, mesh)
-    rp = verify_poisson_exponential(disk, pts, np.array([1.0]),
+    rp = verify_poisson_exponential(pts, np.array([1.0]),
                                     2.0 * np.pi, mesh)
     assert rs.passed
     # absorption only lowers the state, and the shift term is zero
@@ -130,12 +127,12 @@ def test_semilinear_without_f0_reduces_toward_poisson():
 
 
 def test_semilinear_rejects_all_zero_weights():
-    disk, pts, mesh = disk_center_setup(16, 0)
+    pts, mesh = disk_center_setup(16, 0)
     with pytest.raises(ValueError, match="positive"):
-        verify_semilinear_exponential(disk, pts, np.array([0.0]),
+        verify_semilinear_exponential(pts, np.array([0.0]),
                                       np.pi, None, mesh)
     with pytest.raises(ValueError, match="nonnegative"):
-        verify_semilinear_exponential(disk, pts, np.array([-0.5]),
+        verify_semilinear_exponential(pts, np.array([-0.5]),
                                       np.pi, None, mesh)
 
 
@@ -168,7 +165,7 @@ def test_lipschitz_family_is_seed_deterministic():
 
 def test_mollified_certificates_closed_form_parameters():
     mesh = build_mesh(Domain.disk(0.0, 0.0, 1.0), 64)
-    pw, integ = verify_mollified_poisson(1.0, (0.0, 0.0), 0.5, 0.1,
+    pw, integ = verify_mollified_poisson((0.0, 0.0), 0.5, 0.1,
                                          2.0 * np.pi, mesh)
     # pointwise RHS (2R/(rho0 - eps))^(m/2pi) = 5, integral RHS = 2.4 pi
     assert_allclose(pw.rhs, 5.0, rtol=1e-12)
@@ -180,7 +177,7 @@ def test_mollified_certificates_closed_form_parameters():
 
 def test_mollified_limit_of_small_exponent():
     mesh = build_mesh(Domain.disk(0.0, 0.0, 1.0), 32)
-    pw, integ = verify_mollified_poisson(1.0, (0.0, 0.0), 0.5, 0.1,
+    pw, integ = verify_mollified_poisson((0.0, 0.0), 0.5, 0.1,
                                          1e-9, mesh)
     assert_allclose(pw.rhs, 1.0, rtol=1e-6)
     assert_allclose(integ.rhs, np.pi * 0.36, rtol=1e-6)
@@ -190,23 +187,20 @@ def test_mollified_limit_of_small_exponent():
 def test_mollified_geometry_validation():
     mesh = build_mesh(Domain.disk(0.0, 0.0, 1.0), 16)
     with pytest.raises(ValueError, match="mollifier radius"):
-        verify_mollified_poisson(1.0, (0.0, 0.0), 0.1, 0.2, np.pi, mesh)
+        verify_mollified_poisson((0.0, 0.0), 0.1, 0.2, np.pi, mesh)
     with pytest.raises(ValueError, match="smaller than the disk"):
-        verify_mollified_poisson(1.0, (0.0, 0.0), 1.5, 0.1, np.pi, mesh)
+        verify_mollified_poisson((0.0, 0.0), 1.5, 0.1, np.pi, mesh)
     with pytest.raises(ValueError, match="exponent m"):
-        verify_mollified_poisson(1.0, (0.0, 0.0), 0.5, 0.1, 14.0, mesh)
+        verify_mollified_poisson((0.0, 0.0), 0.5, 0.1, 14.0, mesh)
     with pytest.raises(ValueError, match="reaches the boundary"):
-        verify_mollified_poisson(1.0, (0.6, 0.0), 0.5, 0.1, np.pi, mesh)
+        verify_mollified_poisson((0.6, 0.0), 0.5, 0.1, np.pi, mesh)
     square = build_mesh(Domain.unit_square(), 8)
     with pytest.raises(ValueError, match="disk mesh"):
-        verify_mollified_poisson(1.0, (0.0, 0.0), 0.5, 0.1, np.pi, square)
-    wrong = build_mesh(Domain.disk(0.0, 0.0, 2.0), 8)
-    with pytest.raises(ValueError, match="radius R"):
-        verify_mollified_poisson(1.0, (0.0, 0.0), 0.5, 0.1, np.pi, wrong)
+        verify_mollified_poisson((0.0, 0.0), 0.5, 0.1, np.pi, square)
 
 
 def test_mollified_off_center_ball():
     mesh = build_mesh(Domain.disk(0.0, 0.0, 1.0), 48)
-    pw, integ = verify_mollified_poisson(1.0, (0.3, 0.1), 0.3, 0.05,
+    pw, integ = verify_mollified_poisson((0.3, 0.1), 0.3, 0.05,
                                          np.pi, mesh)
     assert pw.passed and integ.passed

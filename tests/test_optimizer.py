@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,8 +76,7 @@ def test_kkt_residual_zero_iff_sign_conditions_hold(u_val, d_val):
 def test_kkt_report_validation():
     with pytest.raises(ValueError):
         KKTReport(["interior"], [-0.1], [0.1], [0.1])
-    rep = KKTReport(["interior"], [0.2], [0.1], [0.2], iterations=3,
-                    history=[(1.0, 0.5, 1.0)])
+    rep = KKTReport(["interior"], [0.2], [0.1], [0.2])
     assert rep.aggregate == 0.2
 
 
@@ -281,7 +278,7 @@ def test_critical_cone_minimum_is_below_every_cone_direction(case):
     A = np.array(entries).reshape(K, K)
     H = 0.5 * (A + A.T)
     u, d, bounds, allowed = cone_problem(kinds)
-    value, h = critical_cone_minimum(H, u, d, bounds)
+    value, h = critical_cone_minimum(H, kkt_residual(u, d, bounds))
     assert in_cone(h, allowed)
     assert value == float(h @ H @ h)
     if not any(allowed):
@@ -309,8 +306,8 @@ def test_critical_cone_minimum_is_below_every_cone_direction(case):
 def test_critical_cone_requires_a_first_order_point():
     bounds = BoundsPair([-1.0], [1.0])
     with pytest.raises(ValueError, match="first-order"):
-        critical_cone_minimum(np.eye(1), Control([0.0]), np.array([0.5]),
-                              bounds)
+        critical_cone_minimum(
+            np.eye(1), kkt_residual(Control([0.0]), np.array([0.5]), bounds))
 
 
 def test_critical_cone_minimum_vanishes_on_blocked_components():
@@ -319,7 +316,7 @@ def test_critical_cone_minimum_vanishes_on_blocked_components():
     d = np.array([0.5, 0.0, 0.0])   # aggregate 0: sign conditions hold
     # the blocked component has the most negative curvature
     H = np.diag([-5.0, 2.0, 3.0])
-    value, h = critical_cone_minimum(H, u, d, bounds)
+    value, h = critical_cone_minimum(H, kkt_residual(u, d, bounds))
     assert h[0] == 0.0                 # |d| > tol_grad blocks it
     assert h[2] >= 0.0                 # lower-active keeps it >= 0
     assert float(np.dot(h, d)) == 0.0
@@ -332,7 +329,7 @@ def test_critical_cone_empty_cone_is_flagged():
     bounds = BoundsPair([0.0, 0.0], [1.0, 1.0])
     u = Control([0.0, 1.0])
     d = np.array([0.5, -0.5])
-    value, h = critical_cone_minimum(-np.eye(2), u, d, bounds)
+    value, h = critical_cone_minimum(-np.eye(2), kkt_residual(u, d, bounds))
     assert value == 0.0
     assert np.array_equal(h, np.zeros(2))
 
@@ -343,10 +340,11 @@ def test_critical_cone_minimum_is_deterministic():
     bounds = BoundsPair([-1.0, -1.0], [1.0, 1.0])
     u = Control([0.1, -0.2])
     d = np.zeros(2)
-    value, h = critical_cone_minimum(np.eye(2), u, d, bounds)
+    kkt = kkt_residual(u, d, bounds)
+    value, h = critical_cone_minimum(np.eye(2), kkt)
     assert value == 0.5
     assert np.array_equal(h, [0.5, 0.5])
-    again = critical_cone_minimum(np.eye(2), u, d, bounds)
+    again = critical_cone_minimum(np.eye(2), kkt)
     assert again[0] == value and np.array_equal(again[1], h)
 
 
@@ -357,10 +355,11 @@ def test_second_order_check_rejects_a_thin_negative_region(monkeypatch):
     H = np.eye(3) - 1.001 * np.outer(v, v)
     monkeypatch.setattr(optimizer, "reduced_hessian",
                         lambda *args, **kwargs: H)
-    instance = SimpleNamespace(bounds=BoundsPair([-1.0] * 3, [1.0] * 3))
+    kkt = kkt_residual(Control([0.0] * 3), np.zeros(3),
+                       BoundsPair([-1.0] * 3, [1.0] * 3))
     # J = 0 sets tol = 1e-8
-    report = second_order_check(instance, Control([0.0] * 3), np.zeros(3),
-                                0.0, object(), object())
+    kkt.history = [(0.0, kkt.aggregate, 0.0)]
+    report = second_order_check(object(), kkt)
     assert not report.passed
     assert not report.empty
     assert report.minimum < 0.0
@@ -399,8 +398,7 @@ def test_second_order_check_reuses_the_optimizer_state():
                           solve_state(inst, u, mesh).y.values)
     assert rep.history[-1][0] == J(inst, u, mesh)
     fresh = certify(inst, u, mesh)
-    reused = second_order_check(inst, u, rep.gradient, rep.history[-1][0],
-                                rep.state, rep.adjoint)
+    reused = second_order_check(inst, rep)
     assert reused.minimum == fresh.minimum
     assert np.array_equal(reused.direction, fresh.direction)
     assert reused.passed == fresh.passed

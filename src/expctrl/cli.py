@@ -80,9 +80,10 @@ def _number(cfg, name, default=_REQUIRED):
     return float(value)
 
 
-def _float_list(cfg, name, default=_REQUIRED, count=None):
-    """A list of finite numbers; count, when given, is the number of
-    source points, one value each."""
+def _float_list(cfg, name, default=_REQUIRED, count=None,
+                per="source point"):
+    """A list of finite numbers; count, when given, is its length, one
+    value per source point unless per names another unit."""
     raw = _field(cfg, name, default)
     if raw is default and raw is not _REQUIRED:
         return raw
@@ -90,8 +91,21 @@ def _float_list(cfg, name, default=_REQUIRED, count=None):
         raise ConfigError("field '%s': expected a list of finite numbers"
                           % name)
     if count is not None and len(raw) != count:
-        raise ConfigError("field '%s': one value per source point" % name)
+        raise ConfigError("field '%s': expected %d numbers, one value per "
+                          "%s" % (name, count, per))
     return [float(v) for v in raw]
+
+
+def _points(cfg):
+    """The source points: a nonempty list of [x, y] pairs of finite
+    numbers."""
+    raw = _field(cfg, "points")
+    if not (isinstance(raw, list) and raw
+            and all(isinstance(p, list) and len(p) == 2
+                    and all(_is_number(v) for v in p) for p in raw)):
+        raise ConfigError("field 'points': expected a nonempty list of "
+                          "[x, y] pairs of finite numbers")
+    return [[float(x), float(y)] for x, y in raw]
 
 
 class _StateOf:
@@ -162,10 +176,11 @@ def _parse_domain(cfg):
         if kind == "unit_square":
             return Domain.unit_square()
         if kind == "rectangle":
-            x0, y0, x1, y1 = _float_list(raw, "corners")
+            x0, y0, x1, y1 = _float_list(raw, "corners", count=4,
+                                         per="corner coordinate")
             return Domain.rectangle(x0, y0, x1, y1)
         if kind == "disk":
-            cx, cy = _float_list(raw, "center")
+            cx, cy = _float_list(raw, "center", count=2, per="coordinate")
             return Domain.disk(cx, cy, _number(raw, "radius"))
     except ConfigError:
         raise
@@ -189,7 +204,7 @@ class RunConfig:
     def from_dict(cls, cfg, out=None, seed=None):
         domain = _parse_domain(cfg)
         try:
-            points = compute_separation_radii(_field(cfg, "points"), domain)
+            points = compute_separation_radii(_points(cfg), domain)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
@@ -341,8 +356,9 @@ def cmd_optimize(config):
     and the step s accepted along the search direction to reach it (1
     for a full Newton step, 0 on the starting row).  The certificate
     reads the optimizer's report (its classification, gradient, final
-    J, state and adjoint), so it costs only the K linearized solves of
-    the reduced Hessian.
+    J, state and adjoint), so it costs only the linearized solves of
+    the reduced Hessian on the components its critical cone leaves
+    unblocked, one each.
     """
     max_iters = _count(config.raw, "max_iters", 200, 0)
     mesh = config.instance.make_mesh()
@@ -402,11 +418,15 @@ def _verify_reports(config, entry, mesh, disks):
             _count(entry, "samples", 10000, 1), config.seed)]
     if check == "poisson":
         return [verify_poisson_exponential(
-            instance.points, np.asarray(_float_list(entry, "omega")),
+            instance.points,
+            np.asarray(_float_list(entry, "omega",
+                                   count=instance.points.count)),
             _number(entry, "alpha"), mesh)]
     if check == "semilinear":
         return [verify_semilinear_exponential(
-            instance.points, np.asarray(_float_list(entry, "omega")),
+            instance.points,
+            np.asarray(_float_list(entry, "omega",
+                                   count=instance.points.count)),
             _number(entry, "alpha"), instance.f0, mesh)]
     if check == "lipschitz":
         return verify_lipschitz_family(
@@ -420,7 +440,8 @@ def _verify_reports(config, entry, mesh, disks):
                                               resolution)
         disk = disks[R, resolution]
         return list(verify_mollified_poisson(
-            _float_list(entry, "x0", [0.0, 0.0]), _number(entry, "rho0"),
+            _float_list(entry, "x0", [0.0, 0.0], count=2, per="coordinate"),
+            _number(entry, "rho0"),
             _number(entry, "epsilon"), _number(entry, "m"), disk))
     raise ConfigError("field 'verify.check': unknown check '%s'" % check)
 

@@ -8,7 +8,8 @@ load P' u and the point evaluation P phi are adjoint.  With Z the
 linearized states of the K unit point masses, the Hessian is
 H = Z' M Z - Z' diag(M_L e^y phi) Z + nu I: the exponential's curvature
 enters with the lumped weights of the state equation, so H is again
-exact, and D2J[h, k] = h' H k.
+exact, and D2J[h, k] = h' H k.  A caller that reads H only on a block
+index x index solves only those columns of Z.
 
 J, d and H read a state y_u and an adjoint phi_u that the caller has
 solved, so all three at one control share one state solve and one
@@ -65,18 +66,27 @@ def evaluate_DJ(instance, u, state):
     return d, phi
 
 
-def reduced_hessian(instance, state, adjoint):
+def reduced_hessian(instance, state, adjoint, index=None):
     """The K x K Hessian of the discrete J at the control of the solved
     state and adjoint, symmetrized against roundoff; column i of Z is
-    the linearized state of the unit point mass at x_i, so building it
-    takes the K linearized solves."""
+    the linearized state of the unit point mass at x_i.
+
+    Only the columns in index (default: all K) are solved, one
+    linearized solve each; the others stay zero, so H[index, index]
+    holds the bits of the full H and every other entry is exactly 0.
+    """
     ops = operators(state.y.mesh)
-    eye = np.eye(instance.points.count)
-    Z = np.column_stack([
-        solve_linearized(state, Control(e), instance.points).values
-        for e in eye])
+    K = instance.points.count
+    solved = np.zeros(K, dtype=bool)
+    solved[slice(None) if index is None else index] = True
+    eye = np.eye(K)
+    Z = np.zeros((state.y.values.size, K))
+    for i in np.flatnonzero(solved):
+        Z[:, i] = solve_linearized(state, Control(eye[i]),
+                                   instance.points).values
     weight = ops.lumped * np.exp(state.y.values) * adjoint.values
-    H = Z.T @ (ops.mass @ Z) - Z.T @ (weight[:, None] * Z) + instance.nu * eye
+    H = Z.T @ (ops.mass @ Z) - Z.T @ (weight[:, None] * Z) \
+        + instance.nu * np.diag(solved)
     return 0.5 * (H + H.T)
 
 
@@ -97,8 +107,9 @@ def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
     base = evaluate_J(instance, u, state)
     grad, adjoint = evaluate_DJ(instance, u, state)
     dj_h = float(np.dot(grad, h.values))
-    d2_hh = float(h.values @ reduced_hessian(instance, state, adjoint)
-                  @ h.values)
+    # h vanishes off its support, so H is needed only there
+    H = reduced_hessian(instance, state, adjoint, np.flatnonzero(h.values))
+    d2_hh = float(h.values @ H @ h.values)
     lumped = operators(mesh).lumped
     rows = []
     for rho in rho_grid:

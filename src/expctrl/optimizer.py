@@ -5,10 +5,11 @@ exactly: the minimum of the reduced Hessian's form over the critical
 cone, found by visiting the stationary point of every face.
 
 projected_gradient owns every state and adjoint solve: one state per
-trial point, one adjoint per accepted iterate, and the K linearized
-solves of each Hessian.  second_order_check reads the active set,
-gradient, final J, state and adjoint from the optimizer's report and
-adds only the K linearized solves of its Hessian.
+trial point, one adjoint per accepted iterate, and one linearized solve
+per free component of each iterate's Hessian, the only block the Newton
+step reads.  second_order_check reads the active set, gradient, final
+J, state and adjoint from the optimizer's report and adds only one
+linearized solve per component the critical cone leaves unblocked.
 """
 
 import itertools
@@ -114,15 +115,16 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
     """Minimize J over the box from u0 by projected Newton (Bertsekas
     1982, SIAM J. Control Optim. 20).
 
-    Each iterate builds the reduced Hessian H from the state and adjoint
-    its gradient was read from (K linearized solves) and steps to
-    u(s) = clamp(u + s p).  A component within eps = min(1e-3, w) of a
-    bound that d pushes against, with w the projected residual, or on a
-    pinned interval is held in the set I and follows p_I = -d_I; the
-    others form F and take the Newton direction p_F = -H_FF^-1 d_F from
-    s = 1.  When the Cholesky of H_FF fails, every component joins I,
-    so the step follows -d, from s = 1 / |H|_2.  Backtracking halves s until
-    J(u) - J(u(s)) >= 1e-4 (s d_F' H_FF^-1 d_F
+    Each iterate steps to u(s) = clamp(u + s p).  A component within
+    eps = min(1e-3, w) of a bound that d pushes against, with w the
+    projected residual, or on a pinned interval is held in the set I and
+    follows p_I = -d_I; the others form F and take the Newton direction
+    p_F = -H_FF^-1 d_F from s = 1, with the block H_FF of the reduced
+    Hessian built from the state and adjoint the gradient was read from
+    (|F| linearized solves).  When the Cholesky of H_FF fails, every
+    component joins I, so the step follows -d, from s = 1 / |H|_2, and
+    only then is the whole H built (K linearized solves).  Backtracking
+    halves s until J(u) - J(u(s)) >= 1e-4 (s d_F' H_FF^-1 d_F
     + sum_I d_i (u_i - u_i(s))), a bound that is positive away from a
     first-order point even when the clamp cuts the Newton step; a trial
     point whose state solve fails counts as a rejection, and 30
@@ -144,17 +146,18 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
             kkt.iterations, kkt.history = it, history
             kkt.state, kkt.adjoint = state, adjoint
             return u, kkt
-        H = reduced_hessian(instance, state, adjoint)
         eps = min(_EPSILON, kkt.projected_aggregate)
         held = (lower == upper) \
             | ((u.values <= lower + eps) & (grad > 0.0)) \
             | ((u.values >= upper - eps) & (grad < 0.0))
         free = ~held
+        H = reduced_hessian(instance, state, adjoint, free)
         direction = -grad
         try:
             factor = np.linalg.cholesky(H[np.ix_(free, free)])
         except np.linalg.LinAlgError:
             held[:] = True
+            H = reduced_hessian(instance, state, adjoint)
             newton, s = 0.0, 1.0 / np.linalg.norm(H, 2)
         else:
             half = np.linalg.solve(factor, grad[free])
@@ -184,6 +187,15 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
     raise AssertionError("unreachable")
 
 
+def _unblocked(kkt, tol_grad):
+    """Indices the critical cone of kkt leaves free: not on a pinned
+    interval and with |d_i| <= tol_grad."""
+    d = kkt.gradient
+    return np.array([i for i, c in enumerate(kkt.classification)
+                     if c != "degenerate" and abs(d[i]) <= tol_grad],
+                    dtype=int)
+
+
 def critical_cone_minimum(H, kkt, tol_grad=1e-6):
     """Exact minimum of h' H h over the critical cone of the KKTReport
     kkt with |h|_1 = 1, returned as (value, h); an empty cone gives 0
@@ -209,9 +221,7 @@ def critical_cone_minimum(H, kkt, tol_grad=1e-6):
     signs = {"lower-active": (0.0, 1.0), "upper-active": (0.0, -1.0),
              "interior": (0.0, 1.0, -1.0)}
     cls, dv = kkt.classification, kkt.gradient
-    free = np.array([i for i, c in enumerate(cls)
-                     if c != "degenerate" and abs(dv[i]) <= tol_grad],
-                    dtype=int)
+    free = _unblocked(kkt, tol_grad)
     if free.size == 0:
         return 0.0, np.zeros(dv.size)
     best, best_h = np.inf, None
@@ -240,15 +250,18 @@ def critical_cone_minimum(H, kkt, tol_grad=1e-6):
 def second_order_check(instance, kkt, tol_grad=1e-6):
     """Certify D2J[h, h] = h' H h >= -tol on the whole critical cone at
     the final control of the optimizer's report kkt, with the reduced
-    K x K Hessian H built once from the report's state and adjoint (K
-    linearized solves) and its exact cone minimum.
+    K x K Hessian H built once from the report's state and adjoint and
+    its exact cone minimum.  Cone directions vanish on blocked
+    components, so H is built only on the unblocked ones (one
+    linearized solve each).
 
     The report's gradient and classification fix the cone and its final
     J sets tol = 1e-8 * (1 + |J|).  Raises ValueError unless the report
     is at a first-order point within tol_grad.
     """
     tol = 1e-8 * (1.0 + abs(kkt.history[-1][0]))
-    H = reduced_hessian(instance, kkt.state, kkt.adjoint)
+    H = reduced_hessian(instance, kkt.state, kkt.adjoint,
+                        _unblocked(kkt, tol_grad))
     minimum, direction = critical_cone_minimum(H, kkt, tol_grad)
     return SecondOrderReport(minimum, direction, minimum >= -tol, tol,
                              empty=not np.any(direction))

@@ -1,6 +1,7 @@
 """Shared test helpers: conversions between full-size scipy matrices and
 the free-block CSR operators that the solvers take, the derivatives of J
-at a control from a fresh state solve, and the references that faster
+at a control from a fresh state solve, a counter of the reduced
+Hessian's linearized solves, and the references that faster
 paths must reproduce bit for bit: the level-by-level graded refinement,
 the point location by a scan of every triangle and the loop
 aggregation."""
@@ -10,12 +11,13 @@ import functools
 import numpy as np
 import scipy.sparse as sp
 
+from expctrl import objective
 from expctrl.fem import CSR
 from expctrl.mesh import (_BARY_TOL, Domain, Mesh, _tri_edges, barycentric,
                           build_mesh, circumcenters)
 from expctrl.objective import evaluate_DJ, evaluate_J, reduced_hessian
 from expctrl.optimizer import projected_gradient, second_order_check
-from expctrl.pde import solve_state
+from expctrl.pde import solve_linearized, solve_state
 from expctrl.sequences import compute_separation_radii
 
 
@@ -49,6 +51,17 @@ def D2J(instance, u, mesh, tol=1e-10):
     state = solve_state(instance, u, mesh, tol=tol)
     return reduced_hessian(instance, state,
                            evaluate_DJ(instance, u, state)[1])
+
+
+def count_linearized(monkeypatch):
+    """The linearized solves of the reduced Hessian, one entry each."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_linearized(*args, **kwargs)
+    monkeypatch.setattr(objective, "solve_linearized", counted)
+    return calls
 
 
 def certify(instance, u, mesh):

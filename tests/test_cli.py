@@ -224,6 +224,10 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
                                   "radius": 1.0}}, "center"),
             ("solve", {"domain": {"kind": "rectangle",
                                   "corners": "0011"}}, "corners"),
+            ("solve", {"domain": {"kind": "rectangle",
+                                  "corners": [0.0, 0.0, 2.0]}}, "corners"),
+            ("solve", {"domain": {"kind": "disk", "center": [0.0, 0.0, 0.0],
+                                  "radius": 1.0}}, "center"),
             ("taylor", {"direction": [1.0, 0.0],
                         "rho_grid": [0.1, float("inf")]}, "rho_grid"),
             ("taylor", {"direction": [1.0]}, "direction"),
@@ -254,6 +258,35 @@ def test_verify_counts_must_be_positive_integers(tmp_path, capsys, entry,
                  str(tmp_path / "o")]) == 1
     assert "config error: field '%s'" % field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"check": "mollified", "R": 1.0, "x0": [0.0, 0.0, 0.0], "rho0": 0.5,
+      "epsilon": 0.1, "m": 1.0}, "'x0': expected 2 numbers"),
+    ({"check": "poisson", "omega": [1.0], "alpha": 3.0},
+     "'omega': expected 2 numbers, one value per source point"),
+    ({"check": "semilinear", "omega": [1.0, 2.0, 3.0], "alpha": 3.0},
+     "'omega': expected 2 numbers, one value per source point"),
+])
+def test_verify_entry_lengths_name_the_field(tmp_path, capsys, entry,
+                                             message):
+    path = write_config(tmp_path, base_config(verify=[entry]))
+    assert main(["verify", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 1
+    assert "config error: field %s" % message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [
+    [["0.3", "0.4"], [0.7, True]], [[0.3, 0.4], [0.7, float("nan")]],
+    [], [[0.3]], [[0.3, 0.4, 0.5]], [0.3, 0.4], "0.3 0.4", None])
+def test_points_must_be_pairs_of_finite_numbers(tmp_path, capsys, points):
+    # every coordinate here, read as a number, lies inside [0, 2]^2
+    path = write_config(tmp_path, base_config(
+        domain={"kind": "rectangle", "corners": [0.0, 0.0, 2.0, 2.0]},
+        points=points))
+    assert main(["solve", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 1
+    assert "config error: field 'points'" in capsys.readouterr().err
 
 
 def test_mass_matrix_is_assembled_only_where_it_is_read(tmp_path,
@@ -354,9 +387,10 @@ def test_optimize_reports_the_derivative_at_the_written_control(tmp_path):
 
 def test_optimize_solve_budget(tmp_path, monkeypatch):
     # per iterate one adjoint, shared by the gradient and the Hessian,
-    # and K linearized solves; J once per state; the certificate at the
-    # final point reads the optimizer's state, adjoint, J and active set
-    # and adds only K linearized solves
+    # and one linearized solve per free component, here all K; J once
+    # per state; the certificate at the final point reads the
+    # optimizer's state, adjoint, J and active set and adds only one
+    # linearized solve per unblocked component, here all K
     path = write_config(tmp_path, base_config(
         f0="constant 1.0", y_d="gaussian(0.5, 0.5, 0.2, 2.0)",
         control=[0.5, -0.3]))

@@ -3,15 +3,14 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from expctrl import objective
 from expctrl.fem import assemble_stiffness, solve_spd
 from expctrl.mesh import Domain, build_mesh
 from expctrl.objective import (DerivativeReport, evaluate_DJ, evaluate_J,
                                reduced_hessian, taylor_remainder_test)
 from expctrl.pde import (ProblemInstance, operators, point_coupling,
-                         solve_adjoint, solve_linearized, solve_state)
+                         solve_adjoint, solve_state)
 from expctrl.sequences import BoundsPair, Control, compute_separation_radii
-from helpers import D2J, DJ, J, free_block
+from helpers import D2J, DJ, J, count_linearized, free_block
 
 
 def make_instance(nu=0.1, f0=None, y_d=None, resolution=24,
@@ -183,15 +182,42 @@ def test_reduced_hessian_reuses_the_gradient_adjoint(monkeypatch):
     assert np.array_equal(phi.values,
                           solve_adjoint(state, inst.y_d).values)
     # the Hessian reads that adjoint and adds the K linearized solves
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve_linearized(*args, **kwargs)
-    monkeypatch.setattr(objective, "solve_linearized", counted)
+    calls = count_linearized(monkeypatch)
     H = reduced_hessian(inst, state, phi)
     assert len(calls) == inst.points.count
     assert np.array_equal(H, H.T)
+
+
+@pytest.mark.parametrize("index", [
+    [], [2], [0, 3], [1, 2, 3], [0, 1, 2, 3],
+    np.array([True, False, True, False])],
+    ids=["empty", "one", "two", "three", "all", "mask"])
+def test_a_hessian_block_has_the_bits_of_the_full_hessian(index,
+                                                           monkeypatch):
+    inst, mesh, u = four_point_instance()
+    state = solve_state(inst, u, mesh)
+    phi = solve_adjoint(state, inst.y_d)
+    full = reduced_hessian(inst, state, phi)
+    calls = count_linearized(monkeypatch)
+    H = reduced_hessian(inst, state, phi, index)
+    inside = np.zeros(full.shape, dtype=bool)
+    inside[np.ix_(index, index)] = True
+    # one linearized solve per column of the block, and its exact bits
+    assert len(calls) == np.arange(4)[index].size
+    assert np.array_equal(H[inside], full[inside])
+    assert np.all(H[~inside] == 0.0)
+
+
+def test_taylor_solves_the_hessian_only_on_the_direction_support(
+        monkeypatch):
+    inst = make_instance(f0=1.0, y_d=0.5)
+    mesh = inst.make_mesh()
+    u, h = Control([0.5, -0.3]), Control([1.0, 0.0])
+    H = D2J(inst, u, mesh, tol=1e-12)
+    calls = count_linearized(monkeypatch)
+    rep = taylor_remainder_test(inst, u, mesh, h, rho_grid=[1e-2])
+    assert len(calls) == 1
+    assert rep.second_order == float(h.values @ H @ h.values)
 
 
 def test_taylor_zero_direction_gives_a_zero_table():

@@ -11,7 +11,7 @@ from expctrl.optimizer import (KKTReport, critical_cone_minimum,
                                second_order_check)
 from expctrl.pde import ProblemInstance, solve_state
 from expctrl.sequences import BoundsPair, Control, compute_separation_radii
-from helpers import D2J, DJ, J, certify
+from helpers import D2J, DJ, J, certify, count_linearized
 
 
 def make_instance(nu=0.1, resolution=20, lower=(-1.0, -1.0),
@@ -156,10 +156,10 @@ def test_projected_newton_falls_back_on_an_indefinite_hessian(monkeypatch):
         at.append(u.values.copy())
         return evaluate_DJ(instance, u, state)
 
-    def hessian(instance, state, adjoint):
+    def hessian(instance, state, adjoint, index=None):
         if len(at) == 1:
             return np.diag([3.0, -3.0])
-        return reduced_hessian(instance, state, adjoint)
+        return reduced_hessian(instance, state, adjoint, index)
     monkeypatch.setattr(optimizer, "evaluate_DJ", gradient)
     monkeypatch.setattr(optimizer, "reduced_hessian", hessian)
     u, rep = projected_gradient(inst, mesh, u0, max_iters=50, tol=1e-9)
@@ -234,13 +234,50 @@ def test_an_empty_free_set_takes_the_gradient_step(monkeypatch):
     d0 = DJ(inst, u0, mesh)
     assert np.all(d0 < -1e-4)
     blocks = spy_on_cholesky(monkeypatch)
+    calls = count_linearized(monkeypatch)
     u, rep = projected_gradient(inst, mesh, u0, max_iters=5, tol=1e-9)
     assert blocks == [(0, 0)]
+    # the step reads no Hessian entry, so none is solved for
+    assert calls == []
     assert rep.iterations == 1
     assert rep.history[1][2] == 1.0
     assert np.array_equal(u.values, np.clip(u0.values - d0,
                                             inst.bounds.lower,
                                             inst.bounds.upper))
+
+
+def test_newton_and_certificate_solve_only_the_columns_they_read(
+        monkeypatch):
+    # a mixed active set on four points: the target's control lies
+    # above the box at x_0, below it at x_1 and inside at x_2 and x_3
+    dom = Domain.unit_square()
+    pts = compute_separation_radii(
+        [[0.3, 0.3], [0.7, 0.3], [0.3, 0.7], [0.7, 0.7]], dom)
+    inst = ProblemInstance(dom, pts, BoundsPair([-1.0] * 4, [2.0] * 4),
+                           1e-3, resolution=24)
+    mesh = inst.make_mesh()
+    inst.y_d = solve_state(inst, Control([2.75, -1.75, 0.3, 0.8]), mesh).y
+    blocks = spy_on_cholesky(monkeypatch)
+    calls = count_linearized(monkeypatch)
+    u, rep = projected_gradient(inst, mesh, Control([0.0] * 4), tol=1e-6)
+    assert rep.classification == ["upper-active", "lower-active",
+                                  "interior", "interior"]
+    # one successful Cholesky of H_FF per iterate, |F_k| solves each
+    assert len(blocks) == rep.iterations
+    newton = sum(m for m, _ in blocks)
+    assert len(calls) == newton
+    report = second_order_check(inst, rep)
+    unblocked = sum(c != "degenerate" and abs(d) <= 1e-6
+                    for c, d in zip(rep.classification, rep.gradient))
+    assert unblocked == 2
+    assert len(calls) == newton + unblocked
+    # K solves per Hessian would make (iterations + 1) K
+    assert len(calls) < (rep.iterations + 1) * inst.points.count
+    # the certificate of the whole Hessian, to the bit
+    H = reduced_hessian(inst, rep.state, rep.adjoint)
+    minimum, direction = critical_cone_minimum(H, rep)
+    assert report.minimum == minimum
+    assert np.array_equal(report.direction, direction)
 
 
 # per component: (u, lower, upper, d, nonzero signs the cone allows);

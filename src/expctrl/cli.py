@@ -36,6 +36,15 @@ from .sequences import BoundsPair, Control, compute_separation_radii
 
 _REQUIRED = object()
 
+#: every top-level key a config may set; the commands read those they
+#: need and ignore the others
+_KEYS = ("domain", "points", "lower", "upper", "nu", "f0", "y_d", "mesh",
+         "tolerances", "seed", "out", "control", "linear", "max_iters",
+         "verify", "direction", "rho_grid")
+#: the sample count of the retired sampled second-order check, still
+#: accepted and ignored so that configs that set it keep running
+_RETIRED_KEYS = ("second_order_count",)
+
 
 class ConfigError(Exception):
     """A config file that does not parse to a valid run."""
@@ -202,6 +211,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, cfg, out=None, seed=None):
+        for key in cfg:
+            if key not in _KEYS + _RETIRED_KEYS:
+                raise ConfigError("field '%s': unknown key, expected one of "
+                                  "%s" % (key, ", ".join(_KEYS)))
         domain = _parse_domain(cfg)
         try:
             points = compute_separation_radii(_points(cfg), domain)

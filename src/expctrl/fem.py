@@ -554,10 +554,12 @@ def solve_spd(A, b, dirichlet_mask, tol=1e-10, multigrid=None):
     iteration, on the hierarchy passed in or else one built from A;
     deterministic sequential updates.  Stops at relative
     residual tol, confirmed against the true residual, not just the
-    recursion.  When the confirmation fails (or the recursion has run
-    dim steps, the exact-arithmetic bound, without reaching tol) CG
-    restarts from the true residual, and raises "linear solve
-    stagnated" once _STALLED_RESTARTS restarts in a row leave the
+    recursion.  The recursive residual is tested right after its update,
+    before the V-cycle of the next step, so a pass of m steps that ends
+    on that test applies m V-cycles.  When the confirmation fails (or
+    the recursion has run dim steps, the exact-arithmetic bound, without
+    reaching tol) CG restarts from the true residual, and raises "linear
+    solve stagnated" once _STALLED_RESTARTS restarts in a row leave the
     smallest true residual so far unchanged: tol is then below the
     round-off floor of the residual.
     """
@@ -580,23 +582,24 @@ def solve_spd(A, b, dirichlet_mask, tol=1e-10, multigrid=None):
     best = np.inf
     stalled = 0
     while True:
-        z = precondition(r)
-        p = z.copy()
-        rz = float(np.dot(r, z))
-        for _ in range(bf.size):
-            if np.linalg.norm(r) <= tol * nb:
-                break
-            q = A @ p
-            pq = float(np.dot(p, q))
-            if not (pq > 0.0 and rz > 0.0):
-                raise RuntimeError("operator is not positive definite")
-            alpha = rz / pq
-            xf += alpha * p
-            r -= alpha * q
+        if np.linalg.norm(r) > tol * nb:
             z = precondition(r)
-            rz_new = float(np.dot(r, z))
-            p = z + (rz_new / rz) * p
-            rz = rz_new
+            p = z.copy()
+            rz = float(np.dot(r, z))
+            for _ in range(bf.size):
+                q = A @ p
+                pq = float(np.dot(p, q))
+                if not (pq > 0.0 and rz > 0.0):
+                    raise RuntimeError("operator is not positive definite")
+                alpha = rz / pq
+                xf += alpha * p
+                r -= alpha * q
+                if np.linalg.norm(r) <= tol * nb:
+                    break
+                z = precondition(r)
+                rz_new = float(np.dot(r, z))
+                p = z + (rz_new / rz) * p
+                rz = rz_new
         r = bf - A @ xf
         true_norm = float(np.linalg.norm(r))
         if true_norm <= tol * nb:

@@ -20,8 +20,8 @@ taylor_remainder_test solves states itself.
 import numpy as np
 
 from .fem import exp_remainder
-from .pde import (evaluate_at_points, nodal_field, operators, solve_adjoint,
-                  solve_linearized, solve_state)
+from .pde import (_CG_TOL, evaluate_at_points, nodal_field, operators,
+                  solve_adjoint, solve_linearized, solve_state)
 from .sequences import FOUR_PI, Control
 
 #: default probe grid, rho = 10^-1 .. 10^-3 in half-decade steps
@@ -66,10 +66,11 @@ def evaluate_DJ(instance, u, state):
     return d, phi
 
 
-def reduced_hessian(instance, state, adjoint, index=None):
+def reduced_hessian(instance, state, adjoint, index=None, tol=_CG_TOL):
     """The K x K Hessian of the discrete J at the control of the solved
     state and adjoint, symmetrized against roundoff; column i of Z is
-    the linearized state of the unit point mass at x_i.
+    the linearized state of the unit point mass at x_i, solved to the
+    relative residual tol.
 
     Only the columns in index (default: all K) are solved, one
     linearized solve each; the others stay zero, so H[index, index]
@@ -83,7 +84,7 @@ def reduced_hessian(instance, state, adjoint, index=None):
     Z = np.zeros((state.y.values.size, K))
     for i in np.flatnonzero(solved):
         Z[:, i] = solve_linearized(state, Control(eye[i]),
-                                   instance.points).values
+                                   instance.points, tol=tol).values
     weight = ops.lumped * np.exp(state.y.values) * adjoint.values
     H = Z.T @ (ops.mass @ Z) - Z.T @ (weight[:, None] * Z) \
         + instance.nu * np.diag(solved)

@@ -7,9 +7,13 @@ cone, found by visiting the stationary point of every face.
 projected_gradient owns every state and adjoint solve: one state per
 trial point, one adjoint per accepted iterate, and one linearized solve
 per free component of each iterate's Hessian, the only block the Newton
-step reads.  second_order_check reads the active set, gradient, final
-J, state and adjoint from the optimizer's report and adds only one
-linearized solve per component the critical cone leaves unblocked.
+step reads.  Those linearized solves only steer a step that the Armijo
+test guards, so they stop at a forcing tolerance that falls with the
+KKT residual; every adjoint stays at the tight pde._CG_TOL.
+second_order_check reads the active set, gradient, final J, state and
+adjoint from the optimizer's report and adds only one linearized solve
+per component the critical cone leaves unblocked, at pde._CG_TOL: the
+certified Hessian is the exact one.
 """
 
 import itertools
@@ -17,7 +21,7 @@ import itertools
 import numpy as np
 
 from .objective import evaluate_DJ, evaluate_J, reduced_hessian
-from .pde import solve_state
+from .pde import _CG_TOL, _ETA_MAX, solve_state
 from .sequences import Control, project_box
 
 # the widest band next to a bound in which a component is held as
@@ -123,7 +127,13 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
     Hessian built from the state and adjoint the gradient was read from
     (|F| linearized solves).  When the Cholesky of H_FF fails, every
     component joins I, so the step follows -d, from s = 1 / |H|_2, and
-    only then is the whole H built (K linearized solves).  Backtracking
+    only then is the whole H built (K linearized solves).  Both solve
+    their columns to the forcing tolerance eta_k = max(_CG_TOL,
+    min(_ETA_MAX, r_k)) of the aggregate residual r_k: an inexact
+    Hessian that converges to the exact one keeps the local superlinear
+    rate (Dennis and More 1974, Math. Comp. 28), and eta_k -> 0 with
+    r_k as in inexact Newton (Dembo, Eisenstat and Steihaug 1982, SIAM
+    J. Numer. Anal. 19).  Backtracking
     halves s until J(u) - J(u(s)) >= 1e-4 (s d_F' H_FF^-1 d_F
     + sum_I d_i (u_i - u_i(s))), a bound that is positive away from a
     first-order point even when the clamp cuts the Newton step; a trial
@@ -151,13 +161,14 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
             | ((u.values <= lower + eps) & (grad > 0.0)) \
             | ((u.values >= upper - eps) & (grad < 0.0))
         free = ~held
-        H = reduced_hessian(instance, state, adjoint, free)
+        eta = max(_CG_TOL, min(_ETA_MAX, kkt.aggregate))
+        H = reduced_hessian(instance, state, adjoint, free, tol=eta)
         direction = -grad
         try:
             factor = np.linalg.cholesky(H[np.ix_(free, free)])
         except np.linalg.LinAlgError:
             held[:] = True
-            H = reduced_hessian(instance, state, adjoint)
+            H = reduced_hessian(instance, state, adjoint, tol=eta)
             newton, s = 0.0, 1.0 / np.linalg.norm(H, 2)
         else:
             half = np.linalg.solve(factor, grad[free])

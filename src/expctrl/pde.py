@@ -16,8 +16,13 @@ one vector add and applied by the CSR kernel directly.
 
 The state is found by inexact damped Newton: each step's linear solve
 stops at an Eisenstat-Walker forcing tolerance, and only the nonlinear
-residual test decides convergence.  The linearized and adjoint solves,
-on which the exact gradient and Hessian identities rest, run at _CG_TOL.
+residual test decides convergence.  The adjoint solves, on which the
+exact gradient rests, run at _CG_TOL, and so do the linearized solves
+by default.  A caller that reads a linearized state only to steer a
+guarded step may pass a looser tol: the optimizer solves the Hessian
+columns of its iterates to a forcing tolerance between _CG_TOL and
+_ETA_MAX, while the second-order certificate and the Taylor table keep
+_CG_TOL.
 """
 
 import weakref

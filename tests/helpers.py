@@ -1,10 +1,11 @@
 """Shared test helpers: conversions between full-size scipy matrices and
 the free-block CSR operators that the solvers take, the derivatives of J
-at a control from a fresh state solve, a counter of the reduced
-Hessian's linearized solves, and the references that faster
-paths must reproduce bit for bit: the level-by-level graded refinement,
-the point location by a scan of every triangle and the loop
-aggregation."""
+at a control from a fresh state solve, counters of the reduced
+Hessian's linearized solves and of the multigrid V-cycles, and the
+references that faster paths must reproduce bit for bit: the
+level-by-level graded refinement, the point location by a scan of every
+triangle, the loop aggregation and the PCG loop that tests its residual
+before each step."""
 
 import functools
 
@@ -12,12 +13,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from expctrl import objective
-from expctrl.fem import CSR
+from expctrl.fem import _STALLED_RESTARTS, CSR, Multigrid
 from expctrl.mesh import (_BARY_TOL, Domain, Mesh, _tri_edges, barycentric,
                           build_mesh, circumcenters)
 from expctrl.objective import evaluate_DJ, evaluate_J, reduced_hessian
 from expctrl.optimizer import projected_gradient, second_order_check
-from expctrl.pde import solve_linearized, solve_state
+from expctrl.pde import _CG_TOL, solve_linearized, solve_state
 from expctrl.sequences import compute_separation_radii
 
 
@@ -54,14 +55,32 @@ def D2J(instance, u, mesh, tol=1e-10):
 
 
 def count_linearized(monkeypatch):
-    """The linearized solves of the reduced Hessian, one entry each."""
+    """The linearized solves of the reduced Hessian, one entry each: the
+    relative residual it was solved to."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve_linearized(*args, **kwargs)
+    def counted(*args, tol=_CG_TOL):
+        calls.append(tol)
+        return solve_linearized(*args, tol=tol)
     monkeypatch.setattr(objective, "solve_linearized", counted)
     return calls
+
+
+def count_vcycles(monkeypatch):
+    """The V-cycles of every multigrid preconditioner, one entry each:
+    the length of the residual it was applied to."""
+    cycles = []
+    plain = Multigrid.preconditioner
+
+    def counting(self, A):
+        apply = plain(self, A)
+
+        def vcycle(r):
+            cycles.append(r.size)
+            return apply(r)
+        return vcycle
+    monkeypatch.setattr(Multigrid, "preconditioner", counting)
+    return cycles
 
 
 def certify(instance, u, mesh):
@@ -209,3 +228,55 @@ def reference_aggregate(A, theta):
             agg[i] = next((seeded[j] for j in indices[indptr[i]:indptr[i + 1]]
                            if seeded[j] >= 0), -1)
     return agg, count
+
+
+def reference_solve_spd(A, b, dirichlet_mask, tol=1e-10, multigrid=None):
+    """PCG that tests the recursive residual at the top of each step, so
+    it applies one V-cycle more per pass than it reads: the reference
+    whose iterates solve_spd must reproduce bit for bit.  Returns the
+    nodal solution and the number of CG steps taken."""
+    mask = np.asarray(dirichlet_mask, dtype=bool)
+    free = ~mask
+    x = np.zeros(mask.size)
+    bf = np.asarray(b, dtype=float)[free]
+    nb = float(np.linalg.norm(bf))
+    if nb == 0.0:
+        return x, 0
+    if multigrid is None:
+        multigrid = Multigrid(A)
+    precondition = multigrid.preconditioner(A)
+    xf = np.zeros(bf.size)
+    r = bf.copy()
+    best = np.inf
+    stalled = 0
+    steps = 0
+    while True:
+        z = precondition(r)
+        p = z.copy()
+        rz = float(np.dot(r, z))
+        for _ in range(bf.size):
+            if np.linalg.norm(r) <= tol * nb:
+                break
+            q = A @ p
+            pq = float(np.dot(p, q))
+            if not (pq > 0.0 and rz > 0.0):
+                raise RuntimeError("operator is not positive definite")
+            alpha = rz / pq
+            xf += alpha * p
+            r -= alpha * q
+            steps += 1
+            z = precondition(r)
+            rz_new = float(np.dot(r, z))
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        r = bf - A @ xf
+        true_norm = float(np.linalg.norm(r))
+        if true_norm <= tol * nb:
+            x[free] = xf
+            return x, steps
+        if true_norm < best:
+            best, stalled = true_norm, 0
+        else:
+            stalled += 1
+            if stalled == _STALLED_RESTARTS:
+                raise RuntimeError("linear solve stagnated")

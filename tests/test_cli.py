@@ -21,6 +21,21 @@ from expctrl.fem import assemble_mass, assemble_stiffness
 from expctrl.objective import evaluate_DJ, evaluate_J
 from expctrl.pde import solve_state
 from expctrl.sequences import Control
+from helpers import count_vcycles
+
+
+# the config of the README's command-line section
+README_CONFIG = {
+    "domain": {"kind": "unit_square"},
+    "points": [[0.3, 0.4], [0.7, 0.6]],
+    "lower": [-1.0, -1.0],
+    "upper": [2.0, 2.0],
+    "nu": 0.1,
+    "f0": "constant 1.0",
+    "y_d": "gaussian(0.5, 0.5, 0.2, 2.0)",
+    "control": [0.5, -0.3],
+    "mesh": {"resolution": 64},
+}
 
 
 def base_config(**extra):
@@ -189,6 +204,8 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
             ("solve", {"tolerances": {"kkkt": 1e-6}}, "tolerances.kkkt"),
             ("solve", {"linear": "false"}, "linear"),
             ("solve", {"mesh": {"resolutin": 8}}, "mesh.resolutin"),
+            # a misspelt key would silently run the default
+            ("optimize", {"max_iter": 3}, "max_iter"),
             ("solve", {"seed": None}, "seed"),
             ("solve", {"seed": [1]}, "seed"),
             ("solve", {"seed": True}, "seed"),
@@ -666,18 +683,7 @@ def test_seed_override_changes_random_draws(tmp_path):
 
 
 def test_optimize_reports_do_not_depend_on_the_seed(tmp_path):
-    # the config of the README's command-line section
-    path = write_config(tmp_path, {
-        "domain": {"kind": "unit_square"},
-        "points": [[0.3, 0.4], [0.7, 0.6]],
-        "lower": [-1.0, -1.0],
-        "upper": [2.0, 2.0],
-        "nu": 0.1,
-        "f0": "constant 1.0",
-        "y_d": "gaussian(0.5, 0.5, 0.2, 2.0)",
-        "control": [0.5, -0.3],
-        "mesh": {"resolution": 64},
-    })
+    path = write_config(tmp_path, README_CONFIG)
     a, b = tmp_path / "s1", tmp_path / "s2"
     assert main(["optimize", "--config", path, "--out", str(a),
                  "--seed", "1"]) == 0
@@ -691,6 +697,65 @@ def test_optimize_reports_do_not_depend_on_the_seed(tmp_path):
         lb = (b / name).read_text().splitlines()
         assert la[0].startswith("# generated ")
         assert la[1:] == lb[1:]
+
+
+def read_optimize(out):
+    """The summary entries and the control of an optimize run."""
+    summary = dict(line.split("=", 1) for line in
+                   (out / "optimize_summary.txt").read_text().splitlines()[1:])
+    rows = (out / "control.csv").read_text().splitlines()[2:]
+    return summary, np.array([float(row.split(",")[1]) for row in rows])
+
+
+def test_optimize_with_forcing_hessians_matches_tight_ones(tmp_path,
+                                                           monkeypatch):
+    # the iterate Hessians only steer steps that the Armijo test guards;
+    # solving their columns to the forcing tolerance instead of _CG_TOL
+    # keeps the iterations and the optimum
+    path = write_config(tmp_path, README_CONFIG)
+    assert main(["optimize", "--config", path, "--out",
+                 str(tmp_path / "forcing")]) == 0
+    hessian = expctrl.optimizer.reduced_hessian
+
+    def tight(*args, tol=None):
+        return hessian(*args, tol=expctrl.pde._CG_TOL)
+    monkeypatch.setattr(expctrl.optimizer, "reduced_hessian", tight)
+    assert main(["optimize", "--config", path, "--out",
+                 str(tmp_path / "tight")]) == 0
+    forcing, u = read_optimize(tmp_path / "forcing")
+    reference, u_ref = read_optimize(tmp_path / "tight")
+    assert forcing["iterations"] == reference["iterations"] == "2"
+    assert_allclose(float(forcing["J"]), float(reference["J"]), rtol=1e-9)
+    assert_allclose(u, u_ref, atol=1e-3)
+    assert forcing["second_order_pass"] == "true"
+    assert forcing["critical_cone_empty"] == "false"
+
+
+def test_optimize_vcycle_budget(tmp_path, monkeypatch):
+    # 192 V-cycles when every solve applied one V-cycle it did not read
+    # and every Hessian column was solved to _CG_TOL
+    path = write_config(tmp_path, README_CONFIG)
+    cycles = count_vcycles(monkeypatch)
+    assert main(["optimize", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 0
+    assert len(cycles) <= 140
+
+
+def test_the_retired_second_order_count_is_ignored(tmp_path):
+    # configs written for the sampled second-order check still run, to
+    # the same reports
+    out = {}
+    for name, extra in (("plain", {}),
+                        ("retired", {"second_order_count": 64})):
+        path = write_config(tmp_path, base_config(
+            f0="constant 1.0", y_d="constant 0.4", **extra), name + ".json")
+        out[name] = tmp_path / name
+        assert main(["optimize", "--config", path, "--out",
+                     str(out[name])]) == 0
+    for report in ("optimize_summary.txt", "control.csv"):
+        plain = (out["plain"] / report).read_text().splitlines()
+        retired = (out["retired"] / report).read_text().splitlines()
+        assert plain[1:] == retired[1:]
 
 
 def test_control_length_is_validated(tmp_path, capsys):

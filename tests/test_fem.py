@@ -18,7 +18,8 @@ from expctrl.mesh import Domain, build_mesh, locate_point
 from expctrl.pde import operators
 from expctrl.sequences import (Control, SourcePoints,
                                compute_separation_radii)
-from helpers import free_block, graded_disk, reference_aggregate, scipy_csr
+from helpers import (count_vcycles, free_block, graded_disk,
+                     reference_aggregate, reference_solve_spd, scipy_csr)
 
 
 def square_mesh(n):
@@ -346,6 +347,15 @@ def test_solve_spd_rejects_indefinite_operators():
     with pytest.raises(RuntimeError, match="not positive definite"):
         solve_spd(free_block(mesh, A), np.ones(mesh.num_vertices),
                   mesh.boundary)
+    # a positive diagonal passes the smoother's check, but the shift 100
+    # lies above the lowest eigenvalue 2 pi^2 of the Laplacian, so a CG
+    # step meets a nonpositive curvature
+    mesh = square_mesh(16)
+    A = assemble_stiffness(mesh) + lumped_mass(mesh)
+    shifted = assemble_stiffness(mesh) - 100.0 * lumped_mass(mesh)
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        solve_spd(free_block(mesh, shifted), np.ones(mesh.num_vertices),
+                  mesh.boundary, multigrid=Multigrid(free_block(mesh, A)))
 
 
 def test_solve_spd_rejects_a_non_finite_right_hand_side():
@@ -472,29 +482,35 @@ def test_hand_written_cholesky_factors_and_inverts():
         _cholesky(-A)
 
 
-class CountingMultigrid(Multigrid):
-    """Multigrid that counts its V-cycles."""
-
-    cycles = 0
-
-    def preconditioner(self, A):
-        apply = super().preconditioner(A)
-
-        def counted(r):
-            self.cycles += 1
-            return apply(r)
-        return counted
-
-
-def test_solve_spd_reports_stagnation_below_the_round_off_floor():
+def test_solve_spd_reports_stagnation_below_the_round_off_floor(
+        monkeypatch):
     mesh = square_mesh(32)
     A = assemble_stiffness(mesh) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: np.ones(len(x)))
-    mg = CountingMultigrid(free_block(mesh, A))
+    cycles = count_vcycles(monkeypatch)
     with pytest.raises(RuntimeError, match="linear solve stagnated"):
-        solve_spd(free_block(mesh, A), b, mesh.boundary, tol=1e-18,
-                  multigrid=mg)
-    assert mg.cycles < 300
+        solve_spd(free_block(mesh, A), b, mesh.boundary, tol=1e-18)
+    assert len(cycles) < 300
+
+
+@pytest.mark.parametrize("tol,passes", [(1e-1, 1), (1e-12, 1), (1e-13, 2)],
+                         ids=["loose", "tight", "restarting"])
+def test_solve_spd_takes_the_reference_iterates_in_a_vcycle_per_step(
+        tol, passes, monkeypatch):
+    # at 1e-13 the recursive residual passes before the true one, so the
+    # solve confirms on a second pass from the true residual
+    mesh = square_mesh(64)
+    A = free_block(mesh, assemble_stiffness(mesh) + lumped_mass(mesh))
+    b = assemble_load(mesh, lambda x: np.ones(len(x)))
+    mg = Multigrid(A)
+    cycles = count_vcycles(monkeypatch)
+    reference, steps = reference_solve_spd(A, b, mesh.boundary, tol, mg)
+    # the reference applies one V-cycle per pass that it never reads
+    assert len(cycles) == steps + passes
+    del cycles[:]
+    x = solve_spd(A, b, mesh.boundary, tol, mg)
+    assert np.array_equal(x, reference)
+    assert len(cycles) == steps
 
 
 @pytest.mark.parametrize("kind", ["square", "graded-disk"])

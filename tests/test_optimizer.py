@@ -9,7 +9,7 @@ from expctrl.objective import evaluate_DJ, reduced_hessian
 from expctrl.optimizer import (KKTReport, critical_cone_minimum,
                                kkt_residual, projected_gradient,
                                second_order_check)
-from expctrl.pde import ProblemInstance, solve_state
+from expctrl.pde import _CG_TOL, _ETA_MAX, ProblemInstance, solve_state
 from expctrl.sequences import BoundsPair, Control, compute_separation_radii
 from helpers import D2J, DJ, J, certify, count_linearized
 
@@ -156,10 +156,10 @@ def test_projected_newton_falls_back_on_an_indefinite_hessian(monkeypatch):
         at.append(u.values.copy())
         return evaluate_DJ(instance, u, state)
 
-    def hessian(instance, state, adjoint, index=None):
+    def hessian(instance, state, adjoint, index=None, tol=_CG_TOL):
         if len(at) == 1:
             return np.diag([3.0, -3.0])
-        return reduced_hessian(instance, state, adjoint, index)
+        return reduced_hessian(instance, state, adjoint, index, tol=tol)
     monkeypatch.setattr(optimizer, "evaluate_DJ", gradient)
     monkeypatch.setattr(optimizer, "reduced_hessian", hessian)
     u, rep = projected_gradient(inst, mesh, u0, max_iters=50, tol=1e-9)
@@ -246,10 +246,9 @@ def test_an_empty_free_set_takes_the_gradient_step(monkeypatch):
                                             inst.bounds.upper))
 
 
-def test_newton_and_certificate_solve_only_the_columns_they_read(
-        monkeypatch):
-    # a mixed active set on four points: the target's control lies
-    # above the box at x_0, below it at x_1 and inside at x_2 and x_3
+def mixed_four_point_instance():
+    """A mixed active set on four points: the target's control lies
+    above the box at x_0, below it at x_1 and inside at x_2 and x_3."""
     dom = Domain.unit_square()
     pts = compute_separation_radii(
         [[0.3, 0.3], [0.7, 0.3], [0.3, 0.7], [0.7, 0.7]], dom)
@@ -257,6 +256,12 @@ def test_newton_and_certificate_solve_only_the_columns_they_read(
                            1e-3, resolution=24)
     mesh = inst.make_mesh()
     inst.y_d = solve_state(inst, Control([2.75, -1.75, 0.3, 0.8]), mesh).y
+    return inst, mesh
+
+
+def test_newton_and_certificate_solve_only_the_columns_they_read(
+        monkeypatch):
+    inst, mesh = mixed_four_point_instance()
     blocks = spy_on_cholesky(monkeypatch)
     calls = count_linearized(monkeypatch)
     u, rep = projected_gradient(inst, mesh, Control([0.0] * 4), tol=1e-6)
@@ -278,6 +283,25 @@ def test_newton_and_certificate_solve_only_the_columns_they_read(
     minimum, direction = critical_cone_minimum(H, rep)
     assert report.minimum == minimum
     assert np.array_equal(report.direction, direction)
+
+
+def test_iterate_hessians_are_solved_to_the_forcing_tolerance(monkeypatch):
+    # the Newton step reads H at eta_k = max(_CG_TOL, min(_ETA_MAX,
+    # residual_k)); the certificate reads it at _CG_TOL
+    inst, mesh = mixed_four_point_instance()
+    blocks = spy_on_cholesky(monkeypatch)
+    calls = count_linearized(monkeypatch)
+    u, rep = projected_gradient(inst, mesh, Control([0.0] * 4), tol=1e-6)
+    etas = [max(_CG_TOL, min(_ETA_MAX, row[1])) for row in rep.history]
+    assert calls == [eta for (m, _), eta in zip(blocks, etas)
+                     for _ in range(m)]
+    # every iterate that steps is far enough from stationary that its
+    # columns are solved more loosely than the certificate's
+    assert all(_CG_TOL < eta < _ETA_MAX for eta in etas[:-1])
+    newton = len(calls)
+    second_order_check(inst, rep)
+    assert len(calls) > newton
+    assert calls[newton:] == [_CG_TOL] * (len(calls) - newton)
 
 
 # per component: (u, lower, upper, d, nonzero signs the cone allows);

@@ -4,7 +4,12 @@ smoothed-aggregation algebraic multigrid (AMG).
 
 All assembly is vectorized over elements with duplicate summation done
 by scipy's coo-to-csr conversion, which is deterministic, so repeated
-runs produce bit-identical matrices.  The solver is PCG with one
+runs produce bit-identical matrices.  The element kernels are explicit
+products, which skip numpy's generic einsum loop, but each entry is
+formed in the order that einsum formed it: the matrices, and every
+solve and report downstream, keep their bits.  Vector loads sum their
+element contributions by np.bincount, in input order as np.add.at
+does.  The solver is PCG with one
 symmetric AMG V-cycle per iteration (damped-Jacobi smoothing, a
 hand-written Cholesky of the at most 100-unknown coarsest level); no
 library factorizations anywhere.  The solver and every level of the
@@ -75,44 +80,83 @@ def point_operator(mesh, points):
 
 
 def _gradients(mesh):
-    """Per-element barycentric gradients, shape (T, 3, 2)."""
-    p = mesh.vertices[mesh.triangles]
-    g = np.empty((mesh.num_triangles, 3, 2))
+    """Per-element barycentric gradients as two (3, T) arrays, the x
+    and the y components, one contiguous row per local vertex."""
+    x, y = (np.take(mesh.vertices[:, d], mesh.triangles.T)
+            for d in range(2))
+    gx = np.empty_like(x)
+    gy = np.empty_like(y)
     for j in range(3):
-        a = p[:, (j + 1) % 3]
-        b = p[:, (j + 2) % 3]
+        a, b = (j + 1) % 3, (j + 2) % 3
         # grad of hat j = rotated opposite edge / (2 area)
-        g[:, j, 0] = a[:, 1] - b[:, 1]
-        g[:, j, 1] = b[:, 0] - a[:, 0]
-    g /= (2.0 * mesh.areas)[:, None, None]
-    return g
+        np.subtract(y[a], y[b], out=gx[j])
+        np.subtract(x[b], x[a], out=gy[j])
+    two_areas = 2.0 * mesh.areas
+    gx /= two_areas
+    gy /= two_areas
+    return gx, gy
 
 
 def assemble_stiffness(mesh):
     """P1 stiffness matrix for -Laplace (no boundary conditions applied).
 
     Element row sums vanish, so the global matrix annihilates constants;
-    Dirichlet conditions are imposed by solving on the free block.
+    Dirichlet conditions are imposed by solving on the free block.  The
+    local matrices are explicit products with the bits of the einsum
+    over the gradients (see _stiffness_local), so the matrix, and every
+    solve and report built on it, is the same to the last bit.
     """
-    g = _gradients(mesh)
-    local = np.einsum("tid,tjd,t->tij", g, g, mesh.areas)
-    return _scatter(mesh, local)
+    return _scatter(mesh, _stiffness_local(mesh))
+
+
+def _stiffness_local(mesh):
+    """Local stiffness matrices (T, 3, 3): a_ij = area g_i . g_j.
+
+    Each entry is formed as einsum("tid,tjd,t->tij", g, g, area) forms
+    it, so it has the same bits: the sum starts from +0.0 and adds the
+    products (g_i0 g_j0) area and (g_i1 g_j1) area in that order.  The
+    +0.0 turns a first product of -0.0 into +0.0.  Both products
+    commute, so a_ij and a_ji are one value.  Explicit products skip
+    the einsum's generic inner loop, and two (T,) buffers hold every
+    product, so no temporary of the size of the result is made.
+    """
+    gx, gy = _gradients(mesh)
+    local = np.empty((mesh.num_triangles, 3, 3))
+    p = np.empty(mesh.num_triangles)
+    q = np.empty(mesh.num_triangles)
+    for i in range(3):
+        for j in range(i, 3):
+            np.multiply(gx[i], gx[j], out=p)
+            p *= mesh.areas
+            p += 0.0
+            np.multiply(gy[i], gy[j], out=q)
+            q *= mesh.areas
+            np.add(p, q, out=local[:, i, j])
+            local[:, j, i] = local[:, i, j]
+    return local
 
 
 def lumped_mass_diagonal(mesh):
     """Diagonal of the lumped mass matrix: vertex patch area / 3."""
-    d = np.zeros(mesh.num_vertices)
-    np.add.at(d, mesh.triangles.ravel(),
-              np.repeat(mesh.areas / 3.0, 3))
-    return d
+    return np.bincount(mesh.triangles.ravel(),
+                       weights=np.repeat(mesh.areas / 3.0, 3),
+                       minlength=mesh.num_vertices)
 
 
 def assemble_mass(mesh):
     """Consistent P1 mass matrix: the edge-midpoint rule applied to
-    products of hats, which it integrates exactly."""
-    # hat j at the rule's points is column j of TRI3_BARY, on every triangle
-    hats = np.broadcast_to(TRI3_BARY, (mesh.num_triangles, 3, 3))
-    return _scatter(mesh, _midpoint_rule(mesh, hats))
+    products of hats, which it integrates exactly.
+
+    The rule's einsum over the hats' values (0 or 1/2 at each point)
+    has, per triangle, one nonzero product for each pair of distinct
+    hats and two for each hat with itself.  Each is v = (TRI3_W[0]
+    1/2 1/2) area, summed from +0.0 in the einsum, so the local matrix
+    is v off the diagonal and v + v on it, bit for bit, and is formed
+    here directly."""
+    local = np.empty((mesh.num_triangles, 3, 3))
+    np.multiply(TRI3_W[0] * 0.5 * 0.5, mesh.areas[:, None, None], out=local)
+    local *= 1.0 + np.eye(3)
+    return _scatter(mesh, local)
 
 
 def _scatter(mesh, local):
@@ -121,6 +165,7 @@ def _scatter(mesh, local):
     tris = mesh.triangles.astype(np.int32)
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
+    del tris  # not held through the conversion, which sets the peak
     mat = sp.coo_matrix((local.ravel(), (rows, cols)),
                         shape=(mesh.num_vertices, mesh.num_vertices))
     return mat.tocsr()
@@ -134,9 +179,9 @@ def assemble_load(mesh, f):
     qp = np.einsum("qj,tjd->tqd", TRI3_BARY, p)       # (T, q, 2)
     fv = np.asarray(f(qp.reshape(-1, 2)), dtype=float).reshape(
         mesh.num_triangles, 3)
-    b = np.zeros(mesh.num_vertices)
-    np.add.at(b, mesh.triangles.ravel(), _midpoint_rule(mesh, fv).ravel())
-    return b
+    return np.bincount(mesh.triangles.ravel(),
+                       weights=_midpoint_rule(mesh, fv).ravel(),
+                       minlength=mesh.num_vertices)
 
 
 def _midpoint_rule(mesh, fq):
@@ -215,16 +260,15 @@ def assemble_mollified_load(mesh, x0, epsilon):
     d = np.hypot(corners[..., 0] - x0[0], corners[..., 1] - x0[1])
     emax = _edge_lengths(corners).max(axis=1)
     cand = np.nonzero(d.min(axis=1) <= epsilon + emax)[0]
-    b = np.zeros(mesh.num_vertices)
     if cand.size == 0:
-        return b
+        return np.zeros(mesh.num_vertices)
     local_h = float(emax[cand].max())
     depth = int(np.clip(np.ceil(np.log2(4.0 * local_h / epsilon)), 1, 6))
     pts, w, bary, parent = subdivided_quadrature(mesh, cand, depth)
     phi = mollifier_value(pts, x0, epsilon)
     contrib = (w * phi)[:, None] * bary               # weight per hat
-    np.add.at(b, mesh.triangles[parent].ravel(), contrib.ravel())
-    return b
+    return np.bincount(mesh.triangles[parent].ravel(),
+                       weights=contrib.ravel(), minlength=mesh.num_vertices)
 
 
 def _dd2_exp(a, b, c):
@@ -257,18 +301,26 @@ def _dd2_exp(a, b, c):
         x = a[close] - mu
         y = b[close] - mu
         z = c[close] - mu
-        # dd2 exp = sum_n h_n(x,y,z) / (n+2)! with h_n complete homogeneous
+        # dd2 exp = sum_n h_n(x,y,z) / (n+2)! with h_n complete
+        # homogeneous.  Centered, |x|, |y|, |z| <= 2/3 spread <= 1/3, so
+        # |h_n| / (n+2)! <= 3^-n / (2 n!), below 1e-21 from n = 16 on;
+        # h_1 = 0 and the sum is at least 0.49, so every later term is
+        # under a quarter ulp of it and would leave each bit as it is
         h2 = np.ones_like(x)      # h_n(y, z)
         h3 = np.ones_like(x)      # h_n(x, y, z)
         total = h3 / 2.0
         fact = 2.0
         zp = np.ones_like(x)
-        for n in range(1, 26):
-            zp = zp * z
-            h2 = y * h2 + zp
-            h3 = x * h3 + h2
+        term = np.empty_like(x)
+        for n in range(1, 16):
+            zp *= z
+            h2 *= y
+            h2 += zp
+            h3 *= x
+            h3 += h2
             fact *= (n + 2)
-            total = total + h3 / fact
+            np.divide(h3, fact, out=term)
+            total += term
         out[close] = np.exp(mu) * total
     return out
 

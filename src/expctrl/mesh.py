@@ -9,9 +9,10 @@ marked triangles are quartered, hanging nodes are resolved by bisection,
 and existing vertices never move.  The levels of a graded mesh work on
 bare arrays: one edge table, sorted once on the base grid, is carried
 and updated from level to level, only the children of the previous
-level are candidates for marking, and a single Mesh validates the
-result.  Points are located by one scan over the triangles whose
-bounding boxes contain them.
+level are candidates for marking, a level appends its children to
+stores that keep the triangles it does not refine in place, and a
+single Mesh validates the result.  Points are located by one scan over
+the triangles whose bounding boxes contain them.
 """
 
 import numpy as np
@@ -107,7 +108,8 @@ class Mesh:
             raise ValueError("triangles must be (T, 3)")
         if boundary.shape != (vertices.shape[0],):
             raise ValueError("one boundary flag per vertex required")
-        corners = vertices[triangles]
+        # np.take: the rows that indexing gathers, without its overhead
+        corners = np.take(vertices, triangles, axis=0)
         areas = _signed_areas(corners)
         flip = areas < 0.0
         if np.any(flip):
@@ -169,17 +171,19 @@ def _tri_edges(triangles):
 def circumcenters(vertices, triangles):
     """(T, 2) array of the circumcenters of triangles (T, 3) with
     corners in vertices (V, 2)."""
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    a = p1 - p0
-    b = p2 - p0
-    d = 2.0 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-    a2 = a[:, 0] ** 2 + a[:, 1] ** 2
-    b2 = b[:, 0] ** 2 + b[:, 1] ** 2
-    ux = (b[:, 1] * a2 - a[:, 1] * b2) / d
-    uy = (a[:, 0] * b2 - b[:, 0] * a2) / d
-    return p0 + np.stack([ux, uy], axis=1)
+    # one contiguous array per coordinate and corner
+    (x0, x1, x2), (y0, y1, y2) = (
+        [np.take(vertices[:, k], triangles[:, j]) for j in range(3)]
+        for k in range(2))
+    ax, ay = x1 - x0, y1 - y0
+    bx, by = x2 - x0, y2 - y0
+    d = 2.0 * (ax * by - ay * bx)
+    a2 = ax ** 2 + ay ** 2
+    b2 = bx ** 2 + by ** 2
+    centers = np.empty((triangles.shape[0], 2))
+    np.add(x0, (by * a2 - ay * b2) / d, out=centers[:, 0])
+    np.add(y0, (ax * b2 - bx * a2) / d, out=centers[:, 1])
+    return centers
 
 
 def build_mesh(domain, resolution, refine_points=None, refine_levels=0):
@@ -187,8 +191,8 @@ def build_mesh(domain, resolution, refine_points=None, refine_levels=0):
 
     The levels work on bare arrays (see _graded): one edge table is
     carried across them, only the previous level's children are
-    candidates for marking, and the single Mesh built at the end
-    validates the result once.
+    candidates for marking, each level appends only its children, and
+    the single Mesh built at the end validates the result once.
 
     Parameters
     ----------
@@ -221,9 +225,11 @@ def build_mesh(domain, resolution, refine_points=None, refine_levels=0):
     else:
         raise ValueError("unknown domain kind %r" % (domain.kind,))
     if refine_points is not None and refine_levels > 0:
-        vertices, triangles, boundary, _ = _graded(
+        # the carried edge table is dropped before the Mesh is built, so
+        # it adds nothing to the peak memory of the validation
+        vertices, triangles, boundary = _graded(
             domain, vertices, triangles, boundary, refine_points,
-            int(refine_levels))
+            int(refine_levels))[:3]
     return Mesh(vertices, triangles, boundary, domain)
 
 
@@ -291,33 +297,49 @@ def _graded(domain, vertices, triangles, boundary, refine_points, levels):
     all interior.  Midpoints are numbered in the (lo, hi) order of
     their edges.
 
+    No sweep copies the triangles it keeps.  The triangles, their edge
+    ids and their green flags live in an append-only store with an
+    alive mask: a sweep clears the flag of each triangle it refines and
+    appends the children after the last row, so the previous sweep's
+    children are always the store's tail.  Vertices and edges are
+    appended the same way, and a store that fills is copied once into
+    one sized for the remaining levels (see _room).  Alive rows in
+    store order are the kept-first order above, level after level, so
+    one compaction at the end gives the triangles.
+
     Returns the refined vertices, triangles and boundary flags and the
     carried (edges, tri_edge, counts) table.
     """
     edges, tri_edge, counts = _tri_edges(triangles)
-    green = np.zeros(triangles.shape[0], dtype=bool)
-    fresh = 0  # triangles from here on are the previous sweep's children
+    n, V, E = triangles.shape[0], vertices.shape[0], edges.shape[0]
+    green = np.zeros(n, dtype=bool)
+    alive = np.ones(n, dtype=bool)
+    fresh = 0  # rows from here on are the previous sweep's children
     for level in range(levels):
         ball_factor = 0.5 ** (level + 1)
-        cc = circumcenters(vertices, triangles[fresh:])
-        red = np.zeros(triangles.shape[0], dtype=bool)
+        cc = circumcenters(vertices, triangles[fresh:n])
+        red = np.zeros(n, dtype=bool)
         for i in range(refine_points.count):
             xi = refine_points.points[i]
             rho = refine_points.radii[i]
             dist = np.hypot(cc[:, 0] - xi[0], cc[:, 1] - xi[1])
             red[fresh:] |= dist < ball_factor * rho
 
-        E = edges.shape[0]
+        te = tri_edge[:n]
+        live = alive[:n]
         split = np.zeros(E, dtype=bool)
+        split[np.compress(red[fresh:], te[fresh:], axis=0)] = True
         while True:
-            split[tri_edge[red].ravel()] = True
-            nsplit = split[tri_edge].sum(axis=1)
-            promote = ~red & ((nsplit >= 2) | ((nsplit == 1) & green))
+            nsplit = split[te[:, 0]].view(np.int8) \
+                + split[te[:, 1]].view(np.int8) \
+                + split[te[:, 2]].view(np.int8)
+            promote = ~red & live & ((nsplit >= 2)
+                                     | ((nsplit == 1) & green[:n]))
             if not promote.any():
                 break
             red |= promote
+            split[np.compress(promote, te, axis=0)] = True
 
-        V = vertices.shape[0]
         split_ids = np.nonzero(split)[0]
         split_ids = split_ids[np.argsort(edges[split_ids, 0] * V
                                          + edges[split_ids, 1])]
@@ -334,7 +356,8 @@ def _graded(domain, vertices, triangles, boundary, refine_points, levels):
             """Id of the half of split edge e that ends at vertex v."""
             return np.where(edges[e, 0] == v, e, upper[e])
 
-        new_coords = 0.5 * (vertices[lo] + vertices[hi])
+        new_coords = 0.5 * (np.take(vertices, lo, axis=0)
+                            + np.take(vertices, hi, axis=0))
         new_bdry = counts[split_ids] == 1
         if domain.kind == "disk" and new_bdry.any():
             # keep new boundary vertices exactly on the circle
@@ -342,13 +365,18 @@ def _graded(domain, vertices, triangles, boundary, refine_points, levels):
             vec = new_coords[new_bdry] - [cx, cy]
             nrm = np.hypot(vec[:, 0], vec[:, 1])
             new_coords[new_bdry] = [cx, cy] + vec * (R / nrm)[:, None]
-        vertices = np.vstack([vertices, new_coords])
-        boundary = np.concatenate([boundary, new_bdry])
+        vertices, boundary = _room((vertices, boundary), V, S,
+                                   levels - level)
+        vertices[V:V + S] = new_coords
+        boundary[V:V + S] = new_bdry
+        V += S
 
-        keep = ~red & (nsplit == 0)
-        one = ~red & (nsplit == 1)
-        t_one, e_one = triangles[one], tri_edge[one]
-        t_red, e_red = triangles[red], tri_edge[red]
+        one = live & ~red & (nsplit == 1)
+        t_one, e_one = (np.compress(one, x[:n], axis=0)
+                        for x in (triangles, tri_edge))
+        t_red, e_red = (np.compress(red, x[:n], axis=0)
+                        for x in (triangles, tri_edge))
+        live &= ~(one | red)
         G, Rd = t_one.shape[0], t_red.shape[0]
         idx = np.arange(G)
         j = np.argmax(split[e_one], axis=1)
@@ -364,36 +392,66 @@ def _graded(domain, vertices, triangles, boundary, refine_points, levels):
         # interior edges opposite v0, v1 and v2 in their corner children
         i0, i1, i2 = (E + S + G + 3 * np.arange(Rd) + k for k in range(3))
 
-        kept = triangles[keep]
-        triangles = np.vstack([
-            kept,
-            np.column_stack([a, m, c]),
-            np.column_stack([m, b, c]),
-            np.column_stack([v0, m01, m20]),
-            np.column_stack([v1, m12, m01]),
-            np.column_stack([v2, m20, m12]),
-            np.column_stack([m01, m12, m20]),
-        ])
-        tri_edge = np.vstack([
-            tri_edge[keep],
-            np.column_stack([g, e_one[idx, (j + 2) % 3], half(e_ab, a)]),
-            np.column_stack([e_one[idx, (j + 1) % 3], g, half(e_ab, b)]),
-            np.column_stack([i0, half(e1, v0), half(e2, v0)]),
-            np.column_stack([i1, half(e2, v1), half(e0, v1)]),
-            np.column_stack([i2, half(e0, v2), half(e1, v2)]),
-            np.column_stack([i2, i0, i1]),
-        ])
-        interior = np.sort(np.column_stack([m01, m20, m12, m01, m20, m12])
-                           .reshape(-1, 2), axis=1)
+        children = [
+            ((a, m, c), (g, e_one[idx, (j + 2) % 3], half(e_ab, a))),
+            ((m, b, c), (e_one[idx, (j + 1) % 3], g, half(e_ab, b))),
+            ((v0, m01, m20), (i0, half(e1, v0), half(e2, v0))),
+            ((v1, m12, m01), (i1, half(e2, v1), half(e0, v1))),
+            ((v2, m20, m12), (i2, half(e0, v2), half(e1, v2))),
+            ((m01, m12, m20), (i2, i0, i1)),
+        ]
+        triangles, tri_edge, green, alive = _room(
+            (triangles, tri_edge, green, alive), n, 2 * G + 4 * Rd,
+            levels - level)
+        fresh = n
+        for corners, slots in children:
+            rows = slice(n, n + corners[0].size)
+            for k in range(3):
+                triangles[rows, k] = corners[k]
+                tri_edge[rows, k] = slots[k]
+            n = rows.stop
+        green[fresh:fresh + 2 * G] = True
+        green[fresh + 2 * G:n] = False
+        alive[fresh:n] = True
+
+        # appended: the halves (hi, m), the medians (c, m), then the
+        # interior edges i0, i1, i2 of each red triangle as (lo, hi)
+        edges, counts = _room((edges, counts), E, S + G + 3 * Rd,
+                              levels - level)
         edges[split_ids, 1] = mids
-        edges = np.vstack([edges, np.column_stack([hi, mids]),
-                           np.column_stack([c, m]), interior])
-        counts = np.concatenate([counts, counts[split_ids],
-                                 np.full(G + 3 * Rd, 2, dtype=np.int64)])
-        green = np.concatenate([green[keep], np.ones(2 * G, dtype=bool),
-                                np.zeros(4 * Rd, dtype=bool)])
-        fresh = kept.shape[0]
-    return vertices, triangles, boundary, (edges, tri_edge, counts)
+        edges[E:E + S, 0] = hi
+        edges[E:E + S, 1] = mids
+        counts[E:E + S] = counts[split_ids]
+        edges[E + S:E + S + G, 0] = c
+        edges[E + S:E + S + G, 1] = m
+        interior = edges[E + S + G:E + S + G + 3 * Rd].reshape(Rd, 3, 2)
+        for k, (p, q) in enumerate(((m01, m20), (m12, m01), (m20, m12))):
+            np.minimum(p, q, out=interior[:, k, 0])
+            np.maximum(p, q, out=interior[:, k, 1])
+        counts[E + S:E + S + G + 3 * Rd] = 2
+        E += S + G + 3 * Rd
+    triangles, tri_edge = (np.compress(alive[:n], x[:n], axis=0)
+                           for x in (triangles, tri_edge))
+    return (vertices[:V].copy(), triangles, boundary[:V].copy(),
+            (edges[:E], tri_edge, counts[:E]))
+
+
+def _room(arrays, used, extra, sweeps):
+    """The arrays, with room for `extra` rows after their first `used`
+    ones: as they are when they have it, else copied into new arrays
+    with room for `sweeps` appends of `extra` rows each.  A graded
+    mesh adds about as many rows on every level, so this sweep's count
+    times the sweeps left is a close estimate of the final size, and
+    most builds grow each store once."""
+    if used + extra <= arrays[0].shape[0]:
+        return arrays
+    rows = used + extra * sweeps
+    grown = []
+    for a in arrays:
+        b = np.empty((rows,) + a.shape[1:], dtype=a.dtype)
+        b[:used] = a[:used]
+        grown.append(b)
+    return grown
 
 
 def barycentric(mesh, t, x):

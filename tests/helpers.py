@@ -4,8 +4,10 @@ at a control from a fresh state solve, counters of the reduced
 Hessian's linearized solves and of the multigrid V-cycles, and the
 references that faster paths must reproduce bit for bit: the
 level-by-level graded refinement, the point location by a scan of every
-triangle, the loop aggregation and the PCG loop that tests its residual
-before each step."""
+triangle, the einsum stiffness and midpoint-rule mass, the 25-term
+divided-difference series, accumulation by np.add.at, the loop
+aggregation and the PCG loop that tests its residual before each
+step."""
 
 import functools
 
@@ -13,7 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from expctrl import objective
-from expctrl.fem import _STALLED_RESTARTS, CSR, Multigrid
+from expctrl.fem import (_STALLED_RESTARTS, CSR, TRI3_BARY, TRI3_W,
+                         Multigrid, _phi1, _scatter)
 from expctrl.mesh import (_BARY_TOL, Domain, Mesh, _tri_edges, barycentric,
                           build_mesh, circumcenters)
 from expctrl.objective import evaluate_DJ, evaluate_J, reduced_hessian
@@ -185,6 +188,77 @@ def _refine_once(mesh, refine_points, green, ball_factor):
         part_green.extend([np.zeros(t_red.shape[0], dtype=bool)] * 4)
     refined = Mesh(vertices, np.vstack(parts), boundary, domain)
     return refined, np.concatenate(part_green)
+
+
+def reference_stiffness(mesh):
+    """The stiffness matrix with its local matrices formed by einsum
+    over the (T, 3, 2) barycentric gradients."""
+    p = mesh.vertices[mesh.triangles]
+    g = np.empty((mesh.num_triangles, 3, 2))
+    for j in range(3):
+        a = p[:, (j + 1) % 3]
+        b = p[:, (j + 2) % 3]
+        g[:, j, 0] = a[:, 1] - b[:, 1]
+        g[:, j, 1] = b[:, 0] - a[:, 0]
+    g /= (2.0 * mesh.areas)[:, None, None]
+    return _scatter(mesh, np.einsum("tid,tjd,t->tij", g, g, mesh.areas))
+
+
+def reference_mass(mesh):
+    """The consistent mass matrix with its local matrices formed by
+    the edge-midpoint rule's einsum over the hats' values at its
+    points."""
+    hats = np.broadcast_to(TRI3_BARY, (mesh.num_triangles, 3, 3))
+    local = np.einsum("q,tq...,qi,t->ti...", TRI3_W, hats, TRI3_BARY,
+                      mesh.areas)
+    return _scatter(mesh, local)
+
+
+def reference_dd2_exp(a, b, c):
+    """Second divided difference of exp with the series of close
+    triples summed to n = 25 and each step allocating its results."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    spread = np.maximum(a, np.maximum(b, c)) - np.minimum(a, np.minimum(b, c))
+    out = np.empty_like(a)
+    wide = spread > 0.5
+    if np.any(wide):
+        va = np.sort(np.stack([a[wide], b[wide], c[wide]]), axis=0)
+        lo_, mid, hi_ = va[0], va[1], va[2]
+        f_hi = np.exp(mid) * _phi1(hi_ - mid)
+        f_lo = np.exp(lo_) * _phi1(mid - lo_)
+        out[wide] = (f_hi - f_lo) / (hi_ - lo_)
+    close = ~wide
+    if np.any(close):
+        mu = (a[close] + b[close] + c[close]) / 3.0
+        x = a[close] - mu
+        y = b[close] - mu
+        z = c[close] - mu
+        h2 = np.ones_like(x)
+        h3 = np.ones_like(x)
+        total = h3 / 2.0
+        fact = 2.0
+        zp = np.ones_like(x)
+        for n in range(1, 26):
+            zp = zp * z
+            h2 = y * h2 + zp
+            h3 = x * h3 + h2
+            fact *= (n + 2)
+            total = total + h3 / fact
+        out[close] = np.exp(mu) * total
+    return out
+
+
+def add_at_bincount(bincount):
+    """A stand-in for np.bincount(x, weights, minlength) that sums the
+    weights by np.add.at into zeros: both add in the order of x.
+    bincount is the real one, which sizes the result."""
+    def summed(x, weights=None, minlength=0):
+        out = np.zeros(bincount(x, minlength=minlength).size)
+        np.add.at(out, x, weights)
+        return out
+    return summed
 
 
 def reference_locate(mesh, x):

@@ -1,5 +1,6 @@
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,18 +9,21 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import expctrl.fem as fem_module
+from expctrl.cli import parse_field
 from expctrl.fem import (FEFunction, MOLLIFIER_C, Multigrid, _cholesky,
-                         _inverse_factor, assemble_load, assemble_mass,
-                         assemble_mollified_load, assemble_stiffness,
-                         exp_remainder, integrate_exp_linear,
-                         lumped_mass_diagonal, mollifier_value,
-                         point_operator, solve_spd, subdivided_quadrature)
-from expctrl.mesh import Domain, build_mesh, locate_point
+                         _dd2_exp, _inverse_factor, assemble_load,
+                         assemble_mass, assemble_mollified_load,
+                         assemble_stiffness, exp_remainder,
+                         integrate_exp_linear, lumped_mass_diagonal,
+                         mollifier_value, point_operator, solve_spd,
+                         subdivided_quadrature)
+from expctrl.mesh import Domain, Mesh, build_mesh, locate_point
 from expctrl.pde import operators
 from expctrl.sequences import (Control, SourcePoints,
                                compute_separation_radii)
-from helpers import (count_vcycles, free_block, graded_disk,
-                     reference_aggregate, reference_solve_spd, scipy_csr)
+from helpers import (add_at_bincount, count_vcycles, free_block, graded_disk,
+                     reference_aggregate, reference_dd2_exp, reference_mass,
+                     reference_solve_spd, reference_stiffness, scipy_csr)
 
 
 def square_mesh(n):
@@ -81,6 +85,117 @@ def test_consistent_mass_exact_on_linear_products():
     x = mesh.vertices[:, 0]
     # int_0^1 int_0^1 x^2 = 1/3
     assert_allclose(x @ (M @ x), 1.0 / 3.0, rtol=1e-12)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+_RECT = Domain.rectangle(0.0, 0.0, 2.0, 1.0)
+_ASSEMBLY_MESHES = {
+    "graded-disk-12": graded_disk,
+    "square": lambda: square_mesh(64),
+    # right angle at (1, 1), the legs down and left: both products of
+    # the off-diagonal entry of the two acute corners are -0.0
+    "right-triangle": lambda: Mesh(
+        np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+        np.array([[0, 1, 2]]), np.ones(3, dtype=bool), Domain.unit_square()),
+    "rectangle-three-points": lambda: build_mesh(
+        _RECT, 8, refine_points=compute_separation_radii(
+            [[0.5, 0.5], [1.2, 0.3], [1.5, 0.7]], _RECT), refine_levels=5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ASSEMBLY_MESHES))
+@pytest.mark.parametrize("assemble, reference",
+                         [(assemble_stiffness, reference_stiffness),
+                          (assemble_mass, reference_mass)],
+                         ids=["stiffness", "mass"])
+def test_assembly_keeps_the_bits_of_the_einsum_kernels(case, assemble,
+                                                       reference):
+    mesh = _ASSEMBLY_MESHES[case]()
+    got, want = assemble(mesh), reference(mesh)
+    for name in ("indptr", "indices", "data"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+
+def test_stiffness_locals_are_symmetric_bit_for_bit():
+    local = fem_module._stiffness_local(graded_disk())
+    assert _same_bits(local, local.transpose(0, 2, 1).copy())
+
+
+def test_accumulation_by_bincount_matches_add_at(monkeypatch):
+    disk = graded_disk()
+    square = square_mesh(16)
+    f0 = parse_field("gaussian(0.5, 0.5, 0.15, 1.0)", "f0")
+    depths = []
+    subdivide = fem_module.subdivided_quadrature
+
+    def recorded(mesh, tri_indices, depth):
+        depths.append(depth)
+        return subdivide(mesh, tri_indices, depth)
+    monkeypatch.setattr(fem_module, "subdivided_quadrature", recorded)
+
+    def vectors():
+        return [lumped_mass_diagonal(disk), assemble_load(disk, f0),
+                assemble_load(square, f0),
+                assemble_mollified_load(square, [0.52, 0.47], 0.05)]
+    got = vectors()
+    assert depths[0] >= 3
+    monkeypatch.setattr(np, "bincount", add_at_bincount(np.bincount))
+    for g, want in zip(got, vectors()):
+        assert _same_bits(g, want)
+
+
+def test_dd2_exp_keeps_the_bits_of_the_25_term_series():
+    rng = np.random.default_rng(16)
+    n = 10 ** 6
+    mean = rng.uniform(-30.0, 30.0, n)
+    spread = rng.uniform(0.0, 0.5, n)
+    # corners of each triple spread over [mean, mean + spread]
+    t = rng.random((3, n))
+    t -= t.min(axis=0)
+    t /= np.where(t.max(axis=0) > 0.0, t.max(axis=0), 1.0)
+    random = mean + spread * t
+    # spread exactly 0.5: the widest triple that takes the series
+    grid = rng.integers(-30 * 64, 30 * 64, 1000) / 64.0
+    mid = grid + rng.uniform(0.0, 0.5, 1000)
+    exact = np.stack([grid, mid, grid + 0.5])
+    assert np.all(exact.max(axis=0) - exact.min(axis=0) == 0.5)
+    # two equal values, in each position
+    pair = rng.uniform(-30.0, 30.0, 3000)
+    other = pair + rng.uniform(-0.5, 0.5, 3000)
+    equal = np.stack([pair, pair, other])
+    equal = np.concatenate([equal, equal[[0, 2, 1]], equal[[2, 0, 1]]],
+                           axis=1)
+    for a, b, c in (random, exact, equal):
+        assert _same_bits(_dd2_exp(a, b, c), reference_dd2_exp(a, b, c))
+
+
+def test_assembly_peak_memory_stays_within_its_budget():
+    # traced peaks in bytes on the n = 32 disk graded 12 levels; the
+    # budgets are the peaks of the einsum kernels with per-level copies
+    # of the triangles, which the present ones must not exceed
+    domain = Domain.disk(0.0, 0.0, 1.0)
+    points = compute_separation_radii([[0.0, 0.0]], domain)
+    budgets = {"build_mesh": 4_461_610, "operators": 6_529_178,
+               "assemble_mass": 5_576_116}
+    peaks = {}
+
+    def traced(name, fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result
+    mesh = traced("build_mesh", build_mesh, domain, 32, points, 12)
+    traced("operators", operators, mesh)
+    traced("assemble_mass", assemble_mass, mesh)
+    for name, budget in budgets.items():
+        assert peaks[name] <= budget, (name, peaks[name])
 
 
 def test_load_of_zero_and_constant():

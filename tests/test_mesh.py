@@ -236,6 +236,10 @@ _GRADED_CASES = {
     "disk-overlapping-balls": (_DISK, 8, SimpleNamespace(
         points=np.array([[-0.1, 0.0], [0.1, 0.05]]),
         radii=np.array([0.5, 0.5]), count=2), 5, True),
+    # two balls, each growing from few triangles: the stores of the
+    # triangles, edges and vertices each grow three times
+    "disk-two-points-12": (_DISK, 24, compute_separation_radii(
+        [[0.3, 0.0], [-0.3, 0.1]], _DISK), 12, False),
     "rectangle-three-points": (_RECT, 8, compute_separation_radii(
         [[0.5, 0.5], [1.2, 0.3], [1.5, 0.7]], _RECT), 5, False),
     "square-one-level": (_SQUARE, 16,

@@ -174,22 +174,30 @@ def _scatter(mesh, local):
 def assemble_load(mesh, f):
     """Load vector of a scalar field: entry i = integral of f * hat_i,
     by the order-2 edge-midpoint rule.  f must accept an (N, 2) array of
-    points and return N values."""
-    p = mesh.vertices[mesh.triangles]                 # (T, 3, 2)
-    qp = np.einsum("qj,tjd->tqd", TRI3_BARY, p)       # (T, q, 2)
-    fv = np.asarray(f(qp.reshape(-1, 2)), dtype=float).reshape(
-        mesh.num_triangles, 3)
-    return np.bincount(mesh.triangles.ravel(),
-                       weights=_midpoint_rule(mesh, fv).ravel(),
+    points and return N values.
+
+    Point q of the rule, TRI3_BARY[q], halves the two corners other
+    than q, and hat i is 1/2 at the two points other than i.  Points
+    and entries add those two terms, each a product in the order the
+    einsums over TRI3_BARY and TRI3_W formed it, in increasing index
+    order; so the load keeps the einsums' bits without their generic
+    inner loop.  The einsums summed from +0.0, so a point also starts
+    from +0.0; an entry of -0.0 needs no such care, because the
+    accumulation into the load starts from +0.0 as well."""
+    # the two local indices other than 0, 1 and 2, in increasing order
+    first, second = [1, 0, 0], [2, 2, 1]
+    half = 0.5 * np.take(mesh.vertices, mesh.triangles, axis=0)
+    points = np.take(half, first, axis=1)             # (T, q, 2)
+    points += 0.0
+    points += np.take(half, second, axis=1)
+    terms = np.asarray(f(points.reshape(-1, 2)), dtype=float).reshape(
+        mesh.num_triangles, 3) * TRI3_W
+    terms *= 0.5
+    terms *= mesh.areas[:, None]
+    local = np.take(terms, first, axis=1)
+    local += np.take(terms, second, axis=1)
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
                        minlength=mesh.num_vertices)
-
-
-def _midpoint_rule(mesh, fq):
-    """Per-triangle integrals of f * hat_i by the order-2 edge-midpoint
-    rule, from the values fq (T, 3, ...) of f at the rule's points;
-    returns (T, 3 hats, ...)."""
-    return np.einsum("q,tq...,qi,t->ti...", TRI3_W, fq, TRI3_BARY,
-                     mesh.areas)
 
 
 def _bump_integral():

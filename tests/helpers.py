@@ -4,7 +4,7 @@ at a control from a fresh state solve, counters of the reduced
 Hessian's linearized solves and of the multigrid V-cycles, and the
 references that faster paths must reproduce bit for bit: the
 level-by-level graded refinement, the point location by a scan of every
-triangle, the einsum stiffness and midpoint-rule mass, the 25-term
+triangle, the einsum stiffness, midpoint-rule mass and load, the 25-term
 divided-difference series, accumulation by np.add.at, the loop
 aggregation and the PCG loop that tests its residual before each
 step."""
@@ -212,6 +212,20 @@ def reference_mass(mesh):
     local = np.einsum("q,tq...,qi,t->ti...", TRI3_W, hats, TRI3_BARY,
                       mesh.areas)
     return _scatter(mesh, local)
+
+
+def reference_load(mesh, f):
+    """The load vector of a field with its quadrature points and
+    element integrals formed by einsum over TRI3_BARY and TRI3_W."""
+    p = mesh.vertices[mesh.triangles]
+    qp = np.einsum("qj,tjd->tqd", TRI3_BARY, p)
+    fv = np.asarray(f(qp.reshape(-1, 2)), dtype=float).reshape(
+        mesh.num_triangles, 3)
+    local = np.einsum("q,tq...,qi,t->ti...", TRI3_W, fv, TRI3_BARY,
+                      mesh.areas)
+    b = np.zeros(mesh.num_vertices)
+    np.add.at(b, mesh.triangles.ravel(), local.ravel())
+    return b
 
 
 def reference_dd2_exp(a, b, c):

@@ -22,8 +22,9 @@ from expctrl.pde import operators
 from expctrl.sequences import (Control, SourcePoints,
                                compute_separation_radii)
 from helpers import (add_at_bincount, count_vcycles, free_block, graded_disk,
-                     reference_aggregate, reference_dd2_exp, reference_mass,
-                     reference_solve_spd, reference_stiffness, scipy_csr)
+                     reference_aggregate, reference_dd2_exp, reference_load,
+                     reference_mass, reference_solve_spd, reference_stiffness,
+                     scipy_csr)
 
 
 def square_mesh(n):
@@ -101,6 +102,11 @@ _ASSEMBLY_MESHES = {
     "right-triangle": lambda: Mesh(
         np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
         np.array([[0, 1, 2]]), np.ones(3, dtype=bool), Domain.unit_square()),
+    # corners at -0.0: two of the load's points halve two -0.0 values
+    "signed-zero-corners": lambda: Mesh(
+        np.array([[-0.0, -0.0], [1.0, -0.0], [-0.0, 1.0], [1.0, 1.0]]),
+        np.array([[0, 1, 2], [1, 3, 2]]), np.ones(4, dtype=bool),
+        Domain.unit_square()),
     "rectangle-three-points": lambda: build_mesh(
         _RECT, 8, refine_points=compute_separation_radii(
             [[0.5, 0.5], [1.2, 0.3], [1.5, 0.7]], _RECT), refine_levels=5),
@@ -118,6 +124,25 @@ def test_assembly_keeps_the_bits_of_the_einsum_kernels(case, assemble,
     got, want = assemble(mesh), reference(mesh)
     for name in ("indptr", "indices", "data"):
         assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+
+def _signed_zeros(x):
+    """A field with -0.0, +0.0 and subnormal values among its others."""
+    v = np.sin(7.0 * x[:, 0]) * np.cos(3.0 * x[:, 1])
+    v[::5] = -0.0
+    v[1::7] = 0.0
+    v[2::11] *= -1e-310
+    return v
+
+
+@pytest.mark.parametrize("case", sorted(_ASSEMBLY_MESHES))
+def test_load_keeps_the_bits_of_the_einsum_rule(case):
+    mesh = _ASSEMBLY_MESHES[case]()
+    for f in (parse_field("gaussian(0.5, 0.5, 0.15, 1.0)", "f0"),
+              lambda x: x[:, 0] - x[:, 1], _signed_zeros,
+              lambda x: np.full(len(x), -0.0),
+              lambda x: np.copysign(1.0, x[:, 0]) + np.copysign(2.0, x[:, 1])):
+        assert _same_bits(assemble_load(mesh, f), reference_load(mesh, f))
 
 
 def test_stiffness_locals_are_symmetric_bit_for_bit():

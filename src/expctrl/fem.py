@@ -2,28 +2,57 @@
 quadrature, and a conjugate-gradient solver preconditioned by
 smoothed-aggregation algebraic multigrid (AMG).
 
-All assembly is vectorized over elements with duplicate summation done
-by scipy's coo-to-csr conversion, which is deterministic, so repeated
-runs produce bit-identical matrices.  The element kernels are explicit
-products, which skip numpy's generic einsum loop, but each entry is
-formed in the order that einsum formed it: the matrices, and every
-solve and report downstream, keep their bits.  Vector loads sum their
-element contributions by np.bincount, in input order as np.add.at
-does.  The solver is PCG with one
-symmetric AMG V-cycle per iteration (damped-Jacobi smoothing, a
-hand-written Cholesky of the at most 100-unknown coarsest level); no
-library factorizations anywhere.  The solver and every level of the
-V-cycle hold their matrices as CSR arrays and apply them by calling
-scipy's compiled CSR kernel directly, without the dispatch of a scipy
-matrix product.
+Every sparse matrix is a CSR: bare compressed-row arrays whose
+operations call scipy's compiled sparse kernels directly.  The kernel
+module is loaded by path (_load_kernels), so scipy's Python sparse
+package, whose import costs more than numpy and scipy together, is
+never imported.  Each operation calls the kernels that the scipy
+matrix operation it replaces calls, with the same operands in the same
+order, so every matrix, solve and report keeps its bits.  All assembly
+is vectorized over elements; the duplicate entries of the element
+matrices are summed by the coo-to-csr kernels, which are
+deterministic, so repeated runs produce bit-identical matrices.  The
+element kernels are explicit products, which skip numpy's generic
+einsum loop, but each entry is formed in the order that einsum formed
+it.  Vector loads sum their element contributions by np.bincount, in
+input order as np.add.at does.  The solver is PCG with one symmetric
+AMG V-cycle per iteration (damped-Jacobi smoothing, a hand-written
+Cholesky of the at most 100-unknown coarsest level); no library
+factorizations anywhere.
 """
 
+import importlib.util
+import os
+from importlib.machinery import PathFinder
+
 import numpy as np
-import scipy.sparse as sp
-# the compiled kernels behind scipy's own CSR product and diagonal
-from scipy.sparse._sparsetools import csr_diagonal, csr_matvec
 
 from .mesh import _edge_lengths, _signed_areas, barycentric, locate_point
+
+#: the module of scipy's compiled sparse kernels
+_KERNELS = "scipy.sparse._sparsetools"
+
+
+def _load_kernels():
+    """scipy's compiled sparse kernels, loaded from the sparse directory
+    of scipy's package by importlib's path finder, which executes the
+    extension module alone: neither scipy's __init__ nor scipy.sparse
+    runs.  Raises ImportError naming the module when it is not found."""
+    package = PathFinder.find_spec("scipy")
+    spec = None
+    if package is not None and package.submodule_search_locations:
+        spec = PathFinder.find_spec(
+            _KERNELS, [os.path.join(path, "sparse")
+                       for path in package.submodule_search_locations])
+    if spec is None:
+        raise ImportError("cannot find scipy's compiled sparse kernels, "
+                          "module %s" % _KERNELS, name=_KERNELS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_kernels()
 
 # order-2 rule: edge midpoints, weight area/3 each (exact for quadratics)
 TRI3_BARY = np.array([
@@ -75,8 +104,7 @@ def point_operator(mesh, points):
     cols = np.concatenate([mesh.triangles[t] for t, _ in located])
     weights = np.concatenate([lam for _, lam in located])
     rows = np.repeat(np.arange(len(pts)), 3)
-    return sp.csr_matrix((weights, (rows, cols)),
-                         shape=(len(pts), mesh.num_vertices))
+    return CSR.from_coo(rows, cols, weights, (len(pts), mesh.num_vertices))
 
 
 def _gradients(mesh):
@@ -160,15 +188,14 @@ def assemble_mass(mesh):
 
 
 def _scatter(mesh, local):
-    # 32-bit indices, the type scipy stores them in: int64 ones would be
+    # 32-bit indices, the type CSR stores them in: int64 ones would be
     # converted there, a copy on top of the peak memory of assembly
     tris = mesh.triangles.astype(np.int32)
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
     del tris  # not held through the conversion, which sets the peak
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(mesh.num_vertices, mesh.num_vertices))
-    return mat.tocsr()
+    return CSR.from_coo(rows, cols, local.ravel(),
+                        (mesh.num_vertices, mesh.num_vertices))
 
 
 def assemble_load(mesh, f):
@@ -407,12 +434,23 @@ _SWEEPS = 2
 _STALLED_RESTARTS = 3
 
 
-class CSR:
-    """A sparse matrix held as its compressed-row arrays.
+def _prune(a, n):
+    """The first n entries of a, copied when they fill less than half
+    of it, as scipy trims a result's arrays, so a sparse result holds
+    no more memory than scipy's."""
+    return a[:n].copy() if n < a.size // 2 else a[:n]
 
-    A @ x runs the compiled kernel that a scipy CSR product ends in,
-    without the checks and dispatch around it, so it returns the same
-    bits at the cost of the arithmetic alone.
+
+class CSR:
+    """A sparse matrix held as its compressed-row arrays, with int32
+    indices, the type scipy gives them at these sizes.
+
+    Each operation calls the compiled kernels of the scipy operation
+    named in its docstring, on the same operands in the same order,
+    without the checks and dispatch around them: it returns the same
+    bits at the cost of the arithmetic alone.  A product with a CSR
+    sums from +0.0 and drops exact zeros, like scipy's, so a product
+    with a diagonal matrix is not a row scaling.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape")
@@ -424,19 +462,177 @@ class CSR:
         self.shape = shape
 
     @classmethod
-    def of(cls, M):
-        """The CSR arrays of a scipy sparse matrix (shared, not copied,
-        when M is already CSR)."""
-        M = sp.csr_matrix(M)
-        return cls(M.indptr, M.indices, M.data, M.shape)
+    def _pruned(cls, indptr, indices, data, shape):
+        n = int(indptr[-1])
+        return cls(indptr, _prune(indices, n), _prune(data, n), shape)
 
-    def __matmul__(self, x):
-        if len(x) != self.shape[1]:
+    @classmethod
+    def from_coo(cls, rows, cols, values, shape):
+        """The matrix with entries values[k] at (rows[k], cols[k]),
+        duplicates summed, as scipy's coo-to-csr conversion forms it:
+        coo_tocsr keeps each row's entries in input order; unless every
+        row is then sorted and free of duplicates, csr_sort_indices
+        sorts the rows (an unstable sort, which sets the order of each
+        sum) and csr_sum_duplicates adds the duplicates."""
+        M, N = shape
+        rows = np.asarray(rows, dtype=np.int32)
+        cols = np.asarray(cols, dtype=np.int32)
+        nnz = rows.size
+        # the kernels trust their indices; scipy checks them here too
+        if nnz and (min(rows.min(), cols.min()) < 0 or rows.max() >= M
+                    or cols.max() >= N):
+            raise ValueError("entry index outside the matrix")
+        indptr = np.empty(M + 1, dtype=np.int32)
+        indices = np.empty(nnz, dtype=np.int32)
+        data = np.empty(nnz)
+        _sparsetools.coo_tocsr(M, N, nnz, rows, cols, values, indptr,
+                               indices, data)
+        if not _sparsetools.csr_has_canonical_format(M, indptr, indices):
+            if not _sparsetools.csr_has_sorted_indices(M, indptr, indices):
+                _sparsetools.csr_sort_indices(M, indptr, indices, data)
+            _sparsetools.csr_sum_duplicates(M, N, indptr, indices, data)
+        return cls._pruned(indptr, indices, data, shape)
+
+    def __matmul__(self, other):
+        """A @ x for a vector (csr_matvec) or the columns of a 2-D array
+        (csr_matvecs; one column goes through csr_matvec, as in scipy),
+        and A @ B for a CSR B (csr_matmat_maxnnz, then csr_matmat)."""
+        M, N = self.shape
+        if isinstance(other, CSR):
+            return self._matmat(other)
+        if len(other) != N:
             raise ValueError("operand length does not match the matrix")
-        y = np.zeros(self.shape[0])
-        csr_matvec(self.shape[0], self.shape[1], self.indptr, self.indices,
-                   self.data, x, y)
+        if other.ndim == 2 and other.shape[1] != 1:
+            y = np.zeros((M, other.shape[1]))
+            _sparsetools.csr_matvecs(M, N, other.shape[1], self.indptr,
+                                     self.indices, self.data, other.ravel(),
+                                     y.ravel())
+            return y
+        if other.ndim == 2:
+            return (self @ other.ravel()).reshape(M, 1)
+        y = np.zeros(M)
+        _sparsetools.csr_matvec(M, N, self.indptr, self.indices, self.data,
+                                other, y)
         return y
+
+    def _matmat(self, B):
+        M, N = self.shape[0], B.shape[1]
+        if self.shape[1] != B.shape[0]:
+            raise ValueError("operand shape does not match the matrix")
+        nnz = _sparsetools.csr_matmat_maxnnz(M, N, self.indptr, self.indices,
+                                             B.indptr, B.indices)
+        indptr = np.empty(M + 1, dtype=np.int32)
+        indices = np.empty(nnz, dtype=np.int32)
+        data = np.empty(nnz)
+        _sparsetools.csr_matmat(M, N, self.indptr, self.indices, self.data,
+                                B.indptr, B.indices, B.data, indptr, indices,
+                                data)
+        return CSR._pruned(indptr, indices, data, (M, N))
+
+    def rmatvec(self, x):
+        """A' x, as scipy's product with the transposed (CSC) view
+        computes it: csc_matvec on A's arrays, no transpose formed."""
+        M, N = self.shape
+        if len(x) != M:
+            raise ValueError("operand length does not match the matrix")
+        y = np.zeros(N)
+        _sparsetools.csc_matvec(N, M, self.indptr, self.indices, self.data,
+                                x, y)
+        return y
+
+    @property
+    def T(self):
+        """The CSR of A', formed by csr_tocsc, as scipy converts a CSR
+        to CSC (the CSC arrays of A are the CSR arrays of A'), or the
+        CSC view A.T to CSR.  Its rows are sorted."""
+        M, N = self.shape
+        nnz = int(self.indptr[-1])
+        indptr = np.empty(N + 1, dtype=np.int32)
+        indices = np.empty(nnz, dtype=np.int32)
+        data = np.empty(nnz)
+        _sparsetools.csr_tocsc(M, N, self.indptr, self.indices, self.data,
+                               indptr, indices, data)
+        return CSR(indptr, indices, data, (N, M))
+
+    def _binop(self, B, kernel):
+        if B.shape != self.shape:
+            raise ValueError("operand shape does not match the matrix")
+        M, N = self.shape
+        nnz = int(self.indptr[-1]) + int(B.indptr[-1])
+        indptr = np.empty(M + 1, dtype=np.int32)
+        indices = np.empty(nnz, dtype=np.int32)
+        data = np.empty(nnz)
+        kernel(M, N, self.indptr, self.indices, self.data, B.indptr,
+               B.indices, B.data, indptr, indices, data)
+        return CSR._pruned(indptr, indices, data, self.shape)
+
+    def __add__(self, B):
+        """A + B by csr_plus_csr, which drops exact zeros."""
+        return self._binop(B, _sparsetools.csr_plus_csr)
+
+    def __sub__(self, B):
+        """A - B by csr_minus_csr, which drops exact zeros."""
+        return self._binop(B, _sparsetools.csr_minus_csr)
+
+    def block(self, index):
+        """The rows and columns of A in index (increasing), as scipy's
+        A[index][:, index] forms it: csr_row_index takes the rows, and
+        csr_column_index1 and csr_column_index2 the columns."""
+        index = np.asarray(index, dtype=np.int32)
+        k = index.size
+        indptr = np.zeros(k + 1, dtype=np.int32)
+        np.cumsum(self.indptr[index + 1] - self.indptr[index],
+                  out=indptr[1:])
+        rows_indices = np.empty(indptr[-1], dtype=np.int32)
+        rows_data = np.empty(indptr[-1])
+        _sparsetools.csr_row_index(k, index, self.indptr, self.indices,
+                                   self.data, rows_indices, rows_data)
+        offsets = np.zeros(self.shape[1], dtype=np.int32)
+        block_ptr = np.empty_like(indptr)
+        _sparsetools.csr_column_index1(k, index, k, self.shape[1], indptr,
+                                       rows_indices, offsets, block_ptr)
+        order = np.argsort(index).astype(np.int32, copy=False)
+        indices = np.empty(block_ptr[-1], dtype=np.int32)
+        data = np.empty(block_ptr[-1])
+        _sparsetools.csr_column_index2(order, offsets, rows_indices.size,
+                                       rows_indices, rows_data, indices,
+                                       data)
+        return CSR(block_ptr, indices, data, (k, k))
+
+    def eliminate_zeros(self):
+        """Drop the stored exact zeros in place (csr_eliminate_zeros)."""
+        _sparsetools.csr_eliminate_zeros(self.shape[0], self.shape[1],
+                                         self.indptr, self.indices,
+                                         self.data)
+        n = int(self.indptr[-1])
+        self.indices = _prune(self.indices, n)
+        self.data = _prune(self.data, n)
+
+    def sorted_indices(self):
+        """A itself when each row lists its columns in increasing order
+        (csr_has_sorted_indices), else a copy sorted by csr_sort_indices."""
+        M = self.shape[0]
+        if _sparsetools.csr_has_sorted_indices(M, self.indptr, self.indices):
+            return self
+        A = CSR(self.indptr.copy(), self.indices.copy(), self.data.copy(),
+                self.shape)
+        _sparsetools.csr_sort_indices(M, A.indptr, A.indices, A.data)
+        return A
+
+    def diagonal(self):
+        """The main diagonal (csr_diagonal)."""
+        M, N = self.shape
+        d = np.empty(min(M, N))
+        _sparsetools.csr_diagonal(0, M, N, self.indptr, self.indices,
+                                  self.data, d)
+        return d
+
+    def toarray(self):
+        """The dense matrix (csr_todense into zeros)."""
+        out = np.zeros(self.shape)
+        _sparsetools.csr_todense(self.shape[0], self.shape[1], self.indptr,
+                                 self.indices, self.data, out)
+        return out
 
 
 class Multigrid:
@@ -459,7 +655,6 @@ class Multigrid:
 
     def __init__(self, A):
         w = _jacobi_weights(A)
-        A = sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
         self.levels = []            # coarse (CSR, Jacobi weights)
         self.prolongators = []
         self.restrictions = []
@@ -468,18 +663,27 @@ class Multigrid:
             agg, count = _aggregate(A, theta)
             # unit-norm piecewise constants on the aggregates
             rows = np.flatnonzero(agg >= 0)
-            T = sp.csr_matrix(
-                (1.0 / np.sqrt(np.bincount(agg[rows])[agg[rows]]),
-                 (rows, agg[rows])), shape=(agg.size, count))
-            P = (T - sp.diags(w) @ (A @ T)).tocsr()
+            T = CSR.from_coo(
+                rows, agg[rows],
+                1.0 / np.sqrt(np.bincount(agg[rows])[agg[rows]]),
+                (agg.size, count))
+            # diag(w) (A T) as a product with the diagonal CSR, not a
+            # row scaling: the product lists each row in reverse, and
+            # the order of P's rows follows from it
+            ids = np.arange(agg.size + 1, dtype=np.int32)
+            P = T - CSR(ids, ids[:-1], w, A.shape) @ (A @ T)
             R = P.T
-            A = R @ A @ P
-            A = (0.5 * (A + A.T)).tocsr()
-            level = CSR.of(A)
-            w = _jacobi_weights(level)
-            self.levels.append((level, w))
-            self.prolongators.append(CSR.of(P))
-            self.restrictions.append(CSR.of(R))
+            # R A P in the operand order of scipy's CSC products, whose
+            # bits every level keeps: A' P, then P' (A' P), the CSR of
+            # (R A P)'; its sum with its transpose, halved and
+            # transposed back, is the symmetric coarse matrix
+            S = R @ (A.T @ P)
+            S = S + S.T
+            A = CSR(S.indptr, S.indices, S.data * 0.5, S.shape).T
+            w = _jacobi_weights(A)
+            self.levels.append((A, w))
+            self.prolongators.append(P)
+            self.restrictions.append(R)
             theta *= 0.5
         self._coarse = _inverse_factor(_cholesky(A.toarray()))
 
@@ -514,9 +718,7 @@ def _jacobi_weights(A):
     """Damped-Jacobi weights 4/3 / sum_j |a_ij| of the CSR A: the
     diagonal inverse damped by each row's Gershgorin bound of D^-1 A."""
     n = A.shape[0]
-    diagonal = np.zeros(n)
-    csr_diagonal(0, n, n, A.indptr, A.indices, A.data, diagonal)
-    if np.any(diagonal <= 0.0):
+    if np.any(A.diagonal() <= 0.0):
         raise RuntimeError("operator is not positive definite")
     row_sums = CSR(A.indptr, A.indices, np.abs(A.data), A.shape) @ np.ones(n)
     return (4.0 / 3.0) / row_sums
@@ -535,8 +737,7 @@ def _aggregate(A, theta):
     Returns (aggregate index per node, aggregate count).
     """
     # the strength graph keeps A's pattern, filtered, in column order
-    if not A.has_sorted_indices:
-        A = A.sorted_indices()
+    A = A.sorted_indices()
     n = A.shape[0]
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     diag = A.diagonal()

@@ -66,11 +66,11 @@ class _Operators:
     def __init__(self, mesh):
         self._mesh = weakref.ref(mesh)
         self.free = np.flatnonzero(~mesh.boundary)
-        A = assemble_stiffness(mesh)[self.free][:, self.free]
+        A = assemble_stiffness(mesh).block(self.free)
         # exact zeros (across the diagonals of right-angled cells) add
         # nothing to a product but its cost
         A.eliminate_zeros()
-        self.stiffness = CSR.of(A)
+        self.stiffness = A
         rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
         self._diagonal = np.flatnonzero(A.indices == rows)
         self._mass = None
@@ -316,7 +316,7 @@ def solve_state(instance, u, mesh, tol=1e-10, linear=False):
     if float(np.max(u.values)) >= FOUR_PI:
         raise ValueError("state equation may be ill-posed")
     load = field_load(mesh, instance.f0) \
-        + point_coupling(mesh, instance.points).T @ u.values
+        + point_coupling(mesh, instance.points).rmatvec(u.values)
     return solve_semilinear(mesh, load, tol=tol, linear=linear)
 
 
@@ -339,7 +339,7 @@ def solve_linearized(yS, h, points, tol=_CG_TOL):
     both for truncations of h and for the full direction.
     """
     return _solve_at_state(
-        yS, point_coupling(yS.y.mesh, points).T @ h.values, tol)
+        yS, point_coupling(yS.y.mesh, points).rmatvec(h.values), tol)
 
 
 def solve_adjoint(yS, y_d, tol=_CG_TOL):

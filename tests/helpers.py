@@ -1,4 +1,5 @@
-"""Shared test helpers: conversions between full-size scipy matrices and
+"""Shared test helpers: conversions between the package's CSR matrices
+and scipy sparse matrices (the tests do their matrix algebra in scipy),
 the free-block CSR operators that the solvers take, the derivatives of J
 at a control from a fresh state solve, counters of the reduced
 Hessian's linearized solves and of the multigrid V-cycles, and the
@@ -6,8 +7,10 @@ references that faster paths must reproduce bit for bit: the
 level-by-level graded refinement, the point location by a scan of every
 triangle, the einsum stiffness, midpoint-rule mass and load, the 25-term
 divided-difference series, accumulation by np.add.at, the loop
-aggregation and the PCG loop that tests its residual before each
-step."""
+aggregation, the PCG loop that tests its residual before each step, and
+the scipy matrix operations that CSR replaces: the coo-to-csr scatter,
+the point operator, the free block of the stiffness and the multigrid
+setup."""
 
 import functools
 
@@ -15,28 +18,38 @@ import numpy as np
 import scipy.sparse as sp
 
 from expctrl import objective
-from expctrl.fem import (_STALLED_RESTARTS, CSR, TRI3_BARY, TRI3_W,
-                         Multigrid, _phi1, _scatter)
+from expctrl.fem import (_COARSE_SIZE, _STALLED_RESTARTS, _STRENGTH, CSR,
+                         TRI3_BARY, TRI3_W, Multigrid, _cholesky,
+                         _inverse_factor, _phi1)
 from expctrl.mesh import (_BARY_TOL, Domain, Mesh, _tri_edges, barycentric,
-                          build_mesh, circumcenters)
+                          build_mesh, circumcenters, locate_point)
 from expctrl.objective import evaluate_DJ, evaluate_J, reduced_hessian
 from expctrl.optimizer import projected_gradient, second_order_check
 from expctrl.pde import _CG_TOL, solve_linearized, solve_state
 from expctrl.sequences import compute_separation_radii
 
 
-def free_block(mesh, A):
-    """The free-block operator of a full-size matrix: the CSR of its
-    rows and columns off the boundary."""
-    free = ~mesh.boundary
-    return CSR.of(A.tocsr()[free][:, free])
-
-
-def scipy_csr(op):
-    """A scipy CSR matrix on copies of a CSR operator's arrays, so that
-    in-place scipy methods leave the operator alone."""
-    return sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape,
+def to_scipy(A):
+    """A scipy CSR matrix on copies of a CSR's arrays, so that in-place
+    scipy methods leave the CSR alone."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape,
                          copy=True)
+
+
+def from_scipy(M):
+    """The CSR of a scipy sparse matrix, on its CSR arrays."""
+    M = sp.csr_matrix(M)
+    return CSR(M.indptr, M.indices, M.data, M.shape)
+
+
+def free_block(mesh, A):
+    """The free-block operator of a full-size matrix (a CSR or a scipy
+    matrix): the CSR of its rows and columns off the boundary, sliced
+    by scipy."""
+    free = ~mesh.boundary
+    if isinstance(A, CSR):
+        A = to_scipy(A)
+    return from_scipy(A.tocsr()[free][:, free])
 
 
 def J(instance, u, mesh, tol=1e-10):
@@ -190,6 +203,66 @@ def _refine_once(mesh, refine_points, green, ball_factor):
     return refined, np.concatenate(part_green)
 
 
+def reference_scatter(mesh, local):
+    """The matrix of the local matrices (T, 3, 3), summed by scipy's
+    coo-to-csr conversion."""
+    tris = mesh.triangles.astype(np.int32)
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
+                        shape=(mesh.num_vertices, mesh.num_vertices))
+    return mat.tocsr()
+
+
+def reference_point_operator(mesh, points):
+    """The point-coupling matrix built by scipy from its triplets."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    located = [locate_point(mesh, x) for x in pts]
+    cols = np.concatenate([mesh.triangles[t] for t, _ in located])
+    weights = np.concatenate([lam for _, lam in located])
+    rows = np.repeat(np.arange(len(pts)), 3)
+    return sp.csr_matrix((weights, (rows, cols)),
+                         shape=(len(pts), mesh.num_vertices))
+
+
+def reference_free_block(A, free):
+    """The rows and columns in free (indices) of a scipy CSR A, sliced
+    by scipy, with its exact zeros dropped."""
+    B = A[free][:, free]
+    B.eliminate_zeros()
+    return B
+
+
+def reference_jacobi_weights(A):
+    """The damped-Jacobi weights 4/3 / sum_j |a_ij| of a scipy CSR A,
+    its row sums taken by a scipy product."""
+    return (4.0 / 3.0) / (abs(A) @ np.ones(A.shape[0]))
+
+
+def reference_multigrid(A):
+    """The multigrid setup of the CSR A in scipy matrices: a list of
+    (A, P, R, Jacobi weights) per coarse level, then the coarse inverse
+    factor.  The aggregates come from the loop reference."""
+    A = to_scipy(A)
+    w = reference_jacobi_weights(A)
+    levels = []
+    theta = _STRENGTH
+    while A.shape[0] > _COARSE_SIZE:
+        agg, count = reference_aggregate(A, theta)
+        rows = np.flatnonzero(agg >= 0)
+        T = sp.csr_matrix(
+            (1.0 / np.sqrt(np.bincount(agg[rows])[agg[rows]]),
+             (rows, agg[rows])), shape=(agg.size, count))
+        P = (T - sp.diags(w) @ (A @ T)).tocsr()
+        R = P.T
+        A = R @ A @ P
+        A = (0.5 * (A + A.T)).tocsr()
+        w = reference_jacobi_weights(A)
+        levels.append((A, P, sp.csr_matrix(R), w))
+        theta *= 0.5
+    return levels, _inverse_factor(_cholesky(A.toarray()))
+
+
 def reference_stiffness(mesh):
     """The stiffness matrix with its local matrices formed by einsum
     over the (T, 3, 2) barycentric gradients."""
@@ -201,7 +274,8 @@ def reference_stiffness(mesh):
         g[:, j, 0] = a[:, 1] - b[:, 1]
         g[:, j, 1] = b[:, 0] - a[:, 0]
     g /= (2.0 * mesh.areas)[:, None, None]
-    return _scatter(mesh, np.einsum("tid,tjd,t->tij", g, g, mesh.areas))
+    return reference_scatter(
+        mesh, np.einsum("tid,tjd,t->tij", g, g, mesh.areas))
 
 
 def reference_mass(mesh):
@@ -211,7 +285,7 @@ def reference_mass(mesh):
     hats = np.broadcast_to(TRI3_BARY, (mesh.num_triangles, 3, 3))
     local = np.einsum("q,tq...,qi,t->ti...", TRI3_W, hats, TRI3_BARY,
                       mesh.areas)
-    return _scatter(mesh, local)
+    return reference_scatter(mesh, local)
 
 
 def reference_load(mesh, f):

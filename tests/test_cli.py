@@ -21,7 +21,7 @@ from expctrl.fem import assemble_mass, assemble_stiffness
 from expctrl.objective import evaluate_DJ, evaluate_J
 from expctrl.pde import solve_state
 from expctrl.sequences import Control
-from helpers import count_vcycles
+from helpers import count_vcycles, from_scipy, to_scipy
 
 
 # the config of the README's command-line section
@@ -333,7 +333,8 @@ def test_mass_matrix_is_assembled_only_where_it_is_read(tmp_path,
 def test_indefinite_operator_exits_as_a_solver_error(tmp_path, monkeypatch,
                                                    capsys):
     monkeypatch.setattr(expctrl.pde, "assemble_stiffness",
-                        lambda mesh: -assemble_stiffness(mesh))
+                        lambda mesh: from_scipy(
+                            -to_scipy(assemble_stiffness(mesh))))
     path = write_config(tmp_path, base_config(f0="constant 1.0"))
     assert main(["solve", "--config", path, "--out",
                  str(tmp_path / "o")]) == 2
@@ -800,3 +801,40 @@ def test_module_entry_point_runs_the_command(tmp_path):
                "--out", str(out))
     assert done.returncode == 0, done.stderr
     assert (out / "solve_summary.txt").is_file()
+
+
+_STARTUP_PROBE = """
+import json, sys
+import expctrl.cli
+
+def loaded():
+    return {name: name in sys.modules for name in
+            ("scipy.sparse", "scipy._lib._array_api", "numpy.f2py",
+             "numpy.random")}
+
+before = loaded()
+status = expctrl.cli.main(["solve", "--config", sys.argv[1],
+                           "--out", sys.argv[2]])
+print(json.dumps([before, loaded(), status]))
+"""
+
+
+def test_cli_never_imports_the_scipy_sparse_package(tmp_path):
+    # scipy.sparse, with the array-API layer that loads numpy.f2py, takes
+    # longer to import than numpy and scipy together; the package only
+    # calls scipy's compiled kernels.  numpy.random is imported with
+    # the CLI, so that the first random sample of verify does not pay it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    path = write_config(tmp_path, base_config(f0="constant 1.0"))
+    done = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, path, str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    before, after, status = json.loads(done.stdout.splitlines()[-1])
+    assert status == 0
+    expected = {"scipy.sparse": False, "scipy._lib._array_api": False,
+                "numpy.f2py": False, "numpy.random": True}
+    assert before == expected
+    assert after == expected

@@ -1,6 +1,7 @@
 import decimal
 import math
 import tracemalloc
+from importlib.machinery import PathFinder
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from expctrl.pde import operators
 from expctrl.sequences import (Control, SourcePoints,
                                compute_separation_radii)
 from helpers import (add_at_bincount, count_vcycles, free_block, graded_disk,
-                     reference_aggregate, reference_dd2_exp, reference_load,
-                     reference_mass, reference_solve_spd, reference_stiffness,
-                     scipy_csr)
+                     reference_aggregate, reference_dd2_exp,
+                     reference_free_block, reference_load, reference_mass,
+                     reference_multigrid, reference_point_operator,
+                     reference_scatter, reference_solve_spd,
+                     reference_stiffness, to_scipy)
 
 
 def square_mesh(n):
@@ -61,7 +64,7 @@ def test_stiffness_interior_diagonal_is_the_five_point_value():
 
 def test_stiffness_symmetry():
     mesh = build_mesh(Domain.disk(0.0, 0.0, 1.0), 8)
-    A = assemble_stiffness(mesh)
+    A = to_scipy(assemble_stiffness(mesh))
     assert abs(A - A.T).max() < 1e-12
 
 
@@ -452,7 +455,7 @@ def test_solve_spd_center_value_for_unit_load():
 
 def test_solve_spd_recovers_a_prescribed_solution():
     mesh = square_mesh(8)
-    A = assemble_stiffness(mesh) + lumped_mass(mesh)
+    A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
     rng = np.random.default_rng(11)
     target = rng.normal(size=mesh.num_vertices)
     target[mesh.boundary] = 0.0
@@ -464,7 +467,7 @@ def test_solve_spd_recovers_a_prescribed_solution():
 
 def test_solve_spd_matches_dense_oracle():
     mesh = square_mesh(6)
-    A = assemble_stiffness(mesh) + lumped_mass(mesh)
+    A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: x[:, 0] - x[:, 1] ** 2)
     x = solve_spd(free_block(mesh, A), b, mesh.boundary, tol=1e-13)
     free = ~mesh.boundary
@@ -475,7 +478,7 @@ def test_solve_spd_matches_dense_oracle():
 def test_solve_spd_discrete_maximum_principle():
     # nonnegative load on a nonobtuse mesh gives a nonnegative solution
     mesh = square_mesh(8)
-    A = assemble_stiffness(mesh) + lumped_mass(mesh)
+    A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: np.exp(-10 * (x[:, 0] - 0.3) ** 2))
     x = solve_spd(free_block(mesh, A), b, mesh.boundary)
     assert np.min(x) >= -1e-14
@@ -491,8 +494,8 @@ def test_solve_spd_rejects_indefinite_operators():
     # lies above the lowest eigenvalue 2 pi^2 of the Laplacian, so a CG
     # step meets a nonpositive curvature
     mesh = square_mesh(16)
-    A = assemble_stiffness(mesh) + lumped_mass(mesh)
-    shifted = assemble_stiffness(mesh) - 100.0 * lumped_mass(mesh)
+    A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
+    shifted = to_scipy(assemble_stiffness(mesh)) - 100.0 * lumped_mass(mesh)
     with pytest.raises(RuntimeError, match="not positive definite"):
         solve_spd(free_block(mesh, shifted), np.ones(mesh.num_vertices),
                   mesh.boundary, multigrid=Multigrid(free_block(mesh, A)))
@@ -514,7 +517,7 @@ def refined_disk():
 
 
 def shifted_stiffness(mesh):
-    return free_block(mesh, assemble_stiffness(mesh)
+    return free_block(mesh, to_scipy(assemble_stiffness(mesh))
                       + lumped_mass(mesh))
 
 
@@ -549,7 +552,7 @@ def test_preconditioner_is_symmetric_positive_with_a_new_finest_level():
     # a Newton-type operator A + M_L diag(e^y): only the finest level
     # differs from the matrix the hierarchy was built from
     y = np.exp(-4.0 * np.sum(mesh.vertices ** 2, axis=1)) * 5.0
-    H = free_block(mesh, assemble_stiffness(mesh)
+    H = free_block(mesh, to_scipy(assemble_stiffness(mesh))
                    + sp.diags(lumped_mass_diagonal(mesh) * np.exp(y)))
     B = mg.preconditioner(H)
     rng = np.random.default_rng(5)
@@ -562,7 +565,7 @@ def test_preconditioner_is_symmetric_positive_with_a_new_finest_level():
 
 def test_amg_pcg_matches_dense_oracle_on_a_refined_disk():
     mesh = refined_disk()
-    A = assemble_stiffness(mesh) + lumped_mass(mesh)
+    A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: np.cos(3.0 * x[:, 0]) + x[:, 1])
     x = solve_spd(free_block(mesh, A), b, mesh.boundary, tol=1e-13)
     free = ~mesh.boundary
@@ -602,12 +605,88 @@ def test_csr_apply_is_the_scipy_product_bit_for_bit():
         # R is stored as the explicit CSR of P': the same bits as the
         # transposed view of P
         x = rng.normal(size=P.shape[0])
-        assert np.array_equal(R @ x, scipy_csr(P).T @ x)
+        assert np.array_equal(R @ x, to_scipy(P).T @ x)
     for op in checked:
         x = rng.normal(size=op.shape[1])
-        assert np.array_equal(op @ x, scipy_csr(op) @ x)
+        assert np.array_equal(op @ x, to_scipy(op) @ x)
     with pytest.raises(ValueError, match="does not match"):
         ops.stiffness @ np.ones(ops.stiffness.shape[1] + 1)
+
+
+_SQUARE = Domain.unit_square()
+_DISK = Domain.disk(0.0, 0.0, 1.0)
+_CSR_MESHES = {
+    "disk-32-graded-12": lambda: build_mesh(
+        _DISK, 32, refine_points=compute_separation_radii([[0.0, 0.0]],
+                                                          _DISK),
+        refine_levels=12),
+    # exact zeros across the diagonals of right-angled cells
+    "square-64": lambda: square_mesh(64),
+    # green bisections toward two points
+    "square-64-graded-1": lambda: build_mesh(
+        _SQUARE, 64, refine_points=compute_separation_radii(
+            [[0.3, 0.4], [0.7, 0.6]], _SQUARE), refine_levels=1),
+}
+
+
+def _same_matrix(got, want):
+    """A CSR and a scipy CSR matrix with the same arrays, bit for bit."""
+    return got.shape == want.shape and all(
+        _same_bits(getattr(got, name), getattr(want, name))
+        for name in ("indptr", "indices", "data"))
+
+
+@pytest.mark.parametrize("case", sorted(_CSR_MESHES))
+def test_csr_operations_keep_the_bits_of_the_scipy_matrices(case):
+    # every CSR operation calls the kernels of the scipy operation it
+    # replaces, so each stored array is the scipy one to the last bit
+    mesh = _CSR_MESHES[case]()
+    ops = operators(mesh)
+    local = fem_module._stiffness_local(mesh)
+    stiffness = reference_scatter(mesh, local)
+    assert _same_matrix(fem_module._scatter(mesh, local), stiffness)
+    assert _same_matrix(ops.stiffness,
+                        reference_free_block(stiffness, ops.free))
+    # a vertex, whose zero weights are stored, and two inner points
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    pts = [mesh.vertices[np.flatnonzero(~mesh.boundary)[0]],
+           0.3 * lo + 0.7 * hi, 0.6 * lo + 0.4 * hi]
+    P = point_operator(mesh, pts)
+    P_ref = reference_point_operator(mesh, pts)
+    assert _same_matrix(P, P_ref)
+    rng = np.random.default_rng(29)
+    u = rng.normal(size=len(pts))
+    assert _same_bits(P.rmatvec(u), P_ref.T @ u)
+    mass = to_scipy(ops.mass)
+    for shape in ((mesh.num_vertices,), (mesh.num_vertices, 4),
+                  (mesh.num_vertices, 1)):
+        x = rng.normal(size=shape)
+        assert _same_bits(ops.mass @ x, mass @ x)
+    A = ops.newton_operator(np.zeros(mesh.num_vertices))
+    mg = Multigrid(A)
+    levels, coarse = reference_multigrid(A)
+    assert len(mg.levels) == len(levels) >= 2
+    for (level, w), P, R, (level_ref, P_ref, R_ref, w_ref) in zip(
+            mg.levels, mg.prolongators, mg.restrictions, levels):
+        assert _same_matrix(level, level_ref)
+        assert _same_matrix(P, P_ref)
+        assert _same_matrix(R, R_ref)
+        assert _same_bits(w, w_ref)
+    assert _same_bits(mg._coarse, coarse)
+
+
+@pytest.mark.parametrize("missing", ["scipy", "scipy.sparse._sparsetools"])
+def test_kernel_loader_names_the_module_it_cannot_find(missing,
+                                                       monkeypatch):
+    find = PathFinder.find_spec
+
+    def finder(name, path=None, target=None):
+        return None if name == missing else find(name, path, target)
+    monkeypatch.setattr(PathFinder, "find_spec", staticmethod(finder))
+    with pytest.raises(ImportError,
+                       match=r"scipy\.sparse\._sparsetools") as info:
+        fem_module._load_kernels()
+    assert info.value.name == "scipy.sparse._sparsetools"
 
 
 def test_hand_written_cholesky_factors_and_inverts():
@@ -625,7 +704,7 @@ def test_hand_written_cholesky_factors_and_inverts():
 def test_solve_spd_reports_stagnation_below_the_round_off_floor(
         monkeypatch):
     mesh = square_mesh(32)
-    A = assemble_stiffness(mesh) + lumped_mass(mesh)
+    A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: np.ones(len(x)))
     cycles = count_vcycles(monkeypatch)
     with pytest.raises(RuntimeError, match="linear solve stagnated"):
@@ -640,7 +719,7 @@ def test_solve_spd_takes_the_reference_iterates_in_a_vcycle_per_step(
     # at 1e-13 the recursive residual passes before the true one, so the
     # solve confirms on a second pass from the true residual
     mesh = square_mesh(64)
-    A = free_block(mesh, assemble_stiffness(mesh) + lumped_mass(mesh))
+    A = free_block(mesh, to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh))
     b = assemble_load(mesh, lambda x: np.ones(len(x)))
     mg = Multigrid(A)
     cycles = count_vcycles(monkeypatch)
@@ -662,7 +741,7 @@ def test_aggregation_matches_the_loop_reference_on_every_level(
 
     def checked(A, theta):
         agg, count = aggregate(A, theta)
-        ref_agg, ref_count = reference_aggregate(A, theta)
+        ref_agg, ref_count = reference_aggregate(to_scipy(A), theta)
         assert count == ref_count
         assert np.array_equal(agg, ref_agg)
         sizes.append(A.shape[0])

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 
 import expctrl.mesh as mesh_module
 from expctrl.fem import subdivided_quadrature
-from expctrl.mesh import (Domain, _disk_grid, _graded, _tri_edges,
-                          barycentric, build_mesh, circumcenters,
+from expctrl.mesh import (Domain, Mesh, _disk_grid, _edge_lengths, _graded,
+                          _tri_edges, barycentric, build_mesh, circumcenters,
                           locate_point)
 from expctrl.sequences import compute_separation_radii
 from helpers import graded_disk, reference_graded_meshes, reference_locate
@@ -262,6 +262,28 @@ def test_graded_build_matches_the_level_by_level_reference(case):
     assert mesh.num_triangles > reference[0].num_triangles
     new_boundary = ref.boundary.sum() - reference[0].boundary.sum()
     assert (new_boundary > 0) == splits_boundary
+
+
+_SIZE_CASES = dict(
+    {case: lambda case=case: build_mesh(
+        *_GRADED_CASES[case][:2], refine_points=_GRADED_CASES[case][2],
+        refine_levels=_GRADED_CASES[case][3]) for case in _GRADED_CASES},
+    square=lambda: build_mesh(_SQUARE, 37),
+    disk=lambda: build_mesh(_DISK, 29),
+    # the squared edge lengths overflow: the full computation decides
+    overflow=lambda: Mesh(np.array([[0.0, 0.0], [2e160, 0.0], [0.0, 3e160]]),
+                          np.array([[0, 1, 2]]), np.ones(3, dtype=bool),
+                          _SQUARE))
+
+
+@pytest.mark.parametrize("case", sorted(_SIZE_CASES))
+def test_mesh_size_keeps_the_bits_of_the_largest_edge_length(case):
+    # h takes hypot only near the largest squared length; the allowance
+    # m h^2 of the mollified certificates reaches the reports
+    with np.errstate(over="ignore"):
+        mesh = _SIZE_CASES[case]()
+        corners = mesh.vertices[mesh.triangles]
+        assert mesh.h == float(_edge_lengths(corners).max())
 
 
 def _children(reference):

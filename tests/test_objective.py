@@ -10,7 +10,7 @@ from expctrl.objective import (DerivativeReport, evaluate_DJ, evaluate_J,
 from expctrl.pde import (ProblemInstance, operators, point_coupling,
                          solve_adjoint, solve_state)
 from expctrl.sequences import BoundsPair, Control, compute_separation_radii
-from helpers import D2J, DJ, J, count_linearized, free_block
+from helpers import D2J, DJ, J, count_linearized, free_block, to_scipy
 
 
 def make_instance(nu=0.1, f0=None, y_d=None, resolution=24,
@@ -115,7 +115,8 @@ def per_direction_D2J(instance, mesh, state, phi, h):
     """Reference D2J[h, h] from one linearized solve on P' h."""
     ops = operators(mesh)
     rhs = point_coupling(mesh, instance.points).T @ h
-    H = assemble_stiffness(mesh) + sp.diags(ops.lumped * np.exp(state.y.values))
+    H = to_scipy(assemble_stiffness(mesh)) \
+        + sp.diags(ops.lumped * np.exp(state.y.values))
     z = solve_spd(free_block(mesh, H), rhs, mesh.boundary, tol=1e-12)
     weight = ops.lumped * np.exp(state.y.values) * phi.values
     return float(z @ (ops.mass @ z)) - float(np.sum(weight * z * z)) \

@@ -16,7 +16,7 @@ from expctrl.pde import (ProblemInstance, evaluate_at_points, field_load,
                          solve_state)
 from expctrl.sequences import (BoundsPair, Control, SourcePoints,
                                compute_separation_radii)
-from helpers import count_vcycles, free_block, scipy_csr
+from helpers import count_vcycles, free_block, to_scipy
 
 
 def two_point_instance(resolution=24, nu=0.1, f0=None, y_d=None):
@@ -193,7 +193,7 @@ def test_linearized_operator_matches_mode():
     free = ~mesh.boundary
     h = Control([1.0, -0.5])
     rhs = (point_coupling(mesh, inst.points).T @ h.values)[free]
-    A = assemble_stiffness(mesh)
+    A = to_scipy(assemble_stiffness(mesh))
     H = A + sp.diags(ops.lumped * np.exp(st_non.y.values))
     for st, M in ((st_lin, A), (st_non, H)):
         z = solve_linearized(st, h, inst.points).values
@@ -210,7 +210,7 @@ def test_cached_operator_is_the_sliced_scipy_matrix(kind):
         pts = compute_separation_radii([[0.0, 0.0], [0.4, 0.3]], dom)
         mesh = build_mesh(dom, 16, refine_points=pts, refine_levels=4)
     ops = operators(mesh)
-    A = assemble_stiffness(mesh)
+    A = to_scipy(assemble_stiffness(mesh))
     free = ~mesh.boundary
     rng = np.random.default_rng(19)
     y = rng.normal(size=mesh.num_vertices)
@@ -224,7 +224,7 @@ def test_cached_operator_is_the_sliced_scipy_matrix(kind):
         # them when it took full-size matrices
         weights = (4.0 / 3.0) / (abs(sliced) @ np.ones(sliced.shape[0]))
         assert np.array_equal(_jacobi_weights(op), weights)
-        got = scipy_csr(op)
+        got = to_scipy(op)
         got.eliminate_zeros()
         sliced.eliminate_zeros()
         assert got.shape == sliced.shape
@@ -337,7 +337,7 @@ def _reference_newton(mesh, load, tol=1e-10):
     """Damped Newton of solve_semilinear with every linear solve at
     1e-12: the exact-inner loop the forcing terms replace."""
     ops = operators(mesh)
-    A = assemble_stiffness(mesh)
+    A = to_scipy(assemble_stiffness(mesh))
     free = ~mesh.boundary
     scale = 1.0 + np.linalg.norm(load[free])
 

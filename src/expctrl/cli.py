@@ -44,6 +44,12 @@ _KEYS = ("domain", "points", "lower", "upper", "nu", "f0", "y_d", "mesh",
 #: the sample count of the retired sampled second-order check, still
 #: accepted and ignored so that configs that set it keep running
 _RETIRED_KEYS = ("second_order_count",)
+#: the keys each verify check reads besides "check"; any other key of
+#: an entry is a configuration error
+_VERIFY_KEYS = {"scalar": ("samples",), "poisson": ("omega", "alpha"),
+                "semilinear": ("omega", "alpha"), "lipschitz": ("trials",),
+                "mollified": ("R", "resolution", "x0", "rho0", "epsilon",
+                              "m")}
 
 
 class ConfigError(Exception):
@@ -344,7 +350,7 @@ def cmd_solve(config):
                         tol=config.tolerances["newton"], linear=linear)
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
-    values = state.y.values
+    values = state.y
     _write_csv(out / "solution.csv", ("x", "y", "value"),
                zip(mesh.vertices[:, 0], mesh.vertices[:, 1], values))
     _write_csv(out / "newton.csv", ("iteration", "residual"),
@@ -424,7 +430,7 @@ def _verify_reports(config, entry, mesh, disks):
     """The reports of one verify entry; mollified entries take their
     disk from disks, keyed by (R, resolution), so entries of one call
     share a mesh and its cached operators."""
-    check = _field(entry, "check")
+    check = entry["check"]
     instance = config.instance
     if check == "scalar":
         return [verify_scalar_exponential(
@@ -456,19 +462,31 @@ def _verify_reports(config, entry, mesh, disks):
             _float_list(entry, "x0", [0.0, 0.0], count=2, per="coordinate"),
             _number(entry, "rho0"),
             _number(entry, "epsilon"), _number(entry, "m"), disk))
-    raise ConfigError("field 'verify.check': unknown check '%s'" % check)
 
 
 def cmd_verify(config):
     """Run the configured inequality checks, one report row each.
 
-    Exits 4 when a bound is violated, else 2 when a check was skipped
-    (its state solve failed), else 0."""
+    Every entry names a check and sets only the keys that check reads
+    (_VERIFY_KEYS), which is validated before any check runs.  Exits 4
+    when a bound is violated, else 2 when a check was skipped (its
+    state solve failed), else 0."""
     entries = _field(config.raw, "verify")
     if not isinstance(entries, list) or not entries \
             or not all(isinstance(e, dict) for e in entries):
         raise ConfigError("field 'verify': expected a nonempty list of "
                           "objects")
+    for entry in entries:
+        check = _field(entry, "check")
+        if not (isinstance(check, str) and check in _VERIFY_KEYS):
+            raise ConfigError("field 'verify.check': unknown check '%s'"
+                              % (check,))
+        for key in entry:
+            if key != "check" and key not in _VERIFY_KEYS[check]:
+                raise ConfigError(
+                    "field 'verify.%s': unknown key for check '%s', "
+                    "expected one of %s"
+                    % (key, check, ", ".join(_VERIFY_KEYS[check])))
     mesh = config.instance.make_mesh()
     reports = []
     disks = {}

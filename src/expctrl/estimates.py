@@ -61,38 +61,34 @@ class EstimateReport:
             and self.margin >= -self.slack * abs(rhs)
 
 
-def _weights(omega):
-    return omega.values if hasattr(omega, "values") else \
-        np.asarray(omega, dtype=float).reshape(-1)
-
-
-def _point_mass_bound(points, wv, alpha, mesh):
+def _point_mass_bound(points, omega, alpha, mesh):
     """Checks and data shared by the integrability certificates.
 
-    Validates alpha and the weight count, recomputes the canonical
-    separation radii of the SourcePoints in the mesh's domain, and
-    returns the point-mass load P' omega, the bound
-    (4 pi^2 R^2 / alpha) (2R)^(c s / wmax) exp[c L / wmax] with
+    Validates alpha and the size of the (K,) weight array omega,
+    recomputes the canonical separation radii of the SourcePoints in
+    the mesh's domain, and returns the point-mass load P' omega, the
+    bound (4 pi^2 R^2 / alpha) (2R)^(c s / wmax) exp[c L / wmax] with
     R = diam(domain)/2, c = 2 - alpha/(2 pi), s = |omega|_1 and
     wmax = max omega_i, then c, wmax, and the report parameters.
     """
     if not (0.0 < alpha < FOUR_PI):
         raise ValueError("alpha must lie strictly between 0 and 4*pi")
-    if wv.size != points.count:
+    if omega.size != points.count:
         raise ValueError("one weight per point required")
     domain = mesh.domain
     radii = compute_separation_radii(points.points, domain)
     R = 0.5 * domain.diameter()
-    wmax = float(np.max(wv))
+    wmax = float(np.max(omega))
     c = 2.0 - alpha / (2.0 * np.pi)
-    L = L_functional(wv, radii)
+    L = L_functional(omega, radii)
     rhs = (4.0 * np.pi ** 2 * R ** 2 / alpha) \
-        * (2.0 * R) ** (c * float(np.sum(np.abs(wv))) / wmax) \
+        * (2.0 * R) ** (c * float(np.sum(np.abs(omega))) / wmax) \
         * np.exp(c * L / wmax)
-    params = {"alpha": float(alpha), "omega": wv.tolist(), "R": R,
+    params = {"alpha": float(alpha), "omega": omega.tolist(), "R": R,
               "rho": radii.radii.tolist(), "L": L, "domain": domain.name,
               "vertices": mesh.num_vertices}
-    return point_coupling(mesh, radii).rmatvec(wv), rhs, c, wmax, params
+    return (point_coupling(mesh, radii.points).rmatvec(omega), rhs, c, wmax,
+            params)
 
 
 def verify_poisson_exponential(points, omega, alpha, mesh):
@@ -105,12 +101,12 @@ def verify_poisson_exponential(points, omega, alpha, mesh):
     are recomputed here so the bound never depends on caller-supplied
     radii.
     """
-    wv = _weights(omega)
-    if np.any(wv <= 0.0):
+    if np.any(omega <= 0.0):
         raise ValueError("point-mass weights must be positive")
-    load, rhs, _, wmax, params = _point_mass_bound(points, wv, alpha, mesh)
+    load, rhs, _, wmax, params = _point_mass_bound(points, omega, alpha,
+                                                   mesh)
     y = solve_semilinear(mesh, load, linear=True)
-    lhs = integrate_exp_linear(mesh, np.abs(y.y.values),
+    lhs = integrate_exp_linear(mesh, np.abs(y.y),
                                coeff=(FOUR_PI - alpha) / wmax)
     return EstimateReport("poisson-exponential", lhs, rhs, params)
 
@@ -125,18 +121,18 @@ def verify_semilinear_exponential(points, omega, alpha, f0, mesh):
     The left-hand side integrates exp over the positive part of y,
     which is what the comparison y <= y_0 + y_1 controls.
     """
-    wv = _weights(omega)
-    if np.any(wv < 0.0):
+    if np.any(omega < 0.0):
         raise ValueError("point-mass weights must be nonnegative")
-    if not np.any(wv > 0.0):
+    if not np.any(omega > 0.0):
         raise ValueError("at least one positive point-mass weight required")
-    load, rhs, c, wmax, params = _point_mass_bound(points, wv, alpha, mesh)
+    load, rhs, c, wmax, params = _point_mass_bound(points, omega, alpha,
+                                                   mesh)
     base_load = field_load(mesh, f0)
     y = solve_semilinear(mesh, base_load + load)
     y0 = solve_semilinear(mesh, base_load)
-    params["shift"] = float(np.max(np.abs(y0.y.values)))
+    params["shift"] = float(np.max(np.abs(y0.y)))
     rhs *= np.exp(c * params["shift"] / wmax)
-    lhs = integrate_exp_linear(mesh, np.maximum(y.y.values, 0.0),
+    lhs = integrate_exp_linear(mesh, np.maximum(y.y, 0.0),
                                coeff=(FOUR_PI - alpha) / wmax)
     return EstimateReport("semilinear-exponential", lhs, rhs, params)
 
@@ -147,7 +143,7 @@ def _field_l2(mesh, f):
     to the integral of f^2), the mass matrix for nodal data."""
     if f is None:
         return 0.0
-    if callable(f) and not hasattr(f, "values"):
+    if callable(f):
         return float(np.sqrt(assemble_load(mesh, lambda x: f(x) ** 2).sum()))
     v = nodal_field(mesh, f)
     return float(np.sqrt(v @ (operators(mesh).mass @ v)))
@@ -182,8 +178,8 @@ def verify_lipschitz_family(instance, mesh, trials=20, seed=42):
                 "lipschitz-skipped", 0.0, 0.0, pair,
                 note="%s; trial skipped" % exc, skipped=True))
             continue
-        eu = np.expm1(yu.y.values)
-        ev = np.expm1(yv.y.values)
+        eu = np.expm1(yu.y)
+        ev = np.expm1(yv.y)
         reports.append(EstimateReport(
             "exp-minus-one-l1",
             lumped @ np.abs(eu),
@@ -272,13 +268,13 @@ def verify_mollified_poisson(x0, rho0, epsilon, m, mesh):
     dist = np.hypot(mesh.vertices[:, 0] - x0[0],
                     mesh.vertices[:, 1] - x0[1])
     outside = dist > rho0
-    lhs_point = float(np.exp(m * np.max(y0.y.values[outside])))
+    lhs_point = float(np.exp(m * np.max(y0.y[outside])))
     rhs_point = (2.0 * R / (rho0 - epsilon)) ** (m / (2.0 * np.pi))
     pointwise = EstimateReport("mollified-pointwise", lhs_point, rhs_point,
                                params, slack=slack)
     corner_dist = dist[mesh.triangles]
     ball_tris = np.nonzero(corner_dist.min(axis=1) <= rho0)[0]
-    lhs_int = integrate_exp_linear(mesh, y0.y.values, coeff=m,
+    lhs_int = integrate_exp_linear(mesh, y0.y, coeff=m,
                                    tri_subset=ball_tris)
     rhs_int = 2.0 * np.pi * (epsilon + rho0) ** 2 \
         / (2.0 - m / (2.0 * np.pi)) \

@@ -79,19 +79,6 @@ TRI7_W = np.array([
     (155.0 - _S15) / 1200.0])
 
 
-class FEFunction:
-    """Nodal P1 function: one coefficient per mesh vertex."""
-
-    def __init__(self, mesh, values):
-        values = np.asarray(values, dtype=float).reshape(-1)
-        if values.size != mesh.num_vertices:
-            raise ValueError("coefficient count must match vertex count")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("nodal values must be finite")
-        self.mesh = mesh
-        self.values = values
-
-
 def point_operator(mesh, points):
     """Sparse (K, V) point-coupling matrix P of the points x_1..x_K.
 

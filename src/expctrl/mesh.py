@@ -144,9 +144,16 @@ def _signed_areas(corners):
 
 def _edge_lengths(corners):
     """Edge lengths (..., 3) of triangles with corners (..., 3, 2);
-    entry j is the edge opposite corner j."""
-    d = np.roll(corners, -1, axis=-2) - np.roll(corners, 1, axis=-2)
-    return np.hypot(d[..., 0], d[..., 1])
+    entry j is the edge opposite corner j, corner j+1 minus corner j+2
+    (mod 3), formed from the corner columns without copying them."""
+    lengths = np.empty(corners.shape[:-1])
+    dx, dy = np.empty(corners.shape[:-2]), np.empty(corners.shape[:-2])
+    for j in range(3):
+        a, b = (j + 1) % 3, (j + 2) % 3
+        np.subtract(corners[..., a, 0], corners[..., b, 0], out=dx)
+        np.subtract(corners[..., a, 1], corners[..., b, 1], out=dy)
+        np.hypot(dx, dy, out=lengths[..., j])
+    return lengths
 
 
 def _max_edge_length(corners):
@@ -253,11 +260,9 @@ def build_mesh(domain, resolution, refine_points=None, refine_levels=0):
     else:
         raise ValueError("unknown domain kind %r" % (domain.kind,))
     if refine_points is not None and refine_levels > 0:
-        # the carried edge table is dropped before the Mesh is built, so
-        # it adds nothing to the peak memory of the validation
         vertices, triangles, boundary = _graded(
             domain, vertices, triangles, boundary, refine_points,
-            int(refine_levels))[:3]
+            int(refine_levels))
     return Mesh(vertices, triangles, boundary, domain)
 
 
@@ -335,8 +340,7 @@ def _graded(domain, vertices, triangles, boundary, refine_points, levels):
     store order are the kept-first order above, level after level, so
     one compaction at the end gives the triangles.
 
-    Returns the refined vertices, triangles and boundary flags and the
-    carried (edges, tri_edge, counts) table.
+    Returns the refined vertices, triangles and boundary flags.
     """
     edges, tri_edge, counts = _tri_edges(triangles)
     n, V, E = triangles.shape[0], vertices.shape[0], edges.shape[0]
@@ -458,10 +462,8 @@ def _graded(domain, vertices, triangles, boundary, refine_points, levels):
             np.maximum(p, q, out=interior[:, k, 1])
         counts[E + S:E + S + G + 3 * Rd] = 2
         E += S + G + 3 * Rd
-    triangles, tri_edge = (np.compress(alive[:n], x[:n], axis=0)
-                           for x in (triangles, tri_edge))
-    return (vertices[:V].copy(), triangles, boundary[:V].copy(),
-            (edges[:E], tri_edge, counts[:E]))
+    return (vertices[:V].copy(), np.compress(alive[:n], triangles[:n], axis=0),
+            boundary[:V].copy())
 
 
 def _room(arrays, used, extra, sweeps):

@@ -20,7 +20,7 @@ taylor_remainder_test solves states itself.
 import numpy as np
 
 from .fem import exp_remainder
-from .pde import (_CG_TOL, evaluate_at_points, nodal_field, operators,
+from .pde import (_CG_TOL, nodal_field, operators, point_coupling,
                   solve_adjoint, solve_linearized, solve_state)
 from .sequences import FOUR_PI, Control
 
@@ -52,9 +52,8 @@ class DerivativeReport:
 
 def evaluate_J(instance, u, state):
     """Objective value at a control, read from its solved state."""
-    mesh = state.y.mesh
-    diff = state.y.values - nodal_field(mesh, instance.y_d)
-    return 0.5 * float(diff @ (operators(mesh).mass @ diff)) \
+    diff = state.y - nodal_field(state.mesh, instance.y_d)
+    return 0.5 * float(diff @ (operators(state.mesh).mass @ diff)) \
         + 0.5 * instance.nu * float(np.dot(u.values, u.values))
 
 
@@ -62,7 +61,8 @@ def evaluate_DJ(instance, u, state):
     """Gradient d = P phi + nu u at a control from its solved state,
     returned as (d, phi) with the adjoint phi it was read from."""
     phi = solve_adjoint(state, instance.y_d)
-    d = evaluate_at_points(phi, instance.points) + instance.nu * u.values
+    d = point_coupling(state.mesh, instance.points.points) @ phi \
+        + instance.nu * u.values
     return d, phi
 
 
@@ -76,16 +76,16 @@ def reduced_hessian(instance, state, adjoint, index=None, tol=_CG_TOL):
     linearized solve each; the others stay zero, so H[index, index]
     holds the bits of the full H and every other entry is exactly 0.
     """
-    ops = operators(state.y.mesh)
+    ops = operators(state.mesh)
     K = instance.points.count
     solved = np.zeros(K, dtype=bool)
     solved[slice(None) if index is None else index] = True
     eye = np.eye(K)
-    Z = np.zeros((state.y.values.size, K))
+    Z = np.zeros((state.y.size, K))
     for i in np.flatnonzero(solved):
         Z[:, i] = solve_linearized(state, Control(eye[i]),
-                                   instance.points, tol=tol).values
-    weight = ops.lumped * np.exp(state.y.values) * adjoint.values
+                                   instance.points, tol=tol)
+    weight = ops.lumped * np.exp(state.y) * adjoint
     H = Z.T @ (ops.mass @ Z) - Z.T @ (weight[:, None] * Z) \
         + instance.nu * np.diag(solved)
     return 0.5 * (H + H.T)
@@ -130,7 +130,7 @@ def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
                 linear = value - base - rho * dj_h
                 row["r1"] = abs(linear)
                 row["r2"] = abs(linear - 0.5 * rho * rho * d2_hh)
-                w = probe_state.y.values - state.y.values
+                w = probe_state.y - state.y
                 row["state_r1"] = (lumped @ np.abs(exp_remainder(w, 2))
                                    / rho)
                 row["state_r2"] = (lumped @ np.abs(exp_remainder(w, 3))

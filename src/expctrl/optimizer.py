@@ -87,8 +87,7 @@ def kkt_residual(u, d, bounds, tol_active=1e-10):
     projected-gradient residual is reported alongside; it vanishes at
     exactly the same controls.
     """
-    uv = u.values if hasattr(u, "values") else \
-        np.asarray(u, dtype=float).reshape(-1)
+    uv = u.values
     dv = np.asarray(d, dtype=float).reshape(-1)
     if uv.size != dv.size:
         raise ValueError("control and gradient differ in length")

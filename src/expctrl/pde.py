@@ -29,7 +29,7 @@ import weakref
 
 import numpy as np
 
-from .fem import (CSR, FEFunction, Multigrid, assemble_load, assemble_mass,
+from .fem import (CSR, Multigrid, assemble_load, assemble_mass,
                   assemble_stiffness, lumped_mass_diagonal, point_operator,
                   solve_spd)
 from .mesh import build_mesh
@@ -122,9 +122,10 @@ def operators(mesh):
 
 
 def point_coupling(mesh, points):
-    """Cached point-coupling operator P of a point set (SourcePoints or
-    (K, 2) coordinates) on a mesh."""
-    pts = np.asarray(getattr(points, "points", points), dtype=float)
+    """Cached point-coupling operator P of the (K, 2) coordinates points
+    on a mesh: P' u is the point-mass load, P f the point values of a
+    nodal f."""
+    pts = np.asarray(points, dtype=float)
     cache = operators(mesh).coupling
     key = pts.reshape(-1, 2).tobytes()
     if key not in cache:
@@ -133,7 +134,8 @@ def point_coupling(mesh, points):
 
 
 class StateSolution:
-    """Nodal state together with its Newton run record.
+    """Nodal state y, a (V,) array over the vertices of mesh, together
+    with its Newton run record.
 
     A solve that fails raises, so every StateSolution is converged.
     history holds the residual norm before each accepted step plus the
@@ -141,7 +143,8 @@ class StateSolution:
     step count and the final residual are read from it.
     """
 
-    def __init__(self, y, history, linear=False):
+    def __init__(self, mesh, y, history, linear=False):
+        self.mesh = mesh
         self.y = y
         self.history = list(history)
         self.linear = bool(linear)
@@ -160,9 +163,9 @@ class ProblemInstance:
     Tikhonov weight nu, distributed source f0, and tracking target y_d.
 
     f0 and y_d may each be None (zero), a constant, a callable taking an
-    (N, 2) array of points, an array of nodal values, or an FEFunction;
-    nodal data must live on the mesh handed to the solvers.  resolution
-    and refine_levels record how the instance's mesh is to be built.
+    (N, 2) array of points, or a (V,) array of nodal values on the mesh
+    handed to the solvers.  resolution and refine_levels record how the
+    instance's mesh is to be built.
     """
 
     def __init__(self, domain, points, bounds, nu, f0=None, y_d=None,
@@ -194,13 +197,11 @@ class ProblemInstance:
 
 
 def nodal_field(mesh, f):
-    """Nodal values of a scalar field given in any supported form."""
+    """Nodal values of a scalar field: None (zero), a number, a callable
+    taking an (N, 2) array of points, or a (V,) array of finite nodal
+    values."""
     if f is None:
         return np.zeros(mesh.num_vertices)
-    if isinstance(f, FEFunction):
-        if f.mesh is not mesh:
-            raise ValueError("field lives on a different mesh")
-        return f.values.copy()
     if callable(f):
         return np.asarray(f(mesh.vertices), dtype=float).reshape(-1)
     arr = np.asarray(f, dtype=float)
@@ -209,6 +210,8 @@ def nodal_field(mesh, f):
     arr = arr.reshape(-1)
     if arr.size != mesh.num_vertices:
         raise ValueError("nodal data does not match the mesh")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("nodal values must be finite")
     return arr.copy()
 
 
@@ -218,7 +221,7 @@ def field_load(mesh, f):
     callable is done once per mesh and returned read-only."""
     if f is None:
         return np.zeros(mesh.num_vertices)
-    if callable(f) and not isinstance(f, FEFunction):
+    if callable(f):
         cache = operators(mesh).loads
         if f not in cache:
             load = assemble_load(mesh, f)
@@ -266,7 +269,7 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
         y = solve_spd(ops.stiffness, load, mesh.boundary, tol=_CG_TOL,
                       multigrid=ops.multigrid)
         res = float(np.linalg.norm(ops.stiffness @ y[free] - load[free]))
-        return StateSolution(FEFunction(mesh, y), [res], linear=True)
+        return StateSolution(mesh, y, [res], linear=True)
     y = solve_spd(ops.newton_operator(np.zeros(load.size)), load,
                   mesh.boundary, tol=_ETA_MAX, multigrid=ops.multigrid)
     fres = _residual(ops, y, load)
@@ -275,7 +278,7 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
     eta = _ETA_MAX
     for it in range(_MAX_NEWTON + 1):
         if rnorm <= tol * scale:
-            return StateSolution(FEFunction(mesh, y), history)
+            return StateSolution(mesh, y, history)
         if it == _MAX_NEWTON:
             break
         if it > 0:
@@ -316,19 +319,18 @@ def solve_state(instance, u, mesh, tol=1e-10, linear=False):
     if float(np.max(u.values)) >= FOUR_PI:
         raise ValueError("state equation may be ill-posed")
     load = field_load(mesh, instance.f0) \
-        + point_coupling(mesh, instance.points).rmatvec(u.values)
+        + point_coupling(mesh, instance.points.points).rmatvec(u.values)
     return solve_semilinear(mesh, load, tol=tol, linear=linear)
 
 
 def _solve_at_state(yS, rhs, tol):
     """Solve with the Newton matrix at the state yS, the operator of
     the linearized and adjoint equations; just A for a state solved
-    with the nonlinearity switched off."""
-    mesh = yS.y.mesh
-    ops = operators(mesh)
-    A = ops.stiffness if yS.linear else ops.newton_operator(yS.y.values)
-    return FEFunction(mesh, solve_spd(A, rhs, mesh.boundary, tol=tol,
-                                      multigrid=ops.multigrid))
+    with the nonlinearity switched off.  Returns the (V,) solution."""
+    ops = operators(yS.mesh)
+    A = ops.stiffness if yS.linear else ops.newton_operator(yS.y)
+    return solve_spd(A, rhs, yS.mesh.boundary, tol=tol,
+                     multigrid=ops.multigrid)
 
 
 def solve_linearized(yS, h, points, tol=_CG_TOL):
@@ -339,18 +341,13 @@ def solve_linearized(yS, h, points, tol=_CG_TOL):
     both for truncations of h and for the full direction.
     """
     return _solve_at_state(
-        yS, point_coupling(yS.y.mesh, points).rmatvec(h.values), tol)
+        yS, point_coupling(yS.mesh, points.points).rmatvec(h.values), tol)
 
 
 def solve_adjoint(yS, y_d, tol=_CG_TOL):
     """Adjoint solve (A + M_L diag(e^y)) phi = M (y - y_d), with the
     target entering through its nodal interpolant.  phi is continuous,
     so its point values P phi are well defined."""
-    mesh = yS.y.mesh
-    rhs = operators(mesh).mass @ (yS.y.values - nodal_field(mesh, y_d))
+    mesh = yS.mesh
+    rhs = operators(mesh).mass @ (yS.y - nodal_field(mesh, y_d))
     return _solve_at_state(yS, rhs, tol)
-
-
-def evaluate_at_points(f, points):
-    """P1 interpolation P f of a nodal function at the given points."""
-    return point_coupling(f.mesh, points) @ f.values

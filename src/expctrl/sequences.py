@@ -161,17 +161,16 @@ def compute_separation_radii(points, domain):
 
 
 def L_functional(omega, radii):
-    """Sum of omega_i^+ * log(1/rho_i) over the support of omega."""
-    values = omega.values if isinstance(omega, Control) else \
-        np.asarray(omega, dtype=float).reshape(-1)
-    if radii.count < values.size:
+    """Sum of omega_i^+ * log(1/rho_i) over the support of the (K,)
+    weight array omega."""
+    if radii.count < omega.size:
         raise ValueError(
             "radii cover %d components, omega has support %d"
-            % (radii.count, values.size))
-    rho = radii.radii[:values.size]
+            % (radii.count, omega.size))
+    rho = radii.radii[:omega.size]
     if np.any(rho <= 0.0):
         raise ValueError("separation radii must be positive")
-    pos = np.maximum(values, 0.0)
+    pos = np.maximum(omega, 0.0)
     return float(np.sum(pos * np.log(1.0 / rho)))
 
 

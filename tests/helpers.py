@@ -4,7 +4,8 @@ the free-block CSR operators that the solvers take, the derivatives of J
 at a control from a fresh state solve, counters of the reduced
 Hessian's linearized solves and of the multigrid V-cycles, and the
 references that faster paths must reproduce bit for bit: the
-level-by-level graded refinement, the point location by a scan of every
+edge lengths by two rolled copies of the corners, the level-by-level
+graded refinement, the point location by a scan of every
 triangle, the einsum stiffness, midpoint-rule mass and load, the 25-term
 divided-difference series, accumulation by np.add.at, the loop
 aggregation, the PCG loop that tests its residual before each step, and
@@ -116,6 +117,13 @@ def graded_disk():
     domain = Domain.disk(0.0, 0.0, 1.0)
     points = compute_separation_radii([[0.0, 0.0]], domain)
     return build_mesh(domain, 96, refine_points=points, refine_levels=12)
+
+
+def reference_edge_lengths(corners):
+    """Edge lengths (..., 3) of triangles with corners (..., 3, 2), edge
+    j opposite corner j, from two np.roll copies of the corners."""
+    d = np.roll(corners, -1, axis=-2) - np.roll(corners, 1, axis=-2)
+    return np.hypot(d[..., 0], d[..., 1])
 
 
 def reference_graded_meshes(domain, resolution, refine_points, levels):

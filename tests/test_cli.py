@@ -601,6 +601,30 @@ def test_verify_rejects_unknown_checks(tmp_path, capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry,key", [
+    ({"check": "scalar", "sampels": 5}, "sampels"),
+    ({"check": "poisson", "omega": [1.0, 1.0], "alpha": 3.0,
+      "alpah": 2.0}, "alpah"),
+    ({"check": "semilinear", "omgea": [1.0, 1.0], "alpha": 3.0}, "omgea"),
+    ({"check": "lipschitz", "trails": 1}, "trails"),
+    ({"check": "mollified", "R": 1.0, "rho0": 0.5, "epsilon": 0.1,
+      "m": 1.0, "resolutoin": 16}, "resolutoin"),
+    # a key that another check reads is still unknown to this one
+    ({"check": "scalar", "trials": 5}, "trials"),
+])
+def test_verify_rejects_unknown_entry_keys(tmp_path, capsys, entry, key):
+    # a misspelt key would silently run the check's default; the scalar
+    # entry in front shows that no check runs before the error
+    cfg = base_config(verify=[{"check": "scalar", "samples": 10}, entry])
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: field 'verify.%s': unknown key for check '%s'" \
+        % (key, entry["check"]) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_taylor_writes_slopes(tmp_path):
     cfg = base_config(f0="constant 1.0", y_d="constant 0.4",
                       control=[0.4, -0.2], direction=[1.0, -0.5],

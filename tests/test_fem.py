@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 import expctrl.fem as fem_module
 from expctrl.cli import parse_field
-from expctrl.fem import (FEFunction, MOLLIFIER_C, Multigrid, _cholesky,
+from expctrl.fem import (MOLLIFIER_C, Multigrid, _cholesky,
                          _dd2_exp, _inverse_factor, assemble_load,
                          assemble_mass, assemble_mollified_load,
                          assemble_stiffness, exp_remainder,
@@ -414,19 +414,9 @@ def test_exp_remainders_vectorized():
 
 def test_point_value_interpolates_linears_exactly():
     mesh = square_mesh(5)
-    f = FEFunction(mesh, 3.0 * mesh.vertices[:, 0] + mesh.vertices[:, 1])
-    assert_allclose(point_operator(mesh, [[0.37, 0.59]]) @ f.values,
+    f = 3.0 * mesh.vertices[:, 0] + mesh.vertices[:, 1]
+    assert_allclose(point_operator(mesh, [[0.37, 0.59]]) @ f,
                     3.0 * 0.37 + 0.59, atol=1e-12)
-
-
-def test_fefunction_validates_shape_and_finiteness():
-    mesh = square_mesh(2)
-    with pytest.raises(ValueError):
-        FEFunction(mesh, np.ones(3))
-    bad = np.ones(mesh.num_vertices)
-    bad[0] = np.inf
-    with pytest.raises(ValueError):
-        FEFunction(mesh, bad)
 
 
 def test_solve_spd_zero_rhs():
@@ -446,8 +436,7 @@ def test_solve_spd_center_value_for_unit_load():
         A = assemble_stiffness(mesh)
         b = assemble_load(mesh, lambda x: np.ones(len(x)))
         y = solve_spd(free_block(mesh, A), b, mesh.boundary)
-        f = FEFunction(mesh, y)
-        value = (point_operator(mesh, [[0.5, 0.5]]) @ f.values)[0]
+        value = (point_operator(mesh, [[0.5, 0.5]]) @ y)[0]
         errs.append(abs(value - 0.073671353281513816))
     assert errs[-1] < 1e-4
     assert errs[-1] < errs[0] / 2.0

@@ -7,11 +7,12 @@ from numpy.testing import assert_allclose
 
 import expctrl.mesh as mesh_module
 from expctrl.fem import subdivided_quadrature
-from expctrl.mesh import (Domain, Mesh, _disk_grid, _edge_lengths, _graded,
-                          _tri_edges, barycentric, build_mesh, circumcenters,
+from expctrl.mesh import (Domain, Mesh, _edge_lengths, _tri_edges,
+                          barycentric, build_mesh, circumcenters,
                           locate_point)
 from expctrl.sequences import compute_separation_radii
-from helpers import graded_disk, reference_graded_meshes, reference_locate
+from helpers import (graded_disk, reference_edge_lengths,
+                     reference_graded_meshes, reference_locate)
 
 
 def test_domain_geometry():
@@ -286,6 +287,21 @@ def test_mesh_size_keeps_the_bits_of_the_largest_edge_length(case):
         assert mesh.h == float(_edge_lengths(corners).max())
 
 
+@pytest.mark.parametrize("case", sorted(_SIZE_CASES))
+def test_edge_lengths_keep_the_bits_of_the_rolled_corners(case):
+    # the same differences and hypot as the rolled copies, so the
+    # triangle picks and subdivision depths of the mollified loads keep
+    # their bits
+    with np.errstate(over="ignore"):
+        mesh = _SIZE_CASES[case]()
+        corners = mesh.vertices[mesh.triangles]
+        assert np.array_equal(_edge_lengths(corners),
+                              reference_edge_lengths(corners))
+        # broadcast over leading axes as well
+        assert np.array_equal(_edge_lengths(corners[None, :5]),
+                              reference_edge_lengths(corners[None, :5]))
+
+
 def _children(reference):
     """Triangles created at each level of a level-by-level build: the
     rows of a level that are not rows of the level before."""
@@ -319,22 +335,12 @@ def test_graded_build_validates_once_and_carries_its_edge_table(
         assert calls["Mesh"] == 1
         assert calls["_tri_edges"] == min(depth, 1)
 
-    # (c) circumcenters of the base grid, then only of new children
+    # (b) circumcenters of the base grid, then only of new children
     reference = reference_graded_meshes(domain, n, pts, levels)
     assert reference[0].num_triangles + sum(_children(reference)) \
         < sum(m.num_triangles for m in reference[:-1])
     assert calls["circumcenters"] <= (reference[0].num_triangles
                                       + sum(_children(reference)))
-
-    # (b) the carried table agrees slot by slot with a fresh one
-    vertices, triangles, boundary = _disk_grid(domain.params, n)
-    _, triangles, _, (edges, tri_edge, counts) = _graded(
-        domain, vertices, triangles, boundary, pts, levels)
-    assert np.array_equal(triangles, reference[-1].triangles)
-    fresh_edges, fresh_tri_edge, fresh_counts = _tri_edges(triangles)
-    assert edges.shape == fresh_edges.shape
-    assert np.array_equal(edges[tri_edge], fresh_edges[fresh_tri_edge])
-    assert np.array_equal(counts[tri_edge], fresh_counts[fresh_tri_edge])
 
 
 def _outcome(locate, mesh, x):

@@ -455,8 +455,7 @@ def test_second_order_check_reuses_the_optimizer_state():
     mesh = inst.make_mesh()
     u, rep = projected_gradient(inst, mesh, Control([0.2, 0.2]),
                                 max_iters=80, tol=1e-9)
-    assert np.array_equal(rep.state.y.values,
-                          solve_state(inst, u, mesh).y.values)
+    assert np.array_equal(rep.state.y, solve_state(inst, u, mesh).y)
     assert rep.history[-1][0] == J(inst, u, mesh)
     fresh = certify(inst, u, mesh)
     reused = second_order_check(inst, rep)

@@ -140,28 +140,28 @@ def test_separation_balls_disjoint_and_bounded_by_half_diameter():
 
 def test_L_functional_positive_parts_only():
     radii = SourcePoints([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.25])
-    val = L_functional(Control([2.0, -1.0]), radii)
+    val = L_functional(np.array([2.0, -1.0]), radii)
     assert_allclose(val, 2.0 * np.log(2.0), rtol=1e-14)
 
 
 def test_L_functional_vanishes_without_positive_weights():
     radii = SourcePoints([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.25])
-    assert L_functional(Control([-1.0, -2.0]), radii) == 0.0
+    assert L_functional(np.array([-1.0, -2.0]), radii) == 0.0
     one = SourcePoints([[0.5, 0.5]], [1.0])
-    assert L_functional(Control([1.0]), one) == 0.0
+    assert L_functional(np.array([1.0]), one) == 0.0
 
 
 def test_L_functional_monotone_in_positive_part():
     radii = SourcePoints([[0.3, 0.5], [0.7, 0.5]], [0.2, 0.2])
-    lo = L_functional(Control([0.5, 1.0]), radii)
-    hi = L_functional(Control([1.5, 1.0]), radii)
+    lo = L_functional(np.array([0.5, 1.0]), radii)
+    hi = L_functional(np.array([1.5, 1.0]), radii)
     assert lo <= hi
 
 
 def test_L_functional_needs_enough_radii():
     radii = SourcePoints([[0.5, 0.5]], [0.25])
     with pytest.raises(ValueError):
-        L_functional(Control([1.0, 1.0]), radii)
+        L_functional(np.array([1.0, 1.0]), radii)
 
 
 def test_project_box_examples():

@@ -57,8 +57,11 @@ class ConfigError(Exception):
 
 
 def _field(cfg, name, default=_REQUIRED):
-    if name in cfg:
-        return cfg[name]
+    """The value of the last component of the dotted name in cfg;
+    errors quote the whole name."""
+    key = name.rpartition(".")[2]
+    if key in cfg:
+        return cfg[key]
     if default is _REQUIRED:
         raise ConfigError("field '%s': missing" % name)
     return default
@@ -164,7 +167,7 @@ def parse_field(text, where):
                 raise ConfigError(
                     "field '%s': gaussian needs (cx, cy, width, amplitude)"
                     % where)
-            return _gaussian(*args)
+            return _gaussian(where, *args)
         if name == "state_of":
             if not args:
                 raise ConfigError(
@@ -173,9 +176,10 @@ def parse_field(text, where):
     raise ConfigError("field '%s': unknown field '%s'" % (where, text))
 
 
-def _gaussian(cx, cy, width, amplitude):
+def _gaussian(where, cx, cy, width, amplitude):
     if width <= 0.0:
-        raise ConfigError("field: gaussian width must be positive")
+        raise ConfigError("field '%s': gaussian width must be positive"
+                          % where)
 
     def field(x):
         x = np.asarray(x, dtype=float).reshape(-1, 2)
@@ -229,27 +233,25 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError("field 'points': %s" % exc)
         try:
-            bounds = BoundsPair(_float_list(cfg, "lower"),
-                                _float_list(cfg, "upper"))
+            bounds = BoundsPair(_float_list(cfg, "lower", count=points.count),
+                                _float_list(cfg, "upper", count=points.count))
         except ValueError as exc:
             raise ConfigError("field 'bounds': %s" % exc)
+        nu = _number(cfg, "nu", 0.0)
+        if nu < 0.0:
+            raise ConfigError("field 'nu': expected a nonnegative number")
         mesh_cfg = _object(cfg, "mesh", {})
         for key in mesh_cfg:
             if key not in ("resolution", "refine_levels"):
                 raise ConfigError(
                     "field 'mesh.%s': unknown key, expected one of "
                     "resolution, refine_levels" % key)
-        try:
-            instance = ProblemInstance(
-                domain, points, bounds, _number(cfg, "nu", 0.0),
-                f0=parse_field(_field(cfg, "f0", "zero"), "f0"),
-                y_d=parse_field(_field(cfg, "y_d", "zero"), "y_d"),
-                resolution=_count(mesh_cfg, "resolution", 64, 1),
-                refine_levels=_count(mesh_cfg, "refine_levels", 0, 0))
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("field 'instance': %s" % exc)
+        instance = ProblemInstance(
+            domain, points, bounds, nu,
+            f0=parse_field(_field(cfg, "f0", "zero"), "f0"),
+            y_d=parse_field(_field(cfg, "y_d", "zero"), "y_d"),
+            resolution=_count(mesh_cfg, "resolution", 64, 1),
+            refine_levels=_count(mesh_cfg, "refine_levels", 0, 0))
         if isinstance(instance.f0, _StateOf):
             raise ConfigError("field 'f0': state_of is only available "
                               "for y_d")
@@ -426,58 +428,63 @@ def cmd_optimize(config):
     return 0 if converged else 3
 
 
-def _verify_reports(config, entry, mesh, disks):
-    """The reports of one verify entry; mollified entries take their
-    disk from disks, keyed by (R, resolution), so entries of one call
-    share a mesh and its cached operators."""
+def _verify_check(config, entry, disks):
+    """Read the values of one verify entry, named verify.<key>, and
+    return its check: a function of the run's mesh that returns the
+    entry's reports.  Mollified entries take their disk from disks,
+    keyed by (R, resolution), so entries of one call share a mesh and
+    its cached operators."""
     check = entry["check"]
     instance = config.instance
     if check == "scalar":
-        return [verify_scalar_exponential(
-            _count(entry, "samples", 10000, 1), config.seed)]
-    if check == "poisson":
-        return [verify_poisson_exponential(
-            instance.points,
-            np.asarray(_float_list(entry, "omega",
-                                   count=instance.points.count)),
-            _number(entry, "alpha"), mesh)]
-    if check == "semilinear":
-        return [verify_semilinear_exponential(
-            instance.points,
-            np.asarray(_float_list(entry, "omega",
-                                   count=instance.points.count)),
-            _number(entry, "alpha"), instance.f0, mesh)]
+        samples = _count(entry, "verify.samples", 10000, 1)
+        return lambda mesh: [verify_scalar_exponential(samples, config.seed)]
+    if check in ("poisson", "semilinear"):
+        omega = np.asarray(_float_list(entry, "verify.omega",
+                                       count=instance.points.count))
+        alpha = _number(entry, "verify.alpha")
+        if check == "poisson":
+            return lambda mesh: [verify_poisson_exponential(
+                instance.points, omega, alpha, mesh)]
+        return lambda mesh: [verify_semilinear_exponential(
+            instance.points, omega, alpha, instance.f0, mesh)]
     if check == "lipschitz":
-        return verify_lipschitz_family(
-            instance, mesh, trials=_count(entry, "trials", 20, 1),
-            seed=config.seed)
-    if check == "mollified":
-        R = _number(entry, "R")
-        resolution = _count(entry, "resolution", instance.resolution, 1)
+        trials = _count(entry, "verify.trials", 20, 1)
+        return lambda mesh: verify_lipschitz_family(instance, mesh, trials,
+                                                    config.seed)
+    R = _number(entry, "verify.R")
+    resolution = _count(entry, "verify.resolution", instance.resolution, 1)
+    x0 = _float_list(entry, "verify.x0", [0.0, 0.0], count=2,
+                     per="coordinate")
+    rho0, epsilon, m = (_number(entry, "verify." + key)
+                        for key in ("rho0", "epsilon", "m"))
+
+    def mollified(mesh):
         if (R, resolution) not in disks:
             disks[R, resolution] = build_mesh(Domain.disk(0.0, 0.0, R),
                                               resolution)
-        disk = disks[R, resolution]
-        return list(verify_mollified_poisson(
-            _float_list(entry, "x0", [0.0, 0.0], count=2, per="coordinate"),
-            _number(entry, "rho0"),
-            _number(entry, "epsilon"), _number(entry, "m"), disk))
+        return list(verify_mollified_poisson(x0, rho0, epsilon, m,
+                                             disks[R, resolution]))
+    return mollified
 
 
 def cmd_verify(config):
     """Run the configured inequality checks, one report row each.
 
     Every entry names a check and sets only the keys that check reads
-    (_VERIFY_KEYS), which is validated before any check runs.  Exits 4
-    when a bound is violated, else 2 when a check was skipped (its
-    state solve failed), else 0."""
+    (_VERIFY_KEYS); the keys and their values of every entry are
+    validated before any check runs.  Exits 4 when a bound is
+    violated, else 2 when a check was skipped (its state solve
+    failed), else 0."""
     entries = _field(config.raw, "verify")
     if not isinstance(entries, list) or not entries \
             or not all(isinstance(e, dict) for e in entries):
         raise ConfigError("field 'verify': expected a nonempty list of "
                           "objects")
+    disks = {}
+    checks = []
     for entry in entries:
-        check = _field(entry, "check")
+        check = _field(entry, "verify.check")
         if not (isinstance(check, str) and check in _VERIFY_KEYS):
             raise ConfigError("field 'verify.check': unknown check '%s'"
                               % (check,))
@@ -487,11 +494,11 @@ def cmd_verify(config):
                     "field 'verify.%s': unknown key for check '%s', "
                     "expected one of %s"
                     % (key, check, ", ".join(_VERIFY_KEYS[check])))
+        checks.append(_verify_check(config, entry, disks))
     mesh = config.instance.make_mesh()
     reports = []
-    disks = {}
-    for entry in entries:
-        reports.extend(_verify_reports(config, entry, mesh, disks))
+    for run in checks:
+        reports.extend(run(mesh))
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "estimates.csv",

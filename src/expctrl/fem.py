@@ -358,7 +358,8 @@ def _phi1(t):
 
 def exp_remainder(t, order):
     """Taylor remainder e^t - sum_{n < order} t^n / n! of the
-    exponential, free of cancellation for small |t|: order 2 gives
+    exponential at each entry of the array t, as an array of t's shape,
+    free of cancellation for small |t|: order 2 gives
     e^t - 1 - t, nonnegative for every real t, and order 3 gives
     e^t - 1 - t - t^2/2, which has the sign of t.
 
@@ -367,8 +368,6 @@ def exp_remainder(t, order):
     expm1(t) is already accurate.
     """
     t = np.asarray(t, dtype=float)
-    scalar = (t.ndim == 0)
-    t = np.atleast_1d(t)
     out = np.empty_like(t)
     small = np.abs(t) < 0.35
     ts = t[small]
@@ -387,7 +386,7 @@ def exp_remainder(t, order):
             term = term * tb / n
             head -= term
     out[~small] = head
-    return float(out[0]) if scalar else out
+    return out
 
 
 def integrate_exp_linear(mesh, values, coeff=1.0, tri_subset=None):
@@ -790,7 +789,7 @@ def _inverse_factor(L):
     return X
 
 
-def solve_spd(A, b, dirichlet_mask, tol=1e-10, multigrid=None):
+def solve_spd(A, b, dirichlet_mask, tol, multigrid):
     """Solve A x_f = b_f on the free nodes f (those off the mask) and
     return the nodal x, zero on the masked nodes.
 
@@ -799,7 +798,8 @@ def solve_spd(A, b, dirichlet_mask, tol=1e-10, multigrid=None):
     builds and indexes no matrix.  b is nodal; only b_f is read.
 
     Conjugate gradients preconditioned by one multigrid V-cycle per
-    iteration, on the hierarchy passed in or else one built from A;
+    iteration on the given Multigrid hierarchy, whose coarse levels
+    serve every operator of a mesh (pde keeps one per mesh);
     deterministic sequential updates.  Stops at relative
     residual tol, confirmed against the true residual, not just the
     recursion.  The recursive residual is tested right after its update,
@@ -822,8 +822,6 @@ def solve_spd(A, b, dirichlet_mask, tol=1e-10, multigrid=None):
         return x
     if not np.isfinite(nb):
         raise RuntimeError("right-hand side is not finite")
-    if multigrid is None:
-        multigrid = Multigrid(A)
     precondition = multigrid.preconditioner(A)
     xf = np.zeros(bf.size)
     r = bf.copy()

@@ -57,28 +57,21 @@ class Domain:
         return np.pi * self.params[2] ** 2
 
     def boundary_distance(self, x):
-        """Signed distance to the boundary, positive inside.
-
-        Accepts a single point (2,) or a stack (N, 2); the rectangle
-        case is exact point-to-edge distance, the disk case is
-        radius - |x - center|.
+        """Signed distance of the point x (2,) to the boundary, positive
+        inside: the exact point-to-edge distance for a rectangle,
+        radius - |x - center| for a disk.
         """
-        x = np.asarray(x, dtype=float)
-        single = (x.ndim == 1)
-        pts = x.reshape(-1, 2)
+        px, py = np.asarray(x, dtype=float).reshape(2)
         if self.kind == "rectangle":
             x0, y0, x1, y1 = self.params
-            inside = np.minimum(
-                np.minimum(pts[:, 0] - x0, x1 - pts[:, 0]),
-                np.minimum(pts[:, 1] - y0, y1 - pts[:, 1]))
-            dx = np.maximum(np.maximum(x0 - pts[:, 0], pts[:, 0] - x1), 0.0)
-            dy = np.maximum(np.maximum(y0 - pts[:, 1], pts[:, 1] - y1), 0.0)
-            outside = np.hypot(dx, dy)
-            d = np.where(inside >= 0.0, inside, -outside)
-        else:
-            cx, cy, r = self.params
-            d = r - np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
-        return float(d[0]) if single else d
+            inside = min(px - x0, x1 - px, py - y0, y1 - py)
+            if inside >= 0.0:
+                return float(inside)
+            dx = max(x0 - px, px - x1, 0.0)
+            dy = max(y0 - py, py - y1, 0.0)
+            return -float(np.hypot(dx, dy))
+        cx, cy, r = self.params
+        return float(r - np.hypot(px - cx, py - cy))
 
 
 class Mesh:

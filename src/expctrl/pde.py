@@ -344,10 +344,10 @@ def solve_linearized(yS, h, points, tol=_CG_TOL):
         yS, point_coupling(yS.mesh, points.points).rmatvec(h.values), tol)
 
 
-def solve_adjoint(yS, y_d, tol=_CG_TOL):
-    """Adjoint solve (A + M_L diag(e^y)) phi = M (y - y_d), with the
-    target entering through its nodal interpolant.  phi is continuous,
-    so its point values P phi are well defined."""
+def solve_adjoint(yS, y_d):
+    """Adjoint solve (A + M_L diag(e^y)) phi = M (y - y_d) at _CG_TOL,
+    with the target entering through its nodal interpolant.  phi is
+    continuous, so its point values P phi are well defined."""
     mesh = yS.mesh
     rhs = operators(mesh).mass @ (yS.y - nodal_field(mesh, y_d))
-    return _solve_at_state(yS, rhs, tol)
+    return _solve_at_state(yS, rhs, _CG_TOL)

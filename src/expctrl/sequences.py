@@ -104,20 +104,6 @@ class SourcePoints:
         return self.points.shape[0]
 
 
-def truncate(h, k):
-    """Zero all components of h beyond index k (1-based).
-
-    The support size of the result is kept equal to h's; only the tail
-    entries are set to zero.
-    """
-    if int(k) != k or k < 1:
-        raise ValueError("truncation index must be a positive integer")
-    k = int(k)
-    values = h.values.copy()
-    values[k:] = 0.0
-    return Control(values)
-
-
 def l1_norm(h):
     """Sum of absolute values over the support."""
     return float(np.sum(np.abs(h.values)))

@@ -1,6 +1,7 @@
 """Shared test helpers: conversions between the package's CSR matrices
 and scipy sparse matrices (the tests do their matrix algebra in scipy),
-the free-block CSR operators that the solvers take, the derivatives of J
+the free-block CSR operators that the solvers take, the truncation of a
+direction, the derivatives of J
 at a control from a fresh state solve, counters of the reduced
 Hessian's linearized solves and of the multigrid V-cycles, and the
 references that faster paths must reproduce bit for bit: the
@@ -27,7 +28,7 @@ from expctrl.mesh import (_BARY_TOL, Domain, Mesh, _tri_edges, barycentric,
 from expctrl.objective import evaluate_DJ, evaluate_J, reduced_hessian
 from expctrl.optimizer import projected_gradient, second_order_check
 from expctrl.pde import _CG_TOL, solve_linearized, solve_state
-from expctrl.sequences import compute_separation_radii
+from expctrl.sequences import Control, compute_separation_radii
 
 
 def to_scipy(A):
@@ -51,6 +52,16 @@ def free_block(mesh, A):
     if isinstance(A, CSR):
         A = to_scipy(A)
     return from_scipy(A.tocsr()[free][:, free])
+
+
+def truncate(h, k):
+    """The truncation h^(k) of the paper: h with all components beyond
+    index k (1-based) set to zero, at h's support size."""
+    if int(k) != k or k < 1:
+        raise ValueError("truncation index must be a positive integer")
+    values = h.values.copy()
+    values[int(k):] = 0.0
+    return Control(values)
 
 
 def J(instance, u, mesh, tol=1e-10):
@@ -400,7 +411,7 @@ def reference_aggregate(A, theta):
     return agg, count
 
 
-def reference_solve_spd(A, b, dirichlet_mask, tol=1e-10, multigrid=None):
+def reference_solve_spd(A, b, dirichlet_mask, tol, multigrid):
     """PCG that tests the recursive residual at the top of each step, so
     it applies one V-cycle more per pass than it reads: the reference
     whose iterates solve_spd must reproduce bit for bit.  Returns the
@@ -412,8 +423,6 @@ def reference_solve_spd(A, b, dirichlet_mask, tol=1e-10, multigrid=None):
     nb = float(np.linalg.norm(bf))
     if nb == 0.0:
         return x, 0
-    if multigrid is None:
-        multigrid = Multigrid(A)
     precondition = multigrid.preconditioner(A)
     xf = np.zeros(bf.size)
     r = bf.copy()

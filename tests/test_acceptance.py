@@ -20,8 +20,8 @@ from expctrl.optimizer import projected_gradient
 from expctrl.pde import (ProblemInstance, operators, point_coupling,
                          solve_linearized, solve_state)
 from expctrl.sequences import (BoundsPair, Control,
-                               compute_separation_radii, l1_norm, truncate)
-from helpers import DJ, J, certify
+                               compute_separation_radii, l1_norm)
+from helpers import DJ, J, certify, truncate
 
 TWO_PI = 2.0 * np.pi
 

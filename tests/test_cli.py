@@ -226,15 +226,15 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
             ("solve", {"control": "11"}, "control"),
             ("solve", {"control": [True, False]}, "control"),
             ("verify", {"verify": [{"check": "poisson", "omega": [1.0, 1.0],
-                                    "alpha": "3"}]}, "alpha"),
+                                    "alpha": "3"}]}, "verify.alpha"),
             ("verify", {"verify": [{"check": "poisson", "omega": "11",
-                                    "alpha": 3.0}]}, "omega"),
+                                    "alpha": 3.0}]}, "verify.omega"),
             ("verify", {"verify": [{"check": "mollified", "R": True,
                                     "rho0": 0.5, "epsilon": 0.1,
-                                    "m": 1.0}]}, "R"),
+                                    "m": 1.0}]}, "verify.R"),
             ("verify", {"verify": [{"check": "mollified", "R": 1.0,
                                     "rho0": 0.5, "epsilon": 0.1,
-                                    "m": float("inf")}]}, "m"),
+                                    "m": float("inf")}]}, "verify.m"),
             ("solve", {"domain": {"kind": "disk", "center": [0.5, 0.5],
                                   "radius": "1"}}, "radius"),
             ("solve", {"domain": {"kind": "disk", "center": [0.5, True],
@@ -251,7 +251,12 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
             # numbers inside field descriptions are finite too
             ("solve", {"f0": "constant nan"}, "f0"),
             ("solve", {"f0": "gaussian(0.5, 0.5, 0.2, inf)"}, "f0"),
-            ("optimize", {"y_d": "state_of(1.0, nan)"}, "y_d")):
+            ("optimize", {"y_d": "state_of(1.0, nan)"}, "y_d"),
+            # errors that once named no config key
+            ("solve", {"lower": [-1.0] * 3, "upper": [2.0] * 3}, "lower"),
+            ("solve", {"nu": -0.1}, "nu"),
+            ("solve", {"f0": "gaussian(0.5, 0.5, 0.0, 1.0)"}, "f0"),
+            ("optimize", {"y_d": "gaussian(0.5, 0.5, 0.0, 1.0)"}, "y_d")):
         path = write_config(tmp_path, base_config(**extra))
         assert main([command, "--config", path, "--out",
                      str(tmp_path / "o")]) == 1
@@ -273,7 +278,8 @@ def test_verify_counts_must_be_positive_integers(tmp_path, capsys, entry,
     path = write_config(tmp_path, base_config(verify=[entry]))
     assert main(["verify", "--config", path, "--out",
                  str(tmp_path / "o")]) == 1
-    assert "config error: field '%s'" % field in capsys.readouterr().err
+    assert "config error: field 'verify.%s'" % field \
+        in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -290,7 +296,26 @@ def test_verify_entry_lengths_name_the_field(tmp_path, capsys, entry,
     path = write_config(tmp_path, base_config(verify=[entry]))
     assert main(["verify", "--config", path, "--out",
                  str(tmp_path / "o")]) == 1
-    assert "config error: field %s" % message in capsys.readouterr().err
+    # the values of an entry are named verify.<key>
+    assert "config error: field 'verify.%s" % message[1:] \
+        in capsys.readouterr().err
+
+
+def test_verify_reads_every_value_before_any_check_runs(tmp_path, capsys,
+                                                        monkeypatch):
+    # the poisson check in front would run first if values were read
+    # entry by entry, as the checks run
+    def never(*args):
+        raise AssertionError("a check ran before every value was read")
+    monkeypatch.setattr(cli, "verify_poisson_exponential", never)
+    cfg = base_config(verify=[
+        {"check": "poisson", "omega": [1.0, 1.0], "alpha": 3.0},
+        {"check": "lipschitz", "trials": 2.5}])
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 1
+    assert "config error: field 'verify.trials'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("points", [
@@ -571,6 +596,7 @@ def test_verify_counts_a_skipped_trial_apart_and_exits_two(tmp_path,
     rows = (out / "estimates.csv").read_text().splitlines()[2:]
     skipped = [r for r in rows if r.startswith("lipschitz-skipped,")]
     assert len(skipped) == 1 and skipped[0].endswith(",skipped")
+    assert "error=state solve failed" in skipped[0]
     assert sum(r.endswith(",true") for r in rows) == 6
 
 

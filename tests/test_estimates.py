@@ -136,6 +136,15 @@ def test_semilinear_rejects_all_zero_weights():
                                       np.pi, None, mesh)
 
 
+@pytest.mark.parametrize("weight", [4.0 * np.pi, 13.0])
+def test_semilinear_rejects_weights_at_or_above_4pi(weight):
+    # the state equation loses solvability there, as in solve_state
+    pts, mesh = disk_center_setup(16, 0)
+    with pytest.raises(ValueError, match="ill-posed"):
+        verify_semilinear_exponential(pts, np.array([weight]),
+                                      np.pi, None, mesh)
+
+
 def lipschitz_instance(resolution=32):
     dom = Domain.unit_square()
     pts = compute_separation_radii([[0.35, 0.45], [0.65, 0.55]], dom)

@@ -421,9 +421,9 @@ def test_point_value_interpolates_linears_exactly():
 
 def test_solve_spd_zero_rhs():
     mesh = square_mesh(4)
-    A = assemble_stiffness(mesh)
-    x = solve_spd(free_block(mesh, A), np.zeros(mesh.num_vertices),
-                  mesh.boundary)
+    A = free_block(mesh, assemble_stiffness(mesh))
+    x = solve_spd(A, np.zeros(mesh.num_vertices), mesh.boundary, 1e-10,
+                  Multigrid(A))
     assert abs(x).max() == 0.0
 
 
@@ -433,9 +433,9 @@ def test_solve_spd_center_value_for_unit_load():
     errs = []
     for n in (16, 32):
         mesh = square_mesh(n)
-        A = assemble_stiffness(mesh)
+        A = free_block(mesh, assemble_stiffness(mesh))
         b = assemble_load(mesh, lambda x: np.ones(len(x)))
-        y = solve_spd(free_block(mesh, A), b, mesh.boundary)
+        y = solve_spd(A, b, mesh.boundary, 1e-10, Multigrid(A))
         value = (point_operator(mesh, [[0.5, 0.5]]) @ y)[0]
         errs.append(abs(value - 0.073671353281513816))
     assert errs[-1] < 1e-4
@@ -449,7 +449,8 @@ def test_solve_spd_recovers_a_prescribed_solution():
     target = rng.normal(size=mesh.num_vertices)
     target[mesh.boundary] = 0.0
     b = A @ target
-    x = solve_spd(free_block(mesh, A), b, mesh.boundary, tol=1e-12)
+    Af = free_block(mesh, A)
+    x = solve_spd(Af, b, mesh.boundary, 1e-12, Multigrid(Af))
     assert np.max(np.abs(x - target)) < 1e-9
     assert abs(x[mesh.boundary]).max() == 0.0
 
@@ -458,7 +459,8 @@ def test_solve_spd_matches_dense_oracle():
     mesh = square_mesh(6)
     A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: x[:, 0] - x[:, 1] ** 2)
-    x = solve_spd(free_block(mesh, A), b, mesh.boundary, tol=1e-13)
+    Af = free_block(mesh, A)
+    x = solve_spd(Af, b, mesh.boundary, 1e-13, Multigrid(Af))
     free = ~mesh.boundary
     dense = np.linalg.solve(A.toarray()[np.ix_(free, free)], b[free])
     assert np.max(np.abs(x[free] - dense)) < 1e-10
@@ -469,16 +471,17 @@ def test_solve_spd_discrete_maximum_principle():
     mesh = square_mesh(8)
     A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: np.exp(-10 * (x[:, 0] - 0.3) ** 2))
-    x = solve_spd(free_block(mesh, A), b, mesh.boundary)
+    Af = free_block(mesh, A)
+    x = solve_spd(Af, b, mesh.boundary, 1e-10, Multigrid(Af))
     assert np.min(x) >= -1e-14
 
 
 def test_solve_spd_rejects_indefinite_operators():
     mesh = square_mesh(3)
-    A = -lumped_mass(mesh)
+    A = free_block(mesh, -lumped_mass(mesh))
     with pytest.raises(RuntimeError, match="not positive definite"):
-        solve_spd(free_block(mesh, A), np.ones(mesh.num_vertices),
-                  mesh.boundary)
+        solve_spd(A, np.ones(mesh.num_vertices), mesh.boundary, 1e-10,
+                  Multigrid(A))
     # a positive diagonal passes the smoother's check, but the shift 100
     # lies above the lowest eigenvalue 2 pi^2 of the Laplacian, so a CG
     # step meets a nonpositive curvature
@@ -487,16 +490,16 @@ def test_solve_spd_rejects_indefinite_operators():
     shifted = to_scipy(assemble_stiffness(mesh)) - 100.0 * lumped_mass(mesh)
     with pytest.raises(RuntimeError, match="not positive definite"):
         solve_spd(free_block(mesh, shifted), np.ones(mesh.num_vertices),
-                  mesh.boundary, multigrid=Multigrid(free_block(mesh, A)))
+                  mesh.boundary, 1e-10, Multigrid(free_block(mesh, A)))
 
 
 def test_solve_spd_rejects_a_non_finite_right_hand_side():
     mesh = square_mesh(3)
     b = np.ones(mesh.num_vertices)
     b[~mesh.boundary] = np.nan
+    A = free_block(mesh, assemble_stiffness(mesh))
     with pytest.raises(RuntimeError, match="not finite"):
-        solve_spd(free_block(mesh, assemble_stiffness(mesh)), b,
-                  mesh.boundary)
+        solve_spd(A, b, mesh.boundary, 1e-10, Multigrid(A))
 
 
 def refined_disk():
@@ -556,7 +559,8 @@ def test_amg_pcg_matches_dense_oracle_on_a_refined_disk():
     mesh = refined_disk()
     A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: np.cos(3.0 * x[:, 0]) + x[:, 1])
-    x = solve_spd(free_block(mesh, A), b, mesh.boundary, tol=1e-13)
+    Af = free_block(mesh, A)
+    x = solve_spd(Af, b, mesh.boundary, 1e-13, Multigrid(Af))
     free = ~mesh.boundary
     dense = np.linalg.solve(A.toarray()[np.ix_(free, free)], b[free])
     assert np.max(np.abs(x[free] - dense)) < 1e-10 * np.max(np.abs(dense))
@@ -573,7 +577,7 @@ def test_solve_spd_on_a_diagonal_operator_needs_no_coarse_level():
     mg = Multigrid(D)
     assert mg.prolongators[0].shape[1] == 0
     b = np.arange(mesh.num_vertices, dtype=float)
-    x = solve_spd(D, b, mesh.boundary, tol=1e-12)
+    x = solve_spd(D, b, mesh.boundary, 1e-12, mg)
     assert_allclose(x[free], b[free] / d[free], rtol=1e-12)
 
 
@@ -693,11 +697,13 @@ def test_hand_written_cholesky_factors_and_inverts():
 def test_solve_spd_reports_stagnation_below_the_round_off_floor(
         monkeypatch):
     mesh = square_mesh(32)
-    A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
+    A = free_block(mesh, to_scipy(assemble_stiffness(mesh))
+                   + lumped_mass(mesh))
     b = assemble_load(mesh, lambda x: np.ones(len(x)))
+    mg = Multigrid(A)
     cycles = count_vcycles(monkeypatch)
     with pytest.raises(RuntimeError, match="linear solve stagnated"):
-        solve_spd(free_block(mesh, A), b, mesh.boundary, tol=1e-18)
+        solve_spd(A, b, mesh.boundary, 1e-18, mg)
     assert len(cycles) < 300
 
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from expctrl.fem import assemble_stiffness, solve_spd
+from expctrl.fem import Multigrid, assemble_stiffness, solve_spd
 from expctrl.mesh import Domain, build_mesh
 from expctrl.objective import (DerivativeReport, evaluate_DJ, evaluate_J,
                                reduced_hessian, taylor_remainder_test)
@@ -117,7 +117,8 @@ def per_direction_D2J(instance, mesh, state, phi, h):
     rhs = point_coupling(mesh, instance.points.points).T @ h
     H = to_scipy(assemble_stiffness(mesh)) \
         + sp.diags(ops.lumped * np.exp(state.y))
-    z = solve_spd(free_block(mesh, H), rhs, mesh.boundary, tol=1e-12)
+    H = free_block(mesh, H)
+    z = solve_spd(H, rhs, mesh.boundary, 1e-12, Multigrid(H))
     weight = ops.lumped * np.exp(state.y) * phi
     return float(z @ (ops.mass @ z)) - float(np.sum(weight * z * z)) \
         + instance.nu * float(np.dot(h, h))

@@ -267,7 +267,7 @@ def test_adjoint_duality_identity():
     mesh = inst.make_mesh()
     st = solve_state(inst, Control([1.2, -0.4]), mesh, tol=1e-12)
     h = Control([0.7, -1.1])
-    phi = solve_adjoint(st, inst.y_d, tol=1e-12)
+    phi = solve_adjoint(st, inst.y_d)
     z = solve_linearized(st, h, inst.points, tol=1e-12)
     d = point_coupling(mesh, inst.points.points).T @ h.values
     M = assemble_mass(mesh)

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 from expctrl.mesh import Domain
 from expctrl.sequences import (FOUR_PI, BoundsPair, Control, L_functional,
                                SourcePoints, compute_separation_radii,
-                               l1_norm, project_box, truncate)
+                               l1_norm, project_box)
+from helpers import truncate
 
 
 def test_control_holds_values_and_support():

@@ -1,0 +1,43 @@
+"""The package's public surface is what its own code calls: a public
+top-level function or class that no code of the package refers to is
+reached only by the tests, and belongs in tests/helpers.py or nowhere."""
+
+import ast
+from pathlib import Path
+
+import expctrl
+
+SRC = Path(expctrl.__file__).parent
+
+
+def _public_definitions(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _referenced_names(tree):
+    """(name, owner) of every ast.Name and ast.Attribute of a module;
+    owner is the top-level definition the reference sits in, or None."""
+    refs = set()
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                refs.add((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                refs.add((node.attr, owner))
+    return refs
+
+
+def test_every_public_definition_is_referenced_by_the_package():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    refs = set().union(*(_referenced_names(t) for t in trees.values()))
+    unused = sorted(
+        "%s.%s" % (module[:-3], node.name)
+        for module, tree in trees.items()
+        for node in _public_definitions(tree)
+        if not any(name == node.name and owner != node.name
+                   for name, owner in refs))
+    assert unused == []

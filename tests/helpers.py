@@ -388,7 +388,7 @@ def reference_aggregate(A, theta):
     C = A.tocoo()
     diag = A.diagonal()
     strong = (C.row != C.col) & (
-        np.abs(C.data) >= theta * np.sqrt(diag[C.row] * diag[C.col]))
+        -C.data >= theta * np.sqrt(diag[C.row] * diag[C.col]))
     S = sp.csr_matrix((np.ones(int(strong.sum())),
                        (C.row[strong], C.col[strong])), shape=A.shape)
     indptr, indices = S.indptr, S.indices

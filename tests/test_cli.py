@@ -789,7 +789,7 @@ def test_optimize_vcycle_budget(tmp_path, monkeypatch):
     cycles = count_vcycles(monkeypatch)
     assert main(["optimize", "--config", path, "--out",
                  str(tmp_path / "o")]) == 0
-    assert len(cycles) <= 140
+    assert len(cycles) <= 120
 
 
 def test_the_retired_second_order_count_is_ignored(tmp_path):

@@ -8,15 +8,13 @@ module is loaded by path (_load_kernels), so scipy's Python sparse
 package, whose import costs more than numpy and scipy together, is
 never imported.  Each operation calls the kernels that the scipy
 matrix operation it replaces calls, with the same operands in the same
-order, so every matrix, solve and report keeps its bits.  All assembly
-is vectorized over elements; the duplicate entries of the element
-matrices are summed by the coo-to-csr kernels, which are
-deterministic, so repeated runs produce bit-identical matrices.  The
-element kernels are explicit products, which skip numpy's generic
-einsum loop, but each entry is formed in the order that einsum formed
-it.  Vector loads sum their element contributions by np.bincount, in
-input order as np.add.at does.  The solver is PCG with one symmetric
-AMG V-cycle per iteration (degree-2 fourth-kind Chebyshev smoothing, a
+order.  All assembly is vectorized over elements and sums by
+np.bincount, in triangle order: a P1 matrix is its diagonal, summed
+per vertex, and one value per edge of the mesh's edge table, placed at
+both of its entries (_edge_assembly), so every sum runs in this code's
+order and a_ij and a_ji are one float.  Vector loads sum their element
+contributions the same way.  The solver is PCG with one symmetric AMG
+V-cycle per iteration (degree-2 fourth-kind Chebyshev smoothing, a
 hand-written Cholesky of the at most 100-unknown coarsest level); no
 library factorizations anywhere.
 """
@@ -115,40 +113,38 @@ def _gradients(mesh):
 def assemble_stiffness(mesh):
     """P1 stiffness matrix for -Laplace (no boundary conditions applied).
 
-    Element row sums vanish, so the global matrix annihilates constants;
-    Dirichlet conditions are imposed by solving on the free block.  The
-    local matrices are explicit products with the bits of the einsum
-    over the gradients (see _stiffness_local), so the matrix, and every
-    solve and report built on it, is the same to the last bit.
+    Each triangle adds area g_i . g_j, g_i the gradient of its hat i, to
+    the entry of each pair of its corners i, j (see _edge_assembly).
+    Element row sums vanish, so the matrix annihilates constants;
+    Dirichlet conditions are imposed by solving on the free block.
     """
-    return _scatter(mesh, _stiffness_local(mesh))
+    return _edge_assembly(mesh, *_stiffness_sums(mesh))
 
 
-def _stiffness_local(mesh):
-    """Local stiffness matrices (T, 3, 3): a_ij = area g_i . g_j.
-
-    Each entry is formed as einsum("tid,tjd,t->tij", g, g, area) forms
-    it, so it has the same bits: the sum starts from +0.0 and adds the
-    products (g_i0 g_j0) area and (g_i1 g_j1) area in that order.  The
-    +0.0 turns a first product of -0.0 into +0.0.  Both products
-    commute, so a_ij and a_ji are one value.  Explicit products skip
-    the einsum's generic inner loop, and two (T,) buffers hold every
-    product, so no temporary of the size of the result is made.
-    """
+def _stiffness_sums(mesh):
+    """The stiffness's diagonal (V,) and edge entries (E,): the element
+    values (g_i . g_j) area, summed in triangle order."""
     gx, gy = _gradients(mesh)
-    local = np.empty((mesh.num_triangles, 3, 3))
-    p = np.empty(mesh.num_triangles)
+    local = np.empty((mesh.num_triangles, 3))
     q = np.empty(mesh.num_triangles)
-    for i in range(3):
-        for j in range(i, 3):
-            np.multiply(gx[i], gx[j], out=p)
-            p *= mesh.areas
-            p += 0.0
-            np.multiply(gy[i], gy[j], out=q)
-            q *= mesh.areas
-            np.add(p, q, out=local[:, i, j])
-            local[:, j, i] = local[:, i, j]
-    return local
+
+    def element(i, j, out):
+        # (g_ix g_jx) area + (g_iy g_jy) area
+        np.multiply(gx[i], gx[j], out=out)
+        np.multiply(out, mesh.areas, out=out)
+        np.multiply(gy[i], gy[j], out=q)
+        np.multiply(q, mesh.areas, out=q)
+        np.add(out, q, out=out)
+
+    for j in range(3):
+        element(j, j, local[:, j])
+    diagonal = np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                           minlength=mesh.num_vertices)
+    for j in range(3):      # the edge opposite corner j
+        element((j + 1) % 3, (j + 2) % 3, local[:, j])
+    return diagonal, np.bincount(mesh.triangle_edges.ravel(),
+                                 weights=local.ravel(),
+                                 minlength=len(mesh.edges))
 
 
 def lumped_mass_diagonal(mesh):
@@ -159,30 +155,35 @@ def lumped_mass_diagonal(mesh):
 
 
 def assemble_mass(mesh):
-    """Consistent P1 mass matrix: the edge-midpoint rule applied to
-    products of hats, which it integrates exactly.
+    """Consistent P1 mass matrix, the integrals of products of hats:
+    each triangle adds area/6 to the entry of each of its corners with
+    itself and area/12 to that of each pair (see _edge_assembly), the
+    values the edge-midpoint rule finds exactly."""
+    twelfth = mesh.areas * (1.0 / 12.0)
+    diagonal = np.bincount(mesh.triangles.ravel(),
+                           weights=np.repeat(twelfth + twelfth, 3),
+                           minlength=mesh.num_vertices)
+    edges = np.bincount(mesh.triangle_edges.ravel(),
+                        weights=np.repeat(twelfth, 3),
+                        minlength=len(mesh.edges))
+    return _edge_assembly(mesh, diagonal, edges)
 
-    The rule's einsum over the hats' values (0 or 1/2 at each point)
-    has, per triangle, one nonzero product for each pair of distinct
-    hats and two for each hat with itself.  Each is v = (TRI3_W[0]
-    1/2 1/2) area, summed from +0.0 in the einsum, so the local matrix
-    is v off the diagonal and v + v on it, bit for bit, and is formed
-    here directly."""
-    local = np.empty((mesh.num_triangles, 3, 3))
-    np.multiply(TRI3_W[0] * 0.5 * 0.5, mesh.areas[:, None, None], out=local)
-    local *= 1.0 + np.eye(3)
-    return _scatter(mesh, local)
 
+def _edge_assembly(mesh, diagonal, edges):
+    """The symmetric V x V CSR with the given diagonal and with entry
+    edges[e] at both (lo, hi) and (hi, lo) of each edge e = (lo, hi).
 
-def _scatter(mesh, local):
-    # 32-bit indices, the type CSR stores them in: int64 ones would be
-    # converted there, a copy on top of the peak memory of assembly
-    tris = mesh.triangles.astype(np.int32)
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    del tris  # not held through the conversion, which sets the peak
-    return CSR.from_coo(rows, cols, local.ravel(),
-                        (mesh.num_vertices, mesh.num_vertices))
+    A P1 matrix has an entry only where two corners share a triangle:
+    on the diagonal and at the mesh's edges.  Summed per vertex and per
+    edge by np.bincount, in triangle order, its V + 2E entries are
+    distinct, so the conversion only places them, and a_ij and a_ji
+    are one float."""
+    V = mesh.num_vertices
+    lo, hi = mesh.edges[:, 0], mesh.edges[:, 1]
+    ids = np.arange(V, dtype=np.int32)
+    return CSR.from_coo(np.concatenate([ids, lo, hi]),
+                        np.concatenate([ids, hi, lo]),
+                        np.concatenate([diagonal, edges, edges]), (V, V))
 
 
 def assemble_load(mesh, f):
@@ -389,6 +390,13 @@ def exp_remainder(t, order):
     return out
 
 
+#: triangles per block of integrate_exp_linear: each of the dozen or so
+#: temporaries of _dd2_exp then holds 64 KiB, whatever the size of the
+#: mesh, and stays in cache, while a block is still large enough that
+#: its few dozen numpy calls cost little against its arithmetic
+_EXP_BLOCK = 8192
+
+
 def integrate_exp_linear(mesh, values, coeff=1.0, tri_subset=None):
     """Exact integral of exp(coeff * v_h) for a nodal field v_h.
 
@@ -401,9 +409,13 @@ def integrate_exp_linear(mesh, values, coeff=1.0, tri_subset=None):
         mesh.triangles[np.asarray(tri_subset, dtype=np.int64)]
     areas = mesh.areas if tri_subset is None else \
         mesh.areas[np.asarray(tri_subset, dtype=np.int64)]
-    v = coeff * values[tris]
-    dd = _dd2_exp(v[:, 0], v[:, 1], v[:, 2])
-    return float(np.sum(2.0 * areas * dd))
+    terms = np.empty(len(tris))
+    for start in range(0, len(tris), _EXP_BLOCK):
+        block = slice(start, start + _EXP_BLOCK)
+        v = coeff * values[tris[block]]
+        terms[block] = 2.0 * areas[block] * _dd2_exp(v[:, 0], v[:, 1],
+                                                     v[:, 2])
+    return float(np.sum(terms))
 
 
 #: strength threshold theta of the finest aggregation graph; it halves
@@ -433,8 +445,7 @@ class CSR:
     named in its docstring, on the same operands in the same order,
     without the checks and dispatch around them: it returns the same
     bits at the cost of the arithmetic alone.  A product with a CSR
-    sums from +0.0 and drops exact zeros, like scipy's, so a product
-    with a diagonal matrix is not a row scaling.
+    sums from +0.0 and drops exact zeros, like scipy's.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape")
@@ -452,12 +463,11 @@ class CSR:
 
     @classmethod
     def from_coo(cls, rows, cols, values, shape):
-        """The matrix with entries values[k] at (rows[k], cols[k]),
-        duplicates summed, as scipy's coo-to-csr conversion forms it:
-        coo_tocsr keeps each row's entries in input order; unless every
-        row is then sorted and free of duplicates, csr_sort_indices
-        sorts the rows (an unstable sort, which sets the order of each
-        sum) and csr_sum_duplicates adds the duplicates."""
+        """The matrix with entries values[k] at distinct positions
+        (rows[k], cols[k]), its rows sorted, as scipy's coo-to-csr
+        conversion forms it: coo_tocsr places the entries, and
+        csr_sort_indices sorts each row.  Every caller's entries are
+        distinct by construction, so nothing is summed here."""
         M, N = shape
         rows = np.asarray(rows, dtype=np.int32)
         cols = np.asarray(cols, dtype=np.int32)
@@ -471,11 +481,8 @@ class CSR:
         data = np.empty(nnz)
         _sparsetools.coo_tocsr(M, N, nnz, rows, cols, values, indptr,
                                indices, data)
-        if not _sparsetools.csr_has_canonical_format(M, indptr, indices):
-            if not _sparsetools.csr_has_sorted_indices(M, indptr, indices):
-                _sparsetools.csr_sort_indices(M, indptr, indices, data)
-            _sparsetools.csr_sum_duplicates(M, N, indptr, indices, data)
-        return cls._pruned(indptr, indices, data, shape)
+        _sparsetools.csr_sort_indices(M, indptr, indices, data)
+        return cls(indptr, indices, data, shape)
 
     def __matmul__(self, other):
         """A @ x for a vector (csr_matvec) or the columns of a 2-D array
@@ -558,40 +565,6 @@ class CSR:
         """A - B by csr_minus_csr, which drops exact zeros."""
         return self._binop(B, _sparsetools.csr_minus_csr)
 
-    def block(self, index):
-        """The rows and columns of A in index (increasing), as scipy's
-        A[index][:, index] forms it: csr_row_index takes the rows, and
-        csr_column_index1 and csr_column_index2 the columns."""
-        index = np.asarray(index, dtype=np.int32)
-        k = index.size
-        indptr = np.zeros(k + 1, dtype=np.int32)
-        np.cumsum(self.indptr[index + 1] - self.indptr[index],
-                  out=indptr[1:])
-        rows_indices = np.empty(indptr[-1], dtype=np.int32)
-        rows_data = np.empty(indptr[-1])
-        _sparsetools.csr_row_index(k, index, self.indptr, self.indices,
-                                   self.data, rows_indices, rows_data)
-        offsets = np.zeros(self.shape[1], dtype=np.int32)
-        block_ptr = np.empty_like(indptr)
-        _sparsetools.csr_column_index1(k, index, k, self.shape[1], indptr,
-                                       rows_indices, offsets, block_ptr)
-        order = np.argsort(index).astype(np.int32, copy=False)
-        indices = np.empty(block_ptr[-1], dtype=np.int32)
-        data = np.empty(block_ptr[-1])
-        _sparsetools.csr_column_index2(order, offsets, rows_indices.size,
-                                       rows_indices, rows_data, indices,
-                                       data)
-        return CSR(block_ptr, indices, data, (k, k))
-
-    def eliminate_zeros(self):
-        """Drop the stored exact zeros in place (csr_eliminate_zeros)."""
-        _sparsetools.csr_eliminate_zeros(self.shape[0], self.shape[1],
-                                         self.indptr, self.indices,
-                                         self.data)
-        n = int(self.indptr[-1])
-        self.indices = _prune(self.indices, n)
-        self.data = _prune(self.data, n)
-
     def sorted_indices(self):
         """A itself when each row lists its columns in increasing order
         (csr_has_sorted_indices), else a copy sorted by csr_sort_indices."""
@@ -625,11 +598,12 @@ class Multigrid:
 
     Each level aggregates the strength graph -a_ij >= theta
     sqrt(a_ii a_jj) greedily, smooths the piecewise-constant tentative
-    prolongator by one damped Jacobi step and forms the Galerkin product
-    P' A P, until at most _COARSE_SIZE unknowns remain; the coarsest
-    matrix is factored by a hand-written Cholesky.  Every coarse
-    matrix, its smoother weights, every P and its transpose R are
-    stored, built once here, so a V-cycle builds no matrix object.
+    prolongator T by one damped Jacobi step, P = T - diag(w) A T, and
+    forms the Galerkin product P' (A P), symmetrized, until at most
+    _COARSE_SIZE unknowns remain; the coarsest matrix is factored by a
+    hand-written Cholesky.  Every coarse matrix, its smoother weights,
+    every P and its transpose R are stored, built once here, so a
+    V-cycle builds no matrix object.
 
     The operator A (a CSR) the hierarchy is built from only serves its
     coarse levels: preconditioner(A) takes the finest level from the
@@ -645,26 +619,9 @@ class Multigrid:
         self.restrictions = []
         theta = _STRENGTH
         while A.shape[0] > _COARSE_SIZE:
-            agg, count = _aggregate(A, theta)
-            # unit-norm piecewise constants on the aggregates
-            rows = np.flatnonzero(agg >= 0)
-            T = CSR.from_coo(
-                rows, agg[rows],
-                1.0 / np.sqrt(np.bincount(agg[rows])[agg[rows]]),
-                (agg.size, count))
-            # diag(w) (A T) as a product with the diagonal CSR, not a
-            # row scaling: the product lists each row in reverse, and
-            # the order of P's rows follows from it
-            ids = np.arange(agg.size + 1, dtype=np.int32)
-            P = T - CSR(ids, ids[:-1], w, A.shape) @ (A @ T)
+            P = _prolongator(A, w, theta)
             R = P.T
-            # R A P in the operand order of scipy's CSC products, whose
-            # bits every level keeps: A' P, then P' (A' P), the CSR of
-            # (R A P)'; its sum with its transpose, halved and
-            # transposed back, is the symmetric coarse matrix
-            S = R @ (A.T @ P)
-            S = S + S.T
-            A = CSR(S.indptr, S.indices, S.data * 0.5, S.shape).T
+            A = _galerkin(A, P, R)
             w = _jacobi_weights(A)
             self.levels.append((A, w))
             self._second.append(1.8 * w)
@@ -700,6 +657,29 @@ class Multigrid:
         x += self.prolongators[k] @ self._vcycle(
             levels, second, k + 1, self.restrictions[k] @ (r - A @ x))
         return _smooth(A, w, second[k], r, x)
+
+
+def _prolongator(A, w, theta):
+    """The smoothed prolongator T - diag(w) A T of the CSR A, T the
+    unit-norm piecewise constants on the aggregates of A at strength
+    theta."""
+    agg, count = _aggregate(A, theta)
+    rows = np.flatnonzero(agg >= 0)
+    T = CSR.from_coo(rows, agg[rows],
+                     1.0 / np.sqrt(np.bincount(agg[rows])[agg[rows]]),
+                     (agg.size, count))
+    smoothed = A @ T
+    smoothed.data *= np.repeat(w, np.diff(smoothed.indptr))
+    return T - smoothed
+
+
+def _galerkin(A, P, R):
+    """The coarse matrix R (A P), R = P', symmetrized once: s_ij + s_ji
+    is one sum for both entries, so it is symmetric bit for bit.  Its
+    rows are sorted, as the aggregation reads them."""
+    S = R @ (A @ P)
+    S = S + S.T
+    return CSR(S.indptr, S.indices, 0.5 * S.data, S.shape).sorted_indices()
 
 
 def _smooth(A, w, w2, r, x=None):
@@ -748,14 +728,23 @@ def _aggregate(A, theta):
     aggregate has at least two nodes, so each level at least halves.
     Returns (aggregate index per node, aggregate count).
     """
-    # the strength graph keeps A's pattern, filtered, in column order
+    # the strength graph keeps A's pattern, filtered, in column order;
+    # -a_ij >= b is tested as a_ij <= -b, the same test, with the bound
+    # formed in place
     A = A.sorted_indices()
     n = A.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    sizes = np.diff(A.indptr)
     diag = A.diagonal()
-    strong = (rows != A.indices) & (
-        -A.data >= theta * np.sqrt(diag[rows] * diag[A.indices]))
+    bound = np.repeat(diag, sizes)
+    bound *= diag[A.indices]
+    np.sqrt(bound, out=bound)
+    bound *= -theta
+    strong = A.data <= bound
+    del bound
+    rows = np.repeat(np.arange(n, dtype=np.int32), sizes)
+    strong &= rows != A.indices
     degree = np.bincount(rows[strong], minlength=n)
+    del rows
     strong_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degree, out=strong_ptr[1:])
     strong_idx = A.indices[strong]
@@ -765,7 +754,7 @@ def _aggregate(A, theta):
     # first placed one, cheaper than all() over a generator
     indptr = memoryview(strong_ptr)
     indices = memoryview(strong_idx)
-    result = np.full(n, -1, dtype=np.int64)
+    result = np.full(n, -1, dtype=np.int32)
     agg = memoryview(result)
     count = 0
     for i in range(n):
@@ -788,8 +777,9 @@ def _aggregate(A, theta):
     if linked.any():
         seeded = np.append(result[strong_idx], -1)
         nnz = strong_idx.size
-        pos = np.where(seeded[:-1] >= 0, np.arange(nnz), nnz)
-        first = np.full(n, nnz)
+        pos = np.where(seeded[:-1] >= 0,
+                       np.arange(nnz, dtype=np.int32), nnz)
+        first = np.full(n, nnz, dtype=np.int32)
         first[linked] = np.minimum.reduceat(pos, strong_ptr[:-1][linked])
         left = result < 0
         result[left] = seeded[first[left]]

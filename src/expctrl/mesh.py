@@ -6,13 +6,14 @@ stencil and an M-matrix).  Disks are meshed by mapping a structured
 square grid with the elliptical map and projecting boundary vertices
 onto the circle.  Local refinement near source points is red-green:
 marked triangles are quartered, hanging nodes are resolved by bisection,
-and existing vertices never move.  The levels of a graded mesh work on
-bare arrays: one edge table, sorted once on the base grid, is carried
-and updated from level to level, only the children of the previous
-level are candidates for marking, a level appends its children to
-stores that keep the triangles it does not refine in place, and a
-single Mesh validates the result.  Points are located by one scan over
-the triangles whose bounding boxes contain them.
+and existing vertices never move.  Every mesh carries its edge table,
+which the assembly of its matrices sums over: the structured grid forms
+it by index arithmetic, and the levels of a graded mesh carry and
+update it.  Those levels work on bare arrays: only the children of the
+previous level are candidates for marking, a level appends its
+children to stores that keep the triangles it does not refine in
+place, and a single Mesh validates the result.  Points are located by
+one scan over the triangles whose bounding boxes contain them.
 """
 
 import numpy as np
@@ -85,13 +86,18 @@ class Mesh:
     domain : Domain
     h : float, maximum edge length
     areas : (T,) float array of triangle areas
+    edges : (E, 2) int32 array, each edge once as (lo, hi), lo < hi
+    triangle_edges : (T, 3) int32 array, slot j the edge opposite corner j
 
     A built mesh is treated as immutable; build_mesh refines bare arrays
-    and constructs the Mesh once, at the end.  Clockwise triangles are
-    reoriented here.
+    and constructs the Mesh once, at the end, handing over the edge
+    table it carries.  A mesh made from bare arrays alone gets its table
+    from _tri_edges.  Clockwise triangles are reoriented here, their
+    edge slots with them.
     """
 
-    def __init__(self, vertices, triangles, boundary, domain):
+    def __init__(self, vertices, triangles, boundary, domain, edges=None,
+                 triangle_edges=None):
         vertices = np.asarray(vertices, dtype=float)
         triangles = np.asarray(triangles, dtype=np.int64)
         boundary = np.asarray(boundary, dtype=bool)
@@ -101,22 +107,32 @@ class Mesh:
             raise ValueError("triangles must be (T, 3)")
         if boundary.shape != (vertices.shape[0],):
             raise ValueError("one boundary flag per vertex required")
+        if (edges is None) != (triangle_edges is None):
+            raise ValueError("edges and triangle_edges go together")
         # np.take: the rows that indexing gathers, without its overhead
         corners = np.take(vertices, triangles, axis=0)
         areas = _signed_areas(corners)
         flip = areas < 0.0
         if np.any(flip):
+            # corners 1 and 2 trade places, and so do the edges opposite
             triangles = triangles.copy()
             triangles[flip] = triangles[flip][:, [0, 2, 1]]
+            if triangle_edges is not None:
+                triangle_edges = triangle_edges.copy()
+                triangle_edges[flip] = triangle_edges[flip][:, [0, 2, 1]]
             areas = np.abs(areas)
         if np.any(areas <= 0.0):
             raise ValueError("degenerate triangle in mesh")
+        if edges is None:
+            edges, triangle_edges, _ = _tri_edges(triangles)
         self.vertices = vertices
         self.triangles = triangles
         self.boundary = boundary
         self.domain = domain
         self.areas = areas
         self.h = _max_edge_length(corners)
+        self.edges = np.asarray(edges, dtype=np.int32)
+        self.triangle_edges = np.asarray(triangle_edges, dtype=np.int32)
 
     @property
     def num_vertices(self):
@@ -246,22 +262,24 @@ def build_mesh(domain, resolution, refine_points=None, refine_levels=0):
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     if domain.kind == "rectangle":
-        vertices, triangles, boundary = _rectangle_grid(domain.params,
-                                                        resolution)
+        grid = _rectangle_grid(domain.params, resolution)
     elif domain.kind == "disk":
-        vertices, triangles, boundary = _disk_grid(domain.params, resolution)
+        grid = _disk_grid(domain.params, resolution)
     else:
         raise ValueError("unknown domain kind %r" % (domain.kind,))
     if refine_points is not None and refine_levels > 0:
-        vertices, triangles, boundary = _graded(
-            domain, vertices, triangles, boundary, refine_points,
-            int(refine_levels))
-    return Mesh(vertices, triangles, boundary, domain)
+        grid = _graded(domain, *grid, refine_points, int(refine_levels))
+    vertices, triangles, boundary, edges, triangle_edges = grid
+    return Mesh(vertices, triangles, boundary, domain, edges, triangle_edges)
 
 
 def _rectangle_grid(params, n):
-    """Vertices, counterclockwise triangles and boundary flags of the
-    criss-cross grid with n cells per side."""
+    """Vertices, counterclockwise triangles, boundary flags, edges and
+    triangle edges of the criss-cross grid with n cells per side.
+
+    Vertex (iy, ix) is iy (n + 1) + ix.  The edges are the horizontal
+    ones, then the vertical ones, then the diagonals, each group in the
+    order of its first vertex, so every id is index arithmetic."""
     x0, y0, x1, y1 = params
     xs = np.linspace(x0, x1, n + 1)
     ys = np.linspace(y0, y1, n + 1)
@@ -281,14 +299,30 @@ def _rectangle_grid(params, n):
     ix_all = np.tile(np.arange(n + 1), n + 1)
     iy_all = np.repeat(np.arange(n + 1), n + 1)
     boundary = (ix_all == 0) | (ix_all == n) | (iy_all == 0) | (iy_all == n)
-    return vertices, triangles, boundary
+    ids = np.arange((n + 1) ** 2, dtype=np.int32).reshape(n + 1, n + 1)
+    edges = np.concatenate([
+        np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),
+        np.column_stack([ids[:-1].ravel(), ids[1:].ravel()]),
+        np.column_stack([a, d]).astype(np.int32)])
+    # the edges of cell (iy, ix), numbered cell = iy n + ix
+    cell = np.arange(n * n, dtype=np.int32)
+    bottom, top = cell, cell + n
+    left = n * (n + 1) + cell + cell // n
+    right = left + 1
+    diagonal = 2 * n * (n + 1) + cell
+    # slot j is the edge opposite corner j: lower (a, b, d), upper (a, d, c)
+    triangle_edges = np.empty((2 * n * n, 3), dtype=np.int32)
+    triangle_edges[0::2] = np.column_stack([right, diagonal, bottom])
+    triangle_edges[1::2] = np.column_stack([top, left, diagonal])
+    return vertices, triangles, boundary, edges, triangle_edges
 
 
 def _disk_grid(params, n):
     """The grid of [-1, 1]^2 mapped onto the disk, its boundary vertices
-    exactly on the circle."""
+    exactly on the circle; the grid's edge table is the disk's."""
     cx, cy, R = params
-    square, triangles, on_bdry = _rectangle_grid((-1.0, -1.0, 1.0, 1.0), n)
+    square, triangles, on_bdry, edges, triangle_edges = _rectangle_grid(
+        (-1.0, -1.0, 1.0, 1.0), n)
     u = square[:, 0]
     v = square[:, 1]
     # elliptical square-to-disk map; grid boundary lands on the circle
@@ -299,10 +333,11 @@ def _disk_grid(params, n):
     # snap boundary vertices exactly onto the unit circle
     pts[on_bdry] /= r[on_bdry, None]
     vertices = np.column_stack([cx + R * pts[:, 0], cy + R * pts[:, 1]])
-    return vertices, triangles, on_bdry
+    return vertices, triangles, on_bdry, edges, triangle_edges
 
 
-def _graded(domain, vertices, triangles, boundary, refine_points, levels):
+def _graded(domain, vertices, triangles, boundary, edges, tri_edge,
+            refine_points, levels):
     """Red-green refinement toward the source points, one sweep per level.
 
     At level l (ball factor 2^-(l+1)) triangles whose circumcenter lies
@@ -316,12 +351,12 @@ def _graded(domain, vertices, triangles, boundary, refine_points, levels):
 
     A kept triangle was unmarked, and its marking ball only shrinks, so
     only the children of the previous sweep are candidates.  The edge
-    table of _tri_edges is built once, on the input, and updated by
-    every sweep: a split edge (lo, hi) with midpoint m becomes (lo, m)
-    in place plus an appended (hi, m), both keeping its count; each red
-    triangle adds three interior edges and each green one its median,
-    all interior.  Midpoints are numbered in the (lo, hi) order of
-    their edges.
+    table of the input grid is updated by every sweep, with a flag per
+    edge that marks the boundary ones (those of a single triangle): a
+    split edge (lo, hi) with midpoint m becomes (lo, m) in place plus an
+    appended (hi, m), both keeping its flag; each red triangle adds
+    three interior edges and each green one its median.  Midpoints are
+    numbered in the (lo, hi) order of their edges.
 
     No sweep copies the triangles it keeps.  The triangles, their edge
     ids and their green flags live in an append-only store with an
@@ -331,12 +366,15 @@ def _graded(domain, vertices, triangles, boundary, refine_points, levels):
     appended the same way, and a store that fills is copied once into
     one sized for the remaining levels (see _room).  Alive rows in
     store order are the kept-first order above, level after level, so
-    one compaction at the end gives the triangles.
+    one compaction at the end gives the triangles and their edges.
 
-    Returns the refined vertices, triangles and boundary flags.
+    Returns the refined vertices, triangles, boundary flags, edges and
+    triangle edges.  The vertices, flags and edges are the leading rows
+    of their stores, not copies: a store is sized for the levels it
+    grows in, so it holds few spare rows.
     """
-    edges, tri_edge, counts = _tri_edges(triangles)
     n, V, E = triangles.shape[0], vertices.shape[0], edges.shape[0]
+    outer = np.bincount(tri_edge.ravel(), minlength=E) == 1
     green = np.zeros(n, dtype=bool)
     alive = np.ones(n, dtype=bool)
     fresh = 0  # rows from here on are the previous sweep's children
@@ -355,9 +393,11 @@ def _graded(domain, vertices, triangles, boundary, refine_points, levels):
         split = np.zeros(E, dtype=bool)
         split[np.compress(red[fresh:], te[fresh:], axis=0)] = True
         while True:
-            nsplit = split[te[:, 0]].view(np.int8) \
-                + split[te[:, 1]].view(np.int8) \
-                + split[te[:, 2]].view(np.int8)
+            # np.take: a gather through int32 columns at the speed of
+            # an int64 one, which indexing is not
+            nsplit = np.take(split, te[:, 0]).view(np.int8) \
+                + np.take(split, te[:, 1]).view(np.int8) \
+                + np.take(split, te[:, 2]).view(np.int8)
             promote = ~red & live & ((nsplit >= 2)
                                      | ((nsplit == 1) & green[:n]))
             if not promote.any():
@@ -366,8 +406,8 @@ def _graded(domain, vertices, triangles, boundary, refine_points, levels):
             split[np.compress(promote, te, axis=0)] = True
 
         split_ids = np.nonzero(split)[0]
-        split_ids = split_ids[np.argsort(edges[split_ids, 0] * V
-                                         + edges[split_ids, 1])]
+        split_ids = split_ids[np.lexsort((edges[split_ids, 1],
+                                          edges[split_ids, 0]))]
         lo, hi = edges[split_ids, 0], edges[split_ids, 1]
         S = split_ids.size
         mids = V + np.arange(S)
@@ -383,7 +423,7 @@ def _graded(domain, vertices, triangles, boundary, refine_points, levels):
 
         new_coords = 0.5 * (np.take(vertices, lo, axis=0)
                             + np.take(vertices, hi, axis=0))
-        new_bdry = counts[split_ids] == 1
+        new_bdry = outer[split_ids]
         if domain.kind == "disk" and new_bdry.any():
             # keep new boundary vertices exactly on the circle
             cx, cy, R = domain.params
@@ -441,22 +481,23 @@ def _graded(domain, vertices, triangles, boundary, refine_points, levels):
 
         # appended: the halves (hi, m), the medians (c, m), then the
         # interior edges i0, i1, i2 of each red triangle as (lo, hi)
-        edges, counts = _room((edges, counts), E, S + G + 3 * Rd,
-                              levels - level)
+        edges, outer = _room((edges, outer), E, S + G + 3 * Rd,
+                             levels - level)
         edges[split_ids, 1] = mids
         edges[E:E + S, 0] = hi
         edges[E:E + S, 1] = mids
-        counts[E:E + S] = counts[split_ids]
+        outer[E:E + S] = outer[split_ids]
         edges[E + S:E + S + G, 0] = c
         edges[E + S:E + S + G, 1] = m
         interior = edges[E + S + G:E + S + G + 3 * Rd].reshape(Rd, 3, 2)
         for k, (p, q) in enumerate(((m01, m20), (m12, m01), (m20, m12))):
             np.minimum(p, q, out=interior[:, k, 0])
             np.maximum(p, q, out=interior[:, k, 1])
-        counts[E + S:E + S + G + 3 * Rd] = 2
+        outer[E + S:E + S + G + 3 * Rd] = False
         E += S + G + 3 * Rd
-    return (vertices[:V].copy(), np.compress(alive[:n], triangles[:n], axis=0),
-            boundary[:V].copy())
+    alive = alive[:n]
+    return (vertices[:V], np.compress(alive, triangles[:n], axis=0),
+            boundary[:V], edges[:E], np.compress(alive, tri_edge[:n], axis=0))
 
 
 def _room(arrays, used, extra, sweeps):

@@ -7,12 +7,12 @@ Hessian's linearized solves and of the multigrid V-cycles, and the
 references that faster paths must reproduce bit for bit: the
 edge lengths by two rolled copies of the corners, the level-by-level
 graded refinement, the point location by a scan of every
-triangle, the einsum stiffness, midpoint-rule mass and load, the 25-term
-divided-difference series, accumulation by np.add.at, the loop
-aggregation, the PCG loop that tests its residual before each step, and
-the scipy matrix operations that CSR replaces: the coo-to-csr scatter,
-the point operator, the free block of the stiffness and the multigrid
-setup."""
+triangle, the einsum stiffness and midpoint-rule mass summed in
+triangle order, the einsum load, the 25-term divided-difference series,
+accumulation by np.add.at, the loop aggregation, the PCG loop that
+tests its residual before each step, and the scipy matrix operations
+that CSR replaces: the point operator, the free block of the stiffness
+and the multigrid setup."""
 
 import functools
 
@@ -222,15 +222,18 @@ def _refine_once(mesh, refine_points, green, ball_factor):
     return refined, np.concatenate(part_green)
 
 
-def reference_scatter(mesh, local):
-    """The matrix of the local matrices (T, 3, 3), summed by scipy's
-    coo-to-csr conversion."""
-    tris = mesh.triangles.astype(np.int32)
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(mesh.num_vertices, mesh.num_vertices))
-    return mat.tocsr()
+def reference_assembly(mesh, local):
+    """The matrix of the local matrices (T, 3, 3), each entry summed by
+    np.add.at in triangle order, on the pattern of the distinct (row,
+    column) pairs that the triangles meet: a scipy CSR matrix with
+    sorted rows."""
+    V = mesh.num_vertices
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    keys, slot = np.unique(rows * V + cols, return_inverse=True)
+    data = np.zeros(keys.size)
+    np.add.at(data, slot, local.ravel())
+    return sp.csr_matrix((data, (keys // V, keys % V)), shape=(V, V))
 
 
 def reference_point_operator(mesh, points):
@@ -273,11 +276,12 @@ def reference_multigrid(A):
             (1.0 / np.sqrt(np.bincount(agg[rows])[agg[rows]]),
              (rows, agg[rows])), shape=(agg.size, count))
         P = (T - sp.diags(w) @ (A @ T)).tocsr()
-        R = P.T
-        A = R @ A @ P
+        R = P.T.tocsr()
+        A = R @ (A @ P)
         A = (0.5 * (A + A.T)).tocsr()
+        A.sort_indices()
         w = reference_jacobi_weights(A)
-        levels.append((A, P, sp.csr_matrix(R), w))
+        levels.append((A, P, R, w))
         theta *= 0.5
     return levels, _inverse_factor(_cholesky(A.toarray()))
 
@@ -293,7 +297,7 @@ def reference_stiffness(mesh):
         g[:, j, 0] = a[:, 1] - b[:, 1]
         g[:, j, 1] = b[:, 0] - a[:, 0]
     g /= (2.0 * mesh.areas)[:, None, None]
-    return reference_scatter(
+    return reference_assembly(
         mesh, np.einsum("tid,tjd,t->tij", g, g, mesh.areas))
 
 
@@ -304,7 +308,7 @@ def reference_mass(mesh):
     hats = np.broadcast_to(TRI3_BARY, (mesh.num_triangles, 3, 3))
     local = np.einsum("q,tq...,qi,t->ti...", TRI3_W, hats, TRI3_BARY,
                       mesh.areas)
-    return reference_scatter(mesh, local)
+    return reference_assembly(mesh, local)
 
 
 def reference_load(mesh, f):

@@ -26,8 +26,7 @@ from helpers import (add_at_bincount, count_vcycles, free_block, graded_disk,
                      reference_aggregate, reference_dd2_exp,
                      reference_free_block, reference_load, reference_mass,
                      reference_multigrid, reference_point_operator,
-                     reference_scatter, reference_solve_spd,
-                     reference_stiffness, to_scipy)
+                     reference_solve_spd, reference_stiffness, to_scipy)
 
 
 def square_mesh(n):
@@ -123,6 +122,8 @@ _ASSEMBLY_MESHES = {
                          ids=["stiffness", "mass"])
 def test_assembly_keeps_the_bits_of_the_einsum_kernels(case, assemble,
                                                        reference):
+    # the element values are the einsums' to the last bit, and every
+    # entry sums them in triangle order, as np.add.at does
     mesh = _ASSEMBLY_MESHES[case]()
     got, want = assemble(mesh), reference(mesh)
     for name in ("indptr", "indices", "data"):
@@ -148,9 +149,30 @@ def test_load_keeps_the_bits_of_the_einsum_rule(case):
         assert _same_bits(assemble_load(mesh, f), reference_load(mesh, f))
 
 
-def test_stiffness_locals_are_symmetric_bit_for_bit():
-    local = fem_module._stiffness_local(graded_disk())
-    assert _same_bits(local, local.transpose(0, 2, 1).copy())
+def _transposed(A):
+    """The scipy CSR of the transpose of a CSR, its rows sorted."""
+    B = to_scipy(A).T.tocsr()
+    B.sort_indices()
+    return B
+
+
+@pytest.mark.parametrize("case", sorted(_ASSEMBLY_MESHES))
+def test_assembled_matrices_are_symmetric_and_conservative(case):
+    mesh = _ASSEMBLY_MESHES[case]()
+    A, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    # a_ij and a_ji are one float; the rows come sorted
+    assert _same_matrix(A, _transposed(A))
+    assert _same_matrix(M, _transposed(M))
+    # every element row of the stiffness sums to zero, so the rows of
+    # the matrix do to rounding (0.66 eps max a_ii on the graded disk)
+    ones = np.ones(mesh.num_vertices)
+    eps = np.finfo(float).eps
+    assert np.abs(A @ ones).max() <= 4.0 * eps * A.diagonal().max()
+    # the mass of the constant 1 is the area, and each row the patch
+    # area over 3, the lumped mass
+    assert abs(M.data.sum() - mesh.areas.sum()) <= 1e-14 * mesh.areas.sum()
+    assert_allclose(M @ ones, lumped_mass_diagonal(mesh), rtol=1e-14,
+                    atol=0.0)
 
 
 def test_accumulation_by_bincount_matches_add_at(monkeypatch):
@@ -202,13 +224,15 @@ def test_dd2_exp_keeps_the_bits_of_the_25_term_series():
 
 
 def test_assembly_peak_memory_stays_within_its_budget():
-    # traced peaks in bytes on the n = 32 disk graded 12 levels; the
-    # budgets are the peaks of the einsum kernels with per-level copies
-    # of the triangles, which the present ones must not exceed
+    # traced peaks in bytes on the n = 32 disk graded 12 levels, each
+    # about 10 % above the peak of the edge-table assembly and the
+    # bounded passes; the build's budget is that of the per-level
+    # copies it replaced
     domain = Domain.disk(0.0, 0.0, 1.0)
     points = compute_separation_radii([[0.0, 0.0]], domain)
-    budgets = {"build_mesh": 4_461_610, "operators": 6_529_178,
-               "assemble_mass": 5_576_116}
+    budgets = {"build_mesh": 4_461_610, "operators": 2_480_000,
+               "assemble_mass": 2_520_000, "Multigrid": 1_700_000,
+               "integrate_exp_linear": 1_550_000}
     peaks = {}
 
     def traced(name, fn, *args):
@@ -220,8 +244,15 @@ def test_assembly_peak_memory_stays_within_its_budget():
             tracemalloc.stop()
         return result
     mesh = traced("build_mesh", build_mesh, domain, 32, points, 12)
-    traced("operators", operators, mesh)
+    ops = traced("operators", operators, mesh)
     traced("assemble_mass", assemble_mass, mesh)
+    traced("Multigrid", Multigrid,
+           ops.newton_operator(np.zeros(mesh.num_vertices)))
+    # a point-source state: -log|x| / 2 pi, cut off at the mesh's
+    # smallest scale
+    r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    traced("integrate_exp_linear", integrate_exp_linear, mesh,
+           -np.log(np.maximum(r, 1e-6)) / (2.0 * np.pi), 4.0 * np.pi)
     for name, budget in budgets.items():
         assert peaks[name] <= budget, (name, peaks[name])
 
@@ -664,9 +695,8 @@ def test_csr_operations_keep_the_bits_of_the_scipy_matrices(case):
     # replaces, so each stored array is the scipy one to the last bit
     mesh = _CSR_MESHES[case]()
     ops = operators(mesh)
-    local = fem_module._stiffness_local(mesh)
-    stiffness = reference_scatter(mesh, local)
-    assert _same_matrix(fem_module._scatter(mesh, local), stiffness)
+    # the free block cut by one mask is scipy's slice without zeros
+    stiffness = to_scipy(assemble_stiffness(mesh))
     assert _same_matrix(ops.stiffness,
                         reference_free_block(stiffness, ops.free))
     # a vertex, whose zero weights are stored, and two inner points
@@ -691,10 +721,36 @@ def test_csr_operations_keep_the_bits_of_the_scipy_matrices(case):
     for (level, w), P, R, (level_ref, P_ref, R_ref, w_ref) in zip(
             mg.levels, mg.prolongators, mg.restrictions, levels):
         assert _same_matrix(level, level_ref)
+        # the row scaling lists P's rows in another order than scipy's
+        # product with a diagonal matrix
+        P = to_scipy(P)
+        P.sort_indices()
+        P_ref.sort_indices()
         assert _same_matrix(P, P_ref)
         assert _same_matrix(R, R_ref)
         assert _same_bits(w, w_ref)
     assert _same_bits(mg._coarse, coarse)
+
+
+@pytest.mark.parametrize("case", sorted(_CSR_MESHES))
+def test_coarse_levels_are_symmetric_galerkin_products(case):
+    mesh = _CSR_MESHES[case]()
+    A = operators(mesh).newton_operator(np.zeros(mesh.num_vertices))
+    mg = Multigrid(A)
+    eps = np.finfo(float).eps
+    for (coarse, _), P in zip(mg.levels, mg.prolongators):
+        assert _same_matrix(coarse, _transposed(coarse))
+        # P' A P in scipy, to rounding: each entry of a product of
+        # three sums of at most m terms is within 2 m eps of the sum of
+        # the absolute values of its terms
+        P, fine = to_scipy(P), to_scipy(A)
+        product = (P.T @ (fine @ P)).toarray()
+        size = (abs(P).T @ (abs(fine) @ abs(P))).toarray()
+        m = max(np.diff(fine.indptr).max(), np.diff(P.indptr).max(),
+                np.diff(P.tocsc().indptr).max())
+        assert np.all(np.abs(coarse.toarray() - product)
+                      <= 2 * m * eps * size)
+        A = coarse
 
 
 @pytest.mark.parametrize("missing", ["scipy", "scipy.sparse._sparsetools"])

@@ -140,6 +140,49 @@ def test_tri_edges_match_the_row_unique_reference():
     assert np.array_equal(counts, ref_counts)
 
 
+_CLOCKWISE = (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+              np.array([[0, 2, 1], [1, 3, 2]]), np.ones(4, dtype=bool))
+_EDGE_TABLE_MESHES = {
+    "square": lambda: build_mesh(Domain.unit_square(), 7),
+    "rectangle": lambda: build_mesh(Domain.rectangle(0.0, 0.0, 2.0, 1.0), 5),
+    "disk": lambda: build_mesh(Domain.disk(0.0, 0.0, 1.0), 9),
+    "graded-disk-12": graded_disk,
+    "rectangle-three-points": lambda: build_mesh(
+        Domain.rectangle(0.0, 0.0, 2.0, 1.0), 8,
+        refine_points=compute_separation_radii(
+            [[0.5, 0.5], [1.2, 0.3], [1.5, 0.7]],
+            Domain.rectangle(0.0, 0.0, 2.0, 1.0)), refine_levels=5),
+    # bare arrays with a clockwise triangle, which the Mesh reorients,
+    # without and with the edge table of the input order
+    "bare-clockwise": lambda: Mesh(*_CLOCKWISE, Domain.unit_square()),
+    "table-clockwise": lambda: Mesh(
+        *_CLOCKWISE, Domain.unit_square(),
+        *_tri_edges(_CLOCKWISE[1])[:2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_TABLE_MESHES))
+def test_every_mesh_carries_its_edge_table(case):
+    mesh = _EDGE_TABLE_MESHES[case]()
+    edges, tri_edges = mesh.edges, mesh.triangle_edges
+    assert edges.dtype == tri_edges.dtype == np.int32
+    assert edges.shape[1] == 2 and tri_edges.shape == mesh.triangles.shape
+    assert np.all(edges[:, 0] < edges[:, 1])
+    assert np.unique(edges, axis=0).shape == edges.shape
+    # slot j joins corners j + 1 and j + 2
+    for j in range(3):
+        a = mesh.triangles[:, (j + 1) % 3]
+        b = mesh.triangles[:, (j + 2) % 3]
+        assert np.array_equal(edges[tri_edges[:, j]],
+                              np.column_stack([np.minimum(a, b),
+                                               np.maximum(a, b)]))
+    # Euler's formula of a triangulated disk
+    assert mesh.num_vertices - len(edges) + mesh.num_triangles == 1
+    sorted_edges, _, _ = _tri_edges(mesh.triangles)
+    assert set(map(tuple, edges.tolist())) \
+        == set(map(tuple, sorted_edges.tolist()))
+
+
 def test_locate_point_at_vertex_and_barycenter():
     mesh = build_mesh(Domain.unit_square(), 4)
     vid = 7
@@ -327,13 +370,13 @@ def test_graded_build_validates_once_and_carries_its_edge_table(
     counted("circumcenters", circumcenters,
             rows=lambda vertices, triangles: triangles.shape[0])
 
-    # (a) one validated Mesh, and one edge sort (on the base grid) per
-    # build, whatever the number of levels
+    # (a) one validated Mesh per build, whatever the number of levels,
+    # and no edge sort: the grid's table is carried to the mesh
     for depth in (0, 1, levels):
         calls.update(dict.fromkeys(calls, 0))
         build_mesh(domain, n, refine_points=pts, refine_levels=depth)
         assert calls["Mesh"] == 1
-        assert calls["_tri_edges"] == min(depth, 1)
+        assert calls["_tri_edges"] == 0
 
     # (b) circumcenters of the base grid, then only of new children
     reference = reference_graded_meshes(domain, n, pts, levels)
@@ -396,9 +439,8 @@ def test_first_locate_on_a_graded_build_sorts_no_edges(monkeypatch):
         return _tri_edges(*args)
     monkeypatch.setattr(mesh_module, "_tri_edges", counted)
     mesh = build_mesh(domain, n, refine_points=pts, refine_levels=levels)
-    assert len(calls) == 1
     # the center is a grid vertex of every level
     t, lam = locate_point(mesh, [0.0, 0.0])
     assert np.max(lam) == 1.0
     locate_point(large, [0.0, 0.0])
-    assert len(calls) == 1
+    assert len(calls) == 0

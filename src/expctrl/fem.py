@@ -12,8 +12,9 @@ order.  All assembly is vectorized over elements and sums by
 np.bincount, in triangle order: a P1 matrix is its diagonal, summed
 per vertex, and one value per edge of the mesh's edge table, placed at
 both of its entries (_edge_assembly), so every sum runs in this code's
-order and a_ij and a_ji are one float.  Vector loads sum their element
-contributions the same way.  The solver is PCG with one symmetric AMG
+order and a_ij and a_ji are one float.  The load of a field is the
+plain edge-midpoint rule, its element contributions summed the same
+way.  The solver is PCG with one symmetric AMG
 V-cycle per iteration (degree-2 fourth-kind Chebyshev smoothing, a
 hand-written Cholesky of the at most 100-unknown coarsest level); no
 library factorizations anywhere.
@@ -51,13 +52,6 @@ def _load_kernels():
 
 
 _sparsetools = _load_kernels()
-
-# order-2 rule: edge midpoints, weight area/3 each (exact for quadratics)
-TRI3_BARY = np.array([
-    [0.0, 0.5, 0.5],
-    [0.5, 0.0, 0.5],
-    [0.5, 0.5, 0.0]])
-TRI3_W = np.array([1.0, 1.0, 1.0]) / 3.0
 
 # order-5 rule, 7 points
 _S15 = np.sqrt(15.0)
@@ -191,26 +185,20 @@ def assemble_load(mesh, f):
     by the order-2 edge-midpoint rule.  f must accept an (N, 2) array of
     points and return N values.
 
-    Point q of the rule, TRI3_BARY[q], halves the two corners other
-    than q, and hat i is 1/2 at the two points other than i.  Points
-    and entries add those two terms, each a product in the order the
-    einsums over TRI3_BARY and TRI3_W formed it, in increasing index
-    order; so the load keeps the einsums' bits without their generic
-    inner loop.  The einsums summed from +0.0, so a point also starts
-    from +0.0; an entry of -0.0 needs no such care, because the
-    accumulation into the load starts from +0.0 as well."""
-    # the two local indices other than 0, 1 and 2, in increasing order
-    first, second = [1, 0, 0], [2, 2, 1]
-    half = 0.5 * np.take(mesh.vertices, mesh.triangles, axis=0)
-    points = np.take(half, first, axis=1)             # (T, q, 2)
-    points += 0.0
-    points += np.take(half, second, axis=1)
-    terms = np.asarray(f(points.reshape(-1, 2)), dtype=float).reshape(
-        mesh.num_triangles, 3) * TRI3_W
-    terms *= 0.5
-    terms *= mesh.areas[:, None]
-    local = np.take(terms, first, axis=1)
-    local += np.take(terms, second, axis=1)
+    Hat i is 1/2 at the midpoints of the two edges at corner i and 0 at
+    the third, so corner i gets area/6 times the values of f there."""
+    corners = np.take(mesh.vertices, mesh.triangles, axis=0)
+    # slot j: the midpoint of the edge opposite corner j
+    midpoints = np.take(corners, [1, 2, 0], axis=1)
+    midpoints += np.take(corners, [2, 0, 1], axis=1)
+    midpoints *= 0.5
+    del corners
+    values = np.asarray(f(midpoints.reshape(-1, 2)), dtype=float).reshape(
+        mesh.num_triangles, 3) * (mesh.areas / 6.0)[:, None]
+    local = np.empty_like(values)
+    for j in range(3):
+        np.add(values[:, (j + 1) % 3], values[:, (j + 2) % 3],
+               out=local[:, j])
     return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
                        minlength=mesh.num_vertices)
 
@@ -486,21 +474,19 @@ class CSR:
 
     def __matmul__(self, other):
         """A @ x for a vector (csr_matvec) or the columns of a 2-D array
-        (csr_matvecs; one column goes through csr_matvec, as in scipy),
-        and A @ B for a CSR B (csr_matmat_maxnnz, then csr_matmat)."""
+        (csr_matvecs), and A @ B for a CSR B (csr_matmat_maxnnz, then
+        csr_matmat)."""
         M, N = self.shape
         if isinstance(other, CSR):
             return self._matmat(other)
         if len(other) != N:
             raise ValueError("operand length does not match the matrix")
-        if other.ndim == 2 and other.shape[1] != 1:
+        if other.ndim == 2:
             y = np.zeros((M, other.shape[1]))
             _sparsetools.csr_matvecs(M, N, other.shape[1], self.indptr,
                                      self.indices, self.data, other.ravel(),
                                      y.ravel())
             return y
-        if other.ndim == 2:
-            return (self @ other.ravel()).reshape(M, 1)
         y = np.zeros(M)
         _sparsetools.csr_matvec(M, N, self.indptr, self.indices, self.data,
                                 other, y)
@@ -565,17 +551,6 @@ class CSR:
         """A - B by csr_minus_csr, which drops exact zeros."""
         return self._binop(B, _sparsetools.csr_minus_csr)
 
-    def sorted_indices(self):
-        """A itself when each row lists its columns in increasing order
-        (csr_has_sorted_indices), else a copy sorted by csr_sort_indices."""
-        M = self.shape[0]
-        if _sparsetools.csr_has_sorted_indices(M, self.indptr, self.indices):
-            return self
-        A = CSR(self.indptr.copy(), self.indices.copy(), self.data.copy(),
-                self.shape)
-        _sparsetools.csr_sort_indices(M, A.indptr, A.indices, A.data)
-        return A
-
     def diagonal(self):
         """The main diagonal (csr_diagonal)."""
         M, N = self.shape
@@ -601,9 +576,11 @@ class Multigrid:
     prolongator T by one damped Jacobi step, P = T - diag(w) A T, and
     forms the Galerkin product P' (A P), symmetrized, until at most
     _COARSE_SIZE unknowns remain; the coarsest matrix is factored by a
-    hand-written Cholesky.  Every coarse matrix, its smoother weights,
-    every P and its transpose R are stored, built once here, so a
-    V-cycle builds no matrix object.
+    hand-written Cholesky.  Each coarse level is one record (A, w,
+    (9/5) w): its matrix and the weights of its Chebyshev steps.  The
+    records, every P and its transpose R (faster to apply than P' from
+    P's arrays) are built once here, so a V-cycle builds no matrix
+    object.
 
     The operator A (a CSR) the hierarchy is built from only serves its
     coarse levels: preconditioner(A) takes the finest level from the
@@ -613,8 +590,7 @@ class Multigrid:
 
     def __init__(self, A):
         w = _jacobi_weights(A)
-        self.levels = []            # coarse (CSR, smoother weights)
-        self._second = []           # coarse (9/5) w of the second step
+        self.levels = []            # coarse (CSR, w, (9/5) w)
         self.prolongators = []
         self.restrictions = []
         theta = _STRENGTH
@@ -623,8 +599,7 @@ class Multigrid:
             R = P.T
             A = _galerkin(A, P, R)
             w = _jacobi_weights(A)
-            self.levels.append((A, w))
-            self._second.append(1.8 * w)
+            self.levels.append((A, w, 1.8 * w))
             self.prolongators.append(P)
             self.restrictions.append(R)
             theta *= 0.5
@@ -645,18 +620,17 @@ class Multigrid:
         M-matrix or not.
         """
         w = _jacobi_weights(A)
-        levels = [(A, w)] + self.levels
-        second = [1.8 * w] + self._second
-        return lambda r: self._vcycle(levels, second, 0, r)
+        levels = [(A, w, 1.8 * w)] + self.levels
+        return lambda r: self._vcycle(levels, 0, r)
 
-    def _vcycle(self, levels, second, k, r):
+    def _vcycle(self, levels, k, r):
         if k == len(self.prolongators):
             return self._coarse.T @ (self._coarse @ r)
-        A, w = levels[k]
-        x = _smooth(A, w, second[k], r)
+        A, w, w2 = levels[k]
+        x = _smooth(A, w, w2, r)
         x += self.prolongators[k] @ self._vcycle(
-            levels, second, k + 1, self.restrictions[k] @ (r - A @ x))
-        return _smooth(A, w, second[k], r, x)
+            levels, k + 1, self.restrictions[k] @ (r - A @ x))
+        return _smooth(A, w, w2, r, x)
 
 
 def _prolongator(A, w, theta):
@@ -679,7 +653,9 @@ def _galerkin(A, P, R):
     rows are sorted, as the aggregation reads them."""
     S = R @ (A @ P)
     S = S + S.T
-    return CSR(S.indptr, S.indices, 0.5 * S.data, S.shape).sorted_indices()
+    S.data *= 0.5
+    _sparsetools.csr_sort_indices(S.shape[0], S.indptr, S.indices, S.data)
+    return S
 
 
 def _smooth(A, w, w2, r, x=None):
@@ -728,10 +704,9 @@ def _aggregate(A, theta):
     aggregate has at least two nodes, so each level at least halves.
     Returns (aggregate index per node, aggregate count).
     """
-    # the strength graph keeps A's pattern, filtered, in column order;
-    # -a_ij >= b is tested as a_ij <= -b, the same test, with the bound
-    # formed in place
-    A = A.sorted_indices()
+    # the strength graph keeps A's pattern, filtered, in column order (the
+    # rows of every operator come sorted, see _galerkin); -a_ij >= b is
+    # tested as a_ij <= -b, with the bound formed in place
     n = A.shape[0]
     sizes = np.diff(A.indptr)
     diag = A.diagonal()

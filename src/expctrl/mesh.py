@@ -130,7 +130,7 @@ class Mesh:
         self.boundary = boundary
         self.domain = domain
         self.areas = areas
-        self.h = _max_edge_length(corners)
+        self.h = float(_edge_lengths(corners).max())
         self.edges = np.asarray(edges, dtype=np.int32)
         self.triangle_edges = np.asarray(triangle_edges, dtype=np.int32)
 
@@ -163,34 +163,6 @@ def _edge_lengths(corners):
         np.subtract(corners[..., a, 1], corners[..., b, 1], out=dy)
         np.hypot(dx, dy, out=lengths[..., j])
     return lengths
-
-
-def _max_edge_length(corners):
-    """The largest edge length of triangles with corners (T, 3, 2), with
-    the bits of _edge_lengths(corners).max().
-
-    The squared lengths are formed from the corner columns, and hypot
-    is taken only on the edges whose square lies within 64 ulps of the
-    largest: a rounded square lies within 2 ulps of the exact one, and
-    hypot within 1 ulp of the exact length, so the longest edge by
-    hypot is among them.  A square that overflows (or a NaN corner)
-    takes the full computation instead.
-    """
-    sq = np.empty((3, corners.shape[0]))
-    dy = np.empty(corners.shape[0])
-    for j in range(3):
-        a, b = (j + 1) % 3, (j + 2) % 3
-        np.subtract(corners[:, a, 0], corners[:, b, 0], out=sq[j])
-        np.subtract(corners[:, a, 1], corners[:, b, 1], out=dy)
-        sq[j] *= sq[j]
-        dy *= dy
-        sq[j] += dy
-    top = sq.max()
-    if not np.isfinite(top):
-        return float(_edge_lengths(corners).max())
-    j, t = np.nonzero(sq >= top * (1.0 - 64.0 * np.finfo(float).eps))
-    d = corners[t, (j + 1) % 3] - corners[t, (j + 2) % 3]
-    return float(np.hypot(d[:, 0], d[:, 1]).max())
 
 
 def _tri_edges(triangles):

@@ -1,18 +1,18 @@
 """Shared test helpers: conversions between the package's CSR matrices
 and scipy sparse matrices (the tests do their matrix algebra in scipy),
 the free-block CSR operators that the solvers take, the truncation of a
-direction, the derivatives of J
-at a control from a fresh state solve, counters of the reduced
-Hessian's linearized solves and of the multigrid V-cycles, and the
-references that faster paths must reproduce bit for bit: the
-edge lengths by two rolled copies of the corners, the level-by-level
-graded refinement, the point location by a scan of every
-triangle, the einsum stiffness and midpoint-rule mass summed in
-triangle order, the einsum load, the 25-term divided-difference series,
-accumulation by np.add.at, the loop aggregation, the PCG loop that
-tests its residual before each step, and the scipy matrix operations
-that CSR replaces: the point operator, the free block of the stiffness
-and the multigrid setup."""
+direction, the derivatives of J at a control from a fresh state solve,
+counters of the reduced Hessian's linearized solves and of the
+multigrid V-cycles, and the references the package is checked against.
+Bit for bit: the edge lengths by two rolled copies of the corners, the
+level-by-level graded refinement, the point location by a scan of
+every triangle, the einsum stiffness and midpoint-rule mass summed in
+triangle order, the 25-term divided-difference series, the loop
+aggregation, the PCG loop that tests its residual before each step,
+and the scipy matrix operations that CSR replaces: the point operator,
+the free block of the stiffness and the multigrid setup.  To a stated
+rounding bound: the load by einsums over the edge-midpoint rule
+TRI3_BARY, TRI3_W."""
 
 import functools
 
@@ -21,14 +21,21 @@ import scipy.sparse as sp
 
 from expctrl import objective
 from expctrl.fem import (_COARSE_SIZE, _STALLED_RESTARTS, _STRENGTH, CSR,
-                         TRI3_BARY, TRI3_W, Multigrid, _cholesky,
-                         _inverse_factor, _phi1)
+                         Multigrid, _cholesky, _inverse_factor, _phi1)
 from expctrl.mesh import (_BARY_TOL, Domain, Mesh, _tri_edges, barycentric,
                           build_mesh, circumcenters, locate_point)
 from expctrl.objective import evaluate_DJ, evaluate_J, reduced_hessian
 from expctrl.optimizer import projected_gradient, second_order_check
 from expctrl.pde import _CG_TOL, solve_linearized, solve_state
 from expctrl.sequences import Control, compute_separation_radii
+
+
+# order-2 rule: edge midpoints, weight area/3 each (exact for quadratics)
+TRI3_BARY = np.array([
+    [0.0, 0.5, 0.5],
+    [0.5, 0.0, 0.5],
+    [0.5, 0.5, 0.0]])
+TRI3_W = np.array([1.0, 1.0, 1.0]) / 3.0
 
 
 def to_scipy(A):
@@ -359,17 +366,6 @@ def reference_dd2_exp(a, b, c):
             total = total + h3 / fact
         out[close] = np.exp(mu) * total
     return out
-
-
-def add_at_bincount(bincount):
-    """A stand-in for np.bincount(x, weights, minlength) that sums the
-    weights by np.add.at into zeros: both add in the order of x.
-    bincount is the real one, which sizes the result."""
-    def summed(x, weights=None, minlength=0):
-        out = np.zeros(bincount(x, minlength=minlength).size)
-        np.add.at(out, x, weights)
-        return out
-    return summed
 
 
 def reference_locate(mesh, x):

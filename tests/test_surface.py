@@ -1,6 +1,7 @@
 """The package's public surface is what its own code calls: a public
-top-level function or class that no code of the package refers to is
-reached only by the tests, and belongs in tests/helpers.py or nowhere."""
+top-level function, class or constant that no code of the package
+refers to is reached only by the tests, and belongs in tests/helpers.py
+or nowhere."""
 
 import ast
 from pathlib import Path
@@ -11,18 +12,29 @@ SRC = Path(expctrl.__file__).parent
 
 
 def _public_definitions(tree):
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    """Names of the public top-level functions and classes of a module,
+    and of the names its top-level assignments bind."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [name.id for target in node.targets
+                      for name in ast.walk(target)
+                      if isinstance(name, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
 
 
 def _referenced_names(tree):
-    """(name, owner) of every ast.Name and ast.Attribute of a module;
-    owner is the top-level definition the reference sits in, or None."""
+    """(name, owner) of every ast.Name and ast.Attribute of a module
+    that is read, not bound; owner is the top-level definition the
+    reference sits in, or None."""
     refs = set()
     for stmt in tree.body:
         owner = getattr(stmt, "name", None)
         for node in ast.walk(stmt):
+            if isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
             if isinstance(node, ast.Name):
                 refs.add((node.id, owner))
             elif isinstance(node, ast.Attribute):
@@ -35,9 +47,9 @@ def test_every_public_definition_is_referenced_by_the_package():
              for path in sorted(SRC.glob("*.py"))}
     refs = set().union(*(_referenced_names(t) for t in trees.values()))
     unused = sorted(
-        "%s.%s" % (module[:-3], node.name)
+        "%s.%s" % (module[:-3], public)
         for module, tree in trees.items()
-        for node in _public_definitions(tree)
-        if not any(name == node.name and owner != node.name
+        for public in _public_definitions(tree)
+        if not any(name == public and owner != public
                    for name, owner in refs))
     assert unused == []

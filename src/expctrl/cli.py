@@ -32,7 +32,7 @@ from .mesh import Domain, build_mesh
 from .objective import taylor_remainder_test
 from .optimizer import projected_gradient, second_order_check
 from .pde import ProblemInstance, solve_state
-from .sequences import BoundsPair, Control, compute_separation_radii
+from .sequences import BoundsPair, compute_separation_radii
 
 _REQUIRED = object()
 
@@ -255,6 +255,10 @@ class RunConfig:
         if isinstance(instance.f0, _StateOf):
             raise ConfigError("field 'f0': state_of is only available "
                               "for y_d")
+        if isinstance(instance.y_d, _StateOf) \
+                and instance.y_d.values.size != points.count:
+            raise ConfigError(
+                "field 'y_d': state_of needs one value per source point")
         tolerances = {"newton": 1e-10, "kkt": 1e-6, "taylor": 1e-12,
                       "active": 1e-10}
         for key, value in _object(cfg, "tolerances", {}).items():
@@ -267,11 +271,10 @@ class RunConfig:
                     "field 'tolerances.%s': must be a positive finite number"
                     % key)
             tolerances[key] = value
-        if seed is None:
-            seed = _count(cfg, "seed", 42, 0)
+        seed = _count(cfg if seed is None else {"seed": seed}, "seed", 42, 0)
         if out is None:
             out = str(_field(cfg, "out", "."))
-        return cls(instance, tolerances, int(seed), Path(out), cfg)
+        return cls(instance, tolerances, seed, Path(out), cfg)
 
 
 def load_config(path, out=None, seed=None):
@@ -322,7 +325,7 @@ def _write_summary(path, pairs):
 
 def _base_control(config):
     count = config.instance.points.count
-    return Control(_float_list(config.raw, "control", [0.0] * count, count))
+    return np.array(_float_list(config.raw, "control", [0.0] * count, count))
 
 
 def _resolve_target(config, mesh):
@@ -330,10 +333,7 @@ def _resolve_target(config, mesh):
     copy, so the config stays usable for another run."""
     instance = config.instance
     if isinstance(instance.y_d, _StateOf):
-        if instance.y_d.values.size != instance.points.count:
-            raise ConfigError(
-                "field 'y_d': state_of needs one value per source point")
-        state = solve_state(instance, Control(instance.y_d.values), mesh,
+        state = solve_state(instance, instance.y_d.values, mesh,
                             tol=config.tolerances["newton"])
         instance = copy.copy(instance)
         instance.y_d = state.y
@@ -345,9 +345,9 @@ def cmd_solve(config):
     linear = _field(config.raw, "linear", False)
     if not isinstance(linear, bool):
         raise ConfigError("field 'linear': expected true or false")
+    u = _base_control(config)
     instance = config.instance
     mesh = instance.make_mesh()
-    u = _base_control(config)
     state = solve_state(instance, u, mesh,
                         tol=config.tolerances["newton"], linear=linear)
     out = config.out
@@ -382,9 +382,9 @@ def cmd_optimize(config):
     unblocked, one each.
     """
     max_iters = _count(config.raw, "max_iters", 200, 0)
+    u0 = _base_control(config)
     mesh = config.instance.make_mesh()
     instance = _resolve_target(config, mesh)
-    u0 = _base_control(config)
     tol = config.tolerances["kkt"]
     u, report = projected_gradient(
         instance, mesh, u0, max_iters=max_iters, tol=tol,
@@ -397,11 +397,11 @@ def cmd_optimize(config):
                                       "step"),
                ((i,) + row for i, row in enumerate(report.history)))
     _write_csv(out / "control.csv", ("index", "value"),
-               enumerate(u.values))
+               enumerate(u))
     _write_csv(out / "kkt.csv",
                ("index", "u", "lower", "upper", "d", "classification",
                 "residual"),
-               ((i, u.values[i], instance.bounds.lower[i],
+               ((i, u[i], instance.bounds.lower[i],
                  instance.bounds.upper[i], report.gradient[i],
                  report.classification[i], report.residuals[i])
                 for i in range(len(u))))
@@ -522,16 +522,16 @@ def cmd_verify(config):
 
 def cmd_taylor(config):
     """Remainder tables for the objective along a direction."""
-    mesh = config.instance.make_mesh()
-    instance = _resolve_target(config, mesh)
     u = _base_control(config)
-    h = Control(_float_list(config.raw, "direction",
-                            count=instance.points.count))
+    h = np.array(_float_list(config.raw, "direction",
+                             count=config.instance.points.count))
     rho_grid = _float_list(config.raw, "rho_grid", None)
     if rho_grid is not None and not (
             rho_grid and all(r > 0.0 for r in rho_grid)):
         raise ConfigError("field 'rho_grid': expected a nonempty list of "
                           "positive finite numbers")
+    mesh = config.instance.make_mesh()
+    instance = _resolve_target(config, mesh)
     report = taylor_remainder_test(instance, u, mesh, h,
                                    rho_grid=rho_grid,
                                    tol=config.tolerances["taylor"])
@@ -543,7 +543,7 @@ def cmd_taylor(config):
                  row["state_r2"], row["note"]) for row in report.rows))
     pairs = [("J", report.value),
              ("directional_derivative",
-              float(np.dot(report.gradient, h.values))),
+              float(np.dot(report.gradient, h))),
              ("second_order", report.second_order)]
     for key in ("r1", "r2", "state_r1", "state_r2"):
         slope = report.slopes.get(key)

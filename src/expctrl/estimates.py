@@ -22,8 +22,7 @@ from .fem import (assemble_load, assemble_mollified_load, exp_remainder,
                   integrate_exp_linear)
 from .pde import (field_load, nodal_field, operators, point_coupling,
                   solve_semilinear, solve_state)
-from .sequences import (FOUR_PI, Control, L_functional,
-                        compute_separation_radii, l1_norm)
+from .sequences import FOUR_PI, L_functional, compute_separation_radii
 
 #: relative slack of the discrete L1 Lipschitz checks, calibrated for
 #: meshes at resolution 64 and finer
@@ -170,9 +169,9 @@ def verify_lipschitz_family(instance, mesh, trials, seed):
     lumped = operators(mesh).lumped
     reports = []
     for k in range(int(trials)):
-        u = Control(lo + (up - lo) * rng.random(lo.size))
-        v = Control(lo + (up - lo) * rng.random(lo.size))
-        pair = {"trial": k, "u": u.values.tolist(), "v": v.values.tolist()}
+        u = lo + (up - lo) * rng.random(lo.size)
+        v = lo + (up - lo) * rng.random(lo.size)
+        pair = {"trial": k, "u": u.tolist(), "v": v.tolist()}
         try:
             yu = solve_state(instance, u, mesh)
             yv = solve_state(instance, v, mesh)
@@ -186,16 +185,16 @@ def verify_lipschitz_family(instance, mesh, trials, seed):
         reports.append(EstimateReport(
             "exp-minus-one-l1",
             lumped @ np.abs(eu),
-            (f0_term + l1_norm(u)) * factor, pair))
+            (f0_term + float(np.sum(np.abs(u)))) * factor, pair))
         reports.append(EstimateReport(
             "exp-difference-positive-part",
             lumped @ np.maximum(eu - ev, 0.0),
-            float(np.sum(np.maximum(u.values - v.values, 0.0))) * factor,
+            float(np.sum(np.maximum(u - v, 0.0))) * factor,
             pair))
         reports.append(EstimateReport(
             "exp-difference-l1",
             lumped @ np.abs(eu - ev),
-            float(np.sum(np.abs(u.values - v.values))) * factor, pair))
+            float(np.sum(np.abs(u - v))) * factor, pair))
     return reports
 
 

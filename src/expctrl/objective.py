@@ -22,7 +22,7 @@ import numpy as np
 from .fem import exp_remainder
 from .pde import (_CG_TOL, nodal_field, operators, point_coupling,
                   solve_adjoint, solve_linearized, solve_state)
-from .sequences import FOUR_PI, Control
+from .sequences import FOUR_PI
 
 #: default probe grid, rho = 10^-1 .. 10^-3 in half-decade steps
 DEFAULT_RHO_GRID = tuple(10.0 ** e for e in
@@ -51,18 +51,20 @@ class DerivativeReport:
 
 
 def evaluate_J(instance, u, state):
-    """Objective value at a control, read from its solved state."""
+    """Objective value at a control u, a (K,) float array, read from
+    its solved state."""
     diff = state.y - nodal_field(state.mesh, instance.y_d)
     return 0.5 * float(diff @ (operators(state.mesh).mass @ diff)) \
-        + 0.5 * instance.nu * float(np.dot(u.values, u.values))
+        + 0.5 * instance.nu * float(np.dot(u, u))
 
 
 def evaluate_DJ(instance, u, state):
-    """Gradient d = P phi + nu u at a control from its solved state,
-    returned as (d, phi) with the adjoint phi it was read from."""
+    """Gradient d = P phi + nu u at a control u, a (K,) float array,
+    from its solved state, returned as (d, phi) with the adjoint phi it
+    was read from."""
     phi = solve_adjoint(state, instance.y_d)
     d = point_coupling(state.mesh, instance.points.points) @ phi \
-        + instance.nu * u.values
+        + instance.nu * u
     return d, phi
 
 
@@ -83,8 +85,7 @@ def reduced_hessian(instance, state, adjoint, index=None, tol=_CG_TOL):
     eye = np.eye(K)
     Z = np.zeros((state.y.size, K))
     for i in np.flatnonzero(solved):
-        Z[:, i] = solve_linearized(state, Control(eye[i]),
-                                   instance.points, tol=tol)
+        Z[:, i] = solve_linearized(state, eye[i], instance.points, tol=tol)
     weight = ops.lumped * np.exp(state.y) * adjoint
     H = Z.T @ (ops.mass @ Z) - Z.T @ (weight[:, None] * Z) \
         + instance.nu * np.diag(solved)
@@ -92,8 +93,8 @@ def reduced_hessian(instance, state, adjoint, index=None, tol=_CG_TOL):
 
 
 def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
-    """Tabulate Taylor remainders of J along h over a grid of step
-    sizes and fit their log-log slopes.
+    """Tabulate Taylor remainders of J at u along h, both (K,) float
+    arrays, over a grid of step sizes and fit their log-log slopes.
 
     Each row holds rho, the first and second objective remainders
     R1 = |J(u + rho h) - J - rho DJ.h| and
@@ -107,18 +108,18 @@ def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
     state = solve_state(instance, u, mesh, tol=tol)
     base = evaluate_J(instance, u, state)
     grad, adjoint = evaluate_DJ(instance, u, state)
-    dj_h = float(np.dot(grad, h.values))
+    dj_h = float(np.dot(grad, h))
     # h vanishes off its support, so H is needed only there
-    H = reduced_hessian(instance, state, adjoint, np.flatnonzero(h.values))
-    d2_hh = float(h.values @ H @ h.values)
+    H = reduced_hessian(instance, state, adjoint, np.flatnonzero(h))
+    d2_hh = float(h @ H @ h)
     lumped = operators(mesh).lumped
     rows = []
     for rho in rho_grid:
         rho = float(rho)
-        probe = Control(u.values + rho * h.values)
+        probe = u + rho * h
         row = {"rho": rho, "r1": 0.0, "r2": 0.0,
                "state_r1": 0.0, "state_r2": 0.0, "note": ""}
-        if float(np.max(probe.values)) >= FOUR_PI:
+        if float(np.max(probe)) >= FOUR_PI:
             row["note"] = "skipped: probe control reaches 4*pi"
         else:
             try:

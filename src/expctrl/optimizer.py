@@ -22,7 +22,6 @@ import numpy as np
 
 from .objective import evaluate_DJ, evaluate_J, reduced_hessian
 from .pde import _CG_TOL, _ETA_MAX, solve_state
-from .sequences import Control, project_box
 
 # the widest band next to a bound in which a component is held as
 # epsilon-active (Bertsekas 1982)
@@ -79,7 +78,8 @@ class SecondOrderReport:
 
 
 def kkt_residual(u, d, bounds, tol_active=1e-10):
-    """Trichotomy residuals of the first-order conditions.
+    """Trichotomy residuals of the first-order conditions at the
+    control u with gradient d, both (K,) float arrays.
 
     A lower-active component needs d_i >= 0, an upper-active one
     d_i <= 0, an interior one d_i = 0; activity is detected within
@@ -87,36 +87,36 @@ def kkt_residual(u, d, bounds, tol_active=1e-10):
     projected-gradient residual is reported alongside; it vanishes at
     exactly the same controls.
     """
-    uv = u.values
     dv = np.asarray(d, dtype=float).reshape(-1)
-    if uv.size != dv.size:
+    if u.size != dv.size:
         raise ValueError("control and gradient differ in length")
-    if uv.size != len(bounds):
+    if u.size != len(bounds):
         raise ValueError("control and bounds differ in support size")
     classification = []
-    residuals = np.empty(uv.size)
-    for i in range(uv.size):
+    residuals = np.empty(u.size)
+    for i in range(u.size):
         lo, up = bounds.lower[i], bounds.upper[i]
         if up - lo <= tol_active:
             classification.append("degenerate")
             residuals[i] = 0.0
-        elif uv[i] <= lo + tol_active:
+        elif u[i] <= lo + tol_active:
             classification.append("lower-active")
             residuals[i] = max(-dv[i], 0.0)
-        elif uv[i] >= up - tol_active:
+        elif u[i] >= up - tol_active:
             classification.append("upper-active")
             residuals[i] = max(dv[i], 0.0)
         else:
             classification.append("interior")
             residuals[i] = abs(dv[i])
-    projected = np.abs(uv - np.clip(uv - dv, bounds.lower, bounds.upper))
+    projected = np.abs(u - np.clip(u - dv, bounds.lower, bounds.upper))
     return KKTReport(classification, residuals, projected, dv)
 
 
 def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
                        tol_active=1e-10, state_tol=1e-10):
-    """Minimize J over the box from u0 by projected Newton (Bertsekas
-    1982, SIAM J. Control Optim. 20).
+    """Minimize J over the box from u0, a (K,) float array clipped
+    into the box first, by projected Newton (Bertsekas 1982, SIAM J.
+    Control Optim. 20); returns the final (K,) control and its report.
 
     Each iterate steps to u(s) = clamp(u + s p).  A component within
     eps = min(1e-3, w) of a bound that d pushes against, with w the
@@ -142,7 +142,9 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
     intact.
     """
     lower, upper = instance.bounds.lower, instance.bounds.upper
-    u = project_box(u0, instance.bounds)
+    if len(u0) != len(instance.bounds):
+        raise ValueError("control and bounds differ in support size")
+    u = np.clip(u0, lower, upper)
     state = solve_state(instance, u, mesh, tol=state_tol)
     value = evaluate_J(instance, u, state)
     grad, adjoint = evaluate_DJ(instance, u, state)
@@ -157,8 +159,8 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
             return u, kkt
         eps = min(_EPSILON, kkt.projected_aggregate)
         held = (lower == upper) \
-            | ((u.values <= lower + eps) & (grad > 0.0)) \
-            | ((u.values >= upper - eps) & (grad < 0.0))
+            | ((u <= lower + eps) & (grad > 0.0)) \
+            | ((u >= upper - eps) & (grad < 0.0))
         free = ~held
         eta = max(_CG_TOL, min(_ETA_MAX, kkt.aggregate))
         H = reduced_hessian(instance, state, adjoint, free, tol=eta)
@@ -175,7 +177,7 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
             newton, s = float(half @ half), 1.0
         rejections = 0
         while True:
-            trial = Control(np.clip(u.values + s * direction, lower, upper))
+            trial = np.clip(u + s * direction, lower, upper)
             trial_state = None
             try:
                 trial_state = solve_state(instance, trial, mesh,
@@ -185,7 +187,7 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
                 trial_value = None
             if trial_value is not None:
                 decrease = s * newton + float(np.dot(
-                    grad[held], u.values[held] - trial.values[held]))
+                    grad[held], u[held] - trial[held]))
                 if trial_value <= value - _ARMIJO * decrease:
                     break
             rejections += 1

@@ -190,7 +190,7 @@ class ProblemInstance:
 
     def __init__(self, domain, points, bounds, nu, f0=None, y_d=None,
                  resolution=64, refine_levels=0):
-        if len(bounds) != len(points):
+        if len(bounds) != points.count:
             raise ValueError("bounds and source points differ in support size")
         if not (np.isfinite(nu) and nu >= 0.0):
             raise ValueError("regularization weight nu must be nonnegative")
@@ -328,18 +328,18 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
 
 
 def solve_state(instance, u, mesh, tol=1e-10, linear=False):
-    """State solve for a control: assemble b(f0) + P' u and run the
-    inexact damped Newton of solve_semilinear.
+    """State solve for a control u, a (K,) float array: assemble
+    b(f0) + P' u and run the inexact damped Newton of solve_semilinear.
 
     A control with any component at or above 4*pi is rejected up front;
     the equation loses solvability there.
     """
     if len(u) != instance.points.count:
         raise ValueError("control support does not match the source points")
-    if float(np.max(u.values)) >= FOUR_PI:
+    if float(np.max(u)) >= FOUR_PI:
         raise ValueError("state equation may be ill-posed")
     load = field_load(mesh, instance.f0) \
-        + point_coupling(mesh, instance.points.points).rmatvec(u.values)
+        + point_coupling(mesh, instance.points.points).rmatvec(u)
     return solve_semilinear(mesh, load, tol=tol, linear=linear)
 
 
@@ -355,13 +355,13 @@ def _solve_at_state(yS, rhs, tol):
 
 def solve_linearized(yS, h, points, tol=_CG_TOL):
     """Directional derivative of the state at yS along the point-mass
-    direction h: solve (A + M_L diag(e^y)) z = P' h.
+    direction h, a (K,) float array: solve (A + M_L diag(e^y)) z = P' h.
 
-    h has finite support, so this one solve realizes the derivative
-    both for truncations of h and for the full direction.
+    h vanishes beyond the K points, so this one solve realizes the
+    derivative both for truncations of h and for the full direction.
     """
     return _solve_at_state(
-        yS, point_coupling(yS.mesh, points.points).rmatvec(h.values), tol)
+        yS, point_coupling(yS.mesh, points.points).rmatvec(h), tol)
 
 
 def solve_adjoint(yS, y_d):

@@ -1,8 +1,10 @@
-"""Finite-support control sequences, box bounds, and separation radii.
+"""Box bounds, source points, and separation radii.
 
-A control is a finitely supported real sequence; entries beyond the stored
-support are identically zero.  Everything in this module is plain value
-manipulation, independent of the mesh and the PDE solvers.
+A control, like a direction, is a plain (K,) float array: entry i is the
+weight of the point mass at source point i, and the sequence vanishes
+beyond the K points.  This module holds only the bounds and the source
+points; everything in it is plain value manipulation, independent of
+the mesh and the PDE solvers.
 """
 
 import numpy as np
@@ -11,24 +13,6 @@ FOUR_PI = 4.0 * np.pi
 
 # Guard band for the strict upper-bound condition beta_i < 4*pi.
 _BOUND_GUARD = 1e-12
-
-
-class Control:
-    """A finitely supported sequence u = (u_1, ..., u_K, 0, 0, ...)."""
-
-    def __init__(self, values):
-        values = np.array(values, dtype=float).reshape(-1)
-        if values.size < 1:
-            raise ValueError("control needs at least one component")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("control entries must be finite")
-        self.values = values
-
-    def __len__(self):
-        return self.values.size
-
-    def __repr__(self):
-        return "Control(%s)" % (self.values.tolist(),)
 
 
 class BoundsPair:
@@ -100,14 +84,6 @@ class SourcePoints:
     def count(self):
         return self.points.shape[0]
 
-    def __len__(self):
-        return self.points.shape[0]
-
-
-def l1_norm(h):
-    """Sum of absolute values over the support."""
-    return float(np.sum(np.abs(h.values)))
-
 
 def compute_separation_radii(points, domain):
     """Canonical separation radii for a family of interior points.
@@ -158,10 +134,3 @@ def L_functional(omega, radii):
         raise ValueError("separation radii must be positive")
     pos = np.maximum(omega, 0.0)
     return float(np.sum(pos * np.log(1.0 / rho)))
-
-
-def project_box(u, bounds):
-    """Componentwise clamp of u onto [alpha, beta]."""
-    if len(u) != len(bounds):
-        raise ValueError("control and bounds differ in support size")
-    return Control(np.clip(u.values, bounds.lower, bounds.upper))

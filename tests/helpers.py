@@ -27,7 +27,7 @@ from expctrl.mesh import (_BARY_TOL, Domain, Mesh, _tri_edges, barycentric,
 from expctrl.objective import evaluate_DJ, evaluate_J, reduced_hessian
 from expctrl.optimizer import projected_gradient, second_order_check
 from expctrl.pde import _CG_TOL, solve_linearized, solve_state
-from expctrl.sequences import Control, compute_separation_radii
+from expctrl.sequences import compute_separation_radii
 
 
 # order-2 rule: edge midpoints, weight area/3 each (exact for quadratics)
@@ -66,9 +66,9 @@ def truncate(h, k):
     index k (1-based) set to zero, at h's support size."""
     if int(k) != k or k < 1:
         raise ValueError("truncation index must be a positive integer")
-    values = h.values.copy()
+    values = np.array(h, dtype=float)
     values[int(k):] = 0.0
-    return Control(values)
+    return values
 
 
 def J(instance, u, mesh, tol=1e-10):

@@ -19,8 +19,7 @@ from expctrl.objective import (evaluate_DJ, reduced_hessian,
 from expctrl.optimizer import projected_gradient
 from expctrl.pde import (ProblemInstance, operators, point_coupling,
                          solve_linearized, solve_state)
-from expctrl.sequences import (BoundsPair, Control,
-                               compute_separation_radii, l1_norm)
+from expctrl.sequences import BoundsPair, compute_separation_radii
 from helpers import DJ, J, certify, truncate
 
 TWO_PI = 2.0 * np.pi
@@ -69,7 +68,7 @@ def test_disk_fundamental_solution_convergence():
     errors = []
     for n in (16, 32, 64):
         mesh = build_mesh(domain, n)
-        y = solve_state(instance, Control([1.0]), mesh, linear=True)
+        y = solve_state(instance, np.array([1.0]), mesh, linear=True)
         values = point_coupling(mesh, ring) @ y.y
         errors.append(float(np.max(np.abs(values - exact))))
     order = float(np.polyfit(np.log([1.0 / 16, 1.0 / 32, 1.0 / 64]),
@@ -83,15 +82,15 @@ def test_gradient_matches_central_differences(two_point_instance,
                                               square_mesh64):
     # max relative component error < 1e-4 at rho = 1e-4
     instance, mesh = two_point_instance, square_mesh64
-    u = Control([0.5, -0.3])
+    u = np.array([0.5, -0.3])
     grad = DJ(instance, u, mesh, tol=1e-10)
     rho = 1e-4
     worst = 0.0
     for i in range(2):
         e = np.zeros(2)
         e[i] = rho
-        fd = (J(instance, Control(u.values + e), mesh, tol=1e-10)
-              - J(instance, Control(u.values - e), mesh, tol=1e-10)) \
+        fd = (J(instance, u + e, mesh, tol=1e-10)
+              - J(instance, u - e, mesh, tol=1e-10)) \
             / (2.0 * rho)
         worst = max(worst, abs(grad[i] - fd) / max(abs(fd), 1e-14))
     ok = worst < 1e-4
@@ -100,8 +99,8 @@ def test_gradient_matches_central_differences(two_point_instance,
 
 def test_taylor_remainder_orders(two_point_instance, square_mesh64):
     # log-log slopes over rho in [1e-3, 1e-1]: R1 >= 1.9, R2 >= 2.5
-    report = taylor_remainder_test(two_point_instance, Control([0.5, -0.3]),
-                                   square_mesh64, Control([1.0, -0.5]))
+    report = taylor_remainder_test(two_point_instance, np.array([0.5, -0.3]),
+                                   square_mesh64, np.array([1.0, -0.5]))
     s1, s2 = report.slopes["r1"], report.slopes["r2"]
     ok = s1 is not None and s2 is not None and s1 >= 1.9 and s2 >= 2.5
     _report(4, "taylor-remainders", ok,
@@ -164,8 +163,8 @@ def test_comparison_principle(two_point_instance, square_mesh64):
     for _ in range(10):
         u = rng.uniform(-1.5, 1.5, 2)
         v = np.minimum(u + rng.uniform(0.0, 1.0, 2), 2.0)
-        yu = solve_state(instance, Control(u), mesh).y
-        yv = solve_state(instance, Control(v), mesh).y
+        yu = solve_state(instance, u, mesh).y
+        yv = solve_state(instance, v, mesh).y
         worst = max(worst, float(np.max(yu - yv)))
     ok = worst <= 1e-8
     _report(7, "comparison-principle", ok, "max(y_u - y_v)=%.3g" % worst)
@@ -185,22 +184,22 @@ def test_optimizer_end_to_end():
     mesh = build_mesh(domain, 32)
     plain = ProblemInstance(domain, points, bounds, 0.1, f0=4.0,
                             resolution=32)
-    target = solve_state(plain, Control(np.zeros(4)), mesh).y
+    target = solve_state(plain, np.zeros(4), mesh).y
     instance = ProblemInstance(domain, points, bounds, 0.1, f0=4.0,
                                y_d=target, resolution=32)
     u, kkt = projected_gradient(instance, mesh,
-                                Control([0.5, 0.5, -0.5, 0.8]),
+                                np.array([0.5, 0.5, -0.5, 0.8]),
                                 max_iters=200, tol=1e-6)
     converged = kkt.aggregate <= 1e-6 and kkt.iterations <= 200
     trichotomy = bool(np.all(kkt.residuals <= 1e-6))
     for i, label in enumerate(kkt.classification):
         lo, hi = bounds.lower[i], bounds.upper[i]
         if label == "lower-active":
-            trichotomy &= abs(u.values[i] - lo) <= 1e-8
+            trichotomy &= abs(u[i] - lo) <= 1e-8
         elif label == "upper-active":
-            trichotomy &= abs(u.values[i] - hi) <= 1e-8
+            trichotomy &= abs(u[i] - hi) <= 1e-8
         elif label == "interior":
-            trichotomy &= lo < u.values[i] < hi
+            trichotomy &= lo < u[i] < hi
     second = certify(instance, u, mesh)
     curvature = second.minimum >= -1e-8
     ok = converged and trichotomy and curvature
@@ -252,24 +251,24 @@ def test_truncation_limits():
     instance = ProblemInstance(domain, points, bounds, 0.1, f0=2.0,
                                y_d=0.0, resolution=32)
     mesh = build_mesh(domain, 32)
-    u = Control([0.5] * 8)
-    h = Control([0.8 ** i for i in range(1, 9)])
+    u = np.array([0.5] * 8)
+    h = np.array([0.8 ** i for i in range(1, 9)])
     state = solve_state(instance, u, mesh)
     d, phi = evaluate_DJ(instance, u, state)
     mass = operators(mesh).mass
     z_full = solve_linearized(state, h, points)
-    dj_full = float(np.dot(d, h.values))
+    dj_full = float(np.dot(d, h))
     H = reduced_hessian(instance, state, phi)
-    q_full = float(h.values @ H @ h.values)
+    q_full = float(h @ H @ h)
     ds_dist, dj_dist, q_dist, tails = [], [], [], []
     for k in range(1, 9):
         hk = truncate(h, k)
         zk = solve_linearized(state, hk, points)
         diff = zk - z_full
         ds_dist.append(float(np.sqrt(diff @ (mass @ diff))))
-        dj_dist.append(abs(float(np.dot(d, hk.values)) - dj_full))
-        q_dist.append(abs(float(hk.values @ H @ hk.values) - q_full))
-        tails.append(l1_norm(h) - l1_norm(hk))
+        dj_dist.append(abs(float(np.dot(d, hk)) - dj_full))
+        q_dist.append(abs(float(hk @ H @ hk) - q_full))
+        tails.append(np.sum(np.abs(h)) - np.sum(np.abs(hk)))
     ok = True
     constants = []
     for dist in (ds_dist, dj_dist, q_dist):

@@ -20,7 +20,6 @@ from expctrl.estimates import EstimateReport
 from expctrl.fem import assemble_mass, assemble_stiffness
 from expctrl.objective import evaluate_DJ, evaluate_J
 from expctrl.pde import solve_state
-from expctrl.sequences import Control
 from helpers import count_vcycles, from_scipy, to_scipy
 
 
@@ -225,6 +224,8 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
             ("solve", {"lower": [-1.0, float("nan")]}, "lower"),
             ("solve", {"control": "11"}, "control"),
             ("solve", {"control": [True, False]}, "control"),
+            ("solve", {"control": [0.5, float("nan")]}, "control"),
+            ("taylor", {"direction": [1.0, float("inf")]}, "direction"),
             ("verify", {"verify": [{"check": "poisson", "omega": [1.0, 1.0],
                                     "alpha": "3"}]}, "verify.alpha"),
             ("verify", {"verify": [{"check": "poisson", "omega": "11",
@@ -421,7 +422,7 @@ def test_optimize_reports_the_derivative_at_the_written_control(tmp_path):
     summary = dict(line.split("=", 1) for line in
                    (out / "optimize_summary.txt").read_text().splitlines()[1:])
     config = load_config(path)
-    instance, u = config.instance, Control(column("control.csv", 1))
+    instance, u = config.instance, np.array(column("control.csv", 1))
     state = solve_state(instance, u, instance.make_mesh(),
                         tol=config.tolerances["newton"])
     assert column("kkt.csv", 4) == evaluate_DJ(instance, u, state)[0].tolist()
@@ -731,6 +732,42 @@ def test_seed_override_changes_random_draws(tmp_path):
     ra = (a / "estimates.csv").read_text().splitlines()[2]
     rb = (b / "estimates.csv").read_text().splitlines()[2]
     assert ra != rb
+
+
+@pytest.mark.parametrize("command", ["solve", "optimize", "taylor", "verify"])
+def test_seed_override_is_validated_like_the_config_field(tmp_path, capsys,
+                                                          command):
+    cfg = base_config(direction=[1.0, 0.0],
+                      verify=[{"check": "scalar", "samples": 10}])
+    path = write_config(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o"),
+                 "--seed", "-1"]) == 1
+    assert "config error: field 'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,extra,field", [
+    ("solve", {"y_d": "state_of(0.5, -0.3, 1.0)"}, "y_d"),
+    ("verify", {"y_d": "state_of(0.5, -0.3, 1.0)"}, "y_d"),
+    ("optimize", {"y_d": "state_of(0.5)"}, "y_d"),
+    ("taylor", {"y_d": "state_of(0.5)"}, "y_d"),
+    ("solve", {"control": [1.0]}, "control"),
+    ("optimize", {"control": [1.0, float("nan")]}, "control"),
+    ("taylor", {"control": [1.0]}, "control"),
+    ("taylor", {"direction": [1.0]}, "direction"),
+    ("taylor", {"rho_grid": [0.1, -0.1]}, "rho_grid"),
+])
+def test_every_value_is_read_before_the_mesh_is_built(
+        tmp_path, capsys, monkeypatch, command, extra, field):
+    def no_mesh(instance):
+        raise AssertionError("a mesh was built")
+    monkeypatch.setattr(expctrl.pde.ProblemInstance, "make_mesh", no_mesh)
+    cfg = base_config(direction=[1.0, 0.0],
+                      verify=[{"check": "scalar", "samples": 10}])
+    cfg.update(extra)
+    path = write_config(tmp_path, cfg)
+    assert main([command, "--config", path, "--out",
+                 str(tmp_path / "o")]) == 1
+    assert "config error: field '%s'" % field in capsys.readouterr().err
 
 
 def test_optimize_reports_do_not_depend_on_the_seed(tmp_path):

@@ -20,8 +20,7 @@ from expctrl.fem import (MOLLIFIER_C, Multigrid, _cholesky,
                          subdivided_quadrature)
 from expctrl.mesh import Domain, Mesh, build_mesh, locate_point
 from expctrl.pde import operators
-from expctrl.sequences import (Control, SourcePoints,
-                               compute_separation_radii)
+from expctrl.sequences import compute_separation_radii
 from helpers import (count_vcycles, free_block, graded_disk,
                      reference_aggregate, reference_dd2_exp,
                      reference_free_block, reference_load, reference_mass,

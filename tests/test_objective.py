@@ -9,7 +9,7 @@ from expctrl.objective import (DerivativeReport, evaluate_DJ, evaluate_J,
                                reduced_hessian, taylor_remainder_test)
 from expctrl.pde import (ProblemInstance, operators, point_coupling,
                          solve_adjoint, solve_state)
-from expctrl.sequences import BoundsPair, Control, compute_separation_radii
+from expctrl.sequences import BoundsPair, compute_separation_radii
 from helpers import D2J, DJ, J, count_linearized, free_block, to_scipy
 
 
@@ -25,7 +25,7 @@ def make_instance(nu=0.1, f0=None, y_d=None, resolution=24,
 def test_J_vanishes_when_tracking_and_penalty_vanish():
     inst = make_instance(nu=0.0)
     mesh = inst.make_mesh()
-    u = Control([1.0, 2.0])
+    u = np.array([1.0, 2.0])
     st = solve_state(inst, u, mesh)
     inst.y_d = st.y
     assert abs(evaluate_J(inst, u, st)) < 1e-20
@@ -34,7 +34,7 @@ def test_J_vanishes_when_tracking_and_penalty_vanish():
 def test_J_reduces_to_the_penalty_on_a_matched_target():
     inst = make_instance(nu=1.0)
     mesh = inst.make_mesh()
-    u = Control([1.0, 2.0])
+    u = np.array([1.0, 2.0])
     inst.y_d = solve_state(inst, u, mesh).y
     # tracking term vanishes, leaving (1/2)(1 + 4)
     assert_allclose(J(inst, u, mesh), 2.5, atol=1e-12)
@@ -43,7 +43,7 @@ def test_J_reduces_to_the_penalty_on_a_matched_target():
 def test_gradient_vanishes_at_a_matched_target_without_penalty():
     inst = make_instance(nu=0.0)
     mesh = inst.make_mesh()
-    u = Control([0.8, -0.3])
+    u = np.array([0.8, -0.3])
     inst.y_d = solve_state(inst, u, mesh).y
     assert np.max(np.abs(DJ(inst, u, mesh))) < 1e-10
 
@@ -51,14 +51,14 @@ def test_gradient_vanishes_at_a_matched_target_without_penalty():
 def test_gradient_matches_central_differences():
     inst = make_instance(f0=lambda x: np.ones(len(x)), y_d=0.5)
     mesh = inst.make_mesh()
-    u = Control([0.5, -0.3])
+    u = np.array([0.5, -0.3])
     d = DJ(inst, u, mesh)
     rho = 1e-4
     for i in range(2):
         e = np.zeros(2)
         e[i] = rho
-        fd = (J(inst, Control(u.values + e), mesh)
-              - J(inst, Control(u.values - e), mesh)) / (2.0 * rho)
+        fd = (J(inst, u + e, mesh)
+              - J(inst, u - e, mesh)) / (2.0 * rho)
         rel = abs(fd - d[i]) / max(1.0, abs(fd))
         assert rel < 1e-4
 
@@ -66,18 +66,18 @@ def test_gradient_matches_central_differences():
 def test_gradient_includes_the_penalty_term():
     inst = make_instance(nu=0.7)
     mesh = inst.make_mesh()
-    u = Control([1.0, -2.0])
+    u = np.array([1.0, -2.0])
     st = solve_state(inst, u, mesh)
     inst.y_d = st.y
     d, _ = evaluate_DJ(inst, u, st)
     # phi = 0, so the gradient is exactly nu * u
-    assert_allclose(d, 0.7 * u.values, atol=1e-10)
+    assert_allclose(d, 0.7 * u, atol=1e-10)
 
 
 def test_second_order_form_zero_direction_and_symmetry():
     inst = make_instance(f0=1.0, y_d=0.2)
     mesh = inst.make_mesh()
-    H = D2J(inst, Control([0.5, 0.5]), mesh)
+    H = D2J(inst, np.array([0.5, 0.5]), mesh)
     z = np.zeros(2)
     assert z @ H @ z == 0.0
     h = np.array([1.0, -0.5])
@@ -88,7 +88,7 @@ def test_second_order_form_zero_direction_and_symmetry():
 def test_second_order_form_is_bilinear():
     inst = make_instance(f0=1.0, y_d=0.2)
     mesh = inst.make_mesh()
-    H = D2J(inst, Control([0.2, -0.1]), mesh)
+    H = D2J(inst, np.array([0.2, -0.1]), mesh)
     h1 = np.array([1.0, 0.0])
     h2 = np.array([0.0, 1.0])
     k = np.array([0.4, -0.7])
@@ -100,12 +100,12 @@ def test_second_order_form_is_bilinear():
 def test_second_order_form_against_finite_differences():
     inst = make_instance(f0=1.0, y_d=0.5)
     mesh = inst.make_mesh()
-    u = Control([0.5, -0.3])
-    h = Control([1.0, -0.5])
-    d2 = h.values @ D2J(inst, u, mesh, tol=1e-12) @ h.values
+    u = np.array([0.5, -0.3])
+    h = np.array([1.0, -0.5])
+    d2 = h @ D2J(inst, u, mesh, tol=1e-12) @ h
     rho = 1e-4
-    jp = J(inst, Control(u.values + rho * h.values), mesh, tol=1e-12)
-    jm = J(inst, Control(u.values - rho * h.values), mesh, tol=1e-12)
+    jp = J(inst, u + rho * h, mesh, tol=1e-12)
+    jm = J(inst, u - rho * h, mesh, tol=1e-12)
     j0 = J(inst, u, mesh, tol=1e-12)
     fd = (jp - 2.0 * j0 + jm) / rho ** 2
     assert abs(d2 - fd) < 1e-5 * (1.0 + abs(d2))
@@ -133,10 +133,10 @@ def four_point_instance():
     mesh = build_mesh(domain, 32)
     plain = ProblemInstance(domain, points, bounds, 0.1, f0=4.0,
                             resolution=32)
-    target = solve_state(plain, Control(np.zeros(4)), mesh).y
+    target = solve_state(plain, np.zeros(4), mesh).y
     instance = ProblemInstance(domain, points, bounds, 0.1, f0=4.0,
                                y_d=target, resolution=32)
-    return instance, mesh, Control([0.5, 0.5, -0.5, 0.8])
+    return instance, mesh, np.array([0.5, 0.5, -0.5, 0.8])
 
 
 @pytest.mark.parametrize("setup", ["two-point", "four-point"])
@@ -144,7 +144,7 @@ def test_reduced_hessian_matches_the_per_direction_form(setup):
     if setup == "two-point":
         inst = make_instance(f0=1.0, y_d=0.5)
         mesh = inst.make_mesh()
-        u = Control([0.5, -0.3])
+        u = np.array([0.5, -0.3])
     else:
         inst, mesh, u = four_point_instance()
     state = solve_state(inst, u, mesh)
@@ -161,15 +161,15 @@ def test_reduced_hessian_matches_the_per_direction_form(setup):
 def test_reduced_hessian_is_symmetric_and_matches_gradient_differences():
     inst = make_instance(f0=1.0, y_d=0.5)
     mesh = inst.make_mesh()
-    u = Control([0.5, -0.3])
+    u = np.array([0.5, -0.3])
     H = D2J(inst, u, mesh, tol=1e-12)
     assert np.array_equal(H, H.T)
     rho = 1e-4
     for j in range(2):
         e = np.zeros(2)
         e[j] = rho
-        fd = (DJ(inst, Control(u.values + e), mesh, tol=1e-12)
-              - DJ(inst, Control(u.values - e), mesh, tol=1e-12)) \
+        fd = (DJ(inst, u + e, mesh, tol=1e-12)
+              - DJ(inst, u - e, mesh, tol=1e-12)) \
             / (2.0 * rho)
         rel = np.max(np.abs(fd - H[:, j])) / max(1.0, np.max(np.abs(fd)))
         assert rel < 1e-4
@@ -178,7 +178,7 @@ def test_reduced_hessian_is_symmetric_and_matches_gradient_differences():
 def test_reduced_hessian_reuses_the_gradient_adjoint(monkeypatch):
     inst = make_instance(f0=1.0, y_d=0.5)
     mesh = inst.make_mesh()
-    u = Control([0.4, -0.3])
+    u = np.array([0.4, -0.3])
     state = solve_state(inst, u, mesh)
     d, phi = evaluate_DJ(inst, u, state)
     assert np.array_equal(phi, solve_adjoint(state, inst.y_d))
@@ -213,19 +213,19 @@ def test_taylor_solves_the_hessian_only_on_the_direction_support(
         monkeypatch):
     inst = make_instance(f0=1.0, y_d=0.5)
     mesh = inst.make_mesh()
-    u, h = Control([0.5, -0.3]), Control([1.0, 0.0])
+    u, h = np.array([0.5, -0.3]), np.array([1.0, 0.0])
     H = D2J(inst, u, mesh, tol=1e-12)
     calls = count_linearized(monkeypatch)
     rep = taylor_remainder_test(inst, u, mesh, h, rho_grid=[1e-2])
     assert len(calls) == 1
-    assert rep.second_order == float(h.values @ H @ h.values)
+    assert rep.second_order == float(h @ H @ h)
 
 
 def test_taylor_zero_direction_gives_a_zero_table():
     inst = make_instance(f0=1.0, y_d=0.2)
     mesh = inst.make_mesh()
-    rep = taylor_remainder_test(inst, Control([0.5, 0.5]), mesh,
-                                Control([0.0, 0.0]))
+    rep = taylor_remainder_test(inst, np.array([0.5, 0.5]), mesh,
+                                np.array([0.0, 0.0]))
     for row in rep.rows:
         assert row["r1"] == 0.0
         assert row["r2"] == 0.0
@@ -236,8 +236,8 @@ def test_taylor_zero_direction_gives_a_zero_table():
 def test_taylor_slopes_show_the_remainder_orders():
     inst = make_instance(f0=1.0, y_d=0.5)
     mesh = inst.make_mesh()
-    rep = taylor_remainder_test(inst, Control([0.5, -0.3]), mesh,
-                                Control([1.0, -0.5]))
+    rep = taylor_remainder_test(inst, np.array([0.5, -0.3]), mesh,
+                                np.array([1.0, -0.5]))
     assert rep.slopes["r1"] > 1.9
     assert rep.slopes["r2"] > 2.5
     # the rho-normalized state remainders vanish linearly
@@ -249,8 +249,8 @@ def test_taylor_custom_grid_and_row_contents():
     inst = make_instance(f0=1.0, y_d=0.2)
     mesh = inst.make_mesh()
     grid = [1e-1, 1e-2]
-    rep = taylor_remainder_test(inst, Control([0.2, 0.2]), mesh,
-                                Control([1.0, 1.0]), rho_grid=grid)
+    rep = taylor_remainder_test(inst, np.array([0.2, 0.2]), mesh,
+                                np.array([1.0, 1.0]), rho_grid=grid)
     assert [row["rho"] for row in rep.rows] == grid
     for row in rep.rows:
         assert row["note"] == ""
@@ -261,8 +261,8 @@ def test_taylor_flags_infeasible_probes():
     # u + rho h crosses the 4*pi solvability limit at the largest rho
     inst = make_instance(upper=(12.56, 12.56))
     mesh = inst.make_mesh()
-    u = Control([12.0, 0.0])
-    h = Control([8.0, 0.0])
+    u = np.array([12.0, 0.0])
+    h = np.array([8.0, 0.0])
     rep = taylor_remainder_test(inst, u, mesh, h, rho_grid=[0.1, 1e-3])
     notes = [row["note"] for row in rep.rows]
     assert "skipped" in notes[0]

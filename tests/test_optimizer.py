@@ -10,7 +10,7 @@ from expctrl.optimizer import (KKTReport, critical_cone_minimum,
                                kkt_residual, projected_gradient,
                                second_order_check)
 from expctrl.pde import _CG_TOL, _ETA_MAX, ProblemInstance, solve_state
-from expctrl.sequences import BoundsPair, Control, compute_separation_radii
+from expctrl.sequences import BoundsPair, compute_separation_radii
 from helpers import D2J, DJ, J, certify, count_linearized
 
 
@@ -24,7 +24,7 @@ def make_instance(nu=0.1, resolution=20, lower=(-1.0, -1.0),
 
 def test_kkt_classification_trichotomy():
     bounds = BoundsPair([0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0])
-    u = Control([0.0, 0.5, 1.0, 1.0])
+    u = np.array([0.0, 0.5, 1.0, 1.0])
     d = np.array([0.3, 0.0, 0.3, 0.7])
     rep = kkt_residual(u, d, bounds)
     assert rep.classification == ["lower-active", "interior",
@@ -42,16 +42,16 @@ def test_kkt_classification_trichotomy():
 
 def test_kkt_lower_active_with_negative_gradient_is_flagged():
     bounds = BoundsPair([0.0], [1.0])
-    rep = kkt_residual(Control([0.0]), np.array([-0.4]), bounds)
+    rep = kkt_residual(np.array([0.0]), np.array([-0.4]), bounds)
     assert_allclose(rep.residuals, [0.4])
-    rep2 = kkt_residual(Control([0.5]), np.array([-0.4]), bounds)
+    rep2 = kkt_residual(np.array([0.5]), np.array([-0.4]), bounds)
     assert rep2.classification == ["interior"]
     assert_allclose(rep2.residuals, [0.4])
 
 
 def test_kkt_projected_residual_agrees_for_interior_points():
     bounds = BoundsPair([-5.0], [5.0])
-    rep = kkt_residual(Control([0.3]), np.array([0.8]), bounds)
+    rep = kkt_residual(np.array([0.3]), np.array([0.8]), bounds)
     assert_allclose(rep.projected, [0.8])
     assert_allclose(rep.projected_aggregate, 0.8)
 
@@ -60,11 +60,11 @@ def test_kkt_projected_residual_agrees_for_interior_points():
 @given(st.floats(-2.0, 2.0), st.floats(-3.0, 3.0))
 def test_kkt_residual_zero_iff_sign_conditions_hold(u_val, d_val):
     bounds = BoundsPair([-1.0], [1.0])
-    u = Control([np.clip(u_val, -1.0, 1.0)])
+    u = np.array([np.clip(u_val, -1.0, 1.0)])
     rep = kkt_residual(u, np.array([d_val]), bounds)
     r = rep.residuals[0]
     assert r >= 0.0
-    uu = u.values[0]
+    uu = u[0]
     if uu <= -1.0 + 1e-10:
         assert np.isclose(r, max(-d_val, 0.0))
     elif uu >= 1.0 - 1e-10:
@@ -84,31 +84,31 @@ def test_projected_gradient_finds_the_manufactured_optimum():
     # y_d = state at u* = 0 and nu > 0 makes u* = 0 stationary
     inst0 = make_instance(f0=lambda x: 2.0 * np.ones(len(x)))
     mesh = inst0.make_mesh()
-    ystar = solve_state(inst0, Control([0.0, 0.0]), mesh)
+    ystar = solve_state(inst0, np.array([0.0, 0.0]), mesh)
     inst = make_instance(f0=lambda x: 2.0 * np.ones(len(x)), y_d=ystar.y)
-    u, rep = projected_gradient(inst, mesh, Control([0.7, -0.5]),
+    u, rep = projected_gradient(inst, mesh, np.array([0.7, -0.5]),
                                 max_iters=100, tol=1e-8)
     assert rep.aggregate <= 1e-8
-    assert np.max(np.abs(u.values)) < 1e-6
+    assert np.max(np.abs(u)) < 1e-6
     assert rep.iterations < 100
 
 
 def test_projected_gradient_respects_pinned_components():
     inst = make_instance(lower=(0.25, -1.0), upper=(0.25, 1.0), f0=1.0)
     mesh = inst.make_mesh()
-    u, rep = projected_gradient(inst, mesh, Control([0.25, 0.5]),
+    u, rep = projected_gradient(inst, mesh, np.array([0.25, 0.5]),
                                 max_iters=60, tol=1e-7)
-    assert u.values[0] == 0.25
+    assert u[0] == 0.25
     assert rep.classification[0] == "degenerate"
 
 
 def test_projected_gradient_keeps_iterates_feasible_and_J_monotone():
     inst = make_instance(f0=1.0, y_d=0.4)
     mesh = inst.make_mesh()
-    u, rep = projected_gradient(inst, mesh, Control([0.9, -0.9]),
+    u, rep = projected_gradient(inst, mesh, np.array([0.9, -0.9]),
                                 max_iters=50, tol=1e-9)
-    assert np.all(u.values >= inst.bounds.lower - 1e-15)
-    assert np.all(u.values <= inst.bounds.upper + 1e-15)
+    assert np.all(u >= inst.bounds.lower - 1e-15)
+    assert np.all(u <= inst.bounds.upper + 1e-15)
     J_hist = [row[0] for row in rep.history]
     assert all(a >= b - 1e-12 for a, b in zip(J_hist, J_hist[1:]))
 
@@ -116,7 +116,7 @@ def test_projected_gradient_keeps_iterates_feasible_and_J_monotone():
 def test_projected_gradient_with_fully_pinned_bounds_stops_at_once():
     inst = make_instance(lower=(0.3, -0.2), upper=(0.3, -0.2), f0=1.0)
     mesh = inst.make_mesh()
-    u, rep = projected_gradient(inst, mesh, Control([0.3, -0.2]),
+    u, rep = projected_gradient(inst, mesh, np.array([0.3, -0.2]),
                                 max_iters=10, tol=1e-8)
     assert rep.iterations == 0
     assert rep.aggregate == 0.0
@@ -126,10 +126,12 @@ def test_projected_gradient_with_fully_pinned_bounds_stops_at_once():
 def test_projected_gradient_projects_an_infeasible_start():
     inst = make_instance(f0=1.0)
     mesh = inst.make_mesh()
-    u, rep = projected_gradient(inst, mesh, Control([5.0, -5.0]),
+    u, rep = projected_gradient(inst, mesh, np.array([5.0, -5.0]),
                                 max_iters=40, tol=1e-6)
-    assert np.all(u.values <= 1.0 + 1e-15)
-    assert np.all(u.values >= -1.0 - 1e-15)
+    assert np.all(u <= 1.0 + 1e-15)
+    assert np.all(u >= -1.0 - 1e-15)
+    with pytest.raises(ValueError, match="support size"):
+        projected_gradient(inst, mesh, np.array([0.0]))
 
 
 def spy_on_cholesky(monkeypatch):
@@ -147,13 +149,13 @@ def spy_on_cholesky(monkeypatch):
 def test_projected_newton_falls_back_on_an_indefinite_hessian(monkeypatch):
     inst = make_instance(f0=1.0, y_d=0.4)
     mesh = inst.make_mesh()
-    u0 = Control([0.9, -0.9])
+    u0 = np.array([0.9, -0.9])
     d0 = DJ(inst, u0, mesh)
     # the iterates, one gradient each; the Hessian at the first is faked
     at = []
 
     def gradient(instance, u, state):
-        at.append(u.values.copy())
+        at.append(u.copy())
         return evaluate_DJ(instance, u, state)
 
     def hessian(instance, state, adjoint, index=None, tol=_CG_TOL):
@@ -168,7 +170,7 @@ def test_projected_newton_falls_back_on_an_indefinite_hessian(monkeypatch):
     s = rep.history[1][2]
     halvings = np.log2(1.0 / (3.0 * s))
     assert halvings >= 0.0 and halvings == round(halvings)
-    assert np.array_equal(at[1], np.clip(u0.values - s * d0,
+    assert np.array_equal(at[1], np.clip(u0 - s * d0,
                                          inst.bounds.lower,
                                          inst.bounds.upper))
     J_hist = [row[0] for row in rep.history]
@@ -180,17 +182,17 @@ def test_a_clipped_newton_step_lowers_J():
     # past both upper bounds, and the clamp cuts it back to them
     inst = make_instance(f0=1.0, y_d=3.0)
     mesh = inst.make_mesh()
-    u0 = Control([0.0, 0.0])
+    u0 = np.array([0.0, 0.0])
     state = solve_state(inst, u0, mesh)
     d0, phi = evaluate_DJ(inst, u0, state)
     H = reduced_hessian(inst, state, phi)
-    newton = u0.values - np.linalg.solve(H, d0)
+    newton = u0 - np.linalg.solve(H, d0)
     assert np.all(newton > inst.bounds.upper)
     u, rep = projected_gradient(inst, mesh, u0, max_iters=1, tol=1e-9)
     assert rep.iterations == 1
     assert rep.history[1][2] == 1.0
     assert rep.history[1][0] < rep.history[0][0]
-    assert np.array_equal(u.values, inst.bounds.upper)
+    assert np.array_equal(u, inst.bounds.upper)
     # both components are free, so the Armijo bound is the Newton
     # decrement, which the clamped step meets
     decrement = float(d0 @ np.linalg.solve(H, d0))
@@ -216,12 +218,12 @@ def test_a_pinned_interval_never_enters_the_newton_block(monkeypatch):
     monkeypatch.setattr(optimizer, "evaluate_DJ", gradient)
     monkeypatch.setattr(optimizer, "reduced_hessian", hessian)
     blocks = spy_on_cholesky(monkeypatch)
-    u, rep = projected_gradient(inst, mesh, Control([0.25, 0.5]),
+    u, rep = projected_gradient(inst, mesh, np.array([0.25, 0.5]),
                                 max_iters=20, tol=1e-9)
     assert rep.aggregate <= 1e-9
     assert blocks == [(1, 1)] * rep.iterations
     assert all(row[2] == 1.0 for row in rep.history[1:])
-    assert u.values[0] == 0.25
+    assert u[0] == 0.25
 
 
 def test_an_empty_free_set_takes_the_gradient_step(monkeypatch):
@@ -230,7 +232,7 @@ def test_an_empty_free_set_takes_the_gradient_step(monkeypatch):
     # and the step is clamp(u - d) from s = 1
     inst = make_instance(f0=1.0, y_d=3.0)
     mesh = inst.make_mesh()
-    u0 = Control([1.0 - 1e-4] * 2)
+    u0 = np.array([1.0 - 1e-4] * 2)
     d0 = DJ(inst, u0, mesh)
     assert np.all(d0 < -1e-4)
     blocks = spy_on_cholesky(monkeypatch)
@@ -241,9 +243,8 @@ def test_an_empty_free_set_takes_the_gradient_step(monkeypatch):
     assert calls == []
     assert rep.iterations == 1
     assert rep.history[1][2] == 1.0
-    assert np.array_equal(u.values, np.clip(u0.values - d0,
-                                            inst.bounds.lower,
-                                            inst.bounds.upper))
+    assert np.array_equal(u, np.clip(u0 - d0, inst.bounds.lower,
+                                     inst.bounds.upper))
 
 
 def mixed_four_point_instance():
@@ -255,7 +256,7 @@ def mixed_four_point_instance():
     inst = ProblemInstance(dom, pts, BoundsPair([-1.0] * 4, [2.0] * 4),
                            1e-3, resolution=24)
     mesh = inst.make_mesh()
-    inst.y_d = solve_state(inst, Control([2.75, -1.75, 0.3, 0.8]), mesh).y
+    inst.y_d = solve_state(inst, np.array([2.75, -1.75, 0.3, 0.8]), mesh).y
     return inst, mesh
 
 
@@ -264,7 +265,7 @@ def test_newton_and_certificate_solve_only_the_columns_they_read(
     inst, mesh = mixed_four_point_instance()
     blocks = spy_on_cholesky(monkeypatch)
     calls = count_linearized(monkeypatch)
-    u, rep = projected_gradient(inst, mesh, Control([0.0] * 4), tol=1e-6)
+    u, rep = projected_gradient(inst, mesh, np.array([0.0] * 4), tol=1e-6)
     assert rep.classification == ["upper-active", "lower-active",
                                   "interior", "interior"]
     # one successful Cholesky of H_FF per iterate, |F_k| solves each
@@ -291,7 +292,7 @@ def test_iterate_hessians_are_solved_to_the_forcing_tolerance(monkeypatch):
     inst, mesh = mixed_four_point_instance()
     blocks = spy_on_cholesky(monkeypatch)
     calls = count_linearized(monkeypatch)
-    u, rep = projected_gradient(inst, mesh, Control([0.0] * 4), tol=1e-6)
+    u, rep = projected_gradient(inst, mesh, np.array([0.0] * 4), tol=1e-6)
     etas = [max(_CG_TOL, min(_ETA_MAX, row[1])) for row in rep.history]
     assert calls == [eta for (m, _), eta in zip(blocks, etas)
                      for _ in range(m)]
@@ -321,7 +322,7 @@ _COMPONENTS = {
 
 def cone_problem(kinds):
     u, lower, upper, d, allowed = zip(*(_COMPONENTS[k] for k in kinds))
-    return Control(u), np.array(d), BoundsPair(lower, upper), allowed
+    return np.array(u), np.array(d), BoundsPair(lower, upper), allowed
 
 
 def in_cone(h, allowed):
@@ -368,12 +369,12 @@ def test_critical_cone_requires_a_first_order_point():
     bounds = BoundsPair([-1.0], [1.0])
     with pytest.raises(ValueError, match="first-order"):
         critical_cone_minimum(
-            np.eye(1), kkt_residual(Control([0.0]), np.array([0.5]), bounds))
+            np.eye(1), kkt_residual(np.array([0.0]), np.array([0.5]), bounds))
 
 
 def test_critical_cone_minimum_vanishes_on_blocked_components():
     bounds = BoundsPair([0.0, -1.0, 0.0], [1.0, 1.0, 1.0])
-    u = Control([0.0, 0.2, 0.0])
+    u = np.array([0.0, 0.2, 0.0])
     d = np.array([0.5, 0.0, 0.0])   # aggregate 0: sign conditions hold
     # the blocked component has the most negative curvature
     H = np.diag([-5.0, 2.0, 3.0])
@@ -388,7 +389,7 @@ def test_critical_cone_minimum_vanishes_on_blocked_components():
 
 def test_critical_cone_empty_cone_is_flagged():
     bounds = BoundsPair([0.0, 0.0], [1.0, 1.0])
-    u = Control([0.0, 1.0])
+    u = np.array([0.0, 1.0])
     d = np.array([0.5, -0.5])
     value, h = critical_cone_minimum(-np.eye(2), kkt_residual(u, d, bounds))
     assert value == 0.0
@@ -399,7 +400,7 @@ def test_critical_cone_minimum_is_deterministic():
     # h' h is minimal at all four (+-1/2, +-1/2); the first sign
     # pattern visited wins, on every call
     bounds = BoundsPair([-1.0, -1.0], [1.0, 1.0])
-    u = Control([0.1, -0.2])
+    u = np.array([0.1, -0.2])
     d = np.zeros(2)
     kkt = kkt_residual(u, d, bounds)
     value, h = critical_cone_minimum(np.eye(2), kkt)
@@ -416,7 +417,7 @@ def test_second_order_check_rejects_a_thin_negative_region(monkeypatch):
     H = np.eye(3) - 1.001 * np.outer(v, v)
     monkeypatch.setattr(optimizer, "reduced_hessian",
                         lambda *args, **kwargs: H)
-    kkt = kkt_residual(Control([0.0] * 3), np.zeros(3),
+    kkt = kkt_residual(np.array([0.0] * 3), np.zeros(3),
                        BoundsPair([-1.0] * 3, [1.0] * 3))
     # J = 0 sets tol = 1e-8
     kkt.history = [(0.0, kkt.aggregate, 0.0)]
@@ -433,9 +434,9 @@ def test_second_order_check_rejects_a_thin_negative_region(monkeypatch):
 def test_second_order_check_at_a_convex_point():
     inst = make_instance(nu=0.5, f0=1.0)
     mesh = inst.make_mesh()
-    ystar = solve_state(inst, Control([0.0, 0.0]), mesh)
+    ystar = solve_state(inst, np.array([0.0, 0.0]), mesh)
     inst.y_d = ystar.y
-    u, rep = projected_gradient(inst, mesh, Control([0.2, 0.2]),
+    u, rep = projected_gradient(inst, mesh, np.array([0.2, 0.2]),
                                 max_iters=80, tol=1e-9)
     report = certify(inst, u, mesh)
     assert report.passed
@@ -453,7 +454,7 @@ def test_second_order_check_reuses_the_optimizer_state():
     # of a fresh solve at its control, and certify the same
     inst = make_instance(nu=0.5, f0=1.0, y_d=0.2)
     mesh = inst.make_mesh()
-    u, rep = projected_gradient(inst, mesh, Control([0.2, 0.2]),
+    u, rep = projected_gradient(inst, mesh, np.array([0.2, 0.2]),
                                 max_iters=80, tol=1e-9)
     assert np.array_equal(rep.state.y, solve_state(inst, u, mesh).y)
     assert rep.history[-1][0] == J(inst, u, mesh)
@@ -470,7 +471,7 @@ def test_second_order_check_zero_direction_scores_zero():
     inst = make_instance(lower=(0.3, -0.2), upper=(0.3, -0.2), f0=1.0,
                          y_d=0.1)
     mesh = inst.make_mesh()
-    u = Control([0.3, -0.2])
+    u = np.array([0.3, -0.2])
     report = certify(inst, u, mesh)
     assert report.empty
     assert report.minimum == 0.0

@@ -14,7 +14,7 @@ from expctrl.pde import (ProblemInstance, field_load,
                          nodal_field, operators, point_coupling,
                          solve_adjoint, solve_linearized, solve_semilinear,
                          solve_state)
-from expctrl.sequences import (BoundsPair, Control, SourcePoints,
+from expctrl.sequences import (FOUR_PI, BoundsPair, SourcePoints,
                                compute_separation_radii)
 from helpers import count_vcycles, free_block, to_scipy
 
@@ -99,7 +99,7 @@ def test_nodal_field_rejects_wrong_size_and_nonfinite_arrays():
 def test_zero_data_gives_zero_state():
     inst = two_point_instance(16)
     mesh = inst.make_mesh()
-    st = solve_state(inst, Control([0.0, 0.0]), mesh)
+    st = solve_state(inst, np.array([0.0, 0.0]), mesh)
     assert st.newton_iterations == 0
     assert abs(st.y).max() == 0.0
 
@@ -108,9 +108,32 @@ def test_state_rejects_controls_at_the_four_pi_limit():
     inst = two_point_instance(8)
     mesh = inst.make_mesh()
     with pytest.raises(ValueError, match="ill-posed"):
-        solve_state(inst, Control([13.0, 0.0]), mesh)
+        solve_state(inst, np.array([13.0, 0.0]), mesh)
     with pytest.raises(ValueError, match="support"):
-        solve_state(inst, Control([1.0]), mesh)
+        solve_state(inst, np.array([1.0]), mesh)
+
+
+@pytest.mark.parametrize("domain,sites,resolution,levels", [
+    (Domain.unit_square(), [[0.5, 0.5]], 64, 0),
+    (Domain.disk(0.0, 0.0, 1.0), [[0.0, 0.0]], 8, 12),
+    (Domain.unit_square(), [[0.3, 0.4], [0.7, 0.6]], 16, 8),
+], ids=["square", "graded-disk", "graded-square"])
+def test_state_solves_next_to_four_pi(domain, sites, resolution, levels):
+    # every weight 4 pi - g with f0 = 0: Newton holds its step count up
+    # to g = 1e-6, and the states are nonnegative and, by the comparison
+    # principle, nondecreasing entrywise as g shrinks
+    points = compute_separation_radii(sites, domain)
+    K = points.count
+    inst = ProblemInstance(domain, points,
+                           BoundsPair([0.0] * K, [FOUR_PI - 1e-9] * K), 0.0,
+                           resolution=resolution, refine_levels=levels)
+    mesh = inst.make_mesh()
+    previous = np.zeros(mesh.num_vertices)
+    for g in (1.0, 0.1, 1e-3, 1e-6):
+        st = solve_state(inst, np.full(K, FOUR_PI - g), mesh)
+        assert st.newton_iterations <= 8
+        assert np.all(st.y >= previous)
+        previous = st.y
 
 
 def test_linear_mode_reproduces_the_disk_green_function():
@@ -121,7 +144,7 @@ def test_linear_mode_reproduces_the_disk_green_function():
     inst = ProblemInstance(disk, pts, BoundsPair([0.0], [1.5]), 0.0,
                            resolution=32)
     mesh = inst.make_mesh()
-    st = solve_state(inst, Control([1.0]), mesh, linear=True)
+    st = solve_state(inst, np.array([1.0]), mesh, linear=True)
     assert st.linear
     ring = 0.1103178000763258
     angles = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
@@ -137,7 +160,7 @@ def test_unit_square_green_value_with_exponential_off():
     inst = ProblemInstance(dom, pts, BoundsPair([0.0], [1.5]), 0.0,
                            resolution=32)
     mesh = inst.make_mesh()
-    st = solve_state(inst, Control([1.0]), mesh, linear=True)
+    st = solve_state(inst, np.array([1.0]), mesh, linear=True)
     value = (point_coupling(mesh, [[0.25, 0.5]]) @ st.y)[0]
     assert abs(value - 0.12163980885096219) < 1e-3
 
@@ -145,7 +168,7 @@ def test_unit_square_green_value_with_exponential_off():
 def test_newton_converges_fast_and_residuals_decrease():
     inst = two_point_instance(24, f0=lambda x: 3.0 * np.ones(len(x)))
     mesh = inst.make_mesh()
-    st = solve_state(inst, Control([2.0, 1.0]), mesh, tol=1e-12)
+    st = solve_state(inst, np.array([2.0, 1.0]), mesh, tol=1e-12)
     assert st.newton_iterations <= 8
     hist = st.history
     assert all(a > b for a, b in zip(hist, hist[1:]))
@@ -155,7 +178,7 @@ def test_semilinear_lies_below_the_linear_solution():
     # e^y - 1 is an absorption term for y >= 0
     inst = two_point_instance(24)
     mesh = inst.make_mesh()
-    u = Control([1.5, 0.5])
+    u = np.array([1.5, 0.5])
     y_semi = solve_state(inst, u, mesh).y
     y_lin = solve_state(inst, u, mesh, linear=True).y
     assert np.max(y_semi - y_lin) < 1e-10
@@ -169,27 +192,27 @@ def test_comparison_principle_on_ordered_controls():
     for _ in range(4):
         u = rng.uniform(-2.0, 2.0, size=2)
         v = u + rng.uniform(0.0, 1.0, size=2)
-        yu = solve_state(inst, Control(u), mesh).y
-        yv = solve_state(inst, Control(v), mesh).y
+        yu = solve_state(inst, u, mesh).y
+        yv = solve_state(inst, v, mesh).y
         assert np.max(yu - yv) <= 1e-8
 
 
 def test_state_solution_history_and_flags():
     inst = two_point_instance(16)
     mesh = inst.make_mesh()
-    st = solve_state(inst, Control([1.0, -1.0]), mesh)
+    st = solve_state(inst, np.array([1.0, -1.0]), mesh)
     assert np.all(np.isfinite(np.exp(st.y)))
 
 
 def test_linearized_solution_is_linear_in_the_direction():
     inst = two_point_instance(16)
     mesh = inst.make_mesh()
-    st = solve_state(inst, Control([1.0, 0.5]), mesh)
-    z1 = solve_linearized(st, Control([1.0, 0.0]), inst.points)
-    z2 = solve_linearized(st, Control([0.0, 1.0]), inst.points)
-    z12 = solve_linearized(st, Control([2.0, -3.0]), inst.points)
+    st = solve_state(inst, np.array([1.0, 0.5]), mesh)
+    z1 = solve_linearized(st, np.array([1.0, 0.0]), inst.points)
+    z2 = solve_linearized(st, np.array([0.0, 1.0]), inst.points)
+    z12 = solve_linearized(st, np.array([2.0, -3.0]), inst.points)
     assert np.max(np.abs(2.0 * z1 - 3.0 * z2 - z12)) < 1e-10
-    z0 = solve_linearized(st, Control([0.0, 0.0]), inst.points)
+    z0 = solve_linearized(st, np.array([0.0, 0.0]), inst.points)
     assert abs(z0).max() == 0.0
 
 
@@ -198,12 +221,12 @@ def test_linearized_operator_matches_mode():
     # nonlinearity off and A + M_L diag(e^y) otherwise
     inst = two_point_instance(8)
     mesh = inst.make_mesh()
-    st_lin = solve_state(inst, Control([0.5, 0.5]), mesh, linear=True)
-    st_non = solve_state(inst, Control([0.5, 0.5]), mesh)
+    st_lin = solve_state(inst, np.array([0.5, 0.5]), mesh, linear=True)
+    st_non = solve_state(inst, np.array([0.5, 0.5]), mesh)
     ops = operators(mesh)
     free = ~mesh.boundary
-    h = Control([1.0, -0.5])
-    rhs = (point_coupling(mesh, inst.points.points).T @ h.values)[free]
+    h = np.array([1.0, -0.5])
+    rhs = (point_coupling(mesh, inst.points.points).T @ h)[free]
     A = to_scipy(assemble_stiffness(mesh))
     H = A + sp.diags(ops.lumped * np.exp(st_non.y))
     for st, M in ((st_lin, A), (st_non, H)):
@@ -247,7 +270,7 @@ def test_cached_operator_is_the_sliced_scipy_matrix(kind):
 def test_adjoint_vanishes_when_target_equals_state():
     inst = two_point_instance(16)
     mesh = inst.make_mesh()
-    st = solve_state(inst, Control([1.0, -0.5]), mesh)
+    st = solve_state(inst, np.array([1.0, -0.5]), mesh)
     phi = solve_adjoint(st, st.y)
     assert abs(phi).max() < 1e-12
 
@@ -255,7 +278,7 @@ def test_adjoint_vanishes_when_target_equals_state():
 def test_adjoint_sign_follows_the_data():
     inst = two_point_instance(16)
     mesh = inst.make_mesh()
-    st = solve_state(inst, Control([1.0, 0.5]), mesh)
+    st = solve_state(inst, np.array([1.0, 0.5]), mesh)
     # y >= 0 here, so y - 0 >= 0 and the maximum principle gives phi >= 0
     phi = solve_adjoint(st, None)
     assert np.min(phi) >= -1e-10
@@ -265,11 +288,11 @@ def test_adjoint_duality_identity():
     # dot(d(h), phi) = dot(M (y - y_d), z(h))
     inst = two_point_instance(24, f0=1.0, y_d=0.3)
     mesh = inst.make_mesh()
-    st = solve_state(inst, Control([1.2, -0.4]), mesh, tol=1e-12)
-    h = Control([0.7, -1.1])
+    st = solve_state(inst, np.array([1.2, -0.4]), mesh, tol=1e-12)
+    h = np.array([0.7, -1.1])
     phi = solve_adjoint(st, inst.y_d)
     z = solve_linearized(st, h, inst.points, tol=1e-12)
-    d = point_coupling(mesh, inst.points.points).T @ h.values
+    d = point_coupling(mesh, inst.points.points).T @ h
     M = assemble_mass(mesh)
     lhs = float(np.dot(d, phi))
     rhs = float(np.dot(M @ (st.y - nodal_field(mesh, inst.y_d)),
@@ -300,8 +323,8 @@ def test_lipschitz_l2_stability_of_the_state_map():
         v = rng.uniform(-2.0, 2.5, size=2)
         if np.allclose(u, v):
             continue
-        yu = solve_state(inst, Control(u), mesh).y
-        yv = solve_state(inst, Control(v), mesh).y
+        yu = solve_state(inst, u, mesh).y
+        yv = solve_state(inst, v, mesh).y
         diff = yu - yv
         dist = np.sqrt(diff @ (M @ diff))
         ratios.append(dist / np.sum(np.abs(u - v)))
@@ -392,13 +415,13 @@ def near_four_pi_runs():
         resolution=64)
     mesh = inst.make_mesh()
     rng = np.random.default_rng(11)
-    controls = [Control(12.5 * rng.random(8)) for _ in range(20)]
+    controls = [12.5 * rng.random(8) for _ in range(20)]
     with pytest.MonkeyPatch.context() as mp:
         cycles = count_vcycles(mp)
         states = [solve_state(inst, u, mesh) for u in controls]
         forced = len(cycles)
         loads = [field_load(mesh, inst.f0)
-                 + point_coupling(mesh, pts.points).T @ u.values
+                 + point_coupling(mesh, pts.points).T @ u
                  for u in controls]
         reference = [_reference_newton(mesh, b) for b in loads]
     vcycles = {"forced": forced, "reference": len(cycles) - forced}

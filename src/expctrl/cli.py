@@ -32,7 +32,7 @@ from .mesh import Domain, build_mesh
 from .objective import taylor_remainder_test
 from .optimizer import projected_gradient, second_order_check
 from .pde import ProblemInstance, solve_state
-from .sequences import BoundsPair, compute_separation_radii
+from .sequences import BoundsPair, Control, compute_separation_radii
 
 _REQUIRED = object()
 
@@ -325,7 +325,7 @@ def _write_summary(path, pairs):
 
 def _base_control(config):
     count = config.instance.points.count
-    return np.array(_float_list(config.raw, "control", [0.0] * count, count))
+    return Control(_float_list(config.raw, "control", [0.0] * count, count))
 
 
 def _resolve_target(config, mesh):
@@ -523,8 +523,8 @@ def cmd_verify(config):
 def cmd_taylor(config):
     """Remainder tables for the objective along a direction."""
     u = _base_control(config)
-    h = np.array(_float_list(config.raw, "direction",
-                             count=config.instance.points.count))
+    h = Control(_float_list(config.raw, "direction",
+                            count=config.instance.points.count))
     rho_grid = _float_list(config.raw, "rho_grid", None)
     if rho_grid is not None and not (
             rho_grid and all(r > 0.0 for r in rho_grid)):

@@ -331,11 +331,13 @@ def solve_state(instance, u, mesh, tol=1e-10, linear=False):
     """State solve for a control u, a (K,) float array: assemble
     b(f0) + P' u and run the inexact damped Newton of solve_semilinear.
 
-    A control with any component at or above 4*pi is rejected up front;
-    the equation loses solvability there.
+    A control with a non-finite entry or with any component at or above
+    4*pi is rejected up front; the equation loses solvability there.
     """
     if len(u) != instance.points.count:
         raise ValueError("control support does not match the source points")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("control entries must be finite")
     if float(np.max(u)) >= FOUR_PI:
         raise ValueError("state equation may be ill-posed")
     load = field_load(mesh, instance.f0) \

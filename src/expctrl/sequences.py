@@ -2,9 +2,9 @@
 
 A control, like a direction, is a plain (K,) float array: entry i is the
 weight of the point mass at source point i, and the sequence vanishes
-beyond the K points.  This module holds only the bounds and the source
-points; everything in it is plain value manipulation, independent of
-the mesh and the PDE solvers.
+beyond the K points; Control(values) only makes that array.  This module
+holds the bounds and the source points; everything in it is plain value
+manipulation, independent of the mesh and the PDE solvers.
 """
 
 import numpy as np
@@ -58,8 +58,7 @@ class SourcePoints:
     """
 
     def __init__(self, points, radii):
-        points = np.array(points, dtype=float)
-        points = points.reshape(-1, 2)
+        points = np.array(points, dtype=float).reshape(-1, 2)
         radii = np.array(radii, dtype=float).reshape(-1)
         if points.shape[0] != radii.size:
             raise ValueError("one radius per point required")
@@ -134,3 +133,8 @@ def L_functional(omega, radii):
         raise ValueError("separation radii must be positive")
     pos = np.maximum(omega, 0.0)
     return float(np.sum(pos * np.log(1.0 / rho)))
+
+
+def Control(values):
+    """A control or direction given as K numbers: their (K,) array."""
+    return np.asarray(values, dtype=float)

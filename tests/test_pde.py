@@ -111,6 +111,9 @@ def test_state_rejects_controls_at_the_four_pi_limit():
         solve_state(inst, np.array([13.0, 0.0]), mesh)
     with pytest.raises(ValueError, match="support"):
         solve_state(inst, np.array([1.0]), mesh)
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            solve_state(inst, np.array([1.0, bad]), mesh)
 
 
 @pytest.mark.parametrize("domain,sites,resolution,levels", [

@@ -32,7 +32,7 @@ from .mesh import Domain, build_mesh
 from .objective import taylor_remainder_test
 from .optimizer import projected_gradient, second_order_check
 from .pde import ProblemInstance, solve_state
-from .sequences import BoundsPair, Control, compute_separation_radii
+from .sequences import FOUR_PI, BoundsPair, Control, compute_separation_radii
 
 _REQUIRED = object()
 
@@ -148,7 +148,7 @@ def parse_field(text, where):
     text = text.strip()
     if text == "zero":
         return None
-    m = re.fullmatch(r"(constant)[\s(]+([^\s()]+)\)?", text) \
+    m = re.fullmatch(r"(constant)\s+([^\s()]+)", text) \
         or re.fullmatch(r"(\w+)\s*\((.*)\)", text)
     if m:
         name, body = m.groups()
@@ -255,10 +255,11 @@ class RunConfig:
         if isinstance(instance.f0, _StateOf):
             raise ConfigError("field 'f0': state_of is only available "
                               "for y_d")
-        if isinstance(instance.y_d, _StateOf) \
-                and instance.y_d.values.size != points.count:
-            raise ConfigError(
-                "field 'y_d': state_of needs one value per source point")
+        if isinstance(instance.y_d, _StateOf):
+            if instance.y_d.values.size != points.count:
+                raise ConfigError(
+                    "field 'y_d': state_of needs one value per source point")
+            _below_four_pi(instance.y_d.values, "y_d")
         tolerances = {"newton": 1e-10, "kkt": 1e-6, "taylor": 1e-12,
                       "active": 1e-10}
         for key, value in _object(cfg, "tolerances", {}).items():
@@ -328,6 +329,14 @@ def _base_control(config):
     return Control(_float_list(config.raw, "control", [0.0] * count, count))
 
 
+def _below_four_pi(values, where):
+    """values, checked below 4 pi, where the state may be ill-posed."""
+    if float(np.max(values)) >= FOUR_PI:
+        raise ConfigError("field '%s': values must be below 4 pi, where the "
+                          "state equation may be ill-posed" % where)
+    return values
+
+
 def _resolve_target(config, mesh):
     """The run's instance, with a state_of target solved on mesh in a
     copy, so the config stays usable for another run."""
@@ -345,7 +354,7 @@ def cmd_solve(config):
     linear = _field(config.raw, "linear", False)
     if not isinstance(linear, bool):
         raise ConfigError("field 'linear': expected true or false")
-    u = _base_control(config)
+    u = _below_four_pi(_base_control(config), "control")
     instance = config.instance
     mesh = instance.make_mesh()
     state = solve_state(instance, u, mesh,
@@ -522,7 +531,7 @@ def cmd_verify(config):
 
 def cmd_taylor(config):
     """Remainder tables for the objective along a direction."""
-    u = _base_control(config)
+    u = _below_four_pi(_base_control(config), "control")
     h = Control(_float_list(config.raw, "direction",
                             count=config.instance.points.count))
     rho_grid = _float_list(config.raw, "rho_grid", None)

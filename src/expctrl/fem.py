@@ -12,12 +12,14 @@ order.  All assembly is vectorized over elements and sums by
 np.bincount, in triangle order: a P1 matrix is its diagonal, summed
 per vertex, and one value per edge of the mesh's edge table, placed at
 both of its entries (_edge_assembly), so every sum runs in this code's
-order and a_ij and a_ji are one float.  The load of a field is the
-plain edge-midpoint rule, its element contributions summed the same
-way.  The solver is PCG with one symmetric AMG
-V-cycle per iteration (degree-2 fourth-kind Chebyshev smoothing, a
-hand-written Cholesky of the at most 100-unknown coarsest level); no
-library factorizations anywhere.
+order and a_ij and a_ji are one float.  The state vanishes on the
+boundary, so the stiffness is assembled on the interior vertices
+alone; the mass stays V x V.  The load of a field is the plain
+edge-midpoint rule, its element contributions summed the same way.
+The solver is PCG with one symmetric AMG V-cycle per iteration
+(degree-2 fourth-kind Chebyshev smoothing, a hand-written Cholesky of
+the at most 100-unknown coarsest level); no library factorizations
+anywhere.
 """
 
 import importlib.util
@@ -105,14 +107,15 @@ def _gradients(mesh):
 
 
 def assemble_stiffness(mesh):
-    """P1 stiffness matrix for -Laplace (no boundary conditions applied).
+    """P1 stiffness matrix for -Laplace with zero Dirichlet data: the
+    block of the interior vertices (off mesh.boundary), in vertex order.
 
     Each triangle adds area g_i . g_j, g_i the gradient of its hat i, to
     the entry of each pair of its corners i, j (see _edge_assembly).
-    Element row sums vanish, so the matrix annihilates constants;
-    Dirichlet conditions are imposed by solving on the free block.
+    Element row sums vanish, so with no vertex flagged boundary the
+    matrix annihilates constants.
     """
-    return _edge_assembly(mesh, *_stiffness_sums(mesh))
+    return _edge_assembly(mesh, *_stiffness_sums(mesh), ~mesh.boundary)
 
 
 def _stiffness_sums(mesh):
@@ -160,24 +163,31 @@ def assemble_mass(mesh):
     edges = np.bincount(mesh.triangle_edges.ravel(),
                         weights=np.repeat(twelfth, 3),
                         minlength=len(mesh.edges))
-    return _edge_assembly(mesh, diagonal, edges)
+    return _edge_assembly(mesh, diagonal, edges, np.ones_like(mesh.boundary))
 
 
-def _edge_assembly(mesh, diagonal, edges):
-    """The symmetric V x V CSR with the given diagonal and with entry
-    edges[e] at both (lo, hi) and (hi, lo) of each edge e = (lo, hi).
+def _edge_assembly(mesh, diagonal, edges, keep):
+    """The symmetric CSR block of the vertices in the mask keep, in
+    vertex order: the given diagonal, and edges[e] at both (lo, hi) and
+    (hi, lo) of each edge e = (lo, hi) with both ends kept, unless it is
+    exactly zero (the stiffness across the diagonal of a right-angled
+    cell), which adds nothing to a product but its cost.
 
     A P1 matrix has an entry only where two corners share a triangle:
-    on the diagonal and at the mesh's edges.  Summed per vertex and per
-    edge by np.bincount, in triangle order, its V + 2E entries are
-    distinct, so the conversion only places them, and a_ij and a_ji
-    are one float."""
-    V = mesh.num_vertices
-    lo, hi = mesh.edges[:, 0], mesh.edges[:, 1]
-    ids = np.arange(V, dtype=np.int32)
-    return CSR.from_coo(np.concatenate([ids, lo, hi]),
-                        np.concatenate([ids, hi, lo]),
-                        np.concatenate([diagonal, edges, edges]), (V, V))
+    on the diagonal and at the mesh's edges.  Summed by np.bincount in
+    triangle order, its entries are distinct, so the conversion only
+    places them, and a_ij and a_ji are one float."""
+    n = int(np.count_nonzero(keep))
+    inner = keep[mesh.edges[:, 0]] & keep[mesh.edges[:, 1]] & (edges != 0.0)
+    m = int(np.count_nonzero(inner))
+    # rows coo[0], columns coo[1]: no index copy outlives the conversion
+    coo = np.empty((2, n + 2 * m), dtype=np.int32)
+    coo[:, :n] = np.arange(n, dtype=np.int32)
+    coo[:, n:n + m] = np.take(np.cumsum(keep, dtype=np.int32) - 1,
+                              np.compress(inner, mesh.edges, axis=0)).T
+    coo[::-1, n + m:] = coo[:, n:n + m]
+    values = np.concatenate([diagonal[keep], edges[inner], edges[inner]])
+    return CSR.from_coo(coo[0], coo[1], values, (n, n))
 
 
 def assemble_load(mesh, f):

@@ -9,10 +9,11 @@ equations reuse that same matrix.
 
 The state vanishes on the boundary, so every solve here acts on the
 free block of these matrices: the rows and columns of the interior
-nodes.  The mesh's operator cache holds the free block of A once as
-CSR arrays with the positions of its diagonal; a Newton matrix is that
-pattern with one new data array, A plus the diagonal M_L e^y, built by
-one vector add and applied by the CSR kernel directly.
+nodes.  The stiffness is assembled on that block alone (the mass stays
+V x V), and the mesh's operator cache holds it once with the positions
+of its diagonal; a Newton matrix is that pattern with one new data
+array, A plus the diagonal M_L e^y, built by one vector add and applied
+by the CSR kernel directly.
 
 The state is found by inexact damped Newton: each step's linear solve
 stops at an Eisenstat-Walker forcing tolerance, and only the nonlinear
@@ -52,12 +53,12 @@ _EW_SAFEGUARD = 0.1
 
 
 class _Operators:
-    """Per-mesh data built once: the interior (free) nodes, the free
-    block of the stiffness as CSR with the positions of its diagonal
-    (see _free_block), lumped mass diagonal, point-coupling operators
-    keyed by coordinates, loads of callable fields keyed by the
-    callable, and on first use the consistent mass and the multigrid
-    hierarchy of every solve on the mesh.
+    """Per-mesh data built once: the interior (free) nodes, the
+    stiffness assembled on them with the positions of its diagonal,
+    found from its own rows, lumped mass diagonal, point-coupling
+    operators keyed by coordinates, loads of callable fields keyed by
+    the callable, and on first use the consistent mass and the
+    multigrid hierarchy of every solve on the mesh.
 
     The cache lives in a WeakKeyDictionary keyed by the mesh, so it
     holds the mesh only weakly, for the mass on first use: a strong
@@ -66,8 +67,9 @@ class _Operators:
     def __init__(self, mesh):
         self._mesh = weakref.ref(mesh)
         self.free = np.flatnonzero(~mesh.boundary)
-        self.stiffness, self._diagonal = _free_block(
-            assemble_stiffness(mesh), ~mesh.boundary)
+        A = self.stiffness = assemble_stiffness(mesh)
+        self._diagonal = np.flatnonzero(A.indices == np.repeat(
+            np.arange(A.shape[0], dtype=np.int32), np.diff(A.indptr)))
         self._mass = None
         self.lumped = lumped_mass_diagonal(mesh)
         self.lumped_free = self.lumped[self.free]
@@ -102,31 +104,6 @@ class _Operators:
             self._multigrid = Multigrid(
                 self.newton_operator(np.zeros(self.lumped.size)))
         return self._multigrid
-
-
-def _free_block(A, free):
-    """The block of the CSR A in the rows and columns of the boolean
-    mask free, and the positions of its diagonal in its entries.
-
-    One mask over A's entries keeps those in free rows and free
-    columns, in the order of A's rows, and drops the exact zeros
-    (across the diagonals of right-angled cells), which add nothing to
-    a product but its cost."""
-    rows = np.repeat(np.arange(A.shape[0], dtype=np.int32),
-                     np.diff(A.indptr))
-    keep = free[rows]
-    keep &= free[A.indices]
-    keep &= A.data != 0.0
-    # kept entries before each row; rows off the block keep none
-    before = np.zeros(keep.size + 1, dtype=np.int32)
-    np.cumsum(keep, out=before[1:])
-    before = before[A.indptr]
-    number = np.cumsum(free, dtype=np.int32) - 1
-    rows = number[rows[keep]]
-    n = int(np.count_nonzero(free))
-    block = CSR(np.append(before[:-1][free], before[-1]),
-                number[A.indices[keep]], A.data[keep], (n, n))
-    return block, np.flatnonzero(block.indices == rows)
 
 
 _OPERATORS = weakref.WeakKeyDictionary()

@@ -1,9 +1,10 @@
 """Shared test helpers: conversions between the package's CSR matrices
 and scipy sparse matrices (the tests do their matrix algebra in scipy),
-the free-block CSR operators that the solvers take, the truncation of a
-direction, the derivatives of J at a control from a fresh state solve,
-counters of the reduced Hessian's linearized solves and of the
-multigrid V-cycles, and the references the package is checked against.
+the free-block CSR operators that the solvers take, the stiffness on
+every vertex, the truncation of a direction, the derivatives of J at a
+control from a fresh state solve, counters of the reduced Hessian's
+linearized solves and of the multigrid V-cycles, and the references
+the package is checked against.
 Bit for bit: the edge lengths by two rolled copies of the corners, the
 level-by-level graded refinement, the point location by a scan of
 every triangle, the einsum stiffness and midpoint-rule mass summed in
@@ -21,7 +22,8 @@ import scipy.sparse as sp
 
 from expctrl import objective
 from expctrl.fem import (_COARSE_SIZE, _STALLED_RESTARTS, _STRENGTH, CSR,
-                         Multigrid, _cholesky, _inverse_factor, _phi1)
+                         Multigrid, _cholesky, _inverse_factor, _phi1,
+                         assemble_stiffness)
 from expctrl.mesh import (_BARY_TOL, Domain, Mesh, _tri_edges, barycentric,
                           build_mesh, circumcenters, locate_point)
 from expctrl.objective import evaluate_DJ, evaluate_J, reduced_hessian
@@ -59,6 +61,15 @@ def free_block(mesh, A):
     if isinstance(A, CSR):
         A = to_scipy(A)
     return from_scipy(A.tocsr()[free][:, free])
+
+
+def full_stiffness(mesh):
+    """The V x V stiffness: assemble_stiffness of a mesh with the same
+    vertices, triangles and edge table and no boundary flag set, so its
+    exact zeros are dropped as on the interior block."""
+    return assemble_stiffness(Mesh(
+        mesh.vertices, mesh.triangles, np.zeros(mesh.num_vertices, dtype=bool),
+        mesh.domain, mesh.edges, mesh.triangle_edges))
 
 
 def truncate(h, k):

@@ -251,6 +251,9 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
             ("taylor", {"direction": [1.0]}, "direction"),
             # numbers inside field descriptions are finite too
             ("solve", {"f0": "constant nan"}, "f0"),
+            # a constant is "constant c" or "constant(c)", balanced
+            ("solve", {"f0": "constant(1"}, "f0"),
+            ("solve", {"f0": "constant 1)"}, "f0"),
             ("solve", {"f0": "gaussian(0.5, 0.5, 0.2, inf)"}, "f0"),
             ("optimize", {"y_d": "state_of(1.0, nan)"}, "y_d"),
             # errors that once named no config key
@@ -755,6 +758,11 @@ def test_seed_override_is_validated_like_the_config_field(tmp_path, capsys,
     ("taylor", {"control": [1.0]}, "control"),
     ("taylor", {"direction": [1.0]}, "direction"),
     ("taylor", {"rho_grid": [0.1, -0.1]}, "rho_grid"),
+    # values whose state is solved as given lie below 4 pi
+    ("solve", {"control": [13.0, 1.0]}, "control"),
+    ("taylor", {"control": [13.0, 1.0]}, "control"),
+    ("optimize", {"y_d": "state_of(13.0, 1.0)"}, "y_d"),
+    ("solve", {"y_d": "state_of(1.0, %r)" % (4.0 * np.pi)}, "y_d"),
 ])
 def test_every_value_is_read_before_the_mesh_is_built(
         tmp_path, capsys, monkeypatch, command, extra, field):
@@ -844,6 +852,14 @@ def test_the_retired_second_order_count_is_ignored(tmp_path):
         plain = (out["plain"] / report).read_text().splitlines()
         retired = (out["retired"] / report).read_text().splitlines()
         assert plain[1:] == retired[1:]
+
+
+def test_optimize_clips_a_starting_control_above_four_pi(tmp_path):
+    # the box keeps every iterate below 4 pi, so only a control that is
+    # solved as given must lie below it
+    path = write_config(tmp_path, base_config(control=[13.0, 1.0]))
+    assert main(["optimize", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 0
 
 
 def test_control_length_is_validated(tmp_path, capsys):

@@ -21,7 +21,7 @@ from expctrl.fem import (MOLLIFIER_C, Multigrid, _cholesky,
 from expctrl.mesh import Domain, Mesh, build_mesh, locate_point
 from expctrl.pde import operators
 from expctrl.sequences import compute_separation_radii
-from helpers import (count_vcycles, free_block, graded_disk,
+from helpers import (count_vcycles, free_block, full_stiffness, graded_disk,
                      reference_aggregate, reference_dd2_exp,
                      reference_free_block, reference_load, reference_mass,
                      reference_multigrid, reference_point_operator,
@@ -38,14 +38,14 @@ def lumped_mass(mesh):
 
 def test_stiffness_kills_constants():
     mesh = square_mesh(5)
-    A = assemble_stiffness(mesh)
+    A = full_stiffness(mesh)
     r = A @ np.ones(mesh.num_vertices)
     assert np.max(np.abs(r[~mesh.boundary])) < 1e-12
 
 
 def test_stiffness_exact_on_linears():
     mesh = square_mesh(6)
-    A = assemble_stiffness(mesh)
+    A = full_stiffness(mesh)
     y = 2.0 * mesh.vertices[:, 0] - 0.7 * mesh.vertices[:, 1]
     r = A @ y
     assert np.max(np.abs(r[~mesh.boundary])) < 1e-10
@@ -54,7 +54,7 @@ def test_stiffness_exact_on_linears():
 def test_stiffness_interior_diagonal_is_the_five_point_value():
     # structured P1 stencil on a right-triangle grid
     mesh = square_mesh(2)
-    A = assemble_stiffness(mesh).toarray()
+    A = full_stiffness(mesh).toarray()
     interior = np.nonzero(~mesh.boundary)[0]
     assert interior.size == 1
     assert_allclose(A[interior[0], interior[0]], 4.0, rtol=1e-12)
@@ -62,7 +62,7 @@ def test_stiffness_interior_diagonal_is_the_five_point_value():
 
 def test_stiffness_symmetry():
     mesh = build_mesh(Domain.disk(0.0, 0.0, 1.0), 8)
-    A = to_scipy(assemble_stiffness(mesh))
+    A = to_scipy(full_stiffness(mesh))
     assert abs(A - A.T).max() < 1e-12
 
 
@@ -114,9 +114,16 @@ _ASSEMBLY_MESHES = {
 }
 
 
+def _nonzero_reference_stiffness(mesh):
+    """The einsum stiffness on every vertex without its exact zeros,
+    which the assembly drops."""
+    return reference_free_block(reference_stiffness(mesh),
+                                np.arange(mesh.num_vertices))
+
+
 @pytest.mark.parametrize("case", sorted(_ASSEMBLY_MESHES))
 @pytest.mark.parametrize("assemble, reference",
-                         [(assemble_stiffness, reference_stiffness),
+                         [(full_stiffness, _nonzero_reference_stiffness),
                           (assemble_mass, reference_mass)],
                          ids=["stiffness", "mass"])
 def test_assembly_keeps_the_bits_of_the_einsum_kernels(case, assemble,
@@ -156,7 +163,7 @@ def _transposed(A):
 @pytest.mark.parametrize("case", sorted(_ASSEMBLY_MESHES))
 def test_assembled_matrices_are_symmetric_and_conservative(case):
     mesh = _ASSEMBLY_MESHES[case]()
-    A, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    A, M = full_stiffness(mesh), assemble_mass(mesh)
     # a_ij and a_ji are one float; the rows come sorted
     assert _same_matrix(A, _transposed(A))
     assert _same_matrix(M, _transposed(M))
@@ -426,7 +433,7 @@ def test_point_value_interpolates_linears_exactly():
 
 def test_solve_spd_zero_rhs():
     mesh = square_mesh(4)
-    A = free_block(mesh, assemble_stiffness(mesh))
+    A = assemble_stiffness(mesh)
     x = solve_spd(A, np.zeros(mesh.num_vertices), mesh.boundary, 1e-10,
                   Multigrid(A))
     assert abs(x).max() == 0.0
@@ -438,7 +445,7 @@ def test_solve_spd_center_value_for_unit_load():
     errs = []
     for n in (16, 32):
         mesh = square_mesh(n)
-        A = free_block(mesh, assemble_stiffness(mesh))
+        A = assemble_stiffness(mesh)
         b = assemble_load(mesh, lambda x: np.ones(len(x)))
         y = solve_spd(A, b, mesh.boundary, 1e-10, Multigrid(A))
         value = (point_operator(mesh, [[0.5, 0.5]]) @ y)[0]
@@ -449,7 +456,7 @@ def test_solve_spd_center_value_for_unit_load():
 
 def test_solve_spd_recovers_a_prescribed_solution():
     mesh = square_mesh(8)
-    A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
+    A = to_scipy(full_stiffness(mesh)) + lumped_mass(mesh)
     rng = np.random.default_rng(11)
     target = rng.normal(size=mesh.num_vertices)
     target[mesh.boundary] = 0.0
@@ -462,7 +469,7 @@ def test_solve_spd_recovers_a_prescribed_solution():
 
 def test_solve_spd_matches_dense_oracle():
     mesh = square_mesh(6)
-    A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
+    A = to_scipy(full_stiffness(mesh)) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: x[:, 0] - x[:, 1] ** 2)
     Af = free_block(mesh, A)
     x = solve_spd(Af, b, mesh.boundary, 1e-13, Multigrid(Af))
@@ -474,7 +481,7 @@ def test_solve_spd_matches_dense_oracle():
 def test_solve_spd_discrete_maximum_principle():
     # nonnegative load on a nonobtuse mesh gives a nonnegative solution
     mesh = square_mesh(8)
-    A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
+    A = to_scipy(full_stiffness(mesh)) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: np.exp(-10 * (x[:, 0] - 0.3) ** 2))
     Af = free_block(mesh, A)
     x = solve_spd(Af, b, mesh.boundary, 1e-10, Multigrid(Af))
@@ -491,8 +498,8 @@ def test_solve_spd_rejects_indefinite_operators():
     # lies above the lowest eigenvalue 2 pi^2 of the Laplacian, so a CG
     # step meets a nonpositive curvature
     mesh = square_mesh(16)
-    A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
-    shifted = to_scipy(assemble_stiffness(mesh)) - 100.0 * lumped_mass(mesh)
+    A = to_scipy(full_stiffness(mesh)) + lumped_mass(mesh)
+    shifted = to_scipy(full_stiffness(mesh)) - 100.0 * lumped_mass(mesh)
     with pytest.raises(RuntimeError, match="not positive definite"):
         solve_spd(free_block(mesh, shifted), np.ones(mesh.num_vertices),
                   mesh.boundary, 1e-10, Multigrid(free_block(mesh, A)))
@@ -502,7 +509,7 @@ def test_solve_spd_rejects_a_non_finite_right_hand_side():
     mesh = square_mesh(3)
     b = np.ones(mesh.num_vertices)
     b[~mesh.boundary] = np.nan
-    A = free_block(mesh, assemble_stiffness(mesh))
+    A = assemble_stiffness(mesh)
     with pytest.raises(RuntimeError, match="not finite"):
         solve_spd(A, b, mesh.boundary, 1e-10, Multigrid(A))
 
@@ -514,7 +521,7 @@ def refined_disk():
 
 
 def shifted_stiffness(mesh):
-    return free_block(mesh, to_scipy(assemble_stiffness(mesh))
+    return free_block(mesh, to_scipy(full_stiffness(mesh))
                       + lumped_mass(mesh))
 
 
@@ -567,7 +574,7 @@ def test_preconditioner_is_symmetric_positive_with_a_new_finest_level():
     # a Newton-type operator A + M_L diag(e^y): only the finest level
     # differs from the matrix the hierarchy was built from
     y = np.exp(-4.0 * np.sum(mesh.vertices ** 2, axis=1)) * 5.0
-    H = free_block(mesh, to_scipy(assemble_stiffness(mesh))
+    H = free_block(mesh, to_scipy(full_stiffness(mesh))
                    + sp.diags(lumped_mass_diagonal(mesh) * np.exp(y)))
     B = mg.preconditioner(H)
     rng = np.random.default_rng(5)
@@ -591,7 +598,7 @@ def test_preconditioner_is_symmetric_positive_with_a_new_finest_level():
 
 def test_amg_pcg_matches_dense_oracle_on_a_refined_disk():
     mesh = refined_disk()
-    A = to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh)
+    A = to_scipy(full_stiffness(mesh)) + lumped_mass(mesh)
     b = assemble_load(mesh, lambda x: np.cos(3.0 * x[:, 0]) + x[:, 1])
     Af = free_block(mesh, A)
     x = solve_spd(Af, b, mesh.boundary, 1e-13, Multigrid(Af))
@@ -670,10 +677,6 @@ def test_csr_operations_keep_the_bits_of_the_scipy_matrices(case):
     # replaces, so each stored array is the scipy one to the last bit
     mesh = _CSR_MESHES[case]()
     ops = operators(mesh)
-    # the free block cut by one mask is scipy's slice without zeros
-    stiffness = to_scipy(assemble_stiffness(mesh))
-    assert _same_matrix(ops.stiffness,
-                        reference_free_block(stiffness, ops.free))
     # a vertex, whose zero weights are stored, and two inner points
     lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     pts = [mesh.vertices[np.flatnonzero(~mesh.boundary)[0]],
@@ -706,6 +709,28 @@ def test_csr_operations_keep_the_bits_of_the_scipy_matrices(case):
         assert _same_bits(w, w_ref)
         assert _same_bits(w2, 1.8 * w_ref)
     assert _same_bits(mg._coarse, coarse)
+
+
+_INTERIOR_MESHES = dict(_CSR_MESHES, **{"graded-disk-12": graded_disk})
+
+
+@pytest.mark.parametrize("case", sorted(_INTERIOR_MESHES))
+def test_stiffness_is_the_interior_block_of_the_einsum_matrix(case):
+    # the Dirichlet condition is imposed at assembly: the block is
+    # scipy's slice of the reference without its exact zeros, and the
+    # cached operator finds its diagonal in it
+    mesh = _INTERIOR_MESHES[case]()
+    A = assemble_stiffness(mesh)
+    free = np.flatnonzero(~mesh.boundary)
+    assert _same_matrix(A, reference_free_block(reference_stiffness(mesh),
+                                                free))
+    ops = operators(mesh)
+    assert _same_matrix(ops.stiffness, to_scipy(A))
+    rows = np.repeat(np.arange(free.size), np.diff(A.indptr))
+    diagonal = ops._diagonal
+    assert diagonal.size == free.size
+    assert np.array_equal(A.indices[diagonal], rows[diagonal])
+    assert _same_bits(A.data[diagonal], A.diagonal())
 
 
 @pytest.mark.parametrize("case", sorted(_CSR_MESHES))
@@ -775,7 +800,7 @@ def test_hand_written_cholesky_factors_and_inverts():
 def test_solve_spd_reports_stagnation_below_the_round_off_floor(
         monkeypatch):
     mesh = square_mesh(32)
-    A = free_block(mesh, to_scipy(assemble_stiffness(mesh))
+    A = free_block(mesh, to_scipy(full_stiffness(mesh))
                    + lumped_mass(mesh))
     b = assemble_load(mesh, lambda x: np.ones(len(x)))
     mg = Multigrid(A)
@@ -792,7 +817,7 @@ def test_solve_spd_takes_the_reference_iterates_in_a_vcycle_per_step(
     # at 1e-13 the recursive residual passes before the true one, so the
     # solve confirms on a second pass from the true residual
     mesh = square_mesh(64)
-    A = free_block(mesh, to_scipy(assemble_stiffness(mesh)) + lumped_mass(mesh))
+    A = free_block(mesh, to_scipy(full_stiffness(mesh)) + lumped_mass(mesh))
     b = assemble_load(mesh, lambda x: np.ones(len(x)))
     mg = Multigrid(A)
     cycles = count_vcycles(monkeypatch)

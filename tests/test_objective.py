@@ -3,14 +3,15 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from expctrl.fem import Multigrid, assemble_stiffness, solve_spd
+from expctrl.fem import Multigrid, solve_spd
 from expctrl.mesh import Domain, build_mesh
 from expctrl.objective import (DerivativeReport, evaluate_DJ, evaluate_J,
                                reduced_hessian, taylor_remainder_test)
 from expctrl.pde import (ProblemInstance, operators, point_coupling,
                          solve_adjoint, solve_state)
 from expctrl.sequences import BoundsPair, compute_separation_radii
-from helpers import D2J, DJ, J, count_linearized, free_block, to_scipy
+from helpers import (D2J, DJ, J, count_linearized, free_block,
+                     full_stiffness, to_scipy)
 
 
 def make_instance(nu=0.1, f0=None, y_d=None, resolution=24,
@@ -115,7 +116,7 @@ def per_direction_D2J(instance, mesh, state, phi, h):
     """Reference D2J[h, h] from one linearized solve on P' h."""
     ops = operators(mesh)
     rhs = point_coupling(mesh, instance.points.points).T @ h
-    H = to_scipy(assemble_stiffness(mesh)) \
+    H = to_scipy(full_stiffness(mesh)) \
         + sp.diags(ops.lumped * np.exp(state.y))
     H = free_block(mesh, H)
     z = solve_spd(H, rhs, mesh.boundary, 1e-12, Multigrid(H))

@@ -7,8 +7,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from expctrl import pde
-from expctrl.fem import (_jacobi_weights, assemble_mass,
-                         assemble_stiffness, solve_spd)
+from expctrl.fem import _jacobi_weights, assemble_mass, solve_spd
 from expctrl.mesh import Domain, build_mesh
 from expctrl.pde import (ProblemInstance, field_load,
                          nodal_field, operators, point_coupling,
@@ -16,7 +15,7 @@ from expctrl.pde import (ProblemInstance, field_load,
                          solve_state)
 from expctrl.sequences import (FOUR_PI, BoundsPair, SourcePoints,
                                compute_separation_radii)
-from helpers import count_vcycles, free_block, to_scipy
+from helpers import count_vcycles, free_block, full_stiffness, to_scipy
 
 
 def two_point_instance(resolution=24, nu=0.1, f0=None, y_d=None):
@@ -230,7 +229,7 @@ def test_linearized_operator_matches_mode():
     free = ~mesh.boundary
     h = np.array([1.0, -0.5])
     rhs = (point_coupling(mesh, inst.points.points).T @ h)[free]
-    A = to_scipy(assemble_stiffness(mesh))
+    A = to_scipy(full_stiffness(mesh))
     H = A + sp.diags(ops.lumped * np.exp(st_non.y))
     for st, M in ((st_lin, A), (st_non, H)):
         z = solve_linearized(st, h, inst.points)
@@ -247,7 +246,7 @@ def test_cached_operator_is_the_sliced_scipy_matrix(kind):
         pts = compute_separation_radii([[0.0, 0.0], [0.4, 0.3]], dom)
         mesh = build_mesh(dom, 16, refine_points=pts, refine_levels=4)
     ops = operators(mesh)
-    A = to_scipy(assemble_stiffness(mesh))
+    A = to_scipy(full_stiffness(mesh))
     free = ~mesh.boundary
     rng = np.random.default_rng(19)
     y = rng.normal(size=mesh.num_vertices)
@@ -375,7 +374,7 @@ def _reference_newton(mesh, load, tol=1e-10):
     """Damped Newton of solve_semilinear with every linear solve at
     1e-12: the exact-inner loop the forcing terms replace."""
     ops = operators(mesh)
-    A = to_scipy(assemble_stiffness(mesh))
+    A = to_scipy(full_stiffness(mesh))
     free = ~mesh.boundary
     scale = 1.0 + np.linalg.norm(load[free])
 
@@ -444,7 +443,7 @@ def test_inexact_newton_meets_the_residual_test(near_four_pi_runs):
     free = ~mesh.boundary
     for st, load in zip(states, loads):
         scale = 1.0 + np.linalg.norm(load[free])
-        res = assemble_stiffness(mesh) @ st.y \
+        res = full_stiffness(mesh) @ st.y \
             + ops.lumped * np.expm1(st.y) - load
         assert np.linalg.norm(res[free]) <= 1e-10 * scale
         assert st.final_residual <= 1e-10 * scale

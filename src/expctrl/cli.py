@@ -382,6 +382,8 @@ def cmd_solve(config):
 def cmd_optimize(config):
     """Projected Newton plus the first- and second-order reports.
 
+    The run starts from control, which must lie in the box [lower,
+    upper], or without one from the point of the box nearest 0.
     iterates.csv has one row per iterate: J, the aggregate KKT residual
     and the step s accepted along the search direction to reach it (1
     for a full Newton step, 0 on the starting row).  The certificate
@@ -391,7 +393,14 @@ def cmd_optimize(config):
     unblocked, one each.
     """
     max_iters = _count(config.raw, "max_iters", 200, 0)
-    u0 = _base_control(config)
+    bounds = config.instance.bounds
+    # without a control, the start is the point of the box nearest 0
+    u0 = Control(_float_list(config.raw, "control",
+                             np.clip(0.0, bounds.lower, bounds.upper),
+                             len(bounds)))
+    if np.any(u0 < bounds.lower) or np.any(u0 > bounds.upper):
+        raise ConfigError("field 'control': values must lie between lower "
+                          "and upper, the box of the optimizer's iterates")
     mesh = config.instance.make_mesh()
     instance = _resolve_target(config, mesh)
     tol = config.tolerances["kkt"]

@@ -14,9 +14,6 @@ which makes a pass a necessary consistency check rather than a proof.
 """
 
 import numpy as np
-# numpy loads its random module on first use: imported here, its cost
-# falls on the import, not on the first random sample of a command
-from numpy.random import default_rng
 
 from .fem import (assemble_load, assemble_mollified_load, exp_remainder,
                   integrate_exp_linear)
@@ -162,6 +159,9 @@ def verify_lipschitz_family(instance, mesh, trials, seed):
     report, which does not pass, with the solver's message as its
     error parameter.
     """
+    # numpy loads its random module on first use, and only the two
+    # sampling checks draw: no other command pays for it
+    from numpy.random import default_rng
     rng = default_rng(seed)
     lo, up = instance.bounds.lower, instance.bounds.upper
     f0_term = np.sqrt(instance.domain.area()) * _field_l2(mesh, instance.f0)
@@ -211,6 +211,7 @@ def verify_scalar_exponential(samples, seed):
     samples = int(samples)
     if samples < 1:
         raise ValueError("at least one sample required")
+    from numpy.random import default_rng
     rng = default_rng(seed)
     a = rng.uniform(-10.0, 10.0, samples)
     t0 = 10.0 * (1.0 - rng.random(samples))

@@ -23,6 +23,7 @@ anywhere.
 """
 
 import importlib.util
+import math
 import os
 from importlib.machinery import PathFinder
 
@@ -180,13 +181,21 @@ def _edge_assembly(mesh, diagonal, edges, keep):
     n = int(np.count_nonzero(keep))
     inner = keep[mesh.edges[:, 0]] & keep[mesh.edges[:, 1]] & (edges != 0.0)
     m = int(np.count_nonzero(inner))
+    pairs = mesh.edges
+    if m < inner.size:
+        pairs = np.compress(inner, pairs, axis=0)
+        edges = edges[inner]
+    if n < keep.size:
+        # number the kept vertices 0..n-1 in vertex order
+        pairs = np.take(np.cumsum(keep, dtype=np.int32) - 1, pairs)
+        diagonal = diagonal[keep]
     # rows coo[0], columns coo[1]: no index copy outlives the conversion
     coo = np.empty((2, n + 2 * m), dtype=np.int32)
     coo[:, :n] = np.arange(n, dtype=np.int32)
-    coo[:, n:n + m] = np.take(np.cumsum(keep, dtype=np.int32) - 1,
-                              np.compress(inner, mesh.edges, axis=0)).T
+    coo[:, n:n + m] = pairs.T
+    del pairs
     coo[::-1, n + m:] = coo[:, n:n + m]
-    values = np.concatenate([diagonal[keep], edges[inner], edges[inner]])
+    values = np.concatenate([diagonal, edges, edges])
     return CSR.from_coo(coo[0], coo[1], values, (n, n))
 
 
@@ -627,9 +636,11 @@ class Multigrid:
         diag(1 / sum_j |a_ij|) A, which lie in (0, 1] by Gershgorin; the
         polynomial stays in (-1, 1) there, so the smoothing contracts in
         the A-norm and B is symmetric positive definite for every SPD A,
-        M-matrix or not.
+        M-matrix or not.  An operator made by DiagonalShifts brings
+        its w along; any other CSR gets them from _jacobi_weights, a
+        pass over its entries.
         """
-        w = _jacobi_weights(A)
+        w = A.weights if isinstance(A, _Shifted) else _jacobi_weights(A)
         levels = [(A, w, 1.8 * w)] + self.levels
         return lambda r: self._vcycle(levels, 0, r)
 
@@ -693,12 +704,58 @@ def _smooth(A, w, w2, r, x=None):
 def _jacobi_weights(A):
     """Smoother weights 4/3 / sum_j |a_ij| of the CSR A: the diagonal
     inverse damped by each row's Gershgorin bound of D^-1 A, as in the
-    damped-Jacobi step that smooths the prolongators."""
+    damped-Jacobi step that smooths the prolongators.  One pass over
+    A's entries; the coarse levels and the prolongators take their
+    weights here, the finest level of an operator made by
+    DiagonalShifts from that class's cached row sums."""
     n = A.shape[0]
     if np.any(A.diagonal() <= 0.0):
         raise RuntimeError("operator is not positive definite")
     row_sums = CSR(A.indptr, A.indices, np.abs(A.data), A.shape) @ np.ones(n)
     return (4.0 / 3.0) / row_sums
+
+
+class DiagonalShifts:
+    """The operators S + diag(d) of one CSR S whose diagonal entries are
+    all stored: each shares S's index arrays, and its data is a copy of
+    S's with d added on the diagonal.
+
+    Built once per S: the positions of S's diagonal, found from its own
+    rows, and the off-diagonal row sums s_i = sum_{j != i} |s_ij|.  A
+    shift keeps S's off-diagonal entries, so its smoother weights
+    4/3 / sum_j |a_ij| are 4/3 / (s + diag(A)), with no pass over its
+    entries; a non-positive diagonal entry raises "operator is not
+    positive definite".  The operator carries them to
+    Multigrid.preconditioner, and its arrays must not be changed.
+    """
+
+    def __init__(self, S):
+        n = S.shape[0]
+        self._matrix = S
+        self._diagonal = np.flatnonzero(S.indices == np.repeat(
+            np.arange(n, dtype=np.int32), np.diff(S.indptr)))
+        off = np.abs(S.data)
+        off[self._diagonal] = 0.0
+        self._off_sums = CSR(S.indptr, S.indices, off, S.shape) @ np.ones(n)
+
+    def __call__(self, d):
+        """S + diag(d), with its smoother weights."""
+        S = self._matrix
+        data = S.data.copy()
+        data[self._diagonal] += d
+        diagonal = data[self._diagonal]
+        if np.any(diagonal <= 0.0):
+            raise RuntimeError("operator is not positive definite")
+        A = _Shifted(S.indptr, S.indices, data, S.shape)
+        A.weights = (4.0 / 3.0) / (self._off_sums + diagonal)
+        return A
+
+
+class _Shifted(CSR):
+    """An operator made by DiagonalShifts, with the smoother weights of
+    its finest level."""
+
+    __slots__ = ("weights",)
 
 
 def _aggregate(A, theta):
@@ -824,38 +881,43 @@ def solve_spd(A, b, dirichlet_mask, tol, multigrid):
     bf = np.asarray(b, dtype=float)[free]
     if A.shape != (bf.size, bf.size):
         raise ValueError("operator does not match the free nodes")
-    nb = float(np.linalg.norm(bf))
+    nb = math.sqrt(bf.dot(bf))
     if nb == 0.0:
         return x
-    if not np.isfinite(nb):
+    if not math.isfinite(nb):
         raise RuntimeError("right-hand side is not finite")
+    bound = tol * nb
     precondition = multigrid.preconditioner(A)
     xf = np.zeros(bf.size)
     r = bf.copy()
     best = np.inf
     stalled = 0
     while True:
-        if np.linalg.norm(r) > tol * nb:
-            z = precondition(r)
-            p = z.copy()
-            rz = float(np.dot(r, z))
+        if math.sqrt(r.dot(r)) > bound:
+            p = precondition(r)
+            rz = float(r.dot(p))
             for _ in range(bf.size):
                 q = A @ p
-                pq = float(np.dot(p, q))
+                pq = float(p.dot(q))
                 if not (pq > 0.0 and rz > 0.0):
                     raise RuntimeError("operator is not positive definite")
                 alpha = rz / pq
-                xf += alpha * p
-                r -= alpha * q
-                if np.linalg.norm(r) <= tol * nb:
+                q *= alpha
+                r -= q
+                # q is spent: it holds alpha p for the update of xf
+                np.multiply(p, alpha, out=q)
+                xf += q
+                if math.sqrt(r.dot(r)) <= bound:
                     break
                 z = precondition(r)
-                rz_new = float(np.dot(r, z))
-                p = z + (rz_new / rz) * p
+                rz_new = float(r.dot(z))
+                p *= rz_new / rz
+                p += z
                 rz = rz_new
-        r = bf - A @ xf
-        true_norm = float(np.linalg.norm(r))
-        if true_norm <= tol * nb:
+        r = A @ xf
+        np.subtract(bf, r, out=r)
+        true_norm = math.sqrt(r.dot(r))
+        if true_norm <= bound:
             x[free] = xf
             return x
         if true_norm < best:

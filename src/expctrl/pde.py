@@ -10,27 +10,33 @@ equations reuse that same matrix.
 The state vanishes on the boundary, so every solve here acts on the
 free block of these matrices: the rows and columns of the interior
 nodes.  The stiffness is assembled on that block alone (the mass stays
-V x V), and the mesh's operator cache holds it once with the positions
-of its diagonal; a Newton matrix is that pattern with one new data
-array, A plus the diagonal M_L e^y, built by one vector add and applied
-by the CSR kernel directly.
+V x V), and the mesh's operator cache holds it once as the base of its
+fem.DiagonalShifts; a Newton matrix is that pattern with one new data
+array, A plus the diagonal M_L e^y, built by one vector add, applied by
+the CSR kernel directly, and smoothed with weights from the row sums
+cached there.
 
-The state is found by inexact damped Newton: each step's linear solve
-stops at an Eisenstat-Walker forcing tolerance, and only the nonlinear
-residual test decides convergence.  The adjoint solves, on which the
-exact gradient rests, run at _CG_TOL, and so do the linearized solves
-by default.  A caller that reads a linearized state only to steer a
-guarded step may pass a looser tol: the optimizer solves the Hessian
-columns of its iterates to a forcing tolerance between _CG_TOL and
-_ETA_MAX, while the second-order certificate and the Taylor table keep
-_CG_TOL.
+The state is found by inexact damped Newton from the secant start
+(A + c M_L) y = b, c = _START_SLOPE = 8, the slope (e^y - 1)/y of the
+exponential at y = 3.3, near the peaks of the states these solves
+meet: the linearization e^y ~ 1 + y (c = 1) starts far above the
+state near the point sources, where Newton from a supersolution lowers
+the peak by about 1 per step (Ortega and Rheinboldt 1970, 13.3).  Each
+step's linear solve stops at an Eisenstat-Walker forcing tolerance,
+and only the nonlinear residual test decides convergence.  The adjoint
+solves, on which the exact gradient rests, run at _CG_TOL, and so do
+the linearized solves by default.  A caller that reads a linearized
+state only to steer a guarded step may pass a looser tol: the
+optimizer solves the Hessian columns of its iterates to a forcing
+tolerance between _CG_TOL and _ETA_MAX, while the second-order
+certificate and the Taylor table keep _CG_TOL.
 """
 
 import weakref
 
 import numpy as np
 
-from .fem import (CSR, Multigrid, assemble_load, assemble_mass,
+from .fem import (DiagonalShifts, Multigrid, assemble_load, assemble_mass,
                   assemble_stiffness, lumped_mass_diagonal, point_operator,
                   solve_spd)
 from .mesh import build_mesh
@@ -51,13 +57,18 @@ _EW_GAMMA = 0.9
 _EW_ALPHA = 2.0
 _EW_SAFEGUARD = 0.1
 
+# the secant start (A + _START_SLOPE M_L) y = b, solved only to the
+# relative accuracy _START_TOL because it only seeds Newton
+_START_SLOPE = 8.0
+_START_TOL = 0.5
+
 
 class _Operators:
     """Per-mesh data built once: the interior (free) nodes, the
-    stiffness assembled on them with the positions of its diagonal,
-    found from its own rows, lumped mass diagonal, point-coupling
-    operators keyed by coordinates, loads of callable fields keyed by
-    the callable, and on first use the consistent mass and the
+    stiffness assembled on them and its DiagonalShifts, lumped mass
+    diagonal, point-coupling operators keyed by coordinates, loads of
+    callable fields keyed by the callable, and on first use the
+    consistent mass, the operator of the secant start and the
     multigrid hierarchy of every solve on the mesh.
 
     The cache lives in a WeakKeyDictionary keyed by the mesh, so it
@@ -67,14 +78,14 @@ class _Operators:
     def __init__(self, mesh):
         self._mesh = weakref.ref(mesh)
         self.free = np.flatnonzero(~mesh.boundary)
-        A = self.stiffness = assemble_stiffness(mesh)
-        self._diagonal = np.flatnonzero(A.indices == np.repeat(
-            np.arange(A.shape[0], dtype=np.int32), np.diff(A.indptr)))
+        self.stiffness = assemble_stiffness(mesh)
+        self._shifts = DiagonalShifts(self.stiffness)
         self._mass = None
         self.lumped = lumped_mass_diagonal(mesh)
         self.lumped_free = self.lumped[self.free]
         self.coupling = {}
         self.loads = {}
+        self._start = None
         self._multigrid = None
 
     def newton_operator(self, y):
@@ -82,10 +93,15 @@ class _Operators:
         state y, shared by the linearized and adjoint equations; y = 0
         gives A + M_L.  It shares the stiffness pattern and differs
         from it by the diagonal add alone."""
-        A = self.stiffness
-        data = A.data.copy()
-        data[self._diagonal] += self.lumped_free * np.exp(y[self.free])
-        return CSR(A.indptr, A.indices, data, A.shape)
+        return self._shifts(self.lumped_free * np.exp(y[self.free]))
+
+    @property
+    def start_operator(self):
+        """Free block of A + _START_SLOPE M_L, the operator of every
+        secant start on the mesh."""
+        if self._start is None:
+            self._start = self._shifts(_START_SLOPE * self.lumped_free)
+        return self._start
 
     @property
     def mass(self):
@@ -247,8 +263,9 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
     A y = load (the verification mode with the nonlinearity switched
     off).
 
-    Inexact damped Newton started from the linearization e^y ~ 1 + y,
-    whose solve only needs the relative accuracy _ETA_MAX.  Each step
+    Inexact damped Newton from the secant start (A + c M_L) y = load,
+    c = _START_SLOPE = 8 (the module docstring says why), whose solve
+    only needs the relative accuracy _START_TOL.  Each step
     solves with the matrix A + M_L diag(e^y) to the Eisenstat-Walker
     forcing tolerance eta_k, kept at or above _CG_TOL and at or above
     0.5 tol (1 + |load|) / |F_k|, so no step is solved past the point
@@ -267,8 +284,8 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
                       multigrid=ops.multigrid)
         res = float(np.linalg.norm(ops.stiffness @ y[free] - load[free]))
         return StateSolution(mesh, y, [res], linear=True)
-    y = solve_spd(ops.newton_operator(np.zeros(load.size)), load,
-                  mesh.boundary, tol=_ETA_MAX, multigrid=ops.multigrid)
+    y = solve_spd(ops.start_operator, load, mesh.boundary, tol=_START_TOL,
+                  multigrid=ops.multigrid)
     fres = _residual(ops, y, load)
     rnorm = float(np.linalg.norm(fres[free]))
     history = [rnorm]

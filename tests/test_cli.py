@@ -182,6 +182,18 @@ def test_solve_green_ring_values_match_the_closed_form(tmp_path):
     assert np.max(np.abs(data[ring, 2] - expect)) < 5e-3
 
 
+def test_solve_of_a_large_source_needs_few_newton_steps(tmp_path):
+    # the state of f0 = 300 peaks near 5.7; from the linear start
+    # (A + M_L) y = b, which peaks at 20.9, Newton took 19 steps, and
+    # from the secant start, at 15.2, it takes 13
+    path = write_config(tmp_path, dict(README_CONFIG, f0="constant 300"))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    summary = dict(line.split("=", 1) for line in
+                   (out / "solve_summary.txt").read_text().splitlines()[1:])
+    assert int(summary["newton_iterations"]) <= 15
+
+
 def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
     bad = base_config(upper=[1.0, 13.0])
     path = write_config(tmp_path, bad)
@@ -763,6 +775,9 @@ def test_seed_override_is_validated_like_the_config_field(tmp_path, capsys,
     ("taylor", {"control": [13.0, 1.0]}, "control"),
     ("optimize", {"y_d": "state_of(13.0, 1.0)"}, "y_d"),
     ("solve", {"y_d": "state_of(1.0, %r)" % (4.0 * np.pi)}, "y_d"),
+    # optimize starts where it is told, inside its box [-1, 2]
+    ("optimize", {"control": [13.0, 1.0]}, "control"),
+    ("optimize", {"control": [1.0, -1.5]}, "control"),
 ])
 def test_every_value_is_read_before_the_mesh_is_built(
         tmp_path, capsys, monkeypatch, command, extra, field):
@@ -854,14 +869,6 @@ def test_the_retired_second_order_count_is_ignored(tmp_path):
         assert plain[1:] == retired[1:]
 
 
-def test_optimize_clips_a_starting_control_above_four_pi(tmp_path):
-    # the box keeps every iterate below 4 pi, so only a control that is
-    # solved as given must lie below it
-    path = write_config(tmp_path, base_config(control=[13.0, 1.0]))
-    assert main(["optimize", "--config", path, "--out",
-                 str(tmp_path / "o")]) == 0
-
-
 def test_control_length_is_validated(tmp_path, capsys):
     cfg = base_config(control=[1.0])
     path = write_config(tmp_path, cfg)
@@ -916,8 +923,8 @@ def loaded():
              "numpy.random")}
 
 before = loaded()
-status = expctrl.cli.main(["solve", "--config", sys.argv[1],
-                           "--out", sys.argv[2]])
+status = expctrl.cli.main([sys.argv[1], "--config", sys.argv[2],
+                           "--out", sys.argv[3]])
 print(json.dumps([before, loaded(), status]))
 """
 
@@ -925,19 +932,26 @@ print(json.dumps([before, loaded(), status]))
 def test_cli_never_imports_the_scipy_sparse_package(tmp_path):
     # scipy.sparse, with the array-API layer that loads numpy.f2py, takes
     # longer to import than numpy and scipy together; the package only
-    # calls scipy's compiled kernels.  numpy.random is imported with
-    # the CLI, so that the first random sample of verify does not pay it
+    # calls scipy's compiled kernels.  numpy.random is imported by the
+    # checks that draw samples, when they first run, so a command that
+    # draws none never loads it
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    path = write_config(tmp_path, base_config(f0="constant 1.0"))
-    done = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE, path, str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    before, after, status = json.loads(done.stdout.splitlines()[-1])
-    assert status == 0
     expected = {"scipy.sparse": False, "scipy._lib._array_api": False,
-                "numpy.f2py": False, "numpy.random": True}
-    assert before == expected
-    assert after == expected
+                "numpy.f2py": False, "numpy.random": False}
+    for command, extra, draws in [
+            ("solve", {}, False),
+            ("verify", {"verify": [{"check": "lipschitz", "trials": 1}]},
+             True)]:
+        path = write_config(tmp_path, base_config(f0="constant 1.0",
+                                                  **extra))
+        done = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE, command, path,
+             str(tmp_path / command)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        before, after, status = json.loads(done.stdout.splitlines()[-1])
+        assert status == 0
+        assert before == expected
+        assert after == dict(expected, **{"numpy.random": draws})

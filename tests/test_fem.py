@@ -11,8 +11,9 @@ from numpy.testing import assert_allclose
 
 import expctrl.fem as fem_module
 from expctrl.cli import parse_field
-from expctrl.fem import (MOLLIFIER_C, Multigrid, _cholesky,
-                         _dd2_exp, _inverse_factor, assemble_load,
+from expctrl.fem import (CSR, MOLLIFIER_C, DiagonalShifts, Multigrid,
+                         _cholesky, _dd2_exp, _inverse_factor,
+                         _jacobi_weights, assemble_load,
                          assemble_mass, assemble_mollified_load,
                          assemble_stiffness, exp_remainder,
                          integrate_exp_linear, lumped_mass_diagonal,
@@ -727,10 +728,63 @@ def test_stiffness_is_the_interior_block_of_the_einsum_matrix(case):
     ops = operators(mesh)
     assert _same_matrix(ops.stiffness, to_scipy(A))
     rows = np.repeat(np.arange(free.size), np.diff(A.indptr))
-    diagonal = ops._diagonal
+    diagonal = ops._shifts._diagonal
     assert diagonal.size == free.size
     assert np.array_equal(A.indices[diagonal], rows[diagonal])
     assert _same_bits(A.data[diagonal], A.diagonal())
+
+
+_WEIGHT_MESHES = {
+    "square-16": lambda: square_mesh(16),
+    "disk-16": lambda: build_mesh(_DISK, 16),
+    "disk-16-graded-4": lambda: build_mesh(
+        _DISK, 16, refine_points=compute_separation_radii([[0.0, 0.0]],
+                                                          _DISK),
+        refine_levels=4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WEIGHT_MESHES))
+def test_shifted_operators_bring_the_weights_of_a_pass_over_them(case):
+    # 4/3 / (s + diag(A)) from the cached off-diagonal row sums s is
+    # the pass over A's entries summed in another order: the stiffness,
+    # A + M_L, a Newton operator and the secant start
+    mesh = _WEIGHT_MESHES[case]()
+    ops = operators(mesh)
+    S = ops.stiffness
+    free = ~mesh.boundary
+    y = np.random.default_rng(37).normal(size=mesh.num_vertices)
+    shifts = DiagonalShifts(S)
+    checked = [shifts(np.zeros(S.shape[0])), shifts(ops.lumped_free),
+               shifts(ops.lumped_free * np.exp(y[free])),
+               ops.newton_operator(y), ops.start_operator]
+    for A in checked:
+        assert A.indptr is S.indptr and A.indices is S.indices
+        assert_allclose(A.weights, _jacobi_weights(A), rtol=1e-14, atol=0)
+    d = np.zeros(S.shape[0])
+    d[S.shape[0] // 2] = -S.diagonal()[S.shape[0] // 2]
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        shifts(d)
+
+
+def test_an_operator_not_made_by_the_shifts_takes_the_full_pass(
+        monkeypatch):
+    # the same index arrays with other off-diagonal values must not
+    # reach the cached row sums
+    ops = operators(square_mesh(16))
+    A = ops.newton_operator(np.zeros(ops.lumped.size))
+    other = CSR(A.indptr, A.indices, 2.0 * A.data, A.shape)
+    mg = ops.multigrid
+    passes = []
+
+    def counted(B):
+        passes.append(B)
+        return _jacobi_weights(B)
+    monkeypatch.setattr(fem_module, "_jacobi_weights", counted)
+    mg.preconditioner(A)
+    assert passes == []
+    mg.preconditioner(other)
+    assert passes == [other]
 
 
 @pytest.mark.parametrize("case", sorted(_CSR_MESHES))

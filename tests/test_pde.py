@@ -451,6 +451,13 @@ def test_inexact_newton_meets_the_residual_test(near_four_pi_runs):
         assert all(a > b for a, b in zip(hist, hist[1:]))
 
 
+def test_secant_start_saves_newton_steps_near_four_pi(near_four_pi_runs):
+    # from (A + M_L) y = b the 20 states took 103 steps: the start lay
+    # far above the state at the point sources
+    _, _, states, _, _ = near_four_pi_runs
+    assert sum(st.newton_iterations for st in states) <= 90
+
+
 def test_forcing_halves_the_vcycles_of_near_four_pi_states(
         near_four_pi_runs):
     _, _, states, reference, vcycles = near_four_pi_runs

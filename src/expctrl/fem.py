@@ -222,16 +222,10 @@ def assemble_load(mesh, f):
                        minlength=mesh.num_vertices)
 
 
-def _bump_integral():
-    # radial normalization of the standard bump, pi * int_0^1 e^{-1/v} dv,
-    # by 96-point Gauss-Legendre (the integrand is flat at v=0)
-    x, w = np.polynomial.legendre.leggauss(96)
-    v = 0.5 * (x + 1.0)
-    return np.pi * 0.5 * float(np.sum(w * np.exp(-1.0 / v)))
-
-
-#: 1 / integral of exp(-1/(1-|s|^2)) over the unit ball
-MOLLIFIER_C = 1.0 / _bump_integral()
+#: 1 / integral of exp(-1/(1-|s|^2)) over the unit ball, whose radial
+#: form is pi * int_0^1 e^{-1/v} dv; the bits of its 96-point
+#: Gauss-Legendre value, 2.143565775792238, which the tests recompute
+MOLLIFIER_C = float.fromhex("0x1.12605d03ed1fcp+1")
 
 
 def mollifier_value(x, x0, epsilon):
@@ -881,7 +875,8 @@ def solve_spd(A, b, dirichlet_mask, tol, multigrid):
     bf = np.asarray(b, dtype=float)[free]
     if A.shape != (bf.size, bf.size):
         raise ValueError("operator does not match the free nodes")
-    nb = math.sqrt(bf.dot(bf))
+    with np.errstate(over="ignore"):
+        nb = math.sqrt(bf.dot(bf))
     if nb == 0.0:
         return x
     if not math.isfinite(nb):

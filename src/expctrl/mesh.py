@@ -12,8 +12,11 @@ it by index arithmetic, and the levels of a graded mesh carry and
 update it.  Those levels work on bare arrays: only the children of the
 previous level are candidates for marking, a level appends its
 children to stores that keep the triangles it does not refine in
-place, and a single Mesh validates the result.  Points are located by
-one scan over the triangles whose bounding boxes contain them.
+place, and a single Mesh validates the result.  build_mesh is the only
+source of a mesh: a Mesh takes its edge table from its caller and
+rejects a clockwise triangle rather than reorienting it.  Points are
+located by one scan over the triangles whose bounding boxes contain
+them.
 """
 
 import numpy as np
@@ -91,13 +94,13 @@ class Mesh:
 
     A built mesh is treated as immutable; build_mesh refines bare arrays
     and constructs the Mesh once, at the end, handing over the edge
-    table it carries.  A mesh made from bare arrays alone gets its table
-    from _tri_edges.  Clockwise triangles are reoriented here, their
-    edge slots with them.
+    table it carries.  A clockwise or degenerate triangle raises
+    ValueError: the grids and their refinements are counterclockwise by
+    construction, and the tables are not checked against the triangles.
     """
 
-    def __init__(self, vertices, triangles, boundary, domain, edges=None,
-                 triangle_edges=None):
+    def __init__(self, vertices, triangles, boundary, domain, edges,
+                 triangle_edges):
         vertices = np.asarray(vertices, dtype=float)
         triangles = np.asarray(triangles, dtype=np.int64)
         boundary = np.asarray(boundary, dtype=bool)
@@ -107,24 +110,11 @@ class Mesh:
             raise ValueError("triangles must be (T, 3)")
         if boundary.shape != (vertices.shape[0],):
             raise ValueError("one boundary flag per vertex required")
-        if (edges is None) != (triangle_edges is None):
-            raise ValueError("edges and triangle_edges go together")
         # np.take: the rows that indexing gathers, without its overhead
         corners = np.take(vertices, triangles, axis=0)
         areas = _signed_areas(corners)
-        flip = areas < 0.0
-        if np.any(flip):
-            # corners 1 and 2 trade places, and so do the edges opposite
-            triangles = triangles.copy()
-            triangles[flip] = triangles[flip][:, [0, 2, 1]]
-            if triangle_edges is not None:
-                triangle_edges = triangle_edges.copy()
-                triangle_edges[flip] = triangle_edges[flip][:, [0, 2, 1]]
-            areas = np.abs(areas)
         if np.any(areas <= 0.0):
-            raise ValueError("degenerate triangle in mesh")
-        if edges is None:
-            edges, triangle_edges, _ = _tri_edges(triangles)
+            raise ValueError("clockwise or degenerate triangle in mesh")
         self.vertices = vertices
         self.triangles = triangles
         self.boundary = boundary
@@ -163,25 +153,6 @@ def _edge_lengths(corners):
         np.subtract(corners[..., a, 1], corners[..., b, 1], out=dy)
         np.hypot(dx, dy, out=lengths[..., j])
     return lengths
-
-
-def _tri_edges(triangles):
-    """Unique sorted edges, (T, 3) edge ids, and per-edge incidence count.
-
-    Edge slot j of a triangle is the edge opposite local vertex j.
-    """
-    T = triangles.shape[0]
-    raw = np.empty((T, 3, 2), dtype=np.int64)
-    for j in range(3):
-        raw[:, j, 0] = triangles[:, (j + 1) % 3]
-        raw[:, j, 1] = triangles[:, (j + 2) % 3]
-    raw = np.sort(raw, axis=2).reshape(-1, 2)
-    # one int64 key per edge sorts in the same (lo, hi) order as the rows
-    V = int(triangles.max()) + 1
-    keys, inverse = np.unique(raw[:, 0] * V + raw[:, 1], return_inverse=True)
-    edges = np.column_stack([keys // V, keys % V])
-    counts = np.bincount(inverse, minlength=edges.shape[0])
-    return edges, inverse.reshape(T, 3), counts
 
 
 def circumcenters(vertices, triangles):

@@ -36,8 +36,9 @@ class KKTReport:
     classification entries are "lower-active", "upper-active",
     "interior", or "degenerate" (a pinned interval alpha_i = beta_i,
     zero residual by convention); residuals follow the sign trichotomy,
-    projected holds the equivalent |u_i - clamp(u_i - d_i)| residual,
-    and gradient the d it was computed from.  projected_gradient also
+    projected_aggregate is the largest equivalent |u_i - clamp(u_i -
+    d_i)| residual, and gradient the d it was computed from.
+    projected_gradient also
     sets iterations, the history rows (J, aggregate residual, step) per
     iteration, and the state and adjoint at the final control, which
     the second-order certificate reads; projected_gradient(...,
@@ -53,7 +54,6 @@ class KKTReport:
             raise ValueError("one classification per residual required")
         self.classification = list(classification)
         self.residuals = residuals
-        self.projected = projected
         self.gradient = np.asarray(gradient, dtype=float).reshape(-1)
         self.aggregate = float(residuals.max()) if residuals.size else 0.0
         self.projected_aggregate = \
@@ -66,14 +66,14 @@ class KKTReport:
 
 class SecondOrderReport:
     """The exact minimum of the second-order form over the critical
-    cone, the direction that attains it, and its verdict against tol;
-    empty flags a cone that holds only the zero direction."""
+    cone, the direction that attains it, and its verdict against
+    second_order_check's tolerance; empty flags a cone that holds only
+    the zero direction."""
 
-    def __init__(self, minimum, direction, passed, tol, empty):
+    def __init__(self, minimum, direction, passed, empty):
         self.minimum = float(minimum)
         self.direction = direction
         self.passed = bool(passed)
-        self.tol = float(tol)
         self.empty = bool(empty)
 
 
@@ -275,5 +275,5 @@ def second_order_check(instance, kkt, tol_grad=1e-6):
     H = reduced_hessian(instance, kkt.state, kkt.adjoint,
                         _unblocked(kkt, tol_grad))
     minimum, direction = critical_cone_minimum(H, kkt, tol_grad)
-    return SecondOrderReport(minimum, direction, minimum >= -tol, tol,
+    return SecondOrderReport(minimum, direction, minimum >= -tol,
                              empty=not np.any(direction))

@@ -10,11 +10,11 @@ equations reuse that same matrix.
 The state vanishes on the boundary, so every solve here acts on the
 free block of these matrices: the rows and columns of the interior
 nodes.  The stiffness is assembled on that block alone (the mass stays
-V x V), and the mesh's operator cache holds it once as the base of its
-fem.DiagonalShifts; a Newton matrix is that pattern with one new data
-array, A plus the diagonal M_L e^y, built by one vector add, applied by
-the CSR kernel directly, and smoothed with weights from the row sums
-cached there.
+V x V), and the mesh's operator cache holds it once; the first Newton
+or secant-start matrix makes it the base of a fem.DiagonalShifts.  A
+Newton matrix is that pattern with one new data array, A plus the
+diagonal M_L e^y, built by one vector add, applied by the CSR kernel
+directly, and smoothed with weights from the row sums cached there.
 
 The state is found by inexact damped Newton from the secant start
 (A + c M_L) y = b, c = _START_SLOPE = 8, the slope (e^y - 1)/y of the
@@ -33,12 +33,13 @@ certificate and the Taylor table keep _CG_TOL.
 """
 
 import weakref
+from functools import cached_property
 
 import numpy as np
 
-from .fem import (DiagonalShifts, Multigrid, assemble_load, assemble_mass,
-                  assemble_stiffness, lumped_mass_diagonal, point_operator,
-                  solve_spd)
+from .fem import (CSR, DiagonalShifts, Multigrid, assemble_load,
+                  assemble_mass, assemble_stiffness, lumped_mass_diagonal,
+                  point_operator, solve_spd)
 from .mesh import build_mesh
 from .sequences import FOUR_PI
 
@@ -65,11 +66,11 @@ _START_TOL = 0.5
 
 class _Operators:
     """Per-mesh data built once: the interior (free) nodes, the
-    stiffness assembled on them and its DiagonalShifts, lumped mass
-    diagonal, point-coupling operators keyed by coordinates, loads of
-    callable fields keyed by the callable, and on first use the
-    consistent mass, the operator of the secant start and the
-    multigrid hierarchy of every solve on the mesh.
+    stiffness assembled on them, lumped mass diagonal, point-coupling
+    operators keyed by coordinates, loads of callable fields keyed by
+    the callable, and on first use the consistent mass, the stiffness's
+    DiagonalShifts (so Poisson solves alone build none), the operator
+    of the secant start and the multigrid hierarchy of every solve.
 
     The cache lives in a WeakKeyDictionary keyed by the mesh, so it
     holds the mesh only weakly, for the mass on first use: a strong
@@ -79,14 +80,14 @@ class _Operators:
         self._mesh = weakref.ref(mesh)
         self.free = np.flatnonzero(~mesh.boundary)
         self.stiffness = assemble_stiffness(mesh)
-        self._shifts = DiagonalShifts(self.stiffness)
-        self._mass = None
         self.lumped = lumped_mass_diagonal(mesh)
         self.lumped_free = self.lumped[self.free]
         self.coupling = {}
         self.loads = {}
-        self._start = None
-        self._multigrid = None
+
+    @cached_property
+    def _shifts(self):
+        return DiagonalShifts(self.stiffness)
 
     def newton_operator(self, y):
         """Free block of the Newton matrix A + M_L diag(e^y) at the nodal
@@ -95,31 +96,26 @@ class _Operators:
         from it by the diagonal add alone."""
         return self._shifts(self.lumped_free * np.exp(y[self.free]))
 
-    @property
+    @cached_property
     def start_operator(self):
         """Free block of A + _START_SLOPE M_L, the operator of every
         secant start on the mesh."""
-        if self._start is None:
-            self._start = self._shifts(_START_SLOPE * self.lumped_free)
-        return self._start
+        return self._shifts(_START_SLOPE * self.lumped_free)
 
-    @property
+    @cached_property
     def mass(self):
         """Consistent mass matrix; only the tracking and L^2 terms read
         it, so meshes that never meet one never assemble it."""
-        if self._mass is None:
-            self._mass = assemble_mass(self._mesh())
-        return self._mass
+        return assemble_mass(self._mesh())
 
-    @property
+    @cached_property
     def multigrid(self):
-        """Hierarchy of the free block of A + M_L.  Every solve here has
-        the form A + diag(d), d >= 0, and takes its finest level from
-        its own matrix, so all of them share these coarse levels."""
-        if self._multigrid is None:
-            self._multigrid = Multigrid(
-                self.newton_operator(np.zeros(self.lumped.size)))
-        return self._multigrid
+        """Hierarchy of the free block of A + M_L, one sparse add.  Every
+        solve here has the form A + diag(d), d >= 0, and takes its
+        finest level from its own matrix, so all share these levels."""
+        ids = np.arange(self.lumped_free.size, dtype=np.int32)
+        return Multigrid(self.stiffness + CSR.from_coo(
+            ids, ids, self.lumped_free, self.stiffness.shape))
 
 
 _OPERATORS = weakref.WeakKeyDictionary()
@@ -287,7 +283,10 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
     y = solve_spd(ops.start_operator, load, mesh.boundary, tol=_START_TOL,
                   multigrid=ops.multigrid)
     fres = _residual(ops, y, load)
-    rnorm = float(np.linalg.norm(fres[free]))
+    with np.errstate(over="ignore"):
+        rnorm = float(np.linalg.norm(fres[free]))
+    if not np.isfinite(rnorm):
+        raise RuntimeError("state solve failed: secant start overflows")
     history = [rnorm]
     eta = _ETA_MAX
     for it in range(_MAX_NEWTON + 1):
@@ -309,7 +308,8 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
         for _ in range(_MAX_HALVINGS):
             cand = y + t * step
             fc = _residual(ops, cand, load)
-            cn = float(np.linalg.norm(fc[free]))
+            with np.errstate(over="ignore"):
+                cn = float(np.linalg.norm(fc[free]))
             if np.isfinite(cn) and cn <= (1.0 - _ARMIJO * t) * rnorm:
                 y, fres, rnorm = cand, fc, cn
                 accepted = True
@@ -340,18 +340,22 @@ def solve_state(instance, u, mesh, tol=1e-10, linear=False):
 
 
 def _solve_at_state(yS, rhs, tol):
-    """Solve with the Newton matrix at the state yS, the operator of
-    the linearized and adjoint equations; just A for a state solved
-    with the nonlinearity switched off.  Returns the (V,) solution."""
+    """Solve with A + M_L diag(e^y) at the semilinear state yS, the
+    operator of the linearized and adjoint equations; returns the (V,)
+    solution.  No derivative of the Poisson problem is taken, so a
+    state solved with linear=True raises ValueError."""
+    if yS.linear:
+        raise ValueError("derivative solves take a semilinear state, "
+                         "not one solved with linear=True")
     ops = operators(yS.mesh)
-    A = ops.stiffness if yS.linear else ops.newton_operator(yS.y)
-    return solve_spd(A, rhs, yS.mesh.boundary, tol=tol,
-                     multigrid=ops.multigrid)
+    return solve_spd(ops.newton_operator(yS.y), rhs, yS.mesh.boundary,
+                     tol=tol, multigrid=ops.multigrid)
 
 
 def solve_linearized(yS, h, points, tol=_CG_TOL):
-    """Directional derivative of the state at yS along the point-mass
-    direction h, a (K,) float array: solve (A + M_L diag(e^y)) z = P' h.
+    """Directional derivative of the state at the semilinear state yS
+    along the point-mass direction h, a (K,) float array: solve
+    (A + M_L diag(e^y)) z = P' h.  A Poisson state raises ValueError.
 
     h vanishes beyond the K points, so this one solve realizes the
     derivative both for truncations of h and for the full direction.
@@ -361,9 +365,10 @@ def solve_linearized(yS, h, points, tol=_CG_TOL):
 
 
 def solve_adjoint(yS, y_d):
-    """Adjoint solve (A + M_L diag(e^y)) phi = M (y - y_d) at _CG_TOL,
-    with the target entering through its nodal interpolant.  phi is
-    continuous, so its point values P phi are well defined."""
+    """Adjoint solve (A + M_L diag(e^y)) phi = M (y - y_d) at _CG_TOL at
+    the semilinear state yS, with the target entering through its nodal
+    interpolant; a Poisson state raises ValueError.  phi is continuous,
+    so its point values P phi are well defined."""
     mesh = yS.mesh
     rhs = operators(mesh).mass @ (yS.y - nodal_field(mesh, y_d))
     return _solve_at_state(yS, rhs, _CG_TOL)

@@ -1,10 +1,11 @@
 """Shared test helpers: conversions between the package's CSR matrices
 and scipy sparse matrices (the tests do their matrix algebra in scipy),
 the free-block CSR operators that the solvers take, the stiffness on
-every vertex, the truncation of a direction, the derivatives of J at a
-control from a fresh state solve, counters of the reduced Hessian's
-linearized solves and of the multigrid V-cycles, and the references
-the package is checked against.
+every vertex, the edge table of bare triangles and the Mesh of bare
+arrays that carries it, the truncation of a direction, the derivatives
+of J at a control from a fresh state solve, counters of the reduced
+Hessian's linearized solves and of the multigrid V-cycles, and the
+references the package is checked against.
 Bit for bit: the edge lengths by two rolled copies of the corners, the
 level-by-level graded refinement, the point location by a scan of
 every triangle, the einsum stiffness and midpoint-rule mass summed in
@@ -24,8 +25,8 @@ from expctrl import objective
 from expctrl.fem import (_COARSE_SIZE, _STALLED_RESTARTS, _STRENGTH, CSR,
                          Multigrid, _cholesky, _inverse_factor, _phi1,
                          assemble_stiffness)
-from expctrl.mesh import (_BARY_TOL, Domain, Mesh, _tri_edges, barycentric,
-                          build_mesh, circumcenters, locate_point)
+from expctrl.mesh import (_BARY_TOL, Domain, Mesh, barycentric, build_mesh,
+                          circumcenters, locate_point)
 from expctrl.objective import evaluate_DJ, evaluate_J, reduced_hessian
 from expctrl.optimizer import projected_gradient, second_order_check
 from expctrl.pde import _CG_TOL, solve_linearized, solve_state
@@ -70,6 +71,33 @@ def full_stiffness(mesh):
     return assemble_stiffness(Mesh(
         mesh.vertices, mesh.triangles, np.zeros(mesh.num_vertices, dtype=bool),
         mesh.domain, mesh.edges, mesh.triangle_edges))
+
+
+def edge_table(triangles):
+    """Unique sorted edges, (T, 3) edge ids, and per-edge incidence count.
+
+    Edge slot j of a triangle is the edge opposite local vertex j.
+    """
+    T = triangles.shape[0]
+    raw = np.empty((T, 3, 2), dtype=np.int64)
+    for j in range(3):
+        raw[:, j, 0] = triangles[:, (j + 1) % 3]
+        raw[:, j, 1] = triangles[:, (j + 2) % 3]
+    raw = np.sort(raw, axis=2).reshape(-1, 2)
+    # one int64 key per edge sorts in the same (lo, hi) order as the rows
+    V = int(triangles.max()) + 1
+    keys, inverse = np.unique(raw[:, 0] * V + raw[:, 1], return_inverse=True)
+    edges = np.column_stack([keys // V, keys % V])
+    counts = np.bincount(inverse, minlength=edges.shape[0])
+    return edges, inverse.reshape(T, 3), counts
+
+
+def mesh_from_arrays(vertices, triangles, boundary, domain):
+    """The Mesh of bare arrays with their edge_table: the hand-built
+    meshes of the tests and the level-by-level reference."""
+    triangles = np.asarray(triangles)
+    return Mesh(vertices, triangles, boundary, domain,
+                *edge_table(triangles)[:2])
 
 
 def truncate(h, k):
@@ -185,7 +213,7 @@ def _refine_once(mesh, refine_points, green, ball_factor):
         red |= dist < ball_factor * rho
 
     tris = mesh.triangles
-    edges, tri_edge, counts = _tri_edges(tris)
+    edges, tri_edge, counts = edge_table(tris)
     split = np.zeros(edges.shape[0], dtype=bool)
     while True:
         split[tri_edge[red].ravel()] = True
@@ -236,7 +264,7 @@ def _refine_once(mesh, refine_points, green, ball_factor):
         parts.append(np.column_stack([v2, m20, m12]))
         parts.append(np.column_stack([m01, m12, m20]))
         part_green.extend([np.zeros(t_red.shape[0], dtype=bool)] * 4)
-    refined = Mesh(vertices, np.vstack(parts), boundary, domain)
+    refined = mesh_from_arrays(vertices, np.vstack(parts), boundary, domain)
     return refined, np.concatenate(part_green)
 
 

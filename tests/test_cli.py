@@ -56,6 +56,14 @@ def write_config(tmp_path, cfg, name="run.json"):
     return str(p)
 
 
+def subprocess_env():
+    """The environment of a fresh Python process that imports this
+    package from its source directory."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_parse_field_forms():
     assert parse_field("zero", "f0") is None
     assert parse_field(None, "f0") is None
@@ -192,6 +200,19 @@ def test_solve_of_a_large_source_needs_few_newton_steps(tmp_path):
     summary = dict(line.split("=", 1) for line in
                    (out / "solve_summary.txt").read_text().splitlines()[1:])
     assert int(summary["newton_iterations"]) <= 15
+
+
+def test_a_state_solve_that_overflows_reports_it_once(tmp_path):
+    # the secant start of f0 = 10^4 overflows the exponential: one line
+    # names the failed state solve, and no numpy warning comes before it
+    path = write_config(tmp_path, dict(README_CONFIG, f0="constant 10000"))
+    done = subprocess.run(
+        [sys.executable, "-m", "expctrl.cli", "solve", "--config", path,
+         "--out", str(tmp_path / "o")],
+        env=subprocess_env(), capture_output=True, text=True, timeout=300)
+    assert "RuntimeWarning" not in done.stderr
+    assert len(done.stderr.splitlines()) <= 1
+    assert done.returncode == 0 or "state solve failed" in done.stderr
 
 
 def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
@@ -893,9 +914,7 @@ def test_rectangle_domain_roundtrip(tmp_path):
 
 
 def test_module_entry_point_runs_the_command(tmp_path):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = subprocess_env()
 
     def run(*argv):
         return subprocess.run([sys.executable, "-m", "expctrl.cli", *argv],
@@ -920,7 +939,7 @@ import expctrl.cli
 def loaded():
     return {name: name in sys.modules for name in
             ("scipy.sparse", "scipy._lib._array_api", "numpy.f2py",
-             "numpy.random")}
+             "numpy.random", "numpy.polynomial")}
 
 before = loaded()
 status = expctrl.cli.main([sys.argv[1], "--config", sys.argv[2],
@@ -934,22 +953,26 @@ def test_cli_never_imports_the_scipy_sparse_package(tmp_path):
     # longer to import than numpy and scipy together; the package only
     # calls scipy's compiled kernels.  numpy.random is imported by the
     # checks that draw samples, when they first run, so a command that
-    # draws none never loads it
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    # draws none never loads it.  numpy.polynomial is never loaded: the
+    # mollifier's constant is written out, not integrated at import
     expected = {"scipy.sparse": False, "scipy._lib._array_api": False,
-                "numpy.f2py": False, "numpy.random": False}
-    for command, extra, draws in [
+                "numpy.f2py": False, "numpy.random": False,
+                "numpy.polynomial": False}
+    for k, (command, extra, draws) in enumerate([
             ("solve", {}, False),
             ("verify", {"verify": [{"check": "lipschitz", "trials": 1}]},
-             True)]:
+             True),
+            ("verify", {"verify": [{"check": "mollified", "R": 1.0,
+                                    "rho0": 0.5, "epsilon": 0.1,
+                                    "m": 2.0 * np.pi, "resolution": 16}]},
+             False)]):
         path = write_config(tmp_path, base_config(f0="constant 1.0",
                                                   **extra))
         done = subprocess.run(
             [sys.executable, "-c", _STARTUP_PROBE, command, path,
-             str(tmp_path / command)],
-            env=env, capture_output=True, text=True, timeout=300)
+             str(tmp_path / ("%s-%d" % (command, k)))],
+            env=subprocess_env(), capture_output=True, text=True,
+            timeout=300)
         assert done.returncode == 0, done.stderr
         before, after, status = json.loads(done.stdout.splitlines()[-1])
         assert status == 0

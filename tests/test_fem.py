@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import expctrl.fem as fem_module
+import expctrl.pde as pde_module
 from expctrl.cli import parse_field
 from expctrl.fem import (CSR, MOLLIFIER_C, DiagonalShifts, Multigrid,
                          _cholesky, _dd2_exp, _inverse_factor,
@@ -19,11 +20,11 @@ from expctrl.fem import (CSR, MOLLIFIER_C, DiagonalShifts, Multigrid,
                          integrate_exp_linear, lumped_mass_diagonal,
                          mollifier_value, point_operator, solve_spd,
                          subdivided_quadrature)
-from expctrl.mesh import Domain, Mesh, build_mesh, locate_point
-from expctrl.pde import operators
+from expctrl.mesh import Domain, build_mesh, locate_point
+from expctrl.pde import operators, solve_semilinear
 from expctrl.sequences import compute_separation_radii
 from helpers import (count_vcycles, free_block, full_stiffness, graded_disk,
-                     reference_aggregate, reference_dd2_exp,
+                     mesh_from_arrays, reference_aggregate, reference_dd2_exp,
                      reference_free_block, reference_load, reference_mass,
                      reference_multigrid, reference_point_operator,
                      reference_solve_spd, reference_stiffness, to_scipy)
@@ -101,11 +102,11 @@ _ASSEMBLY_MESHES = {
     "square": lambda: square_mesh(64),
     # right angle at (1, 1), the legs down and left: both products of
     # the off-diagonal entry of the two acute corners are -0.0
-    "right-triangle": lambda: Mesh(
+    "right-triangle": lambda: mesh_from_arrays(
         np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
         np.array([[0, 1, 2]]), np.ones(3, dtype=bool), Domain.unit_square()),
     # corners at -0.0
-    "signed-zero-corners": lambda: Mesh(
+    "signed-zero-corners": lambda: mesh_from_arrays(
         np.array([[-0.0, -0.0], [1.0, -0.0], [-0.0, 1.0], [1.0, 1.0]]),
         np.array([[0, 1, 2], [1, 3, 2]]), np.ones(4, dtype=bool),
         Domain.unit_square()),
@@ -284,7 +285,13 @@ def test_dirac_load_zero_weights_and_mass_conservation():
 
 
 def test_mollifier_normalization_constant():
-    # 1 / (2 pi int_0^1 r exp(-1/(1-r^2)) dr), frozen high-order value
+    # 1 / (2 pi int_0^1 r exp(-1/(1-r^2)) dr): the radial normalization
+    # pi int_0^1 e^{-1/v} dv by 96-point Gauss-Legendre (the integrand
+    # is flat at v = 0) gives the constant's bits
+    x, w = np.polynomial.legendre.leggauss(96)
+    v = 0.5 * (x + 1.0)
+    assert MOLLIFIER_C == 1.0 / (np.pi * 0.5 * float(np.sum(
+        w * np.exp(-1.0 / v))))
     assert_allclose(MOLLIFIER_C, 2.1435657757922364, rtol=1e-12)
     assert_allclose(mollifier_value(np.array([[0.0, 0.0]]), [0.0, 0.0], 1.0),
                     [0.78857377971267715], rtol=1e-12)
@@ -344,10 +351,9 @@ def test_integrate_exp_linear_constant_field():
 def test_integrate_exp_linear_single_triangle_closed_form():
     # one right triangle, nodal values (0, 1, 2): the exact integral of
     # exp over the triangle is (e - 1)^2 / 2
-    from expctrl.mesh import Mesh
-    mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                np.array([[0, 1, 2]]), np.array([True, True, True]),
-                Domain.unit_square())
+    mesh = mesh_from_arrays(
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]),
+        np.array([True, True, True]), Domain.unit_square())
     val = integrate_exp_linear(mesh, np.array([0.0, 1.0, 2.0]))
     assert_allclose(val, 1.4762462210062799, rtol=1e-13)
 
@@ -365,10 +371,9 @@ def test_integrate_exp_linear_matches_subdivided_quadrature():
 
 
 def test_integrate_exp_linear_near_equal_values_stable():
-    from expctrl.mesh import Mesh
-    mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                np.array([[0, 1, 2]]), np.array([True, True, True]),
-                Domain.unit_square())
+    mesh = mesh_from_arrays(
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]),
+        np.array([True, True, True]), Domain.unit_square())
     val = integrate_exp_linear(mesh, np.array([0.0, 1e-9, 2e-9]))
     assert_allclose(val, 0.5, rtol=1e-8)
 
@@ -785,6 +790,37 @@ def test_an_operator_not_made_by_the_shifts_takes_the_full_pass(
     assert passes == []
     mg.preconditioner(other)
     assert passes == [other]
+
+
+@pytest.mark.parametrize("case", sorted(_WEIGHT_MESHES))
+def test_a_poisson_solve_builds_no_shifts_and_keeps_the_hierarchy_bits(
+        case, monkeypatch):
+    # the hierarchy's A + M_L is one sparse add, bit for bit the shift
+    # of the stiffness by M_L, and only the Newton and secant-start
+    # operators build the DiagonalShifts
+    made = []
+
+    class Counted(DiagonalShifts):
+        def __init__(self, S):
+            made.append(S)
+            super().__init__(S)
+    monkeypatch.setattr(pde_module, "DiagonalShifts", Counted)
+    mesh = _WEIGHT_MESHES[case]()
+    ops = operators(mesh)
+    solve_semilinear(mesh, np.ones(mesh.num_vertices), linear=True)
+    assert made == []
+    got = ops.multigrid
+    want = Multigrid(DiagonalShifts(ops.stiffness)(ops.lumped_free))
+    assert len(got.levels) == len(want.levels) >= 1
+    for (A, w, w2), (A_ref, w_ref, w2_ref) in zip(got.levels, want.levels):
+        assert _same_matrix(A, A_ref)
+        assert _same_bits(w, w_ref) and _same_bits(w2, w2_ref)
+    for P, P_ref in zip(got.prolongators + got.restrictions,
+                        want.prolongators + want.restrictions):
+        assert _same_matrix(P, P_ref)
+    assert _same_bits(got._coarse, want._coarse)
+    ops.newton_operator(np.zeros(mesh.num_vertices))
+    assert made == [ops.stiffness]
 
 
 @pytest.mark.parametrize("case", sorted(_CSR_MESHES))

@@ -7,12 +7,12 @@ from numpy.testing import assert_allclose
 
 import expctrl.mesh as mesh_module
 from expctrl.fem import subdivided_quadrature
-from expctrl.mesh import (Domain, Mesh, _edge_lengths, _tri_edges,
-                          barycentric, build_mesh, circumcenters,
-                          locate_point)
+from expctrl.mesh import (Domain, _edge_lengths, barycentric, build_mesh,
+                          circumcenters, locate_point)
 from expctrl.sequences import compute_separation_radii
-from helpers import (graded_disk, reference_edge_lengths,
-                     reference_graded_meshes, reference_locate)
+from helpers import (edge_table, graded_disk, mesh_from_arrays,
+                     reference_edge_lengths, reference_graded_meshes,
+                     reference_locate)
 
 
 def test_domain_geometry():
@@ -134,14 +134,12 @@ def test_tri_edges_match_the_row_unique_reference():
                   axis=2).reshape(-1, 2)
     ref_edges, ref_inverse, ref_counts = np.unique(
         raw, axis=0, return_inverse=True, return_counts=True)
-    edges, tri_edge, counts = _tri_edges(mesh.triangles)
+    edges, tri_edge, counts = edge_table(mesh.triangles)
     assert np.array_equal(edges, ref_edges)
     assert np.array_equal(tri_edge, ref_inverse.reshape(T, 3))
     assert np.array_equal(counts, ref_counts)
 
 
-_CLOCKWISE = (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-              np.array([[0, 2, 1], [1, 3, 2]]), np.ones(4, dtype=bool))
 _EDGE_TABLE_MESHES = {
     "square": lambda: build_mesh(Domain.unit_square(), 7),
     "rectangle": lambda: build_mesh(Domain.rectangle(0.0, 0.0, 2.0, 1.0), 5),
@@ -152,12 +150,6 @@ _EDGE_TABLE_MESHES = {
         refine_points=compute_separation_radii(
             [[0.5, 0.5], [1.2, 0.3], [1.5, 0.7]],
             Domain.rectangle(0.0, 0.0, 2.0, 1.0)), refine_levels=5),
-    # bare arrays with a clockwise triangle, which the Mesh reorients,
-    # without and with the edge table of the input order
-    "bare-clockwise": lambda: Mesh(*_CLOCKWISE, Domain.unit_square()),
-    "table-clockwise": lambda: Mesh(
-        *_CLOCKWISE, Domain.unit_square(),
-        *_tri_edges(_CLOCKWISE[1])[:2]),
 }
 
 
@@ -178,9 +170,27 @@ def test_every_mesh_carries_its_edge_table(case):
                                                np.maximum(a, b)]))
     # Euler's formula of a triangulated disk
     assert mesh.num_vertices - len(edges) + mesh.num_triangles == 1
-    sorted_edges, _, _ = _tri_edges(mesh.triangles)
+    sorted_edges, _, _ = edge_table(mesh.triangles)
     assert set(map(tuple, edges.tolist())) \
         == set(map(tuple, sorted_edges.tolist()))
+
+
+_SQUARE_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+_BAD_TRIANGLES = {
+    # the second triangle of the square's two runs clockwise
+    "clockwise": np.array([[0, 1, 2], [1, 2, 3]]),
+    # the first triangle's corners lie on the bottom edge
+    "degenerate": np.array([[0, 1, 1], [1, 3, 2]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TRIANGLES))
+def test_mesh_rejects_a_clockwise_or_degenerate_triangle(case):
+    # a Mesh is what build_mesh makes: counterclockwise by construction,
+    # so a clockwise triangle is a fault of its maker, not reoriented
+    with pytest.raises(ValueError, match="clockwise or degenerate"):
+        mesh_from_arrays(_SQUARE_CORNERS, _BAD_TRIANGLES[case],
+                         np.ones(4, dtype=bool), Domain.unit_square())
 
 
 def test_locate_point_at_vertex_and_barycenter():
@@ -249,7 +259,7 @@ def test_broadcast_barycentric_matches_per_item_calls_on_a_graded_disk():
 
 def test_edge_statistics_and_circumcenters():
     mesh = build_mesh(Domain.unit_square(), 4)
-    _, _, counts = _tri_edges(mesh.triangles)
+    _, _, counts = edge_table(mesh.triangles)
     # n=4 square: 41 vertices? no: (n+1)^2=25 vertices, 32 triangles,
     # edges = V + T - 1 by Euler; a boundary edge has one triangle
     assert counts.size == mesh.num_vertices + mesh.num_triangles - 1
@@ -315,9 +325,9 @@ _SIZE_CASES = dict(
     square=lambda: build_mesh(_SQUARE, 37),
     disk=lambda: build_mesh(_DISK, 29),
     # the squared edge lengths overflow: the full computation decides
-    overflow=lambda: Mesh(np.array([[0.0, 0.0], [2e160, 0.0], [0.0, 3e160]]),
-                          np.array([[0, 1, 2]]), np.ones(3, dtype=bool),
-                          _SQUARE))
+    overflow=lambda: mesh_from_arrays(
+        np.array([[0.0, 0.0], [2e160, 0.0], [0.0, 3e160]]),
+        np.array([[0, 1, 2]]), np.ones(3, dtype=bool), _SQUARE))
 
 
 @pytest.mark.parametrize("case", sorted(_SIZE_CASES))
@@ -358,7 +368,7 @@ def _children(reference):
 def test_graded_build_validates_once_and_carries_its_edge_table(
         monkeypatch):
     domain, n, pts, levels, _ = _GRADED_CASES["disk-center-12"]
-    calls = {"Mesh": 0, "_tri_edges": 0, "circumcenters": 0}
+    calls = {"Mesh": 0, "circumcenters": 0}
 
     def counted(name, fn, rows=lambda *args: 1):
         def wrapper(*args):
@@ -366,17 +376,14 @@ def test_graded_build_validates_once_and_carries_its_edge_table(
             return fn(*args)
         monkeypatch.setattr(mesh_module, name, wrapper)
     counted("Mesh", mesh_module.Mesh)
-    counted("_tri_edges", _tri_edges)
     counted("circumcenters", circumcenters,
             rows=lambda vertices, triangles: triangles.shape[0])
 
-    # (a) one validated Mesh per build, whatever the number of levels,
-    # and no edge sort: the grid's table is carried to the mesh
+    # (a) one validated Mesh per build, whatever the number of levels
     for depth in (0, 1, levels):
         calls.update(dict.fromkeys(calls, 0))
         build_mesh(domain, n, refine_points=pts, refine_levels=depth)
         assert calls["Mesh"] == 1
-        assert calls["_tri_edges"] == 0
 
     # (b) circumcenters of the base grid, then only of new children
     reference = reference_graded_meshes(domain, n, pts, levels)
@@ -403,7 +410,7 @@ def _assert_located_as_by_the_scan(mesh, x):
 def test_locate_point_matches_the_full_scan_on_edges_and_vertices(case):
     domain, n, pts, levels, _ = _GRADED_CASES[case]
     mesh = build_mesh(domain, n, refine_points=pts, refine_levels=levels)
-    edges, _, _ = _tri_edges(mesh.triangles)
+    edges, _, _ = edge_table(mesh.triangles)
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]]
                        + mesh.vertices[edges[:, 1]])
     rng = np.random.default_rng(4)
@@ -429,18 +436,11 @@ def test_locate_point_matches_the_full_scan_just_outside_the_square():
         _assert_located_as_by_the_scan(mesh, x)
 
 
-def test_first_locate_on_a_graded_build_sorts_no_edges(monkeypatch):
+def test_first_locate_on_a_graded_build_sorts_no_edges():
     domain, n, pts, levels, _ = _GRADED_CASES["disk-center-12"]
     large = graded_disk()
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return _tri_edges(*args)
-    monkeypatch.setattr(mesh_module, "_tri_edges", counted)
     mesh = build_mesh(domain, n, refine_points=pts, refine_levels=levels)
     # the center is a grid vertex of every level
     t, lam = locate_point(mesh, [0.0, 0.0])
     assert np.max(lam) == 1.0
     locate_point(large, [0.0, 0.0])
-    assert len(calls) == 0

@@ -52,7 +52,6 @@ def test_kkt_lower_active_with_negative_gradient_is_flagged():
 def test_kkt_projected_residual_agrees_for_interior_points():
     bounds = BoundsPair([-5.0], [5.0])
     rep = kkt_residual(np.array([0.3]), np.array([0.8]), bounds)
-    assert_allclose(rep.projected, [0.8])
     assert_allclose(rep.projected_aggregate, 0.8)
 
 

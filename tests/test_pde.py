@@ -219,8 +219,9 @@ def test_linearized_solution_is_linear_in_the_direction():
 
 
 def test_linearized_operator_matches_mode():
-    # the linearized solve uses A for a state solved with the
-    # nonlinearity off and A + M_L diag(e^y) otherwise
+    # the linearized solve uses A + M_L diag(e^y) at a semilinear state;
+    # no derivative of the Poisson problem is taken, so a state solved
+    # with the nonlinearity off is refused by both derivative solves
     inst = two_point_instance(8)
     mesh = inst.make_mesh()
     st_lin = solve_state(inst, np.array([0.5, 0.5]), mesh, linear=True)
@@ -229,12 +230,15 @@ def test_linearized_operator_matches_mode():
     free = ~mesh.boundary
     h = np.array([1.0, -0.5])
     rhs = (point_coupling(mesh, inst.points.points).T @ h)[free]
-    A = to_scipy(full_stiffness(mesh))
-    H = A + sp.diags(ops.lumped * np.exp(st_non.y))
-    for st, M in ((st_lin, A), (st_non, H)):
-        z = solve_linearized(st, h, inst.points)
-        res = M.tocsr()[free][:, free] @ z[free] - rhs
-        assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(rhs)
+    H = to_scipy(full_stiffness(mesh)) \
+        + sp.diags(ops.lumped * np.exp(st_non.y))
+    z = solve_linearized(st_non, h, inst.points)
+    res = H.tocsr()[free][:, free] @ z[free] - rhs
+    assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(rhs)
+    with pytest.raises(ValueError, match="linear=True"):
+        solve_linearized(st_lin, h, inst.points)
+    with pytest.raises(ValueError, match="linear=True"):
+        solve_adjoint(st_lin, None)
 
 
 @pytest.mark.parametrize("kind", ["square", "graded-disk"])

@@ -1,7 +1,8 @@
 """The package's public surface is what its own code calls: a public
 top-level function, class or constant that no code of the package
 refers to is reached only by the tests, and belongs in tests/helpers.py
-or nowhere."""
+or nowhere.  So does a private top-level function or class that no
+code of the package refers to outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,14 @@ from pathlib import Path
 import expctrl
 
 SRC = Path(expctrl.__file__).parent
+
+
+def _private_definitions(tree):
+    """Names of the private top-level functions and classes of a
+    module."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")]
 
 
 def _public_definitions(tree):
@@ -42,14 +51,23 @@ def _referenced_names(tree):
     return refs
 
 
-def test_every_public_definition_is_referenced_by_the_package():
+def _unreferenced(definitions):
+    """module.name of each definitions(tree) name of the package that
+    no code of the package refers to outside the definition itself."""
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     refs = set().union(*(_referenced_names(t) for t in trees.values()))
-    unused = sorted(
-        "%s.%s" % (module[:-3], public)
+    return sorted(
+        "%s.%s" % (module[:-3], defined)
         for module, tree in trees.items()
-        for public in _public_definitions(tree)
-        if not any(name == public and owner != public
+        for defined in definitions(tree)
+        if not any(name == defined and owner != defined
                    for name, owner in refs))
-    assert unused == []
+
+
+def test_every_public_definition_is_referenced_by_the_package():
+    assert _unreferenced(_public_definitions) == []
+
+
+def test_every_private_function_and_class_is_used_by_the_package():
+    assert _unreferenced(_private_definitions) == []

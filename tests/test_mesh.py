@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 
 import expctrl.mesh as mesh_module
 from expctrl.fem import subdivided_quadrature
-from expctrl.mesh import (Domain, _edge_lengths, barycentric, build_mesh,
-                          circumcenters, locate_point)
+from expctrl.mesh import (Domain, Mesh, _edge_lengths, barycentric,
+                          build_mesh, circumcenters, locate_point)
 from expctrl.sequences import compute_separation_radii
 from helpers import (edge_table, graded_disk, mesh_from_arrays,
                      reference_edge_lengths, reference_graded_meshes,
@@ -140,6 +140,31 @@ def test_tri_edges_match_the_row_unique_reference():
     assert np.array_equal(counts, ref_counts)
 
 
+_CLOCKWISE = (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+              np.array([[0, 2, 1], [1, 3, 2]]), np.ones(4, dtype=bool))
+
+
+def _oriented_clockwise_mesh(with_table):
+    """The Mesh of _CLOCKWISE after its maker turns the clockwise triangle
+    counterclockwise: swapping corners 1 and 2 swaps edge slots 1 and 2,
+    so the edge table of the input order is handed over permuted alike."""
+    vertices, triangles, boundary = _CLOCKWISE
+    edges, tri_edges, _ = edge_table(triangles)
+    corners = vertices[triangles]
+    e1, e2 = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0.0
+    assert np.any(flip)
+    triangles = triangles.copy()
+    triangles[flip] = triangles[flip][:, [0, 2, 1]]
+    if not with_table:
+        return mesh_from_arrays(vertices, triangles, boundary,
+                                Domain.unit_square())
+    tri_edges = tri_edges.copy()
+    tri_edges[flip] = tri_edges[flip][:, [0, 2, 1]]
+    return Mesh(vertices, triangles, boundary, Domain.unit_square(),
+                edges, tri_edges)
+
+
 _EDGE_TABLE_MESHES = {
     "square": lambda: build_mesh(Domain.unit_square(), 7),
     "rectangle": lambda: build_mesh(Domain.rectangle(0.0, 0.0, 2.0, 1.0), 5),
@@ -150,6 +175,10 @@ _EDGE_TABLE_MESHES = {
         refine_points=compute_separation_radii(
             [[0.5, 0.5], [1.2, 0.3], [1.5, 0.7]],
             Domain.rectangle(0.0, 0.0, 2.0, 1.0)), refine_levels=5),
+    # bare arrays with a clockwise triangle, oriented by their maker,
+    # without and with the edge table of the input order
+    "bare-clockwise": lambda: _oriented_clockwise_mesh(False),
+    "table-clockwise": lambda: _oriented_clockwise_mesh(True),
 }
 
 

@@ -15,11 +15,12 @@ both of its entries (_edge_assembly), so every sum runs in this code's
 order and a_ij and a_ji are one float.  The state vanishes on the
 boundary, so the stiffness is assembled on the interior vertices
 alone; the mass stays V x V.  The load of a field is the plain
-edge-midpoint rule, its element contributions summed the same way.
-The solver is PCG with one symmetric AMG V-cycle per iteration
-(degree-2 fourth-kind Chebyshev smoothing, a hand-written Cholesky of
-the at most 100-unknown coarsest level); no library factorizations
-anywhere.
+edge-midpoint rule, its element contributions summed the same way; a
+mollified point load maps the order-5 rule of the reference triangle,
+quartered to resolve the bump, onto the triangles the bump meets.  The
+solver is PCG with one symmetric AMG V-cycle per iteration (degree-2
+fourth-kind Chebyshev smoothing, a hand-written Cholesky of the at most
+100-unknown coarsest level); no library factorizations anywhere.
 """
 
 import importlib.util
@@ -29,7 +30,7 @@ from importlib.machinery import PathFinder
 
 import numpy as np
 
-from .mesh import _edge_lengths, _signed_areas, barycentric, locate_point
+from .mesh import _edge_lengths, locate_point
 
 #: the module of scipy's compiled sparse kernels
 _KERNELS = "scipy.sparse._sparsetools"
@@ -239,43 +240,29 @@ def mollifier_value(x, x0, epsilon):
     return out
 
 
-def subdivided_quadrature(mesh, tri_indices, depth):
-    """Order-5 quadrature on uniformly subdivided triangles.
-
-    Returns (points, weights, bary, parent): quadrature points in the
-    plane, their weights, their barycentric coordinates with respect to
-    the parent (unrefined) triangle, and the parent triangle index, so
-    nodal fields can be evaluated by interpolation at every point.
-    """
-    tri_indices = np.asarray(tri_indices, dtype=np.int64).reshape(-1)
-    corners = mesh.vertices[mesh.triangles[tri_indices]]  # (M, 3, 2)
-    parent = tri_indices.copy()
-    tris = corners
-    for _ in range(int(depth)):
-        m01 = 0.5 * (tris[:, 0] + tris[:, 1])
-        m12 = 0.5 * (tris[:, 1] + tris[:, 2])
-        m20 = 0.5 * (tris[:, 2] + tris[:, 0])
-        tris = np.concatenate([
-            np.stack([tris[:, 0], m01, m20], axis=1),
-            np.stack([tris[:, 1], m12, m01], axis=1),
-            np.stack([tris[:, 2], m20, m12], axis=1),
-            np.stack([m01, m12, m20], axis=1)])
-        parent = np.concatenate([parent] * 4)
-    areas = np.abs(_signed_areas(tris))
-    qp = np.einsum("qj,mjd->mqd", TRI7_BARY, tris)    # (M', q, 2)
-    weights = (TRI7_W[None, :] * areas[:, None]).ravel()
-    pts = qp.reshape(-1, 2)
-    parent_q = np.repeat(parent, TRI7_W.size)
-    return pts, weights, barycentric(mesh, parent_q, pts), parent_q
+def _subdivided_rule(depth):
+    """The order-5 rule on the reference triangle quartered depth
+    times: (7 4^depth, 3) barycentric points and their weights, which
+    sum to 1."""
+    pieces = np.eye(3)[None]                          # (1, corner, 3)
+    for _ in range(depth):
+        mids = 0.5 * (pieces + np.roll(pieces, -1, axis=1))  # m01 m12 m20
+        pieces = np.concatenate([
+            np.stack([pieces[:, j], mids[:, j], mids[:, j - 1]], axis=1)
+            for j in range(3)] + [mids])
+    bary = np.einsum("qj,mjk->mqk", TRI7_BARY, pieces).reshape(-1, 3)
+    return bary, np.tile(TRI7_W / len(pieces), len(pieces))
 
 
 def assemble_mollified_load(mesh, x0, epsilon):
     """Load vector of the mollified point source at x0.
 
-    The bump is steep, so triangles meeting its support are subdivided
-    until the sub-edges resolve epsilon (at least one level), and the
-    order-5 rule is applied on the pieces; the entries then sum to 1
-    within 1e-4 whenever epsilon is not far below the local mesh size.
+    The bump is steep, so on the triangles meeting its support the
+    order-5 rule runs on the reference triangle quartered depth times,
+    depth in [1, 6] the least whose sub-edges resolve epsilon; the
+    entries then sum to 1 within 1e-4.  Below about epsilon = h/8 the
+    depth stops at 6 and the sum misses more: 0.99986 at epsilon =
+    0.002 about the center of the n = 64 disk, 1.00021 at n = 48.
     """
     x0 = np.asarray(x0, dtype=float).reshape(2)
     if mesh.domain.boundary_distance(x0) <= epsilon:
@@ -288,10 +275,11 @@ def assemble_mollified_load(mesh, x0, epsilon):
         return np.zeros(mesh.num_vertices)
     local_h = float(emax[cand].max())
     depth = int(np.clip(np.ceil(np.log2(4.0 * local_h / epsilon)), 1, 6))
-    pts, w, bary, parent = subdivided_quadrature(mesh, cand, depth)
-    phi = mollifier_value(pts, x0, epsilon)
-    contrib = (w * phi)[:, None] * bary               # weight per hat
-    return np.bincount(mesh.triangles[parent].ravel(),
+    bary, w = _subdivided_rule(depth)
+    pts = np.einsum("qj,mjd->mqd", bary, corners[cand])
+    phi = mollifier_value(pts, x0, epsilon).reshape(cand.size, -1)
+    contrib = (phi * w) @ bary * mesh.areas[cand, None]   # weight per hat
+    return np.bincount(mesh.triangles[cand].ravel(),
                        weights=contrib.ravel(), minlength=mesh.num_vertices)
 
 

@@ -240,6 +240,12 @@ def field_load(mesh, f):
     return operators(mesh).mass @ nodal_field(mesh, f)
 
 
+def _norm(v):
+    """The 2-norm of v, inf without a warning where it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
+
+
 def _residual(ops, y, load):
     """A y + M_L (e^y - 1) - load on the free nodes, zero on the
     boundary; y vanishes there, so the free block of A is all of A it
@@ -274,7 +280,9 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
         raise ValueError("load does not match the mesh")
     ops = operators(mesh)
     free = ops.free
-    scale = 1.0 + float(np.linalg.norm(load[free]))
+    scale = 1.0 + _norm(load[free])
+    if not np.isfinite(scale):
+        raise RuntimeError("state solve failed: load norm overflows")
     if linear:
         y = solve_spd(ops.stiffness, load, mesh.boundary, tol=_CG_TOL,
                       multigrid=ops.multigrid)
@@ -283,8 +291,7 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
     y = solve_spd(ops.start_operator, load, mesh.boundary, tol=_START_TOL,
                   multigrid=ops.multigrid)
     fres = _residual(ops, y, load)
-    with np.errstate(over="ignore"):
-        rnorm = float(np.linalg.norm(fres[free]))
+    rnorm = _norm(fres[free])
     if not np.isfinite(rnorm):
         raise RuntimeError("state solve failed: secant start overflows")
     history = [rnorm]
@@ -308,8 +315,7 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
         for _ in range(_MAX_HALVINGS):
             cand = y + t * step
             fc = _residual(ops, cand, load)
-            with np.errstate(over="ignore"):
-                cn = float(np.linalg.norm(fc[free]))
+            cn = _norm(fc[free])
             if np.isfinite(cn) and cn <= (1.0 - _ARMIJO * t) * rnorm:
                 y, fres, rnorm = cand, fc, cn
                 accepted = True

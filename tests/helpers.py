@@ -14,7 +14,8 @@ aggregation, the PCG loop that tests its residual before each step,
 and the scipy matrix operations that CSR replaces: the point operator,
 the free block of the stiffness and the multigrid setup.  To a stated
 rounding bound: the load by einsums over the edge-midpoint rule
-TRI3_BARY, TRI3_W."""
+TRI3_BARY, TRI3_W, and the mollified load by the order-5 rule on every
+candidate triangle subdivided in the plane."""
 
 import functools
 
@@ -23,9 +24,11 @@ import scipy.sparse as sp
 
 from expctrl import objective
 from expctrl.fem import (_COARSE_SIZE, _STALLED_RESTARTS, _STRENGTH, CSR,
-                         Multigrid, _cholesky, _inverse_factor, _phi1,
-                         assemble_stiffness)
-from expctrl.mesh import (_BARY_TOL, Domain, Mesh, barycentric, build_mesh,
+                         TRI7_BARY, TRI7_W, Multigrid, _cholesky,
+                         _inverse_factor, _phi1, assemble_stiffness,
+                         mollifier_value)
+from expctrl.mesh import (_BARY_TOL, Domain, Mesh, _edge_lengths,
+                          _signed_areas, barycentric, build_mesh,
                           circumcenters, locate_point)
 from expctrl.objective import evaluate_DJ, evaluate_J, reduced_hessian
 from expctrl.optimizer import projected_gradient, second_order_check
@@ -369,6 +372,41 @@ def reference_load(mesh, f):
     b = np.zeros(mesh.num_vertices)
     np.add.at(b, mesh.triangles.ravel(), local.ravel())
     return b
+
+
+def reference_mollified_load(mesh, x0, epsilon):
+    """The mollified load and the subdivision depth it took: the same
+    candidate triangles and depth as the package, each candidate
+    quartered depth times in the plane, the order-5 rule on the pieces
+    with their areas recomputed, and the hats' values at the points
+    solved back from them by barycentric."""
+    x0 = np.asarray(x0, dtype=float).reshape(2)
+    corners = mesh.vertices[mesh.triangles]
+    d = np.hypot(corners[..., 0] - x0[0], corners[..., 1] - x0[1])
+    emax = _edge_lengths(corners).max(axis=1)
+    parent = np.nonzero(d.min(axis=1) <= epsilon + emax)[0]
+    local_h = float(emax[parent].max())
+    depth = int(np.clip(np.ceil(np.log2(4.0 * local_h / epsilon)), 1, 6))
+    tris = corners[parent]
+    for _ in range(depth):
+        m01 = 0.5 * (tris[:, 0] + tris[:, 1])
+        m12 = 0.5 * (tris[:, 1] + tris[:, 2])
+        m20 = 0.5 * (tris[:, 2] + tris[:, 0])
+        tris = np.concatenate([
+            np.stack([tris[:, 0], m01, m20], axis=1),
+            np.stack([tris[:, 1], m12, m01], axis=1),
+            np.stack([tris[:, 2], m20, m12], axis=1),
+            np.stack([m01, m12, m20], axis=1)])
+        parent = np.concatenate([parent] * 4)
+    areas = np.abs(_signed_areas(tris))
+    pts = np.einsum("qj,mjd->mqd", TRI7_BARY, tris).reshape(-1, 2)
+    w = (TRI7_W[None, :] * areas[:, None]).ravel()
+    parent = np.repeat(parent, TRI7_W.size)
+    contrib = ((w * mollifier_value(pts, x0, epsilon))[:, None]
+               * barycentric(mesh, parent, pts))
+    return np.bincount(mesh.triangles[parent].ravel(),
+                       weights=contrib.ravel(),
+                       minlength=mesh.num_vertices), depth
 
 
 def reference_dd2_exp(a, b, c):

@@ -14,20 +14,20 @@ import expctrl.pde as pde_module
 from expctrl.cli import parse_field
 from expctrl.fem import (CSR, MOLLIFIER_C, DiagonalShifts, Multigrid,
                          _cholesky, _dd2_exp, _inverse_factor,
-                         _jacobi_weights, assemble_load,
+                         _jacobi_weights, _subdivided_rule, assemble_load,
                          assemble_mass, assemble_mollified_load,
                          assemble_stiffness, exp_remainder,
                          integrate_exp_linear, lumped_mass_diagonal,
-                         mollifier_value, point_operator, solve_spd,
-                         subdivided_quadrature)
+                         mollifier_value, point_operator, solve_spd)
 from expctrl.mesh import Domain, build_mesh, locate_point
 from expctrl.pde import operators, solve_semilinear
 from expctrl.sequences import compute_separation_radii
 from helpers import (count_vcycles, free_block, full_stiffness, graded_disk,
                      mesh_from_arrays, reference_aggregate, reference_dd2_exp,
                      reference_free_block, reference_load, reference_mass,
-                     reference_multigrid, reference_point_operator,
-                     reference_solve_spd, reference_stiffness, to_scipy)
+                     reference_mollified_load, reference_multigrid,
+                     reference_point_operator, reference_solve_spd,
+                     reference_stiffness, to_scipy)
 
 
 def square_mesh(n):
@@ -215,7 +215,8 @@ def test_assembly_peak_memory_stays_within_its_budget():
     points = compute_separation_radii([[0.0, 0.0]], domain)
     budgets = {"build_mesh": 4_461_610, "operators": 2_480_000,
                "assemble_mass": 2_520_000, "Multigrid": 1_700_000,
-               "integrate_exp_linear": 1_550_000}
+               "integrate_exp_linear": 1_550_000,
+               "assemble_mollified_load": 60_000_000}
     peaks = {}
 
     def traced(name, fn, *args):
@@ -236,6 +237,12 @@ def test_assembly_peak_memory_stays_within_its_budget():
     r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
     traced("integrate_exp_linear", integrate_exp_linear, mesh,
            -np.log(np.maximum(r, 1e-6)) / (2.0 * np.pi), 4.0 * np.pi)
+    # a bump narrow enough for the deepest subdivision, on the n = 64
+    # disk: about twice the peak of one quartered reference rule mapped
+    # onto its candidates (quartering each candidate in the plane peaks
+    # at 189 MB)
+    traced("assemble_mollified_load", assemble_mollified_load,
+           build_mesh(domain, 64), [0.0, 0.0], 0.005)
     for name, budget in budgets.items():
         assert peaks[name] <= budget, (name, peaks[name])
 
@@ -332,12 +339,51 @@ def test_mollified_load_rejects_support_crossing_the_boundary():
         assemble_mollified_load(mesh, [0.05, 0.5], 0.1)
 
 
-def test_subdivided_quadrature_preserves_area():
-    mesh = square_mesh(4)
-    idx = np.arange(5)
-    _, w, _, parent = subdivided_quadrature(mesh, idx, 2)
-    assert_allclose(np.sum(w), np.sum(mesh.areas[idx]), rtol=1e-12)
-    assert set(np.unique(parent)) == set(idx.tolist())
+def test_mollified_load_matches_the_plane_subdivision():
+    # off-grid centers, widths that take every depth from 1 to 6 (two
+    # at the cap, each about 0.3 s and 175 MB in the reference)
+    square = Domain.unit_square()
+    cases = [
+        (build_mesh(Domain.disk(0.0, 0.0, 1.0), 16), [0.013, -0.021],
+         (0.4, 0.2, 0.1, 0.05, 0.02)),
+        (build_mesh(Domain.disk(0.0, 0.0, 1.0), 48), [-0.031, 0.017],
+         (0.3, 0.1, 0.05, 0.02, 0.01)),
+        (build_mesh(Domain.disk(0.0, 0.0, 1.0), 64), [0.027, 0.009],
+         (0.1, 0.05, 0.03, 0.005)),
+        (build_mesh(square, 8, refine_points=compute_separation_radii(
+            [[0.5, 0.5]], square), refine_levels=4), [0.513, 0.479],
+         (0.4, 0.3, 0.1))]
+    depths = []
+    for mesh, x0, widths in cases:
+        for eps in widths:
+            b = assemble_mollified_load(mesh, x0, eps)
+            ref, depth = reference_mollified_load(mesh, x0, eps)
+            depths.append(depth)
+            assert np.array_equal(b != 0.0, ref != 0.0)
+            scale = np.abs(ref).max()
+            assert np.abs(b - ref).max() <= 1e-13 * scale, (eps, depth)
+            if depth < 6:
+                assert abs(b.sum() - 1.0) <= 1e-4, (eps, depth)
+    assert set(depths) == set(range(1, 7)) and depths.count(6) == 2
+
+
+def test_subdivided_rule_is_exact_to_degree_five():
+    # int over the reference triangle of l1^a l2^b l3^c, over its area:
+    # 2 a! b! c! / (a + b + c + 2)!
+    f = math.factorial
+    for depth in range(4):
+        bary, w = _subdivided_rule(depth)
+        assert bary.shape == (7 * 4 ** depth, 3) and w.shape == (len(bary),)
+        assert bary.min() >= 0.0
+        assert_allclose(bary.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert_allclose(w.sum(), 1.0, rtol=1e-14)
+        for a in range(6):
+            for b in range(6 - a):
+                for c in range(6 - a - b):
+                    exact = 2.0 * f(a) * f(b) * f(c) / f(a + b + c + 2)
+                    assert_allclose(
+                        w @ (bary[:, 0] ** a * bary[:, 1] ** b
+                             * bary[:, 2] ** c), exact, rtol=1e-13)
 
 
 def test_integrate_exp_linear_constant_field():
@@ -363,10 +409,8 @@ def test_integrate_exp_linear_matches_subdivided_quadrature():
     rng = np.random.default_rng(3)
     v = rng.normal(size=mesh.num_vertices)
     exact = integrate_exp_linear(mesh, v)
-    pts, w, bary, parent = subdivided_quadrature(
-        mesh, np.arange(mesh.num_triangles), 4)
-    vq = np.sum(bary * v[mesh.triangles[parent]], axis=1)
-    approx = float(np.sum(w * np.exp(vq)))
+    bary, w = _subdivided_rule(4)
+    approx = float(mesh.areas @ (np.exp(v[mesh.triangles] @ bary.T) @ w))
     assert_allclose(exact, approx, rtol=1e-9)
 
 

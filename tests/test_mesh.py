@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import expctrl.mesh as mesh_module
-from expctrl.fem import subdivided_quadrature
 from expctrl.mesh import (Domain, Mesh, _edge_lengths, barycentric,
                           build_mesh, circumcenters, locate_point)
 from expctrl.sequences import compute_separation_radii
@@ -278,11 +277,6 @@ def test_broadcast_barycentric_matches_per_item_calls_on_a_graded_disk():
     assert np.array_equal(every[t[0]], lam[0])
     assert_allclose(lam.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert_allclose(np.einsum("mj,mjd->md", lam, corners), x, rtol=0,
-                    atol=1e-12)
-    # the quadrature's coordinates against its parents rebuild its points
-    qp, _, bary, parent = subdivided_quadrature(mesh, t[:20], 2)
-    corners = mesh.vertices[mesh.triangles[parent]]
-    assert_allclose(np.einsum("mj,mjd->md", bary, corners), qp, rtol=0,
                     atol=1e-12)
 
 

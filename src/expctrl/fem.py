@@ -420,10 +420,11 @@ _STALLED_RESTARTS = 3
 
 
 def _prune(a, n):
-    """The first n entries of a, copied when they fill less than half
-    of it, as scipy trims a result's arrays, so a sparse result holds
-    no more memory than scipy's."""
-    return a[:n].copy() if n < a.size // 2 else a[:n]
+    """The first n entries of a, copied whenever they fill less than
+    all of it, so a sparse result holds exactly its entries: the
+    buffers of a product or a sum are sized by a bound, and S + S'
+    fills exactly half of its own."""
+    return a[:n].copy() if n < a.size else a
 
 
 class CSR:
@@ -714,8 +715,7 @@ class DiagonalShifts:
     def __init__(self, S):
         n = S.shape[0]
         self._matrix = S
-        self._diagonal = np.flatnonzero(S.indices == np.repeat(
-            np.arange(n, dtype=np.int32), np.diff(S.indptr)))
+        self._diagonal = diagonal_positions(S)
         off = np.abs(S.data)
         off[self._diagonal] = 0.0
         self._off_sums = CSR(S.indptr, S.indices, off, S.shape) @ np.ones(n)
@@ -731,6 +731,14 @@ class DiagonalShifts:
         A = _Shifted(S.indptr, S.indices, data, S.shape)
         A.weights = (4.0 / 3.0) / (self._off_sums + diagonal)
         return A
+
+
+def diagonal_positions(S):
+    """The positions in S.data of the main diagonal of the square CSR
+    S, row by row; every diagonal entry must be stored.  S + diag(d) on
+    S's index arrays is then one copy of S.data with d added there."""
+    return np.flatnonzero(S.indices == np.repeat(
+        np.arange(S.shape[0], dtype=np.int32), np.diff(S.indptr)))
 
 
 class _Shifted(CSR):

@@ -38,8 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from .fem import (CSR, DiagonalShifts, Multigrid, assemble_load,
-                  assemble_mass, assemble_stiffness, lumped_mass_diagonal,
-                  point_operator, solve_spd)
+                  assemble_mass, assemble_stiffness, diagonal_positions,
+                  lumped_mass_diagonal, point_operator, solve_spd)
 from .mesh import build_mesh
 from .sequences import FOUR_PI
 
@@ -110,12 +110,17 @@ class _Operators:
 
     @cached_property
     def multigrid(self):
-        """Hierarchy of the free block of A + M_L, one sparse add.  Every
-        solve here has the form A + diag(d), d >= 0, and takes its
-        finest level from its own matrix, so all share these levels."""
-        ids = np.arange(self.lumped_free.size, dtype=np.int32)
-        return Multigrid(self.stiffness + CSR.from_coo(
-            ids, ids, self.lumped_free, self.stiffness.shape))
+        """Hierarchy of the free block of A + M_L, formed as
+        DiagonalShifts forms a Newton operator: one copy of the
+        stiffness's data with M_L added on its diagonal, on the
+        stiffness's own index arrays, and without the off-diagonal row
+        sums that only the Newton operators read.  Every solve here has
+        the form A + diag(d), d >= 0, and takes its finest level from
+        its own matrix, so all share these levels."""
+        S = self.stiffness
+        data = S.data.copy()
+        data[diagonal_positions(S)] += self.lumped_free
+        return Multigrid(CSR(S.indptr, S.indices, data, S.shape))
 
 
 _OPERATORS = weakref.WeakKeyDictionary()

@@ -11,12 +11,15 @@ timestamp line, identical config and seed produce byte-identical
 files.  The seed only draws the random samples of verify.
 
 Exit codes: 0 success, 1 config or precondition error, 2 solver
-failure, 3 iteration budget exhausted, 4 estimate violation.
+failure or another numeric fault (an estimate side or a report value
+that is not finite), 3 iteration budget exhausted, 4 estimate
+violation.
 """
 
 import argparse
 import copy
 import json
+import math
 import re
 import sys
 from datetime import datetime, timezone
@@ -309,19 +312,40 @@ def _stamp():
         "%Y-%m-%dT%H:%M:%SZ")
 
 
+def _finite(value):
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return all(_finite(v) for v in value)
+    return True
+
+
+def _cells(path, keys, values):
+    """The formatted values of one line of the report path; a float
+    that is not finite, alone or in a list, is a numeric fault and
+    raises RuntimeError naming the file and the key."""
+    cells = []
+    for key, value in zip(keys, values):
+        if not _finite(value):
+            raise RuntimeError("report %s: %s is not finite"
+                               % (path.name, key))
+        cells.append(_fmt(value))
+    return cells
+
+
 def _write_csv(path, columns, rows):
     with open(path, "w") as f:
         f.write(_stamp())
         f.write(",".join(columns) + "\n")
         for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+            f.write(",".join(_cells(path, columns, row)) + "\n")
 
 
 def _write_summary(path, pairs):
     with open(path, "w") as f:
         f.write(_stamp())
         for key, value in pairs:
-            f.write("%s=%s\n" % (key, _fmt(value)))
+            f.write("%s=%s\n" % (key, *_cells(path, (key,), (value,))))
 
 
 def _base_control(config):

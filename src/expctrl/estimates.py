@@ -35,7 +35,9 @@ class EstimateReport:
     The default pass rule tolerates a relative deficit of 1e-8; checks
     carrying an extra discretization allowance widen it through slack
     and record the allowance among their parameters.  A skipped check
-    verified nothing: it is flagged skipped and never passes.
+    verified nothing: it is flagged skipped and never passes.  A side
+    that is not finite is a numeric fault, not a bad input: it raises
+    RuntimeError naming the check.
     """
 
     def __init__(self, name, lhs, rhs, parameters, slack=1e-8,
@@ -43,7 +45,8 @@ class EstimateReport:
         lhs = float(lhs)
         rhs = float(rhs)
         if not (np.isfinite(lhs) and np.isfinite(rhs)):
-            raise ValueError("estimate sides must be finite")
+            raise RuntimeError("estimate %s: sides must be finite, "
+                               "lhs=%r rhs=%r" % (name, lhs, rhs))
         self.name = str(name)
         self.lhs = lhs
         self.rhs = rhs
@@ -63,7 +66,7 @@ def _point_mass_bound(points, omega, alpha, mesh):
     the mesh's domain, and returns the point-mass load P' omega, the
     bound (4 pi^2 R^2 / alpha) (2R)^(c s / wmax) exp[c L / wmax] with
     R = diam(domain)/2, c = 2 - alpha/(2 pi), s = |omega|_1 and
-    wmax = max omega_i, then c, wmax, and the report parameters.
+    wmax = max omega_i, then wmax and the report parameters.
     """
     if not (0.0 < alpha < FOUR_PI):
         raise ValueError("alpha must lie strictly between 0 and 4*pi")
@@ -81,7 +84,7 @@ def _point_mass_bound(points, omega, alpha, mesh):
     params = {"alpha": float(alpha), "omega": omega.tolist(), "R": R,
               "rho": radii.radii.tolist(), "L": L, "domain": domain.name,
               "vertices": mesh.num_vertices}
-    return (point_coupling(mesh, radii.points).rmatvec(omega), rhs, c, wmax,
+    return (point_coupling(mesh, radii.points).rmatvec(omega), rhs, wmax,
             params)
 
 
@@ -97,8 +100,7 @@ def verify_poisson_exponential(points, omega, alpha, mesh):
     """
     if np.any(omega <= 0.0):
         raise ValueError("point-mass weights must be positive")
-    load, rhs, _, wmax, params = _point_mass_bound(points, omega, alpha,
-                                                   mesh)
+    load, rhs, wmax, params = _point_mass_bound(points, omega, alpha, mesh)
     y = solve_semilinear(mesh, load, linear=True)
     lhs = integrate_exp_linear(mesh, np.abs(y.y),
                                coeff=(FOUR_PI - alpha) / wmax)
@@ -109,13 +111,19 @@ def verify_semilinear_exponential(points, omega, alpha, f0, mesh):
     """Exponential integrability of the semilinear solution with source
     f0 + sum omega_i delta_i on mesh, in the mesh's domain.
 
-    The bound is certified constructively: the measure-free solve gives
-    the shift |y_0|_inf, and the right-hand side multiplies the
-    point-mass bound by exp[(2 - alpha/2 pi) |y_0|_inf / omega_max].
-    The left-hand side integrates exp over the positive part of y,
-    which is what the comparison y <= y_0 + y_1 controls.  Weights at
-    or above 4 pi are rejected, as solve_state rejects such controls:
-    the equation loses solvability there.
+    The bound is certified constructively by comparison: y <= y_0 +
+    y_1, with y_0 the state of f0 alone and y_1 the Poisson state of
+    the point masses, so y^+ <= max(y_0)^+ + y_1 and, with
+    k = (4 pi - alpha) / omega_max,
+
+        int exp(k y^+) <= exp(k max(y_0)^+) int exp(k y_1).
+
+    The measure-free solve gives the shift max(y_0)^+, and the
+    right-hand side multiplies the point-mass bound of the last
+    integral by exp(k shift).  The left-hand side integrates exp(k y^+)
+    over the mesh.  Weights at or above 4 pi are rejected, as
+    solve_state rejects such controls: the equation loses solvability
+    there.
     """
     if np.any(omega < 0.0):
         raise ValueError("point-mass weights must be nonnegative")
@@ -123,15 +131,15 @@ def verify_semilinear_exponential(points, omega, alpha, f0, mesh):
         raise ValueError("at least one positive point-mass weight required")
     if float(np.max(omega)) >= FOUR_PI:
         raise ValueError("state equation may be ill-posed")
-    load, rhs, c, wmax, params = _point_mass_bound(points, omega, alpha,
-                                                   mesh)
+    load, rhs, wmax, params = _point_mass_bound(points, omega, alpha, mesh)
+    k = (FOUR_PI - alpha) / wmax
     base_load = field_load(mesh, f0)
     y = solve_semilinear(mesh, base_load + load)
     y0 = solve_semilinear(mesh, base_load)
-    params["shift"] = float(np.max(np.abs(y0.y)))
-    rhs *= np.exp(c * params["shift"] / wmax)
-    lhs = integrate_exp_linear(mesh, np.maximum(y.y, 0.0),
-                               coeff=(FOUR_PI - alpha) / wmax)
+    params["shift"] = max(float(np.max(y0.y)), 0.0)
+    with np.errstate(over="ignore"):
+        rhs *= np.exp(k * params["shift"])
+    lhs = integrate_exp_linear(mesh, np.maximum(y.y, 0.0), coeff=k)
     return EstimateReport("semilinear-exponential", lhs, rhs, params)
 
 

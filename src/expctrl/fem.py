@@ -287,9 +287,13 @@ def _dd2_exp(a, b, c):
     """Second divided difference of exp at the triples (a_i, b_i, c_i).
 
     2 * area * dd2_exp(v0, v1, v2) is the exact integral of
-    exp(linear interpolant) on a triangle.  Evaluated with a shift by
-    the maximum plus a complete-homogeneous series when the values
-    nearly coincide, so there is no cancellation.
+    exp(linear interpolant) on a triangle.  Triples spread by more
+    than 0.5 take the first divided differences f[hi, mid] =
+    e^hi phi1(mid - hi) and f[mid, lo] = e^mid phi1(lo - mid), each
+    shifted by its larger value, so no phi1 argument is positive and
+    a spread of any size neither overflows expm1 nor forms 0 * inf;
+    nearly coinciding values take a complete-homogeneous series, so
+    there is no cancellation.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -303,8 +307,8 @@ def _dd2_exp(a, b, c):
     if np.any(wide):
         va = np.sort(np.stack([a[wide], b[wide], c[wide]]), axis=0)
         lo_, mid, hi_ = va[0], va[1], va[2]
-        f_hi = np.exp(mid) * _phi1(hi_ - mid)         # f[hi, mid]
-        f_lo = np.exp(lo_) * _phi1(mid - lo_)         # f[mid, lo]
+        f_hi = np.exp(hi_) * _phi1(mid - hi_)         # f[hi, mid]
+        f_lo = np.exp(mid) * _phi1(lo_ - mid)         # f[mid, lo]
         out[wide] = (f_hi - f_lo) / (hi_ - lo_)
 
     close = ~wide

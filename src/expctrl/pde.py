@@ -21,11 +21,20 @@ The state is found by inexact damped Newton from the secant start
 exponential at y = 3.3, near the peaks of the states these solves
 meet: the linearization e^y ~ 1 + y (c = 1) starts far above the
 state near the point sources, where Newton from a supersolution lowers
-the peak by about 1 per step (Ortega and Rheinboldt 1970, 13.3).  Each
-step's linear solve stops at an Eisenstat-Walker forcing tolerance,
-and only the nonlinear residual test decides convergence.  The adjoint
-solves, on which the exact gradient rests, run at _CG_TOL, and so do
-the linearized solves by default.  A caller that reads a linearized
+the peak by about 1 per step (Ortega and Rheinboldt 1970, 13.3).  The
+start is then capped at max_i log1p(b_i^+ / m_i), m the lumped mass:
+where y attains a positive maximum at a vertex i of a stiffness that
+is an M-matrix with nonnegative row sums, (A y)_i >= 0, so
+m_i (e^y_i - 1) <= b_i, and no state exceeds the cap.  That is proven
+on rectangles, whose stiffness is an M-matrix; on disks and graded
+meshes, which carry positive couplings, the cap is the same number,
+measured to serve but not proven.  A large smooth source, whose start
+grows like f0 / 8 while its state stays near log(1 + f0), then starts
+at the bound instead of overflowing e^y.  Each step's linear solve
+stops at an Eisenstat-Walker forcing tolerance, and only the nonlinear
+residual test decides convergence.  The adjoint solves, on which the
+exact gradient rests, run at _CG_TOL, and so do the linearized solves
+by default.  A caller that reads a linearized
 state only to steer a guarded step may pass a looser tol: the
 optimizer solves the Hessian columns of its iterates to a forcing
 tolerance between _CG_TOL and _ETA_MAX, while the second-order
@@ -272,7 +281,8 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
 
     Inexact damped Newton from the secant start (A + c M_L) y = load,
     c = _START_SLOPE = 8 (the module docstring says why), whose solve
-    only needs the relative accuracy _START_TOL.  Each step
+    only needs the relative accuracy _START_TOL, capped at
+    max_i log1p(load_i^+ / m_i), a bound of the state.  Each step
     solves with the matrix A + M_L diag(e^y) to the Eisenstat-Walker
     forcing tolerance eta_k, kept at or above _CG_TOL and at or above
     0.5 tol (1 + |load|) / |F_k|, so no step is solved past the point
@@ -295,6 +305,10 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
         return StateSolution(mesh, y, [res], linear=True)
     y = solve_spd(ops.start_operator, load, mesh.boundary, tol=_START_TOL,
                   multigrid=ops.multigrid)
+    # the state stays below the cap (module docstring), and Newton
+    # from far above it lowers the peak by about 1 per step
+    cap = np.max(np.log1p(np.maximum(load[free], 0.0) / ops.lumped_free))
+    np.minimum(y, cap, out=y)
     fres = _residual(ops, y, load)
     rnorm = _norm(fres[free])
     if not np.isfinite(rnorm):

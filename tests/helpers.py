@@ -421,8 +421,8 @@ def reference_dd2_exp(a, b, c):
     if np.any(wide):
         va = np.sort(np.stack([a[wide], b[wide], c[wide]]), axis=0)
         lo_, mid, hi_ = va[0], va[1], va[2]
-        f_hi = np.exp(mid) * _phi1(hi_ - mid)
-        f_lo = np.exp(lo_) * _phi1(mid - lo_)
+        f_hi = np.exp(hi_) * _phi1(mid - hi_)
+        f_lo = np.exp(mid) * _phi1(lo_ - mid)
         out[wide] = (f_hi - f_lo) / (hi_ - lo_)
     close = ~wide
     if np.any(close):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -231,6 +232,92 @@ def test_a_state_solve_that_overflows_reports_it_once(tmp_path):
                    for row in skipped)
         if fails:
             assert solve.returncode == 2 and skipped
+
+
+@pytest.mark.parametrize("f0", ["constant 1e3", "constant 1e4",
+                                "constant 1e6"])
+def test_solve_of_a_huge_source_starts_at_the_bound_of_the_state(tmp_path,
+                                                                 f0):
+    # the secant start grows like f0 / 8 and overflowed e^y from
+    # f0 = 10^4 on (f0 = 10^3 took 49 steps); capped at
+    # max log1p(b^+ / m), a bound of the state, it takes at most 8
+    path = write_config(tmp_path, dict(README_CONFIG, f0=f0))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    summary = dict(line.split("=", 1) for line in
+                   (out / "solve_summary.txt").read_text().splitlines()[1:])
+    assert int(summary["newton_iterations"]) <= 8
+
+
+_SEMILINEAR = {"check": "semilinear", "omega": [1.0, 1.0], "alpha": 6.28}
+
+
+def _estimate_rows(out):
+    rows = (out / "estimates.csv").read_text().splitlines()[2:]
+    return [dict(zip(("name", "parameters", "lhs", "rhs", "margin",
+                      "pass"), row.split(","))) for row in rows]
+
+
+@pytest.mark.parametrize("f0", ["constant 30", "constant 100",
+                                "constant 1000"])
+def test_semilinear_certificate_holds_for_large_sources(tmp_path, f0):
+    # the comparison y <= y_0 + y_1 multiplies the point-mass bound by
+    # exp(k max(y_0)^+), k = (4 pi - alpha) / omega_max; the exponent
+    # (2 - alpha / 2 pi) |y_0|_inf / omega_max, 2 pi times smaller,
+    # failed here from f0 = 30 on
+    path = write_config(tmp_path, dict(README_CONFIG, f0=f0,
+                                       verify=[_SEMILINEAR]))
+    out = tmp_path / "o"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    (row,) = _estimate_rows(out)
+    assert row["name"] == "semilinear-exponential" and row["pass"] == "true"
+    shift = float(row["parameters"].split("shift=")[1].split(";")[0])
+    assert shift > 0.0
+
+
+def test_a_huge_negative_source_writes_finite_reports(tmp_path):
+    # the state falls to -73,657: the exponential integral shifts each
+    # divided difference by its larger value, and the certificate's
+    # shift is max(y_0)^+ = 0, so nothing overflows or warns
+    path = write_config(tmp_path, dict(README_CONFIG, f0="constant -1e6",
+                                       verify=[_SEMILINEAR]))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    summary = dict(line.split("=", 1) for line in
+                   (out / "solve_summary.txt").read_text().splitlines()[1:])
+    assert float(summary["min_y"]) < -7e4
+    assert 0.0 < float(summary["int_exp_y"]) < 1e-3
+    (row,) = _estimate_rows(out)
+    assert "shift=0;" in row["parameters"] + ";" and row["pass"] == "true"
+
+
+def test_a_non_finite_value_exits_as_a_numeric_fault(tmp_path, monkeypatch,
+                                                     capsys):
+    # a report value or an estimate side that is not finite is a fault
+    # of the computation, exit 2 naming where it sits, not a config error
+    path = write_config(tmp_path, base_config(
+        f0="constant 1.0", verify=[{"check": "scalar", "samples": 10}]))
+    monkeypatch.setattr(cli, "integrate_exp_linear",
+                        lambda mesh, values: float("nan"))
+    assert main(["solve", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "solver error: report solve_summary.txt: int_exp_y is not " \
+        "finite" in err
+    with pytest.raises(RuntimeError, match="estimates.csv: lhs is not"):
+        cli._write_csv(tmp_path / "estimates.csv", ("name", "lhs"),
+                       [("a", 1.0), ("b", [2.0, np.inf])])
+    monkeypatch.setattr(
+        cli, "verify_scalar_exponential",
+        lambda samples, seed: EstimateReport("scalar-exponential", np.nan,
+                                             1.0, {}))
+    assert main(["verify", "--config", path, "--out",
+                 str(tmp_path / "v")]) == 2
+    assert "solver error: estimate scalar-exponential: sides must be " \
+        "finite" in capsys.readouterr().err
 
 
 def test_solve_exit_codes_for_config_errors(tmp_path, capsys):

@@ -22,7 +22,7 @@ def test_report_margin_and_pass_rule():
     assert not fail.passed
     generous = EstimateReport("demo", 2.05, 2.0, {}, slack=0.1)
     assert generous.passed
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="estimate demo"):
         EstimateReport("demo", np.inf, 1.0, {})
 
 

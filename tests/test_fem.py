@@ -206,6 +206,41 @@ def test_dd2_exp_keeps_the_bits_of_the_25_term_series():
         assert _same_bits(_dd2_exp(a, b, c), reference_dd2_exp(a, b, c))
 
 
+def decimal_dd2_exp(a, b, c):
+    """The second divided difference of exp at three distinct values
+    in 60-digit decimal arithmetic, far below double's underflow."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        lo, mid, hi = sorted(decimal.Decimal(float(v)) for v in (a, b, c))
+        upper = (hi.exp() - mid.exp()) / (hi - mid)
+        lower = (mid.exp() - lo.exp()) / (mid - lo)
+        return float((upper - lower) / (hi - lo))
+
+
+def test_dd2_exp_of_wide_triples_matches_a_decimal_reference():
+    # the wide branch shifts each first divided difference by its
+    # larger value: finite at every spread, with no warning, where
+    # e^mid phi1(hi - mid) overflows expm1 once hi - mid > 709 and
+    # multiplies it by exp(lo) = 0
+    rng = np.random.default_rng(53)
+    for spread in (0.6, 3.0, 40.0, 700.0, 800.0, 1e3, 1e4):
+        for top in (rng.uniform(-30.0, 30.0, 40),
+                    rng.uniform(-7.5e4, -7.3e4, 10)):
+            t = np.sort(rng.random((3, top.size)), axis=0)
+            t[0], t[2] = 0.0, 1.0
+            hi = top
+            mid = top - spread * (1.0 - t[1])
+            lo = top - spread
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                got = _dd2_exp(mid, lo, hi)
+            ref = np.array([decimal_dd2_exp(*v) for v in zip(lo, mid, hi)])
+            assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+            normal = ref >= np.finfo(float).tiny
+            assert np.all(np.abs(got[normal] - ref[normal])
+                          <= 1e-14 * ref[normal]), spread
+            assert np.all(got[~normal] <= 1e-300)
+
+
 def test_assembly_peak_memory_stays_within_its_budget():
     # traced peaks in bytes on the n = 32 disk graded 12 levels, each
     # about 10 % above the peak of the edge-table assembly and the

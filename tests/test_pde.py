@@ -138,6 +138,19 @@ def test_state_solves_next_to_four_pi(domain, sites, resolution, levels):
         previous = st.y
 
 
+@pytest.mark.parametrize("levels", [4, 5, 6])
+def test_a_large_source_on_a_graded_disk_starts_below_the_bound(levels):
+    # f0 = 300 and a unit mass at (0.1, 0.05) on the n = 8 disk: from
+    # the secant start alone Newton took 30 steps
+    disk = Domain.disk(0.0, 0.0, 1.0)
+    inst = ProblemInstance(disk, compute_separation_radii([[0.1, 0.05]],
+                                                          disk),
+                           BoundsPair([0.0], [1.0]), 0.0, f0=300.0,
+                           resolution=8, refine_levels=levels)
+    assert solve_state(inst, np.array([1.0]),
+                       inst.make_mesh()).newton_iterations <= 12
+
+
 def test_linear_mode_reproduces_the_disk_green_function():
     # unit Dirac at the disk center, exponential term off:
     # y = (1/2pi) ln(1/|x|), so y = (ln 2)/(2pi) on the ring |x| = 1/2

@@ -313,6 +313,7 @@ def _stamp():
 
 
 def _finite(value):
+    """False for a float that is not finite, alone or in a list."""
     if isinstance(value, float):
         return math.isfinite(value)
     if isinstance(value, (list, tuple, np.ndarray)):
@@ -321,9 +322,9 @@ def _finite(value):
 
 
 def _cells(path, keys, values):
-    """The formatted values of one line of the report path; a float
-    that is not finite, alone or in a list, is a numeric fault and
-    raises RuntimeError naming the file and the key."""
+    """The formatted values of one line of the report path; a value
+    that is not _finite is a numeric fault and raises RuntimeError
+    naming the file and the key."""
     cells = []
     for key, value in zip(keys, values):
         if not _finite(value):

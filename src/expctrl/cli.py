@@ -18,6 +18,7 @@ violation.
 
 import argparse
 import copy
+import itertools
 import json
 import math
 import re
@@ -334,19 +335,29 @@ def _cells(path, keys, values):
     return cells
 
 
+def _write_lines(path, lines):
+    """The timestamp, then one line per item of lines, to the file
+    path; a line that raises removes the file, so no report is left
+    half written."""
+    try:
+        with open(path, "w") as f:
+            f.write(_stamp())
+            for line in lines:
+                f.write(line + "\n")
+    except RuntimeError:
+        path.unlink()
+        raise
+
+
 def _write_csv(path, columns, rows):
-    with open(path, "w") as f:
-        f.write(_stamp())
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(_cells(path, columns, row)) + "\n")
+    _write_lines(path, itertools.chain(
+        [",".join(columns)],
+        (",".join(_cells(path, columns, row)) for row in rows)))
 
 
 def _write_summary(path, pairs):
-    with open(path, "w") as f:
-        f.write(_stamp())
-        for key, value in pairs:
-            f.write("%s=%s\n" % (key, *_cells(path, (key,), (value,))))
+    _write_lines(path, ("%s=%s" % (key, *_cells(path, (key,), (value,)))
+                        for key, value in pairs))
 
 
 def _base_control(config):

@@ -291,7 +291,7 @@ def test_a_huge_negative_source_writes_finite_reports(tmp_path):
     assert float(summary["min_y"]) < -7e4
     assert 0.0 < float(summary["int_exp_y"]) < 1e-3
     (row,) = _estimate_rows(out)
-    assert "shift=0;" in row["parameters"] + ";" and row["pass"] == "true"
+    assert "shift=0;" in row["parameters"] and row["pass"] == "true"
 
 
 def test_a_non_finite_value_exits_as_a_numeric_fault(tmp_path, monkeypatch,
@@ -307,6 +307,9 @@ def test_a_non_finite_value_exits_as_a_numeric_fault(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert "solver error: report solve_summary.txt: int_exp_y is not " \
         "finite" in err
+    # the complete reports stay, the refused one is not left half written
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+        "newton.csv", "solution.csv"]
     with pytest.raises(RuntimeError, match="estimates.csv: lhs is not"):
         cli._write_csv(tmp_path / "estimates.csv", ("name", "lhs"),
                        [("a", 1.0), ("b", [2.0, np.inf])])

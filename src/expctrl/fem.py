@@ -424,11 +424,16 @@ _STALLED_RESTARTS = 3
 
 
 def _prune(a, n):
-    """The first n entries of a, copied whenever they fill less than
-    all of it, so a sparse result holds exactly its entries: the
-    buffers of a product or a sum are sized by a bound, and S + S'
-    fills exactly half of its own."""
-    return a[:n].copy() if n < a.size else a
+    """The array a cut to its first n entries in place, so a sparse
+    result holds exactly its entries: the buffers of a product or a sum
+    are sized by a bound, and S + S' fills exactly half of its own.
+    ndarray.resize reallocates the buffer, which keeps the entries and
+    hands the rest back without a copy and without leaving a hole
+    below a fresh one; a must own its buffer, and nothing else may
+    refer to it."""
+    if n < a.size:
+        a.resize(n, refcheck=False)
+    return a
 
 
 class CSR:

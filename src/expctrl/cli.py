@@ -10,6 +10,10 @@ comma-separated files plus key=value summaries; apart from the leading
 timestamp line, identical config and seed produce byte-identical
 files.  The seed only draws the random samples of verify.
 
+Every value of a config is checked here, once, before any mesh is
+built, and an error names its field; the layers below take the values
+as checked.
+
 Exit codes: 0 success, 1 config or precondition error, 2 solver
 failure or another numeric fault (an estimate side or a report value
 that is not finite), 3 iteration budget exhausted, 4 estimate
@@ -482,12 +486,21 @@ def cmd_optimize(config):
     return 0 if converged else 3
 
 
+def _exponent(entry, name):
+    """A number field strictly between 0 and 4 pi."""
+    value = _number(entry, name)
+    if not 0.0 < value < FOUR_PI:
+        raise ConfigError("field '%s': expected a number strictly between "
+                          "0 and 4 pi" % name)
+    return value
+
+
 def _verify_check(config, entry, disks):
-    """Read the values of one verify entry, named verify.<key>, and
-    return its check: a function of the run's mesh that returns the
-    entry's reports.  Mollified entries take their disk from disks,
-    keyed by (R, resolution), so entries of one call share a mesh and
-    its cached operators."""
+    """Read and range-check the values of one verify entry, named
+    verify.<key>, and return its check: a function of the run's mesh
+    that returns the entry's reports.  Mollified entries take their disk
+    from disks, keyed by (R, resolution), so entries of one call share
+    a mesh and its cached operators."""
     check = entry["check"]
     instance = config.instance
     if check == "scalar":
@@ -496,10 +509,17 @@ def _verify_check(config, entry, disks):
     if check in ("poisson", "semilinear"):
         omega = np.asarray(_float_list(entry, "verify.omega",
                                        count=instance.points.count))
-        alpha = _number(entry, "verify.alpha")
+        alpha = _exponent(entry, "verify.alpha")
         if check == "poisson":
+            if np.any(omega <= 0.0):
+                raise ConfigError("field 'verify.omega': poisson weights "
+                                  "must be positive")
             return lambda mesh: [verify_poisson_exponential(
                 instance.points, omega, alpha, mesh)]
+        if np.any(omega < 0.0) or not np.any(omega > 0.0):
+            raise ConfigError("field 'verify.omega': semilinear weights "
+                              "must be nonnegative, one positive")
+        _below_four_pi(omega, "verify.omega")
         return lambda mesh: [verify_semilinear_exponential(
             instance.points, omega, alpha, instance.f0, mesh)]
     if check == "lipschitz":
@@ -507,16 +527,25 @@ def _verify_check(config, entry, disks):
         return lambda mesh: verify_lipschitz_family(instance, mesh, trials,
                                                     config.seed)
     R = _number(entry, "verify.R")
+    if not R > 0.0:
+        raise ConfigError("field 'verify.R': expected a positive number")
+    disk = Domain.disk(0.0, 0.0, R)
     resolution = _count(entry, "verify.resolution", instance.resolution, 1)
     x0 = _float_list(entry, "verify.x0", [0.0, 0.0], count=2,
                      per="coordinate")
-    rho0, epsilon, m = (_number(entry, "verify." + key)
-                        for key in ("rho0", "epsilon", "m"))
+    rho0, epsilon = _number(entry, "verify.rho0"), \
+        _number(entry, "verify.epsilon")
+    if not 0.0 < epsilon < rho0:
+        raise ConfigError("field 'verify.epsilon': expected 0 < epsilon < "
+                          "rho0, a mollifier inside its separation ball")
+    if disk.boundary_distance(x0) <= rho0:
+        raise ConfigError("field 'verify.rho0': the ball B(x0, rho0) must "
+                          "lie inside the disk of radius R")
+    m = _exponent(entry, "verify.m")
 
     def mollified(mesh):
         if (R, resolution) not in disks:
-            disks[R, resolution] = build_mesh(Domain.disk(0.0, 0.0, R),
-                                              resolution)
+            disks[R, resolution] = build_mesh(disk, resolution)
         return list(verify_mollified_poisson(x0, rho0, epsilon, m,
                                              disks[R, resolution]))
     return mollified

@@ -19,7 +19,7 @@ from .fem import (assemble_load, assemble_mollified_load, exp_remainder,
                   integrate_exp_linear)
 from .pde import (field_load, nodal_field, operators, point_coupling,
                   solve_semilinear, solve_state)
-from .sequences import FOUR_PI, L_functional, compute_separation_radii
+from .sequences import FOUR_PI, L_functional
 
 #: relative slack of the discrete L1 Lipschitz checks, calibrated for
 #: meshes at resolution 64 and finer
@@ -59,32 +59,24 @@ class EstimateReport:
 
 
 def _point_mass_bound(points, omega, alpha, mesh):
-    """Checks and data shared by the integrability certificates.
-
-    Validates alpha and the size of the (K,) weight array omega,
-    recomputes the canonical separation radii of the SourcePoints in
-    the mesh's domain, and returns the point-mass load P' omega, the
-    bound (4 pi^2 R^2 / alpha) (2R)^(c s / wmax) exp[c L / wmax] with
-    R = diam(domain)/2, c = 2 - alpha/(2 pi), s = |omega|_1 and
-    wmax = max omega_i, then wmax and the report parameters.
-    """
-    if not (0.0 < alpha < FOUR_PI):
-        raise ValueError("alpha must lie strictly between 0 and 4*pi")
-    if omega.size != points.count:
-        raise ValueError("one weight per point required")
+    """Data shared by the integrability certificates: the point-mass
+    load P' omega, the bound (4 pi^2 R^2 / alpha) (2R)^(c s / wmax)
+    exp[c L / wmax] with R = diam(domain)/2, c = 2 - alpha/(2 pi),
+    s = |omega|_1, wmax = max omega_i and L from the radii of points,
+    the canonical ones in the mesh's domain, then wmax and the report
+    parameters."""
     domain = mesh.domain
-    radii = compute_separation_radii(points.points, domain)
     R = 0.5 * domain.diameter()
     wmax = float(np.max(omega))
     c = 2.0 - alpha / (2.0 * np.pi)
-    L = L_functional(omega, radii)
+    L = L_functional(omega, points)
     rhs = (4.0 * np.pi ** 2 * R ** 2 / alpha) \
         * (2.0 * R) ** (c * float(np.sum(np.abs(omega))) / wmax) \
         * np.exp(c * L / wmax)
     params = {"alpha": float(alpha), "omega": omega.tolist(), "R": R,
-              "rho": radii.radii.tolist(), "L": L, "domain": domain.name,
+              "rho": points.radii.tolist(), "L": L, "domain": domain.name,
               "vertices": mesh.num_vertices}
-    return (point_coupling(mesh, radii.points).rmatvec(omega), rhs, wmax,
+    return (point_coupling(mesh, points.points).rmatvec(omega), rhs, wmax,
             params)
 
 
@@ -94,12 +86,9 @@ def verify_poisson_exponential(points, omega, alpha, mesh):
     Solves -Laplace y = sum omega_i delta_i (nonlinearity off) on mesh,
     then compares the exact integral of exp[(4 pi - alpha)|y_h| /
     omega_max] against the closed-form bound built from
-    R = diam(mesh.domain)/2 and the canonical separation radii, which
-    are recomputed here so the bound never depends on caller-supplied
-    radii.
+    R = diam(mesh.domain)/2 and the separation radii of points.  The
+    CLI checks the hypotheses: omega > 0 and 0 < alpha < 4 pi.
     """
-    if np.any(omega <= 0.0):
-        raise ValueError("point-mass weights must be positive")
     load, rhs, wmax, params = _point_mass_bound(points, omega, alpha, mesh)
     y = solve_semilinear(mesh, load, linear=True)
     lhs = integrate_exp_linear(mesh, np.abs(y.y),
@@ -121,16 +110,9 @@ def verify_semilinear_exponential(points, omega, alpha, f0, mesh):
     The measure-free solve gives the shift max(y_0)^+, and the
     right-hand side multiplies the point-mass bound of the last
     integral by exp(k shift).  The left-hand side integrates exp(k y^+)
-    over the mesh.  Weights at or above 4 pi are rejected, as
-    solve_state rejects such controls: the equation loses solvability
-    there.
+    over the mesh.  The CLI checks the weights: nonnegative, one
+    positive, and below 4 pi, where the equation loses solvability.
     """
-    if np.any(omega < 0.0):
-        raise ValueError("point-mass weights must be nonnegative")
-    if not np.any(omega > 0.0):
-        raise ValueError("at least one positive point-mass weight required")
-    if float(np.max(omega)) >= FOUR_PI:
-        raise ValueError("state equation may be ill-posed")
     load, rhs, wmax, params = _point_mass_bound(points, omega, alpha, mesh)
     k = (FOUR_PI - alpha) / wmax
     base_load = field_load(mesh, f0)
@@ -217,9 +199,6 @@ def verify_scalar_exponential(samples, seed):
     is the worst relative excess over all samples and its RHS the
     tolerance 1e-12, so the margin is the headroom of the whole suite.
     """
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("at least one sample required")
     from numpy.random import default_rng
     rng = default_rng(seed)
     a = rng.uniform(-10.0, 10.0, samples)
@@ -256,20 +235,11 @@ def verify_mollified_poisson(x0, rho0, epsilon, m, mesh):
     2 pi (eps + rho0)^2 / (2 - m/2pi) * (2R/(eps + rho0))^(m/2pi).
     Both reports carry a relative slack of 1e-6 plus an m h^2
     interpolation allowance.  Returns the (pointwise, integral) pair.
+    The CLI checks the hypotheses: 0 < epsilon < rho0, the ball
+    B(x0, rho0) inside the disk, and 0 < m < 4 pi.
     """
     x0 = np.asarray(x0, dtype=float).reshape(2)
-    if mesh.domain.kind != "disk":
-        raise ValueError("mollified bounds need a disk mesh")
     R = mesh.domain.params[2]
-    if not 0.0 < epsilon < rho0:
-        raise ValueError(
-            "mollifier radius must lie strictly inside the separation ball")
-    if not rho0 < R:
-        raise ValueError("separation radius must be smaller than the disk")
-    if not (0.0 < m < FOUR_PI):
-        raise ValueError("exponent m must lie strictly between 0 and 4*pi")
-    if mesh.domain.boundary_distance(x0) <= rho0:
-        raise ValueError("separation ball reaches the boundary")
     y0 = solve_semilinear(mesh, assemble_mollified_load(mesh, x0, epsilon),
                           linear=True)
     allowance = m * mesh.h ** 2

@@ -94,9 +94,10 @@ class Mesh:
 
     A built mesh is treated as immutable; build_mesh refines bare arrays
     and constructs the Mesh once, at the end, handing over the edge
-    table it carries.  A clockwise or degenerate triangle raises
-    ValueError: the grids and their refinements are counterclockwise by
-    construction, and the tables are not checked against the triangles.
+    table it carries.  The grids and their refinements are
+    counterclockwise by construction, so a clockwise or degenerate
+    triangle (a grading so deep that it degenerates in floating point)
+    is the builder's fault: RuntimeError.  The tables are not checked.
     """
 
     def __init__(self, vertices, triangles, boundary, domain, edges,
@@ -104,17 +105,11 @@ class Mesh:
         vertices = np.asarray(vertices, dtype=float)
         triangles = np.asarray(triangles, dtype=np.int64)
         boundary = np.asarray(boundary, dtype=bool)
-        if vertices.ndim != 2 or vertices.shape[1] != 2:
-            raise ValueError("vertices must be (V, 2)")
-        if triangles.ndim != 2 or triangles.shape[1] != 3:
-            raise ValueError("triangles must be (T, 3)")
-        if boundary.shape != (vertices.shape[0],):
-            raise ValueError("one boundary flag per vertex required")
         # np.take: the rows that indexing gathers, without its overhead
         corners = np.take(vertices, triangles, axis=0)
         areas = _signed_areas(corners)
         if np.any(areas <= 0.0):
-            raise ValueError("clockwise or degenerate triangle in mesh")
+            raise RuntimeError("clockwise or degenerate triangle in mesh")
         self.vertices = vertices
         self.triangles = triangles
         self.boundary = boundary
@@ -157,7 +152,8 @@ def _edge_lengths(corners):
 
 def circumcenters(vertices, triangles):
     """(T, 2) array of the circumcenters of triangles (T, 3) with
-    corners in vertices (V, 2)."""
+    corners in vertices (V, 2); a degenerate triangle's is not finite,
+    without a warning."""
     # one contiguous array per coordinate and corner
     (x0, x1, x2), (y0, y1, y2) = (
         [np.take(vertices[:, k], triangles[:, j]) for j in range(3)]
@@ -168,8 +164,9 @@ def circumcenters(vertices, triangles):
     a2 = ax ** 2 + ay ** 2
     b2 = bx ** 2 + by ** 2
     centers = np.empty((triangles.shape[0], 2))
-    np.add(x0, (by * a2 - ay * b2) / d, out=centers[:, 0])
-    np.add(y0, (ax * b2 - bx * a2) / d, out=centers[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.add(x0, (by * a2 - ay * b2) / d, out=centers[:, 0])
+        np.add(y0, (ax * b2 - bx * a2) / d, out=centers[:, 1])
     return centers
 
 
@@ -185,8 +182,8 @@ def build_mesh(domain, resolution, refine_points=None, refine_levels=0):
     ----------
     domain : Domain
     resolution : int
-        Subdivisions per side of the generating grid; a rectangle gets
-        2*resolution**2 triangles.
+        Subdivisions per side of the generating grid, at least 1; a
+        rectangle gets 2*resolution**2 triangles.
     refine_points : SourcePoints or None
         When given together with refine_levels > 0, triangles whose
         circumcenter lies within rho_i/2 of some x_i are red-refined,
@@ -201,17 +198,12 @@ def build_mesh(domain, resolution, refine_points=None, refine_levels=0):
     -------
     Mesh
     """
-    resolution = int(resolution)
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
     if domain.kind == "rectangle":
         grid = _rectangle_grid(domain.params, resolution)
-    elif domain.kind == "disk":
-        grid = _disk_grid(domain.params, resolution)
     else:
-        raise ValueError("unknown domain kind %r" % (domain.kind,))
+        grid = _disk_grid(domain.params, resolution)
     if refine_points is not None and refine_levels > 0:
-        grid = _graded(domain, *grid, refine_points, int(refine_levels))
+        grid = _graded(domain, *grid, refine_points, refine_levels)
     vertices, triangles, boundary, edges, triangle_edges = grid
     return Mesh(vertices, triangles, boundary, domain, edges, triangle_edges)
 

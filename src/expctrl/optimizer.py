@@ -48,10 +48,6 @@ class KKTReport:
     def __init__(self, classification, residuals, projected, gradient):
         residuals = np.asarray(residuals, dtype=float).reshape(-1)
         projected = np.asarray(projected, dtype=float).reshape(-1)
-        if np.any(~np.isfinite(residuals)) or np.any(residuals < 0.0):
-            raise ValueError("residuals must be finite and nonnegative")
-        if residuals.size != len(classification):
-            raise ValueError("one classification per residual required")
         self.classification = list(classification)
         self.residuals = residuals
         self.gradient = np.asarray(gradient, dtype=float).reshape(-1)
@@ -88,10 +84,6 @@ def kkt_residual(u, d, bounds, tol_active=1e-10):
     exactly the same controls.
     """
     dv = np.asarray(d, dtype=float).reshape(-1)
-    if u.size != dv.size:
-        raise ValueError("control and gradient differ in length")
-    if u.size != len(bounds):
-        raise ValueError("control and bounds differ in support size")
     classification = []
     residuals = np.empty(u.size)
     for i in range(u.size):
@@ -142,8 +134,6 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
     intact.
     """
     lower, upper = instance.bounds.lower, instance.bounds.upper
-    if len(u0) != len(instance.bounds):
-        raise ValueError("control and bounds differ in support size")
     u = np.clip(u0, lower, upper)
     state = solve_state(instance, u, mesh, tol=state_tol)
     value = evaluate_J(instance, u, state)

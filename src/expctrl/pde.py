@@ -50,7 +50,6 @@ from .fem import (CSR, DiagonalShifts, Multigrid, assemble_load,
                   assemble_mass, assemble_stiffness, diagonal_positions,
                   lumped_mass_diagonal, point_operator, solve_spd)
 from .mesh import build_mesh
-from .sequences import FOUR_PI
 
 # linear solves run well below any Newton tolerance a caller asks for
 _CG_TOL = 1e-12
@@ -188,22 +187,13 @@ class ProblemInstance:
     f0 and y_d may each be None (zero), a constant, a callable taking an
     (N, 2) array of points, or a (V,) array of nodal values on the mesh
     handed to the solvers.  resolution and refine_levels record how the
-    instance's mesh is to be built.
+    instance's mesh is to be built.  Its one maker, cli.RunConfig,
+    checks the values: one bound per point, nu >= 0, resolution >= 1
+    and refine_levels >= 0.
     """
 
     def __init__(self, domain, points, bounds, nu, f0=None, y_d=None,
                  resolution=64, refine_levels=0):
-        if len(bounds) != points.count:
-            raise ValueError("bounds and source points differ in support size")
-        if not (np.isfinite(nu) and nu >= 0.0):
-            raise ValueError("regularization weight nu must be nonnegative")
-        for p in points.points:
-            if domain.boundary_distance(p) <= 0.0:
-                raise ValueError("source not interior")
-        if int(resolution) < 1:
-            raise ValueError("resolution must be positive")
-        if int(refine_levels) < 0:
-            raise ValueError("refine_levels must be nonnegative")
         self.domain = domain
         self.points = points
         self.bounds = bounds
@@ -221,21 +211,15 @@ class ProblemInstance:
 
 def nodal_field(mesh, f):
     """Nodal values of a scalar field: None (zero), a number, a callable
-    taking an (N, 2) array of points, or a (V,) array of finite nodal
-    values."""
+    taking an (N, 2) array of points, or a (V,) array of nodal values
+    on mesh, such as a state solved on it."""
     if f is None:
         return np.zeros(mesh.num_vertices)
     if callable(f):
         return np.asarray(f(mesh.vertices), dtype=float).reshape(-1)
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim == 0:
-        return np.full(mesh.num_vertices, float(arr))
-    arr = arr.reshape(-1)
-    if arr.size != mesh.num_vertices:
-        raise ValueError("nodal data does not match the mesh")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("nodal values must be finite")
-    return arr.copy()
+    if np.ndim(f) == 0:
+        return np.full(mesh.num_vertices, float(f))
+    return f
 
 
 def field_load(mesh, f):
@@ -291,8 +275,6 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
     once the free-node residual drops below tol * (1 + |load|).
     """
     load = np.asarray(load, dtype=float).reshape(-1)
-    if load.size != mesh.num_vertices:
-        raise ValueError("load does not match the mesh")
     ops = operators(mesh)
     free = ops.free
     scale = 1.0 + _norm(load[free])
@@ -350,15 +332,10 @@ def solve_state(instance, u, mesh, tol=1e-10, linear=False):
     """State solve for a control u, a (K,) float array: assemble
     b(f0) + P' u and run the inexact damped Newton of solve_semilinear.
 
-    A control with a non-finite entry or with any component at or above
-    4*pi is rejected up front; the equation loses solvability there.
+    Each entry of u lies below 4*pi, where the equation loses
+    solvability: the CLI, the box (BoundsPair) and the Taylor table's
+    probe test keep it there.
     """
-    if len(u) != instance.points.count:
-        raise ValueError("control support does not match the source points")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("control entries must be finite")
-    if float(np.max(u)) >= FOUR_PI:
-        raise ValueError("state equation may be ill-posed")
     load = field_load(mesh, instance.f0) \
         + point_coupling(mesh, instance.points.points).rmatvec(u)
     return solve_semilinear(mesh, load, tol=tol, linear=linear)

@@ -27,12 +27,6 @@ class BoundsPair:
     def __init__(self, lower, upper):
         lower = np.array(lower, dtype=float).reshape(-1)
         upper = np.array(upper, dtype=float).reshape(-1)
-        if lower.size != upper.size:
-            raise ValueError("lower and upper bounds differ in length")
-        if lower.size < 1:
-            raise ValueError("bounds need at least one component")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("bound entries must be finite")
         for i in range(lower.size):
             if lower[i] > upper[i]:
                 raise ValueError(
@@ -50,32 +44,16 @@ class BoundsPair:
 
 
 class SourcePoints:
-    """Source locations x_i with separation radii rho_i.
+    """Source locations x_i, (K, 2), with separation radii rho_i, (K,).
 
-    The balls B(x_i, rho_i) must be pairwise disjoint; the canonical
-    radii come from compute_separation_radii, but any smaller positive
-    radii are admissible (shrinking preserves disjointness).
+    compute_separation_radii is the one maker: its radii are positive
+    and at most half of every pairwise distance, so the balls
+    B(x_i, rho_i) are pairwise disjoint by construction.
     """
 
     def __init__(self, points, radii):
         points = np.array(points, dtype=float).reshape(-1, 2)
         radii = np.array(radii, dtype=float).reshape(-1)
-        if points.shape[0] != radii.size:
-            raise ValueError("one radius per point required")
-        if points.shape[0] < 1:
-            raise ValueError("at least one source point required")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("source coordinates must be finite")
-        if np.any(radii <= 0.0):
-            raise ValueError("separation radii must be positive")
-        for i in range(points.shape[0]):
-            for j in range(i + 1, points.shape[0]):
-                d = float(np.hypot(*(points[i] - points[j])))
-                if d == 0.0:
-                    raise ValueError("coincident source points")
-                if d < radii[i] + radii[j] - 1e-12:
-                    raise ValueError(
-                        "balls around points %d and %d overlap" % (i, j))
         self.points = points
         self.radii = radii
 
@@ -85,23 +63,11 @@ class SourcePoints:
 
 
 def compute_separation_radii(points, domain):
-    """Canonical separation radii for a family of interior points.
-
-    rho_i = min( (1/2) min_{j != i} |x_i - x_j|, dist(x_i, boundary) );
-    for a single point only the boundary distance enters.  The resulting
-    balls B(x_i, rho_i) are pairwise disjoint and contained in the domain.
-
-    Parameters
-    ----------
-    points : (K, 2) array-like
-        Pairwise distinct, strictly interior locations.
-    domain : Domain
-        Provides the signed boundary distance.
-
-    Returns
-    -------
-    SourcePoints
-    """
+    """The SourcePoints of the (K, 2) points with their canonical
+    separation radii rho_i = min((1/2) min_{j != i} |x_i - x_j|,
+    dist(x_i, boundary)): the balls B(x_i, rho_i) are pairwise disjoint
+    and inside the domain.  A point outside the domain's interior, or
+    one that repeats another, raises ValueError."""
     points = np.array(points, dtype=float).reshape(-1, 2)
     K = points.shape[0]
     radii = np.empty(K)
@@ -122,17 +88,9 @@ def compute_separation_radii(points, domain):
 
 
 def L_functional(omega, radii):
-    """Sum of omega_i^+ * log(1/rho_i) over the support of the (K,)
-    weight array omega."""
-    if radii.count < omega.size:
-        raise ValueError(
-            "radii cover %d components, omega has support %d"
-            % (radii.count, omega.size))
-    rho = radii.radii[:omega.size]
-    if np.any(rho <= 0.0):
-        raise ValueError("separation radii must be positive")
-    pos = np.maximum(omega, 0.0)
-    return float(np.sum(pos * np.log(1.0 / rho)))
+    """Sum of omega_i^+ * log(1/rho_i) over the (K,) weight array
+    omega, one weight per point of the SourcePoints radii."""
+    return float(np.sum(np.maximum(omega, 0.0) * np.log(1.0 / radii.radii)))
 
 
 def Control(values):

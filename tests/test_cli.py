@@ -323,6 +323,56 @@ def test_a_non_finite_value_exits_as_a_numeric_fault(tmp_path, monkeypatch,
         "finite" in capsys.readouterr().err
 
 
+def test_an_overflowing_objective_fails_once_without_a_warning(tmp_path):
+    # J of a target of amplitude 1e200 overflows: it is inf without a
+    # numpy warning, and the adjoint's right-hand side then fails once
+    path = write_config(tmp_path, dict(
+        README_CONFIG, y_d="gaussian(0.5, 0.5, 0.2, 1e200)",
+        mesh={"resolution": 16}, direction=[1.0, 0.0]))
+    for command in ("taylor", "optimize"):
+        done = subprocess.run(
+            [sys.executable, "-m", "expctrl.cli", command, "--config", path,
+             "--out", str(tmp_path / command)],
+            env=subprocess_env(), capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == 2
+        assert done.stderr == "solver error: right-hand side is not finite\n"
+
+
+def test_a_degenerate_graded_mesh_is_a_solver_fault(tmp_path):
+    # 60 levels toward one point degenerate the n = 8 disk's triangles
+    # in floating point (from 55 levels on); the builder's fault exits
+    # 2 in one line, without the warnings of the circumcenters
+    path = write_config(tmp_path, dict(
+        README_CONFIG, domain={"kind": "disk", "center": [0.0, 0.0],
+                               "radius": 1.0},
+        points=[[0.1, 0.05]], lower=[-1.0], upper=[2.0], control=[0.5],
+        mesh={"resolution": 8, "refine_levels": 60}))
+    done = subprocess.run(
+        [sys.executable, "-m", "expctrl.cli", "solve", "--config", path,
+         "--out", str(tmp_path / "o")],
+        env=subprocess_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2
+    assert done.stderr == \
+        "solver error: clockwise or degenerate triangle in mesh\n"
+
+
+def test_a_source_point_outside_the_disk_mesh_is_named(tmp_path, capsys):
+    # radius 0.998, the middle of the widest boundary chord of the n = 8
+    # disk, whose sagitta is 0.0064: inside the disk, outside its mesh
+    x, y = -0.7808924, -0.6214588
+    path = write_config(tmp_path, dict(
+        README_CONFIG, domain={"kind": "disk", "center": [0.0, 0.0],
+                               "radius": 1.0},
+        points=[[0.1, 0.05], [x, y]], control=[0.5, -0.3],
+        mesh={"resolution": 8}))
+    assert main(["solve", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: source point 1 at (%r, %r) lies between the mesh's boundary "
+        "chords and the circle\n" % (x, y))
+
+
 def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
     bad = base_config(upper=[1.0, 13.0])
     path = write_config(tmp_path, bad)
@@ -428,13 +478,39 @@ def test_verify_counts_must_be_positive_integers(tmp_path, capsys, entry,
     assert not (tmp_path / "o").exists()
 
 
+def _mollified(**values):
+    entry = {"check": "mollified", "R": 1.0, "rho0": 0.5, "epsilon": 0.1,
+             "m": 1.0}
+    entry.update(values)
+    return entry
+
+
 @pytest.mark.parametrize("entry,message", [
-    ({"check": "mollified", "R": 1.0, "x0": [0.0, 0.0, 0.0], "rho0": 0.5,
-      "epsilon": 0.1, "m": 1.0}, "'x0': expected 2 numbers"),
+    (_mollified(x0=[0.0, 0.0, 0.0]), "'x0': expected 2 numbers"),
     ({"check": "poisson", "omega": [1.0], "alpha": 3.0},
      "'omega': expected 2 numbers, one value per source point"),
     ({"check": "semilinear", "omega": [1.0, 2.0, 3.0], "alpha": 3.0},
      "'omega': expected 2 numbers, one value per source point"),
+    # the hypotheses of the estimates, checked before the mesh
+    ({"check": "poisson", "omega": [1.0, 1.0], "alpha": 0.0}, "'alpha'"),
+    ({"check": "poisson", "omega": [1.0, 1.0], "alpha": 20.0}, "'alpha'"),
+    ({"check": "semilinear", "omega": [1.0, 1.0], "alpha": -1.0},
+     "'alpha'"),
+    ({"check": "poisson", "omega": [1.0, 0.0], "alpha": 3.0}, "'omega'"),
+    ({"check": "semilinear", "omega": [1.0, -0.5], "alpha": 3.0},
+     "'omega'"),
+    ({"check": "semilinear", "omega": [0.0, 0.0], "alpha": 3.0},
+     "'omega'"),
+    ({"check": "semilinear", "omega": [1.0, 13.0], "alpha": 3.0},
+     "'omega': values must be below 4 pi"),
+    (_mollified(R=0.0), "'R'"),
+    (_mollified(R=-1.0), "'R'"),
+    (_mollified(epsilon=0.0), "'epsilon'"),
+    (_mollified(epsilon=0.5), "'epsilon'"),
+    (_mollified(rho0=1.0), "'rho0'"),
+    (_mollified(x0=[0.6, 0.0]), "'rho0'"),
+    (_mollified(m=0.0), "'m'"),
+    (_mollified(m=4.0 * np.pi), "'m'"),
 ])
 def test_verify_entry_lengths_name_the_field(tmp_path, capsys, entry,
                                              message):
@@ -444,23 +520,33 @@ def test_verify_entry_lengths_name_the_field(tmp_path, capsys, entry,
     # the values of an entry are named verify.<key>
     assert "config error: field 'verify.%s" % message[1:] \
         in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_verify_reads_every_value_before_any_check_runs(tmp_path, capsys,
                                                         monkeypatch):
     # the poisson check in front would run first if values were read
-    # entry by entry, as the checks run
+    # entry by entry, as the checks run, and no mesh is built before
+    # the last value is checked
     def never(*args):
-        raise AssertionError("a check ran before every value was read")
-    monkeypatch.setattr(cli, "verify_poisson_exponential", never)
-    cfg = base_config(verify=[
-        {"check": "poisson", "omega": [1.0, 1.0], "alpha": 3.0},
-        {"check": "lipschitz", "trials": 2.5}])
-    path = write_config(tmp_path, cfg)
-    assert main(["verify", "--config", path, "--out",
-                 str(tmp_path / "o")]) == 1
-    assert "config error: field 'verify.trials'" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+        raise AssertionError("a check ran or a mesh was built before "
+                             "every value was read")
+    for name in ("verify_poisson_exponential", "build_mesh"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(expctrl.pde.ProblemInstance, "make_mesh", never)
+    for last, field in (({"check": "lipschitz", "trials": 2.5}, "trials"),
+                        ({"check": "poisson", "omega": [1.0, 1.0],
+                          "alpha": 20.0}, "alpha"),
+                        (_mollified(rho0=1.0), "rho0")):
+        cfg = base_config(verify=[
+            {"check": "poisson", "omega": [1.0, 1.0], "alpha": 3.0},
+            _mollified(), last])
+        path = write_config(tmp_path, cfg)
+        assert main(["verify", "--config", path, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert "config error: field 'verify.%s'" % field \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("points", [

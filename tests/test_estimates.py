@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from expctrl.cli import ConfigError, RunConfig, _verify_check
 from expctrl.estimates import (EstimateReport, verify_lipschitz_family,
                                verify_mollified_poisson,
                                verify_poisson_exponential,
@@ -94,15 +95,26 @@ def test_poisson_certificate_near_four_pi_alpha():
     assert r.rhs >= np.pi
 
 
+#: a run on the unit disk with its center as the one source point
+DISK_CENTER = {"domain": {"kind": "disk", "center": [0.0, 0.0],
+                          "radius": 1.0},
+               "points": [[0.0, 0.0]], "lower": [0.0], "upper": [1.0],
+               "mesh": {"resolution": 16}}
+
+
+def rejected(entry, message):
+    """The CLI reads a verify entry's hypotheses before any mesh is
+    built and rejects the entry naming the field."""
+    with pytest.raises(ConfigError, match=message):
+        _verify_check(RunConfig.from_dict(DISK_CENTER), entry, {})
+
+
 def test_poisson_certificate_rejects_bad_hypotheses():
-    pts, mesh = disk_center_setup(16, 0)
-    with pytest.raises(ValueError, match="positive"):
-        verify_poisson_exponential(pts, np.array([-1.0]),
-                                   np.pi, mesh)
-    with pytest.raises(ValueError, match="alpha"):
-        verify_poisson_exponential(pts, np.array([1.0]), 13.0, mesh)
-    with pytest.raises(ValueError, match="alpha"):
-        verify_poisson_exponential(pts, np.array([1.0]), 0.0, mesh)
+    rejected({"check": "poisson", "omega": [-1.0], "alpha": np.pi},
+             "'verify.omega': .*positive")
+    for alpha in (13.0, 0.0):
+        rejected({"check": "poisson", "omega": [1.0], "alpha": alpha},
+                 "'verify.alpha'")
 
 
 def test_semilinear_certificate_with_source_term():
@@ -127,22 +139,16 @@ def test_semilinear_without_f0_reduces_toward_poisson():
 
 
 def test_semilinear_rejects_all_zero_weights():
-    pts, mesh = disk_center_setup(16, 0)
-    with pytest.raises(ValueError, match="positive"):
-        verify_semilinear_exponential(pts, np.array([0.0]),
-                                      np.pi, None, mesh)
-    with pytest.raises(ValueError, match="nonnegative"):
-        verify_semilinear_exponential(pts, np.array([-0.5]),
-                                      np.pi, None, mesh)
+    for weight in (0.0, -0.5):
+        rejected({"check": "semilinear", "omega": [weight], "alpha": np.pi},
+                 "'verify.omega': .*nonnegative, one positive")
 
 
 @pytest.mark.parametrize("weight", [4.0 * np.pi, 13.0])
 def test_semilinear_rejects_weights_at_or_above_4pi(weight):
-    # the state equation loses solvability there, as in solve_state
-    pts, mesh = disk_center_setup(16, 0)
-    with pytest.raises(ValueError, match="ill-posed"):
-        verify_semilinear_exponential(pts, np.array([weight]),
-                                      np.pi, None, mesh)
+    # the state equation loses solvability there, as for a control
+    rejected({"check": "semilinear", "omega": [weight], "alpha": np.pi},
+             "'verify.omega': .*ill-posed")
 
 
 def lipschitz_instance(resolution=32):
@@ -194,18 +200,21 @@ def test_mollified_limit_of_small_exponent():
 
 
 def test_mollified_geometry_validation():
-    mesh = build_mesh(Domain.disk(0.0, 0.0, 1.0), 16)
-    with pytest.raises(ValueError, match="mollifier radius"):
-        verify_mollified_poisson((0.0, 0.0), 0.1, 0.2, np.pi, mesh)
-    with pytest.raises(ValueError, match="smaller than the disk"):
-        verify_mollified_poisson((0.0, 0.0), 1.5, 0.1, np.pi, mesh)
-    with pytest.raises(ValueError, match="exponent m"):
-        verify_mollified_poisson((0.0, 0.0), 0.5, 0.1, 14.0, mesh)
-    with pytest.raises(ValueError, match="reaches the boundary"):
-        verify_mollified_poisson((0.6, 0.0), 0.5, 0.1, np.pi, mesh)
-    square = build_mesh(Domain.unit_square(), 8)
-    with pytest.raises(ValueError, match="disk mesh"):
-        verify_mollified_poisson((0.0, 0.0), 0.5, 0.1, np.pi, square)
+    def entry(x0=(0.0, 0.0), rho0=0.5, epsilon=0.1, m=np.pi, R=1.0):
+        return {"check": "mollified", "R": R, "x0": list(x0), "rho0": rho0,
+                "epsilon": epsilon, "m": m, "resolution": 8}
+    rejected(entry(rho0=0.1, epsilon=0.2), "'verify.epsilon'")
+    rejected(entry(rho0=1.5), "'verify.rho0'")
+    rejected(entry(m=14.0), "'verify.m'")
+    rejected(entry(x0=(0.6, 0.0)), "'verify.rho0'")
+    rejected(entry(R=0.0), "'verify.R'")
+    # the check builds its own disk of radius R, whatever the run's mesh
+    disks = {}
+    run = _verify_check(RunConfig.from_dict(DISK_CENTER), entry(R=2.0),
+                        disks)
+    pointwise, integral = run(build_mesh(Domain.unit_square(), 8))
+    assert disks[2.0, 8].domain.kind == "disk"
+    assert pointwise.parameters["R"] == integral.parameters["R"] == 2.0
 
 
 def test_mollified_off_center_ball():

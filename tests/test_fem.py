@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 import expctrl.fem as fem_module
 import expctrl.pde as pde_module
-from expctrl.cli import parse_field
+from expctrl.cli import ConfigError, RunConfig, _verify_check, parse_field
 from expctrl.fem import (CSR, MOLLIFIER_C, DiagonalShifts, Multigrid,
                          _cholesky, _dd2_exp, _inverse_factor,
                          _jacobi_weights, _subdivided_rule, assemble_load,
@@ -371,9 +371,19 @@ def test_mollified_load_approaches_the_dirac_load():
 
 
 def test_mollified_load_rejects_support_crossing_the_boundary():
-    mesh = square_mesh(8)
-    with pytest.raises(ValueError, match="boundary"):
-        assemble_mollified_load(mesh, [0.05, 0.5], 0.1)
+    # the CLI admits a mollifier only inside its separation ball,
+    # 0 < epsilon < rho0, and that ball only inside the disk, so no
+    # support that crosses the boundary reaches the load
+    config = RunConfig.from_dict({
+        "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
+        "points": [[0.0, 0.0]], "lower": [0.0], "upper": [1.0]})
+    for values, field in (((0.9, 0.2, 0.15), "rho0"),
+                          ((0.5, 0.2, 0.3), "epsilon")):
+        x, rho0, epsilon = values
+        entry = {"check": "mollified", "R": 1.0, "x0": [x, 0.0],
+                 "rho0": rho0, "epsilon": epsilon, "m": 1.0}
+        with pytest.raises(ConfigError, match="field 'verify.%s'" % field):
+            _verify_check(config, entry, {})
 
 
 def test_mollified_load_matches_the_plane_subdivision():

@@ -215,8 +215,9 @@ _BAD_TRIANGLES = {
 @pytest.mark.parametrize("case", sorted(_BAD_TRIANGLES))
 def test_mesh_rejects_a_clockwise_or_degenerate_triangle(case):
     # a Mesh is what build_mesh makes: counterclockwise by construction,
-    # so a clockwise triangle is a fault of its maker, not reoriented
-    with pytest.raises(ValueError, match="clockwise or degenerate"):
+    # so a clockwise triangle is a fault of its maker, not reoriented,
+    # and not of the maker's input: a RuntimeError, a solver fault
+    with pytest.raises(RuntimeError, match="clockwise or degenerate"):
         mesh_from_arrays(_SQUARE_CORNERS, _BAD_TRIANGLES[case],
                          np.ones(4, dtype=bool), Domain.unit_square())
 

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+from expctrl.cli import _write_summary
 from expctrl.fem import Multigrid, solve_spd
 from expctrl.mesh import Domain, build_mesh
 from expctrl.objective import (DerivativeReport, evaluate_DJ, evaluate_J,
@@ -270,11 +271,14 @@ def test_taylor_flags_infeasible_probes():
     assert notes[1] == ""
 
 
-def test_derivative_report_validates_finiteness():
-    with pytest.raises(ValueError):
-        DerivativeReport(np.nan, [0.5], 2.0, [], {})
-    with pytest.raises(ValueError):
-        DerivativeReport(1.0, [np.inf], 2.0, [], {})
+def test_derivative_report_validates_finiteness(tmp_path):
     rep = DerivativeReport(1.0, [0.5], 2.0, [], {})
     assert rep.value == 1.0
     assert rep.second_order == 2.0
+    # the writer of the Taylor summary refuses a value that is not
+    # finite, a numeric fault
+    for pairs, key in (([("J", np.nan)], "J"),
+                       ([("J", 1.0), ("directional_derivative", np.inf)],
+                        "directional_derivative")):
+        with pytest.raises(RuntimeError, match="%s is not finite" % key):
+            _write_summary(tmp_path / "taylor_summary.txt", pairs)

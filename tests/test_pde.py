@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from expctrl import pde
+from expctrl.cli import ConfigError, RunConfig, cmd_solve, parse_field
 from expctrl.fem import _jacobi_weights, assemble_mass, solve_spd
 from expctrl.mesh import Domain, build_mesh
 from expctrl.pde import (ProblemInstance, field_load,
@@ -26,13 +27,19 @@ def two_point_instance(resolution=24, nu=0.1, f0=None, y_d=None):
                            resolution=resolution)
 
 
+ONE_POINT = {"domain": {"kind": "unit_square"}, "points": [[0.5, 0.5]],
+             "lower": [0.0], "upper": [1.0], "nu": 0.1,
+             "mesh": {"resolution": 8}}
+
+
 def test_instance_validation():
-    dom = Domain.unit_square()
-    pts = compute_separation_radii([[0.5, 0.5]], dom)
-    with pytest.raises(ValueError, match="support size"):
-        ProblemInstance(dom, pts, BoundsPair([0.0, 0.0], [1.0, 1.0]), 0.1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        ProblemInstance(dom, pts, BoundsPair([0.0], [1.0]), -0.5)
+    # an instance's one maker, cli.RunConfig, checks its values
+    inst = RunConfig.from_dict(ONE_POINT).instance
+    assert (inst.points.count, len(inst.bounds), inst.nu) == (1, 1, 0.1)
+    for extra, field in (({"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                          "lower"), ({"nu": -0.5}, "nu")):
+        with pytest.raises(ConfigError, match="field '%s'" % field):
+            RunConfig.from_dict(dict(ONE_POINT, **extra))
 
 
 def test_operator_cache_reuses_per_mesh():
@@ -76,23 +83,18 @@ def test_nodal_field_forms():
     lin = nodal_field(mesh, lambda x: x[:, 0] + 2.0 * x[:, 1])
     assert_allclose(lin, mesh.vertices[:, 0] + 2.0 * mesh.vertices[:, 1])
     assert np.array_equal(nodal_field(mesh, lin), lin)
-    with pytest.raises(ValueError, match="does not match"):
-        nodal_field(mesh, np.ones(3))
-    # nodal data of another mesh has that mesh's size
-    other = build_mesh(Domain.unit_square(), 4)
-    with pytest.raises(ValueError, match="does not match"):
-        nodal_field(other, lin)
 
 
 def test_nodal_field_rejects_wrong_size_and_nonfinite_arrays():
-    mesh = build_mesh(Domain.unit_square(), 2)
-    with pytest.raises(ValueError, match="does not match"):
-        nodal_field(mesh, np.ones(3))
-    for value in (np.inf, np.nan):
-        bad = np.ones(mesh.num_vertices)
-        bad[0] = value
-        with pytest.raises(ValueError, match="finite"):
-            nodal_field(mesh, bad)
+    # a nodal array reaches nodal_field only as a state_of target, solved
+    # on the run's mesh for one value per source point, and the numbers
+    # of a field are checked finite where the config is read
+    with pytest.raises(ConfigError, match="field 'y_d'"):
+        RunConfig.from_dict(dict(ONE_POINT, y_d="state_of(1.0, 2.0)"))
+    for text in ("constant nan", "gaussian(0.5, 0.5, 0.2, inf)",
+                 "state_of(inf)"):
+        with pytest.raises(ConfigError, match="field 'y_d'"):
+            parse_field(text, "y_d")
 
 
 def test_zero_data_gives_zero_state():
@@ -104,15 +106,15 @@ def test_zero_data_gives_zero_state():
 
 
 def test_state_rejects_controls_at_the_four_pi_limit():
-    inst = two_point_instance(8)
-    mesh = inst.make_mesh()
-    with pytest.raises(ValueError, match="ill-posed"):
-        solve_state(inst, np.array([13.0, 0.0]), mesh)
-    with pytest.raises(ValueError, match="support"):
-        solve_state(inst, np.array([1.0]), mesh)
-    for bad in (np.nan, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            solve_state(inst, np.array([1.0, bad]), mesh)
+    # the CLI checks a config's control before any state is solved
+    for control, message in (([13.0], "below 4 pi"),
+                             ([1.0, 0.0], "expected 1 numbers"),
+                             ([float("nan")], "finite numbers"),
+                             ([-float("inf")], "finite numbers")):
+        config = RunConfig.from_dict(dict(ONE_POINT, control=control))
+        with pytest.raises(ConfigError, match="field 'control': .*%s"
+                           % message):
+            cmd_solve(config)
 
 
 @pytest.mark.parametrize("domain,sites,resolution,levels", [

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from expctrl.cli import ConfigError, RunConfig, _verify_check
 from expctrl.mesh import Domain
 from expctrl.sequences import (FOUR_PI, BoundsPair, L_functional,
                                SourcePoints, compute_separation_radii)
@@ -23,23 +24,33 @@ def test_bounds_upper_must_stay_below_four_pi():
     BoundsPair([0.0], [FOUR_PI - 1e-6])  # fine
 
 
+ONE_POINT = {"domain": {"kind": "unit_square"}, "points": [[0.5, 0.5]],
+             "lower": [0.0], "upper": [1.0]}
+
+
 def test_bounds_length_mismatch():
-    with pytest.raises(ValueError, match="differ in length"):
-        BoundsPair([0.0], [1.0, 2.0])
+    # the CLI reads one bound per source point before it makes the pair
+    with pytest.raises(ConfigError, match="field 'upper': expected 1"):
+        RunConfig.from_dict(dict(ONE_POINT, upper=[1.0, 2.0]))
 
 
 def test_source_points_require_disjoint_balls():
+    # compute_separation_radii, the one maker, makes the balls disjoint
     pts = np.array([[0.3, 0.5], [0.7, 0.5]])
-    SourcePoints(pts, [0.2, 0.2])
-    with pytest.raises(ValueError):
-        SourcePoints(pts, [0.3, 0.3])
+    sp = compute_separation_radii(pts, Domain.unit_square())
+    assert_allclose(sp.radii, [0.2, 0.2])
+    assert sp.radii[0] + sp.radii[1] <= np.hypot(*(pts[0] - pts[1]))
 
 
 def test_source_points_reject_duplicates_and_bad_radii():
+    # the maker refuses a repeated point and a point without a positive
+    # radius, one on the boundary
     with pytest.raises(ValueError, match="coincident"):
-        SourcePoints([[0.5, 0.5], [0.5, 0.5]], [0.1, 0.1])
-    with pytest.raises(ValueError):
-        SourcePoints([[0.5, 0.5]], [0.0])
+        compute_separation_radii([[0.5, 0.5], [0.5, 0.5]],
+                                 Domain.unit_square())
+    with pytest.raises(ValueError, match="not interior"):
+        compute_separation_radii([[0.5, 0.5], [1.0, 0.5]],
+                                 Domain.unit_square())
 
 
 def test_truncate_zeroes_the_tail():
@@ -139,6 +150,9 @@ def test_L_functional_monotone_in_positive_part():
 
 
 def test_L_functional_needs_enough_radii():
-    radii = SourcePoints([[0.5, 0.5]], [0.25])
-    with pytest.raises(ValueError):
-        L_functional(np.array([1.0, 1.0]), radii)
+    # the CLI reads one weight per source point for the certificates
+    config = RunConfig.from_dict(ONE_POINT)
+    with pytest.raises(ConfigError, match="field 'verify.omega': "
+                       "expected 1 numbers"):
+        _verify_check(config, {"check": "poisson", "omega": [1.0, 1.0],
+                               "alpha": 3.0}, {})

@@ -2,7 +2,8 @@
 top-level function, class or constant that no code of the package
 refers to is reached only by the tests, and belongs in tests/helpers.py
 or nowhere.  So does a private top-level function or class that no
-code of the package refers to outside its own definition."""
+code of the package refers to outside its own definition, and every
+name a module imports is read in that module."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,23 @@ def test_every_public_definition_is_referenced_by_the_package():
 
 def test_every_private_function_and_class_is_used_by_the_package():
     assert _unreferenced(_private_definitions) == []
+
+
+def _unread_imports(tree):
+    """Names that the import statements of a module bind, at any depth,
+    and that no code of the module reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).partition(".")[0]
+                            for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_every_imported_name_is_read_by_its_module():
+    unread = sorted("%s.%s" % (path.stem, name)
+                    for path in sorted(SRC.glob("*.py"))
+                    for name in _unread_imports(ast.parse(path.read_text())))
+    assert unread == []

@@ -13,6 +13,8 @@ underestimates the continuum integral near the source singularities,
 which makes a pass a necessary consistency check rather than a proof.
 """
 
+import random
+
 import numpy as np
 
 from .fem import (assemble_load, assemble_mollified_load, exp_remainder,
@@ -26,6 +28,12 @@ from .sequences import FOUR_PI, L_functional
 LIPSCHITZ_SLACK = 0.05
 
 _TINY = 1e-300
+
+
+def _uniform(rng, n):
+    """(n,) float array of the next n draws rng.random() in [0, 1) of
+    the random.Random rng, in draw order."""
+    return np.array([rng.random() for _ in range(n)])
 
 
 class EstimateReport:
@@ -144,24 +152,23 @@ def verify_lipschitz_family(instance, mesh, trials, seed):
     part of differences against the one-sided component sums, and
     absolute differences against |u - v|_1.
 
-    Integrals are lumped nodal sums, the form in which the bounds hold
-    exactly on nonobtuse meshes; the slack factor 1 + 0.05 covers
-    general meshes.  A failed state solve skips the trial: one skipped
-    report, which does not pass, with the solver's message as its
-    error parameter.
+    The pairs are drawn uniformly in the box, u then v for each trial,
+    from Python's random.Random(seed) (MT19937, whose random() sequence
+    for a given seed Python keeps across versions).  Integrals are
+    lumped nodal sums, the form in which the bounds hold exactly on
+    nonobtuse meshes; the slack factor 1 + 0.05 covers general meshes.
+    A failed state solve skips the trial: one skipped report, which
+    does not pass, with the solver's message as its error parameter.
     """
-    # numpy loads its random module on first use, and only the two
-    # sampling checks draw: no other command pays for it
-    from numpy.random import default_rng
-    rng = default_rng(seed)
+    rng = random.Random(seed)
     lo, up = instance.bounds.lower, instance.bounds.upper
     f0_term = np.sqrt(instance.domain.area()) * _field_l2(mesh, instance.f0)
     factor = 1.0 + LIPSCHITZ_SLACK
     lumped = operators(mesh).lumped
     reports = []
     for k in range(int(trials)):
-        u = lo + (up - lo) * rng.random(lo.size)
-        v = lo + (up - lo) * rng.random(lo.size)
+        u = lo + (up - lo) * _uniform(rng, lo.size)
+        v = lo + (up - lo) * _uniform(rng, lo.size)
         pair = {"trial": k, "u": u.tolist(), "v": v.tolist()}
         try:
             yu = solve_state(instance, u, mesh)
@@ -192,18 +199,18 @@ def verify_lipschitz_family(instance, mesh, trials, seed):
 def verify_scalar_exponential(samples, seed):
     """Monotonicity of the scaled exponential remainders.
 
-    For random (a, t, t0) with a in [-10, 10] and 0 < t < t0 <= 10,
+    For random (a, t, t0) with a in [-10, 10) and 0 < t < t0 <= 10,
+    drawn from Python's random.Random(seed) as a, then t0, then t / t0,
     checks 0 <= (e^{at}-1-at)/t <= (e^{at0}-1-at0)/t0 and the same
     monotonicity for |e^{at}-1-at-(at)^2/2| / (t^2/2), both evaluated
     through the cancellation-free remainder kernels.  The report's LHS
     is the worst relative excess over all samples and its RHS the
     tolerance 1e-12, so the margin is the headroom of the whole suite.
     """
-    from numpy.random import default_rng
-    rng = default_rng(seed)
-    a = rng.uniform(-10.0, 10.0, samples)
-    t0 = 10.0 * (1.0 - rng.random(samples))
-    frac = np.clip(rng.random(samples), 1e-12, 1.0 - 1e-12)
+    rng = random.Random(seed)
+    a = -10.0 + 20.0 * _uniform(rng, samples)
+    t0 = 10.0 * (1.0 - _uniform(rng, samples))
+    frac = np.clip(_uniform(rng, samples), 1e-12, 1.0 - 1e-12)
     t = t0 * frac
     with np.errstate(over="ignore"):
         r1_t = exp_remainder(a * t, 2) / t

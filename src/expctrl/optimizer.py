@@ -16,7 +16,7 @@ per component the critical cone leaves unblocked, at pde._CG_TOL: the
 certified Hessian is the exact one.
 """
 
-import itertools
+import math
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .pde import _CG_TOL, _ETA_MAX, solve_state
 _EPSILON = 1e-3
 _ARMIJO = 1e-4
 _MAX_REJECTIONS = 30
+# sign patterns of the critical cone per pass: bounds the stacked face
+# systems at a few MB for any number of unblocked components
+_FACE_BATCH = 4096
 
 
 class KKTReport:
@@ -198,6 +201,32 @@ def _unblocked(kkt, tol_grad):
                     dtype=int)
 
 
+def _face_solutions(block, sign):
+    """Stationary points x of the faces whose Hessian blocks H_SS are
+    the (N, m, m) array block and whose signs s_S the (N, m) array sign:
+    the x part of [[D H_SS D, 1], [1', 0]] [x; lam] = [0; 1], one row
+    per face, and a row of NaN for a singular system.  One stacked
+    solve serves all N faces; if one of them is singular, each face is
+    solved alone, so a face is skipped exactly when its own solve
+    fails."""
+    n, m = sign.shape
+    system = np.ones((n, m + 1, m + 1))
+    system[:, :m, :m] = sign[:, :, None] * block * sign[:, None, :]
+    system[:, m, m] = 0.0
+    rhs = np.zeros((n, m + 1, 1))
+    rhs[:, m] = 1.0
+    try:
+        return np.linalg.solve(system, rhs)[:, :m, 0]
+    except np.linalg.LinAlgError:
+        x = np.full((n, m), np.nan)
+    for j in range(n):
+        try:
+            x[j] = np.linalg.solve(system[j], rhs[j])[:m, 0]
+        except np.linalg.LinAlgError:
+            continue
+    return x
+
+
 def critical_cone_minimum(H, kkt, tol_grad=1e-6):
     """Exact minimum of h' H h over the critical cone of the KKTReport
     kkt with |h|_1 = 1, returned as (value, h); an empty cone gives 0
@@ -212,11 +241,14 @@ def critical_cone_minimum(H, kkt, tol_grad=1e-6):
     quadratic over the standard simplex, whose minimizer is the
     positive stationary point of some face:
     [[D H_SS D, 1], [1', 0]] [x; lam] = [0; 1] with x > 0.  Every face
-    is solved, at most 3^m - 1 for m unblocked components.  A singular
-    system is skipped: a null vector (v, mu) has 1'v = 0 and leaves the
-    form constant along v, so its minimum recurs on a smaller face.
-    Patterns run in a fixed order and only a strictly smaller value
-    replaces the best, so the direction is deterministic.
+    is solved, at most 3^m - 1 for m unblocked components: the patterns
+    are taken _FACE_BATCH at a time in itertools.product order, and the
+    faces of one support size among them are solved in one stacked
+    call.  A singular system is skipped: a null vector (v, mu) has
+    1'v = 0 and leaves the form constant along v, so its minimum recurs
+    on a smaller face.  Only a strictly smaller value, or an equal one
+    of an earlier pattern, replaces the best, so the direction is the
+    first minimizer in pattern order.
     """
     if kkt.aggregate > tol_grad:
         raise ValueError("critical cone requires a first-order point")
@@ -226,26 +258,31 @@ def critical_cone_minimum(H, kkt, tol_grad=1e-6):
     free = _unblocked(kkt, tol_grad)
     if free.size == 0:
         return 0.0, np.zeros(dv.size)
-    best, best_h = np.inf, None
-    for pattern in itertools.product(*(signs[cls[i]] for i in free)):
-        s = np.array(pattern)
-        support = np.flatnonzero(s)
-        if support.size == 0:
-            continue
-        m, idx, sign = support.size, free[support], s[support]
-        system = np.ones((m + 1, m + 1))
-        system[:m, :m] = sign[:, None] * H[np.ix_(idx, idx)] * sign
-        system[m, m] = 0.0
-        try:
-            x = np.linalg.solve(system, np.eye(m + 1)[m])[:m]
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(x > 0.0):
-            h = np.zeros(dv.size)
-            h[idx] = sign * x / np.sum(x)
-            value = float(h @ H @ h)
-            if value < best:
-                best, best_h = value, h
+    choices = [np.array(signs[cls[i]]) for i in free]
+    shape = [c.size for c in choices]
+    count = math.prod(shape)
+    best, best_rank, best_h = np.inf, count, None
+    # pattern 0 is the all-zero one, with no face
+    for start in range(1, count, _FACE_BATCH):
+        ranks = np.arange(start, min(start + _FACE_BATCH, count))
+        patterns = np.column_stack([
+            c[pick] for c, pick in zip(choices,
+                                       np.unravel_index(ranks, shape))])
+        sizes = np.count_nonzero(patterns, axis=1)
+        for m in np.flatnonzero(np.bincount(sizes)):
+            group = sizes == m
+            rows, group_ranks = patterns[group], ranks[group]
+            support = np.nonzero(rows)[1].reshape(-1, m)
+            sign = rows[rows != 0.0].reshape(-1, m)
+            idx = free[support]
+            x = _face_solutions(H[idx[:, :, None], idx[:, None, :]], sign)
+            for j in np.flatnonzero(np.all(x > 0.0, axis=1)):
+                h = np.zeros(dv.size)
+                h[idx[j]] = sign[j] * x[j] / np.sum(x[j])
+                value = float(h @ H @ h)
+                if value < best or (value == best
+                                    and group_ranks[j] < best_rank):
+                    best, best_rank, best_h = value, group_ranks[j], h
     return best, best_h
 
 

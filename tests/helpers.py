@@ -11,13 +11,15 @@ level-by-level graded refinement, the point location by a scan of
 every triangle, the einsum stiffness and midpoint-rule mass summed in
 triangle order, the 25-term divided-difference series, the loop
 aggregation, the PCG loop that tests its residual before each step,
-and the scipy matrix operations that CSR replaces: the point operator,
-the free block of the stiffness and the multigrid setup.  To a stated
+the critical cone minimum by one solve per face, and the scipy matrix
+operations that CSR replaces: the point operator, the free block of
+the stiffness and the multigrid setup.  To a stated
 rounding bound: the load by einsums over the edge-midpoint rule
 TRI3_BARY, TRI3_W, and the mollified load by the order-5 rule on every
 candidate triangle subdivided in the plane."""
 
 import functools
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -536,3 +538,40 @@ def reference_solve_spd(A, b, dirichlet_mask, tol, multigrid):
             stalled += 1
             if stalled == _STALLED_RESTARTS:
                 raise RuntimeError("linear solve stagnated")
+
+
+def reference_critical_cone_minimum(H, kkt, tol_grad=1e-6):
+    """The critical cone minimum by one bordered solve per face, the
+    faces in itertools.product order, a singular face skipped and only
+    a strictly smaller value replacing the best."""
+    if kkt.aggregate > tol_grad:
+        raise ValueError("critical cone requires a first-order point")
+    signs = {"lower-active": (0.0, 1.0), "upper-active": (0.0, -1.0),
+             "interior": (0.0, 1.0, -1.0)}
+    cls, dv = kkt.classification, kkt.gradient
+    free = np.array([i for i, c in enumerate(cls)
+                     if c != "degenerate" and abs(dv[i]) <= tol_grad],
+                    dtype=int)
+    if free.size == 0:
+        return 0.0, np.zeros(dv.size)
+    best, best_h = np.inf, None
+    for pattern in itertools.product(*(signs[cls[i]] for i in free)):
+        s = np.array(pattern)
+        support = np.flatnonzero(s)
+        if support.size == 0:
+            continue
+        m, idx, sign = support.size, free[support], s[support]
+        system = np.ones((m + 1, m + 1))
+        system[:m, :m] = sign[:, None] * H[np.ix_(idx, idx)] * sign
+        system[m, m] = 0.0
+        try:
+            x = np.linalg.solve(system, np.eye(m + 1)[m])[:m]
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(x > 0.0):
+            h = np.zeros(dv.size)
+            h[idx] = sign * x / np.sum(x)
+            value = float(h @ H @ h)
+            if value < best:
+                best, best_h = value, h
+    return best, best_h

@@ -339,6 +339,27 @@ def test_an_overflowing_objective_fails_once_without_a_warning(tmp_path):
         assert done.stderr == "solver error: right-hand side is not finite\n"
 
 
+def test_an_overflowing_taylor_direction_fails_once_without_a_warning(
+        tmp_path):
+    # h' H h of a huge direction overflows, and so does the probe
+    # u + rho h at rho = 10: both are inf without a numpy warning, and
+    # the report writer refuses the second-order value once
+    for k, (direction, rho_grid) in enumerate([
+            ([1e200, 1e200], None), ([1e308, 1e308], [10.0, 0.1])]):
+        cfg = dict(README_CONFIG, mesh={"resolution": 16},
+                   direction=direction)
+        if rho_grid is not None:
+            cfg["rho_grid"] = rho_grid
+        done = subprocess.run(
+            [sys.executable, "-m", "expctrl.cli", "taylor", "--config",
+             write_config(tmp_path, cfg), "--out", str(tmp_path / str(k))],
+            env=subprocess_env(), capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == 2
+        assert done.stderr == "solver error: report taylor_summary.txt: " \
+            "second_order is not finite\n"
+
+
 def test_a_degenerate_graded_mesh_is_a_solver_fault(tmp_path):
     # 60 levels toward one point degenerate the n = 8 disk's triangles
     # in floating point (from 55 levels on); the builder's fault exits
@@ -1133,7 +1154,7 @@ import expctrl.cli
 def loaded():
     return {name: name in sys.modules for name in
             ("scipy.sparse", "scipy._lib._array_api", "numpy.f2py",
-             "numpy.random", "numpy.polynomial")}
+             "numpy.random", "numpy.polynomial", "numpy.ma")}
 
 before = loaded()
 status = expctrl.cli.main([sys.argv[1], "--config", sys.argv[2],
@@ -1145,21 +1166,24 @@ print(json.dumps([before, loaded(), status]))
 def test_cli_never_imports_the_scipy_sparse_package(tmp_path):
     # scipy.sparse, with the array-API layer that loads numpy.f2py, takes
     # longer to import than numpy and scipy together; the package only
-    # calls scipy's compiled kernels.  numpy.random is imported by the
-    # checks that draw samples, when they first run, so a command that
-    # draws none never loads it.  numpy.polynomial is never loaded: the
-    # mollifier's constant is written out, not integrated at import
+    # calls scipy's compiled kernels.  numpy.random is never loaded: the
+    # sampling checks draw from Python's random module.  numpy.polynomial
+    # is never loaded: the mollifier's constant is written out, not
+    # integrated at import.  numpy.ma, which np.unique loads, is never
+    # loaded either
     expected = {"scipy.sparse": False, "scipy._lib._array_api": False,
                 "numpy.f2py": False, "numpy.random": False,
-                "numpy.polynomial": False}
-    for k, (command, extra, draws) in enumerate([
-            ("solve", {}, False),
-            ("verify", {"verify": [{"check": "lipschitz", "trials": 1}]},
-             True),
+                "numpy.polynomial": False, "numpy.ma": False}
+    for k, (command, extra) in enumerate([
+            ("solve", {}),
+            ("optimize", {}),
+            ("taylor", {"control": [0.2, 0.2], "direction": [1.0, 0.0],
+                        "rho_grid": [0.1]}),
+            ("verify", {"verify": [{"check": "lipschitz", "trials": 1}]}),
+            ("verify", {"verify": [{"check": "scalar", "samples": 100}]}),
             ("verify", {"verify": [{"check": "mollified", "R": 1.0,
                                     "rho0": 0.5, "epsilon": 0.1,
-                                    "m": 2.0 * np.pi, "resolution": 16}]},
-             False)]):
+                                    "m": 2.0 * np.pi, "resolution": 16}]})]):
         path = write_config(tmp_path, base_config(f0="constant 1.0",
                                                   **extra))
         done = subprocess.run(
@@ -1171,4 +1195,4 @@ def test_cli_never_imports_the_scipy_sparse_package(tmp_path):
         before, after, status = json.loads(done.stdout.splitlines()[-1])
         assert status == 0
         assert before == expected
-        assert after == dict(expected, **{"numpy.random": draws})
+        assert after == expected

@@ -176,6 +176,14 @@ def test_lipschitz_family_is_seed_deterministic():
     b = verify_lipschitz_family(inst, mesh, trials=2, seed=5)
     assert [r.lhs for r in a] == [r.lhs for r in b]
     assert [r.rhs for r in a] == [r.rhs for r in b]
+    # every drawn pair lies in the box [lower, upper), and another seed
+    # draws other pairs
+    lo, up = inst.bounds.lower, inst.bounds.upper
+    pairs = [np.array(r.parameters[key]) for r in a for key in ("u", "v")]
+    assert all(np.all(lo <= p) and np.all(p < up) for p in pairs)
+    c = verify_lipschitz_family(inst, mesh, trials=2, seed=6)
+    assert [(r.parameters["u"], r.parameters["v"]) for r in a] != \
+        [(r.parameters["u"], r.parameters["v"]) for r in c]
 
 
 def test_mollified_certificates_closed_form_parameters():

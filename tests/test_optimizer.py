@@ -11,7 +11,8 @@ from expctrl.optimizer import (KKTReport, critical_cone_minimum,
                                second_order_check)
 from expctrl.pde import _CG_TOL, _ETA_MAX, ProblemInstance, solve_state
 from expctrl.sequences import BoundsPair, compute_separation_radii
-from helpers import D2J, DJ, J, certify, count_linearized
+from helpers import (D2J, DJ, J, certify, count_linearized,
+                     reference_critical_cone_minimum)
 
 
 def make_instance(nu=0.1, resolution=20, lower=(-1.0, -1.0),
@@ -331,6 +332,12 @@ def in_cone(h, allowed):
                for i, signs in enumerate(allowed))
 
 
+def assert_same_minimum(batched, loop):
+    # the same value and direction, bit for bit (signed zeros included)
+    assert batched[0] == loop[0]
+    assert batched[1].tobytes() == loop[1].tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
     st.lists(st.sampled_from(sorted(_COMPONENTS)), min_size=k, max_size=k),
@@ -341,7 +348,9 @@ def test_critical_cone_minimum_is_below_every_cone_direction(case):
     A = np.array(entries).reshape(K, K)
     H = 0.5 * (A + A.T)
     u, d, bounds, allowed = cone_problem(kinds)
-    value, h = critical_cone_minimum(H, kkt_residual(u, d, bounds))
+    kkt = kkt_residual(u, d, bounds)
+    value, h = critical_cone_minimum(H, kkt)
+    assert_same_minimum((value, h), reference_critical_cone_minimum(H, kkt))
     assert in_cone(h, allowed)
     assert value == float(h @ H @ h)
     if not any(allowed):
@@ -364,6 +373,50 @@ def test_critical_cone_minimum_is_below_every_cone_direction(case):
         if np.any(g):
             g /= np.sum(np.abs(g))
             assert value <= float(g @ H @ g) + slack
+
+
+@pytest.mark.parametrize("kinds, definite, seed", [
+    (["interior"] * 10, False, 0),
+    (["interior"] * 8, True, 1),
+    (["interior", "lower", "upper", "interior-small-d"] * 2
+     + ["lower-blocked", "pinned"], False, 2),
+    (["lower", "upper", "interior", "upper-blocked", "interior", "lower",
+      "interior", "upper", "pinned", "interior"], True, 3),
+    (["lower"] * 6 + ["upper"] * 4, False, 4),
+])
+def test_critical_cone_minimum_matches_the_face_loop(kinds, definite, seed):
+    # the stacked solves give the loop's minimum and direction to the
+    # bit, at m = 10 unblocked components too; equal values keep the
+    # loop's first pattern
+    K = len(kinds)
+    A = np.random.default_rng(seed).standard_normal((K, K))
+    H = A @ A.T + 0.1 * np.eye(K) if definite else 0.5 * (A + A.T)
+    u, d, bounds, _ = cone_problem(kinds)
+    kkt = kkt_residual(u, d, bounds)
+    assert_same_minimum(critical_cone_minimum(H, kkt),
+                        reference_critical_cone_minimum(H, kkt))
+
+
+def test_critical_cone_minimum_skips_a_singular_face_like_the_loop():
+    # on face (+, +) of the first two components the bordered system
+    # [[1, 1, 1], [1, 1, 1], [1, 1, 0]] is singular, so its stacked
+    # solve falls back to one solve per face and skips just that one
+    H = np.ones((3, 3))
+    H[2, 2] = 2.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+                         [1.0, 1.0, 0.0]], [0.0, 0.0, 1.0])
+    x = optimizer._face_solutions(
+        np.stack([H[:2, :2], H[1:, 1:]]), np.ones((2, 2)))
+    assert np.all(np.isnan(x[0]))
+    assert np.all(np.isfinite(x[1]))
+    u, d, bounds, _ = cone_problem(["interior"] * 3)
+    kkt = kkt_residual(u, d, bounds)
+    value, h = critical_cone_minimum(H, kkt)
+    assert_same_minimum((value, h), reference_critical_cone_minimum(H, kkt))
+    # h' H h = (h_1 + h_2 + h_3)^2 + h_3^2 vanishes at (1/2, -1/2, 0)
+    assert value == 0.0
+    assert np.array_equal(h, [0.5, -0.5, 0.0])
 
 
 def test_critical_cone_requires_a_first_order_point():

@@ -92,3 +92,38 @@ def test_every_imported_name_is_read_by_its_module():
                     for path in sorted(SRC.glob("*.py"))
                     for name in _unread_imports(ast.parse(path.read_text())))
     assert unread == []
+
+
+def _heavy(name):
+    """Whether the dotted module name is numpy.random, a scipy module,
+    or inside one."""
+    return any(name == top or name.startswith(top + ".")
+               for top in ("numpy.random", "scipy"))
+
+
+def _heavy_imports(tree):
+    """(line, name) of each import of numpy.random or of a scipy module
+    in a module, and of each read of numpy's random attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = ["%s.%s" % (node.module, alias.name)
+                     for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == "random" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy"):
+            names = ["numpy.random"]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if _heavy(name)]
+    return found
+
+
+def test_no_module_imports_numpy_random_or_scipy():
+    found = sorted("%s:%d %s" % (path.name, line, name)
+                   for path in sorted(SRC.glob("*.py"))
+                   for line, name in _heavy_imports(
+                       ast.parse(path.read_text())))
+    assert found == []

@@ -592,13 +592,12 @@ class Multigrid:
     Each level aggregates the strength graph -a_ij >= theta
     sqrt(a_ii a_jj) greedily, smooths the piecewise-constant tentative
     prolongator T by one damped Jacobi step, P = T - diag(w) A T, and
-    forms the Galerkin product P' (A P), symmetrized, until at most
-    _COARSE_SIZE unknowns remain; the coarsest matrix is factored by a
-    hand-written Cholesky.  Each coarse level is one record (A, w,
+    forms the Galerkin product R (A P), R = P', symmetrized, until at
+    most _COARSE_SIZE unknowns remain; the coarsest matrix is factored
+    by a hand-written Cholesky.  Each coarse level is one record (A, w,
     (9/5) w): its matrix and the weights of its Chebyshev steps.  The
-    records, every P and its transpose R (faster to apply than P' from
-    P's arrays) are built once here, so a V-cycle builds no matrix
-    object.
+    records and every R are built once here; a V-cycle restricts by R
+    and prolongates by R' on R's own arrays, and builds no matrix.
 
     The operator A (a CSR) the hierarchy is built from only serves its
     coarse levels: preconditioner(A) takes the finest level from the
@@ -609,16 +608,17 @@ class Multigrid:
     def __init__(self, A):
         w = _jacobi_weights(A)
         self.levels = []            # coarse (CSR, w, (9/5) w)
-        self.prolongators = []
         self.restrictions = []
         theta = _STRENGTH
         while A.shape[0] > _COARSE_SIZE:
             P = _prolongator(A, w, theta)
-            R = P.T
-            A = _galerkin(A, P, R)
+            AP, R = A @ P, P.T
+            del P
+            A = R @ AP
+            del AP
+            A = _galerkin(A)
             w = _jacobi_weights(A)
             self.levels.append((A, w, 1.8 * w))
-            self.prolongators.append(P)
             self.restrictions.append(R)
             theta *= 0.5
         self._coarse = _inverse_factor(_cholesky(A.toarray()))
@@ -644,19 +644,19 @@ class Multigrid:
         return lambda r: self._vcycle(levels, 0, r)
 
     def _vcycle(self, levels, k, r):
-        if k == len(self.prolongators):
+        if k == len(self.restrictions):
             return self._coarse.T @ (self._coarse @ r)
         A, w, w2 = levels[k]
+        R = self.restrictions[k]
         x = _smooth(A, w, w2, r)
-        x += self.prolongators[k] @ self._vcycle(
-            levels, k + 1, self.restrictions[k] @ (r - A @ x))
+        x += R.rmatvec(self._vcycle(levels, k + 1, R @ (r - A @ x)))
         return _smooth(A, w, w2, r, x)
 
 
 def _prolongator(A, w, theta):
     """The smoothed prolongator T - diag(w) A T of the CSR A, T the
     unit-norm piecewise constants on the aggregates of A at strength
-    theta."""
+    theta.  Multigrid keeps only its transpose R."""
     agg, count = _aggregate(A, theta)
     rows = np.flatnonzero(agg >= 0)
     T = CSR.from_coo(rows, agg[rows],
@@ -667,11 +667,11 @@ def _prolongator(A, w, theta):
     return T - smoothed
 
 
-def _galerkin(A, P, R):
-    """The coarse matrix R (A P), R = P', symmetrized once: s_ij + s_ji
-    is one sum for both entries, so it is symmetric bit for bit.  Its
-    rows are sorted, as the aggregation reads them."""
-    S = R @ (A @ P)
+def _galerkin(S):
+    """The coarse matrix of the Galerkin product S = R (A P), R = P',
+    symmetrized once: s_ij + s_ji is one sum for both entries, so it is
+    symmetric bit for bit.  Its rows are sorted, as the aggregation
+    reads them."""
     S = S + S.T
     S.data *= 0.5
     _sparsetools.csr_sort_indices(S.shape[0], S.indptr, S.indices, S.data)
@@ -702,11 +702,10 @@ def _smooth(A, w, w2, r, x=None):
 
 def _jacobi_weights(A):
     """Smoother weights 4/3 / sum_j |a_ij| of the CSR A: the diagonal
-    inverse damped by each row's Gershgorin bound of D^-1 A, as in the
-    damped-Jacobi step that smooths the prolongators.  One pass over
-    A's entries; the coarse levels and the prolongators take their
-    weights here, the finest level of an operator made by
-    DiagonalShifts from that class's cached row sums."""
+    inverse damped by each row's Gershgorin bound of D^-1 A, as in
+    _prolongator's damped-Jacobi step.  One pass over A's entries;
+    each level of a hierarchy takes its weights here, the finest level
+    of an operator made by DiagonalShifts from its cached row sums."""
     n = A.shape[0]
     if np.any(A.diagonal() <= 0.0):
         raise RuntimeError("operator is not positive definite")

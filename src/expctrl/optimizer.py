@@ -96,10 +96,10 @@ def kkt_residual(u, d, bounds, tol_active=1e-10):
             residuals[i] = 0.0
         elif u[i] <= lo + tol_active:
             classification.append("lower-active")
-            residuals[i] = max(-dv[i], 0.0)
+            residuals[i] = max(0.0, -dv[i])
         elif u[i] >= up - tol_active:
             classification.append("upper-active")
-            residuals[i] = max(dv[i], 0.0)
+            residuals[i] = max(0.0, dv[i])
         else:
             classification.append("interior")
             residuals[i] = abs(dv[i])

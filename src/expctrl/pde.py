@@ -289,7 +289,8 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
                   multigrid=ops.multigrid)
     # the state stays below the cap (module docstring), and Newton
     # from far above it lowers the peak by about 1 per step
-    cap = np.max(np.log1p(np.maximum(load[free], 0.0) / ops.lumped_free))
+    cap = np.max(np.log1p(np.maximum(load[free], 0.0) / ops.lumped_free),
+                 initial=0.0)
     np.minimum(y, cap, out=y)
     fres = _residual(ops, y, load)
     rnorm = _norm(fres[free])

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -970,6 +971,70 @@ def test_reports_are_deterministic_after_the_timestamp(tmp_path, command):
         lb = (b / name).read_text().splitlines()
         assert la[0].startswith("# generated ")
         assert la[1:] == lb[1:]
+
+
+_SMOKE_DOMAINS = {
+    "square": dict(domain={"kind": "unit_square"},
+                   points=[[0.3, 0.4], [0.7, 0.6]], lower=[-1.0, -1.0],
+                   upper=[2.0, 2.0], control=[0.5, -0.3],
+                   direction=[1.0, -0.5]),
+    "disk": dict(domain={"kind": "disk", "center": [0.0, 0.0],
+                         "radius": 1.0},
+                 points=[[0.1, 0.05]], lower=[-1.0], upper=[2.0],
+                 control=[0.5], direction=[1.0]),
+}
+# the coarsest meshes: at resolution 1 every vertex is on the boundary
+_SMOKE_MESHES = {
+    "n1": {"resolution": 1},
+    "n2": {"resolution": 2},
+    "n2-graded-1": {"resolution": 2, "refine_levels": 1},
+}
+
+
+def assert_finite_reports(out):
+    """Every number in the reports under out is finite and none is
+    written as a negative zero."""
+    paths = sorted(out.iterdir())
+    assert paths
+    for path in paths:
+        for line in path.read_text().splitlines()[1:]:
+            for cell in re.split(r"[,=\[\] ]", line):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert np.isfinite(value), (path.name, line)
+                assert not (value == 0.0 and cell.startswith("-")), \
+                    (path.name, line)
+
+
+@pytest.mark.parametrize("mesh", sorted(_SMOKE_MESHES))
+@pytest.mark.parametrize("domain", sorted(_SMOKE_DOMAINS))
+def test_every_command_runs_on_the_smallest_meshes(tmp_path, domain, mesh):
+    cfg = dict(_SMOKE_DOMAINS[domain], nu=0.1, f0="constant 1.0",
+               y_d="constant 0.4", rho_grid=[1e-1, 1e-2],
+               mesh=_SMOKE_MESHES[mesh])
+    omega = [1.0] * len(cfg["points"])
+    cfg["verify"] = [
+        {"check": "poisson", "omega": omega, "alpha": 3.0},
+        {"check": "semilinear", "omega": omega, "alpha": 3.0},
+        {"check": "lipschitz", "trials": 2}]
+    path = write_config(tmp_path, cfg)
+    for command in ("solve", "optimize", "taylor", "verify"):
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        assert_finite_reports(out)
+
+
+def test_optimize_at_a_vanishing_gradient_writes_no_negative_zero(
+        tmp_path):
+    # no data and a start at the lower bound 0: every gradient entry
+    # is an exact zero, and so is its residual at the bound
+    path = write_config(tmp_path, base_config(lower=[0.0, 0.0],
+                                              control=[0.0, 0.0]))
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", path, "--out", str(out)]) == 0
+    assert_finite_reports(out)
 
 
 def test_seed_override_changes_random_draws(tmp_path):

@@ -713,7 +713,7 @@ def test_solve_spd_on_a_diagonal_operator_needs_no_coarse_level():
     D = free_block(mesh, sp.diags(d))
     free = ~mesh.boundary
     mg = Multigrid(D)
-    assert mg.prolongators[0].shape[1] == 0
+    assert mg.restrictions[0].shape[0] == 0
     b = np.arange(mesh.num_vertices, dtype=float)
     x = solve_spd(D, b, mesh.boundary, 1e-12, mg)
     assert_allclose(x[free], b[free] / d[free], rtol=1e-12)
@@ -731,13 +731,12 @@ def test_csr_apply_is_the_scipy_product_bit_for_bit():
     mg = ops.multigrid
     assert len(mg.levels) >= 2
     checked = [ops.stiffness, ops.newton_operator(y)]
-    for (A, *_), P, R in zip(mg.levels, mg.prolongators,
-                             mg.restrictions):
-        checked += [A, P, R]
-        # R is stored as the explicit CSR of P': the same bits as the
-        # transposed view of P
-        x = rng.normal(size=P.shape[0])
-        assert np.array_equal(R @ x, to_scipy(P).T @ x)
+    for (A, *_), R in zip(mg.levels, mg.restrictions):
+        checked += [A, R, R.T]
+        # the V-cycle prolongates by R' on R's arrays: the same bits as
+        # scipy's product with the transposed view of R
+        e = rng.normal(size=R.shape[0])
+        assert np.array_equal(R.rmatvec(e), to_scipy(R).T @ e)
     for op in checked:
         x = rng.normal(size=op.shape[1])
         assert np.array_equal(op @ x, to_scipy(op) @ x)
@@ -793,15 +792,14 @@ def test_csr_operations_keep_the_bits_of_the_scipy_matrices(case):
     mg = Multigrid(A)
     levels, coarse = reference_multigrid(A)
     assert len(mg.levels) == len(levels) >= 2
-    for (level, w, w2), P, R, (level_ref, P_ref, R_ref, w_ref) in zip(
-            mg.levels, mg.prolongators, mg.restrictions, levels):
+    for (level, w, w2), R, (level_ref, P_ref, R_ref, w_ref) in zip(
+            mg.levels, mg.restrictions, levels):
         assert _same_matrix(level, level_ref)
-        # the row scaling lists P's rows in another order than scipy's
-        # product with a diagonal matrix
-        P = to_scipy(P)
-        P.sort_indices()
+        # P is read through R's transpose, whose rows are sorted; the
+        # reference's rows keep the order of scipy's product with a
+        # diagonal matrix
         P_ref.sort_indices()
-        assert _same_matrix(P, P_ref)
+        assert _same_matrix(R.T, P_ref)
         assert _same_matrix(R, R_ref)
         assert _same_bits(w, w_ref)
         assert _same_bits(w2, 1.8 * w_ref)
@@ -906,9 +904,9 @@ def test_a_poisson_solve_builds_no_shifts_and_keeps_the_hierarchy_bits(
     for (A, w, w2), (A_ref, w_ref, w2_ref) in zip(got.levels, want.levels):
         assert _same_matrix(A, A_ref)
         assert _same_bits(w, w_ref) and _same_bits(w2, w2_ref)
-    for P, P_ref in zip(got.prolongators + got.restrictions,
-                        want.prolongators + want.restrictions):
-        assert _same_matrix(P, P_ref)
+    assert len(got.restrictions) == len(want.restrictions)
+    for R, R_ref in zip(got.restrictions, want.restrictions):
+        assert _same_matrix(R, R_ref)
     assert _same_bits(got._coarse, want._coarse)
     ops.newton_operator(np.zeros(mesh.num_vertices))
     assert made == [ops.stiffness]
@@ -916,8 +914,9 @@ def test_a_poisson_solve_builds_no_shifts_and_keeps_the_hierarchy_bits(
 
 def test_the_hierarchy_holds_exactly_its_entries(monkeypatch):
     # A + M_L is the stiffness's data shifted on its own index arrays,
-    # and each P, R and coarse level holds buffers of exactly its
-    # entries: no result keeps the bound its kernel was sized by
+    # and each R and coarse level holds buffers of exactly its entries:
+    # no result keeps the bound its kernel was sized by, and no level
+    # keeps P beside R
     finest = []
 
     class Recorded(Multigrid):
@@ -936,8 +935,8 @@ def test_the_hierarchy_holds_exactly_its_entries(monkeypatch):
     assert np.shares_memory(A.indices, S.indices)
     assert not np.shares_memory(A.data, S.data)
     assert _same_bits(A.diagonal(), S.diagonal() + ops.lumped_free)
-    matrices = [level[0] for level in mg.levels] + mg.prolongators \
-        + mg.restrictions
+    assert sorted(vars(mg)) == ["_coarse", "levels", "restrictions"]
+    matrices = [level[0] for level in mg.levels] + mg.restrictions
     assert len(matrices) >= 3
     for M in matrices:
         nnz = int(M.indptr[-1])
@@ -952,12 +951,12 @@ def test_coarse_levels_are_symmetric_galerkin_products(case):
     A = operators(mesh).newton_operator(np.zeros(mesh.num_vertices))
     mg = Multigrid(A)
     eps = np.finfo(float).eps
-    for (coarse, *_), P in zip(mg.levels, mg.prolongators):
+    for (coarse, *_), R in zip(mg.levels, mg.restrictions):
         assert _same_matrix(coarse, _transposed(coarse))
-        # P' A P in scipy, to rounding: each entry of a product of
-        # three sums of at most m terms is within 2 m eps of the sum of
-        # the absolute values of its terms
-        P, fine = to_scipy(P), to_scipy(A)
+        # P' A P in scipy, P = R', to rounding: each entry of a product
+        # of three sums of at most m terms is within 2 m eps of the sum
+        # of the absolute values of its terms
+        P, fine = to_scipy(R.T), to_scipy(A)
         product = (P.T @ (fine @ P)).toarray()
         size = (abs(P).T @ (abs(fine) @ abs(P))).toarray()
         m = max(np.diff(fine.indptr).max(), np.diff(P.indptr).max(),
@@ -965,6 +964,21 @@ def test_coarse_levels_are_symmetric_galerkin_products(case):
         assert np.all(np.abs(coarse.toarray() - product)
                       <= 2 * m * eps * size)
         A = coarse
+
+
+def test_the_graded_disk_solves_take_the_pinned_work(monkeypatch):
+    # the hierarchy's transfers change the V-cycle's bits, not its
+    # work: a unit point load at the center of the 9,129-vertex disk
+    # graded 12 levels, solved as Poisson and as the semilinear state
+    # of 3 delta
+    mesh = _CSR_MESHES["disk-32-graded-12"]()
+    b = point_operator(mesh, [[0.0, 0.0]]).rmatvec(np.ones(1))
+    cycles = count_vcycles(monkeypatch)
+    solve_semilinear(mesh, b, linear=True)
+    assert len(cycles) == 21
+    del cycles[:]
+    state = solve_semilinear(mesh, 3.0 * b)
+    assert (len(cycles), state.newton_iterations) == (20, 4)
 
 
 @pytest.mark.parametrize("case", sorted(_CSR_MESHES))

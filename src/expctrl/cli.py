@@ -12,12 +12,13 @@ files.  The seed only draws the random samples of verify.
 
 Every value of a config is checked here, once, before any mesh is
 built, and an error names its field; the layers below take the values
-as checked.
+as checked.  The one check that needs the mesh, that every source
+point lies in a triangle of it, runs right after the mesh is built.
 
-Exit codes: 0 success, 1 config or precondition error, 2 solver
-failure or another numeric fault (an estimate side or a report value
-that is not finite), 3 iteration budget exhausted, 4 estimate
-violation.
+Exit codes: 0 success, 1 config error, 2 solver failure or another
+fault of the program (an estimate side or a report value that is not
+finite, or a ValueError from the layers below), 3 iteration budget
+exhausted, 4 estimate violation.
 """
 
 import argparse
@@ -39,7 +40,7 @@ from .fem import integrate_exp_linear
 from .mesh import Domain, build_mesh
 from .objective import taylor_remainder_test
 from .optimizer import projected_gradient, second_order_check
-from .pde import ProblemInstance, solve_state
+from .pde import ProblemInstance, point_coupling, solve_state
 from .sequences import FOUR_PI, BoundsPair, Control, compute_separation_radii
 
 _REQUIRED = object()
@@ -377,6 +378,18 @@ def _below_four_pi(values, where):
     return values
 
 
+def _located_mesh(config):
+    """The run's mesh, with the config's source points located on it:
+    a point of a disk that lies between the mesh's boundary chords and
+    the circle is a config error naming the point."""
+    mesh = config.instance.make_mesh()
+    try:
+        point_coupling(mesh, config.instance.points.points)
+    except ValueError as exc:
+        raise ConfigError("field 'points': %s" % exc) from None
+    return mesh
+
+
 def _resolve_target(config, mesh):
     """The run's instance, with a state_of target solved on mesh in a
     copy, so the config stays usable for another run."""
@@ -396,7 +409,7 @@ def cmd_solve(config):
         raise ConfigError("field 'linear': expected true or false")
     u = _below_four_pi(_base_control(config), "control")
     instance = config.instance
-    mesh = instance.make_mesh()
+    mesh = _located_mesh(config)
     state = solve_state(instance, u, mesh,
                         tol=config.tolerances["newton"], linear=linear)
     out = config.out
@@ -441,7 +454,7 @@ def cmd_optimize(config):
     if np.any(u0 < bounds.lower) or np.any(u0 > bounds.upper):
         raise ConfigError("field 'control': values must lie between lower "
                           "and upper, the box of the optimizer's iterates")
-    mesh = config.instance.make_mesh()
+    mesh = _located_mesh(config)
     instance = _resolve_target(config, mesh)
     tol = config.tolerances["kkt"]
     u, report = projected_gradient(
@@ -578,7 +591,7 @@ def cmd_verify(config):
                     "expected one of %s"
                     % (key, check, ", ".join(_VERIFY_KEYS[check])))
         checks.append(_verify_check(config, entry, disks))
-    mesh = config.instance.make_mesh()
+    mesh = _located_mesh(config)
     reports = []
     for run in checks:
         reports.extend(run(mesh))
@@ -613,7 +626,7 @@ def cmd_taylor(config):
             rho_grid and all(r > 0.0 for r in rho_grid)):
         raise ConfigError("field 'rho_grid': expected a nonempty list of "
                           "positive finite numbers")
-    mesh = config.instance.make_mesh()
+    mesh = _located_mesh(config)
     instance = _resolve_target(config, mesh)
     report = taylor_remainder_test(instance, u, mesh, h,
                                    rho_grid=rho_grid,
@@ -671,7 +684,7 @@ def main(argv=None):
         return 1
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return 2
     except RuntimeError as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return 2

@@ -14,13 +14,13 @@ per vertex, and one value per edge of the mesh's edge table, placed at
 both of its entries (_edge_assembly), so every sum runs in this code's
 order and a_ij and a_ji are one float.  The state vanishes on the
 boundary, so the stiffness is assembled on the interior vertices
-alone; the mass stays V x V.  The load of a field is the plain
-edge-midpoint rule, its element contributions summed the same way; a
-mollified point load maps the order-5 rule of the reference triangle,
-quartered to resolve the bump, onto the triangles the bump meets.  The
-solver is PCG with one symmetric AMG V-cycle per iteration (degree-2
-fourth-kind Chebyshev smoothing, a hand-written Cholesky of the at most
-100-unknown coarsest level); no library factorizations anywhere.
+alone.  The load of a field is the plain edge-midpoint rule, its
+element contributions summed the same way; a mollified point load maps
+the order-5 rule of the reference triangle, quartered to resolve the
+bump, onto the triangles the bump meets.  The solver is PCG with one
+symmetric AMG V-cycle per iteration (degree-2 fourth-kind Chebyshev
+smoothing, a hand-written Cholesky of the at most 100-unknown coarsest
+level); no library factorizations anywhere.
 """
 
 import importlib.util
@@ -126,7 +126,7 @@ def assemble_stiffness(mesh):
     Element row sums vanish, so with no vertex flagged boundary the
     matrix annihilates constants.
     """
-    return _edge_assembly(mesh, *_stiffness_sums(mesh), ~mesh.boundary)
+    return _edge_assembly(mesh, *_stiffness_sums(mesh))
 
 
 def _stiffness_sums(mesh):
@@ -162,32 +162,19 @@ def lumped_mass_diagonal(mesh):
                        minlength=mesh.num_vertices)
 
 
-def assemble_mass(mesh):
-    """Consistent P1 mass matrix, the integrals of products of hats:
-    each triangle adds area/6 to the entry of each of its corners with
-    itself and area/12 to that of each pair (see _edge_assembly), the
-    values the edge-midpoint rule finds exactly."""
-    twelfth = mesh.areas * (1.0 / 12.0)
-    diagonal = np.bincount(mesh.triangles.ravel(),
-                           weights=np.repeat(twelfth + twelfth, 3),
-                           minlength=mesh.num_vertices)
-    edges = np.bincount(mesh.triangle_edges.ravel(),
-                        weights=np.repeat(twelfth, 3),
-                        minlength=len(mesh.edges))
-    return _edge_assembly(mesh, diagonal, edges, np.ones_like(mesh.boundary))
-
-
-def _edge_assembly(mesh, diagonal, edges, keep):
-    """The symmetric CSR block of the vertices in the mask keep, in
-    vertex order: the given diagonal, and edges[e] at both (lo, hi) and
-    (hi, lo) of each edge e = (lo, hi) with both ends kept, unless it is
-    exactly zero (the stiffness across the diagonal of a right-angled
-    cell), which adds nothing to a product but its cost.
+def _edge_assembly(mesh, diagonal, edges):
+    """The symmetric CSR block of the interior vertices (off
+    mesh.boundary), in vertex order: the given diagonal, and edges[e]
+    at both (lo, hi) and (hi, lo) of each edge e = (lo, hi) with both
+    ends interior, unless it is exactly zero (the stiffness across the
+    diagonal of a right-angled cell), which adds nothing to a product
+    but its cost.
 
     A P1 matrix has an entry only where two corners share a triangle:
     on the diagonal and at the mesh's edges.  Summed by np.bincount in
     triangle order, its entries are distinct, so the conversion only
     places them, and a_ij and a_ji are one float."""
+    keep = ~mesh.boundary
     n = int(np.count_nonzero(keep))
     inner = keep[mesh.edges[:, 0]] & keep[mesh.edges[:, 1]] & (edges != 0.0)
     m = int(np.count_nonzero(inner))
@@ -491,20 +478,13 @@ class CSR:
         return cls(indptr, indices, data, shape)
 
     def __matmul__(self, other):
-        """A @ x for a vector (csr_matvec) or the columns of a 2-D array
-        (csr_matvecs), and A @ B for a CSR B (csr_matmat_maxnnz, then
-        csr_matmat)."""
+        """A @ x for a vector x (csr_matvec), and A @ B for a CSR B
+        (csr_matmat_maxnnz, then csr_matmat)."""
         M, N = self.shape
         if isinstance(other, CSR):
             return self._matmat(other)
         if len(other) != N:
             raise ValueError("operand length does not match the matrix")
-        if other.ndim == 2:
-            y = np.zeros((M, other.shape[1]))
-            _sparsetools.csr_matvecs(M, N, other.shape[1], self.indptr,
-                                     self.indices, self.data, other.ravel(),
-                                     y.ravel())
-            return y
         y = np.zeros(M)
         _sparsetools.csr_matvec(M, N, self.indptr, self.indices, self.data,
                                 other, y)

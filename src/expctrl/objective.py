@@ -1,15 +1,15 @@
 """The reduced objective, its adjoint-based gradient, the reduced K x K
 Hessian, and Taylor-remainder diagnostics.
 
-With M the consistent mass matrix and Y the nodal state,
-J(u) = (1/2)(Y - Y_d)' M (Y - Y_d) + (nu/2) sum u_i^2.  The gradient
-d = P phi + nu u is exact for this discrete value, because the point
-load P' u and the point evaluation P phi are adjoint.  With Z the
-linearized states of the K unit point masses, the Hessian is
-H = Z' M Z - Z' diag(M_L e^y phi) Z + nu I: the exponential's curvature
-enters with the lumped weights of the state equation, so H is again
-exact, and D2J[h, k] = h' H k.  A caller that reads H only on a block
-index x index solves only those columns of Z.
+With m the lumped mass diagonal of the state equation and Y the nodal
+state, J(u) = (1/2) sum_i m_i (Y_i - Y_d,i)^2 + (nu/2) sum u_i^2.  The
+gradient d = P phi + nu u is exact for this discrete value, because the
+point load P' u and the point evaluation P phi are adjoint.  With Z the
+linearized states of the K unit point masses, the Hessian is the one
+weighted Gram product H = Z' diag(m (1 - e^y phi)) Z + nu I: the
+tracking term and the exponential's curvature carry the same lumped
+weights, so H is again exact, and D2J[h, k] = h' H k.  A caller that
+reads H only on a block index x index solves only those columns of Z.
 
 J, d and H read a state y_u and an adjoint phi_u that the caller has
 solved, so all three at one control share one state solve and one
@@ -51,7 +51,7 @@ def evaluate_J(instance, u, state):
     its solved state; inf without a warning where it overflows."""
     diff = state.y - nodal_field(state.mesh, instance.y_d)
     with np.errstate(over="ignore"):
-        return 0.5 * float(diff @ (operators(state.mesh).mass @ diff)) \
+        return 0.5 * float(diff @ (operators(state.mesh).lumped * diff)) \
             + 0.5 * instance.nu * float(np.dot(u, u))
 
 
@@ -75,7 +75,6 @@ def reduced_hessian(instance, state, adjoint, index=None, tol=_CG_TOL):
     linearized solve each; the others stay zero, so H[index, index]
     holds the bits of the full H and every other entry is exactly 0.
     """
-    ops = operators(state.mesh)
     K = instance.points.count
     solved = np.zeros(K, dtype=bool)
     solved[slice(None) if index is None else index] = True
@@ -83,9 +82,8 @@ def reduced_hessian(instance, state, adjoint, index=None, tol=_CG_TOL):
     Z = np.zeros((state.y.size, K))
     for i in np.flatnonzero(solved):
         Z[:, i] = solve_linearized(state, eye[i], instance.points, tol=tol)
-    weight = ops.lumped * np.exp(state.y) * adjoint
-    H = Z.T @ (ops.mass @ Z) - Z.T @ (weight[:, None] * Z) \
-        + instance.nu * np.diag(solved)
+    weight = operators(state.mesh).lumped * (1.0 - np.exp(state.y) * adjoint)
+    H = Z.T @ (weight[:, None] * Z) + instance.nu * np.diag(solved)
     return 0.5 * (H + H.T)
 
 

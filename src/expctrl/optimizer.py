@@ -249,6 +249,12 @@ def critical_cone_minimum(H, kkt, tol_grad=1e-6):
     on a smaller face.  Only a strictly smaller value, or an equal one
     of an earlier pattern, replaces the best, so the direction is the
     first minimizer in pattern order.
+
+    A pattern whose support is all interior and whose first nonzero
+    sign is - is skipped: its mirror -s is a pattern too, earlier in
+    product order, and D H_SS D is the same matrix for both, so the
+    mirror's x is the same, its h is -h and its value the same bit for
+    bit.  At an interior optimum that halves the faces.
     """
     if kkt.aggregate > tol_grad:
         raise ValueError("critical cone requires a first-order point")
@@ -259,6 +265,7 @@ def critical_cone_minimum(H, kkt, tol_grad=1e-6):
     if free.size == 0:
         return 0.0, np.zeros(dv.size)
     choices = [np.array(signs[cls[i]]) for i in free]
+    active = np.array([cls[i] != "interior" for i in free])
     shape = [c.size for c in choices]
     count = math.prod(shape)
     best, best_rank, best_h = np.inf, count, None
@@ -268,6 +275,10 @@ def critical_cone_minimum(H, kkt, tol_grad=1e-6):
         patterns = np.column_stack([
             c[pick] for c, pick in zip(choices,
                                        np.unravel_index(ranks, shape))])
+        nonzero = patterns != 0.0
+        first = patterns[np.arange(ranks.size), np.argmax(nonzero, axis=1)]
+        keep = (first > 0.0) | np.any(nonzero & active, axis=1)
+        patterns, ranks = patterns[keep], ranks[keep]
         sizes = np.count_nonzero(patterns, axis=1)
         for m in np.flatnonzero(np.bincount(sizes)):
             group = sizes == m

@@ -9,12 +9,14 @@ equations reuse that same matrix.
 
 The state vanishes on the boundary, so every solve here acts on the
 free block of these matrices: the rows and columns of the interior
-nodes.  The stiffness is assembled on that block alone (the mass stays
-V x V), and the mesh's operator cache holds it once; the first Newton
-or secant-start matrix makes it the base of a fem.DiagonalShifts.  A
-Newton matrix is that pattern with one new data array, A plus the
-diagonal M_L e^y, built by one vector add, applied by the CSR kernel
-directly, and smoothed with weights from the row sums cached there.
+nodes.  The stiffness is assembled on that block alone, and the mesh's
+operator cache holds it once; the first Newton or secant-start matrix
+makes it the base of a fem.DiagonalShifts.  A Newton matrix is that
+pattern with one new data array, A plus the diagonal M_L e^y, built by
+one vector add, applied by the CSR kernel directly, and smoothed with
+weights from the row sums cached there.  M_L, the lumped mass m, is the
+one mass of the discrete problem: the tracking term, the adjoint's
+right-hand side and the load of nodal data read it too.
 
 The state is found by inexact damped Newton from the secant start
 (A + c M_L) y = b, c = _START_SLOPE = 8, the slope (e^y - 1)/y of the
@@ -47,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .fem import (CSR, DiagonalShifts, Multigrid, assemble_load,
-                  assemble_mass, assemble_stiffness, diagonal_positions,
+                  assemble_stiffness, diagonal_positions,
                   lumped_mass_diagonal, point_operator, solve_spd)
 from .mesh import build_mesh
 
@@ -74,18 +76,15 @@ _START_TOL = 0.5
 
 class _Operators:
     """Per-mesh data built once: the interior (free) nodes, the
-    stiffness assembled on them, lumped mass diagonal, point-coupling
-    operators keyed by coordinates, loads of callable fields keyed by
-    the callable, and on first use the consistent mass, the stiffness's
-    DiagonalShifts (so Poisson solves alone build none), the operator
-    of the secant start and the multigrid hierarchy of every solve.
-
-    The cache lives in a WeakKeyDictionary keyed by the mesh, so it
-    holds the mesh only weakly, for the mass on first use: a strong
-    reference would keep its own entry alive forever."""
+    stiffness assembled on them, the lumped mass diagonal (the one mass
+    of the state equation, the tracking term and the L^2 norm of nodal
+    data), point-coupling operators keyed by coordinates, loads of
+    callable fields keyed by the callable, and on first use the
+    stiffness's DiagonalShifts (so Poisson solves alone build none),
+    the operator of the secant start and the multigrid hierarchy of
+    every solve."""
 
     def __init__(self, mesh):
-        self._mesh = weakref.ref(mesh)
         self.free = np.flatnonzero(~mesh.boundary)
         self.stiffness = assemble_stiffness(mesh)
         self.lumped = lumped_mass_diagonal(mesh)
@@ -111,12 +110,6 @@ class _Operators:
         return self._shifts(_START_SLOPE * self.lumped_free)
 
     @cached_property
-    def mass(self):
-        """Consistent mass matrix; only the tracking and L^2 terms read
-        it, so meshes that never meet one never assemble it."""
-        return assemble_mass(self._mesh())
-
-    @cached_property
     def multigrid(self):
         """Hierarchy of the free block of A + M_L, formed as
         DiagonalShifts forms a Newton operator: one copy of the
@@ -135,7 +128,7 @@ _OPERATORS = weakref.WeakKeyDictionary()
 
 
 def operators(mesh):
-    """Cached stiffness/mass assembly for a mesh."""
+    """The cached per-mesh operators of a mesh."""
     ops = _OPERATORS.get(mesh)
     if ops is None:
         ops = _Operators(mesh)
@@ -224,8 +217,9 @@ def nodal_field(mesh, f):
 
 def field_load(mesh, f):
     """Right-hand-side vector of a distributed field: quadrature for
-    callables, mass-matrix action for nodal data.  The quadrature of a
-    callable is done once per mesh and returned read-only."""
+    callables, the lumped mass times the values for nodal data.  The
+    quadrature of a callable is done once per mesh and returned
+    read-only."""
     if f is None:
         return np.zeros(mesh.num_vertices)
     if callable(f):
@@ -235,7 +229,7 @@ def field_load(mesh, f):
             load.flags.writeable = False
             cache[f] = load
         return cache[f]
-    return operators(mesh).mass @ nodal_field(mesh, f)
+    return operators(mesh).lumped * nodal_field(mesh, f)
 
 
 def _norm(v):
@@ -368,10 +362,10 @@ def solve_linearized(yS, h, points, tol=_CG_TOL):
 
 
 def solve_adjoint(yS, y_d):
-    """Adjoint solve (A + M_L diag(e^y)) phi = M (y - y_d) at _CG_TOL at
-    the semilinear state yS, with the target entering through its nodal
-    interpolant; a Poisson state raises ValueError.  phi is continuous,
-    so its point values P phi are well defined."""
+    """Adjoint solve (A + M_L diag(e^y)) phi = M_L (y - y_d) at _CG_TOL
+    at the semilinear state yS, with the target entering through its
+    nodal interpolant; a Poisson state raises ValueError.  phi is
+    continuous, so its point values P phi are well defined."""
     mesh = yS.mesh
-    rhs = operators(mesh).mass @ (yS.y - nodal_field(mesh, y_d))
+    rhs = operators(mesh).lumped * (yS.y - nodal_field(mesh, y_d))
     return _solve_at_state(yS, rhs, _CG_TOL)

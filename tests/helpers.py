@@ -8,15 +8,17 @@ Hessian's linearized solves and of the multigrid V-cycles, and the
 references the package is checked against.
 Bit for bit: the edge lengths by two rolled copies of the corners, the
 level-by-level graded refinement, the point location by a scan of
-every triangle, the einsum stiffness and midpoint-rule mass summed in
-triangle order, the 25-term divided-difference series, the loop
+every triangle, the einsum stiffness summed in triangle order, the
+25-term divided-difference series, the loop
 aggregation, the PCG loop that tests its residual before each step,
 the critical cone minimum by one solve per face, and the scipy matrix
 operations that CSR replaces: the point operator, the free block of
 the stiffness and the multigrid setup.  To a stated
 rounding bound: the load by einsums over the edge-midpoint rule
 TRI3_BARY, TRI3_W, and the mollified load by the order-5 rule on every
-candidate triangle subdivided in the plane."""
+candidate triangle subdivided in the plane.  The consistent mass,
+which the package does not assemble, measures L^2 distances in tests
+and has the lumped mass as its row sums."""
 
 import functools
 import itertools
@@ -353,9 +355,9 @@ def reference_stiffness(mesh):
 
 
 def reference_mass(mesh):
-    """The consistent mass matrix with its local matrices formed by
-    the edge-midpoint rule's einsum over the hats' values at its
-    points."""
+    """The consistent mass matrix, a scipy CSR matrix, with its local
+    matrices formed by the edge-midpoint rule's einsum over the hats'
+    values at its points."""
     hats = np.broadcast_to(TRI3_BARY, (mesh.num_triangles, 3, 3))
     local = np.einsum("q,tq...,qi,t->ti...", TRI3_W, hats, TRI3_BARY,
                       mesh.areas)

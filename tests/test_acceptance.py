@@ -17,10 +17,10 @@ from expctrl.mesh import Domain, build_mesh
 from expctrl.objective import (evaluate_DJ, reduced_hessian,
                                taylor_remainder_test)
 from expctrl.optimizer import projected_gradient
-from expctrl.pde import (ProblemInstance, operators, point_coupling,
+from expctrl.pde import (ProblemInstance, point_coupling,
                          solve_linearized, solve_state)
 from expctrl.sequences import BoundsPair, compute_separation_radii
-from helpers import DJ, J, certify, truncate
+from helpers import DJ, J, certify, reference_mass, truncate
 
 TWO_PI = 2.0 * np.pi
 
@@ -255,7 +255,7 @@ def test_truncation_limits():
     h = np.array([0.8 ** i for i in range(1, 9)])
     state = solve_state(instance, u, mesh)
     d, phi = evaluate_DJ(instance, u, state)
-    mass = operators(mesh).mass
+    mass = reference_mass(mesh)
     z_full = solve_linearized(state, h, points)
     dj_full = float(np.dot(d, h))
     H = reduced_hessian(instance, state, phi)

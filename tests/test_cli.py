@@ -19,7 +19,7 @@ import expctrl.pde
 from expctrl.cli import (ConfigError, RunConfig, load_config, main,
                          parse_field)
 from expctrl.estimates import EstimateReport
-from expctrl.fem import assemble_mass, assemble_stiffness
+from expctrl.fem import assemble_stiffness
 from expctrl.objective import evaluate_DJ, evaluate_J
 from expctrl.pde import solve_state
 from helpers import count_vcycles, from_scipy, to_scipy
@@ -381,18 +381,38 @@ def test_a_degenerate_graded_mesh_is_a_solver_fault(tmp_path):
 
 def test_a_source_point_outside_the_disk_mesh_is_named(tmp_path, capsys):
     # radius 0.998, the middle of the widest boundary chord of the n = 8
-    # disk, whose sagitta is 0.0064: inside the disk, outside its mesh
+    # disk, whose sagitta is 0.0064: inside the disk, outside its mesh;
+    # every command locates the points right after it builds the mesh,
+    # a scalar-only verify too
     x, y = -0.7808924, -0.6214588
     path = write_config(tmp_path, dict(
         README_CONFIG, domain={"kind": "disk", "center": [0.0, 0.0],
                                "radius": 1.0},
         points=[[0.1, 0.05], [x, y]], control=[0.5, -0.3],
-        mesh={"resolution": 8}))
+        mesh={"resolution": 8}, direction=[1.0, 0.0],
+        verify=[{"check": "scalar", "samples": 10}]))
+    for command in ("solve", "optimize", "verify", "taylor"):
+        assert main([command, "--config", path, "--out",
+                     str(tmp_path / command)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: field 'points': source point 1 at (%r, %r) lies "
+            "between the mesh's boundary chords and the circle\n" % (x, y))
+        assert not (tmp_path / command).exists()
+
+
+def test_a_value_error_below_the_cli_is_a_program_fault(tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+    # only the config's own values are config errors; a ValueError that
+    # a solver raises, such as a CSR shape check, exits 2
+    def faulty(*args, **kwargs):
+        raise ValueError("operand length does not match the matrix")
+    monkeypatch.setattr(cli, "solve_state", faulty)
+    path = write_config(tmp_path, base_config())
     assert main(["solve", "--config", path, "--out",
-                 str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == (
-        "error: source point 1 at (%r, %r) lies between the mesh's boundary "
-        "chords and the circle\n" % (x, y))
+                 str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "error: operand length does not match the matrix\n"
 
 
 def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
@@ -582,30 +602,6 @@ def test_points_must_be_pairs_of_finite_numbers(tmp_path, capsys, points):
     assert main(["solve", "--config", path, "--out",
                  str(tmp_path / "o")]) == 1
     assert "config error: field 'points'" in capsys.readouterr().err
-
-
-def test_mass_matrix_is_assembled_only_where_it_is_read(tmp_path,
-                                                         monkeypatch):
-    built = []
-
-    def counted(mesh):
-        built.append(mesh.num_vertices)
-        return assemble_mass(mesh)
-    monkeypatch.setattr(expctrl.pde, "assemble_mass", counted)
-    cfg = base_config(verify=[
-        {"check": "poisson", "omega": [1.0, 0.5], "alpha": 2.0 * np.pi},
-        {"check": "mollified", "R": 1.0, "rho0": 0.5, "epsilon": 0.1,
-         "m": 2.0 * np.pi, "resolution": 16}])
-    path = write_config(tmp_path, cfg)
-    assert main(["verify", "--config", path, "--out",
-                 str(tmp_path / "v")]) == 0
-    assert built == []
-    # the tracking term reads it: one assembly on the optimize mesh
-    path = write_config(tmp_path, base_config(y_d="constant 0.3"),
-                        "optimize.json")
-    assert main(["optimize", "--config", path, "--out",
-                 str(tmp_path / "o")]) == 0
-    assert built == [17 * 17]
 
 
 def test_indefinite_operator_exits_as_a_solver_error(tmp_path, monkeypatch,

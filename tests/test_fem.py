@@ -15,11 +15,11 @@ from expctrl.cli import ConfigError, RunConfig, _verify_check, parse_field
 from expctrl.fem import (CSR, MOLLIFIER_C, DiagonalShifts, Multigrid,
                          _cholesky, _dd2_exp, _inverse_factor,
                          _jacobi_weights, _subdivided_rule, assemble_load,
-                         assemble_mass, assemble_mollified_load,
-                         assemble_stiffness, exp_remainder,
-                         integrate_exp_linear, lumped_mass_diagonal,
-                         mollifier_value, point_operator, solve_spd)
-from expctrl.mesh import Domain, build_mesh, locate_point
+                         assemble_mollified_load, assemble_stiffness,
+                         exp_remainder, integrate_exp_linear,
+                         lumped_mass_diagonal, mollifier_value,
+                         point_operator, solve_spd)
+from expctrl.mesh import Domain, build_mesh
 from expctrl.pde import operators, solve_semilinear
 from expctrl.sequences import compute_separation_radii
 from helpers import (count_vcycles, free_block, full_stiffness, graded_disk,
@@ -75,22 +75,6 @@ def test_lumped_mass_partitions_the_area():
     assert abs(np.sum(d) - 1.0) < 1e-12
 
 
-def test_consistent_mass_quadratic_form_on_constants():
-    mesh = square_mesh(6)
-    M = assemble_mass(mesh)
-    c = 3.0 * np.ones(mesh.num_vertices)
-    assert_allclose(c @ (M @ c), 9.0, rtol=1e-12)
-
-
-def test_consistent_mass_exact_on_linear_products():
-    # edge-midpoint rule integrates quadratics exactly
-    mesh = square_mesh(4)
-    M = assemble_mass(mesh)
-    x = mesh.vertices[:, 0]
-    # int_0^1 int_0^1 x^2 = 1/3
-    assert_allclose(x @ (M @ x), 1.0 / 3.0, rtol=1e-12)
-
-
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape \
         and a.tobytes() == b.tobytes()
@@ -125,9 +109,8 @@ def _nonzero_reference_stiffness(mesh):
 
 @pytest.mark.parametrize("case", sorted(_ASSEMBLY_MESHES))
 @pytest.mark.parametrize("assemble, reference",
-                         [(full_stiffness, _nonzero_reference_stiffness),
-                          (assemble_mass, reference_mass)],
-                         ids=["stiffness", "mass"])
+                         [(full_stiffness, _nonzero_reference_stiffness)],
+                         ids=["stiffness"])
 def test_assembly_keeps_the_bits_of_the_einsum_kernels(case, assemble,
                                                        reference):
     # the element values are the einsums' to the last bit, and every
@@ -165,20 +148,26 @@ def _transposed(A):
 @pytest.mark.parametrize("case", sorted(_ASSEMBLY_MESHES))
 def test_assembled_matrices_are_symmetric_and_conservative(case):
     mesh = _ASSEMBLY_MESHES[case]()
-    A, M = full_stiffness(mesh), assemble_mass(mesh)
+    A = full_stiffness(mesh)
     # a_ij and a_ji are one float; the rows come sorted
     assert _same_matrix(A, _transposed(A))
-    assert _same_matrix(M, _transposed(M))
     # every element row of the stiffness sums to zero, so the rows of
     # the matrix do to rounding (0.66 eps max a_ii on the graded disk)
     ones = np.ones(mesh.num_vertices)
     eps = np.finfo(float).eps
     assert np.abs(A @ ones).max() <= 4.0 * eps * A.diagonal().max()
-    # the mass of the constant 1 is the area, and each row the patch
-    # area over 3, the lumped mass
+
+
+@pytest.mark.parametrize("case", sorted(_ASSEMBLY_MESHES))
+def test_lumped_mass_is_the_row_sums_of_the_consistent_mass(case):
+    # the patch area over 3 is the integral of each hat, so the load of
+    # a constant field, which multiplies it by the lumped mass, is the
+    # consistent mass's to rounding
+    mesh = _ASSEMBLY_MESHES[case]()
+    M = reference_mass(mesh)
     assert abs(M.data.sum() - mesh.areas.sum()) <= 1e-14 * mesh.areas.sum()
-    assert_allclose(M @ ones, lumped_mass_diagonal(mesh), rtol=1e-14,
-                    atol=0.0)
+    assert_allclose(lumped_mass_diagonal(mesh), M @ np.ones(mesh.num_vertices),
+                    rtol=1e-14, atol=0.0)
 
 
 def test_dd2_exp_keeps_the_bits_of_the_25_term_series():
@@ -249,7 +238,7 @@ def test_assembly_peak_memory_stays_within_its_budget():
     domain = Domain.disk(0.0, 0.0, 1.0)
     points = compute_separation_radii([[0.0, 0.0]], domain)
     budgets = {"build_mesh": 4_461_610, "operators": 2_480_000,
-               "assemble_mass": 2_520_000, "multigrid": 2_250_000,
+               "multigrid": 2_250_000,
                "integrate_exp_linear": 1_550_000,
                "assemble_mollified_load": 60_000_000}
     peaks = {}
@@ -264,7 +253,6 @@ def test_assembly_peak_memory_stays_within_its_budget():
         return result
     mesh = traced("build_mesh", build_mesh, domain, 32, points, 12)
     ops = traced("operators", operators, mesh)
-    traced("assemble_mass", assemble_mass, mesh)
     # the mesh's own hierarchy, with the A + M_L it is built from: a
     # second copy of the stiffness's pattern held through the setup, or
     # results held at the size of their buffers, peaked at 2.41 MB
@@ -783,11 +771,6 @@ def test_csr_operations_keep_the_bits_of_the_scipy_matrices(case):
     rng = np.random.default_rng(29)
     u = rng.normal(size=len(pts))
     assert _same_bits(P.rmatvec(u), P_ref.T @ u)
-    mass = to_scipy(ops.mass)
-    for shape in ((mesh.num_vertices,), (mesh.num_vertices, 4),
-                  (mesh.num_vertices, 1)):
-        x = rng.normal(size=shape)
-        assert _same_bits(ops.mass @ x, mass @ x)
     A = ops.newton_operator(np.zeros(mesh.num_vertices))
     mg = Multigrid(A)
     levels, coarse = reference_multigrid(A)

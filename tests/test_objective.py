@@ -121,9 +121,8 @@ def per_direction_D2J(instance, mesh, state, phi, h):
         + sp.diags(ops.lumped * np.exp(state.y))
     H = free_block(mesh, H)
     z = solve_spd(H, rhs, mesh.boundary, 1e-12, Multigrid(H))
-    weight = ops.lumped * np.exp(state.y) * phi
-    return float(z @ (ops.mass @ z)) - float(np.sum(weight * z * z)) \
-        + instance.nu * float(np.dot(h, h))
+    weight = ops.lumped * (1.0 - np.exp(state.y) * phi)
+    return float(np.sum(weight * z * z)) + instance.nu * float(np.dot(h, h))
 
 
 def four_point_instance():

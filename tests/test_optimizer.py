@@ -383,11 +383,18 @@ def test_critical_cone_minimum_is_below_every_cone_direction(case):
     (["lower", "upper", "interior", "upper-blocked", "interior", "lower",
       "interior", "upper", "pinned", "interior"], True, 3),
     (["lower"] * 6 + ["upper"] * 4, False, 4),
+    # every minimizer of an all-interior cone has its mirror -h
+    (["interior"] * 10, True, 5),
+    # the minimizer's first sign is -, on an upper-active component,
+    # so no mirror of its face is a pattern
+    (["upper", "interior", "lower", "interior", "upper", "interior"], True,
+     6),
 ])
 def test_critical_cone_minimum_matches_the_face_loop(kinds, definite, seed):
     # the stacked solves give the loop's minimum and direction to the
-    # bit, at m = 10 unblocked components too; equal values keep the
-    # loop's first pattern
+    # bit, at m = 10 unblocked components too, with the mirrored faces
+    # of all-interior supports skipped; equal values keep the loop's
+    # first pattern
     K = len(kinds)
     A = np.random.default_rng(seed).standard_normal((K, K))
     H = A @ A.T + 0.1 * np.eye(K) if definite else 0.5 * (A + A.T)

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from expctrl import pde
 from expctrl.cli import ConfigError, RunConfig, cmd_solve, parse_field
-from expctrl.fem import _jacobi_weights, assemble_mass, solve_spd
+from expctrl.fem import _jacobi_weights, solve_spd
 from expctrl.mesh import Domain, build_mesh
 from expctrl.pde import (ProblemInstance, field_load,
                          nodal_field, operators, point_coupling,
@@ -16,7 +16,8 @@ from expctrl.pde import (ProblemInstance, field_load,
                          solve_state)
 from expctrl.sequences import (FOUR_PI, BoundsPair, SourcePoints,
                                compute_separation_radii)
-from helpers import count_vcycles, free_block, full_stiffness, to_scipy
+from helpers import (count_vcycles, free_block, full_stiffness,
+                     reference_mass, to_scipy)
 
 
 def two_point_instance(resolution=24, nu=0.1, f0=None, y_d=None):
@@ -50,22 +51,9 @@ def test_operator_cache_reuses_per_mesh():
     assert operators(mesh) is not operators(other)
 
 
-def test_mass_is_assembled_on_first_use_and_the_cache_holds_its_mesh_weakly(
-        monkeypatch):
-    calls = []
-
-    def counted(mesh):
-        calls.append(mesh.num_vertices)
-        return assemble_mass(mesh)
-    monkeypatch.setattr(pde, "assemble_mass", counted)
+def test_the_operator_cache_holds_its_mesh_weakly():
     mesh = build_mesh(Domain.unit_square(), 8)
-    ops = operators(mesh)
-    assert calls == []
-    mass = ops.mass
-    assert ops.mass is mass and calls == [mesh.num_vertices]
-    fresh = assemble_mass(mesh)
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(mass, name), getattr(fresh, name))
+    operators(mesh)
     # the cache entry must not keep its own key alive
     entries = len(pde._OPERATORS)
     alive = weakref.ref(mesh)
@@ -306,7 +294,7 @@ def test_adjoint_sign_follows_the_data():
 
 
 def test_adjoint_duality_identity():
-    # dot(d(h), phi) = dot(M (y - y_d), z(h))
+    # dot(d(h), phi) = dot(M_L (y - y_d), z(h))
     inst = two_point_instance(24, f0=1.0, y_d=0.3)
     mesh = inst.make_mesh()
     st = solve_state(inst, np.array([1.2, -0.4]), mesh, tol=1e-12)
@@ -314,10 +302,9 @@ def test_adjoint_duality_identity():
     phi = solve_adjoint(st, inst.y_d)
     z = solve_linearized(st, h, inst.points, tol=1e-12)
     d = point_coupling(mesh, inst.points.points).T @ h
-    M = assemble_mass(mesh)
     lhs = float(np.dot(d, phi))
-    rhs = float(np.dot(M @ (st.y - nodal_field(mesh, inst.y_d)),
-                       z))
+    rhs = float(np.dot(operators(mesh).lumped
+                       * (st.y - nodal_field(mesh, inst.y_d)), z))
     assert abs(lhs - rhs) < 1e-8 * (1.0 + abs(lhs))
 
 
@@ -336,7 +323,7 @@ def test_point_coupling_matches_interpolation():
 def test_lipschitz_l2_stability_of_the_state_map():
     inst = two_point_instance(24)
     mesh = inst.make_mesh()
-    M = assemble_mass(mesh)
+    M = reference_mass(mesh)
     rng = np.random.default_rng(9)
     ratios = []
     for _ in range(5):

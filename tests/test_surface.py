@@ -3,7 +3,8 @@ top-level function, class or constant that no code of the package
 refers to is reached only by the tests, and belongs in tests/helpers.py
 or nowhere.  So does a private top-level function or class that no
 code of the package refers to outside its own definition, and every
-name a module imports is read in that module."""
+name a module imports is read in that module.  Every top-level function
+of tests/helpers.py is read by a test module or by another helper."""
 
 import ast
 from pathlib import Path
@@ -127,3 +128,19 @@ def test_no_module_imports_numpy_random_or_scipy():
                    for line, name in _heavy_imports(
                        ast.parse(path.read_text())))
     assert found == []
+
+
+def test_every_helper_is_used_by_a_test_or_another_helper():
+    # a helper that no test reads, such as a reference left behind by
+    # the code it checked, is dead weight of the suite
+    tests = Path(__file__).parent
+    helpers = ast.parse((tests / "helpers.py").read_text())
+    refs = _referenced_names(helpers)
+    for path in sorted(tests.glob("test_*.py")):
+        refs |= {(name, None) for name, _ in
+                 _referenced_names(ast.parse(path.read_text()))}
+    defined = [node.name for node in helpers.body
+               if isinstance(node, ast.FunctionDef)]
+    assert sorted(name for name in defined
+                  if not any(ref == name and owner != name
+                             for ref, owner in refs)) == []

@@ -688,6 +688,10 @@ def main(argv=None):
     except RuntimeError as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        # any other fault, a MemoryError too, is the program's: exit 2
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
-"""P1 finite elements: assembly, point coupling, mollified loads,
-quadrature, and a conjugate-gradient solver preconditioned by
-smoothed-aggregation algebraic multigrid (AMG).
+"""P1 finite elements: assembly, mollified loads, quadrature, and a
+conjugate-gradient solver preconditioned by smoothed-aggregation
+algebraic multigrid (AMG).
 
 Every sparse matrix is a CSR: bare compressed-row arrays whose
 operations call scipy's compiled sparse kernels directly.  The kernel
@@ -30,7 +30,7 @@ from importlib.machinery import PathFinder
 
 import numpy as np
 
-from .mesh import _edge_lengths, locate_point
+from .mesh import _edge_lengths
 
 #: the module of scipy's compiled sparse kernels
 _KERNELS = "scipy.sparse._sparsetools"
@@ -73,30 +73,6 @@ TRI7_W = np.array([
     (155.0 + _S15) / 1200.0,
     (155.0 - _S15) / 1200.0, (155.0 - _S15) / 1200.0,
     (155.0 - _S15) / 1200.0])
-
-
-def point_operator(mesh, points):
-    """Sparse (K, V) point-coupling matrix P of the points x_1..x_K.
-
-    Row i holds the barycentric weights of x_i in its triangle, so P f
-    interpolates a nodal f at the points and P' u is the load of the
-    point masses sum_i u_i delta_{x_i}: load and evaluation are adjoint.
-    A source point inside the domain that no triangle holds lies
-    between a disk mesh's boundary chords and its circle: ValueError.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    located = []
-    for i, x in enumerate(pts):
-        try:
-            located.append(locate_point(mesh, x))
-        except ValueError:
-            raise ValueError("source point %d at (%r, %r) lies between the "
-                             "mesh's boundary chords and the circle"
-                             % (i, *map(float, x))) from None
-    cols = np.concatenate([mesh.triangles[t] for t, _ in located])
-    weights = np.concatenate([lam for _, lam in located])
-    rows = np.repeat(np.arange(len(pts)), 3)
-    return CSR.from_coo(rows, cols, weights, (len(pts), mesh.num_vertices))
 
 
 def _gradients(mesh):

@@ -15,8 +15,8 @@ children to stores that keep the triangles it does not refine in
 place, and a single Mesh validates the result.  build_mesh is the only
 source of a mesh: a Mesh takes its edge table from its caller and
 rejects a clockwise triangle rather than reorienting it.  Points are
-located by one scan over the triangles whose bounding boxes contain
-them.
+located in one pass over the triangles' x-extents, each point testing
+the rest of its bounding-box filter on its x-strip alone.
 """
 
 import numpy as np
@@ -478,30 +478,42 @@ _BARY_TOL = 1e-12
 _BOX_MARGIN = 1e-9
 
 
-def locate_point(mesh, x):
-    """Find the triangle containing x and its barycentric coordinates.
+def locate_point(mesh, points):
+    """Triangles (K,) holding the points (K, 2), and the points'
+    barycentric coordinates (K, 3) in them, from one pass.
 
-    The smallest-index triangle whose coordinates of x are all at least
-    -_BARY_TOL wins, and its coordinates are clipped to be nonnegative
-    and renormalized.  Only the triangles whose bounding box, widened
-    by _BOX_MARGIN * h, contains x are tested: coordinates of at least
-    -_BARY_TOL put x at most 2 * _BARY_TOL times the box's extent, so
-    at most 2 * _BARY_TOL * h, outside it, and every triangle a scan of
-    all of them could accept is among those tested.
-
-    Raises ValueError("point not located") for points outside the mesh.
+    For each point the smallest-index triangle whose coordinates of it
+    are all at least -_BARY_TOL wins, and its coordinates are clipped
+    to be nonnegative and renormalized.  Only the triangles whose
+    bounding box, widened by _BOX_MARGIN * h, contains the point are
+    tested: coordinates of at least -_BARY_TOL put it at most
+    2 * _BARY_TOL times the box's extent, so at most 2 * _BARY_TOL * h,
+    outside it, and every triangle a scan of all of them could accept
+    is among those tested.  The triangles' x-extents are gathered once;
+    each point tests y-extents on the triangles of its x-strip alone.
+    A point of the domain that no triangle holds lies between a disk
+    mesh's boundary chords and its circle: ValueError naming it.
     """
-    x = np.asarray(x, dtype=float).reshape(2)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
     pad = _BOX_MARGIN * mesh.h
-    near = np.ones(mesh.num_triangles, dtype=bool)
-    for d in range(2):
-        c = mesh.vertices[:, d][mesh.triangles]
-        near &= np.minimum(np.minimum(c[:, 0], c[:, 1]), c[:, 2]) <= x[d] + pad
-        near &= np.maximum(np.maximum(c[:, 0], c[:, 1]), c[:, 2]) >= x[d] - pad
-    candidates = np.flatnonzero(near)
-    lam = barycentric(mesh, candidates, x)
-    inside = np.flatnonzero(np.all(lam >= -_BARY_TOL, axis=1))
-    if inside.size == 0:
-        raise ValueError("point not located")
-    lam = np.maximum(lam[inside[0]], 0.0)
-    return int(candidates[inside[0]]), lam / lam.sum()
+    c = mesh.vertices[:, 0][mesh.triangles]
+    x_lo = np.minimum(np.minimum(c[:, 0], c[:, 1]), c[:, 2])
+    x_hi = np.maximum(np.maximum(c[:, 0], c[:, 1]), c[:, 2])
+    located = np.empty(len(pts), dtype=np.int64)
+    coordinates = np.empty((len(pts), 3))
+    for i, (px, py) in enumerate(pts):
+        strip = np.flatnonzero((x_lo <= px + pad) & (x_hi >= px - pad))
+        c = mesh.vertices[:, 1][mesh.triangles[strip]]
+        near = np.minimum(np.minimum(c[:, 0], c[:, 1]), c[:, 2]) <= py + pad
+        near &= np.maximum(np.maximum(c[:, 0], c[:, 1]), c[:, 2]) >= py - pad
+        candidates = strip[near]
+        lam = barycentric(mesh, candidates, pts[i])
+        inside = np.flatnonzero(np.all(lam >= -_BARY_TOL, axis=1))
+        if inside.size == 0:
+            raise ValueError("source point %d at (%r, %r) lies between the "
+                             "mesh's boundary chords and the circle"
+                             % (i, float(px), float(py)))
+        lam = np.maximum(lam[inside[0]], 0.0)
+        located[i] = candidates[inside[0]]
+        coordinates[i] = lam / lam.sum()
+    return located, coordinates

@@ -5,7 +5,9 @@ mass-lumped exponential: A y + M_L (e^y - 1) = b(f0) + P' u, with P the
 point-coupling operator of the sources.  Lumping keeps the nonlinearity
 diagonal, so the Newton matrix A + M_L diag(e^y) stays an M-matrix and
 the discrete comparison principle survives; the linearized and adjoint
-equations reuse that same matrix.
+equations reuse that same matrix.  A P1 point load is bounded, so the
+discrete equation is solvable for every u: the 4 pi threshold of the
+controls belongs to the continuum and shows under grading alone.
 
 The state vanishes on the boundary, so every solve here acts on the
 free block of these matrices: the rows and columns of the interior
@@ -50,8 +52,8 @@ import numpy as np
 
 from .fem import (CSR, DiagonalShifts, Multigrid, assemble_load,
                   assemble_stiffness, diagonal_positions,
-                  lumped_mass_diagonal, point_operator, solve_spd)
-from .mesh import build_mesh
+                  lumped_mass_diagonal, solve_spd)
+from .mesh import build_mesh, locate_point
 
 # linear solves run well below any Newton tolerance a caller asks for
 _CG_TOL = 1e-12
@@ -137,14 +139,19 @@ def operators(mesh):
 
 
 def point_coupling(mesh, points):
-    """Cached point-coupling operator P of the (K, 2) coordinates points
-    on a mesh: P' u is the point-mass load, P f the point values of a
-    nodal f."""
-    pts = np.asarray(points, dtype=float)
+    """Cached point-coupling operator P (K, V) of the (K, 2) coordinates
+    points on a mesh, from one locate_point call: row i holds the
+    barycentric weights of x_i in its triangle, so P f interpolates a
+    nodal f at the points and P' u is the load of the point masses
+    sum_i u_i delta_{x_i}: load and evaluation are adjoint."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
     cache = operators(mesh).coupling
-    key = pts.reshape(-1, 2).tobytes()
+    key = pts.tobytes()
     if key not in cache:
-        cache[key] = point_operator(mesh, pts)
+        t, lam = locate_point(mesh, pts)
+        cache[key] = CSR.from_coo(np.arange(len(pts)).repeat(3),
+                                  mesh.triangles[t].ravel(), lam.ravel(),
+                                  (len(pts), mesh.num_vertices))
     return cache[key]
 
 

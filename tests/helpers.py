@@ -33,7 +33,7 @@ from expctrl.fem import (_COARSE_SIZE, _STALLED_RESTARTS, _STRENGTH, CSR,
                          mollifier_value)
 from expctrl.mesh import (_BARY_TOL, Domain, Mesh, _edge_lengths,
                           _signed_areas, barycentric, build_mesh,
-                          circumcenters, locate_point)
+                          circumcenters)
 from expctrl.objective import evaluate_DJ, evaluate_J, reduced_hessian
 from expctrl.optimizer import projected_gradient, second_order_check
 from expctrl.pde import _CG_TOL, solve_linearized, solve_state
@@ -290,9 +290,10 @@ def reference_assembly(mesh, local):
 
 
 def reference_point_operator(mesh, points):
-    """The point-coupling matrix built by scipy from its triplets."""
+    """The point-coupling matrix built by scipy from the triplets of
+    the full-scan location."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    located = [locate_point(mesh, x) for x in pts]
+    located = [reference_locate(mesh, x) for x in pts]
     cols = np.concatenate([mesh.triangles[t] for t, _ in located])
     weights = np.concatenate([lam for _, lam in located])
     rows = np.repeat(np.arange(len(pts)), 3)

@@ -415,6 +415,24 @@ def test_a_value_error_below_the_cli_is_a_program_fault(tmp_path,
         "error: operand length does not match the matrix\n"
 
 
+@pytest.mark.parametrize("fault", [
+    MemoryError("Unable to allocate 728. TiB for an array"),
+    TypeError("unsupported operand type(s) for +: 'CSR' and 'str'")])
+def test_any_other_fault_below_the_cli_exits_2(tmp_path, monkeypatch,
+                                               capsys, fault):
+    # only a configuration error exits 1; a fault that main does not
+    # name, such as the MemoryError of a mesh too large for the
+    # machine, exits 2 with one line naming its type
+    def faulty(*args, **kwargs):
+        raise fault
+    monkeypatch.setattr(cli, "solve_state", faulty)
+    path = write_config(tmp_path, base_config())
+    assert main(["solve", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "error: %s: %s\n" % (type(fault).__name__, fault)
+
+
 def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
     bad = base_config(upper=[1.0, 13.0])
     path = write_config(tmp_path, bad)

@@ -17,10 +17,9 @@ from expctrl.fem import (CSR, MOLLIFIER_C, DiagonalShifts, Multigrid,
                          _jacobi_weights, _subdivided_rule, assemble_load,
                          assemble_mollified_load, assemble_stiffness,
                          exp_remainder, integrate_exp_linear,
-                         lumped_mass_diagonal, mollifier_value,
-                         point_operator, solve_spd)
+                         lumped_mass_diagonal, mollifier_value, solve_spd)
 from expctrl.mesh import Domain, build_mesh
-from expctrl.pde import operators, solve_semilinear
+from expctrl.pde import operators, point_coupling, solve_semilinear
 from expctrl.sequences import compute_separation_radii
 from helpers import (count_vcycles, free_block, full_stiffness, graded_disk,
                      mesh_from_arrays, reference_aggregate, reference_dd2_exp,
@@ -289,7 +288,7 @@ def test_load_exact_for_linear_data():
 def test_dirac_load_at_vertex_is_a_unit_vector():
     mesh = square_mesh(4)
     vid = 12
-    b = point_operator(mesh, [mesh.vertices[vid]]).T @ np.array([1.0])
+    b = point_coupling(mesh, [mesh.vertices[vid]]).T @ np.array([1.0])
     expect = np.zeros(mesh.num_vertices)
     expect[vid] = 1.0
     assert_allclose(b, expect, atol=1e-12)
@@ -299,7 +298,7 @@ def test_dirac_load_at_barycenter():
     mesh = square_mesh(4)
     t = 9
     center = np.mean(mesh.vertices[mesh.triangles[t]], axis=0)
-    b = point_operator(mesh, [center]).T @ np.array([3.0])
+    b = point_coupling(mesh, [center]).T @ np.array([3.0])
     assert_allclose(b[mesh.triangles[t]], [1.0, 1.0, 1.0], atol=1e-12)
     mask = np.ones(mesh.num_vertices, dtype=bool)
     mask[mesh.triangles[t]] = False
@@ -309,7 +308,7 @@ def test_dirac_load_at_barycenter():
 def test_dirac_load_zero_weights_and_mass_conservation():
     mesh = square_mesh(5)
     pts = [[0.31, 0.41], [0.62, 0.58]]
-    P = point_operator(mesh, pts)
+    P = point_coupling(mesh, pts)
     assert abs(P.T @ np.array([0.0, 0.0])).max() == 0.0
     b = P.T @ np.array([1.5, 0.25])
     assert np.all(b >= 0.0)
@@ -349,7 +348,7 @@ def test_mollified_load_has_compact_support():
 def test_mollified_load_approaches_the_dirac_load():
     mesh = square_mesh(8)
     x0 = [0.52, 0.47]
-    d = point_operator(mesh, [x0]).T @ np.array([1.0])
+    d = point_coupling(mesh, [x0]).T @ np.array([1.0])
     errs = []
     for eps in (0.2, 0.1, 0.05):
         b = assemble_mollified_load(mesh, x0, eps)
@@ -512,7 +511,7 @@ def test_exp_remainders_vectorized():
 def test_point_value_interpolates_linears_exactly():
     mesh = square_mesh(5)
     f = 3.0 * mesh.vertices[:, 0] + mesh.vertices[:, 1]
-    assert_allclose(point_operator(mesh, [[0.37, 0.59]]) @ f,
+    assert_allclose(point_coupling(mesh, [[0.37, 0.59]]) @ f,
                     3.0 * 0.37 + 0.59, atol=1e-12)
 
 
@@ -533,7 +532,7 @@ def test_solve_spd_center_value_for_unit_load():
         A = assemble_stiffness(mesh)
         b = assemble_load(mesh, lambda x: np.ones(len(x)))
         y = solve_spd(A, b, mesh.boundary, 1e-10, Multigrid(A))
-        value = (point_operator(mesh, [[0.5, 0.5]]) @ y)[0]
+        value = (point_coupling(mesh, [[0.5, 0.5]]) @ y)[0]
         errs.append(abs(value - 0.073671353281513816))
     assert errs[-1] < 1e-4
     assert errs[-1] < errs[0] / 2.0
@@ -647,7 +646,7 @@ def test_unit_point_solve_on_a_disk_takes_few_vcycles(monkeypatch):
     # under damped-Jacobi smoothing and strength by |a_ij|)
     mesh = build_mesh(Domain.disk(0.0, 0.0, 1.0), 128)
     ops = operators(mesh)
-    b = point_operator(mesh, [[0.3, 0.2]]).rmatvec(np.ones(1))
+    b = point_coupling(mesh, [[0.3, 0.2]]).rmatvec(np.ones(1))
     cycles = count_vcycles(monkeypatch)
     solve_spd(ops.stiffness, b, mesh.boundary, 1e-12, ops.multigrid)
     assert len(cycles) <= 24
@@ -765,7 +764,7 @@ def test_csr_operations_keep_the_bits_of_the_scipy_matrices(case):
     lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     pts = [mesh.vertices[np.flatnonzero(~mesh.boundary)[0]],
            0.3 * lo + 0.7 * hi, 0.6 * lo + 0.4 * hi]
-    P = point_operator(mesh, pts)
+    P = point_coupling(mesh, pts)
     P_ref = reference_point_operator(mesh, pts)
     assert _same_matrix(P, P_ref)
     rng = np.random.default_rng(29)
@@ -955,7 +954,7 @@ def test_the_graded_disk_solves_take_the_pinned_work(monkeypatch):
     # graded 12 levels, solved as Poisson and as the semilinear state
     # of 3 delta
     mesh = _CSR_MESHES["disk-32-graded-12"]()
-    b = point_operator(mesh, [[0.0, 0.0]]).rmatvec(np.ones(1))
+    b = point_coupling(mesh, [[0.0, 0.0]]).rmatvec(np.ones(1))
     cycles = count_vcycles(monkeypatch)
     solve_semilinear(mesh, b, linear=True)
     assert len(cycles) == 21

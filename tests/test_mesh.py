@@ -1,3 +1,4 @@
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,26 +226,33 @@ def test_mesh_rejects_a_clockwise_or_degenerate_triangle(case):
 def test_locate_point_at_vertex_and_barycenter():
     mesh = build_mesh(Domain.unit_square(), 4)
     vid = 7
-    t, lam = locate_point(mesh, mesh.vertices[vid])
-    assert np.max(lam) > 1.0 - 1e-12
-    assert vid in mesh.triangles[t]
     center = np.mean(mesh.vertices[mesh.triangles[3]], axis=0)
-    t2, lam2 = locate_point(mesh, center)
-    assert t2 == 3
-    assert_allclose(lam2, [1.0 / 3.0] * 3, atol=1e-12)
+    t, lam = locate_point(mesh, [mesh.vertices[vid], center])
+    assert t.shape == (2,) and lam.shape == (2, 3)
+    assert np.max(lam[0]) > 1.0 - 1e-12
+    assert vid in mesh.triangles[t[0]]
+    assert t[1] == 3
+    assert_allclose(lam[1], [1.0 / 3.0] * 3, atol=1e-12)
 
 
 def test_locate_point_outside_raises():
-    mesh = build_mesh(Domain.unit_square(), 4)
-    with pytest.raises(ValueError, match="not located"):
-        locate_point(mesh, [1.5, 0.5])
+    # radius 0.998, the middle of the widest boundary chord of the n = 8
+    # disk: inside the disk, outside its mesh; the error names the
+    # first point that no triangle holds
+    mesh = build_mesh(_DISK, 8)
+    x, y = -0.7808924, -0.6214588
+    with pytest.raises(ValueError) as raised:
+        locate_point(mesh, [[0.1, 0.05], [x, y], [x, y]])
+    assert str(raised.value) == (
+        "source point 1 at (%r, %r) lies between the mesh's boundary "
+        "chords and the circle" % (x, y))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99))
 def test_locate_point_reconstructs_coordinates(x, y):
     mesh = build_mesh(Domain.unit_square(), 5)
-    t, lam = locate_point(mesh, [x, y])
+    (t,), (lam,) = locate_point(mesh, [[x, y]])
     assert np.all(lam >= -1e-12)
     assert abs(np.sum(lam) - 1.0) < 1e-12
     rec = lam @ mesh.vertices[mesh.triangles[t]]
@@ -254,7 +262,7 @@ def test_locate_point_reconstructs_coordinates(x, y):
 def test_barycentric_matches_direct_solve():
     mesh = build_mesh(Domain.unit_square(), 3)
     x = np.array([0.41, 0.27])
-    t, lam = locate_point(mesh, x)
+    (t,), (lam,) = locate_point(mesh, [x])
     lam2 = barycentric(mesh, t, x)
     assert_allclose(lam, lam2, atol=1e-13)
 
@@ -417,17 +425,24 @@ def test_graded_build_validates_once_and_carries_its_edge_table(
                                       + sum(_children(reference)))
 
 
-def _outcome(locate, mesh, x):
-    try:
-        t, lam = locate(mesh, x)
-    except ValueError as exc:
-        return str(exc)
-    return t, lam.tolist()
-
-
-def _assert_located_as_by_the_scan(mesh, x):
-    assert _outcome(locate_point, mesh, x) == _outcome(reference_locate,
-                                                       mesh, x)
+def _assert_located_as_by_the_scan(mesh, points):
+    """locate_point on the (K, 2) points gives each point that the full
+    scan locates the scan's triangle and coordinates, bit for bit, in
+    one call; each point that the scan does not locate raises alone.
+    Returns the number of points located."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    expected, held = [], []
+    for x in points:
+        try:
+            expected.append(reference_locate(mesh, x))
+            held.append(x)
+        except ValueError:
+            with pytest.raises(ValueError, match="^source point 0 at"):
+                locate_point(mesh, [x])
+    t, lam = locate_point(mesh, np.reshape(held, (-1, 2)))
+    assert t.tolist() == [e[0] for e in expected]
+    assert lam.tobytes() == np.array([e[1] for e in expected]).tobytes()
+    return len(held)
 
 
 @pytest.mark.parametrize("case", ["disk-center-12", "rectangle-three-points"])
@@ -441,8 +456,8 @@ def test_locate_point_matches_the_full_scan_on_edges_and_vertices(case):
     t = rng.integers(0, mesh.num_triangles, 200)
     interior = np.einsum("mj,mjd->md", rng.dirichlet(np.ones(3), 200),
                          mesh.vertices[mesh.triangles[t]])
-    for x in np.vstack([mesh.vertices, midpoints, interior]):
-        _assert_located_as_by_the_scan(mesh, x)
+    _assert_located_as_by_the_scan(
+        mesh, np.vstack([mesh.vertices, midpoints, interior]))
 
 
 def test_locate_point_matches_the_full_scan_at_the_graded_disk_center():
@@ -453,11 +468,9 @@ def test_locate_point_matches_the_full_scan_just_outside_the_square():
     # 5e-13 outside the boundary of the one-cell square: the coordinate
     # of the far corner is -5e-13, inside the tolerance, and the point
     # lies outside every unwidened bounding box
-    mesh = build_mesh(_SQUARE, 1)
-    for x in ([0.3, -5e-13], [-5e-13, 0.6], [1.0 + 5e-13, 0.2],
-              [0.5, 1.0 + 5e-13]):
-        assert isinstance(_outcome(reference_locate, mesh, x), tuple)
-        _assert_located_as_by_the_scan(mesh, x)
+    assert _assert_located_as_by_the_scan(
+        build_mesh(_SQUARE, 1), [[0.3, -5e-13], [-5e-13, 0.6],
+                                 [1.0 + 5e-13, 0.2], [0.5, 1.0 + 5e-13]]) == 4
 
 
 def test_first_locate_on_a_graded_build_sorts_no_edges():
@@ -465,6 +478,49 @@ def test_first_locate_on_a_graded_build_sorts_no_edges():
     large = graded_disk()
     mesh = build_mesh(domain, n, refine_points=pts, refine_levels=levels)
     # the center is a grid vertex of every level
-    t, lam = locate_point(mesh, [0.0, 0.0])
+    t, lam = locate_point(mesh, [[0.0, 0.0]])
     assert np.max(lam) == 1.0
-    locate_point(large, [0.0, 0.0])
+    locate_point(large, [[0.0, 0.0]])
+
+
+_LOCATE_MESHES = {
+    "square": lambda: build_mesh(_SQUARE, 8),
+    "disk": lambda: build_mesh(_DISK, 8),
+    "disk-graded-6": lambda: build_mesh(
+        _DISK, 8, refine_points=compute_separation_radii([[0.0, 0.0]], _DISK),
+        refine_levels=6),
+}
+
+
+@functools.cache
+def _locate_mesh(case):
+    return _LOCATE_MESHES[case]()
+
+
+# a point: a vertex (kind 0), an edge midpoint (1), or a point of a
+# triangle (2) with coordinates from the two weights, folded into it
+_DRAWN_POINTS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 10 ** 6),
+              st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    min_size=1, max_size=64)
+
+
+@pytest.mark.parametrize("case", sorted(_LOCATE_MESHES))
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(drawn=_DRAWN_POINTS)
+def test_one_pass_locates_drawn_points_as_the_full_scan(case, drawn):
+    mesh = _locate_mesh(case)
+    points = []
+    for kind, k, a, b in drawn:
+        if kind == 0:
+            points.append(mesh.vertices[k % mesh.num_vertices])
+        elif kind == 1:
+            lo, hi = mesh.edges[k % mesh.edges.shape[0]]
+            points.append(0.5 * (mesh.vertices[lo] + mesh.vertices[hi]))
+        else:
+            if a + b > 1.0:
+                a, b = 1.0 - a, 1.0 - b
+            corners = mesh.vertices[mesh.triangles[k % mesh.num_triangles]]
+            points.append((1.0 - a - b) * corners[0] + a * corners[1]
+                          + b * corners[2])
+    _assert_located_as_by_the_scan(mesh, points)

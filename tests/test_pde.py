@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from expctrl import pde
 from expctrl.cli import ConfigError, RunConfig, cmd_solve, parse_field
 from expctrl.fem import _jacobi_weights, solve_spd
-from expctrl.mesh import Domain, build_mesh
+from expctrl.mesh import Domain, build_mesh, locate_point
 from expctrl.pde import (ProblemInstance, field_load,
                          nodal_field, operators, point_coupling,
                          solve_adjoint, solve_linearized, solve_semilinear,
@@ -126,6 +126,42 @@ def test_state_solves_next_to_four_pi(domain, sites, resolution, levels):
         assert st.newton_iterations <= 8
         assert np.all(st.y >= previous)
         previous = st.y
+
+
+def _center_state(levels, u):
+    """The state of the point mass u at the center vertex of the n = 16
+    unit disk graded `levels` levels toward it, f0 = 0, and the masses
+    m_i (e^{y_i} - 1) of its vertices."""
+    disk = Domain.disk(0.0, 0.0, 1.0)
+    mesh = build_mesh(disk, 16, refine_levels=levels,
+                      refine_points=compute_separation_radii([[0.0, 0.0]],
+                                                             disk))
+    state = solve_semilinear(
+        mesh, u * point_coupling(mesh, [[0.0, 0.0]]).rmatvec(np.ones(1)))
+    assert state.newton_iterations <= 12
+    return mesh, operators(mesh).lumped * np.expm1(state.y)
+
+
+@pytest.mark.parametrize("u", [6.0, 10.0])
+def test_below_four_pi_the_center_mass_falls_at_the_continuum_rate(u):
+    # the discrete equation is solvable for every u; below 4 pi the
+    # continuum state behaves like |x|^(-u / 2 pi), so on a ball of
+    # radius h its mass m (e^y - 1) falls like h^(2 - u / 2 pi): by
+    # 4^(2 - u / 2 pi) per two levels, each of which halves h
+    masses = []
+    for levels in (8, 10, 12, 14, 16):
+        mesh, mass = _center_state(levels, u)
+        masses.append(mass[np.argmin(np.hypot(*mesh.vertices.T))])
+    rates = np.array(masses[:-1]) / np.array(masses[1:])
+    assert_allclose(rates, 4.0 ** (2.0 - u / (2.0 * np.pi)), rtol=0.1)
+
+
+@pytest.mark.parametrize("u", [16.0, 20.0])
+def test_above_four_pi_the_excess_concentrates_at_the_point(u):
+    # the continuum equation has no solution above 4 pi: grading shows
+    # the excess u - 4 pi lost into the point, as mass in B(0, 1e-4)
+    mesh, mass = _center_state(24, u)
+    assert mass[np.hypot(*mesh.vertices.T) < 1e-4].sum() >= u - FOUR_PI
 
 
 @pytest.mark.parametrize("levels", [4, 5, 6])
@@ -318,6 +354,24 @@ def test_point_coupling_matches_interpolation():
     one = SourcePoints([mesh.vertices[10]], [0.05])
     assert_allclose(point_coupling(mesh, one.points) @ f, [f[10]],
                     atol=1e-12)
+
+
+def test_a_coupling_locates_all_its_points_in_one_call(monkeypatch):
+    # pde binds locate_point by name, so wrapping that name counts the
+    # calls of every coupling; a cache hit locates nothing
+    calls = []
+
+    def counted(mesh, points):
+        calls.append(len(points))
+        return locate_point(mesh, points)
+    monkeypatch.setattr(pde, "locate_point", counted)
+    mesh = build_mesh(Domain.unit_square(), 8)
+    pts = [[0.2, 0.3], [0.5, 0.5], [0.7, 0.1], mesh.vertices[10]]
+    P = point_coupling(mesh, pts)
+    assert calls == [4]
+    assert point_coupling(mesh, np.array(pts)) is P
+    assert calls == [4]
+    assert P.shape == (4, mesh.num_vertices)
 
 
 def test_lipschitz_l2_stability_of_the_state_map():

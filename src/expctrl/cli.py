@@ -17,8 +17,9 @@ point lies in a triangle of it, runs right after the mesh is built.
 
 Exit codes: 0 success, 1 config error, 2 solver failure or another
 fault of the program (an estimate side or a report value that is not
-finite, or a ValueError from the layers below), 3 iteration budget
-exhausted, 4 estimate violation.
+finite, or any other exception from the layers below, such as a
+ValueError, reported on one line that names its type), 3 iteration
+budget exhausted, 4 estimate violation.
 """
 
 import argparse
@@ -682,14 +683,12 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except RuntimeError as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:
-        # any other fault, a MemoryError too, is the program's: exit 2
+        # any other fault, a ValueError or a MemoryError too, is the
+        # program's: exit 2
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
 

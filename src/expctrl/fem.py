@@ -14,13 +14,14 @@ per vertex, and one value per edge of the mesh's edge table, placed at
 both of its entries (_edge_assembly), so every sum runs in this code's
 order and a_ij and a_ji are one float.  The state vanishes on the
 boundary, so the stiffness is assembled on the interior vertices
-alone.  The load of a field is the plain edge-midpoint rule, its
-element contributions summed the same way; a mollified point load maps
-the order-5 rule of the reference triangle, quartered to resolve the
-bump, onto the triangles the bump meets.  The solver is PCG with one
-symmetric AMG V-cycle per iteration (degree-2 fourth-kind Chebyshev
-smoothing, a hand-written Cholesky of the at most 100-unknown coarsest
-level); no library factorizations anywhere.
+alone.  A distributed field loads through the lumped mass times its
+nodal values (pde.field_load); only a mollified point load, a bump
+narrower than the mesh, is integrated here: the order-5 rule of the
+reference triangle, quartered to resolve the bump, mapped onto the
+triangles the bump meets.  The solver is PCG with one symmetric AMG
+V-cycle per iteration (degree-2 fourth-kind Chebyshev smoothing, a
+hand-written Cholesky of the at most 100-unknown coarsest level); no
+library factorizations anywhere.
 """
 
 import importlib.util
@@ -170,29 +171,6 @@ def _edge_assembly(mesh, diagonal, edges):
     coo[::-1, n + m:] = coo[:, n:n + m]
     values = np.concatenate([diagonal, edges, edges])
     return CSR.from_coo(coo[0], coo[1], values, (n, n))
-
-
-def assemble_load(mesh, f):
-    """Load vector of a scalar field: entry i = integral of f * hat_i,
-    by the order-2 edge-midpoint rule.  f must accept an (N, 2) array of
-    points and return N values.
-
-    Hat i is 1/2 at the midpoints of the two edges at corner i and 0 at
-    the third, so corner i gets area/6 times the values of f there."""
-    corners = np.take(mesh.vertices, mesh.triangles, axis=0)
-    # slot j: the midpoint of the edge opposite corner j
-    midpoints = np.take(corners, [1, 2, 0], axis=1)
-    midpoints += np.take(corners, [2, 0, 1], axis=1)
-    midpoints *= 0.5
-    del corners
-    values = np.asarray(f(midpoints.reshape(-1, 2)), dtype=float).reshape(
-        mesh.num_triangles, 3) * (mesh.areas / 6.0)[:, None]
-    local = np.empty_like(values)
-    for j in range(3):
-        np.add(values[:, (j + 1) % 3], values[:, (j + 2) % 3],
-               out=local[:, j])
-    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
-                       minlength=mesh.num_vertices)
 
 
 #: 1 / integral of exp(-1/(1-|s|^2)) over the unit ball, whose radial

@@ -1,10 +1,13 @@
 """Semilinear state, linearized, and adjoint solvers on a fixed mesh.
 
 The discrete state equation couples the P1 stiffness matrix with a
-mass-lumped exponential: A y + M_L (e^y - 1) = b(f0) + P' u, with P the
-point-coupling operator of the sources.  Lumping keeps the nonlinearity
-diagonal, so the Newton matrix A + M_L diag(e^y) stays an M-matrix and
-the discrete comparison principle survives; the linearized and adjoint
+mass-lumped exponential: A y + M_L (e^y - 1) = M_L f0 + P' u, with f0
+at the vertices and P the point-coupling operator of the sources.
+Lumping keeps the nonlinearity diagonal, so where the interior
+stiffness has no positive off-diagonal entry, as on rectangles, the
+Newton matrix A + M_L diag(e^y) is an M-matrix and the discrete
+comparison principle holds; disks and graded meshes carry positive
+couplings, and there neither is proven.  The linearized and adjoint
 equations reuse that same matrix.  A P1 point load is bounded, so the
 discrete equation is solvable for every u: the 4 pi threshold of the
 controls belongs to the continuum and shows under grading alone.
@@ -18,7 +21,8 @@ pattern with one new data array, A plus the diagonal M_L e^y, built by
 one vector add, applied by the CSR kernel directly, and smoothed with
 weights from the row sums cached there.  M_L, the lumped mass m, is the
 one mass of the discrete problem: the tracking term, the adjoint's
-right-hand side and the load of nodal data read it too.
+right-hand side and the load of every distributed field, m times its
+nodal values, read it too.
 
 The state is found by inexact damped Newton from the secant start
 (A + c M_L) y = b, c = _START_SLOPE = 8, the slope (e^y - 1)/y of the
@@ -50,9 +54,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fem import (CSR, DiagonalShifts, Multigrid, assemble_load,
-                  assemble_stiffness, diagonal_positions,
-                  lumped_mass_diagonal, solve_spd)
+from .fem import (CSR, DiagonalShifts, Multigrid, assemble_stiffness,
+                  diagonal_positions, lumped_mass_diagonal, solve_spd)
 from .mesh import build_mesh, locate_point
 
 # linear solves run well below any Newton tolerance a caller asks for
@@ -79,12 +82,11 @@ _START_TOL = 0.5
 class _Operators:
     """Per-mesh data built once: the interior (free) nodes, the
     stiffness assembled on them, the lumped mass diagonal (the one mass
-    of the state equation, the tracking term and the L^2 norm of nodal
-    data), point-coupling operators keyed by coordinates, loads of
-    callable fields keyed by the callable, and on first use the
-    stiffness's DiagonalShifts (so Poisson solves alone build none),
-    the operator of the secant start and the multigrid hierarchy of
-    every solve."""
+    of the state equation, the tracking term, the load of distributed
+    fields and their L^2 norm), point-coupling operators keyed by
+    coordinates, and on first use the stiffness's DiagonalShifts (so
+    Poisson solves alone build none), the operator of the secant start
+    and the multigrid hierarchy of every solve."""
 
     def __init__(self, mesh):
         self.free = np.flatnonzero(~mesh.boundary)
@@ -92,7 +94,6 @@ class _Operators:
         self.lumped = lumped_mass_diagonal(mesh)
         self.lumped_free = self.lumped[self.free]
         self.coupling = {}
-        self.loads = {}
 
     @cached_property
     def _shifts(self):
@@ -223,19 +224,8 @@ def nodal_field(mesh, f):
 
 
 def field_load(mesh, f):
-    """Right-hand-side vector of a distributed field: quadrature for
-    callables, the lumped mass times the values for nodal data.  The
-    quadrature of a callable is done once per mesh and returned
-    read-only."""
-    if f is None:
-        return np.zeros(mesh.num_vertices)
-    if callable(f):
-        cache = operators(mesh).loads
-        if f not in cache:
-            load = assemble_load(mesh, f)
-            load.flags.writeable = False
-            cache[f] = load
-        return cache[f]
+    """Right-hand-side vector of a distributed field in any form that
+    nodal_field takes: the lumped mass times its nodal values."""
     return operators(mesh).lumped * nodal_field(mesh, f)
 
 
@@ -332,7 +322,7 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
 
 def solve_state(instance, u, mesh, tol=1e-10, linear=False):
     """State solve for a control u, a (K,) float array: assemble
-    b(f0) + P' u and run the inexact damped Newton of solve_semilinear.
+    M_L f0 + P' u and run the inexact damped Newton of solve_semilinear.
 
     Each entry of u lies below 4*pi, where the equation loses
     solvability: the CLI, the box (BoundsPair) and the Taylor table's

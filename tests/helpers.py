@@ -14,11 +14,11 @@ aggregation, the PCG loop that tests its residual before each step,
 the critical cone minimum by one solve per face, and the scipy matrix
 operations that CSR replaces: the point operator, the free block of
 the stiffness and the multigrid setup.  To a stated
-rounding bound: the load by einsums over the edge-midpoint rule
-TRI3_BARY, TRI3_W, and the mollified load by the order-5 rule on every
+rounding bound: the mollified load by the order-5 rule on every
 candidate triangle subdivided in the plane.  The consistent mass,
-which the package does not assemble, measures L^2 distances in tests
-and has the lumped mass as its row sums."""
+formed by einsums over the edge-midpoint rule TRI3_BARY, TRI3_W, is
+not assembled by the package; it measures L^2 distances in tests and
+has the lumped mass as its row sums."""
 
 import functools
 import itertools
@@ -363,20 +363,6 @@ def reference_mass(mesh):
     local = np.einsum("q,tq...,qi,t->ti...", TRI3_W, hats, TRI3_BARY,
                       mesh.areas)
     return reference_assembly(mesh, local)
-
-
-def reference_load(mesh, f):
-    """The load vector of a field with its quadrature points and
-    element integrals formed by einsum over TRI3_BARY and TRI3_W."""
-    p = mesh.vertices[mesh.triangles]
-    qp = np.einsum("qj,tjd->tqd", TRI3_BARY, p)
-    fv = np.asarray(f(qp.reshape(-1, 2)), dtype=float).reshape(
-        mesh.num_triangles, 3)
-    local = np.einsum("q,tq...,qi,t->ti...", TRI3_W, fv, TRI3_BARY,
-                      mesh.areas)
-    b = np.zeros(mesh.num_vertices)
-    np.add.at(b, mesh.triangles.ravel(), local.ravel())
-    return b
 
 
 def reference_mollified_load(mesh, x0, epsilon):

@@ -400,29 +400,16 @@ def test_a_source_point_outside_the_disk_mesh_is_named(tmp_path, capsys):
         assert not (tmp_path / command).exists()
 
 
-def test_a_value_error_below_the_cli_is_a_program_fault(tmp_path,
-                                                         monkeypatch,
-                                                         capsys):
-    # only the config's own values are config errors; a ValueError that
-    # a solver raises, such as a CSR shape check, exits 2
-    def faulty(*args, **kwargs):
-        raise ValueError("operand length does not match the matrix")
-    monkeypatch.setattr(cli, "solve_state", faulty)
-    path = write_config(tmp_path, base_config())
-    assert main(["solve", "--config", path, "--out",
-                 str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == \
-        "error: operand length does not match the matrix\n"
-
-
 @pytest.mark.parametrize("fault", [
     MemoryError("Unable to allocate 728. TiB for an array"),
-    TypeError("unsupported operand type(s) for +: 'CSR' and 'str'")])
+    TypeError("unsupported operand type(s) for +: 'CSR' and 'str'"),
+    ValueError("operand length does not match the matrix")])
 def test_any_other_fault_below_the_cli_exits_2(tmp_path, monkeypatch,
                                                capsys, fault):
     # only a configuration error exits 1; a fault that main does not
     # name, such as the MemoryError of a mesh too large for the
-    # machine, exits 2 with one line naming its type
+    # machine or a ValueError that a solver raises, such as a CSR shape
+    # check, exits 2 with one line naming its type
     def faulty(*args, **kwargs):
         raise fault
     monkeypatch.setattr(cli, "solve_state", faulty)

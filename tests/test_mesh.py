@@ -248,7 +248,7 @@ def test_locate_point_outside_raises():
         "chords and the circle" % (x, y))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99))
 def test_locate_point_reconstructs_coordinates(x, y):
     mesh = build_mesh(Domain.unit_square(), 5)
@@ -506,7 +506,7 @@ _DRAWN_POINTS = st.lists(
 
 
 @pytest.mark.parametrize("case", sorted(_LOCATE_MESHES))
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(drawn=_DRAWN_POINTS)
 def test_one_pass_locates_drawn_points_as_the_full_scan(case, drawn):
     mesh = _locate_mesh(case)

@@ -338,7 +338,7 @@ def assert_same_minimum(batched, loop):
     assert batched[1].tobytes() == loop[1].tobytes()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
     st.lists(st.sampled_from(sorted(_COMPONENTS)), min_size=k, max_size=k),
     st.lists(st.floats(-2.0, 2.0), min_size=k * k, max_size=k * k))))

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from expctrl import pde
@@ -238,6 +239,55 @@ def test_comparison_principle_on_ordered_controls():
         assert np.max(yu - yv) <= 1e-8
 
 
+# K separated points: distinct sites of a 3 x 3 grid at fractions 0.2,
+# 0.5, 0.8 of the rectangle's sides, each moved by up to 0.05 of them
+_SITES = st.lists(st.tuples(st.integers(0, 8), st.floats(-0.05, 0.05),
+                            st.floats(-0.05, 0.05)),
+                  min_size=1, max_size=4, unique_by=lambda s: s[0])
+_AMPLITUDE = st.floats(-2.0, 6.0).map(lambda e: 10.0 ** e)
+# f0: a gaussian (center as fractions of the sides, width, amplitude),
+# a constant (the amplitude) or zero
+_F0 = st.tuples(st.sampled_from(["gaussian", "constant", "zero"]),
+                st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                st.floats(0.05, 0.5), _AMPLITUDE)
+_CONTROL = st.floats(0.0, FOUR_PI - 1e-6)
+
+
+@settings(max_examples=50)
+@given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.integers(4, 32),
+       _SITES, _F0, st.data())
+def test_states_on_rectangles_are_nonnegative_and_ordered(
+        width, height, n, sites, f0, data):
+    # on a rectangle the interior stiffness has no positive off-diagonal
+    # entry, so A + M_L diag(e^y) is an M-matrix: f0 >= 0 and u >= 0
+    # give y >= 0, and v >= u gives y_v >= y_u, up to the solves'
+    # tolerance
+    dom = Domain.rectangle(0.0, 0.0, width, height)
+    pts = compute_separation_radii(
+        [[width * (0.2 + 0.3 * (k % 3) + dx),
+          height * (0.2 + 0.3 * (k // 3) + dy)] for k, dx, dy in sites], dom)
+    K = len(sites)
+    kind, fx, fy, w, amplitude = f0
+    f0 = parse_field({
+        "gaussian": "gaussian(%r, %r, %r, %r)" % (
+            width * fx, height * fy, w, amplitude),
+        "constant": "constant %r" % amplitude,
+        "zero": "zero"}[kind], "f0")
+    inst = ProblemInstance(dom, pts, BoundsPair([0.0] * K,
+                                                [FOUR_PI - 1e-6] * K),
+                           0.0, f0=f0, resolution=n)
+    mesh = inst.make_mesh()
+    A = operators(mesh).stiffness
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    assert np.all(A.data[rows != A.indices] <= 0.0)
+    a = np.array(data.draw(st.lists(_CONTROL, min_size=K, max_size=K)))
+    b = np.array(data.draw(st.lists(_CONTROL, min_size=K, max_size=K)))
+    yu = solve_state(inst, np.minimum(a, b), mesh).y
+    yv = solve_state(inst, np.maximum(a, b), mesh).y
+    assert np.min(yu) >= 0.0 and np.min(yv) >= 0.0
+    assert np.min(yv - yu) >= -1e-8 * (1.0 + np.max(np.abs(yv)))
+
+
 def test_state_solution_history_and_flags():
     inst = two_point_instance(16)
     mesh = inst.make_mesh()
@@ -411,23 +461,18 @@ def test_solve_semilinear_linear_flag_solves_poisson():
     assert abs(value - 0.073671353281513816) < 3e-4
 
 
-def test_field_load_of_a_callable_is_assembled_once_per_mesh(monkeypatch):
-    mesh = build_mesh(Domain.unit_square(), 8)
-    calls = []
-
-    def counted_assembly(m, f):
-        calls.append(f)
-        return np.ones(m.num_vertices)
-    monkeypatch.setattr(pde, "assemble_load", counted_assembly)
-
-    def f0(x):
-        return np.ones(len(x))
-    first = field_load(mesh, f0)
-    second = field_load(mesh, f0)
-    assert second is first and calls == [f0]
-    assert not first.flags.writeable
-    field_load(build_mesh(Domain.unit_square(), 8), f0)
-    assert len(calls) == 2
+def test_field_load_is_the_lumped_mass_times_nodal_values():
+    # one load rule: a callable, its nodal array and a number all load
+    # as m * values, bit for bit, on every call
+    mesh = build_mesh(Domain.disk(0.0, 0.0, 1.0), 12)
+    m = operators(mesh).lumped
+    gaussian = parse_field("gaussian(0.2, -0.1, 0.3, 7.5)", "f0")
+    values = gaussian(mesh.vertices)
+    for f, nodal in ((gaussian, values), (values, values),
+                     (2.5, np.full(mesh.num_vertices, 2.5))):
+        first = field_load(mesh, f)
+        assert np.array_equal(first, m * nodal)
+        assert np.array_equal(field_load(mesh, f), first)
 
 
 def _reference_newton(mesh, load, tol=1e-10):

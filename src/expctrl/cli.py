@@ -14,6 +14,8 @@ Every value of a config is checked here, once, before any mesh is
 built, and an error names its field; the layers below take the values
 as checked.  The one check that needs the mesh, that every source
 point lies in a triangle of it, runs right after the mesh is built.
+No tolerance is a config value: pde._NEWTON_TOL, optimizer.KKT_TOL and
+_ACTIVE_TOL, and objective._TAYLOR_TOL each have one owner.
 
 Exit codes: 0 success, 1 config error, 2 solver failure or another
 fault of the program (an estimate side or a report value that is not
@@ -40,7 +42,7 @@ from .estimates import (verify_lipschitz_family, verify_mollified_poisson,
 from .fem import integrate_exp_linear
 from .mesh import Domain, build_mesh
 from .objective import taylor_remainder_test
-from .optimizer import projected_gradient, second_order_check
+from .optimizer import KKT_TOL, projected_gradient, second_order_check
 from .pde import ProblemInstance, point_coupling, solve_state
 from .sequences import FOUR_PI, BoundsPair, Control, compute_separation_radii
 
@@ -49,11 +51,14 @@ _REQUIRED = object()
 #: every top-level key a config may set; the commands read those they
 #: need and ignore the others
 _KEYS = ("domain", "points", "lower", "upper", "nu", "f0", "y_d", "mesh",
-         "tolerances", "seed", "out", "control", "linear", "max_iters",
-         "verify", "direction", "rho_grid")
+         "seed", "out", "control", "linear", "max_iters", "verify",
+         "direction", "rho_grid")
 #: the sample count of the retired sampled second-order check, still
 #: accepted and ignored so that configs that set it keep running
 _RETIRED_KEYS = ("second_order_count",)
+#: the keys each domain kind reads besides "kind"
+_DOMAIN_KEYS = {"unit_square": (), "rectangle": ("corners",),
+                "disk": ("center", "radius")}
 #: the keys each verify check reads besides "check"; any other key of
 #: an entry is a configuration error
 _VERIFY_KEYS = {"scalar": ("samples",), "poisson": ("omega", "alpha"),
@@ -199,32 +204,37 @@ def _gaussian(where, cx, cy, width, amplitude):
 
 
 def _parse_domain(cfg):
+    """The domain; an error names its field domain.<key>."""
     raw = _object(cfg, "domain")
-    kind = _field(raw, "kind")
+    kind = _field(raw, "domain.kind")
+    if not (isinstance(kind, str) and kind in _DOMAIN_KEYS):
+        raise ConfigError("field 'domain.kind': unknown kind '%s'" % (kind,))
+    for key in raw:
+        if key != "kind" and key not in _DOMAIN_KEYS[kind]:
+            raise ConfigError(
+                "field 'domain.%s': unknown key for kind '%s', which reads "
+                "%s" % (key, kind, ", ".join(_DOMAIN_KEYS[kind])
+                        or "no other key"))
+    if kind == "unit_square":
+        return Domain.unit_square()
     try:
-        if kind == "unit_square":
-            return Domain.unit_square()
         if kind == "rectangle":
-            x0, y0, x1, y1 = _float_list(raw, "corners", count=4,
-                                         per="corner coordinate")
-            return Domain.rectangle(x0, y0, x1, y1)
-        if kind == "disk":
-            cx, cy = _float_list(raw, "center", count=2, per="coordinate")
-            return Domain.disk(cx, cy, _number(raw, "radius"))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("field 'domain': %s" % exc)
-    raise ConfigError("field 'domain.kind': unknown kind '%s'" % kind)
+            where = "domain.corners"
+            return Domain.rectangle(*_float_list(raw, where, count=4,
+                                                 per="corner coordinate"))
+        cx, cy = _float_list(raw, "domain.center", count=2, per="coordinate")
+        where = "domain.radius"
+        return Domain.disk(cx, cy, _number(raw, where))
+    except ValueError as exc:
+        raise ConfigError("field '%s': %s" % (where, exc))
 
 
 class RunConfig:
-    """Parsed run configuration: the problem instance, tolerances,
-    seed, output directory, and the raw command-specific entries."""
+    """Parsed run configuration: the problem instance, seed, output
+    directory, and the raw command-specific entries."""
 
-    def __init__(self, instance, tolerances, seed, out, raw):
+    def __init__(self, instance, seed, out, raw):
         self.instance = instance
-        self.tolerances = tolerances
         self.seed = seed
         self.out = out
         self.raw = raw
@@ -270,22 +280,10 @@ class RunConfig:
                 raise ConfigError(
                     "field 'y_d': state_of needs one value per source point")
             _below_four_pi(instance.y_d.values, "y_d")
-        tolerances = {"newton": 1e-10, "kkt": 1e-6, "taylor": 1e-12,
-                      "active": 1e-10}
-        for key, value in _object(cfg, "tolerances", {}).items():
-            if key not in tolerances:
-                raise ConfigError(
-                    "field 'tolerances.%s': unknown tolerance, expected "
-                    "one of %s" % (key, ", ".join(tolerances)))
-            if not (_is_number(value) and value > 0.0):
-                raise ConfigError(
-                    "field 'tolerances.%s': must be a positive finite number"
-                    % key)
-            tolerances[key] = value
         seed = _count(cfg if seed is None else {"seed": seed}, "seed", 42, 0)
         if out is None:
             out = str(_field(cfg, "out", "."))
-        return cls(instance, tolerances, seed, Path(out), cfg)
+        return cls(instance, seed, Path(out), cfg)
 
 
 def load_config(path, out=None, seed=None):
@@ -396,8 +394,7 @@ def _resolve_target(config, mesh):
     copy, so the config stays usable for another run."""
     instance = config.instance
     if isinstance(instance.y_d, _StateOf):
-        state = solve_state(instance, instance.y_d.values, mesh,
-                            tol=config.tolerances["newton"])
+        state = solve_state(instance, instance.y_d.values, mesh)
         instance = copy.copy(instance)
         instance.y_d = state.y
     return instance
@@ -411,8 +408,7 @@ def cmd_solve(config):
     u = _below_four_pi(_base_control(config), "control")
     instance = config.instance
     mesh = _located_mesh(config)
-    state = solve_state(instance, u, mesh,
-                        tol=config.tolerances["newton"], linear=linear)
+    state = solve_state(instance, u, mesh, linear=linear)
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     values = state.y
@@ -457,12 +453,8 @@ def cmd_optimize(config):
                           "and upper, the box of the optimizer's iterates")
     mesh = _located_mesh(config)
     instance = _resolve_target(config, mesh)
-    tol = config.tolerances["kkt"]
-    u, report = projected_gradient(
-        instance, mesh, u0, max_iters=max_iters, tol=tol,
-        tol_active=config.tolerances["active"],
-        state_tol=config.tolerances["newton"])
-    converged = report.aggregate <= tol
+    u, report = projected_gradient(instance, mesh, u0, max_iters=max_iters)
+    converged = report.aggregate <= KKT_TOL
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "iterates.csv", ("iteration", "J", "kkt_residual",
@@ -486,7 +478,7 @@ def cmd_optimize(config):
          all(c == "degenerate" for c in report.classification)),
     ]
     if converged:
-        second = second_order_check(instance, report, tol_grad=tol)
+        second = second_order_check(instance, report)
         _write_csv(out / "second_order.csv", ("index", "direction"),
                    enumerate(second.direction))
         summary += [
@@ -629,9 +621,7 @@ def cmd_taylor(config):
                           "positive finite numbers")
     mesh = _located_mesh(config)
     instance = _resolve_target(config, mesh)
-    report = taylor_remainder_test(instance, u, mesh, h,
-                                   rho_grid=rho_grid,
-                                   tol=config.tolerances["taylor"])
+    report = taylor_remainder_test(instance, u, mesh, h, rho_grid=rho_grid)
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "remainders.csv",

@@ -30,6 +30,8 @@ DEFAULT_RHO_GRID = tuple(10.0 ** e for e in
 
 # remainders below this relative floor are solver noise, not signal
 _SLOPE_FLOOR = 1e-14
+# the Taylor table's Newton test, tighter than pde._NEWTON_TOL
+_TAYLOR_TOL = 1e-12
 
 
 class DerivativeReport:
@@ -87,7 +89,7 @@ def reduced_hessian(instance, state, adjoint, index=None, tol=_CG_TOL):
     return 0.5 * (H + H.T)
 
 
-def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
+def taylor_remainder_test(instance, u, mesh, h, rho_grid=None):
     """Tabulate Taylor remainders of J at u along h, both (K,) float
     arrays, over a grid of step sizes and fit their log-log slopes.
 
@@ -95,12 +97,13 @@ def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
     R1 = |J(u + rho h) - J - rho DJ.h| and
     R2 = |R1 argument - (rho^2/2) D2J[h,h]|, and the state-level
     remainders: with w = y_{u + rho h} - y_u, the lumped integrals of
-    |e^w - 1 - w| / rho and |e^w - 1 - w - w^2/2| / rho^2.  Probes the
-    state solver cannot take are skipped with a note in their row.
+    |e^w - 1 - w| / rho and |e^w - 1 - w - w^2/2| / rho^2, the states
+    solved to _TAYLOR_TOL.  Probes the state solver cannot take are
+    skipped with a note in their row, and a slope needs two distinct rho.
     """
     if rho_grid is None:
         rho_grid = DEFAULT_RHO_GRID
-    state = solve_state(instance, u, mesh, tol=tol)
+    state = solve_state(instance, u, mesh, tol=_TAYLOR_TOL)
     base = evaluate_J(instance, u, state)
     grad, adjoint = evaluate_DJ(instance, u, state)
     dj_h = float(np.dot(grad, h))
@@ -122,7 +125,8 @@ def taylor_remainder_test(instance, u, mesh, h, rho_grid=None, tol=1e-12):
             row["note"] = "skipped: probe control reaches 4*pi"
         else:
             try:
-                probe_state = solve_state(instance, probe, mesh, tol=tol)
+                probe_state = solve_state(instance, probe, mesh,
+                                          tol=_TAYLOR_TOL)
             except RuntimeError as exc:
                 row["note"] = "skipped: %s" % exc
             else:
@@ -145,7 +149,7 @@ def _loglog_slope(rows, key, base):
     floor = _SLOPE_FLOOR * (1.0 + abs(base))
     pts = [(row["rho"], row[key]) for row in rows
            if not row["note"] and row[key] > floor]
-    if len(pts) < 2:
+    if len({rho for rho, _ in pts}) < 2:
         return None
     x = np.log(np.array([p[0] for p in pts]))
     y = np.log(np.array([p[1] for p in pts]))

@@ -23,6 +23,10 @@ import numpy as np
 from .objective import evaluate_DJ, evaluate_J, reduced_hessian
 from .pde import _CG_TOL, _ETA_MAX, solve_state
 
+#: the optimizer's KKT stopping test and the critical cone's bound on |d_i|
+KKT_TOL = 1e-6
+# the distance to a bound within which a component counts as active
+_ACTIVE_TOL = 1e-10
 # the widest band next to a bound in which a component is held as
 # epsilon-active (Bertsekas 1982)
 _EPSILON = 1e-3
@@ -76,13 +80,13 @@ class SecondOrderReport:
         self.empty = bool(empty)
 
 
-def kkt_residual(u, d, bounds, tol_active=1e-10):
+def kkt_residual(u, d, bounds):
     """Trichotomy residuals of the first-order conditions at the
     control u with gradient d, both (K,) float arrays.
 
     A lower-active component needs d_i >= 0, an upper-active one
     d_i <= 0, an interior one d_i = 0; activity is detected within
-    tol_active, and pinned intervals carry zero residual.  The
+    _ACTIVE_TOL, and pinned intervals carry zero residual.  The
     projected-gradient residual is reported alongside; it vanishes at
     exactly the same controls.
     """
@@ -91,13 +95,13 @@ def kkt_residual(u, d, bounds, tol_active=1e-10):
     residuals = np.empty(u.size)
     for i in range(u.size):
         lo, up = bounds.lower[i], bounds.upper[i]
-        if up - lo <= tol_active:
+        if up - lo <= _ACTIVE_TOL:
             classification.append("degenerate")
             residuals[i] = 0.0
-        elif u[i] <= lo + tol_active:
+        elif u[i] <= lo + _ACTIVE_TOL:
             classification.append("lower-active")
             residuals[i] = max(0.0, -dv[i])
-        elif u[i] >= up - tol_active:
+        elif u[i] >= up - _ACTIVE_TOL:
             classification.append("upper-active")
             residuals[i] = max(0.0, dv[i])
         else:
@@ -107,8 +111,7 @@ def kkt_residual(u, d, bounds, tol_active=1e-10):
     return KKTReport(classification, residuals, projected, dv)
 
 
-def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
-                       tol_active=1e-10, state_tol=1e-10):
+def projected_gradient(instance, mesh, u0, max_iters=200, tol=KKT_TOL):
     """Minimize J over the box from u0, a (K,) float array clipped
     into the box first, by projected Newton (Bertsekas 1982, SIAM J.
     Control Optim. 20); returns the final (K,) control and its report.
@@ -133,18 +136,18 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
     first-order point even when the clamp cuts the Newton step; a trial
     point whose state solve fails counts as a rejection, and 30
     consecutive rejections abort.  Stops once the aggregate trichotomy
-    residual reaches tol, or at max_iters with the partial history
-    intact.
+    residual reaches tol (default KKT_TOL), or at max_iters with the
+    partial history intact.
     """
     lower, upper = instance.bounds.lower, instance.bounds.upper
     u = np.clip(u0, lower, upper)
-    state = solve_state(instance, u, mesh, tol=state_tol)
+    state = solve_state(instance, u, mesh)
     value = evaluate_J(instance, u, state)
     grad, adjoint = evaluate_DJ(instance, u, state)
     history = []
     step = 0.0
     for it in range(max_iters + 1):
-        kkt = kkt_residual(u, grad, instance.bounds, tol_active)
+        kkt = kkt_residual(u, grad, instance.bounds)
         history.append((value, kkt.aggregate, step))
         if kkt.aggregate <= tol or it == max_iters:
             kkt.iterations, kkt.history = it, history
@@ -173,8 +176,7 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
             trial = np.clip(u + s * direction, lower, upper)
             trial_state = None
             try:
-                trial_state = solve_state(instance, trial, mesh,
-                                          tol=state_tol)
+                trial_state = solve_state(instance, trial, mesh)
                 trial_value = evaluate_J(instance, trial, trial_state)
             except RuntimeError:
                 trial_value = None
@@ -192,12 +194,12 @@ def projected_gradient(instance, mesh, u0, max_iters=200, tol=1e-6,
     raise AssertionError("unreachable")
 
 
-def _unblocked(kkt, tol_grad):
+def _unblocked(kkt):
     """Indices the critical cone of kkt leaves free: not on a pinned
-    interval and with |d_i| <= tol_grad."""
+    interval and with |d_i| <= KKT_TOL."""
     d = kkt.gradient
     return np.array([i for i, c in enumerate(kkt.classification)
-                     if c != "degenerate" and abs(d[i]) <= tol_grad],
+                     if c != "degenerate" and abs(d[i]) <= KKT_TOL],
                     dtype=int)
 
 
@@ -227,14 +229,14 @@ def _face_solutions(block, sign):
     return x
 
 
-def critical_cone_minimum(H, kkt, tol_grad=1e-6):
+def critical_cone_minimum(H, kkt):
     """Exact minimum of h' H h over the critical cone of the KKTReport
     kkt with |h|_1 = 1, returned as (value, h); an empty cone gives 0
     and the zero direction.
 
     The cone is read from the report's classification and gradient d
-    at a first-order point within tol_grad (an aggregate residual above
-    it raises ValueError): components with |d_i| > tol_grad or a pinned
+    at a first-order point within KKT_TOL (an aggregate residual above
+    it raises ValueError): components with |d_i| > KKT_TOL or a pinned
     interval are blocked, lower-active ones take the signs {0, +},
     upper-active ones {0, -} and interior ones {0, +, -}.  On the
     support S of a sign pattern, with D = diag(s_S), the form is a
@@ -256,12 +258,12 @@ def critical_cone_minimum(H, kkt, tol_grad=1e-6):
     mirror's x is the same, its h is -h and its value the same bit for
     bit.  At an interior optimum that halves the faces.
     """
-    if kkt.aggregate > tol_grad:
+    if kkt.aggregate > KKT_TOL:
         raise ValueError("critical cone requires a first-order point")
     signs = {"lower-active": (0.0, 1.0), "upper-active": (0.0, -1.0),
              "interior": (0.0, 1.0, -1.0)}
     cls, dv = kkt.classification, kkt.gradient
-    free = _unblocked(kkt, tol_grad)
+    free = _unblocked(kkt)
     if free.size == 0:
         return 0.0, np.zeros(dv.size)
     choices = [np.array(signs[cls[i]]) for i in free]
@@ -297,7 +299,7 @@ def critical_cone_minimum(H, kkt, tol_grad=1e-6):
     return best, best_h
 
 
-def second_order_check(instance, kkt, tol_grad=1e-6):
+def second_order_check(instance, kkt):
     """Certify D2J[h, h] = h' H h >= -tol on the whole critical cone at
     the final control of the optimizer's report kkt, with the reduced
     K x K Hessian H built once from the report's state and adjoint and
@@ -307,11 +309,11 @@ def second_order_check(instance, kkt, tol_grad=1e-6):
 
     The report's gradient and classification fix the cone and its final
     J sets tol = 1e-8 * (1 + |J|).  Raises ValueError unless the report
-    is at a first-order point within tol_grad.
+    is at a first-order point within KKT_TOL.
     """
     tol = 1e-8 * (1.0 + abs(kkt.history[-1][0]))
     H = reduced_hessian(instance, kkt.state, kkt.adjoint,
-                        _unblocked(kkt, tol_grad))
-    minimum, direction = critical_cone_minimum(H, kkt, tol_grad)
+                        _unblocked(kkt))
+    minimum, direction = critical_cone_minimum(H, kkt)
     return SecondOrderReport(minimum, direction, minimum >= -tol,
                              empty=not np.any(direction))

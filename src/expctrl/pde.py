@@ -58,6 +58,8 @@ from .fem import (CSR, DiagonalShifts, Multigrid, assemble_stiffness,
                   diagonal_positions, lumped_mass_diagonal, solve_spd)
 from .mesh import build_mesh, locate_point
 
+# the Newton test of every state solve but the Taylor table's
+_NEWTON_TOL = 1e-10
 # linear solves run well below any Newton tolerance a caller asks for
 _CG_TOL = 1e-12
 
@@ -247,7 +249,7 @@ def _residual(ops, y, load):
     return res
 
 
-def solve_semilinear(mesh, load, tol=1e-10, linear=False):
+def solve_semilinear(mesh, load, tol=_NEWTON_TOL, linear=False):
     """Solve A y + M_L (e^y - 1) = load with zero boundary values.
 
     linear=True drops the exponential term, leaving the Poisson problem
@@ -320,7 +322,7 @@ def solve_semilinear(mesh, load, tol=1e-10, linear=False):
     raise RuntimeError("state solve failed")
 
 
-def solve_state(instance, u, mesh, tol=1e-10, linear=False):
+def solve_state(instance, u, mesh, tol=_NEWTON_TOL, linear=False):
     """State solve for a control u, a (K,) float array: assemble
     M_L f0 + P' u and run the inexact damped Newton of solve_semilinear.
 

@@ -101,8 +101,6 @@ def test_parse_field_rejects_malformed_input():
 def test_run_config_defaults():
     cfg = RunConfig.from_dict(base_config())
     assert cfg.seed == 42
-    assert cfg.tolerances["newton"] == 1e-10
-    assert cfg.tolerances["kkt"] == 1e-6
     assert cfg.instance.points.count == 2
     assert cfg.instance.nu == 0.1
 
@@ -116,21 +114,16 @@ def test_run_config_rejects_missing_and_invalid_fields():
         RunConfig.from_dict(base_config(points=[[1.5, 0.5], [0.7, 0.6]]))
     with pytest.raises(ConfigError, match="component 1"):
         RunConfig.from_dict(base_config(upper=[1.0, 14.0]))
-    with pytest.raises(ConfigError, match="tolerances"):
-        RunConfig.from_dict(base_config(tolerances={"newton": -1.0}))
     with pytest.raises(ConfigError, match="state_of is only"):
         RunConfig.from_dict(base_config(f0="state_of(1.0, 1.0)"))
     with pytest.raises(ConfigError, match="field 'mesh'"):
         RunConfig.from_dict(base_config(mesh="abc"))
-    with pytest.raises(ConfigError, match="field 'tolerances'"):
-        RunConfig.from_dict(base_config(tolerances=5))
-
-
-def test_run_config_rejects_a_boolean_tolerance():
-    # JSON true is the Python int 1: it would loosen the Newton test
-    # from 1e-10 to 1
-    with pytest.raises(ConfigError, match="tolerances.newton"):
-        RunConfig.from_dict(base_config(tolerances={"newton": True}))
+    with pytest.raises(ConfigError, match="field 'tolerances': unknown key"):
+        RunConfig.from_dict(base_config(tolerances={"kkt": 1e-6}))
+    with pytest.raises(ConfigError, match="field 'domain.corners': unknown "
+                       "key for kind 'unit_square'"):
+        RunConfig.from_dict(base_config(
+            domain={"kind": "unit_square", "corners": [0.0, 0.0, 2.0, 1.0]}))
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -432,13 +425,13 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
     capsys.readouterr()
     for command, extra, field in (
             ("optimize", {"max_iters": -1}, "max_iters"),
-            ("solve", {"tolerances": 5}, "tolerances"),
+            # the tolerances are constants of the modules that use them
+            ("solve", {"tolerances": {"newton": 1e-10}}, "tolerances"),
             ("verify", {"verify": [3]}, "verify"),
             ("solve", {"mesh": "abc"}, "mesh"),
             ("solve", {"mesh": {"resolution": 8.7}}, "resolution"),
             ("solve", {"mesh": {"resolution": 0}}, "resolution"),
             ("solve", {"mesh": {"refine_levels": True}}, "refine_levels"),
-            ("solve", {"tolerances": {"kkkt": 1e-6}}, "tolerances.kkkt"),
             ("solve", {"linear": "false"}, "linear"),
             ("solve", {"mesh": {"resolutin": 8}}, "mesh.resolutin"),
             # a misspelt key would silently run the default
@@ -454,8 +447,6 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
              "rho_grid"),
             # one reader for numbers: finite JSON numbers only, so no
             # string, bool, Infinity or NaN
-            ("optimize", {"tolerances": {"kkt": float("inf")}},
-             "tolerances.kkt"),
             ("solve", {"nu": True}, "nu"),
             ("solve", {"nu": "0.1"}, "nu"),
             ("optimize", {"upper": "22"}, "upper"),
@@ -475,15 +466,35 @@ def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
                                     "rho0": 0.5, "epsilon": 0.1,
                                     "m": float("inf")}]}, "verify.m"),
             ("solve", {"domain": {"kind": "disk", "center": [0.5, 0.5],
-                                  "radius": "1"}}, "radius"),
+                                  "radius": "1"}}, "domain.radius"),
             ("solve", {"domain": {"kind": "disk", "center": [0.5, True],
-                                  "radius": 1.0}}, "center"),
+                                  "radius": 1.0}}, "domain.center"),
             ("solve", {"domain": {"kind": "rectangle",
-                                  "corners": "0011"}}, "corners"),
+                                  "corners": "0011"}}, "domain.corners"),
             ("solve", {"domain": {"kind": "rectangle",
-                                  "corners": [0.0, 0.0, 2.0]}}, "corners"),
+                                  "corners": [0.0, 0.0, 2.0]}},
+             "domain.corners"),
             ("solve", {"domain": {"kind": "disk", "center": [0.0, 0.0, 0.0],
-                                  "radius": 1.0}}, "center"),
+                                  "radius": 1.0}}, "domain.center"),
+            ("solve", {"domain": {"kind": "disk", "center": [0.5, 0.5],
+                                  "radius": 0.0}}, "domain.radius"),
+            ("solve", {"domain": {"kind": "rectangle",
+                                  "corners": [0.0, 0.0, 0.0, 1.0]}},
+             "domain.corners"),
+            ("solve", {"domain": {"center": [0.5, 0.5], "radius": 1.0}},
+             "domain.kind"),
+            ("solve", {"domain": {"kind": ["disk"]}}, "domain.kind"),
+            # a key the domain's kind does not read is never ignored
+            ("solve", {"domain": {"kind": "unit_square",
+                                  "corners": [0.0, 0.0, 2.0, 1.0]}},
+             "domain.corners"),
+            ("solve", {"domain": {"kind": "disk", "center": [0.5, 0.5],
+                                  "radius": 1.0, "extra": 2}},
+             "domain.extra"),
+            ("solve", {"domain": {"kind": "rectangle",
+                                  "corners": [0.0, 0.0, 1.0, 1.0],
+                                  "radius": 1.0}},
+             "domain.radius"),
             ("taylor", {"direction": [1.0, 0.0],
                         "rho_grid": [0.1, float("inf")]}, "rho_grid"),
             ("taylor", {"direction": [1.0]}, "direction"),
@@ -674,10 +685,9 @@ def test_optimize_reports_the_derivative_at_the_written_control(tmp_path):
         return [float(row.split(",")[k]) for row in rows]
     summary = dict(line.split("=", 1) for line in
                    (out / "optimize_summary.txt").read_text().splitlines()[1:])
-    config = load_config(path)
-    instance, u = config.instance, np.array(column("control.csv", 1))
-    state = solve_state(instance, u, instance.make_mesh(),
-                        tol=config.tolerances["newton"])
+    instance = load_config(path).instance
+    u = np.array(column("control.csv", 1))
+    state = solve_state(instance, u, instance.make_mesh())
     assert column("kkt.csv", 4) == evaluate_DJ(instance, u, state)[0].tolist()
     assert float(summary["J"]) == evaluate_J(instance, u, state)
 
@@ -743,7 +753,6 @@ def test_optimize_budget_exhaustion_returns_three(tmp_path):
         y_d="gaussian(0.5, 0.5, 0.3, 1.0)",
         control=[0.9, -0.9],
         max_iters=1,
-        tolerances={"kkt": 1e-12},
     )
     path = write_config(tmp_path, cfg)
     out = tmp_path / "budget"
@@ -919,6 +928,33 @@ def test_taylor_writes_slopes(tmp_path):
     rows = (out / "remainders.csv").read_text().splitlines()
     assert rows[1] == "rho,r1,r2,state_r1,state_r2,note"
     assert len(rows) == 7      # header lines plus the default 5-point grid
+
+
+def test_taylor_fits_no_slope_to_one_step_size(tmp_path):
+    # rows of one rho fix no slope; np.polyfit would warn and return
+    # a meaningless number
+    path = write_config(tmp_path, dict(
+        README_CONFIG, mesh={"resolution": 16}, direction=[1.0, -0.5],
+        rho_grid=[0.1, 0.1]))
+    out = tmp_path / "taylor"
+    assert main(["taylor", "--config", path, "--out", str(out)]) == 0
+    summary = dict(line.split("=", 1) for line in
+                   (out / "taylor_summary.txt").read_text().splitlines()[1:])
+    for key in ("r1", "r2", "state_r1", "state_r2"):
+        assert summary["slope_" + key] == "none"
+    rows = (out / "remainders.csv").read_text().splitlines()[2:]
+    assert len(rows) == 2 and all(float(row.split(",")[1]) > 0.0
+                                  for row in rows)
+
+
+def test_readme_lists_the_top_level_keys():
+    # the README's list of the keys a config may set is the parser's
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text().split())
+    match = re.search(r"A top-level key other than the ones the commands "
+                      r"read \(([^)]*)\)", text)
+    assert match is not None
+    assert tuple(re.findall(r"`(\w+)`", match.group(1))) == cli._KEYS
 
 
 def test_taylor_zero_direction_gives_zero_table(tmp_path):

@@ -440,7 +440,7 @@ def test_critical_cone_minimum_vanishes_on_blocked_components():
     # the blocked component has the most negative curvature
     H = np.diag([-5.0, 2.0, 3.0])
     value, h = critical_cone_minimum(H, kkt_residual(u, d, bounds))
-    assert h[0] == 0.0                 # |d| > tol_grad blocks it
+    assert h[0] == 0.0                 # |d| > KKT_TOL blocks it
     assert h[2] >= 0.0                 # lower-active keeps it >= 0
     assert float(np.dot(h, d)) == 0.0
     # min of 2 a^2 + 3 b^2 over |a| + b = 1, b >= 0: a = 0.6, b = 0.4

@@ -12,8 +12,10 @@ files.  The seed only draws the random samples of verify.
 
 Every value of a config is checked here, once, before any mesh is
 built, and an error names its field; the layers below take the values
-as checked.  The one check that needs the mesh, that every source
-point lies in a triangle of it, runs right after the mesh is built.
+as checked.  Bounds, controls and weights share one 4 pi rule,
+sequences.below_four_pi.  The one check that needs the mesh, that
+every source point lies in a triangle of it, runs right after the mesh
+is built.
 No tolerance is a config value: pde._NEWTON_TOL, optimizer.KKT_TOL and
 _ACTIVE_TOL, and objective._TAYLOR_TOL each have one owner.
 
@@ -44,7 +46,8 @@ from .mesh import Domain, build_mesh
 from .objective import taylor_remainder_test
 from .optimizer import KKT_TOL, projected_gradient, second_order_check
 from .pde import ProblemInstance, point_coupling, solve_state
-from .sequences import FOUR_PI, BoundsPair, Control, compute_separation_radii
+from .sequences import (FOUR_PI, BoundsPair, Control, below_four_pi,
+                        compute_separation_radii)
 
 _REQUIRED = object()
 
@@ -129,16 +132,24 @@ def _float_list(cfg, name, default=_REQUIRED, count=None,
     return [float(v) for v in raw]
 
 
-def _points(cfg):
-    """The source points: a nonempty list of [x, y] pairs of finite
-    numbers."""
+def _points(cfg, domain):
+    """The source points: a nonempty list of distinct [x, y] pairs of
+    finite numbers inside the domain."""
     raw = _field(cfg, "points")
     if not (isinstance(raw, list) and raw
             and all(isinstance(p, list) and len(p) == 2
                     and all(_is_number(v) for v in p) for p in raw)):
         raise ConfigError("field 'points': expected a nonempty list of "
                           "[x, y] pairs of finite numbers")
-    return [[float(x), float(y)] for x, y in raw]
+    points = [[float(x), float(y)] for x, y in raw]
+    for i, p in enumerate(points):
+        if not domain.boundary_distance(p) > 0.0:
+            raise ConfigError("field 'points': point %d at (%r, %r) is not "
+                              "inside the domain" % (i, *p))
+        if p in points[:i]:
+            raise ConfigError("field 'points': point %d repeats point %d"
+                              % (i, points.index(p)))
+    return points
 
 
 class _StateOf:
@@ -217,16 +228,18 @@ def _parse_domain(cfg):
                         or "no other key"))
     if kind == "unit_square":
         return Domain.unit_square()
-    try:
-        if kind == "rectangle":
-            where = "domain.corners"
-            return Domain.rectangle(*_float_list(raw, where, count=4,
-                                                 per="corner coordinate"))
-        cx, cy = _float_list(raw, "domain.center", count=2, per="coordinate")
-        where = "domain.radius"
-        return Domain.disk(cx, cy, _number(raw, where))
-    except ValueError as exc:
-        raise ConfigError("field '%s': %s" % (where, exc))
+    if kind == "rectangle":
+        x0, y0, x1, y1 = _float_list(raw, "domain.corners", count=4,
+                                     per="corner coordinate")
+        if not (x0 < x1 and y0 < y1):
+            raise ConfigError("field 'domain.corners': expected x0 < x1 and "
+                              "y0 < y1, a rectangle of positive area")
+        return Domain.rectangle(x0, y0, x1, y1)
+    cx, cy = _float_list(raw, "domain.center", count=2, per="coordinate")
+    radius = _number(raw, "domain.radius")
+    if not radius > 0.0:
+        raise ConfigError("field 'domain.radius': expected a positive number")
+    return Domain.disk(cx, cy, radius)
 
 
 class RunConfig:
@@ -246,17 +259,14 @@ class RunConfig:
                 raise ConfigError("field '%s': unknown key, expected one of "
                                   "%s" % (key, ", ".join(_KEYS)))
         domain = _parse_domain(cfg)
-        try:
-            points = compute_separation_radii(_points(cfg), domain)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("field 'points': %s" % exc)
-        try:
-            bounds = BoundsPair(_float_list(cfg, "lower", count=points.count),
-                                _float_list(cfg, "upper", count=points.count))
-        except ValueError as exc:
-            raise ConfigError("field 'bounds': %s" % exc)
+        points = compute_separation_radii(_points(cfg, domain), domain)
+        lower = _float_list(cfg, "lower", count=points.count)
+        upper = _float_list(cfg, "upper", count=points.count)
+        for i, (lo, up) in enumerate(zip(lower, upper)):
+            if lo > up:
+                raise ConfigError("field 'lower': component %d exceeds upper "
+                                  "(%r > %r)" % (i, lo, up))
+        bounds = BoundsPair(lower, _below_four_pi(upper, "upper"))
         nu = _number(cfg, "nu", 0.0)
         if nu < 0.0:
             raise ConfigError("field 'nu': expected a nonnegative number")
@@ -370,10 +380,14 @@ def _base_control(config):
 
 
 def _below_four_pi(values, where):
-    """values, checked below 4 pi, where the state may be ill-posed."""
-    if float(np.max(values)) >= FOUR_PI:
-        raise ConfigError("field '%s': values must be below 4 pi, where the "
-                          "state equation may be ill-posed" % where)
+    """values, checked by the one 4 pi rule, sequences.below_four_pi,
+    below the threshold where the state equation may be ill-posed."""
+    if not below_four_pi(values):
+        i = int(np.argmax(values))
+        raise ConfigError("field '%s': values must be below 4 pi, at most "
+                          "4 pi - 1e-12, where the state equation may be "
+                          "ill-posed; component %d is %r"
+                          % (where, i, float(values[i])))
     return values
 
 

@@ -23,7 +23,8 @@ import numpy as np
 
 
 class Domain:
-    """Computational domain, an axis-aligned rectangle or a disk."""
+    """Computational domain, an axis-aligned rectangle or a disk; the
+    makers only build, and the CLI checks that it has positive area."""
 
     def __init__(self, kind, params, name):
         self.kind = kind
@@ -32,8 +33,6 @@ class Domain:
 
     @classmethod
     def rectangle(cls, x0, y0, x1, y1, name="rectangle"):
-        if not (x1 > x0 and y1 > y0):
-            raise ValueError("degenerate rectangle")
         return cls("rectangle", (float(x0), float(y0), float(x1), float(y1)),
                    name)
 
@@ -43,8 +42,6 @@ class Domain:
 
     @classmethod
     def disk(cls, cx, cy, radius, name="disk"):
-        if not radius > 0.0:
-            raise ValueError("degenerate disk")
         return cls("disk", (float(cx), float(cy), float(radius)), name)
 
     def diameter(self):

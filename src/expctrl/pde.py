@@ -191,8 +191,9 @@ class ProblemInstance:
     (N, 2) array of points, or a (V,) array of nodal values on the mesh
     handed to the solvers.  resolution and refine_levels record how the
     instance's mesh is to be built.  Its one maker, cli.RunConfig,
-    checks the values: one bound per point, nu >= 0, resolution >= 1
-    and refine_levels >= 0.
+    checks the values: distinct points inside the domain, one bound per
+    point, lower <= upper <= 4 pi - 1e-12, nu >= 0, resolution >= 1 and
+    refine_levels >= 0.
     """
 
     def __init__(self, domain, points, bounds, nu, f0=None, y_d=None,
@@ -327,8 +328,8 @@ def solve_state(instance, u, mesh, tol=_NEWTON_TOL, linear=False):
     M_L f0 + P' u and run the inexact damped Newton of solve_semilinear.
 
     Each entry of u lies below 4*pi, where the equation loses
-    solvability: the CLI, the box (BoundsPair) and the Taylor table's
-    probe test keep it there.
+    solvability: sequences.below_four_pi keeps it there, in the CLI and
+    in the Taylor table's probe test.
     """
     load = field_load(mesh, instance.f0) \
         + point_coupling(mesh, instance.points.points).rmatvec(u)

@@ -1,43 +1,36 @@
-"""Box bounds, source points, and separation radii.
+"""Box bounds, source points, separation radii, and the 4 pi rule.
 
 A control, like a direction, is a plain (K,) float array: entry i is the
 weight of the point mass at source point i, and the sequence vanishes
 beyond the K points; Control(values) only makes that array.  This module
-holds the bounds and the source points; everything in it is plain value
-manipulation, independent of the mesh and the PDE solvers.
+holds the bounds, the source points and below_four_pi, the one 4 pi
+rule; all of it is plain value manipulation, independent of the mesh
+and the PDE solvers, and checks no value: the CLI does that, once.
 """
 
 import numpy as np
 
 FOUR_PI = 4.0 * np.pi
 
-# Guard band for the strict upper-bound condition beta_i < 4*pi.
-_BOUND_GUARD = 1e-12
+# Guard band that keeps the strict condition u_i < 4*pi meaningful in
+# floating point
+_FOUR_PI_GUARD = 1e-12
+
+
+def below_four_pi(values):
+    """True when every entry of values is at most 4*pi - 1e-12, below
+    the 4*pi solvability threshold of the exponential state equation:
+    the one rule for bounds, controls, weights and Taylor probes."""
+    return bool(np.max(values) <= FOUR_PI - _FOUR_PI_GUARD)
 
 
 class BoundsPair:
-    """Componentwise box bounds alpha_i <= u_i <= beta_i.
-
-    Every upper bound must stay strictly below the 4*pi solvability
-    threshold of the exponential state equation; the strictness is
-    enforced as beta_i <= 4*pi - 1e-12 to keep the check meaningful in
-    floating point.
-    """
+    """Componentwise box bounds alpha_i <= u_i <= beta_i, as two (K,)
+    arrays.  The CLI checks lower <= upper and below_four_pi(upper)."""
 
     def __init__(self, lower, upper):
-        lower = np.array(lower, dtype=float).reshape(-1)
-        upper = np.array(upper, dtype=float).reshape(-1)
-        for i in range(lower.size):
-            if lower[i] > upper[i]:
-                raise ValueError(
-                    "bound component %d has lower > upper (%g > %g)"
-                    % (i, lower[i], upper[i]))
-            if upper[i] > FOUR_PI - _BOUND_GUARD:
-                raise ValueError(
-                    "upper bound component %d reaches the 4*pi threshold (%g)"
-                    % (i, upper[i]))
-        self.lower = lower
-        self.upper = upper
+        self.lower = np.array(lower, dtype=float).reshape(-1)
+        self.upper = np.array(upper, dtype=float).reshape(-1)
 
     def __len__(self):
         return self.lower.size
@@ -46,16 +39,14 @@ class BoundsPair:
 class SourcePoints:
     """Source locations x_i, (K, 2), with separation radii rho_i, (K,).
 
-    compute_separation_radii is the one maker: its radii are positive
-    and at most half of every pairwise distance, so the balls
-    B(x_i, rho_i) are pairwise disjoint by construction.
+    compute_separation_radii is the one maker: its radii, positive for
+    the distinct interior points the CLI admits, are at most half of
+    every pairwise distance, so the balls B(x_i, rho_i) are disjoint.
     """
 
     def __init__(self, points, radii):
-        points = np.array(points, dtype=float).reshape(-1, 2)
-        radii = np.array(radii, dtype=float).reshape(-1)
-        self.points = points
-        self.radii = radii
+        self.points = np.array(points, dtype=float).reshape(-1, 2)
+        self.radii = np.array(radii, dtype=float).reshape(-1)
 
     @property
     def count(self):
@@ -67,22 +58,16 @@ def compute_separation_radii(points, domain):
     separation radii rho_i = min((1/2) min_{j != i} |x_i - x_j|,
     dist(x_i, boundary)): the balls B(x_i, rho_i) are pairwise disjoint
     and inside the domain.  A point outside the domain's interior, or
-    one that repeats another, raises ValueError."""
+    one that repeats another, gets a radius <= 0; the CLI refuses both
+    before it calls this."""
     points = np.array(points, dtype=float).reshape(-1, 2)
     K = points.shape[0]
     radii = np.empty(K)
     for i in range(K):
-        bdist = float(domain.boundary_distance(points[i]))
-        if bdist <= 0.0:
-            raise ValueError("source not interior")
-        rho = bdist
+        rho = float(domain.boundary_distance(points[i]))
         for j in range(K):
-            if j == i:
-                continue
-            d = float(np.hypot(*(points[i] - points[j])))
-            if d == 0.0:
-                raise ValueError("coincident source points")
-            rho = min(rho, 0.5 * d)
+            if j != i:
+                rho = min(rho, 0.5 * float(np.hypot(*(points[i] - points[j]))))
         radii[i] = rho
     return SourcePoints(points, radii)
 

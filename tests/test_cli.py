@@ -110,10 +110,18 @@ def test_run_config_rejects_missing_and_invalid_fields():
         RunConfig.from_dict({"points": [[0.5, 0.5]]})
     with pytest.raises(ConfigError, match="unknown kind"):
         RunConfig.from_dict(base_config(domain={"kind": "triangle"}))
-    with pytest.raises(ConfigError, match="'points'"):
+    with pytest.raises(ConfigError, match=r"^field 'points': point 0 at "
+                       r"\(1.5, 0.5\) is not inside the domain$"):
         RunConfig.from_dict(base_config(points=[[1.5, 0.5], [0.7, 0.6]]))
-    with pytest.raises(ConfigError, match="component 1"):
+    with pytest.raises(ConfigError, match="^field 'points': point 1 repeats "
+                       "point 0$"):
+        RunConfig.from_dict(base_config(points=[[0.3, 0.4], [0.3, 0.4]]))
+    with pytest.raises(ConfigError, match="^field 'upper': values must be "
+                       "below 4 pi.*; component 1 is 14.0$"):
         RunConfig.from_dict(base_config(upper=[1.0, 14.0]))
+    with pytest.raises(ConfigError, match=r"^field 'lower': component 0 "
+                       r"exceeds upper \(2.5 > 2.0\)$"):
+        RunConfig.from_dict(base_config(lower=[2.5, 0.0]))
     with pytest.raises(ConfigError, match="state_of is only"):
         RunConfig.from_dict(base_config(f0="state_of(1.0, 1.0)"))
     with pytest.raises(ConfigError, match="field 'mesh'"):
@@ -414,11 +422,24 @@ def test_any_other_fault_below_the_cli_exits_2(tmp_path, monkeypatch,
 
 
 def test_solve_exit_codes_for_config_errors(tmp_path, capsys):
-    bad = base_config(upper=[1.0, 13.0])
-    path = write_config(tmp_path, bad)
-    assert main(["solve", "--config", path]) == 1
-    err = capsys.readouterr().err
-    assert "component 1" in err
+    # a bound and a control at 4 pi - 1e-13 break the same 4 pi rule,
+    # each under its own name; at 4 pi - 1e-6 both pass
+    for extra, field in (({"upper": [1.0, 13.0]}, "upper"),
+                         ({"upper": [2.0, 4.0 * np.pi - 1e-13]}, "upper"),
+                         ({"control": [0.0, 4.0 * np.pi - 1e-13]},
+                          "control"),
+                         ({"lower": [-1.0, 3.0]}, "lower")):
+        path = write_config(tmp_path, base_config(**extra))
+        assert main(["solve", "--config", path, "--out",
+                     str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field '%s': " % field)
+        assert "component 1" in err and "'bounds'" not in err
+    path = write_config(tmp_path, base_config(
+        upper=[2.0, 4.0 * np.pi - 1e-6], control=[0.0, 4.0 * np.pi - 1e-6]))
+    assert main(["solve", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 0
+    capsys.readouterr()
     p2 = tmp_path / "syntax.json"
     p2.write_text("{")
     assert main(["solve", "--config", str(p2)]) == 1

@@ -8,9 +8,10 @@ from expctrl.estimates import (EstimateReport, verify_lipschitz_family,
                                verify_poisson_exponential,
                                verify_scalar_exponential,
                                verify_semilinear_exponential)
+from expctrl.fem import integrate_exp_linear
 from expctrl.mesh import Domain, build_mesh
-from expctrl.pde import ProblemInstance
-from expctrl.sequences import BoundsPair, compute_separation_radii
+from expctrl.pde import ProblemInstance, point_coupling, solve_semilinear
+from expctrl.sequences import FOUR_PI, BoundsPair, compute_separation_radii
 
 
 def test_report_margin_and_pass_rule():
@@ -136,6 +137,16 @@ def test_semilinear_without_f0_reduces_toward_poisson():
     assert rs.lhs <= rp.lhs + 1e-10
     assert rs.parameters["shift"] == 0.0
     assert_allclose(rs.rhs, rp.rhs, rtol=1e-12)
+    # the left-hand side integrates exp(k y^+), k = (4 pi - alpha) /
+    # omega_max, over the state of the point mass alone; it lowers the
+    # Poisson side by a factor 0.88 here, where exp(k y^+ / 2) would
+    # give 0.63
+    y = solve_semilinear(mesh, point_coupling(mesh, pts.points)
+                         .rmatvec(np.array([1.0])))
+    k = (FOUR_PI - 2.0 * np.pi) / 1.0    # alpha = 2 pi, omega_max = 1
+    assert_allclose(integrate_exp_linear(mesh, np.maximum(y.y, 0.0),
+                                         coeff=k), rs.lhs, rtol=1e-12)
+    assert rs.lhs >= 0.8 * rp.lhs
 
 
 def test_semilinear_rejects_all_zero_weights():
@@ -169,6 +180,22 @@ def test_lipschitz_family_reports_three_bounds_per_trial():
     assert all(r.passed for r in reports)
 
 
+def test_lipschitz_rows_are_tight_on_a_large_square():
+    # summing the state equation gives sum_i m_i (e^y_i - 1) = u minus
+    # the boundary flux, which decays like e^-distance: on a square of
+    # side 20 with one point every L1 row is near an equality, its
+    # lhs / rhs 0.99985 / (1 + LIPSCHITZ_SLACK) = 0.952
+    square = Domain.rectangle(0.0, 0.0, 20.0, 20.0)
+    pts = compute_separation_radii([[10.013, 10.027]], square)
+    inst = ProblemInstance(square, pts, BoundsPair([0.0], [6.0]), 0.0,
+                           resolution=40)
+    reports = verify_lipschitz_family(inst, inst.make_mesh(), trials=4,
+                                      seed=7)
+    rows = [r for r in reports if r.rhs > 0.0]
+    assert len(reports) == 12 and len(rows) == 11
+    assert all(r.passed and r.lhs >= 0.9 * r.rhs for r in rows)
+
+
 def test_lipschitz_family_is_seed_deterministic():
     inst = lipschitz_instance(24)
     mesh = inst.make_mesh()
@@ -196,6 +223,11 @@ def test_mollified_certificates_closed_form_parameters():
     assert pw.passed and integ.passed
     assert pw.lhs < 2.1          # frozen run value is about 2.0
     assert integ.lhs < 3.5
+    # the allowance is m h^2, and the canonical case passes without it:
+    # margin / rhs reads 0.59 to 0.60 at n = 48 and 64
+    for report in (pw, integ):
+        assert report.parameters["allowance"] == 2.0 * np.pi * mesh.h ** 2
+        assert report.margin >= 0.5 * report.rhs
 
 
 def test_mollified_limit_of_small_exponent():
@@ -230,3 +262,5 @@ def test_mollified_off_center_ball():
     pw, integ = verify_mollified_poisson((0.3, 0.1), 0.3, 0.05,
                                          np.pi, mesh)
     assert pw.passed and integ.passed
+    assert pw.parameters["allowance"] == integ.parameters["allowance"] \
+        == np.pi * mesh.h ** 2

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import expctrl.mesh as mesh_module
+from expctrl.cli import ConfigError, RunConfig
 from expctrl.mesh import (Domain, Mesh, _edge_lengths, barycentric,
                           build_mesh, circumcenters, locate_point)
 from expctrl.sequences import compute_separation_radii
@@ -34,10 +35,21 @@ def test_domain_boundary_distance():
 
 
 def test_degenerate_domains_rejected():
-    with pytest.raises(ValueError):
-        Domain.rectangle(0.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        Domain.disk(0.0, 0.0, 0.0)
+    # the CLI refuses a domain without area, naming its field; the
+    # Domain makers build whatever they are given
+    for domain, field in (
+            ({"kind": "rectangle", "corners": [0.0, 0.0, 0.0, 1.0]},
+             "domain.corners"),
+            ({"kind": "rectangle", "corners": [0.0, 1.0, 2.0, 0.5]},
+             "domain.corners"),
+            ({"kind": "disk", "center": [0.0, 0.0], "radius": 0.0},
+             "domain.radius"),
+            ({"kind": "disk", "center": [0.0, 0.0], "radius": -1.0},
+             "domain.radius")):
+        with pytest.raises(ConfigError,
+                           match="^field '%s': expected" % field):
+            RunConfig.from_dict({"domain": domain, "points": [[0.0, 0.0]],
+                                 "lower": [0.0], "upper": [1.0]})
 
 
 def test_coarsest_square_mesh():

@@ -5,27 +5,45 @@ from numpy.testing import assert_allclose
 
 from expctrl.cli import ConfigError, RunConfig, _verify_check
 from expctrl.mesh import Domain
-from expctrl.sequences import (FOUR_PI, BoundsPair, L_functional,
-                               SourcePoints, compute_separation_radii)
+from expctrl.sequences import (FOUR_PI, L_functional, SourcePoints,
+                               below_four_pi, compute_separation_radii)
 from helpers import truncate
-
-
-def test_bounds_ordering_checked_per_component():
-    with pytest.raises(ValueError, match="component 1"):
-        BoundsPair([0.0, 2.0], [1.0, 1.0])
-
-
-def test_bounds_upper_must_stay_below_four_pi():
-    # strictness guard: 4*pi - 1e-12 is the cutoff
-    with pytest.raises(ValueError, match="component 0.*4\\*pi"):
-        BoundsPair([0.0], [FOUR_PI])
-    with pytest.raises(ValueError, match="component 1"):
-        BoundsPair([0.0, 0.0], [1.0, 13.0])
-    BoundsPair([0.0], [FOUR_PI - 1e-6])  # fine
-
 
 ONE_POINT = {"domain": {"kind": "unit_square"}, "points": [[0.5, 0.5]],
              "lower": [0.0], "upper": [1.0]}
+TWO_POINTS = dict(ONE_POINT, points=[[0.3, 0.5], [0.7, 0.5]],
+                  lower=[0.0, 0.0], upper=[1.0, 1.0])
+
+
+def rejected(message, **values):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_dict(dict(TWO_POINTS, **values))
+
+
+def test_bounds_ordering_checked_per_component():
+    # the CLI checks the box where it enters and names the field
+    rejected(r"^field 'lower': component 1 exceeds upper \(2.0 > 1.0\)$",
+             lower=[0.0, 2.0])
+    bounds = RunConfig.from_dict(dict(TWO_POINTS, lower=[1.0, 0.0])) \
+        .instance.bounds
+    assert list(bounds.lower) == [1.0, 0.0]
+
+
+def test_bounds_upper_must_stay_below_four_pi():
+    # one rule for every weight: at most 4*pi - 1e-12
+    assert below_four_pi([0.0, FOUR_PI - 1e-12])
+    assert not below_four_pi([FOUR_PI - 1e-13, 0.0])
+    assert not below_four_pi(np.array([1.0, np.inf]))
+    for upper, component in (([1.0, FOUR_PI], 1),
+                             ([FOUR_PI - 1e-13, 1.0], 0),
+                             ([1.0, 13.0], 1)):
+        rejected("^field 'upper': values must be below 4 pi, at most "
+                 "4 pi - 1e-12, .*; component %d is" % component,
+                 upper=upper)
+    bounds = RunConfig.from_dict(dict(TWO_POINTS,
+                                      upper=[1.0, FOUR_PI - 1e-6])) \
+        .instance.bounds
+    assert bounds.upper[1] == FOUR_PI - 1e-6
 
 
 def test_bounds_length_mismatch():
@@ -43,14 +61,16 @@ def test_source_points_require_disjoint_balls():
 
 
 def test_source_points_reject_duplicates_and_bad_radii():
-    # the maker refuses a repeated point and a point without a positive
-    # radius, one on the boundary
-    with pytest.raises(ValueError, match="coincident"):
-        compute_separation_radii([[0.5, 0.5], [0.5, 0.5]],
-                                 Domain.unit_square())
-    with pytest.raises(ValueError, match="not interior"):
-        compute_separation_radii([[0.5, 0.5], [1.0, 0.5]],
-                                 Domain.unit_square())
+    # the CLI refuses a repeated point and a point without a positive
+    # radius, one on the boundary, naming the point; the maker only
+    # computes, and gives each of them a radius <= 0
+    rejected(r"^field 'points': point 1 repeats point 0$",
+             points=[[0.5, 0.5], [0.5, 0.5]])
+    rejected(r"^field 'points': point 1 at \(1.0, 0.5\) is not inside the "
+             r"domain$", points=[[0.5, 0.5], [1.0, 0.5]])
+    radii = compute_separation_radii([[0.5, 0.5], [0.5, 0.5], [1.0, 0.5]],
+                                     Domain.unit_square()).radii
+    assert_allclose(radii, [0.0, 0.0, 0.0])
 
 
 def test_truncate_zeroes_the_tail():
@@ -107,13 +127,20 @@ def test_separation_radius_near_edge():
 
 
 def test_separation_radii_reject_boundary_and_duplicate_points():
-    square = Domain.unit_square()
-    with pytest.raises(ValueError, match="not interior"):
-        compute_separation_radii([[0.0, 0.5]], square)
-    with pytest.raises(ValueError, match="not interior"):
-        compute_separation_radii([[1.2, 0.5]], square)
-    with pytest.raises(ValueError, match="coincident"):
-        compute_separation_radii([[0.4, 0.4], [0.4, 0.4]], square)
+    # every point the CLI lets through has a positive separation radius
+    rejected(r"^field 'points': point 0 at \(0.0, 0.5\) is not inside",
+             points=[[0.0, 0.5], [0.7, 0.5]])
+    rejected(r"^field 'points': point 1 at \(1.2, 0.5\) is not inside",
+             points=[[0.3, 0.5], [1.2, 0.5]])
+    rejected(r"^field 'points': point 2 repeats point 0$",
+             points=[[0.4, 0.4], [0.6, 0.6], [0.4, 0.4]],
+             lower=[0.0] * 3, upper=[1.0] * 3)
+    disk = {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0}
+    rejected(r"^field 'points': point 1 at \(0.6, 0.8\) is not inside",
+             domain=disk, points=[[0.0, 0.0], [0.6, 0.8]])
+    points = RunConfig.from_dict(dict(TWO_POINTS, domain=disk)) \
+        .instance.points
+    assert np.all(points.radii > 0.0)
 
 
 def test_separation_balls_disjoint_and_bounded_by_half_diameter():
